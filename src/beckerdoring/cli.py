@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import check_assumptions
 from .config import load_config, template_text
-from .equilibrium import critical_values, equilibrium_profile, relative_free_energy, solve_monomer_activity
+from .equilibrium import relative_free_energy
 from .errors import (
     BeckerDoringError,
     ConfigError,
@@ -29,10 +29,11 @@ from .experiments import (
     ExperimentConfig,
     emit_report,
     export_supersolution,
+    prepare,
     run_uniform_moment_experiment,
     trajectory_csv_lines,
 )
-from .solver import IntegrateOptions, density, integrate
+from .solver import integrate
 from .supersolution import build_supersolution, make_params, verify_supersolution
 from .tails import tail_density
 
@@ -80,43 +81,26 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_equilibrium(args) -> int:
-    config = _load(args)
-    model = config.build_model()
-    crit = critical_values(model, config.n_series)
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
-    c0 = config.initial_state(eq)
+    prep = prepare(_load(args))
+    crit, eq = prep.critical, prep.equilibrium
     print(f"z_s={crit.z_s!r}")
     print(f"rho_s={'inf' if crit.diverges else repr(crit.rho_s)}")
-    print(f"z_bar={z_bar!r}")
+    print(f"z_bar={prep.z_bar!r}")
     print(f"rho={eq.rho!r}")
     print(f"n_cut={eq.cut_index}")
     print(f"tail_bound={eq.tail_bound!r}")
     print(f"h_empty_state={math.fsum(eq.profile)!r}")
-    print(f"h_initial={relative_free_energy(c0.c, eq)!r}")
+    print(f"h_initial={relative_free_energy(prep.state0.c, eq)!r}")
     return EXIT_PASS
 
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    model = config.build_model()
-    crit = critical_values(model, config.n_series)
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
-    state0 = config.initial_state(eq)
-    opts = IntegrateOptions(
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-        n_snapshots=config.snapshots,
-        tail_threshold=config.tail_threshold,
-        track_moments=tuple(config.k_moments),
-        track_stretched=tuple(tuple(p) for p in config.stretched),
-        equilibrium=eq,
-    )
-    trajectory = integrate(state0, model, config.t_end, opts)
+    prep = prepare(config)
+    trajectory = integrate(prep.state0, prep.model, config.t_end, prep.opts)
     header = {
-        "family": config.family, "gamma": config.gamma, "z_s": crit.z_s,
-        "rho": density(state0), "z_bar": z_bar,
+        "family": config.family, "gamma": config.gamma, "z_s": prep.critical.z_s,
+        "rho": prep.rho, "z_bar": prep.z_bar,
         "rel_tol": config.rel_tol, "abs_tol": trajectory.abs_tol,
     }
     args.out.mkdir(exist_ok=True)
@@ -144,15 +128,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_supersolution(args) -> int:
     config = _load(args)
-    model = config.build_model()
-    crit = critical_values(model, config.n_series)
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
-    state0 = config.initial_state(eq)
-    rho = density(state0)
-    omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
-    g = tail_density(state0.c).g
-    params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=crit.z_s)
+    prep = prepare(config)
+    model, omega, rho, z_s = prep.model, prep.omega, prep.rho, prep.critical.z_s
+    g = tail_density(prep.state0.c).g
+    params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=z_s)
     sol = build_supersolution(model, params, g)
     check = verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
     path = export_supersolution(sol, args.out)

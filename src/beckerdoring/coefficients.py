@@ -94,6 +94,10 @@ class CoefficientModel:
             )
         return float(out) if out.ndim == 0 else out
 
+    def rate_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flux rates (a_{j-1}, b_j) for j = 2..n, as two arrays."""
+        return self.a(np.arange(1, n, dtype=float)), self.b(np.arange(2, n + 1, dtype=float))
+
     def log_a(self, i):
         """log a_i, evaluated without forming a_i (safe for huge i)."""
         i = np.asarray(i, dtype=float)

@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .experiments import ExperimentConfig
 
-_INT_KEYS = {"n", "snapshots", "n_series", "seed"}
+_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
 
 TEMPLATE = """\
 # model

@@ -237,30 +237,26 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData | np.ndarra
 
     H = sum_i (c_i log(c_i / Q_i) - c_i + Q_i) with 0 log 0 = 0; non-negative
     by termwise convexity.  Full equilibrium data carries log Q_i, so mass
-    past the profile's underflow cut still gets a finite value; against a
-    bare profile array, mass where the profile is exactly zero raises.
+    past the profile's underflow cut still gets a finite value; mass where
+    log Q_i is -inf (a bare profile array that is exactly zero there, or a
+    zero activity) raises.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0):
         raise ParameterError("concentrations must be non-negative")
-    if isinstance(equilibrium, EquilibriumData) and equilibrium.z_bar > 0:
-        profile = equilibrium.profile
-        log_profile = equilibrium.log_profile
-        if c.shape != profile.shape:
-            raise ParameterError("state and equilibrium must share the truncation length")
-        pos = c > 0
-        terms = profile.copy()
-        cp = c[pos]
-        terms[pos] = cp * (np.log(cp) - log_profile[pos]) - cp + profile[pos]
-        return math.fsum(terms)
-    profile = equilibrium.profile if isinstance(equilibrium, EquilibriumData) else np.asarray(equilibrium, float)
+    if isinstance(equilibrium, EquilibriumData):
+        profile, log_profile = equilibrium.profile, equilibrium.log_profile
+    else:
+        profile = np.asarray(equilibrium, float)
+        with np.errstate(divide="ignore"):
+            log_profile = np.log(profile)
     if c.shape != profile.shape:
         raise ParameterError("state and equilibrium must share the truncation length")
-    bad = np.nonzero((c > 0) & (profile == 0))[0]
+    pos = c > 0
+    bad = np.nonzero(pos & (log_profile == -np.inf))[0]
     if len(bad):
         raise FreeEnergyDomainError(int(bad[0]) + 1)
-    pos = c > 0
     terms = profile.copy()
     cp = c[pos]
-    terms[pos] = cp * np.log(cp / profile[pos]) - cp + profile[pos]
+    terms[pos] = cp * (np.log(cp) - log_profile[pos]) - cp + profile[pos]
     return math.fsum(terms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,9 @@ from .equilibrium import (
     equilibrium_profile,
     solve_monomer_activity,
 )
-from .errors import (
-    ConfigError,
-    ParameterError,
-    SupercriticalError,
-    UnboundedGrowthConstantError,
-)
+from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from .maximum_principle import check_domination
-from .solver import ClusterState, IntegrateOptions, Trajectory, density, integrate
+from .solver import ClusterState, IntegrateOptions, Snapshot, Trajectory, density, integrate
 from .supersolution import (
     Supersolution,
     build_supersolution,
@@ -119,18 +114,50 @@ class ExperimentConfig:
         return ClusterState(shape * (self.rho / mass))
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family, "gamma": self.gamma, "z_s": self.z_s, "q": self.q,
-            "mu_c": self.mu_c, "sigma": self.sigma, "rates_file": self.rates_file,
-            "n": self.n, "rho": self.rho, "init": self.init, "init_ratio": self.init_ratio,
-            "init_file": self.init_file, "t_end": self.t_end, "snapshots": self.snapshots,
-            "rel_tol": self.rel_tol, "abs_tol": self.abs_tol,
-            "tail_threshold": self.tail_threshold,
-            "k_moments": list(self.k_moments),
-            "stretched": [list(p) for p in self.stretched],
-            "omega": self.omega, "omega_margin": self.omega_margin, "delta": self.delta,
-            "tol_dom": self.tol_dom, "n_series": self.n_series, "seed": self.seed,
-        }
+        return asdict(self)
+
+
+@dataclass(frozen=True, eq=False)
+class Preamble:
+    """What every command derives from a config before it integrates.
+
+    ``rho`` is the density of ``state0``, which for ``init = "file"`` is not
+    ``config.rho``.  ``omega`` is the configured cap or, for ``omega = 0``,
+    z_bar + omega_margin * (z_s - z_bar); it is not checked against z_s here.
+    """
+
+    model: CoefficientModel
+    critical: CriticalValues
+    z_bar: float
+    equilibrium: EquilibriumData
+    state0: ClusterState
+    rho: float
+    omega: float
+    opts: IntegrateOptions
+
+
+def prepare(config: ExperimentConfig) -> Preamble:
+    """Build the model, its critical values and the equilibrium of a config.
+
+    Adds no refusal of its own: a supercritical density fails in the
+    activity solve.
+    """
+    model = config.build_model()
+    crit = critical_values(model, config.n_series)
+    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
+    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
+    state0 = config.initial_state(eq)
+    omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
+    opts = IntegrateOptions(
+        rel_tol=config.rel_tol,
+        abs_tol=config.abs_tol,
+        n_snapshots=config.snapshots,
+        tail_threshold=config.tail_threshold,
+        track_moments=tuple(config.k_moments),
+        track_stretched=tuple(tuple(p) for p in config.stretched),
+        equilibrium=eq,
+    )
+    return Preamble(model, crit, z_bar, eq, state0, density(state0), omega, opts)
 
 
 # -- short-time growth constant ----------------------------------------------
@@ -229,10 +256,24 @@ def _jsonable(obj):
 
 @dataclass
 class StageResult:
+    """One stage's verdict; ``key`` (not serialized) is the tracked weight's
+    moment order k or stretched pair (alpha, mu), None for other stages."""
+
     name: str
     ok: bool
     gating: bool = True
     info: dict = field(default_factory=dict)
+    key: float | tuple[float, float] | None = None
+
+
+def _label(key: float | tuple[float, float]) -> str:
+    if isinstance(key, tuple):
+        return f"alpha={key[0]:g},mu={key[1]:g}"
+    return f"k={key:g}"
+
+
+def _tracked(snap: Snapshot, key: float | tuple[float, float]) -> float:
+    return snap.stretched[key] if isinstance(key, tuple) else snap.moments[key]
 
 
 @dataclass
@@ -276,7 +317,8 @@ class UniformBoundReport:
         )
 
 
-def _check_hypotheses(config: ExperimentConfig, gamma: float) -> None:
+def _check_hypotheses(config: ExperimentConfig) -> None:
+    gamma = config.gamma
     k_min = max(2.0 - gamma, 1.0 + gamma)
     for k in config.k_moments:
         if k < k_min - 1e-12:
@@ -296,6 +338,13 @@ def _check_hypotheses(config: ExperimentConfig, gamma: float) -> None:
                     f"stretched pair (alpha={alpha}, mu={mu}) needs alpha > 0 and "
                     f"0 < mu <= 1 - gamma = {1.0 - gamma}"
                 )
+    for labels in ([_label(k) for k in config.k_moments], [_label((a, m)) for a, m in config.stretched]):
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(
+                    f"two weights give the same stage label {label!r} (labels keep 6 "
+                    "significant digits); drop one or make them differ within 6 digits"
+                )
 
 
 def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundReport:
@@ -306,34 +355,14 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     ConfigError for weights outside the certified hypotheses.  Every other
     failure is a stage verdict, never a silent pass.
     """
-    model = config.build_model()
-    _check_hypotheses(config, model.gamma)
-    crit = critical_values(model, config.n_series)
-    if not crit.diverges and config.rho >= crit.rho_s:
-        raise SupercriticalError(
-            f"density {config.rho:.6g} >= critical density {crit.rho_s:.6g}; "
-            "uniform moment bounds only hold below it"
-        )
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
-    state0 = config.initial_state(eq)
-    rho = density(state0)
-
-    omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
+    _check_hypotheses(config)
+    prep = prepare(config)
+    model, crit, rho, omega = prep.model, prep.critical, prep.rho, prep.omega
     if not omega < crit.z_s:
         raise ConfigError(f"omega = {omega:.6g} must be below z_s = {crit.z_s:.6g}")
 
     stages: list[StageResult] = []
-    opts = IntegrateOptions(
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-        n_snapshots=config.snapshots,
-        tail_threshold=config.tail_threshold,
-        track_moments=tuple(config.k_moments),
-        track_stretched=tuple(tuple(p) for p in config.stretched),
-        equilibrium=eq,
-    )
-    trajectory = integrate(state0, model, config.t_end, opts)
+    trajectory = integrate(prep.state0, model, config.t_end, prep.opts)
     rho_drift = max(abs(s.rho - rho) for s in trajectory.snapshots) / rho
     stages.append(
         StageResult(
@@ -365,28 +394,32 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 
     witness: dict = {}
     if t0 is not None:
+        # per certified weight: stage kind, key, the state weight phi of the
+        # short-time bound, the tail weight psi and factor of the certificate
+        # factor * sum_j psi_j r_j, and extra info for the certified stage
         i_grid = np.arange(1, config.n + 1, dtype=float)
-        weight_sets: list[tuple[str, np.ndarray, str, object]] = []
-        for k in config.k_moments:
-            weight_sets.append((f"k={k:g}", i_grid**k, "moment", k))
+        certificates = [("moment", k, i_grid**k, i_grid ** (k - 1), k + 1, {}) for k in config.k_moments]
         for alpha, mu in config.stretched:
-            weight_sets.append(
-                (f"alpha={alpha:g},mu={mu:g}", np.exp(alpha * i_grid**mu), "stretched", (alpha, mu))
-            )
+            weights = stretched_weights(alpha, mu)
+            regime = "mu == 1 - gamma" if abs(mu - (1 - model.gamma)) < 1e-12 else "mu < 1 - gamma"
+            certificates.append((
+                "stretched", (alpha, mu), np.exp(alpha * i_grid**mu), weights.psi(config.n), weights.eta2,
+                {"eta1": weights.eta1, "eta2": weights.eta2, "regime": regime},
+            ))
 
         pre = [s for s in trajectory.snapshots if s.t <= t0 + 1e-12]
-        for label, phi, kind, key in weight_sets:
+        for _, key, phi, *_ in certificates:
             bound = short_time_constant(model, phi, rho)
-            m0 = pre[0].moments[key] if kind == "moment" else pre[0].stretched[key]
+            m0 = _tracked(pre[0], key)
             worst = 0.0
             for snap in pre:
-                mt = snap.moments[key] if kind == "moment" else snap.stretched[key]
-                worst = max(worst, mt / (math.exp(bound.c_phi * (snap.t - pre[0].t)) * m0))
+                worst = max(worst, _tracked(snap, key) / (math.exp(bound.c_phi * (snap.t - pre[0].t)) * m0))
             stages.append(
                 StageResult(
-                    f"short_time_bound[{label}]",
+                    f"short_time_bound[{_label(key)}]",
                     ok=worst <= 1.0 + 1e-8,
                     info={"c_phi": bound.c_phi, "eps": bound.eps, "a_phi": bound.a_phi, "worst_ratio": worst},
+                    key=key,
                 )
             )
 
@@ -425,49 +458,31 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
         )
 
-        j_grid = i_grid
-        for k in config.k_moments:
-            certified = (k + 1) * math.fsum(j_grid ** (k - 1) * super_sol.r)
-            observed = max(s.moments[k] for s in trajectory.snapshots)
-            wb = weighted_sum_bound(super_sol.r, g_t0, j_grid ** (k - 1), params)
-            stages.append(
-                StageResult(
-                    f"certified_moment[k={k:g}]",
-                    ok=observed <= certified * (1 + 1e-12) and wb.lhs <= wb.rhs,
-                    info={
-                        "certified": certified,
-                        "observed_sup": observed,
-                        "weighted_sum_lhs": wb.lhs,
-                        "weighted_sum_rhs": wb.rhs,
-                        "c_used": wb.c_used,
-                    },
-                )
-            )
-        for alpha, mu in config.stretched:
-            weights = stretched_weights(alpha, mu)
-            psi = weights.psi(config.n)
-            certified = weights.eta2 * math.fsum(psi * super_sol.r)
-            observed = max(s.stretched[(alpha, mu)] for s in trajectory.snapshots)
+        for kind, key, _, psi, factor, extra in certificates:
+            certified = factor * math.fsum(psi * super_sol.r)
+            observed = max(_tracked(s, key) for s in trajectory.snapshots)
             wb = weighted_sum_bound(super_sol.r, g_t0, psi, params)
+            info = {
+                "certified": certified,
+                "observed_sup": observed,
+                "weighted_sum_lhs": wb.lhs,
+                "weighted_sum_rhs": wb.rhs,
+                **extra,
+            }
+            if kind == "moment":
+                info["c_used"] = wb.c_used
             stages.append(
                 StageResult(
-                    f"certified_stretched[alpha={alpha:g},mu={mu:g}]",
+                    f"certified_{kind}[{_label(key)}]",
                     ok=observed <= certified * (1 + 1e-12) and wb.lhs <= wb.rhs,
-                    info={
-                        "certified": certified,
-                        "observed_sup": observed,
-                        "eta1": weights.eta1,
-                        "eta2": weights.eta2,
-                        "weighted_sum_lhs": wb.lhs,
-                        "weighted_sum_rhs": wb.rhs,
-                        "regime": "mu == 1 - gamma" if abs(mu - (1 - model.gamma)) < 1e-12 else "mu < 1 - gamma",
-                    },
+                    info=info,
+                    key=key,
                 )
             )
 
     # qualitative relaxation toward the equilibrium profile (informational)
     l1w = [
-        math.fsum(np.arange(1, config.n + 1, dtype=float) * np.abs(s.c - eq.profile))
+        math.fsum(np.arange(1, config.n + 1, dtype=float) * np.abs(s.c - prep.equilibrium.profile))
         for s in trajectory.snapshots
     ]
     tail_start = 3 * len(l1w) // 4
@@ -492,7 +507,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
         config=config,
         z_s=crit.z_s,
         rho_s=crit.rho_s,
-        z_bar=z_bar,
+        z_bar=prep.z_bar,
         omega=omega,
         t0=t0,
         stages=stages,
@@ -577,33 +592,17 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path, plot_data: bool
         paths["witness"] = witness
 
     if plot_data and report.trajectory is not None:
-        names = sorted(
-            s.name for s in report.stages if s.name.startswith("certified_") and "certified" in s.info
-        )
-        certified = {name: report.stage(name).info["certified"] for name in names}
-        observed = {name: _observed_series(report, name) for name in names}
-        lines = ["# t " + " ".join(f"{n} {n}_certified" for n in names)]
-        for idx, snap in enumerate(report.trajectory.snapshots):
+        certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
+        lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
+        for snap in report.trajectory.snapshots:
             vals = [_fmt(snap.t)]
-            for name in names:
-                vals.append(_fmt(observed[name][idx]))
-                vals.append(_fmt(certified[name]))
+            for s in certs:
+                vals += [_fmt(_tracked(snap, s.key)), _fmt(s.info["certified"])]
             lines.append(" ".join(vals))
         bounds = out / "bounds.dat"
         bounds.write_text("\n".join(lines) + "\n")
         paths["bounds"] = bounds
     return paths
-
-
-def _observed_series(report: UniformBoundReport, stage_name: str) -> list[float]:
-    snaps = report.trajectory.snapshots
-    if stage_name.startswith("certified_moment"):
-        k = float(stage_name.split("k=")[1].rstrip("]"))
-        return [s.moments[k] for s in snaps]
-    inner = stage_name.split("[")[1].rstrip("]")
-    alpha = float(inner.split("alpha=")[1].split(",")[0])
-    mu = float(inner.split("mu=")[1])
-    return [s.stretched[(alpha, mu)] for s in snaps]
 
 
 def export_supersolution(sol: Supersolution, out_dir: str | Path) -> Path:

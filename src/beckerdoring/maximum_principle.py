@@ -94,9 +94,9 @@ def build_tail_comparison_matrix(
         raise ParameterError("omega must be positive")
     if not (2 <= j_lo <= j_hi):
         raise ParameterError("need 2 <= j_lo <= j_hi")
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
-    a_prev = model.a(js - 1) * omega
-    b_j = model.b(js)
+    a_prev, b_j = model.rate_pairs(j_hi)
+    a_prev = a_prev[j_lo - 2 :] * omega
+    b_j = b_j[j_lo - 2 :]
     diag = -(a_prev + b_j)
     sub = a_prev[1:]
     sup = b_j[:-1]

@@ -81,24 +81,17 @@ def stretched_moment(state: ClusterState | np.ndarray, alpha: float, mu: float) 
 
 def net_rates(state: ClusterState, model: CoefficientModel) -> np.ndarray:
     """Net reaction rates w_i = a_i c_1 c_i - b_{i+1} c_{i+1}, with w_N = 0."""
-    c = state.c
-    n = len(c)
-    a = model.a(np.arange(1, n, dtype=float))
-    b_next = model.b(np.arange(2, n + 1, dtype=float))
-    w = np.empty(n)
-    w[:-1] = a * c[0] * c[:-1] - b_next * c[1:]
-    w[-1] = 0.0
+    w = np.zeros(state.n)
+    w[:-1] = _flux(state.c, *model.rate_pairs(state.n))
     return w
 
 
-def _rhs_arrays(model: CoefficientModel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = model.a(np.arange(1, n, dtype=float))
-    b_next = model.b(np.arange(2, n + 1, dtype=float))
-    return a, b_next
+def _flux(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
+    return a * c[0] * c[:-1] - b_next * c[1:]
 
 
 def _rhs_core(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
-    w = a * c[0] * c[:-1] - b_next * c[1:]
+    w = _flux(c, a, b_next)
     dc = np.empty_like(c)
     dc[1:-1] = w[:-1] - w[1:]
     dc[-1] = w[-1]
@@ -108,8 +101,7 @@ def _rhs_core(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
 
 def rhs(state: ClusterState, model: CoefficientModel) -> np.ndarray:
     """Time derivative of the truncated system at the given state."""
-    a, b_next = _rhs_arrays(model, len(state.c))
-    return _rhs_core(state.c, a, b_next)
+    return _rhs_core(state.c, *model.rate_pairs(state.n))
 
 
 @dataclass
@@ -198,7 +190,7 @@ def integrate(
     n = state0.n
     rho0 = density(state0)
     abs_tol = opts.abs_tol if opts.abs_tol > 0 else DEFAULT_ABS_TOL_FACTOR * max(rho0, 1e-300)
-    a, b_next = _rhs_arrays(model, n)
+    a, b_next = model.rate_pairs(n)
     weight = np.arange(1, n + 1, dtype=float)
 
     clamped_total = [0.0]

@@ -62,15 +62,15 @@ def choose_lambda(
         ceiling = capped
     lam = math.sqrt(delta * ceiling)
 
-    js = np.arange(2, n_max + 1, dtype=float)
-    ok = model.b(js) >= lam * omega * model.a(js - 1)
+    a_prev, b_j = model.rate_pairs(n_max)
+    ok = b_j >= lam * omega * a_prev
     if not ok[-1]:
         raise NoSwitchIndexError(
             f"b_j >= lambda omega a_(j-1) still fails at j = {n_max}; "
             "omega is too close to z_s for this truncation"
         )
     bad = np.nonzero(~ok)[0]
-    n_switch = int(js[bad[-1]]) + 1 if len(bad) else 1
+    n_switch = int(bad[-1]) + 3 if len(bad) else 1  # one past the last failing j = bad + 2
     return lam, n_switch
 
 
@@ -229,9 +229,8 @@ def verify_supersolution(
     if n < 3:
         raise ParameterError("sequence too short to verify")
     r1_ok = bool(r[0] >= rho - tol)
-    j = np.arange(2, n, dtype=float)
-    a_prev = model.a(j - 1) * omega
-    b_j = model.b(j)
+    a_prev, b_j = model.rate_pairs(n - 1)
+    a_prev = a_prev * omega
     lhs = a_prev * (r[:-2] - r[1:-1]) + b_j * (r[2:] - r[1:-1])
     scale = a_prev * r[:-2] + b_j * r[1:-1]
     scale = np.where(scale > 0, scale, 1.0)

@@ -120,7 +120,5 @@ def tail_rhs(g: TailDensity | np.ndarray, c1: float, model: CoefficientModel) ->
     n = len(gv)
     if n < 3:
         raise ParameterError("tail derivative needs length >= 3")
-    j = np.arange(2, n, dtype=float)
-    a_prev = model.a(j - 1)
-    b_j = model.b(j)
+    a_prev, b_j = model.rate_pairs(n - 1)
     return a_prev * c1 * (gv[:-2] - gv[1:-1]) + b_j * (gv[2:] - gv[1:-1])

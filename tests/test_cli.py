@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,57 @@ def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     failed = [s["name"] for s in summary["stages"] if not s["ok"] and s["gating"]]
     assert "threshold" in failed
+
+
+def _header(path):
+    return dict(line[1:].split("=", 1) for line in path.read_text().splitlines() if line.startswith("#"))
+
+
+def test_commands_agree_on_preamble(small_config, tmp_path, capsys):
+    config = str(small_config)
+    assert main(["equilibrium", "--config", config]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["supersolution", "--config", config, "--out", str(tmp_path / "sup")]) == 0
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "exp")]) == 0
+    simulated = _header(tmp_path / "sim" / "timeseries.csv")
+    witness = json.loads((tmp_path / "sup" / "witness.json").read_text())
+    summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+    experiment = _header(tmp_path / "exp" / "timeseries.csv")
+    z_bar = summary["z_bar"]
+    assert float(printed["z_bar"]) == float(simulated["z_bar"]) == float(experiment["z_bar"]) == z_bar
+    assert witness["omega"] == float(experiment["omega"]) == summary["omega"]
+    rho = summary["config"]["rho"]
+    assert witness["rho"] == float(simulated["rho"]) == float(experiment["rho"]) == rho
+
+
+@pytest.mark.parametrize(
+    "line, stage, column",
+    [
+        # keys whose stage label (6 significant digits) does not parse back to them
+        ("k_moments = [2.1234567]", "certified_moment[k=2.12346]", "M_2.12346"),
+        ("stretched = [[1.2345678, 0.5]]", "certified_stretched[alpha=1.23457,mu=0.5]", "E_1.23457_0.5"),
+        # two keys with one label: refused, stage names must be unique
+        ("k_moments = [2.0, 2.0000001]", None, None),
+    ],
+)
+def test_stage_labels_carry_their_keys(small_config, tmp_path, capsys, line, stage, column):
+    key = line.split(" = ")[0]
+    path = tmp_path / "labels.toml"
+    path.write_text(re.sub(rf"^{key} = .*$", line, small_config.read_text(), flags=re.M))
+    out_dir = tmp_path / "out"
+    rc = main(["experiment", "--config", str(path), "--out", str(out_dir)])
+    if stage is None:
+        assert rc == 11
+        assert "same stage label 'k=2'" in capsys.readouterr().err
+        return
+    assert rc == 0
+    lines = (out_dir / "timeseries.csv").read_text().splitlines()
+    rows = [r.split(",") for r in lines if not r.startswith("#")]
+    expected = [row[rows[0].index(column)] for row in rows[1:]]
+    bounds = [r.split() for r in (out_dir / "bounds.dat").read_text().splitlines()]
+    idx = bounds[0].index(stage) - 1  # the header line starts with "#"
+    assert [row[idx] for row in bounds[1:]] == expected
 
 
 def test_missing_out_parent_exit_10(small_config, tmp_path):
