@@ -232,31 +232,50 @@ def equilibrium_profile(
     )
 
 
-def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData | np.ndarray) -> float:
-    """Free energy of a state relative to an equilibrium profile.
+def support_length(c: np.ndarray) -> int:
+    """1 + the last index that is non-zero in any row of ``c``; 0 for all zeros.
+
+    Entries past it are exactly zero in every row, so they add exactly
+    nothing to a c-weighted sum; ``c`` is one state or one state per row.
+    """
+    nonzero = np.flatnonzero(np.any(c, axis=0) if np.ndim(c) == 2 else c)
+    return int(nonzero[-1]) + 1 if len(nonzero) else 0
+
+
+def relative_free_energy(
+    c: np.ndarray, equilibrium: EquilibriumData | np.ndarray
+) -> float | np.ndarray:
+    """Free energy of states relative to an equilibrium profile.
 
     H = sum_i (c_i log(c_i / Q_i) - c_i + Q_i) with 0 log 0 = 0; non-negative
-    by termwise convexity.  Full equilibrium data carries log Q_i, so mass
+    by termwise convexity.  ``c`` is one state (returns a float) or a matrix
+    with one state per row (returns one value per row), summed pairwise
+    along the row.  Past the rows' common support each term is Q_i, so that
+    tail is one constant.  Full equilibrium data carries log Q_i, so mass
     past the profile's underflow cut still gets a finite value; mass where
     log Q_i is -inf (a bare profile array that is exactly zero there, or a
-    zero activity) raises.
+    zero activity) raises with the 1-based index of the first such entry in
+    the first row that has one.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(c < 0):
-        raise ParameterError("concentrations must be non-negative")
     if isinstance(equilibrium, EquilibriumData):
         profile, log_profile = equilibrium.profile, equilibrium.log_profile
     else:
         profile = np.asarray(equilibrium, float)
         with np.errstate(divide="ignore"):
             log_profile = np.log(profile)
-    if c.shape != profile.shape:
+    if c.ndim not in (1, 2) or c.shape[-1:] != profile.shape:
         raise ParameterError("state and equilibrium must share the truncation length")
-    pos = c > 0
-    bad = np.nonzero(pos & (log_profile == -np.inf))[0]
+    rows = np.atleast_2d(c)
+    m = support_length(rows)
+    head, q, log_q = rows[:, :m], profile[:m], log_profile[:m]
+    if np.any(head < 0):
+        raise ParameterError("concentrations must be non-negative")
+    pos = head > 0
+    _, bad = np.nonzero(pos & (log_q == -np.inf))
     if len(bad):
         raise FreeEnergyDomainError(int(bad[0]) + 1)
-    terms = profile.copy()
-    cp = c[pos]
-    terms[pos] = cp * (np.log(cp) - log_profile[pos]) - cp + profile[pos]
-    return math.fsum(terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pos, head * (np.log(head) - log_q) - head + q, q)
+    h = terms.sum(axis=1) + profile[m:].sum()
+    return float(h[0]) if c.ndim == 1 else h

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._rk import solve_rk54
 from .coefficients import CoefficientModel
+from .equilibrium import support_length
 from .errors import ParameterError
 from .solver import Trajectory
 from .tails import tail_density
@@ -187,31 +188,35 @@ def check_domination(
     ``r`` is the dominating sequence, given either as an array or as a
     constructed supersolution object.  The tolerance absorbs integrator
     round-off and defaults to 1e-10 times the run's density; at finite
-    truncation no epsilon-shift is needed.
+    truncation no epsilon-shift is needed.  The window is checked in one
+    pass over the snapshot matrix, trimmed to the states' common support.
     """
     r = np.asarray(getattr(r, "r", r), dtype=float)
-    snaps = [s for s in trajectory.snapshots if s.t >= t_start - 1e-12]
-    if not snaps:
+    times = trajectory.times
+    start = int(np.searchsorted(times, t_start - 1e-12))
+    if start == len(times):
         raise ParameterError("no snapshots at or after t_start")
-    n = len(snaps[0].c)
+    n = trajectory.states.shape[1]
     if len(r) < n:
         raise ParameterError("dominating sequence shorter than the truncation")
     rho = trajectory.snapshots[0].rho
     eps = tol_dom if tol_dom is not None else DEFAULT_DOMINATION_TOL_FACTOR * max(rho, 1e-300)
-    max_gap = -math.inf
+    window = trajectory.states[start:]
+    m = support_length(window)
+    gaps = tail_density(window[:, :m]).g - r[:m]
+    tail_gaps = 0.0 - r[m:n]  # G_j = 0 past the support, in every snapshot
+    worst = np.maximum(np.max(gaps, axis=1, initial=-math.inf), np.max(tail_gaps, initial=-math.inf))
+    max_gap = float(np.max(worst))
     first: tuple[float, int, float] | None = None
-    for snap in snaps:
-        gaps = tail_density(snap.c).g - r[:n]
-        worst = float(np.max(gaps))
-        if worst > max_gap:
-            max_gap = worst
-        if first is None and worst > eps:
-            j = int(np.argmax(gaps > eps)) + 1
-            first = (snap.t, j, float(gaps[j - 1]))
+    violated = np.flatnonzero(worst > eps)
+    if len(violated):
+        row = np.concatenate([gaps[violated[0]], tail_gaps])
+        j = int(np.argmax(row > eps)) + 1
+        first = (float(times[start + violated[0]]), j, float(row[j - 1]))
     return DominationReport(
         holds=max_gap <= eps,
         max_gap=max_gap,
         epsilon_used=eps,
         first_violation=first,
-        n_snapshots=len(snaps),
+        n_snapshots=len(window),
     )

@@ -6,8 +6,12 @@ conserved to round-off by construction.  Faithfulness of the truncation is
 monitored: a run whose top concentration grows past a configurable share
 of the density is flagged, not trusted silently.
 
-A single integration is sequential and deterministic (fixed summation
-order); distinct integrations are independent and may run concurrently.
+A single integration is sequential and deterministic.  The snapshot
+observables are computed in one pass over the snapshot matrix, trimmed to
+the states' common support and summed pairwise along each row in a fixed
+order; compensated summation is kept only in the scalar helpers
+``density``, ``moment`` and ``stretched_moment``.  Distinct integrations are
+independent and may run concurrently.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from ._rk import RKSolution, solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import EquilibriumData, relative_free_energy
+from .equilibrium import EquilibriumData, relative_free_energy, support_length
 from .errors import ParameterError
 
 DEFAULT_REL_TOL = 1e-8
@@ -110,8 +114,8 @@ class IntegrateOptions:
 
     ``abs_tol`` of 0 selects 1e-14 times the initial density.  Moments
     listed in ``track_moments`` / ``track_stretched`` and (when an
-    equilibrium is supplied) the relative free energy are evaluated per
-    snapshot.
+    equilibrium is supplied) the relative free energy are evaluated for
+    all snapshots at once, over the snapshot matrix.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
@@ -132,6 +136,8 @@ class IntegrateOptions:
 
 @dataclass
 class Snapshot:
+    """One output time; ``c`` is a read-only row of ``Trajectory.states``."""
+
     t: float
     c: np.ndarray
     rho: float
@@ -143,7 +149,11 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run plus the model and bookkeeping that produced it."""
+    """Snapshots of one run plus the model and bookkeeping that produced it.
+
+    ``states`` is the read-only (snapshots, N) matrix whose rows the
+    snapshots' ``c`` are; when not given it is stacked from the snapshots.
+    """
 
     model: CoefficientModel
     snapshots: list[Snapshot]
@@ -154,11 +164,15 @@ class Trajectory:
     clamped_mass: float = 0.0
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 0.0
+    states: np.ndarray | None = None
 
     def __post_init__(self):
         times = [s.t for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ParameterError("snapshot times must be strictly increasing")
+        if self.states is None:
+            self.states = np.array([s.c for s in self.snapshots], dtype=float)
+        self.states.flags.writeable = False
 
     @property
     def times(self) -> np.ndarray:
@@ -247,33 +261,42 @@ def integrate(
         max_steps=opts.max_steps,
     )
 
-    moment_weights = {k: weight**k for k in opts.track_moments}
-    stretched_weights = {
-        (alpha, mu): np.exp(alpha * weight**mu) for alpha, mu in opts.track_stretched
+    states = sol.y_eval
+    states.flags.writeable = False  # before the rows are handed out as views
+    # columns past the support are zero in every snapshot: they add nothing
+    # to a c-weighted sum, so every temporary below is (snapshots, m)
+    m = support_length(states)
+    head, w = states[:, :m], weight[:m]
+    rho = (head * w).sum(axis=1).tolist()
+    moments = {k: (head * w**k).sum(axis=1).tolist() for k in opts.track_moments}
+    stretched = {
+        (alpha, mu): (head * np.exp(alpha * w**mu)).sum(axis=1).tolist()
+        for alpha, mu in opts.track_stretched
     }
-    snapshots = []
-    tail_warned = False
-    warnings: list[str] = []
-    for tq, c in zip(sol.t_eval, sol.y_eval):
-        snap = Snapshot(
+    if opts.equilibrium is not None:
+        free_energy = relative_free_energy(states, opts.equilibrium).tolist()
+    else:
+        free_energy = [math.nan] * len(states)
+    snapshots = [
+        Snapshot(
             t=float(tq),
-            c=c.copy(),
-            rho=math.fsum(weight * c),
-            c1=float(c[0]),
+            c=states[j],
+            rho=rho[j],
+            c1=float(states[j, 0]),
+            moments={k: col[j] for k, col in moments.items()},
+            stretched={key: col[j] for key, col in stretched.items()},
+            free_energy=free_energy[j],
         )
-        for k, wk in moment_weights.items():
-            snap.moments[k] = math.fsum(wk * c)
-        for key, wk in stretched_weights.items():
-            snap.stretched[key] = math.fsum(wk * c)
-        if opts.equilibrium is not None:
-            snap.free_energy = relative_free_energy(c, opts.equilibrium)
-        if not tail_warned and c[-1] > opts.tail_threshold * rho0 / n:
-            warnings.append(
-                f"truncation tail occupied at t={tq:.6g}: c_N = {c[-1]:.3g} exceeds "
-                f"{opts.tail_threshold:g} * rho / N; the truncation may no longer be faithful"
-            )
-            tail_warned = True
-        snapshots.append(snap)
+        for j, tq in enumerate(sol.t_eval)
+    ]
+    warnings: list[str] = []
+    occupied = np.flatnonzero(states[:, -1] > opts.tail_threshold * rho0 / n)
+    if len(occupied):
+        tq, c_top = sol.t_eval[occupied[0]], states[occupied[0], -1]
+        warnings.append(
+            f"truncation tail occupied at t={tq:.6g}: c_N = {c_top:.3g} exceeds "
+            f"{opts.tail_threshold:g} * rho / N; the truncation may no longer be faithful"
+        )
 
     return Trajectory(
         model=model,
@@ -285,6 +308,7 @@ def integrate(
         clamped_mass=clamped_total[0],
         rel_tol=opts.rel_tol,
         abs_tol=abs_tol,
+        states=states,
     )
 
 

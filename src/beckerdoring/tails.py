@@ -20,26 +20,30 @@ from .solver import ClusterState
 
 @dataclass(frozen=True, eq=False)
 class TailDensity:
-    """Suffix sums of a non-negative state; non-increasing by construction."""
+    """Suffix sums of a non-negative state, or of each row of a state matrix;
+    non-increasing along the last axis by construction."""
 
     g: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.g)
+        return self.g.shape[-1]
 
     def moment(self, k: float) -> float:
         return tail_moment(self, k)
 
 
 def tail_density(c: np.ndarray | ClusterState) -> TailDensity:
-    """Suffix sums G_j = sum_{i=j}^{N} c_i, accumulated right-to-left."""
+    """Suffix sums G_j = sum_{i=j}^{N} c_i, accumulated right-to-left.
+
+    A matrix is taken as one state per row and summed along each row.
+    """
     if isinstance(c, ClusterState):
         c = c.c
     c = np.asarray(c, dtype=float)
     if np.any(c < 0):
         raise ParameterError("concentrations must be non-negative")
-    g = np.cumsum(c[::-1])[::-1].copy()
+    g = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1].copy()
     return TailDensity(g=g)
 
 
@@ -79,6 +83,23 @@ def stretched_weights(alpha: float, mu: float) -> StretchedWeights:
     c_low = alpha * mu * math.exp(alpha * (1.0 - 2.0**mu))
     eta1 = min(1.0, c_low)
     return StretchedWeights(alpha=alpha, mu=mu, eta1=eta1, eta2=eta2)
+
+
+def finite_weight_size(alpha: float, mu: float, n: int) -> int:
+    """Largest size m <= n whose weight exp(alpha m^mu) is finite in float64."""
+
+    def finite(m: int) -> bool:
+        with np.errstate(over="ignore"):
+            return bool(np.isfinite(np.exp(alpha * float(m) ** mu)))
+
+    if finite(n):
+        return n
+    m = min(n, int((math.log(np.finfo(float).max) / alpha) ** (1.0 / mu)))
+    while not finite(m):
+        m -= 1
+    while finite(m + 1):
+        m += 1
+    return m
 
 
 @dataclass(frozen=True)

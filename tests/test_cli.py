@@ -158,6 +158,19 @@ def test_supercritical_config_exit_11(small_config, tmp_path):
     assert main(["experiment", "--config", str(sup), "--out", str(tmp_path / "o")]) == 11
 
 
+def test_overflowing_stretched_weight_exit_11(tmp_path, capsys):
+    # exp(n^0.9) overflows float64 past n = 1472; refused before integrating
+    text = template_text().replace("gamma = 0.5", "gamma = 0.1")
+    text = re.sub(r"^stretched = .*$", "stretched = [[1.0, 0.9]]", text, flags=re.M)
+    path = tmp_path / "overflow.toml"
+    path.write_text(text)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 11
+    err = capsys.readouterr().err
+    assert "(alpha=1.0, mu=0.9)" in err and "n = 2000" in err
+    assert "largest admissible n is 1472" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_failure_exit_12(small_config, tmp_path):
     # cap squeezed against z_s: the decay rate degenerates and the moment
     # weights can no longer satisfy the growth bound within the truncation

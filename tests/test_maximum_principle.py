@@ -143,6 +143,30 @@ class TestCheckDomination:
         assert bigger.max_gap <= base.max_gap
         assert (not base.holds) or bigger.holds
 
+    @pytest.mark.parametrize("case", ["holds", "head", "past_support"])
+    def test_matches_per_snapshot_reference(self, trajectory, case):
+        # the one-pass check against the per-snapshot loop it replaced
+        n = trajectory.states.shape[1]
+        r = bd.tail_density(trajectory.at(2.0).c).g + 1.0
+        if case == "head":
+            r[2] = 0.0
+        elif case == "past_support":
+            r[n - 5] = -1.0  # below G_j = 0, in every snapshot
+        report = bd.check_domination(trajectory, r, 2.0)
+        eps = 1e-10 * trajectory.snapshots[0].rho
+        max_gap, first, checked = -math.inf, None, 0
+        for snap in trajectory.snapshots:
+            if snap.t < 2.0 - 1e-12:
+                continue
+            checked += 1
+            gaps = bd.tail_density(snap.c).g - r
+            max_gap = max(max_gap, float(np.max(gaps)))
+            if first is None and np.max(gaps) > eps:
+                j = int(np.argmax(gaps > eps)) + 1
+                first = (snap.t, j, float(gaps[j - 1]))
+        assert (report.max_gap, report.first_violation, report.n_snapshots) == (max_gap, first, checked)
+        assert report.holds == (case == "holds")
+
     def test_needs_snapshots_in_window(self, trajectory):
         with pytest.raises(ParameterError):
             bd.check_domination(trajectory, np.ones(150), 99.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
-from beckerdoring.errors import ParameterError, StepSizeUnderflowError
+from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
 from conftest import monodisperse
 
 
@@ -271,3 +271,85 @@ class TestWeakFormResidual:
         traj = bd.integrate(bd.ClusterState(eq.profile.copy()), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
         phi = np.arange(1, 301, dtype=float) ** 2
         assert bd.weak_form_residual(traj, phi, 1.0) <= 1e-10
+
+
+def _assert_matches_scalar_references(traj, eq, k_moments, stretched):
+    # batched, support-trimmed observables against the compensated scalar
+    # helpers and the one-state free energy, snapshot by snapshot
+    for s in traj.snapshots:
+        assert s.rho == pytest.approx(bd.density(s.c), rel=1e-14, abs=0)
+        for k in k_moments:
+            assert s.moments[k] == pytest.approx(bd.moment(s.c, k), rel=1e-14, abs=0)
+        for alpha, mu in stretched:
+            want = bd.stretched_moment(s.c, alpha, mu)
+            assert s.stretched[(alpha, mu)] == pytest.approx(want, rel=1e-14, abs=0)
+        assert s.free_energy == pytest.approx(bd.relative_free_energy(s.c, eq), rel=1e-14, abs=0)
+
+
+class TestBatchedObservables:
+    def test_template_run_matches_scalar_references(self):
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        config = ExperimentConfig()
+        prep = prepare(config)
+        traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+        # the dead band leaves a short support: the trimming is exercised
+        assert not np.any(traj.states[:, 100:])
+        _assert_matches_scalar_references(traj, prep.equilibrium, config.k_moments, config.stretched)
+
+    def test_full_support_run_matches_scalar_references(self, family_a):
+        crit = bd.critical_values(family_a, 100_000)
+        eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 200, critical=crit)
+        opts = bd.IntegrateOptions(
+            n_snapshots=21, dead_band=False, track_moments=(2.0, 3.5),
+            track_stretched=((1.0, 0.5), (0.5, 0.25)), equilibrium=eq,
+        )
+        traj = bd.integrate(monodisperse(200, 1.0), family_a, 20.0, opts)
+        assert np.any(traj.states[:, -1] > 0)  # support = N
+        _assert_matches_scalar_references(traj, eq, opts.track_moments, opts.track_stretched)
+
+    def test_tail_warning_run_matches_scalar_references(self, family_a):
+        eq = bd.equilibrium_profile(family_a, 0.5, 8)
+        opts = bd.IntegrateOptions(
+            n_snapshots=11, tail_threshold=1e-12, track_moments=(2.0,),
+            track_stretched=((1.0, 0.5),), equilibrium=eq,
+        )
+        traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, opts)
+        assert traj.warnings and "truncation" in traj.warnings[0]
+        occupied = [s for s in traj.snapshots if s.c[-1] > 1e-12 * 3.0 / 8]
+        assert f"t={occupied[0].t:.6g}:" in traj.warnings[0]
+        _assert_matches_scalar_references(traj, eq, opts.track_moments, opts.track_stretched)
+
+    def test_free_energy_matrix_names_the_bad_row_index(self):
+        profile = np.array([0.5, 0.25, 0.125, 0.0, 0.0])
+        states = np.array([
+            [0.1, 0.1, 0.0, 0.0, 0.0],
+            [0.1, 0.0, 0.0, 0.2, 0.3],  # the only row with mass where Q_i = 0
+            [0.2, 0.1, 0.1, 0.0, 0.0],
+        ])
+        with pytest.raises(FreeEnergyDomainError) as scalar:
+            bd.relative_free_energy(states[1], profile)
+        with pytest.raises(FreeEnergyDomainError) as batched:
+            bd.relative_free_energy(states, profile)
+        assert batched.value.index == scalar.value.index == 4
+
+    def test_free_energy_matrix_rows_match_one_state_calls(self, family_a):
+        eq = bd.equilibrium_profile(family_a, 0.5, 40)
+        rng = np.random.default_rng(3)
+        states = rng.random((5, 40)) * eq.profile
+        states[1, 10:] = 0.0  # rows of different support
+        states[3] = 0.0
+        h = bd.relative_free_energy(states, eq)
+        assert h.shape == (5,)
+        for row, value in zip(states, h):
+            assert value == pytest.approx(bd.relative_free_energy(row, eq), rel=1e-14, abs=0)
+
+    def test_snapshot_states_are_read_only_views(self, family_a):
+        opts = bd.IntegrateOptions(n_snapshots=11, track_moments=(2.0,))
+        traj = bd.integrate(monodisperse(50, 1.0), family_a, 5.0, opts)
+        assert not traj.states.flags.writeable
+        assert all(np.shares_memory(s.c, traj.states) for s in traj.snapshots)
+        before = [(s.rho, s.moments[2.0], bd.density(s.c)) for s in traj.snapshots]
+        with pytest.raises(ValueError):
+            traj.snapshots[3].c[0] = 1.0
+        assert [(s.rho, s.moments[2.0], bd.density(s.c)) for s in traj.snapshots] == before

@@ -55,6 +55,14 @@ class TestTailDensity:
         with pytest.raises(ParameterError):
             tail_density(np.array([1.0, -0.5]))
 
+    def test_matrix_rows_match_single_states(self):
+        rng = np.random.default_rng(11)
+        states = np.array([random_state(rng, 60) for _ in range(4)])
+        g = tail_density(states)
+        assert g.n == 60
+        for row, state in zip(g.g, states):
+            assert np.array_equal(row, tail_density(state).g)
+
 
 class TestTailMoments:
     def test_point_mass_sandwich(self):
