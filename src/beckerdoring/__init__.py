@@ -58,7 +58,6 @@ from .maximum_principle import (
 from .solver import (
     ClusterState,
     IntegrateOptions,
-    Snapshot,
     Trajectory,
     density,
     integrate,

@@ -44,6 +44,22 @@ EXIT_CONFIG = 11
 EXIT_NUMERICAL = 12
 
 
+def _exit_code(command, *args) -> int:
+    """``command(*args)``, or the exit code of the failure it raised, with
+    the failure's message on stderr."""
+    try:
+        return command(*args)
+    except (ConfigError, ParameterError, SupercriticalError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BeckerDoringError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beckerdoring",
@@ -105,25 +121,26 @@ def _cmd_simulate(args) -> int:
     }
     args.out.mkdir(exist_ok=True)
     csv = args.out / "timeseries.csv"
-    csv.write_text(
-        "\n".join(trajectory_csv_lines(trajectory, header, config.k_moments, config.stretched)) + "\n"
-    )
-    print(f"wrote {csv} ({len(trajectory.snapshots)} snapshots, {trajectory.n_steps} steps)")
+    csv.write_text("\n".join(trajectory_csv_lines(trajectory, header)) + "\n")
+    n_snapshots = len(trajectory.times)
+    print(f"wrote {csv} ({n_snapshots} snapshots, {trajectory.n_steps} steps)")
     for warning in trajectory.warnings:
         print(f"warning: {warning}")
     if args.dump_states > 0:
-        idx = np.linspace(0, len(trajectory.snapshots) - 1, args.dump_states).astype(int)
+        idx = np.linspace(0, n_snapshots - 1, args.dump_states).astype(int)
         for i in sorted(set(idx.tolist())):
-            snap = trajectory.snapshots[i]
-            path = args.out / f"state_t{snap.t:g}.csv"
-            lines = ["i,c_i"] + [f"{j + 1},{snap.c[j]!r}" for j in range(len(snap.c))]
-            path.write_text("\n".join(lines) + "\n")
-            g = tail_density(snap.c).g
-            tail_path = args.out / f"tail_t{snap.t:g}.csv"
-            tail_lines = ["j,G_j"] + [f"{j + 1},{g[j]!r}" for j in range(len(g))]
-            tail_path.write_text("\n".join(tail_lines) + "\n")
+            t, c = float(trajectory.times[i]), trajectory.states[i]
+            path = _write_indexed(args.out / f"state_t{t:g}.csv", "i,c_i", c)
+            tail_path = _write_indexed(args.out / f"tail_t{t:g}.csv", "j,G_j", tail_density(c).g)
             print(f"wrote {path} and {tail_path}")
     return EXIT_PASS
+
+
+def _write_indexed(path: Path, header: str, values: np.ndarray) -> Path:
+    """Write ``header`` and one line ``j,value`` per entry, j from 1."""
+    lines = [header] + [f"{j},{x!r}" for j, x in enumerate(values.tolist(), start=1)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _cmd_supersolution(args) -> int:
@@ -172,14 +189,19 @@ def _cmd_experiment(args) -> int:
     return EXIT_PASS if report.verdict else EXIT_VERDICT
 
 
-def _sweep_worker(payload: tuple[str, str, int | None]) -> tuple[str, bool]:
-    config_path, out_dir, seed = payload
+def _sweep_one(config_path: str, out_dir: str, seed: int | None) -> int:
     config = load_config(config_path)
     if seed is not None:
         config.seed = seed
     report = run_uniform_moment_experiment(config)
     emit_report(report, out_dir)
-    return config_path, report.verdict
+    return EXIT_PASS if report.verdict else EXIT_VERDICT
+
+
+def _sweep_worker(payload: tuple[str, str, int | None]) -> tuple[str, int]:
+    """One config's exit code: a failure stays with its config."""
+    config_path, out_dir, seed = payload
+    return config_path, _exit_code(_sweep_one, config_path, out_dir, seed)
 
 
 def _cmd_sweep(args) -> int:
@@ -188,45 +210,31 @@ def _cmd_sweep(args) -> int:
     for path in args.configs:
         out_dir = args.out / path.stem
         jobs.append((str(path), str(out_dir), args.seed))
-    verdicts = {}
     if args.workers <= 1:
-        results = map(_sweep_worker, jobs)
-        for name, verdict in results:
-            verdicts[name] = verdict
+        codes = dict(map(_sweep_worker, jobs))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for name, verdict in pool.map(_sweep_worker, jobs):
-                verdicts[name] = verdict
-    for name in sorted(verdicts):
-        print(f"{'PASS' if verdicts[name] else 'FAIL'} {name}")
-    return EXIT_PASS if all(verdicts.values()) else EXIT_VERDICT
+            codes = dict(pool.map(_sweep_worker, jobs))
+    for name, code in sorted(codes.items()):
+        verdict = {EXIT_PASS: "PASS", EXIT_VERDICT: "FAIL"}.get(code, f"ERROR({code})")
+        print(f"{verdict} {name}")
+    return max(codes.values())
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "config-template":
-            print(template_text(), end="")
-            return EXIT_PASS
-        handler = {
-            "equilibrium": _cmd_equilibrium,
-            "simulate": _cmd_simulate,
-            "supersolution": _cmd_supersolution,
-            "verify": _cmd_verify,
-            "experiment": _cmd_experiment,
-            "sweep": _cmd_sweep,
-        }[args.command]
-        return handler(args)
-    except (ConfigError, ParameterError, SupercriticalError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BeckerDoringError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    args = _build_parser().parse_args(argv)
+    if args.command == "config-template":
+        print(template_text(), end="")
+        return EXIT_PASS
+    handler = {
+        "equilibrium": _cmd_equilibrium,
+        "simulate": _cmd_simulate,
+        "supersolution": _cmd_supersolution,
+        "verify": _cmd_verify,
+        "experiment": _cmd_experiment,
+        "sweep": _cmd_sweep,
+    }[args.command]
+    return _exit_code(handler, args)
 
 
 if __name__ == "__main__":

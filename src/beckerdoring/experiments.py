@@ -27,7 +27,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from .maximum_principle import check_domination
-from .solver import ClusterState, IntegrateOptions, Snapshot, Trajectory, density, integrate
+from .solver import ClusterState, IntegrateOptions, Key, Trajectory, density, integrate, weight
 from .supersolution import (
     Supersolution,
     build_supersolution,
@@ -154,8 +154,7 @@ def prepare(config: ExperimentConfig) -> Preamble:
         abs_tol=config.abs_tol,
         n_snapshots=config.snapshots,
         tail_threshold=config.tail_threshold,
-        track_moments=tuple(config.k_moments),
-        track_stretched=tuple(tuple(p) for p in config.stretched),
+        track=(*config.k_moments, *(tuple(p) for p in config.stretched)),
         equilibrium=eq,
     )
     return Preamble(model, crit, z_bar, eq, state0, density(state0), omega, opts)
@@ -180,12 +179,7 @@ class ShortTimeBound:
     a_phi_argmax: int
 
 
-def short_time_constant(
-    model: CoefficientModel,
-    phi: np.ndarray,
-    rho: float,
-    b_bar: float | None = None,
-) -> ShortTimeBound:
+def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) -> ShortTimeBound:
     """C_phi = (rho + b_bar / eps) * A_phi for an admissible weight sequence.
 
     Raises when the weighted increment ratio is still climbing at the end of
@@ -212,9 +206,8 @@ def short_time_constant(
             "no finite growth constant for this weight"
         )
     a_phi = float(ratios[argmax])
-    bb = b_bar if b_bar is not None else model.b_bar
     return ShortTimeBound(
-        c_phi=(rho + bb / eps) * a_phi,
+        c_phi=(rho + model.b_bar / eps) * a_phi,
         eps=eps,
         a_phi=a_phi,
         eps_at_edge=eps_at_edge,
@@ -228,14 +221,12 @@ def detect_threshold(trajectory: Trajectory, omega: float) -> float | None:
     Returns None when the monomer concentration is still at or above omega
     at the final snapshot (never-below flag).
     """
-    c1 = trajectory.states[:, 0]
-    above = np.nonzero(c1 >= omega)[0]
+    above = np.flatnonzero(trajectory.states[:, 0] >= omega)
     if not len(above):
-        return trajectory.snapshots[0].t
-    last = int(above[-1])
-    if last == len(c1) - 1:
+        return float(trajectory.times[0])
+    if above[-1] == len(trajectory.times) - 1:
         return None
-    return trajectory.snapshots[last + 1].t
+    return float(trajectory.times[above[-1] + 1])
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -264,17 +255,13 @@ class StageResult:
     ok: bool
     gating: bool = True
     info: dict = field(default_factory=dict)
-    key: float | tuple[float, float] | None = None
+    key: Key | None = None
 
 
-def _label(key: float | tuple[float, float]) -> str:
+def _label(key: Key) -> str:
     if isinstance(key, tuple):
         return f"alpha={key[0]:g},mu={key[1]:g}"
     return f"k={key:g}"
-
-
-def _tracked(snap: Snapshot, key: float | tuple[float, float]) -> float:
-    return snap.stretched[key] if isinstance(key, tuple) else snap.moments[key]
 
 
 @dataclass
@@ -370,7 +357,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 
     stages: list[StageResult] = []
     trajectory = integrate(prep.state0, model, config.t_end, prep.opts)
-    rho_drift = max(abs(s.rho - rho) for s in trajectory.snapshots) / rho
+    rho_drift = float(np.max(np.abs(trajectory.rho - rho))) / rho
     stages.append(
         StageResult(
             "integrate",
@@ -402,25 +389,29 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     witness: dict = {}
     i_grid = np.arange(1, config.n + 1, dtype=float)
     if t0 is not None:
-        # per certified weight: stage kind, key, the state weight phi of the
-        # short-time bound, the tail weight psi and factor of the certificate
-        # factor * sum_j psi_j r_j, and extra info for the certified stage
-        certificates = [("moment", k, i_grid**k, i_grid ** (k - 1), k + 1, {}) for k in config.k_moments]
-        for alpha, mu in config.stretched:
-            weights = stretched_weights(alpha, mu)
-            regime = "mu == 1 - gamma" if abs(mu - (1 - model.gamma)) < 1e-12 else "mu < 1 - gamma"
-            certificates.append((
-                "stretched", (alpha, mu), np.exp(alpha * i_grid**mu), weights.psi(config.n), weights.eta2,
-                {"eta1": weights.eta1, "eta2": weights.eta2, "regime": regime},
-            ))
+        # per tracked key: stage kind, the tail weight psi and factor of the
+        # certificate factor * sum_j psi_j r_j, and extra info for its stage
+        certificates = []
+        for key in trajectory.tracked:
+            if isinstance(key, tuple):
+                weights = stretched_weights(*key)
+                regime = "mu == 1 - gamma" if abs(key[1] - (1 - model.gamma)) < 1e-12 else "mu < 1 - gamma"
+                certificates.append((
+                    "stretched", key, weights.psi(config.n), weights.eta2,
+                    {"eta1": weights.eta1, "eta2": weights.eta2, "regime": regime},
+                ))
+            else:
+                certificates.append(("moment", key, i_grid ** (key - 1), key + 1, {}))
 
-        pre = [s for s in trajectory.snapshots if s.t <= t0 + 1e-12]
-        for _, key, phi, *_ in certificates:
-            bound = short_time_constant(model, phi, rho)
-            m0 = _tracked(pre[0], key)
+        # the window up to T0 is a prefix of the grid; math.exp over Python
+        # floats keeps the ratios' bits
+        pre_t = trajectory.times[trajectory.times <= t0 + 1e-12].tolist()
+        for _, key, *_ in certificates:
+            bound = short_time_constant(model, weight(key, i_grid), rho)
+            pre = trajectory.tracked[key][: len(pre_t)].tolist()
             worst = 0.0
-            for snap in pre:
-                worst = max(worst, _tracked(snap, key) / (math.exp(bound.c_phi * (snap.t - pre[0].t)) * m0))
+            for t, value in zip(pre_t, pre):
+                worst = max(worst, value / (math.exp(bound.c_phi * (t - pre_t[0])) * pre[0]))
             stages.append(
                 StageResult(
                     f"short_time_bound[{_label(key)}]",
@@ -430,8 +421,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 )
             )
 
-        snap_t0 = trajectory.at(t0)
-        g_t0 = tail_density(snap_t0.c).g
+        g_t0 = tail_density(trajectory.at(t0).c).g
         params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=crit.z_s)
         super_sol = build_supersolution(model, params, g_t0)
         check = verify_supersolution(super_sol.r, model, omega, rho, tol=1e-12 * rho)
@@ -465,9 +455,9 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
         )
 
-        for kind, key, _, psi, factor, extra in certificates:
+        for kind, key, psi, factor, extra in certificates:
             certified = factor * math.fsum(psi * super_sol.r)
-            observed = max(_tracked(s, key) for s in trajectory.snapshots)
+            observed = float(np.max(trajectory.tracked[key]))
             wb = weighted_sum_bound(super_sol.r, g_t0, psi, params)
             info = {
                 "certified": certified,
@@ -536,22 +526,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def trajectory_csv_lines(
-    trajectory: Trajectory,
-    header: dict[str, object],
-    k_moments: tuple[float, ...],
-    stretched: tuple[tuple[float, float], ...],
-) -> list[str]:
+def _column_lines(columns: list[np.ndarray], sep: str) -> list[str]:
+    """One line per output time: the columns' values as Python float reprs."""
+    return [sep.join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
+
+
+def trajectory_csv_lines(trajectory: Trajectory, header: dict[str, object]) -> list[str]:
+    """``#key=value`` header lines, then t, c1, rho, H and the tracked sums."""
     lines = [f"#{key}={_fmt(value)}" for key, value in header.items()]
-    k_cols = [f"M_{k:g}" for k in k_moments]
-    e_cols = [f"E_{a:g}_{m:g}" for a, m in stretched]
-    lines.append(",".join(["t", "c1", "rho", "H"] + k_cols + e_cols))
-    for s in trajectory.snapshots:
-        row = [_fmt(s.t), _fmt(s.c1), _fmt(s.rho), _fmt(s.free_energy)]
-        row += [_fmt(s.moments[k]) for k in k_moments]
-        row += [_fmt(s.stretched[tuple(p)]) for p in stretched]
-        lines.append(",".join(row))
-    return lines
+    names = [f"E_{k[0]:g}_{k[1]:g}" if isinstance(k, tuple) else f"M_{k:g}" for k in trajectory.tracked]
+    lines.append(",".join(["t", "c1", "rho", "H", *names]))
+    columns = [trajectory.times, trajectory.states[:, 0], trajectory.rho, trajectory.free_energy]
+    return lines + _column_lines(columns + list(trajectory.tracked.values()), ",")
 
 
 def report_csv_header(report: UniformBoundReport) -> dict[str, object]:
@@ -560,7 +546,7 @@ def report_csv_header(report: UniformBoundReport) -> dict[str, object]:
         "family": config.family,
         "gamma": config.gamma,
         "z_s": report.z_s,
-        "rho": report.trajectory.snapshots[0].rho,
+        "rho": float(report.trajectory.rho[0]),
         "z_bar": report.z_bar,
         "omega": report.omega,
         "rel_tol": config.rel_tol,
@@ -568,7 +554,7 @@ def report_csv_header(report: UniformBoundReport) -> dict[str, object]:
     }
 
 
-def emit_report(report: UniformBoundReport, out_dir: str | Path, plot_data: bool = True) -> dict[str, Path]:
+def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Path]:
     """Write summary.json, timeseries.csv and the witness export.
 
     The parent of ``out_dir`` must exist; missing parents surface as I/O
@@ -583,34 +569,25 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path, plot_data: bool
     summary.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     paths["summary"] = summary
 
-    if report.trajectory is not None:
+    trajectory = report.trajectory
+    if trajectory is not None:
         ts = out / "timeseries.csv"
-        lines = trajectory_csv_lines(
-            report.trajectory,
-            report_csv_header(report),
-            report.config.k_moments,
-            report.config.stretched,
-        )
-        ts.write_text("\n".join(lines) + "\n")
+        ts.write_text("\n".join(trajectory_csv_lines(trajectory, report_csv_header(report))) + "\n")
         paths["timeseries"] = ts
+        certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
+        lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
+        columns = [trajectory.times]
+        for s in certs:
+            columns += [trajectory.tracked[s.key], np.full(len(trajectory.times), s.info["certified"])]
+        bounds = out / "bounds.dat"
+        bounds.write_text("\n".join(lines + _column_lines(columns, " ")) + "\n")
+        paths["bounds"] = bounds
 
     if report.supersolution is not None:
         paths["supersolution"] = export_supersolution(report.supersolution, out)
         witness = out / "witness.json"
         witness.write_text(json.dumps(report.witness, indent=2, sort_keys=True) + "\n")
         paths["witness"] = witness
-
-    if plot_data and report.trajectory is not None:
-        certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
-        lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
-        for snap in report.trajectory.snapshots:
-            vals = [_fmt(snap.t)]
-            for s in certs:
-                vals += [_fmt(_tracked(snap, s.key)), _fmt(s.info["certified"])]
-            lines.append(" ".join(vals))
-        bounds = out / "bounds.dat"
-        bounds.write_text("\n".join(lines) + "\n")
-        paths["bounds"] = bounds
     return paths
 
 

@@ -22,6 +22,7 @@ from .solver import Trajectory
 from .tails import tail_density
 
 DEFAULT_SIGN_TOL = 1e-9
+SIGN_CHECK_OUTPUTS = 50  # output times at which the sign of u is checked
 DEFAULT_DOMINATION_TOL_FACTOR = 1e-10  # times the density
 
 
@@ -121,8 +122,6 @@ def verify_sign_preservation(
     *,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-14,
-    n_out: int = 50,
-    tol_pos: float | None = None,
 ) -> SignPreservationResult:
     """Integrate u' = A u + slack(t) from u0 <= 0 and check u stays <= tol.
 
@@ -148,9 +147,9 @@ def verify_sign_preservation(
     def f(t: float, u: np.ndarray) -> np.ndarray:
         return system.matvec(u) + forcing(t)
 
-    t_eval = np.linspace(0.0, t_end, n_out)
+    t_eval = np.linspace(0.0, t_end, SIGN_CHECK_OUTPUTS)
     sol = solve_rk54(f, 0.0, u0, t_end, rel_tol=rel_tol, abs_tol=abs_tol, t_eval=t_eval)
-    tol = tol_pos if tol_pos is not None else DEFAULT_SIGN_TOL * max(1.0, float(np.max(np.abs(u0))))
+    tol = DEFAULT_SIGN_TOL * max(1.0, float(np.max(np.abs(u0))))
     max_comp = np.max(sol.y_eval, axis=1)
     return SignPreservationResult(
         ok=bool(np.all(max_comp <= tol)),
@@ -199,7 +198,7 @@ def check_domination(
     n = trajectory.states.shape[1]
     if len(r) < n:
         raise ParameterError("dominating sequence shorter than the truncation")
-    rho = trajectory.snapshots[0].rho
+    rho = float(trajectory.rho[0])
     eps = tol_dom if tol_dom is not None else DEFAULT_DOMINATION_TOL_FACTOR * max(rho, 1e-300)
     window = trajectory.states[start:]
     m = support_length(window)

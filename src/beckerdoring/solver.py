@@ -6,12 +6,16 @@ conserved to round-off by construction.  Faithfulness of the truncation is
 monitored: a run whose top concentration grows past a configurable share
 of the density is flagged, not trusted silently.
 
-A single integration is sequential and deterministic.  The snapshot
-observables are computed in one pass over the snapshot matrix, trimmed to
-the states' common support and summed pairwise along each row in a fixed
-order; compensated summation is kept only in the scalar helpers
-``density``, ``moment`` and ``stretched_moment``.  Distinct integrations are
-independent and may run concurrently.
+A run is stored as columns over its output times: the (snapshots, N)
+state matrix and one column per observable.  The observables (density,
+relative free energy and the weighted sums of the tracked keys, a moment
+order k or a stretched pair (alpha, mu)) are computed in one pass over the
+matrix, trimmed to the states' common support and summed pairwise along
+each row in a fixed order; compensated summation is kept only in the
+scalar helpers ``density``, ``moment`` and ``stretched_moment``.
+
+A single integration is sequential and deterministic.  Distinct
+integrations are independent and may run concurrently.
 """
 from __future__ import annotations
 
@@ -108,14 +112,25 @@ def rhs(state: ClusterState, model: CoefficientModel) -> np.ndarray:
     return _rhs_core(state.c, *model.rate_pairs(state.n))
 
 
+Key = float | tuple[float, float]  # a moment order k or a stretched pair (alpha, mu)
+
+
+def weight(key: Key, i: np.ndarray) -> np.ndarray:
+    """The tracked weight phi_i of a key: i**k, or exp(alpha * i**mu) for a pair."""
+    if isinstance(key, tuple):
+        alpha, mu = key
+        return np.exp(alpha * i**mu)
+    return i**key
+
+
 @dataclass
 class IntegrateOptions:
     """Tolerances, output grid and tracking requests for ``integrate``.
 
-    ``abs_tol`` of 0 selects 1e-14 times the initial density.  Moments
-    listed in ``track_moments`` / ``track_stretched`` and (when an
-    equilibrium is supplied) the relative free energy are evaluated for
-    all snapshots at once, over the snapshot matrix.
+    ``abs_tol`` of 0 selects 1e-14 times the initial density.  The weighted
+    sums sum_i weight(key, i) c_i of the keys in ``track`` and (when an
+    equilibrium is supplied) the relative free energy are evaluated for all
+    snapshots at once, over the snapshot matrix.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
@@ -123,8 +138,7 @@ class IntegrateOptions:
     t_eval: np.ndarray | None = None
     n_snapshots: int = 201
     tail_threshold: float = DEFAULT_TAIL_THRESHOLD
-    track_moments: tuple[float, ...] = ()
-    track_stretched: tuple[tuple[float, float], ...] = ()
+    track: tuple[Key, ...] = ()
     equilibrium: EquilibriumData | None = None
     fixed_step: float | None = None
     max_steps: int = 2_000_000
@@ -135,28 +149,20 @@ class IntegrateOptions:
 
 
 @dataclass
-class Snapshot:
-    """One output time; ``c`` is a read-only row of ``Trajectory.states``."""
-
-    t: float
-    c: np.ndarray
-    rho: float
-    c1: float
-    moments: dict[float, float] = field(default_factory=dict)
-    stretched: dict[tuple[float, float], float] = field(default_factory=dict)
-    free_energy: float = math.nan
-
-
-@dataclass
 class Trajectory:
-    """Snapshots of one run plus the model and bookkeeping that produced it.
+    """One run as columns over its output times, plus its bookkeeping.
 
-    ``states`` is the read-only (snapshots, N) matrix whose rows the
-    snapshots' ``c`` are; when not given it is stacked from the snapshots.
+    ``times`` (S,) and ``states`` (S, N) are read-only.  ``rho``,
+    ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
+    are (S,) columns, in the order of ``IntegrateOptions.track``.
     """
 
     model: CoefficientModel
-    snapshots: list[Snapshot]
+    times: np.ndarray
+    states: np.ndarray
+    rho: np.ndarray
+    free_energy: np.ndarray
+    tracked: dict[Key, np.ndarray] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
@@ -164,27 +170,25 @@ class Trajectory:
     clamped_mass: float = 0.0
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 0.0
-    states: np.ndarray | None = None
 
     def __post_init__(self):
-        times = [s.t for s in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        self.times = np.array(self.times, dtype=float)
+        if np.any(np.diff(self.times) <= 0):
             raise ParameterError("snapshot times must be strictly increasing")
-        if self.states is None:
-            self.states = np.array([s.c for s in self.snapshots], dtype=float)
+        self.times.flags.writeable = False
         self.states.flags.writeable = False
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+    def snapshots(self) -> list[ClusterState]:
+        """Every output time as a state over its row of ``states``, built on access."""
+        return [ClusterState(c, t) for t, c in zip(self.times.tolist(), self.states)]
 
-    def at(self, t: float) -> Snapshot:
-        """Snapshot whose time matches t (within grid round-off)."""
-        times = self.times
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+    def at(self, t: float) -> ClusterState:
+        """State at the output time matching t (within grid round-off)."""
+        idx = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ParameterError(f"no snapshot at t={t}")
-        return self.snapshots[idx]
+        return ClusterState(self.states[idx], float(self.times[idx]))
 
 
 def integrate(
@@ -205,7 +209,7 @@ def integrate(
     rho0 = density(state0)
     abs_tol = opts.abs_tol if opts.abs_tol > 0 else DEFAULT_ABS_TOL_FACTOR * max(rho0, 1e-300)
     a, b_next = model.rate_pairs(n)
-    weight = np.arange(1, n + 1, dtype=float)
+    i_grid = np.arange(1, n + 1, dtype=float)
 
     clamped_total = [0.0]
 
@@ -227,7 +231,7 @@ def integrate(
         if not np.any(zap):
             return y
         out = y.copy()
-        deficit = float(np.dot(weight[zap], out[zap]))
+        deficit = float(np.dot(i_grid[zap], out[zap]))
         out[zap] = 0.0
         out[0] += deficit
         if out[0] < 0:
@@ -262,33 +266,14 @@ def integrate(
     )
 
     states = sol.y_eval
-    states.flags.writeable = False  # before the rows are handed out as views
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
     m = support_length(states)
-    head, w = states[:, :m], weight[:m]
-    rho = (head * w).sum(axis=1).tolist()
-    moments = {k: (head * w**k).sum(axis=1).tolist() for k in opts.track_moments}
-    stretched = {
-        (alpha, mu): (head * np.exp(alpha * w**mu)).sum(axis=1).tolist()
-        for alpha, mu in opts.track_stretched
-    }
+    head, i = states[:, :m], i_grid[:m]
     if opts.equilibrium is not None:
-        free_energy = relative_free_energy(states, opts.equilibrium).tolist()
+        free_energy = relative_free_energy(states, opts.equilibrium)
     else:
-        free_energy = [math.nan] * len(states)
-    snapshots = [
-        Snapshot(
-            t=float(tq),
-            c=states[j],
-            rho=rho[j],
-            c1=float(states[j, 0]),
-            moments={k: col[j] for k, col in moments.items()},
-            stretched={key: col[j] for key, col in stretched.items()},
-            free_energy=free_energy[j],
-        )
-        for j, tq in enumerate(sol.t_eval)
-    ]
+        free_energy = np.full(len(states), math.nan)
     warnings: list[str] = []
     occupied = np.flatnonzero(states[:, -1] > opts.tail_threshold * rho0 / n)
     if len(occupied):
@@ -300,7 +285,11 @@ def integrate(
 
     return Trajectory(
         model=model,
-        snapshots=snapshots,
+        times=sol.t_eval,
+        states=states,
+        rho=(head * i).sum(axis=1),
+        free_energy=free_energy,
+        tracked={key: (head * weight(key, i)).sum(axis=1) for key in opts.track},
         warnings=warnings,
         n_steps=sol.stats.n_steps,
         n_rejected=sol.stats.n_rejected_error + sol.stats.n_rejected_filter,
@@ -308,7 +297,6 @@ def integrate(
         clamped_mass=clamped_total[0],
         rel_tol=opts.rel_tol,
         abs_tol=abs_tol,
-        states=states,
     )
 
 
@@ -324,17 +312,17 @@ def weak_form_residual(trajectory: Trajectory, phi: np.ndarray, t: float) -> flo
     idx = int(np.argmin(np.abs(times - t)))
     if idx == 0 or idx == len(times) - 1:
         raise ParameterError("need interior snapshot time for the centered difference")
-    s_prev, s_mid, s_next = trajectory.snapshots[idx - 1 : idx + 2]
-    n = len(s_mid.c)
+    c_prev, c_mid, c_next = trajectory.states[idx - 1 : idx + 2]
+    n = len(c_mid)
     if len(phi) < n:
         raise ParameterError("weight sequence shorter than the truncation")
-    hm = s_mid.t - s_prev.t
-    hp = s_next.t - s_mid.t
-    fm = math.fsum(phi[:n] * s_prev.c)
-    f0 = math.fsum(phi[:n] * s_mid.c)
-    fp = math.fsum(phi[:n] * s_next.c)
+    hm = float(times[idx] - times[idx - 1])
+    hp = float(times[idx + 1] - times[idx])
+    fm = math.fsum(phi[:n] * c_prev)
+    f0 = math.fsum(phi[:n] * c_mid)
+    fp = math.fsum(phi[:n] * c_next)
     deriv = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / (hm * hp * (hm + hp))
-    w = net_rates(ClusterState(s_mid.c, s_mid.t), trajectory.model)
+    w = net_rates(ClusterState(c_mid), trajectory.model)
     increments = phi[1:n] - phi[: n - 1] - phi[0]
     weighted = math.fsum(w[: n - 1] * increments)
     return abs(deriv - weighted)

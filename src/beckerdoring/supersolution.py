@@ -23,6 +23,7 @@ from .coefficients import CoefficientModel, detailed_balance
 from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
 
 _SCAN_DEFAULT = 100_000
+TAIL_DECAY_TOL = 1e-6  # g_N must be below this share of rho: g is taken as 0 past N
 
 
 def _z_s_estimate(model: CoefficientModel, n_max: int) -> float:
@@ -128,16 +129,11 @@ class Supersolution:
         return len(self.r)
 
 
-def build_supersolution(
-    model: CoefficientModel,
-    params: SupersolutionParams,
-    g: np.ndarray,
-    tol_tail: float = 1e-6,
-) -> Supersolution:
+def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g: np.ndarray) -> Supersolution:
     """Construct a dominating sequence above the tail profile g.
 
     g must be non-negative, non-increasing, start at or below rho and have
-    decayed below tol_tail * rho by the truncation end (it is treated as
+    decayed below TAIL_DECAY_TOL * rho by the truncation end (it is treated as
     zero beyond).  Increments follow s_{j+1} = max(s_j / lambda, h_{j+1})
     with h the first differences of g; before the switch index the sequence
     is the constant max(rho, r_{switch}).
@@ -153,9 +149,9 @@ def build_supersolution(
         raise ParameterError("profile must be non-increasing")
     if g[0] > rho * (1 + 1e-12):
         raise ParameterError(f"g_1 = {g[0]:.6g} exceeds the density {rho:.6g}")
-    if g[-1] > tol_tail * rho:
+    if g[-1] > TAIL_DECAY_TOL * rho:
         raise ParameterError(
-            f"g_N = {g[-1]:.3g} has not decayed below {tol_tail:g} * rho; "
+            f"g_N = {g[-1]:.3g} has not decayed below {TAIL_DECAY_TOL:g} * rho; "
             "enlarge the truncation (the construction needs g -> 0)"
         )
     if ns > n - 2:

@@ -48,8 +48,8 @@ def flagship_equilibrium(flagship_model):
 
 def test_criterion_1_mass_conservation(flagship):
     report, elapsed = flagship
-    rho0 = report.trajectory.snapshots[0].rho
-    drift = max(abs(s.rho - rho0) for s in report.trajectory.snapshots) / rho0
+    rho = report.trajectory.rho
+    drift = float(np.max(np.abs(rho - rho[0]))) / rho[0]
     ok = drift <= 1e-10 and elapsed <= 60.0
     _criterion(1, "mass conservation", ok, f"drift={drift:.3g}, runtime={elapsed:.1f}s")
 
@@ -124,11 +124,9 @@ def test_criterion_5_tail_dynamics_consistency(flagship_model):
     worst = 0.0
     for t in np.linspace(0.3, 2.7, 20):
         idx = int(np.argmin(np.abs(times - t)))
-        g_prev = tail_density(traj.snapshots[idx - 1].c).g
-        g_mid = tail_density(traj.snapshots[idx].c).g
-        g_next = tail_density(traj.snapshots[idx + 1].c).g
+        g_prev, g_mid, g_next = (tail_density(c).g for c in traj.states[idx - 1 : idx + 2])
         fd = (g_next - g_prev) / (2 * dt)
-        rhs = tail_rhs(g_mid, traj.snapshots[idx].c1, flagship_model)
+        rhs = tail_rhs(g_mid, traj.states[idx, 0], flagship_model)
         window_fd = fd[1:50]        # tail entries j = 2..50
         window_rhs = rhs[:49]
         scale = float(np.max(np.abs(window_rhs)))
@@ -246,7 +244,7 @@ def test_criterion_9_stretched_propagation(flagship):
 def test_criterion_10_qualitative_convergence(flagship):
     report, _ = flagship
     stage = report.stage("convergence_shadow")
-    rho = report.trajectory.snapshots[0].rho
+    rho = report.trajectory.rho[0]
     final = stage.info["final_l1_weighted"]
     ok = final < 1e-3 * rho and stage.ok
     _criterion(10, "qualitative convergence", ok, f"sum i|c-Q| at horizon = {final:.3g}")

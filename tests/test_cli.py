@@ -1,10 +1,13 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+import beckerdoring as bd
 from beckerdoring.cli import main
-from beckerdoring.config import template_text
+from beckerdoring.config import load_config, template_text
+from beckerdoring.experiments import prepare
 
 
 @pytest.fixture()
@@ -59,6 +62,29 @@ def test_simulate_writes_csv_and_states(small_config, tmp_path):
     tails = sorted(out_dir.glob("tail_t*.csv"))
     assert len(tails) == 3
     assert tails[0].read_text().splitlines()[0] == "j,G_j"
+
+
+def test_dumped_states_parse_back_to_the_trajectory(small_config, tmp_path):
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", str(small_config), "--out", str(out_dir), "--dump-states", "3"]) == 0
+    config = load_config(small_config)
+    prep = prepare(config)
+    traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+    for i in np.linspace(0, len(traj.times) - 1, 3).astype(int):
+        t, c = traj.times[i], traj.states[i]
+        for name, want in ((f"state_t{t:g}.csv", c), (f"tail_t{t:g}.csv", bd.tail_density(c).g)):
+            data = np.loadtxt(out_dir / name, delimiter=",", skiprows=1)
+            assert np.array_equal(data[:, 0], np.arange(1, len(want) + 1))
+            assert np.array_equal(data[:, 1], want)
+
+
+def test_written_files_hold_plain_numbers(small_config, tmp_path):
+    assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "sim"), "--dump-states", "3"]) == 0
+    assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "exp")]) == 0
+    written = sorted(tmp_path.glob("*/*"))
+    assert len(written) == 1 + 6 + 5
+    for path in written:
+        assert "np.float64" not in path.read_text(), path.name
 
 
 def test_supersolution_export(small_config, tmp_path):
@@ -201,6 +227,24 @@ def test_sweep_propagates_verdict_failure(small_config, tmp_path):
     failing.write_text(small_config.read_text().replace("omega = 0.0", "omega = 0.25"))
     rc = main(["sweep", str(small_config), str(failing), "--out", str(tmp_path / "sw2")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_reports_every_config(small_config, tmp_path, capfd, workers):
+    # a refused config neither hides the verdict of the others nor their exit code
+    bad = small_config.parent / "bad.toml"
+    bad.write_text(small_config.read_text().replace("rho = 1.0", "rho = 9.0"))
+    failing = small_config.parent / "failing.toml"
+    failing.write_text(small_config.read_text().replace("omega = 0.0", "omega = 0.25"))
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep", str(small_config), str(bad), str(failing), "--out", str(out_dir), "--workers", workers])
+    assert rc == 11
+    captured = capfd.readouterr()
+    verdicts = dict(reversed(line.split(" ", 1)) for line in captured.out.splitlines())
+    assert verdicts == {str(small_config): "PASS", str(bad): "ERROR(11)", str(failing): "FAIL"}
+    assert "config error: density 9 is not below the critical density" in captured.err
+    assert json.loads((out_dir / "exp" / "summary.json").read_text())["verdict"] is True
+    assert (out_dir / "failing" / "summary.json").exists() and not (out_dir / "bad").exists()
 
 
 def test_sweep_workers_match_serial_bytes(small_config, tmp_path):

@@ -41,7 +41,7 @@ class TestMetzlerSystem:
 
     def test_domination_accepts_supersolution_object(self, family_a, trajectory):
         g0 = bd.tail_density(trajectory.at(2.0).c).g
-        params = bd.make_params(family_a, 0.7, trajectory.snapshots[0].rho)
+        params = bd.make_params(family_a, 0.7, trajectory.rho[0])
         sol = bd.build_supersolution(family_a, params, g0)
         report = bd.check_domination(trajectory, sol, 2.0)
         assert isinstance(report.max_gap, float)
@@ -153,7 +153,7 @@ class TestCheckDomination:
         elif case == "past_support":
             r[n - 5] = -1.0  # below G_j = 0, in every snapshot
         report = bd.check_domination(trajectory, r, 2.0)
-        eps = 1e-10 * trajectory.snapshots[0].rho
+        eps = 1e-10 * trajectory.rho[0]
         max_gap, first, checked = -math.inf, None, 0
         for snap in trajectory.snapshots:
             if snap.t < 2.0 - 1e-12:

@@ -100,16 +100,14 @@ class TestIntegrate:
     def test_mass_conserved_and_positive(self, family_a):
         state0 = monodisperse(300, 1.0)
         traj = bd.integrate(state0, family_a, 20.0, bd.IntegrateOptions(n_snapshots=81))
-        rho0 = traj.snapshots[0].rho
-        for s in traj.snapshots:
-            assert abs(s.rho - rho0) / rho0 <= 1e-10
-            assert np.all(s.c >= 0.0)
+        assert np.all(np.abs(traj.rho - traj.rho[0]) / traj.rho[0] <= 1e-10)
+        assert np.all(traj.states >= 0.0)
 
     def test_monomer_decreases_to_activity(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         traj = bd.integrate(monodisperse(300, 1.0), family_a, 30.0, bd.IntegrateOptions(n_snapshots=61))
-        c1 = [s.c1 for s in traj.snapshots]
+        c1 = traj.states[:, 0].tolist()
         assert all(b <= a * (1 + 1e-12) for a, b in zip(c1, c1[1:]))
         assert c1[-1] == pytest.approx(z, abs=1e-4)
 
@@ -128,7 +126,7 @@ class TestIntegrate:
         eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=101, equilibrium=eq)
         traj = bd.integrate(monodisperse(300, 1.0), family_a, 50.0, opts)
-        h = np.array([s.free_energy for s in traj.snapshots])
+        h = traj.free_energy
         slack = 10 * 1e-8 * max(1.0, h[0])
         assert np.all(np.diff(h) <= slack)
 
@@ -144,10 +142,8 @@ class TestIntegrate:
         # floor of order abs_tol survives across the truncation
         opts = bd.IntegrateOptions(n_snapshots=21, dead_band=False)
         traj = bd.integrate(monodisperse(200, 1.0), family_a, 20.0, opts)
-        rho0 = traj.snapshots[0].rho
-        for s in traj.snapshots:
-            assert abs(s.rho - rho0) / rho0 <= 1e-10
-            assert np.all(s.c >= 0.0)
+        assert np.all(np.abs(traj.rho - traj.rho[0]) / traj.rho[0] <= 1e-10)
+        assert np.all(traj.states >= 0.0)
 
     def test_step_budget_exhaustion_names_remedies(self, family_a):
         with pytest.raises(StepSizeUnderflowError) as err:
@@ -174,10 +170,11 @@ class TestIntegrate:
             bd.ClusterState(np.array([1.0, -0.1]))
 
     def test_snapshot_times_strictly_increasing_enforced(self, family_a):
-        snap = bd.Snapshot(t=0.0, c=np.zeros(3), rho=0.0, c1=0.0)
-        later = bd.Snapshot(t=0.0, c=np.zeros(3), rho=0.0, c1=0.0)
         with pytest.raises(ParameterError):
-            bd.Trajectory(model=family_a, snapshots=[snap, later])
+            bd.Trajectory(
+                model=family_a, times=np.array([0.0, 0.0]), states=np.zeros((2, 3)),
+                rho=np.zeros(2), free_energy=np.zeros(2),
+            )
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -192,10 +189,8 @@ class TestIntegrate:
             model = bd.make_exponential_tail_model(gamma, z_s, rng.uniform(0.3, 1.5), mu)
         c0 = rng.random(30) * np.exp(-np.arange(30) / 5.0)
         traj = bd.integrate(bd.ClusterState(c0), model, 2.0, bd.IntegrateOptions(n_snapshots=9))
-        rho0 = traj.snapshots[0].rho
-        for s in traj.snapshots:
-            assert abs(s.rho - rho0) <= 1e-10 * rho0
-            assert np.all(s.c >= 0.0)
+        assert np.all(np.abs(traj.rho - traj.rho[0]) <= 1e-10 * traj.rho[0])
+        assert np.all(traj.states >= 0.0)
 
 
 class TestCrossValidation:
@@ -236,13 +231,11 @@ class TestCrossValidation:
             bd.IntegrateOptions(rel_tol=1e-11, abs_tol=1e-18, t_eval=t_eval, equilibrium=eq),
         )
         for idx in (40, 100, 160):
-            h_prev = traj.snapshots[idx - 1].free_energy
-            h_next = traj.snapshots[idx + 1].free_energy
-            fd = (h_next - h_prev) / (2 * dt)
-            mid = traj.snapshots[idx]
-            w = bd.net_rates(bd.ClusterState(mid.c, mid.t), ones_model)[: n - 1]
-            gain = mid.c[0] * mid.c[:-1]  # a_i c_1 c_i with a_i = 1
-            loss = mid.c[1:]              # b_{i+1} c_{i+1} with b_{i+1} = 1
+            fd = (traj.free_energy[idx + 1] - traj.free_energy[idx - 1]) / (2 * dt)
+            c = traj.states[idx]
+            w = bd.net_rates(bd.ClusterState(c), ones_model)[: n - 1]
+            gain = c[0] * c[:-1]  # a_i c_1 c_i with a_i = 1
+            loss = c[1:]          # b_{i+1} c_{i+1} with b_{i+1} = 1
             dissipation = math.fsum(w * np.log(gain / loss))
             assert fd == pytest.approx(-dissipation, rel=1e-4, abs=1e-10)
             assert dissipation >= 0.0
@@ -276,14 +269,14 @@ class TestWeakFormResidual:
 def _assert_matches_scalar_references(traj, eq, k_moments, stretched):
     # batched, support-trimmed observables against the compensated scalar
     # helpers and the one-state free energy, snapshot by snapshot
-    for s in traj.snapshots:
-        assert s.rho == pytest.approx(bd.density(s.c), rel=1e-14, abs=0)
+    for j, c in enumerate(traj.states):
+        assert traj.rho[j] == pytest.approx(bd.density(c), rel=1e-14, abs=0)
         for k in k_moments:
-            assert s.moments[k] == pytest.approx(bd.moment(s.c, k), rel=1e-14, abs=0)
+            assert traj.tracked[k][j] == pytest.approx(bd.moment(c, k), rel=1e-14, abs=0)
         for alpha, mu in stretched:
-            want = bd.stretched_moment(s.c, alpha, mu)
-            assert s.stretched[(alpha, mu)] == pytest.approx(want, rel=1e-14, abs=0)
-        assert s.free_energy == pytest.approx(bd.relative_free_energy(s.c, eq), rel=1e-14, abs=0)
+            want = bd.stretched_moment(c, alpha, mu)
+            assert traj.tracked[(alpha, mu)][j] == pytest.approx(want, rel=1e-14, abs=0)
+        assert traj.free_energy[j] == pytest.approx(bd.relative_free_energy(c, eq), rel=1e-14, abs=0)
 
 
 class TestBatchedObservables:
@@ -300,25 +293,24 @@ class TestBatchedObservables:
     def test_full_support_run_matches_scalar_references(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 200, critical=crit)
+        k_moments, stretched = (2.0, 3.5), ((1.0, 0.5), (0.5, 0.25))
         opts = bd.IntegrateOptions(
-            n_snapshots=21, dead_band=False, track_moments=(2.0, 3.5),
-            track_stretched=((1.0, 0.5), (0.5, 0.25)), equilibrium=eq,
+            n_snapshots=21, dead_band=False, track=k_moments + stretched, equilibrium=eq,
         )
         traj = bd.integrate(monodisperse(200, 1.0), family_a, 20.0, opts)
         assert np.any(traj.states[:, -1] > 0)  # support = N
-        _assert_matches_scalar_references(traj, eq, opts.track_moments, opts.track_stretched)
+        _assert_matches_scalar_references(traj, eq, k_moments, stretched)
 
     def test_tail_warning_run_matches_scalar_references(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.5, 8)
         opts = bd.IntegrateOptions(
-            n_snapshots=11, tail_threshold=1e-12, track_moments=(2.0,),
-            track_stretched=((1.0, 0.5),), equilibrium=eq,
+            n_snapshots=11, tail_threshold=1e-12, track=(2.0, (1.0, 0.5)), equilibrium=eq,
         )
         traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, opts)
         assert traj.warnings and "truncation" in traj.warnings[0]
         occupied = [s for s in traj.snapshots if s.c[-1] > 1e-12 * 3.0 / 8]
         assert f"t={occupied[0].t:.6g}:" in traj.warnings[0]
-        _assert_matches_scalar_references(traj, eq, opts.track_moments, opts.track_stretched)
+        _assert_matches_scalar_references(traj, eq, (2.0,), ((1.0, 0.5),))
 
     def test_free_energy_matrix_names_the_bad_row_index(self):
         profile = np.array([0.5, 0.25, 0.125, 0.0, 0.0])
@@ -345,11 +337,14 @@ class TestBatchedObservables:
             assert value == pytest.approx(bd.relative_free_energy(row, eq), rel=1e-14, abs=0)
 
     def test_snapshot_states_are_read_only_views(self, family_a):
-        opts = bd.IntegrateOptions(n_snapshots=11, track_moments=(2.0,))
+        opts = bd.IntegrateOptions(n_snapshots=11, track=(2.0,))
         traj = bd.integrate(monodisperse(50, 1.0), family_a, 5.0, opts)
-        assert not traj.states.flags.writeable
+        assert not traj.states.flags.writeable and not traj.times.flags.writeable
         assert all(np.shares_memory(s.c, traj.states) for s in traj.snapshots)
-        before = [(s.rho, s.moments[2.0], bd.density(s.c)) for s in traj.snapshots]
+        def observables():
+            return traj.rho.tolist(), traj.tracked[2.0].tolist(), [bd.density(c) for c in traj.states]
+
+        before = observables()
         with pytest.raises(ValueError):
             traj.snapshots[3].c[0] = 1.0
-        assert [(s.rho, s.moments[2.0], bd.density(s.c)) for s in traj.snapshots] == before
+        assert observables() == before

@@ -161,11 +161,9 @@ class TestTailRhs:
         t_eval = np.arange(0.0, 2.0 + dt / 2, dt)
         traj = bd.integrate(state0, family_a, 2.0, bd.IntegrateOptions(rel_tol=1e-10, t_eval=t_eval))
         idx = len(t_eval) // 2
-        gm = tail_density(traj.snapshots[idx - 1].c).g
-        g0 = tail_density(traj.snapshots[idx].c).g
-        gp = tail_density(traj.snapshots[idx + 1].c).g
+        gm, g0, gp = (tail_density(c).g for c in traj.states[idx - 1 : idx + 2])
         fd = (gp - gm) / (2 * dt)
-        rhs = tail_rhs(g0, traj.snapshots[idx].c1, family_a)
+        rhs = tail_rhs(g0, traj.states[idx, 0], family_a)
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(fd[1:-1] - rhs)) <= 1e-4 * scale
 
