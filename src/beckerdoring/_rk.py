@@ -6,6 +6,11 @@ control is the classic PI controller (error exponent 0.17, memory exponent
 0.04, safety 0.9).  Snapshots at requested times come from the standard
 quartic interpolant of the pair, so accepted steps never need to land on
 the output grid.
+
+A caller whose right-hand side moves the support of a state (1 + its last
+non-zero index) by a bounded number of entries per evaluation says so with
+``reach``; each step then runs on the occupied prefix of the state only,
+with the same result (see ``solve_rk54``).
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .equilibrium import support_length
 from .errors import NumericalError, ParameterError, StepSizeUnderflowError
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -66,21 +72,23 @@ class RKSolution:
     stats: StepStats = field(default_factory=StepStats)
 
 
-def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(v: np.ndarray, n: int) -> float:
+    """RMS of ``v`` padded with zeros to length ``n``: the norm is over all n
+    components, whatever the window, so step control does not see it."""
+    return float(np.sqrt(np.sum(v * v) / n))
 
 
-def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats) -> float:
+def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:
     # Hairer's starting-step heuristic for a 5th-order pair
     scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale, n)
+    d1 = _rms(f0 / scale, n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
     stats.n_fev += 1
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale, n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -101,6 +109,7 @@ def solve_rk54(
     snapshot_transform: Callable[[np.ndarray], np.ndarray] | None = None,
     fixed_step: float | None = None,
     max_steps: int = 2_000_000,
+    reach: int | None = None,
 ) -> RKSolution:
     """Integrate y' = f(t, y) from t0 to t_end.
 
@@ -109,8 +118,23 @@ def solve_rk54(
     None, which halves the step).  ``snapshot_transform`` is applied to
     interpolated output states only.  ``fixed_step`` disables adaptivity
     and the veto path.
+
+    ``reach`` is a promise about ``f``: when y vanishes from index m on,
+    f(t, y) vanishes from index m + reach on, and f applied to a prefix of
+    y that ends in a zero is the same prefix of f(t, y).  Each step then
+    works on the window y[:w], w = min(N, support + 7 * reach + 1), where
+    the support is 1 + the last non-zero index of the accepted state.  The
+    seven evaluations of a step move the support up by at most 7 * reach,
+    so every stage, the error estimate and the dense output vanish past the
+    window, and the result is the full system's up to summation order, not
+    an approximation.  ``f``, ``accept_filter`` and ``snapshot_transform``
+    then get and return window-length vectors, and the filter must not
+    make an entry non-zero past its input's support.  The error norm stays
+    the RMS over all N components, so step control does not depend on the
+    window.  ``y_eval`` is (len(t_eval), N) with zeros past each row's
+    window, and ``y`` has length N.  Without ``reach`` the window is all N.
     """
-    y = np.array(y0, dtype=float)
+    state = np.array(y0, dtype=float)  # the full state: zero past the window
     t = float(t0)
     if t_end <= t:
         raise ParameterError("t_end must exceed t0")
@@ -122,17 +146,28 @@ def solve_rk54(
     if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t_end + 1e-12:
         raise ParameterError("output times must lie within [t0, t_end]")
 
+    n = len(state)
+
+    def width(y: np.ndarray) -> int:
+        # y: a prefix of the state that holds all of its non-zero entries;
+        # a non-zero last entry spares the scan when the support fills it
+        if reach is None:
+            return n
+        support = len(y) if y[-1] else support_length(y)
+        return min(n, support + 7 * reach + 1)
+
     stats = StepStats()
-    n = len(y)
+    w = width(state)
+    y = state[:w]
     k = np.empty((7, n))
-    k[0] = f(t, y)
+    k[0, :w] = f(t, y)
     stats.n_fev += 1
 
-    y_eval = np.empty((len(t_eval), n))
+    y_eval = np.zeros((len(t_eval), n))
     i_out = 0
     while i_out < len(t_eval) and t_eval[i_out] <= t0 + 1e-15 * max(1.0, abs(t0)):
         out = y.copy()
-        y_eval[i_out] = snapshot_transform(out) if snapshot_transform else out
+        y_eval[i_out, :w] = snapshot_transform(out) if snapshot_transform else out
         i_out += 1
 
     if fixed_step is not None:
@@ -140,7 +175,7 @@ def solve_rk54(
         if h <= 0:
             raise ParameterError("fixed_step must be positive")
     else:
-        h = _initial_step(f, t, y, k[0], t_end, rel_tol, abs_tol, stats)
+        h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
     fac_old = 1e-4
 
     while t < t_end:
@@ -153,16 +188,17 @@ def solve_rk54(
         if h < tiny and not last:
             raise StepSizeUnderflowError(t, h)
 
+        kw = k[:, :w]
         for s in range(1, 7):
-            k[s] = f(t + _C[s] * h, y + h * (_A[s] @ k[:s]))
+            kw[s] = f(t + _C[s] * h, y + h * (_A[s] @ kw[:s]))
         stats.n_fev += 6
-        y_new = y + h * (_B[:6] @ k[:6])
+        y_new = y + h * (_B[:6] @ kw[:6])
         # FSAL: _A[6] equals _B[:6], so k[6] already holds f(t+h, y_new)
 
         if fixed_step is None:
-            err = h * (_E @ k)
+            err = h * (_E @ kw)
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _error_norm(err, scale)
+            err_norm = _rms(err / scale, n)
             if not math.isfinite(err_norm) or err_norm > 1.0:
                 stats.n_rejected_error += 1
                 if math.isfinite(err_norm):
@@ -201,21 +237,26 @@ def solve_rk54(
             else:
                 theta = (tq - t) / h
                 powers = np.array([theta, theta**2, theta**3, theta**4])
-                out = y + h * ((k.T @ _P) @ powers)
-            y_eval[i_out] = snapshot_transform(out) if snapshot_transform else out
+                out = y + h * ((kw.T @ _P) @ powers)
+            y_eval[i_out, :w] = snapshot_transform(out) if snapshot_transform else out
             i_out += 1
 
         t = t_new
-        y = y_accepted
+        state[:w] = y_accepted
+        w_new = width(state[:w])
+        y = state[:w_new]
         stats.n_steps += 1
         if filtered:
-            k[0] = f(t, y)
+            k[0, :w_new] = f(t, y)
             stats.n_fev += 1
         else:
-            k[0] = k[6]
+            # a wider window must not read what an earlier one left in k[0]
+            k[0, :w] = kw[6]
+            k[0, w:w_new] = 0.0
+        w = w_new
         if fixed_step is None:
             fac = _SAFETY * max(err_norm, 1e-10) ** -0.17 * fac_old**0.04
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
             fac_old = max(err_norm, 1e-4)
 
-    return RKSolution(t=t, y=y, t_eval=t_eval, y_eval=y_eval, stats=stats)
+    return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval, stats=stats)

@@ -44,20 +44,19 @@ EXIT_CONFIG = 11
 EXIT_NUMERICAL = 12
 
 
-def _exit_code(command, *args) -> int:
+def _exit_code(command, *args, prefix: str = "") -> int:
     """``command(*args)``, or the exit code of the failure it raised, with
-    the failure's message on stderr."""
+    the failure's message, after ``prefix``, on stderr."""
     try:
         return command(*args)
     except (ConfigError, ParameterError, SupercriticalError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"config error: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"i/o error: {exc}"
     except BeckerDoringError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    print(prefix + message, file=sys.stderr)
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,17 +198,23 @@ def _sweep_one(config_path: str, out_dir: str, seed: int | None) -> int:
 
 
 def _sweep_worker(payload: tuple[str, str, int | None]) -> tuple[str, int]:
-    """One config's exit code: a failure stays with its config."""
+    """One config's exit code: a failure stays with its config, and its
+    message names it."""
     config_path, out_dir, seed = payload
-    return config_path, _exit_code(_sweep_one, config_path, out_dir, seed)
+    return config_path, _exit_code(_sweep_one, config_path, out_dir, seed, prefix=f"{config_path}: ")
 
 
 def _cmd_sweep(args) -> int:
-    args.out.mkdir(exist_ok=True)
-    jobs = []
+    # each config writes to out/<file stem>; two configs on one directory
+    # would overwrite each other's outputs (at the same time, with workers)
+    by_dir: dict[Path, list[str]] = {}
     for path in args.configs:
-        out_dir = args.out / path.stem
-        jobs.append((str(path), str(out_dir), args.seed))
+        by_dir.setdefault(args.out / path.stem, []).append(str(path))
+    clashes = [f"{' and '.join(paths)} -> {out_dir}" for out_dir, paths in by_dir.items() if len(paths) > 1]
+    if clashes:
+        raise ConfigError("configs would share an output directory: " + "; ".join(clashes))
+    args.out.mkdir(exist_ok=True)
+    jobs = [(paths[0], str(out_dir), args.seed) for out_dir, paths in by_dir.items()]
     if args.workers <= 1:
         codes = dict(map(_sweep_worker, jobs))
     else:

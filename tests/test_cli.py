@@ -247,6 +247,37 @@ def test_sweep_reports_every_config(small_config, tmp_path, capfd, workers):
     assert (out_dir / "failing" / "summary.json").exists() and not (out_dir / "bad").exists()
 
 
+@pytest.mark.parametrize("same_path", [False, True])
+def test_sweep_refuses_configs_sharing_an_output_dir(small_config, tmp_path, capsys, same_path):
+    # out/<stem> per config: a/exp.toml and b/exp.toml, or one path twice,
+    # would write one directory twice, so nothing runs
+    if same_path:
+        other = small_config
+    else:
+        (tmp_path / "b").mkdir()
+        other = tmp_path / "b" / "exp.toml"
+        other.write_text(small_config.read_text().replace("rho = 1.0", "rho = 0.5"))
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep", str(small_config), str(other), "--out", str(out_dir), "--workers", "2"])
+    assert rc == 11
+    err = capsys.readouterr().err
+    assert f"{small_config} and {other} -> {out_dir / 'exp'}" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_failure_messages_name_their_config(small_config, tmp_path, capfd):
+    paths = []
+    for rho in (7, 9):
+        path = small_config.parent / f"rho{rho}.toml"
+        path.write_text(small_config.read_text().replace("rho = 1.0", f"rho = {rho}.0"))
+        paths.append(path)
+    rc = main(["sweep", *map(str, paths), "--out", str(tmp_path / "sw"), "--workers", "2"])
+    assert rc == 11
+    errors = capfd.readouterr().err.splitlines()
+    for rho, path in zip((7, 9), paths):
+        assert any(line.startswith(f"{path}: config error: density {rho} ") for line in errors)
+
+
 def test_sweep_workers_match_serial_bytes(small_config, tmp_path):
     assert main(["sweep", str(small_config), "--out", str(tmp_path / "ser"), "--workers", "1"]) == 0
     assert main(["sweep", str(small_config), "--out", str(tmp_path / "par"), "--workers", "2"]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
+from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
 from conftest import monodisperse
 
@@ -175,6 +176,20 @@ class TestIntegrate:
                 model=family_a, times=np.array([0.0, 0.0]), states=np.zeros((2, 3)),
                 rho=np.zeros(2), free_energy=np.zeros(2),
             )
+
+    @pytest.mark.parametrize("family, counts", [
+        ("power_law", (8268, 1180, 1)),
+        ("exponential_tail", (7190, 1020, 8)),
+    ])
+    def test_template_step_counts(self, family, counts):
+        # step control is deterministic: a change to it shows here as a
+        # count (n_fev, n_steps, n_rejected), before any benchmark runs
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        config = ExperimentConfig(family=family)
+        prep = prepare(config)
+        traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+        assert (traj.n_fev, traj.n_steps, traj.n_rejected) == counts
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -348,3 +363,103 @@ class TestBatchedObservables:
         with pytest.raises(ValueError):
             traj.snapshots[3].c[0] = 1.0
         assert observables() == before
+
+
+def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
+    """``integrate``'s own call of ``solve_rk54``, repeated with and without
+    the window; the windowed run also records the width of every RHS call."""
+    from beckerdoring import _rk, solver
+
+    calls = []
+
+    def spy(f, *args, **kwargs):
+        calls.append((f, args, kwargs))
+        return _rk.solve_rk54(f, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_rk54", spy)
+    bd.integrate(state0, model, t_end, opts)
+    (f, args, kwargs), = calls
+    assert kwargs["reach"] == 1
+    widths = []
+
+    def recording_f(t, y):
+        widths.append(len(y))
+        return f(t, y)
+
+    windowed = _rk.solve_rk54(recording_f, *args, **kwargs)
+    full = _rk.solve_rk54(f, *args, **{**kwargs, "reach": None})
+    return windowed, full, widths
+
+
+def _assert_same_run(windowed, full):
+    # rows agree within 1e-12 of their largest entry: the summation order
+    # differs, and entries at the support's front are tiny and grow out of
+    # cancelling stage sums, so a last-bit change is relatively large there
+    assert windowed.stats == full.stats
+    assert windowed.y_eval.shape == full.y_eval.shape
+    for row, ref in zip([*windowed.y_eval, windowed.y], [*full.y_eval, full.y]):
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.any(row[support_length(ref):])
+
+
+class TestActiveWindow:
+    """A step on the occupied prefix is the full-width step, not an approximation."""
+
+    def test_dead_band_run(self, monkeypatch, family_a):
+        windowed, full, widths = _window_and_full_runs(
+            monkeypatch, monodisperse(2000, 1.0), family_a, 20.0, bd.IntegrateOptions(n_snapshots=41)
+        )
+        _assert_same_run(windowed, full)
+        assert max(widths) < 100
+
+    def test_support_grows_to_n(self, monkeypatch, family_a):
+        opts = bd.IntegrateOptions(n_snapshots=21, dead_band=False)
+        windowed, full, widths = _window_and_full_runs(
+            monkeypatch, monodisperse(40, 1.0), family_a, 20.0, opts
+        )
+        _assert_same_run(windowed, full)
+        assert widths[0] == 9 and max(widths) == widths[-1] == 40
+        assert support_length(full.y) == 40
+
+    def test_support_shrinks_then_grows(self, monkeypatch, family_a):
+        # mass below the dead band out to size 1500: the first accepted step
+        # zeroes it, and the support then grows back from the monomers
+        c0 = np.zeros(2000)
+        c0[0], c0[1:1500] = 1.0, 1e-16
+        windowed, full, widths = _window_and_full_runs(
+            monkeypatch, bd.ClusterState(c0), family_a, 20.0, bd.IntegrateOptions(n_snapshots=41)
+        )
+        _assert_same_run(windowed, full)
+        low = int(np.argmin(widths))
+        assert widths[0] == 1508 and widths[low] < 20 and widths[-1] > widths[low] + 10
+
+    def test_wider_window_reads_no_stale_stage_values(self):
+        # a forward shift y_i' = y_{i-1} - y_i has reach 1; a filter that cuts
+        # the state to 3 sizes once, then passes steps through unchanged,
+        # makes later steps carry k[0] (FSAL) into a window that grows over
+        # entries written before the cut
+        from beckerdoring._rk import solve_rk54
+
+        def f(t, y):
+            dy = -y
+            dy[1:] += y[:-1]
+            return dy
+
+        def cut_once(t, y):
+            if cut_once.done:
+                return y
+            cut_once.done = True
+            out = y.copy()
+            out[3:] = 0.0
+            return out
+
+        runs = []
+        for reach in (1, None):
+            cut_once.done = False
+            runs.append(solve_rk54(
+                f, 0.0, np.ones(60), 10.0, t_eval=np.linspace(0.0, 10.0, 11),
+                accept_filter=cut_once, reach=reach,
+            ))
+        windowed, full = runs
+        _assert_same_run(windowed, full)
+        assert support_length(full.y) == 60
