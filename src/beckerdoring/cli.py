@@ -27,14 +27,15 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
+    dominating_sequence,
     emit_report,
     export_supersolution,
     prepare,
     run_uniform_moment_experiment,
-    trajectory_csv_lines,
+    write_columns,
+    write_trajectory_csv,
 )
 from .solver import integrate
-from .supersolution import build_supersolution, make_params, verify_supersolution
 from .tails import tail_density
 
 EXIT_PASS = 0
@@ -88,15 +89,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+def _load(config_path, seed: int | None) -> ExperimentConfig:
+    config = load_config(config_path)
+    if seed is not None:
+        config.seed = seed
     return config
 
 
+def _experiment(config_path, out_dir, seed: int | None, echo: bool = False) -> int:
+    """Run the experiment of one config and write its outputs to ``out_dir``;
+    with ``echo``, print the stage verdicts."""
+    report = run_uniform_moment_experiment(_load(config_path, seed))
+    paths = emit_report(report, out_dir)
+    if echo:
+        for stage in report.stages:
+            flag = "PASS" if stage.ok else "FAIL"
+            gate = "" if stage.gating else " (informational)"
+            print(f"[{flag}] {stage.name}{gate}")
+        print(f"verdict={report.verdict}")
+        print(f"wrote {paths['summary']}")
+    return EXIT_PASS if report.verdict else EXIT_VERDICT
+
+
+def _cmd_experiment(args) -> int:
+    return _experiment(args.config, args.out, args.seed, echo=True)
+
+
 def _cmd_equilibrium(args) -> int:
-    prep = prepare(_load(args))
+    prep = prepare(_load(args.config, args.seed))
     crit, eq = prep.critical, prep.equilibrium
     print(f"z_s={crit.z_s!r}")
     print(f"rho_s={'inf' if crit.diverges else repr(crit.rho_s)}")
@@ -110,7 +130,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args.seed)
     prep = prepare(config)
     trajectory = integrate(prep.state0, prep.model, config.t_end, prep.opts)
     header = {
@@ -119,42 +139,31 @@ def _cmd_simulate(args) -> int:
         "rel_tol": config.rel_tol, "abs_tol": trajectory.abs_tol,
     }
     args.out.mkdir(exist_ok=True)
-    csv = args.out / "timeseries.csv"
-    csv.write_text("\n".join(trajectory_csv_lines(trajectory, header)) + "\n")
+    csv = write_trajectory_csv(args.out / "timeseries.csv", trajectory, header)
     n_snapshots = len(trajectory.times)
     print(f"wrote {csv} ({n_snapshots} snapshots, {trajectory.n_steps} steps)")
     for warning in trajectory.warnings:
         print(f"warning: {warning}")
     if args.dump_states > 0:
         idx = np.linspace(0, n_snapshots - 1, args.dump_states).astype(int)
+        j = np.arange(1, config.n + 1)
         for i in sorted(set(idx.tolist())):
             t, c = float(trajectory.times[i]), trajectory.states[i]
-            path = _write_indexed(args.out / f"state_t{t:g}.csv", "i,c_i", c)
-            tail_path = _write_indexed(args.out / f"tail_t{t:g}.csv", "j,G_j", tail_density(c).g)
+            path = write_columns(args.out / f"state_t{t:g}.csv", ["i,c_i"], [j, c])
+            tail_path = write_columns(args.out / f"tail_t{t:g}.csv", ["j,G_j"], [j, tail_density(c).g])
             print(f"wrote {path} and {tail_path}")
     return EXIT_PASS
 
 
-def _write_indexed(path: Path, header: str, values: np.ndarray) -> Path:
-    """Write ``header`` and one line ``j,value`` per entry, j from 1."""
-    lines = [header] + [f"{j},{x!r}" for j, x in enumerate(values.tolist(), start=1)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def _cmd_supersolution(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args.seed)
     prep = prepare(config)
-    model, omega, rho, z_s = prep.model, prep.omega, prep.rho, prep.critical.z_s
-    g = tail_density(prep.state0.c).g
-    params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=z_s)
-    sol = build_supersolution(model, params, g)
-    check = verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
+    _, sol, check = dominating_sequence(prep, config, tail_density(prep.state0.c).g)
     path = export_supersolution(sol, args.out)
     witness = args.out / "witness.json"
     witness.write_text(json.dumps({
         "lambda": sol.lam, "n_switch": sol.n_switch, "tail_value": sol.tail_value,
-        "uniform_bound": sol.uniform_bound, "omega": omega, "rho": rho,
+        "uniform_bound": sol.uniform_bound, "omega": prep.omega, "rho": prep.rho,
         "verified": check.ok, "worst_margin": check.worst_margin,
     }, indent=2, sort_keys=True) + "\n")
     print(f"lambda={sol.lam!r} n_switch={sol.n_switch} uniform_bound={sol.uniform_bound!r}")
@@ -164,7 +173,7 @@ def _cmd_supersolution(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args.seed)
     model = config.build_model()
     report = check_assumptions(model, min(config.n_series, 100_000))
     print(f"growth_ok={report.growth_ok} first_violation={report.growth_first_violation}")
@@ -175,33 +184,11 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.all_ok else EXIT_VERDICT
 
 
-def _cmd_experiment(args) -> int:
-    config = _load(args)
-    report = run_uniform_moment_experiment(config)
-    paths = emit_report(report, args.out)
-    for stage in report.stages:
-        flag = "PASS" if stage.ok else "FAIL"
-        gate = "" if stage.gating else " (informational)"
-        print(f"[{flag}] {stage.name}{gate}")
-    print(f"verdict={report.verdict}")
-    print(f"wrote {paths['summary']}")
-    return EXIT_PASS if report.verdict else EXIT_VERDICT
-
-
-def _sweep_one(config_path: str, out_dir: str, seed: int | None) -> int:
-    config = load_config(config_path)
-    if seed is not None:
-        config.seed = seed
-    report = run_uniform_moment_experiment(config)
-    emit_report(report, out_dir)
-    return EXIT_PASS if report.verdict else EXIT_VERDICT
-
-
 def _sweep_worker(payload: tuple[str, str, int | None]) -> tuple[str, int]:
     """One config's exit code: a failure stays with its config, and its
     message names it."""
     config_path, out_dir, seed = payload
-    return config_path, _exit_code(_sweep_one, config_path, out_dir, seed, prefix=f"{config_path}: ")
+    return config_path, _exit_code(_experiment, config_path, out_dir, seed, prefix=f"{config_path}: ")
 
 
 def _cmd_sweep(args) -> int:

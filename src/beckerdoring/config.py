@@ -1,20 +1,23 @@
-"""Flat key = value experiment-config files.
+"""Experiment-config files.
 
-The format is a TOML-style flat table: one ``key = value`` per line,
-``#`` comments, double-quoted strings, numbers, booleans and (nested)
-lists.  ``template_text`` prints every key with its default and a short
-comment; unknown keys are rejected rather than ignored.
+A config file is a TOML 1.0 document whose top-level keys are fields of
+``ExperimentConfig``; the dataclass's annotations are the only schema.
+``template_text`` prints every key with its default and a short comment.
+Unknown keys, values of the wrong type, booleans and non-finite numbers
+are refused with ``ConfigError``.
 """
 from __future__ import annotations
 
-import ast
-from dataclasses import fields
+import math
+import re
+import tomllib
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig
 
-_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 TEMPLATE = """\
 # model
@@ -56,60 +59,52 @@ def template_text() -> str:
     return TEMPLATE
 
 
-def _strip_comment(value: str) -> str:
-    value = value.strip()
-    if value.startswith('"'):
-        end = value.find('"', 1)
-        if end < 0:
-            raise ConfigError(f"unterminated string: {value!r}")
-        rest = value[end + 1 :].strip()
-        if rest and not rest.startswith("#"):
-            raise ConfigError(f"trailing junk after string: {value!r}")
-        return value[: end + 1]
-    return value.split("#", 1)[0].strip()
-
-
 def parse_config_text(text: str) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = _strip_comment(value)
-        if value in ("true", "false"):
-            value = value.capitalize()
-        try:
-            out[key] = ast.literal_eval(value)
-        except (ValueError, SyntaxError) as exc:
-            raise ConfigError(f"line {lineno}: cannot parse value {value!r}") from exc
-    return out
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        # the message ends "(at line L, column C)": quote line L, which names the key
+        at = re.search(r"\(at line (\d+),", str(exc))
+        line = f": {text.splitlines()[int(at[1]) - 1].strip()!r}" if at else ""
+        raise ConfigError(f"config is not valid TOML: {exc}{line}") from exc
+
+
+def _cast(value, hint):
+    """``value`` as the field type ``hint``; raises TypeError (or OverflowError,
+    for an int past the float range) when it is not one.
+
+    Numbers in lists become floats; a float field keeps an int as written,
+    so ``rho = 1`` is reported as 1.
+    """
+    args = get_args(hint)  # tuple[X, ...] or tuple[X, Y]: a TOML array
+    if args and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) == len(items):
+            return tuple(float(_cast(v, a)) if a is float else _cast(v, a) for v, a in zip(value, items))
+    elif hint is str and isinstance(value, str):
+        return value
+    # type(), not isinstance: a bool is an int too, and is refused
+    elif hint in (int, float) and type(value) in (int, float) and math.isfinite(value):
+        if hint is float:
+            return value
+        if value == int(value):
+            return int(value)
+    raise TypeError
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cleaned = dict(values)
-    for key in _INT_KEYS & set(cleaned):
-        cleaned[key] = int(cleaned[key])
-    if "k_moments" in cleaned:
-        cleaned["k_moments"] = tuple(float(k) for k in cleaned["k_moments"])
-    if "stretched" in cleaned:
-        pairs = []
-        for p in cleaned["stretched"]:
-            if len(p) != 2:
-                raise ConfigError(f"stretched entries must be pairs, got {p!r}")
-            pairs.append((float(p[0]), float(p[1])))
-        cleaned["stretched"] = tuple(pairs)
-    try:
-        return ExperimentConfig(**cleaned)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cleaned = {}
+    for key, value in values.items():
+        try:
+            cleaned[key] = _cast(value, _FIELD_TYPES[key])
+        except (TypeError, OverflowError):
+            # the field's annotation with floats marked finite, e.g. "tuple[finite float, ...]"
+            expected = ExperimentConfig.__annotations__[key].replace("float", "finite float")
+            raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}") from None
+    return ExperimentConfig(**cleaned)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

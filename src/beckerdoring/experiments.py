@@ -9,6 +9,7 @@ reports its margins; a verdict is true only when all gating stages pass.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -30,6 +31,8 @@ from .maximum_principle import check_domination
 from .solver import ClusterState, IntegrateOptions, Key, Trajectory, density, integrate, weight
 from .supersolution import (
     Supersolution,
+    SupersolutionCheck,
+    SupersolutionParams,
     build_supersolution,
     make_params,
     verify_supersolution,
@@ -158,6 +161,18 @@ def prepare(config: ExperimentConfig) -> Preamble:
         equilibrium=eq,
     )
     return Preamble(model, crit, z_bar, eq, state0, density(state0), omega, opts)
+
+
+def dominating_sequence(
+    prep: Preamble, config: ExperimentConfig, g: np.ndarray
+) -> tuple[SupersolutionParams, Supersolution, SupersolutionCheck]:
+    """Build the dominating sequence above the tail profile g and verify it:
+    lambda from the rates up to max(N, 1000) and the model's z_s, the balance
+    inequality with slack 1e-12 * rho."""
+    model, omega, rho = prep.model, prep.omega, prep.rho
+    params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=prep.critical.z_s)
+    sol = build_supersolution(model, params, g)
+    return params, sol, verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
 
 
 # -- short-time growth constant ----------------------------------------------
@@ -422,9 +437,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
 
         g_t0 = tail_density(trajectory.at(t0).c).g
-        params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=crit.z_s)
-        super_sol = build_supersolution(model, params, g_t0)
-        check = verify_supersolution(super_sol.r, model, omega, rho, tol=1e-12 * rho)
+        params, super_sol, check = dominating_sequence(prep, config, g_t0)
         witness = {
             "lambda": super_sol.lam,
             "n_switch": super_sol.n_switch,
@@ -520,24 +533,29 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 # -- emission -----------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+_BLOCK_ROWS = 1024
 
 
-def _column_lines(columns: list[np.ndarray], sep: str) -> list[str]:
-    """One line per output time: the columns' values as Python float reprs."""
-    return [sep.join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
+def write_columns(path: Path, header: list[str], columns: list[np.ndarray], sep: str = ",") -> Path:
+    """Write the header lines, then the columns' rows as Python ints and floats
+    (``str`` of a float is its repr), converted a block of rows at a time: at
+    N = 32 000, whole columns as lists would add 3 MB to the peak memory."""
+    row = sep.join(["{}"] * len(columns)) + "\n"
+    with path.open("w") as fh:
+        fh.write("".join(line + "\n" for line in header))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [col[start : start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write("".join(itertools.starmap(row.format, zip(*block))))
+    return path
 
 
-def trajectory_csv_lines(trajectory: Trajectory, header: dict[str, object]) -> list[str]:
+def write_trajectory_csv(path: Path, trajectory: Trajectory, header: dict[str, object]) -> Path:
     """``#key=value`` header lines, then t, c1, rho, H and the tracked sums."""
-    lines = [f"#{key}={_fmt(value)}" for key, value in header.items()]
+    lines = [f"#{key}={value}" for key, value in header.items()]
     names = [f"E_{k[0]:g}_{k[1]:g}" if isinstance(k, tuple) else f"M_{k:g}" for k in trajectory.tracked]
     lines.append(",".join(["t", "c1", "rho", "H", *names]))
     columns = [trajectory.times, trajectory.states[:, 0], trajectory.rho, trajectory.free_energy]
-    return lines + _column_lines(columns + list(trajectory.tracked.values()), ",")
+    return write_columns(path, lines, columns + list(trajectory.tracked.values()))
 
 
 def report_csv_header(report: UniformBoundReport) -> dict[str, object]:
@@ -571,17 +589,13 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
 
     trajectory = report.trajectory
     if trajectory is not None:
-        ts = out / "timeseries.csv"
-        ts.write_text("\n".join(trajectory_csv_lines(trajectory, report_csv_header(report))) + "\n")
-        paths["timeseries"] = ts
+        paths["timeseries"] = write_trajectory_csv(out / "timeseries.csv", trajectory, report_csv_header(report))
         certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
         lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
         columns = [trajectory.times]
         for s in certs:
             columns += [trajectory.tracked[s.key], np.full(len(trajectory.times), s.info["certified"])]
-        bounds = out / "bounds.dat"
-        bounds.write_text("\n".join(lines + _column_lines(columns, " ")) + "\n")
-        paths["bounds"] = bounds
+        paths["bounds"] = write_columns(out / "bounds.dat", lines, columns, sep=" ")
 
     if report.supersolution is not None:
         paths["supersolution"] = export_supersolution(report.supersolution, out)
@@ -595,9 +609,4 @@ def export_supersolution(sol: Supersolution, out_dir: str | Path) -> Path:
     """Write the dominating sequence as CSV columns j, r_j, s_j."""
     out = Path(out_dir)
     out.mkdir(exist_ok=True)
-    lines = ["j,r_j,s_j"]
-    for j in range(sol.n):
-        lines.append(f"{j + 1},{_fmt(float(sol.r[j]))},{_fmt(float(sol.s[j]))}")
-    path = out / "supersolution.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_columns(out / "supersolution.csv", ["j,r_j,s_j"], [np.arange(1, sol.n + 1), sol.r, sol.s])

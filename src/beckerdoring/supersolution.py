@@ -93,6 +93,11 @@ class SupersolutionParams:
         if self.n_switch < 1:
             raise ParameterError("switch index must be >= 1")
 
+    @property
+    def uniform_bound(self) -> float:
+        """rho (lambda omega + 1) / (omega (lambda - 1)), the bound on every r_j."""
+        return self.rho * (self.lam * self.omega + 1.0) / (self.omega * (self.lam - 1.0))
+
 
 def make_params(
     model: CoefficientModel,
@@ -193,7 +198,7 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         omega=omega,
         rho=rho,
         tail_value=tail_value,
-        uniform_bound=rho * (lam * omega + 1.0) / (omega * (lam - 1.0)),
+        uniform_bound=params.uniform_bound,
     )
 
 
@@ -291,7 +296,7 @@ def weighted_sum_bound(
     m = max(first + 2, params.n_switch, 2)
     if m > n - 1:
         raise PhiDecayError("no admissible anchor index within the truncation")
-    bound = params.rho * (params.lam * params.omega + 1.0) / (params.omega * (params.lam - 1.0))
+    bound = params.uniform_bound
     head = math.fsum(phi[: m - 1])
     factor = params.lam * delta_star / (params.lam - delta_star)
     c = 2.0 * max(bound * head, factor * max(1.0, bound * float(phi[m - 2])))

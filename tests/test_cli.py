@@ -171,10 +171,30 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
     assert rc == 10
 
 
-def test_malformed_config_exit_11(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("family = definitely not parseable", id="not-toml"),
+        pytest.param("rho = 1.0\nrho = 0.5", id="repeated-key"),
+        pytest.param('gamma = "0.5"', id="string-for-number"),
+        pytest.param('n = "abc"', id="string-for-int"),
+        pytest.param("n = 300.7", id="fractional-int"),
+        pytest.param("n = true", id="bool-for-int"),
+        pytest.param("k_moments = 2.0", id="number-for-list"),
+        pytest.param('stretched = [[1.0, "a"]]', id="string-in-pair"),
+        pytest.param("rho = nan", id="nan"),
+        pytest.param("rho = inf", id="inf"),
+    ],
+)
+def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
+    # every value the config's TOML or its field types refuse: exit 11 with
+    # the key named, before anything runs or is written
+    key = line.split(" = ")[0]
     bad = tmp_path / "bad.toml"
-    bad.write_text("family = definitely not parseable\n")
+    bad.write_text(re.sub(rf"^{key} = .*$", line, small_config.read_text(), flags=re.M))
     assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")]) == 11
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_supercritical_config_exit_11(small_config, tmp_path):

@@ -178,3 +178,13 @@ class TestConfigFile:
     def test_pair_shape_enforced(self):
         with pytest.raises(ConfigError):
             config_from_dict({"stretched": [[1.0, 0.5, 0.2]]})
+
+    def test_integral_float_for_int_key(self):
+        config = config_from_dict(parse_config_text("n = 2000.0\n"))
+        assert config.n == 2000 and type(config.n) is int
+
+    def test_int_for_float_key_is_reported_as_written(self, tmp_path):
+        text = "n = 300\nt_end = 10.0\nsnapshots = 51\nrho = 1\n"
+        report = run_uniform_moment_experiment(config_from_dict(parse_config_text(text)))
+        summary = emit_report(report, tmp_path / "out")["summary"].read_text()
+        assert '"rho": 1,' in summary
