@@ -78,7 +78,6 @@ from .supersolution import (
 )
 from .tails import (
     StretchedWeights,
-    TailDensity,
     stretched_sandwich_check,
     stretched_weights,
     tail_density,

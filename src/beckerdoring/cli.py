@@ -2,8 +2,8 @@
 
 Subcommands: ``config-template``, ``equilibrium``, ``simulate``,
 ``supersolution``, ``verify``, ``experiment``, ``sweep``.  Exit codes:
-0 pass, 2 verdict failure, 10 I/O error, 11 bad configuration,
-12 numerical failure.
+0 pass, 2 verdict failure, 10 I/O error, 11 bad configuration (a usage
+error included), 12 numerical failure.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .errors import (
     SupercriticalError,
 )
 from .experiments import (
-    ExperimentConfig,
     dominating_sequence,
     emit_report,
     export_supersolution,
@@ -56,50 +55,59 @@ def _exit_code(command, *args, prefix: str = "") -> int:
         code, message = EXIT_IO, f"i/o error: {exc}"
     except BeckerDoringError as exc:
         code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
-    print(prefix + message, file=sys.stderr)
+    # one write per line: sweep workers share stderr, and print's separate
+    # write of the newline lets their lines interleave
+    sys.stderr.write(prefix + message + "\n")
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 11 (bad configuration), not argparse's 2, which
+    is the exit code of a failed verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beckerdoring",
         description="Cluster-kinetics experiments: equilibria, trajectories and uniform moment bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", type=Path, required=config_required, help="experiment config file")
+    def add_common(p):
+        p.add_argument("--config", type=Path, required=True, help="experiment config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed recorded with outputs")
+        return p
 
+    seed_help = "seed written to summary.json in place of the config's"
     add_common(sub.add_parser("equilibrium", help="print critical values and the equilibrium summary"))
-    sim = sub.add_parser("simulate", help="integrate and write the trajectory CSV")
-    add_common(sim)
+    sim = add_common(sub.add_parser("simulate", help="integrate and write the trajectory CSV"))
     sim.add_argument("--dump-states", type=int, default=0, metavar="N",
                      help="also dump N full states, evenly spaced over the run")
     add_common(sub.add_parser("supersolution", help="build, verify and export a dominating sequence"))
     add_common(sub.add_parser("verify", help="check the structural assumptions on the rates"))
-    add_common(sub.add_parser("experiment", help="run the full uniform-bound pipeline"))
+    exp = add_common(sub.add_parser("experiment", help="run the full uniform-bound pipeline"))
+    exp.add_argument("--seed", type=int, default=None, help=seed_help)
     sweep = sub.add_parser("sweep", help="run several experiment configs concurrently")
     sweep.add_argument("configs", type=Path, nargs="+", help="config files")
     sweep.add_argument("--out", type=Path, default=Path("out"))
     sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=None, help=seed_help)
     sub.add_parser("config-template", help="print a config file with all defaults")
     return parser
 
 
-def _load(config_path, seed: int | None) -> ExperimentConfig:
+def _experiment(config_path, out_dir, seed: int | None, echo: bool = False) -> int:
+    """Run the experiment of one config, with ``seed`` (unless None) in place
+    of its own, and write its outputs to ``out_dir``; with ``echo``, print
+    the stage verdicts."""
     config = load_config(config_path)
     if seed is not None:
         config.seed = seed
-    return config
-
-
-def _experiment(config_path, out_dir, seed: int | None, echo: bool = False) -> int:
-    """Run the experiment of one config and write its outputs to ``out_dir``;
-    with ``echo``, print the stage verdicts."""
-    report = run_uniform_moment_experiment(_load(config_path, seed))
+    report = run_uniform_moment_experiment(config)
     paths = emit_report(report, out_dir)
     if echo:
         for stage in report.stages:
@@ -116,7 +124,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    prep = prepare(_load(args.config, args.seed))
+    prep = prepare(load_config(args.config))
     crit, eq = prep.critical, prep.equilibrium
     print(f"z_s={crit.z_s!r}")
     print(f"rho_s={'inf' if crit.diverges else repr(crit.rho_s)}")
@@ -130,7 +138,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args.config, args.seed)
+    config = load_config(args.config)
     prep = prepare(config)
     trajectory = integrate(prep.state0, prep.model, config.t_end, prep.opts)
     header = {
@@ -150,15 +158,15 @@ def _cmd_simulate(args) -> int:
         for i in sorted(set(idx.tolist())):
             t, c = float(trajectory.times[i]), trajectory.states[i]
             path = write_columns(args.out / f"state_t{t:g}.csv", ["i,c_i"], [j, c])
-            tail_path = write_columns(args.out / f"tail_t{t:g}.csv", ["j,G_j"], [j, tail_density(c).g])
+            tail_path = write_columns(args.out / f"tail_t{t:g}.csv", ["j,G_j"], [j, tail_density(c)])
             print(f"wrote {path} and {tail_path}")
     return EXIT_PASS
 
 
 def _cmd_supersolution(args) -> int:
-    config = _load(args.config, args.seed)
+    config = load_config(args.config)
     prep = prepare(config)
-    _, sol, check = dominating_sequence(prep, config, tail_density(prep.state0.c).g)
+    _, sol, check = dominating_sequence(prep, config, tail_density(prep.state0.c))
     path = export_supersolution(sol, args.out)
     witness = args.out / "witness.json"
     witness.write_text(json.dumps({
@@ -173,9 +181,8 @@ def _cmd_supersolution(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load(args.config, args.seed)
-    model = config.build_model()
-    report = check_assumptions(model, min(config.n_series, 100_000))
+    config = load_config(args.config)
+    report = check_assumptions(config.build_model(), min(config.n_series, 100_000))
     print(f"growth_ok={report.growth_ok} first_violation={report.growth_first_violation}")
     print(f"frag_ok={report.frag_ok} b_bar_observed={report.b_bar_observed!r}")
     print(f"ratio_ok={report.ratio_ok} estimate={report.ratio_estimate!r} target={report.ratio_target!r}")

@@ -242,28 +242,20 @@ def support_length(c: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
-def relative_free_energy(
-    c: np.ndarray, equilibrium: EquilibriumData | np.ndarray
-) -> float | np.ndarray:
+def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float | np.ndarray:
     """Free energy of states relative to an equilibrium profile.
 
     H = sum_i (c_i log(c_i / Q_i) - c_i + Q_i) with 0 log 0 = 0; non-negative
     by termwise convexity.  ``c`` is one state (returns a float) or a matrix
     with one state per row (returns one value per row), summed pairwise
     along the row.  Past the rows' common support each term is Q_i, so that
-    tail is one constant.  Full equilibrium data carries log Q_i, so mass
-    past the profile's underflow cut still gets a finite value; mass where
-    log Q_i is -inf (a bare profile array that is exactly zero there, or a
-    zero activity) raises with the 1-based index of the first such entry in
-    the first row that has one.
+    tail is one constant.  The equilibrium carries log Q_i, so mass past the
+    profile's underflow cut still gets a finite value; mass where log Q_i is
+    -inf (a zero activity) raises with the 1-based index of the first such
+    entry in the first row that has one.
     """
     c = np.asarray(c, dtype=float)
-    if isinstance(equilibrium, EquilibriumData):
-        profile, log_profile = equilibrium.profile, equilibrium.log_profile
-    else:
-        profile = np.asarray(equilibrium, float)
-        with np.errstate(divide="ignore"):
-            log_profile = np.log(profile)
+    profile, log_profile = equilibrium.profile, equilibrium.log_profile
     if c.ndim not in (1, 2) or c.shape[-1:] != profile.shape:
         raise ParameterError("state and equilibrium must share the truncation length")
     rows = np.atleast_2d(c)

@@ -160,7 +160,7 @@ def prepare(config: ExperimentConfig) -> Preamble:
         track=(*config.k_moments, *(tuple(p) for p in config.stretched)),
         equilibrium=eq,
     )
-    return Preamble(model, crit, z_bar, eq, state0, density(state0), omega, opts)
+    return Preamble(model, crit, z_bar, eq, state0, density(state0.c), omega, opts)
 
 
 def dominating_sequence(
@@ -247,20 +247,6 @@ def detect_threshold(trajectory: Trajectory, omega: float) -> float | None:
 # -- the pipeline -------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 @dataclass
 class StageResult:
     """One stage's verdict; ``key`` (not serialized) is the tracked weight's
@@ -302,22 +288,20 @@ class UniformBoundReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "config": self.config.to_dict(),
-                "z_s": self.z_s,
-                "rho_s": self.rho_s if math.isfinite(self.rho_s) else "inf",
-                "z_bar": self.z_bar,
-                "omega": self.omega,
-                "t0": self.t0,
-                "stages": [
-                    {"name": s.name, "ok": bool(s.ok), "gating": s.gating, "info": s.info}
-                    for s in self.stages
-                ],
-                "witness": self.witness,
-                "verdict": self.verdict,
-            }
-        )
+        return {
+            "config": self.config.to_dict(),
+            "z_s": self.z_s,
+            "rho_s": self.rho_s if math.isfinite(self.rho_s) else "inf",
+            "z_bar": self.z_bar,
+            "omega": self.omega,
+            "t0": self.t0,
+            "stages": [
+                {"name": s.name, "ok": bool(s.ok), "gating": s.gating, "info": s.info}
+                for s in self.stages
+            ],
+            "witness": self.witness,
+            "verdict": self.verdict,
+        }
 
 
 def _check_hypotheses(config: ExperimentConfig) -> None:
@@ -436,7 +420,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 )
             )
 
-        g_t0 = tail_density(trajectory.at(t0).c).g
+        g_t0 = tail_density(trajectory.at(t0).c)
         params, super_sol, check = dominating_sequence(prep, config, g_t0)
         witness = {
             "lambda": super_sol.lam,

@@ -22,6 +22,11 @@ matrix, trimmed to the states' common support and summed pairwise along
 each row in a fixed order; compensated summation is kept only in the
 scalar helpers ``density``, ``moment`` and ``stretched_moment``.
 
+A state is a plain float array c_1..c_N everywhere: ``density``,
+``moment``, ``stretched_moment``, ``net_rates`` and ``rhs`` take the array.
+``ClusterState`` pairs an array with its time; it checks the initial state
+of ``integrate`` and is what ``Trajectory.at`` and ``snapshots`` return.
+
 A single integration is sequential and deterministic.  Distinct
 integrations are independent and may run concurrently.
 """
@@ -60,45 +65,33 @@ class ClusterState:
     def n(self) -> int:
         return len(self.c)
 
-    def density(self) -> float:
-        return density(self)
 
-    def moment(self, k: float) -> float:
-        return moment(self, k)
-
-    def stretched_moment(self, alpha: float, mu: float) -> float:
-        return stretched_moment(self, alpha, mu)
-
-
-def density(state: ClusterState | np.ndarray) -> float:
+def density(c: np.ndarray) -> float:
     """Mass density sum_i i c_i (compensated summation)."""
-    c = state.c if isinstance(state, ClusterState) else np.asarray(state, float)
     i = np.arange(1, len(c) + 1, dtype=float)
     return math.fsum(i * c)
 
 
-def moment(state: ClusterState | np.ndarray, k: float) -> float:
+def moment(c: np.ndarray, k: float) -> float:
     """Algebraic moment sum_i i^k c_i."""
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    c = state.c if isinstance(state, ClusterState) else np.asarray(state, float)
     i = np.arange(1, len(c) + 1, dtype=float)
     return math.fsum(i**k * c)
 
 
-def stretched_moment(state: ClusterState | np.ndarray, alpha: float, mu: float) -> float:
+def stretched_moment(c: np.ndarray, alpha: float, mu: float) -> float:
     """Stretched-exponential moment sum_i exp(alpha i^mu) c_i."""
     if alpha <= 0 or not (0 < mu < 1):
         raise ParameterError("need alpha > 0 and 0 < mu < 1")
-    c = state.c if isinstance(state, ClusterState) else np.asarray(state, float)
     i = np.arange(1, len(c) + 1, dtype=float)
     return math.fsum(np.exp(alpha * i**mu) * c)
 
 
-def net_rates(state: ClusterState, model: CoefficientModel) -> np.ndarray:
+def net_rates(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
     """Net reaction rates w_i = a_i c_1 c_i - b_{i+1} c_{i+1}, with w_N = 0."""
-    w = np.zeros(state.n)
-    w[:-1] = _flux(state.c, *model.rate_pairs(state.n))
+    w = np.zeros(len(c))
+    w[:-1] = _flux(c, *model.rate_pairs(len(c)))
     return w
 
 
@@ -115,9 +108,9 @@ def _rhs_core(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
     return dc
 
 
-def rhs(state: ClusterState, model: CoefficientModel) -> np.ndarray:
-    """Time derivative of the truncated system at the given state."""
-    return _rhs_core(state.c, *model.rate_pairs(state.n))
+def rhs(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
+    """Time derivative of the truncated system at the state c."""
+    return _rhs_core(c, *model.rate_pairs(len(c)))
 
 
 Key = float | tuple[float, float]  # a moment order k or a stretched pair (alpha, mu)
@@ -214,7 +207,7 @@ def integrate(
     """
     opts = opts or IntegrateOptions()
     n = state0.n
-    rho0 = density(state0)
+    rho0 = density(state0.c)
     abs_tol = opts.abs_tol if opts.abs_tol > 0 else DEFAULT_ABS_TOL_FACTOR * max(rho0, 1e-300)
     a, b_next = model.rate_pairs(n)
     i_grid = np.arange(1, n + 1, dtype=float)
@@ -335,7 +328,7 @@ def weak_form_residual(trajectory: Trajectory, phi: np.ndarray, t: float) -> flo
     f0 = math.fsum(phi[:n] * c_mid)
     fp = math.fsum(phi[:n] * c_next)
     deriv = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / (hm * hp * (hm + hp))
-    w = net_rates(ClusterState(c_mid), trajectory.model)
+    w = net_rates(c_mid, trajectory.model)
     increments = phi[1:n] - phi[: n - 1] - phi[0]
     weighted = math.fsum(w[: n - 1] * increments)
     return abs(deriv - weighted)

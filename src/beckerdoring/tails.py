@@ -1,8 +1,10 @@
 """Tail densities G_j = sum_{i >= j} c_i and moment-equivalence machinery.
 
-Tail moments of order k are equivalent to state moments of order k+1 up to
-a factor k+1, and stretched-exponential moments of the state are sandwiched
-between multiples of the psi-weighted tail sum with computable constants.
+A state c and its tail density G are plain float arrays of one length N;
+``tail_density`` maps one to the other.  Tail moments of order k are
+equivalent to state moments of order k+1 up to a factor k+1, and
+stretched-exponential moments of the state are sandwiched between
+multiples of the psi-weighted tail sum with computable constants.
 The tail evolution is tridiagonal and driven entirely by the monomer
 concentration, which is what makes comparison arguments possible.
 """
@@ -15,45 +17,26 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .errors import ParameterError
-from .solver import ClusterState
 
 
-@dataclass(frozen=True, eq=False)
-class TailDensity:
-    """Suffix sums of a non-negative state, or of each row of a state matrix;
-    non-increasing along the last axis by construction."""
-
-    g: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[-1]
-
-    def moment(self, k: float) -> float:
-        return tail_moment(self, k)
-
-
-def tail_density(c: np.ndarray | ClusterState) -> TailDensity:
+def tail_density(c: np.ndarray) -> np.ndarray:
     """Suffix sums G_j = sum_{i=j}^{N} c_i, accumulated right-to-left.
 
-    A matrix is taken as one state per row and summed along each row.
+    A matrix is taken as one state per row and summed along each row; the
+    result is non-increasing along the last axis by construction.
     """
-    if isinstance(c, ClusterState):
-        c = c.c
     c = np.asarray(c, dtype=float)
     if np.any(c < 0):
         raise ParameterError("concentrations must be non-negative")
-    g = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1].copy()
-    return TailDensity(g=g)
+    return np.cumsum(c[..., ::-1], axis=-1)[..., ::-1].copy()
 
 
-def tail_moment(g: TailDensity | np.ndarray, k: float) -> float:
+def tail_moment(g: np.ndarray, k: float) -> float:
     """Weighted tail sum sum_j j^k G_j."""
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    gv = g.g if isinstance(g, TailDensity) else np.asarray(g, float)
-    j = np.arange(1, len(gv) + 1, dtype=float)
-    return math.fsum(j**k * gv)
+    j = np.arange(1, len(g) + 1, dtype=float)
+    return math.fsum(j**k * g)
 
 
 @dataclass(frozen=True)
@@ -112,16 +95,12 @@ class SandwichReport:
     upper_margin: float  # eta2 * sum - value
 
 
-def stretched_sandwich_check(c: np.ndarray | ClusterState, weights: StretchedWeights) -> SandwichReport:
+def stretched_sandwich_check(c: np.ndarray, weights: StretchedWeights) -> SandwichReport:
     """Evaluate sum_i exp(alpha i^mu) c_i against the psi-weighted tail sums."""
-    if isinstance(c, ClusterState):
-        c = c.c
-    c = np.asarray(c, dtype=float)
     n = len(c)
     i = np.arange(1, n + 1, dtype=float)
     value = math.fsum(np.exp(weights.alpha * i**weights.mu) * c)
-    g = tail_density(c)
-    s = math.fsum(weights.psi(n) * g.g)
+    s = math.fsum(weights.psi(n) * tail_density(c))
     return SandwichReport(
         value=value,
         weighted_tail_sum=s,
@@ -130,16 +109,15 @@ def stretched_sandwich_check(c: np.ndarray | ClusterState, weights: StretchedWei
     )
 
 
-def tail_rhs(g: TailDensity | np.ndarray, c1: float, model: CoefficientModel) -> np.ndarray:
+def tail_rhs(g: np.ndarray, c1: float, model: CoefficientModel) -> np.ndarray:
     """Time derivative of the tail entries G_2..G_{N-1}.
 
     Entry for index j is a_{j-1} c1 (G_{j-1} - G_j) + b_j (G_{j+1} - G_j).
     The j = 1 line needs no tracking here: G_1 is controlled by the mass
     constraint, and the comparison machinery only uses j >= 2.
     """
-    gv = g.g if isinstance(g, TailDensity) else np.asarray(g, float)
-    n = len(gv)
+    n = len(g)
     if n < 3:
         raise ParameterError("tail derivative needs length >= 3")
     a_prev, b_j = model.rate_pairs(n - 1)
-    return a_prev * c1 * (gv[:-2] - gv[1:-1]) + b_j * (gv[2:] - gv[1:-1])
+    return a_prev * c1 * (g[:-2] - g[1:-1]) + b_j * (g[2:] - g[1:-1])

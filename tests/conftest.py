@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,15 @@ def monodisperse(n: int, rho: float) -> bd.ClusterState:
     c = np.zeros(n)
     c[0] = rho
     return bd.ClusterState(c)
+
+
+def bare_equilibrium(profile) -> bd.EquilibriumData:
+    """Equilibrium data around a given profile, log Q_i = -inf where Q_i = 0;
+    the other fields are NaN (``relative_free_energy`` reads only these two)."""
+    profile = np.asarray(profile, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_profile = np.log(profile)
+    return bd.EquilibriumData(
+        z_s=math.nan, rho_s=math.nan, z_bar=math.nan, profile=profile, log_profile=log_profile,
+        rho=math.nan, cut_index=None, tail_bound=math.nan,
+    )

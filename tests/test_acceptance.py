@@ -56,7 +56,7 @@ def test_criterion_1_mass_conservation(flagship):
 
 def test_criterion_2_detailed_balance_fixed_point(flagship_model, flagship_equilibrium):
     eq = flagship_equilibrium
-    w = bd.net_rates(bd.ClusterState(eq.profile.copy()), flagship_model)
+    w = bd.net_rates(eq.profile.copy(), flagship_model)
     i = np.arange(1, 2000, dtype=float)
     flux = flagship_model.a(i) * eq.z_bar * eq.profile[:-1]
     rates_ok = np.max(np.abs(w[:-1])) <= 1e-12 * np.max(flux)
@@ -87,7 +87,7 @@ def test_criterion_4_tail_transform_identities():
     for _ in range(100):
         n = int(rng.integers(30, 400))
         c = rng.random(n) * np.exp(-np.arange(n) / rng.uniform(3.0, 60.0))
-        g = tail_density(c).g
+        g = tail_density(c)
         back = g[:-1] - g[1:]
         if np.any(np.abs(back - c[:-1]) > 2 * eps * g[0]) or g[-1] != c[-1]:
             reconstruction_ok = False
@@ -124,7 +124,7 @@ def test_criterion_5_tail_dynamics_consistency(flagship_model):
     worst = 0.0
     for t in np.linspace(0.3, 2.7, 20):
         idx = int(np.argmin(np.abs(times - t)))
-        g_prev, g_mid, g_next = (tail_density(c).g for c in traj.states[idx - 1 : idx + 2])
+        g_prev, g_mid, g_next = (tail_density(c) for c in traj.states[idx - 1 : idx + 2])
         fd = (g_next - g_prev) / (2 * dt)
         rhs = tail_rhs(g_mid, traj.states[idx, 0], flagship_model)
         window_fd = fd[1:50]        # tail entries j = 2..50
@@ -191,7 +191,7 @@ def test_criterion_7_supersolution_round_trip():
         c = rng.random(n) * np.exp(-np.arange(n) / 20.0)
         c[-40:] = 0.0
         c *= rng.uniform(0.3, 1.0) * rho / math.fsum(c)
-        g = tail_density(c).g
+        g = tail_density(c)
         params = make_params(model, omega, rho, delta=1.0, n_max=2000)
         sol = build_supersolution(model, params, g)
         check = verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)

@@ -1,12 +1,14 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import beckerdoring as bd
-from beckerdoring.cli import main
+from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
+from beckerdoring.errors import ConfigError
 from beckerdoring.experiments import prepare
 
 
@@ -72,7 +74,7 @@ def test_dumped_states_parse_back_to_the_trajectory(small_config, tmp_path):
     traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
     for i in np.linspace(0, len(traj.times) - 1, 3).astype(int):
         t, c = traj.times[i], traj.states[i]
-        for name, want in ((f"state_t{t:g}.csv", c), (f"tail_t{t:g}.csv", bd.tail_density(c).g)):
+        for name, want in ((f"state_t{t:g}.csv", c), (f"tail_t{t:g}.csv", bd.tail_density(c))):
             data = np.loadtxt(out_dir / name, delimiter=",", skiprows=1)
             assert np.array_equal(data[:, 0], np.arange(1, len(want) + 1))
             assert np.array_equal(data[:, 1], want)
@@ -197,6 +199,35 @@ def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["experiment"], id="missing-config"),
+        pytest.param(["experiment", "--confg", "x.toml"], id="misspelt-option"),
+        pytest.param(["simulate", "--config", "x.toml", "--seed", "7"], id="seed-not-recorded"),
+    ],
+)
+def test_usage_error_exit_11(argv, capsys):
+    # argparse's own code 2 is the exit code of a failed verdict
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 11
+    assert "usage: beckerdoring" in capsys.readouterr().err
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_experiment_seed_is_written_to_summary(small_config, tmp_path):
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--config", str(small_config), "--out", str(out_dir), "--seed", "7"]) == 0
+    assert '"seed": 7,' in (out_dir / "summary.json").read_text()
+
+
 def test_supercritical_config_exit_11(small_config, tmp_path):
     text = small_config.read_text().replace("rho = 1.0", "rho = 9.0")
     sup = small_config.parent / "super.toml"
@@ -296,6 +327,26 @@ def test_sweep_failure_messages_name_their_config(small_config, tmp_path, capfd)
     errors = capfd.readouterr().err.splitlines()
     for rho, path in zip((7, 9), paths):
         assert any(line.startswith(f"{path}: config error: density {rho} ") for line in errors)
+
+
+def test_failure_message_is_one_write(monkeypatch):
+    # sweep workers share stderr; a message and its newline written apart
+    # can interleave with another worker's line
+    class Stream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    def refuse():
+        raise ConfigError("bad value")
+
+    stream = Stream()
+    monkeypatch.setattr(sys, "stderr", stream)
+    assert _exit_code(refuse, prefix="a.toml: ") == 11
+    assert stream.writes == ["a.toml: config error: bad value\n"]
 
 
 def test_sweep_workers_match_serial_bytes(small_config, tmp_path):

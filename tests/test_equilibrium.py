@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import beckerdoring as bd
 from beckerdoring.equilibrium import density_at_activity
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, SupercriticalError
+from conftest import bare_equilibrium
 
 
 class TestCriticalValues:
@@ -140,8 +141,7 @@ class TestEquilibriumProfile:
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 2000, critical=crit)
-        state = bd.ClusterState(eq.profile.copy())
-        w = bd.net_rates(state, family_a)
+        w = bd.net_rates(eq.profile.copy(), family_a)
         i = np.arange(1, 2000, dtype=float)
         flux = family_a.a(i) * z * eq.profile[:-1]
         assert np.max(np.abs(w[:-1])) <= 1e-12 * np.max(flux)
@@ -178,9 +178,9 @@ class TestRelativeFreeEnergy:
             assert h > 0.0
 
     def test_domain_error_on_bare_profile(self):
-        profile = np.array([0.5, 0.25, 0.0])
+        eq = bare_equilibrium([0.5, 0.25, 0.0])
         with pytest.raises(FreeEnergyDomainError) as err:
-            bd.relative_free_energy(np.array([0.1, 0.1, 0.1]), profile)
+            bd.relative_free_energy(np.array([0.1, 0.1, 0.1]), eq)
         assert err.value.index == 3
 
     def test_finite_past_cut_with_log_profile(self, family_a):

@@ -121,6 +121,28 @@ class TestPipeline:
         assert parsed["verdict"] is True
         assert any(s["name"] == "domination" for s in parsed["stages"])
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"family": "exponential_tail"}, dict(omega=0.25, **SMALL)],
+        ids=["template", "exponential-tail-template", "threshold-fails"],
+    )
+    def test_report_dict_holds_only_builtin_types(self, changes):
+        # to_dict converts nothing: json.dumps writes an np.float64 like a
+        # float but raises on np.int64 and np.bool_, so none may reach it
+        def leaves(value):
+            if type(value) is dict:
+                assert all(type(key) is str for key in value)
+                value = list(value.values())
+            if type(value) in (list, tuple):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        report = run_uniform_moment_experiment(ExperimentConfig(**changes))
+        types = {type(leaf) for leaf in leaves(report.to_dict())}
+        assert types <= {str, int, float, bool, type(None)}
+
 
 @pytest.fixture(scope="module")
 def report():

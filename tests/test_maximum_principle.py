@@ -39,11 +39,11 @@ class TestMetzlerSystem:
         with pytest.raises(ParameterError):
             bd.MetzlerSystem.from_tridiagonal(np.array([0.1, 0.2]), np.array([-1.0, -1.0]), np.array([0.2]))
 
-    def test_domination_accepts_supersolution_object(self, family_a, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c).g
+    def test_domination_of_a_built_supersolution(self, family_a, trajectory):
+        g0 = bd.tail_density(trajectory.at(2.0).c)
         params = bd.make_params(family_a, 0.7, trajectory.rho[0])
         sol = bd.build_supersolution(family_a, params, g0)
-        report = bd.check_domination(trajectory, sol, 2.0)
+        report = bd.check_domination(trajectory, sol.r, 2.0)
         assert isinstance(report.max_gap, float)
 
     def test_row_abs_sum(self):
@@ -123,12 +123,12 @@ def trajectory(family_a):
 class TestCheckDomination:
 
     def test_offset_tail_dominates(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c).g
+        g0 = bd.tail_density(trajectory.at(2.0).c)
         report = bd.check_domination(trajectory, g0 + 1.0, 2.0)
         assert report.holds and report.first_violation is None
 
     def test_broken_entry_located(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c).g
+        g0 = bd.tail_density(trajectory.at(2.0).c)
         r = g0 + 1.0
         r[4] = g0[4] / 2.0
         report = bd.check_domination(trajectory, r, 2.0)
@@ -137,7 +137,7 @@ class TestCheckDomination:
         assert t == pytest.approx(2.0) and j == 5 and gap > 0
 
     def test_monotone_in_r(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c).g
+        g0 = bd.tail_density(trajectory.at(2.0).c)
         base = bd.check_domination(trajectory, g0 + 0.5, 2.0)
         bigger = bd.check_domination(trajectory, g0 + 1.5, 2.0)
         assert bigger.max_gap <= base.max_gap
@@ -147,7 +147,7 @@ class TestCheckDomination:
     def test_matches_per_snapshot_reference(self, trajectory, case):
         # the one-pass check against the per-snapshot loop it replaced
         n = trajectory.states.shape[1]
-        r = bd.tail_density(trajectory.at(2.0).c).g + 1.0
+        r = bd.tail_density(trajectory.at(2.0).c) + 1.0
         if case == "head":
             r[2] = 0.0
         elif case == "past_support":
@@ -159,7 +159,7 @@ class TestCheckDomination:
             if snap.t < 2.0 - 1e-12:
                 continue
             checked += 1
-            gaps = bd.tail_density(snap.c).g - r
+            gaps = bd.tail_density(snap.c) - r
             max_gap = max(max_gap, float(np.max(gaps)))
             if first is None and np.max(gaps) > eps:
                 j = int(np.argmax(gaps > eps)) + 1

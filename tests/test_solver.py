@@ -8,42 +8,42 @@ from hypothesis import strategies as st
 import beckerdoring as bd
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
-from conftest import monodisperse
+from conftest import bare_equilibrium, monodisperse
 
 
 class TestNetRates:
     def test_hand_example(self, half_model):
         # w_1 = a_1 c_1 c_1 - b_2 c_2 = 0.25 - 0.5, w_2 = a_2 c_1 c_2 - b_3 c_3
-        state = bd.ClusterState(np.array([0.5, 0.25, 0.0]))
+        state = np.array([0.5, 0.25, 0.0])
         w = bd.net_rates(state, half_model)
         assert w == pytest.approx([-0.25, 0.125, 0.0], abs=0)
 
     def test_single_species(self, ones_model):
-        state = bd.ClusterState(np.array([1.0, 0.0, 0.0]))
+        state = np.array([1.0, 0.0, 0.0])
         w = bd.net_rates(state, ones_model)
         assert w == pytest.approx([1.0, 0.0, 0.0], abs=0)
 
     def test_truncation_closure(self, family_a):
         rng = np.random.default_rng(0)
-        state = bd.ClusterState(rng.random(50))
+        state = rng.random(50)
         assert bd.net_rates(state, family_a)[-1] == 0.0
 
     def test_equilibrium_rates_vanish(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.4, 200)
-        w = bd.net_rates(bd.ClusterState(eq.profile.copy()), family_a)
+        w = bd.net_rates(eq.profile.copy(), family_a)
         scale = np.max(family_a.a(np.arange(1, 200, dtype=float)) * 0.4 * eq.profile[:-1])
         assert np.max(np.abs(w)) <= 1e-12 * scale
 
 
 class TestRhs:
     def test_hand_example(self, half_model):
-        state = bd.ClusterState(np.array([0.5, 0.25, 0.0]))
+        state = np.array([0.5, 0.25, 0.0])
         dc = bd.rhs(state, half_model)
         assert dc == pytest.approx([0.375, -0.375, 0.125], abs=0)
 
     def test_equilibrium_is_fixed_point(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.4, 200)
-        dc = bd.rhs(bd.ClusterState(eq.profile.copy()), family_a)
+        dc = bd.rhs(eq.profile.copy(), family_a)
         assert np.max(np.abs(dc)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -52,7 +52,7 @@ class TestRhs:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 200))
         model = bd.make_power_law_model(rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0), 1.0, 0.5)
-        state = bd.ClusterState(rng.random(n))
+        state = rng.random(n)
         dc = bd.rhs(state, model)
         i = np.arange(1, n + 1, dtype=float)
         assert abs(math.fsum(i * dc)) <= 1e-13 * math.fsum(np.abs(i * dc)) + 1e-300
@@ -60,32 +60,26 @@ class TestRhs:
 
 class TestMomentAccessors:
     def test_density(self):
-        state = bd.ClusterState(np.array([1.0, 0.5, 0.25]))
+        state = np.array([1.0, 0.5, 0.25])
         assert bd.density(state) == pytest.approx(2.75, abs=0)
 
     def test_zeroth_moment(self):
-        state = bd.ClusterState(np.array([1.0, 0.5, 0.25]))
+        state = np.array([1.0, 0.5, 0.25])
         assert bd.moment(state, 0) == pytest.approx(1.75, abs=0)
 
     def test_stretched_moment(self):
         # e + e^sqrt(2)/2 + e^sqrt(3)/4, evaluated directly
-        state = bd.ClusterState(np.array([1.0, 0.5, 0.25]))
+        state = np.array([1.0, 0.5, 0.25])
         expected = math.e + math.exp(math.sqrt(2)) * 0.5 + math.exp(math.sqrt(3)) * 0.25
         assert bd.stretched_moment(state, 1.0, 0.5) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(6.187965436359033, rel=1e-12)
 
     def test_parameter_validation(self):
-        state = bd.ClusterState(np.array([1.0, 0.5]))
+        state = np.array([1.0, 0.5])
         with pytest.raises(ParameterError):
             bd.moment(state, -1)
         with pytest.raises(ParameterError):
             bd.stretched_moment(state, 1.0, 1.0)
-
-    def test_state_accessor_methods(self):
-        state = bd.ClusterState(np.array([1.0, 0.5, 0.25]))
-        assert state.density() == bd.density(state)
-        assert state.moment(2) == bd.moment(state, 2)
-        assert state.stretched_moment(1.0, 0.5) == bd.stretched_moment(state, 1.0, 0.5)
 
 
 class TestIntegrate:
@@ -221,7 +215,7 @@ class TestCrossValidation:
             bd.IntegrateOptions(rel_tol=1e-10, abs_tol=1e-16, n_snapshots=6),
         )
         sol = scipy.integrate.solve_ivp(
-            lambda t, y: bd.rhs(bd.ClusterState(np.clip(y, 0.0, None), t), family_a),
+            lambda t, y: bd.rhs(np.clip(y, 0.0, None), family_a),
             (0.0, 5.0),
             c0,
             method="Radau",
@@ -248,7 +242,7 @@ class TestCrossValidation:
         for idx in (40, 100, 160):
             fd = (traj.free_energy[idx + 1] - traj.free_energy[idx - 1]) / (2 * dt)
             c = traj.states[idx]
-            w = bd.net_rates(bd.ClusterState(c), ones_model)[: n - 1]
+            w = bd.net_rates(c, ones_model)[: n - 1]
             gain = c[0] * c[:-1]  # a_i c_1 c_i with a_i = 1
             loss = c[1:]          # b_{i+1} c_{i+1} with b_{i+1} = 1
             dissipation = math.fsum(w * np.log(gain / loss))
@@ -328,16 +322,16 @@ class TestBatchedObservables:
         _assert_matches_scalar_references(traj, eq, (2.0,), ((1.0, 0.5),))
 
     def test_free_energy_matrix_names_the_bad_row_index(self):
-        profile = np.array([0.5, 0.25, 0.125, 0.0, 0.0])
+        eq = bare_equilibrium([0.5, 0.25, 0.125, 0.0, 0.0])
         states = np.array([
             [0.1, 0.1, 0.0, 0.0, 0.0],
             [0.1, 0.0, 0.0, 0.2, 0.3],  # the only row with mass where Q_i = 0
             [0.2, 0.1, 0.1, 0.0, 0.0],
         ])
         with pytest.raises(FreeEnergyDomainError) as scalar:
-            bd.relative_free_energy(states[1], profile)
+            bd.relative_free_energy(states[1], eq)
         with pytest.raises(FreeEnergyDomainError) as batched:
-            bd.relative_free_energy(states, profile)
+            bd.relative_free_energy(states, eq)
         assert batched.value.index == scalar.value.index == 4
 
     def test_free_energy_matrix_rows_match_one_state_calls(self, family_a):

@@ -13,7 +13,7 @@ def random_profile(rng, n, rho):
     c = rng.random(n) * np.exp(-np.arange(n) / 20.0)
     c[-n // 10 :] = 0.0
     c *= rng.uniform(0.3, 1.0) * rho / math.fsum(c)
-    return tail_density(c).g
+    return tail_density(c)
 
 
 def random_model(rng):
