@@ -7,6 +7,13 @@ control is the classic PI controller (error exponent 0.17, memory exponent
 quartic interpolant of the pair, so accepted steps never need to land on
 the output grid.
 
+The controller remembers filter vetoes.  Near equilibrium an explicit step
+is limited by stability and positivity, not accuracy, and the error test
+does not see that limit: the PI proposal alone would grow each step
+straight back to the size the filter just vetoed.  So a veto at h_v caps
+later steps at 0.9 h_v, and each accepted step relaxes the cap by 1 %; it
+is back at h_v after 11 accepted steps.
+
 A caller whose right-hand side moves the support of a state (1 + its last
 non-zero index) by a bounded number of entries per evaluation says so with
 ``reach``; each step then runs on the occupied prefix of the state only,
@@ -53,6 +60,10 @@ _P = np.array(
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# veto memory: a positivity veto at h_v caps later steps at _VETO_CAP * h_v,
+# and every accepted step relaxes the cap by _CAP_RELAX
+_VETO_CAP = 0.9
+_CAP_RELAX = 1.01
 
 
 @dataclass
@@ -115,9 +126,10 @@ def solve_rk54(
 
     ``accept_filter`` sees every step that passed the error test and may
     adjust the state (returning the new vector) or veto it (returning
-    None, which halves the step).  ``snapshot_transform`` is applied to
-    interpolated output states only.  ``fixed_step`` disables adaptivity
-    and the veto path.
+    None, which halves the step and caps later steps at 0.9 times the
+    vetoed one, a cap that relaxes by 1 % per accepted step).
+    ``snapshot_transform`` is applied to interpolated output states only.
+    ``fixed_step`` disables adaptivity and the veto path.
 
     ``reach`` is a promise about ``f``: when y vanishes from index m on,
     f(t, y) vanishes from index m + reach on, and f applied to a prefix of
@@ -177,6 +189,7 @@ def solve_rk54(
     else:
         h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
     fac_old = 1e-4
+    h_cap = math.inf
 
     while t < t_end:
         if stats.n_steps + stats.n_rejected_error + stats.n_rejected_filter >= max_steps:
@@ -223,6 +236,7 @@ def solve_rk54(
                 if fixed_step is not None:
                     raise ParameterError("accept_filter may not veto in fixed-step mode")
                 stats.n_rejected_filter += 1
+                h_cap = min(h_cap, _VETO_CAP * h)
                 h *= 0.5
                 continue
             filtered = result is not y_new
@@ -256,7 +270,8 @@ def solve_rk54(
         w = w_new
         if fixed_step is None:
             fac = _SAFETY * max(err_norm, 1e-10) ** -0.17 * fac_old**0.04
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
+            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), h_cap)
+            h_cap *= _CAP_RELAX
             fac_old = max(err_norm, 1e-4)
 
     return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval, stats=stats)

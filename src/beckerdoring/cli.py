@@ -77,18 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, writes: bool = True):
+        # only a command that writes files takes an output directory
         p.add_argument("--config", type=Path, required=True, help="experiment config file")
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        if writes:
+            p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         return p
 
     seed_help = "seed written to summary.json in place of the config's"
-    add_common(sub.add_parser("equilibrium", help="print critical values and the equilibrium summary"))
+    add_common(sub.add_parser("equilibrium", help="print critical values and the equilibrium summary"), writes=False)
     sim = add_common(sub.add_parser("simulate", help="integrate and write the trajectory CSV"))
     sim.add_argument("--dump-states", type=int, default=0, metavar="N",
                      help="also dump N full states, evenly spaced over the run")
     add_common(sub.add_parser("supersolution", help="build, verify and export a dominating sequence"))
-    add_common(sub.add_parser("verify", help="check the structural assumptions on the rates"))
+    add_common(sub.add_parser("verify", help="check the structural assumptions on the rates"), writes=False)
     exp = add_common(sub.add_parser("experiment", help="run the full uniform-bound pipeline"))
     exp.add_argument("--seed", type=int, default=None, help=seed_help)
     sweep = sub.add_parser("sweep", help="run several experiment configs concurrently")

@@ -201,9 +201,11 @@ def integrate(
     """Integrate the truncated system from ``state0`` up to ``t_end``.
 
     Adaptive 5(4) pair with PI step control.  Steps producing a component
-    below -abs_tol are rejected and halved; residual negatives in
-    [-abs_tol, 0) are clamped to zero with the (signed) clamped mass folded
-    back into the monomer slot, so density is preserved exactly.
+    below -abs_tol are rejected and halved, and later steps are capped at
+    0.9 times the rejected one, a cap that relaxes by 1 % per accepted
+    step; residual negatives in [-abs_tol, 0) are clamped to zero with the
+    (signed) clamped mass folded back into the monomer slot, so density is
+    preserved exactly.
     """
     opts = opts or IntegrateOptions()
     n = state0.n

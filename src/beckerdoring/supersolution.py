@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel, detailed_balance
+from .equilibrium import support_length
 from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
 
 _SCAN_DEFAULT = 100_000
@@ -176,8 +177,14 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         s_start = max(s_start, rho * (lam - 1.0) / lam)
     s[ns - 1] = s_start + h[ns - 1]
     inv_lam = 1.0 / lam
-    for j in range(ns, n):
+    # past the support of g, h vanishes and the recurrence is a geometric
+    # decay; a running product makes the loop's multiplications in its order
+    m = max(support_length(g), ns)
+    for j in range(ns, m):
         s[j] = max(s[j - 1] * inv_lam, h[j])
+    decay = np.full(n - m + 1, inv_lam)
+    decay[0] = s[m - 1]
+    s[m - 1 :] = np.multiply.accumulate(decay)
 
     tail_value = float(s[-1]) / (lam - 1.0)
     r = np.zeros(n)

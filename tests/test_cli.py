@@ -205,6 +205,8 @@ def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
         pytest.param(["experiment"], id="missing-config"),
         pytest.param(["experiment", "--confg", "x.toml"], id="misspelt-option"),
         pytest.param(["simulate", "--config", "x.toml", "--seed", "7"], id="seed-not-recorded"),
+        pytest.param(["verify", "--config", "x.toml", "--out", "x"], id="verify-writes-nothing"),
+        pytest.param(["equilibrium", "--config", "x.toml", "--out", "x"], id="equilibrium-writes-nothing"),
     ],
 )
 def test_usage_error_exit_11(argv, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import beckerdoring as bd
+from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import NoSwitchIndexError, ParameterError, PhiDecayError
+from beckerdoring.experiments import ExperimentConfig, detect_threshold, dominating_sequence, prepare
 from beckerdoring.supersolution import SupersolutionParams
 from beckerdoring.tails import tail_density
 
@@ -126,6 +129,47 @@ class TestBuildSupersolution:
         params = bd.make_params(family_a, 0.6, 1.0)
         with pytest.raises((ParameterError, NoSwitchIndexError), match=match):
             bd.build_supersolution(family_a, params, g_builder(100))
+
+
+def _reference_increments(params, g):
+    """s_j = max(s_{j-1} / lambda, h_j) over every index, the loop that
+    ``build_supersolution`` runs only up to the support of g."""
+    n, ns, lam = len(g), params.n_switch, params.lam
+    h = np.append(g[:-1] - g[1:], g[-1])
+    s = np.zeros(n)
+    s_start = params.rho / (lam * params.omega)
+    if params.omega * (lam - 1.0) > 1.0:
+        s_start = max(s_start, params.rho * (lam - 1.0) / lam)
+    s[ns - 1] = s_start + h[ns - 1]
+    inv_lam = 1.0 / lam
+    for j in range(ns, n):
+        s[j] = max(s[j - 1] * inv_lam, h[j])
+    return s
+
+
+class TestSupportTrimmedRecurrence:
+    """The increments past the support of g are the full loop's, bit for bit."""
+
+    @pytest.mark.parametrize("changes", [
+        {"family": "power_law"},
+        {"family": "exponential_tail"},
+        {"family": "power_law", "n": 32_000, "t_end": 20.0, "snapshots": 41},
+    ])
+    def test_equals_full_loop(self, changes):
+        # the pipeline's g = G(T0) on its own output grid, from a run cut at
+        # t = 3 (T0 is 1.0 on these configs), the initial profile, and a
+        # step whose last drop outweighs the decayed increment
+        config = ExperimentConfig(**changes)
+        prep = prepare(config)
+        grid = np.linspace(0.0, config.t_end, config.snapshots)
+        opts = dataclasses.replace(prep.opts, t_eval=grid[grid <= 3.0])
+        traj = bd.integrate(prep.state0, prep.model, 3.0, opts)
+        t0 = detect_threshold(traj, prep.omega)
+        step = np.where(np.arange(config.n) < 30, 0.5 * prep.rho, 0.0)
+        for g in (tail_density(traj.at(t0).c), tail_density(prep.state0.c), step):
+            params, sol, _ = dominating_sequence(prep, config, g)
+            assert max(support_length(g), params.n_switch) < config.n // 10
+            assert sol.s.tobytes() == _reference_increments(params, g).tobytes()
 
 
 class TestVerifySupersolution:
