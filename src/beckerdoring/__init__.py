@@ -45,6 +45,8 @@ from .experiments import (
     UniformBoundReport,
     detect_threshold,
     emit_report,
+    export_supersolution,
+    read_supersolution,
     run_uniform_moment_experiment,
     short_time_constant,
 )

@@ -86,7 +86,7 @@ class RKSolution:
 def _rms(v: np.ndarray, n: int) -> float:
     """RMS of ``v`` padded with zeros to length ``n``: the norm is over all n
     components, whatever the window, so step control does not see it."""
-    return float(np.sqrt(np.sum(v * v) / n))
+    return float(np.sqrt((v * v).sum() / n))
 
 
 def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:

@@ -9,6 +9,7 @@ reports its margins; a verdict is true only when all gating stages pass.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ from .supersolution import (
     SupersolutionCheck,
     SupersolutionParams,
     build_supersolution,
+    continue_geometrically,
     make_params,
     verify_supersolution,
     weighted_sum_bound,
@@ -589,8 +591,70 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
     return paths
 
 
+_SUPERSOLUTION_COLUMNS = "j,r_j,s_j"
+
+
 def export_supersolution(sol: Supersolution, out_dir: str | Path) -> Path:
-    """Write the dominating sequence as CSV columns j, r_j, s_j."""
+    """Write ``supersolution.csv``: the header lines ``#n=<N>`` and
+    ``#lambda=<lambda>``, the column names ``j,r_j,s_j`` and the rows
+    j = 1..n_head.  The rows past n_head are the geometric continuation,
+    which ``read_supersolution`` rebuilds bit for bit."""
     out = Path(out_dir)
     out.mkdir(exist_ok=True)
-    return write_columns(out / "supersolution.csv", ["j,r_j,s_j"], [np.arange(1, sol.n + 1), sol.r, sol.s])
+    m = sol.n_head
+    header = [f"#n={sol.n}", f"#lambda={float(sol.lam)!r}", _SUPERSOLUTION_COLUMNS]
+    return write_columns(out / "supersolution.csv", header, [np.arange(1, m + 1), sol.r[:m], sol.s[:m]])
+
+
+def read_supersolution(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The full-length r and s of a ``supersolution.csv`` that
+    ``export_supersolution`` wrote: rows 1..m as written, and rows m+1..N
+    rebuilt by ``continue_geometrically``, the function that built them.
+
+    Raises ConfigError naming the line when the file is not in that layout:
+    a missing or malformed ``#n`` or ``#lambda`` line, rows that are not
+    j = 1..m in order with 1 <= m <= N, or a last row whose r_m is not the
+    suffix sum of the rebuilt s (rows cut off, an edited lambda).
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
+
+    def refuse(number: int, expected: str) -> ConfigError:
+        got = repr(lines[number - 1]) if number <= len(lines) else "the end of the file"
+        return ConfigError(f"{path} line {number}: expected {expected}, got {got}")
+
+    def header_value(number: int, prefix: str, parse, admissible, expected: str):
+        line = lines[number - 1] if number <= len(lines) else ""
+        if line.startswith(prefix):
+            with contextlib.suppress(ValueError):
+                value = parse(line[len(prefix) :])
+                if admissible(value):
+                    return value
+        raise refuse(number, expected)
+
+    n = header_value(1, "#n=", int, lambda v: v >= 1, "'#n=<N>' with N >= 1")
+    lam = header_value(2, "#lambda=", float, lambda v: 1.0 < v < math.inf, "'#lambda=<lambda>' with lambda > 1")
+    if len(lines) < 3 or lines[2] != _SUPERSOLUTION_COLUMNS:
+        raise refuse(3, repr(_SUPERSOLUTION_COLUMNS))
+    rows = lines[3:]
+    if not 1 <= len(rows) <= n:
+        raise refuse(min(len(rows), n) + 4, f"rows j = 1..m with 1 <= m <= N = {n}")
+    r = np.zeros(n)
+    s = np.zeros(n)
+    for j, line in enumerate(rows, start=1):
+        fields = line.split(",")
+        try:
+            if len(fields) != 3 or int(fields[0]) != j:
+                raise ValueError
+            r[j - 1], s[j - 1] = float(fields[1]), float(fields[2])
+        except ValueError:
+            raise refuse(j + 3, f"the row 'j,r_j,s_j' of j = {j}") from None
+    # r_m as written is the suffix sum of s from row m on (the domination
+    # guard never raises it there: r_m >= s_m >= g_m), so a file cut short
+    # or with an edited lambda does not rebuild to its own last row
+    m = len(rows)
+    written = r[m - 1]
+    continue_geometrically(s, r, lam, m, m)
+    if r[m - 1] != written:
+        raise refuse(m + 3, f"r_{m} = {float(r[m - 1])!r}, the suffix sum of s from row {m} on (rows cut off?)")
+    return r, s

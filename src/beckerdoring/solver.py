@@ -67,9 +67,10 @@ class ClusterState:
 
 
 def density(c: np.ndarray) -> float:
-    """Mass density sum_i i c_i (compensated summation)."""
-    i = np.arange(1, len(c) + 1, dtype=float)
-    return math.fsum(i * c)
+    """Mass density sum_i i c_i (compensated summation over the support of
+    c: the exact zeros past it add nothing to a correctly rounded sum)."""
+    m = support_length(c)
+    return math.fsum(np.arange(1, m + 1, dtype=float) * c[:m])
 
 
 def moment(c: np.ndarray, k: float) -> float:
@@ -104,7 +105,7 @@ def _rhs_core(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
     dc = np.empty_like(c)
     dc[1:-1] = w[:-1] - w[1:]
     dc[-1] = w[-1]
-    dc[0] = -w[0] - np.sum(w)
+    dc[0] = -w[0] - w.sum()
     return dc
 
 
@@ -224,7 +225,7 @@ def integrate(
         return _rhs_core(y, a[:m], b_next[:m])
 
     def clamp(y: np.ndarray, allow_reject: bool) -> np.ndarray | None:
-        if allow_reject and float(np.min(y)) < -abs_tol:
+        if allow_reject and float(y.min()) < -abs_tol:
             return None
         # dead band: magnitudes below abs_tol are numerical zeros; zeroing
         # them (mass folded into the monomer slot) stops conservation noise
@@ -235,7 +236,7 @@ def integrate(
             zap |= y < 0
         else:
             zap = y < 0
-        if not np.any(zap):
+        if not zap.any():
             return y
         out = y.copy()
         deficit = float(np.dot(i_grid[: len(y)][zap], out[zap]))

@@ -119,12 +119,16 @@ class Supersolution:
     ``s`` holds the increments r_j - r_{j+1} on [n_switch, N] (zeros
     before); ``tail_value`` is the geometric continuation sum added past
     the truncation, which preserves the balance inequality at j = N.
+    Past row ``n_head`` = max(support of g, n_switch), s and r are the
+    geometric continuation of row ``n_head`` (``continue_geometrically``):
+    N, lambda and that row determine them.
     """
 
     r: np.ndarray
     s: np.ndarray
     lam: float
     n_switch: int
+    n_head: int
     omega: float
     rho: float
     tail_value: float
@@ -135,6 +139,26 @@ class Supersolution:
         return len(self.r)
 
 
+def continue_geometrically(s: np.ndarray, r: np.ndarray, lam: float, m: int, start: int) -> float:
+    """Fill rows m+1..N of s with s_j = s_{j-1} / lambda and rows start..N
+    of r with the suffix sums of s plus tail_value = s_N / (lambda - 1), the
+    continuation past the truncation; return tail_value.  Rows are 1-based.
+
+    Past the support of g the increments' recurrence is this decay; a
+    running product makes its multiplications in the recurrence's order.
+    ``build_supersolution`` and ``experiments.read_supersolution`` both
+    call it, so r and s rebuilt from rows 1..m are the built ones bit for
+    bit (the suffix sums accumulate from row N, so where they start does
+    not change them).
+    """
+    decay = np.full(len(s) - m + 1, 1.0 / lam)
+    decay[0] = s[m - 1]
+    s[m - 1 :] = np.multiply.accumulate(decay)
+    tail_value = float(s[-1]) / (lam - 1.0)
+    r[start - 1 :] = np.cumsum(s[start - 1 :][::-1])[::-1] + tail_value
+    return tail_value
+
+
 def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g: np.ndarray) -> Supersolution:
     """Construct a dominating sequence above the tail profile g.
 
@@ -142,7 +166,9 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
     decayed below TAIL_DECAY_TOL * rho by the truncation end (it is treated as
     zero beyond).  Increments follow s_{j+1} = max(s_j / lambda, h_{j+1})
     with h the first differences of g; before the switch index the sequence
-    is the constant max(rho, r_{switch}).
+    is the constant max(rho, r_{switch}).  The recurrence runs up to row
+    m = max(support of g, n_switch); past it h vanishes, and
+    ``continue_geometrically`` writes the decay and the suffix sums.
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -177,18 +203,11 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         s_start = max(s_start, rho * (lam - 1.0) / lam)
     s[ns - 1] = s_start + h[ns - 1]
     inv_lam = 1.0 / lam
-    # past the support of g, h vanishes and the recurrence is a geometric
-    # decay; a running product makes the loop's multiplications in its order
     m = max(support_length(g), ns)
     for j in range(ns, m):
         s[j] = max(s[j - 1] * inv_lam, h[j])
-    decay = np.full(n - m + 1, inv_lam)
-    decay[0] = s[m - 1]
-    s[m - 1 :] = np.multiply.accumulate(decay)
-
-    tail_value = float(s[-1]) / (lam - 1.0)
     r = np.zeros(n)
-    r[ns - 1 :] = np.cumsum(s[ns - 1 :][::-1])[::-1] + tail_value
+    tail_value = continue_geometrically(s, r, lam, m, ns)
     if ns > 1:
         r[: ns - 1] = max(rho, r[ns - 1])
     # guard termwise domination against summation round-off
@@ -202,6 +221,7 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         s=s,
         lam=lam,
         n_switch=ns,
+        n_head=m,
         omega=omega,
         rho=rho,
         tail_value=tail_value,
@@ -308,5 +328,8 @@ def weighted_sum_bound(
     factor = params.lam * delta_star / (params.lam - delta_star)
     c = 2.0 * max(bound * head, factor * max(1.0, bound * float(phi[m - 2])))
     lhs = math.fsum(phi * r)
-    rhs = c * (1.0 + math.fsum(phi * g))
+    # past the support of g the terms are exact zeros, which add nothing
+    # to a correctly rounded sum
+    k = support_length(g)
+    rhs = c * (1.0 + math.fsum(phi[:k] * g[:k]))
     return WeightedSumBound(lhs=lhs, rhs=rhs, c_used=c, m_index=m, delta_star=delta_star)

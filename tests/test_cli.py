@@ -9,7 +9,7 @@ import beckerdoring as bd
 from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
 from beckerdoring.errors import ConfigError
-from beckerdoring.experiments import prepare
+from beckerdoring.experiments import dominating_sequence, prepare, run_uniform_moment_experiment
 
 
 @pytest.fixture()
@@ -95,6 +95,25 @@ def test_supersolution_export(small_config, tmp_path):
     witness = json.loads((out_dir / "witness.json").read_text())
     assert witness["verified"] is True and witness["lambda"] > 1.0
     assert (out_dir / "supersolution.csv").exists()
+
+
+def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
+    # N = 32 000: both commands write rows 1..m of r and s, m + 3 lines,
+    # and the file reads back to the full arrays the run built
+    text = small_config.read_text().replace("n = 300", "n = 32000").replace("t_end = 10.0", "t_end = 3.0")
+    config_path = tmp_path / "large.toml"
+    config_path.write_text(text)
+    config = load_config(config_path)
+    prep = prepare(config)
+    _, initial, _ = dominating_sequence(prep, config, bd.tail_density(prep.state0.c))
+    built = run_uniform_moment_experiment(config).supersolution
+    for command, sol in (("supersolution", initial), ("experiment", built)):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(config_path), "--out", str(out_dir)]) == 0
+        path = out_dir / "supersolution.csv"
+        assert len(path.read_text().splitlines()) == sol.n_head + 3
+        r, s = bd.read_supersolution(path)
+        assert r.tobytes() == sol.r.tobytes() and s.tobytes() == sol.s.tobytes()
 
 
 def test_experiment_pass_and_outputs(small_config, tmp_path):

@@ -163,8 +163,10 @@ class TestEmitReport:
     def test_supersolution_columns(self, report, tmp_path):
         paths = emit_report(report, tmp_path / "out")
         lines = paths["supersolution"].read_text().splitlines()
-        assert lines[0] == "j,r_j,s_j"
-        first = lines[1].split(",")
+        sol = report.supersolution
+        assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.lam!r}", "j,r_j,s_j"]
+        assert len(lines) == sol.n_head + 3
+        first = lines[3].split(",")
         assert int(first[0]) == 1 and float(first[1]) > 0
 
     def test_missing_parent_raises_io(self, report, tmp_path):

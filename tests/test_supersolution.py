@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,18 @@ import pytest
 
 import beckerdoring as bd
 from beckerdoring.equilibrium import support_length
-from beckerdoring.errors import NoSwitchIndexError, ParameterError, PhiDecayError
-from beckerdoring.experiments import ExperimentConfig, detect_threshold, dominating_sequence, prepare
+from beckerdoring.errors import ConfigError, NoSwitchIndexError, ParameterError, PhiDecayError
+from beckerdoring.experiments import (
+    ExperimentConfig,
+    detect_threshold,
+    dominating_sequence,
+    export_supersolution,
+    prepare,
+    read_supersolution,
+    write_columns,
+)
 from beckerdoring.supersolution import SupersolutionParams
-from beckerdoring.tails import tail_density
+from beckerdoring.tails import stretched_weights, tail_density
 
 
 def random_profile(rng, n, rho):
@@ -147,26 +156,41 @@ def _reference_increments(params, g):
     return s
 
 
+# the two templates and the N = 32 000 variant
+PIPELINE_CONFIGS = [
+    {"family": "power_law"},
+    {"family": "exponential_tail"},
+    {"family": "power_law", "n": 32_000, "t_end": 20.0, "snapshots": 41},
+]
+
+
+@functools.cache
+def _pipeline(items: tuple) -> tuple:
+    """Config, preamble, the state at T0 and three tail profiles: the
+    pipeline's g = G(T0) on its own output grid, from a run cut at t = 3
+    (T0 is 1.0 on these configs), the initial profile, and a step whose
+    last drop outweighs the decayed increment."""
+    config = ExperimentConfig(**dict(items))
+    prep = prepare(config)
+    grid = np.linspace(0.0, config.t_end, config.snapshots)
+    opts = dataclasses.replace(prep.opts, t_eval=grid[grid <= 3.0])
+    traj = bd.integrate(prep.state0, prep.model, 3.0, opts)
+    c_t0 = traj.at(detect_threshold(traj, prep.omega)).c
+    step = np.where(np.arange(config.n) < 30, 0.5 * prep.rho, 0.0)
+    return config, prep, c_t0, (tail_density(c_t0), tail_density(prep.state0.c), step)
+
+
+def pipeline(changes: dict) -> tuple:
+    return _pipeline(tuple(sorted(changes.items())))
+
+
 class TestSupportTrimmedRecurrence:
     """The increments past the support of g are the full loop's, bit for bit."""
 
-    @pytest.mark.parametrize("changes", [
-        {"family": "power_law"},
-        {"family": "exponential_tail"},
-        {"family": "power_law", "n": 32_000, "t_end": 20.0, "snapshots": 41},
-    ])
+    @pytest.mark.parametrize("changes", PIPELINE_CONFIGS)
     def test_equals_full_loop(self, changes):
-        # the pipeline's g = G(T0) on its own output grid, from a run cut at
-        # t = 3 (T0 is 1.0 on these configs), the initial profile, and a
-        # step whose last drop outweighs the decayed increment
-        config = ExperimentConfig(**changes)
-        prep = prepare(config)
-        grid = np.linspace(0.0, config.t_end, config.snapshots)
-        opts = dataclasses.replace(prep.opts, t_eval=grid[grid <= 3.0])
-        traj = bd.integrate(prep.state0, prep.model, 3.0, opts)
-        t0 = detect_threshold(traj, prep.omega)
-        step = np.where(np.arange(config.n) < 30, 0.5 * prep.rho, 0.0)
-        for g in (tail_density(traj.at(t0).c), tail_density(prep.state0.c), step):
+        config, prep, _, profiles = pipeline(changes)
+        for g in profiles:
             params, sol, _ = dominating_sequence(prep, config, g)
             assert max(support_length(g), params.n_switch) < config.n // 10
             assert sol.s.tobytes() == _reference_increments(params, g).tobytes()
@@ -243,3 +267,143 @@ class TestWeightedSumBound:
             if previous is not None:
                 assert np.all(sol.r >= previous * (1 - 1e-12))
             previous = sol.r
+
+
+def _full_support_profile(n: int, rho: float) -> np.ndarray:
+    # positive at every size and below TAIL_DECAY_TOL * rho at N
+    return rho * np.exp(-15.0 * np.arange(1, n + 1) / n)
+
+
+def _switch_past_support() -> tuple:
+    # fragmentation approaches z_s from below, so the switch index (27)
+    # lies past the support (1) of a monodisperse tail
+    n = 500
+    i = np.arange(1, n + 1, dtype=float)
+    model = bd.make_custom_model(np.ones(n), 1.0 - 0.6 * np.exp(-i / 15.0), gamma=1.0, z_s=1.0)
+    params = bd.make_params(model, 0.8, 0.5, n_max=n)
+    g = np.zeros(n)
+    g[0] = 0.5
+    return params, bd.build_supersolution(model, params, g)
+
+
+def _built_cases() -> list:
+    """(label, Supersolution) for G(T0) of the pipeline configs, a profile
+    whose support fills N and a switch index past the support of g."""
+    cases = []
+    for changes in PIPELINE_CONFIGS:
+        config, prep, _, (g_t0, *_) = pipeline(changes)
+        cases.append((f"G(T0) n={config.n} {config.family}", dominating_sequence(prep, config, g_t0)[1]))
+        if config.n == 2000 and config.family == "power_law":
+            sol = dominating_sequence(prep, config, _full_support_profile(config.n, prep.rho))[1]
+            assert sol.n_head == config.n  # nothing to rebuild
+            cases.append(("full support", sol))
+    params, sol = _switch_past_support()
+    assert sol.n_head == params.n_switch > 1
+    cases.append(("switch past support", sol))
+    return cases
+
+
+def _old_layout(r: np.ndarray, s: np.ndarray) -> str:
+    """The full-length layout ``export_supersolution`` wrote before it
+    wrote only the head: one header line and all N rows."""
+    rows = zip(range(1, len(r) + 1), r.tolist(), s.tolist())
+    return "j,r_j,s_j\n" + "".join(f"{j},{x!r},{y!r}\n" for j, x, y in rows)
+
+
+class TestReadSupersolution:
+    """``read_supersolution`` gives back the built r and s bit for bit."""
+
+    def test_rebuilds_the_built_arrays(self, tmp_path):
+        for label, sol in _built_cases():
+            path = export_supersolution(sol, tmp_path / label.replace(" ", "_"))
+            lines = path.read_text().splitlines()
+            assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.lam!r}", "j,r_j,s_j"], label
+            assert len(lines) == sol.n_head + 3, label
+            r, s = read_supersolution(path)
+            assert r.tobytes() == sol.r.tobytes(), label
+            assert s.tobytes() == sol.s.tobytes(), label
+
+    def test_old_layout_bytes(self, tmp_path):
+        # the reference rendering of the rebuilt arrays is the old writer's
+        # file, which was write_columns over all N rows
+        for label, sol in _built_cases():
+            out = tmp_path / label.replace(" ", "_")
+            r, s = read_supersolution(export_supersolution(sol, out))
+            old = write_columns(out / "old.csv", ["j,r_j,s_j"], [np.arange(1, sol.n + 1), sol.r, sol.s])
+            assert _old_layout(r, s).encode() == old.read_bytes(), label
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda lines: lines[1:], 1),  # no #n line
+        (lambda lines: [lines[0], *lines[2:]], 2),  # no #lambda line
+        (lambda lines: ["#n=2000.5", *lines[1:]], 1),
+        (lambda lines: [lines[0], "#lambda=0.9", *lines[2:]], 2),
+        (lambda lines: lines[:2] + ["j,r,s"] + lines[3:], 3),
+        (lambda lines: lines[:4] + lines[5:6] + lines[4:5] + lines[6:], 5),  # rows 2 and 3 swapped
+        (lambda lines: lines[:5] + lines[6:], 6),  # row 3 missing
+        (lambda lines: lines[:5] + lines[4:], 6),  # row 2 twice
+        (lambda lines: lines[:3], 4),  # no rows
+        (lambda lines: ["#n=10", *lines[1:]], 14),  # more rows than N
+        (lambda lines: lines[:4] + ["2,1.0"] + lines[5:], 5),
+        (lambda lines: lines[:4] + ["2,one,1.0"] + lines[5:], 5),
+        (lambda lines: [lines[0], "#lambda=1.5", *lines[2:]], 22),  # r_19 no longer rebuilds
+    ])
+    def test_malformed_file_names_the_line(self, tmp_path, edit, line):
+        config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[0])
+        sol = dominating_sequence(prep, config, g_t0)[1]
+        path = export_supersolution(sol, tmp_path)
+        path.write_text("".join(f"{text}\n" for text in edit(path.read_text().splitlines())))
+        with pytest.raises(ConfigError, match=rf"line {line}: expected"):
+            read_supersolution(path)
+
+    def test_rows_cut_off_are_refused_or_rebuild_the_same(self, tmp_path):
+        # a file cut after row k < m is refused at its last row, unless the
+        # rows past k were already the geometric continuation
+        refused = set()
+        for label, sol in _built_cases():
+            path = export_supersolution(sol, tmp_path / label.replace(" ", "_"))
+            lines = path.read_text().splitlines()
+            m = sol.n_head
+            for k in sorted({1, 2, m // 2, m - 2, m - 1} & set(range(1, m))):
+                path.write_text("".join(f"{text}\n" for text in lines[: k + 3]))
+                try:
+                    r, s = read_supersolution(path)
+                except ConfigError as exc:
+                    assert f"line {k + 3}: expected r_{k} = " in str(exc)
+                    refused.add(label)
+                else:
+                    assert r.tobytes() == sol.r.tobytes() and s.tobytes() == sol.s.tobytes(), (label, k)
+        assert refused == {"full support", "switch past support"}
+
+    def test_cut_last_line_refused(self, tmp_path):
+        config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[0])
+        path = export_supersolution(dominating_sequence(prep, config, g_t0)[1], tmp_path)
+        text = path.read_text()
+        path.write_text(text[:-3])
+        with pytest.raises(ConfigError, match=rf"line {len(text.splitlines())}: expected"):
+            read_supersolution(path)
+
+
+class TestTrimmedSums:
+    """Sums trimmed to the support of a factor equal the full-length ones."""
+
+    @staticmethod
+    def _states_and_profiles():
+        for changes in PIPELINE_CONFIGS:
+            config, prep, c_t0, (g_t0, *_) = pipeline(changes)
+            full = _full_support_profile(config.n, prep.rho)
+            yield config, prep, (c_t0, prep.state0.c, full), (g_t0, full)
+
+    def test_weighted_sum_rhs(self):
+        for config, prep, _, profiles in self._states_and_profiles():
+            i = np.arange(1, config.n + 1, dtype=float)
+            for g in profiles:
+                params, sol, _ = dominating_sequence(prep, config, g)
+                for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
+                    wb = bd.weighted_sum_bound(sol.r, g, phi, params)
+                    assert wb.rhs == wb.c_used * (1.0 + math.fsum(phi * g))
+
+    def test_density(self):
+        for config, _, states, _ in self._states_and_profiles():
+            i = np.arange(1, config.n + 1, dtype=float)
+            for c in states:
+                assert bd.density(c) == math.fsum(i * c)
