@@ -1,4 +1,5 @@
-"""Embedded Dormand-Prince 5(4) integrator with dense output.
+"""Embedded Dormand-Prince 5(4) integrator with dense output, and a
+Rosenbrock 4(3) phase for the stiff part of a run.
 
 Generic over the right-hand side; the cluster solver layers its positivity
 filter on top and the comparison-principle checks reuse it directly.  Step
@@ -14,10 +15,20 @@ straight back to the size the filter just vetoed.  So a veto at h_v caps
 later steps at 0.9 h_v, and each accepted step relaxes the cap by 1 %; it
 is back at h_v after 11 accepted steps.
 
+No explicit controller lifts the stability limit itself.  A caller that
+can solve with sigma I - J (``jacobian``) lets DOPRI5's stiffness test
+(Hairer & Wanner, Solving ODEs II, IV.2) watch the accepted steps; once it
+fires, the rest of the run takes linearly implicit Rosenbrock steps
+(Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded 3) in
+the same loop: the same error test, filter, veto cap, window and snapshot
+emission, with error exponent 1/4 and cubic Hermite dense output.  The
+switch is one-way, and every snapshot before it is the DP5(4) run's.
+
 A caller whose right-hand side moves the support of a state (1 + its last
 non-zero index) by a bounded number of entries per evaluation says so with
-``reach``; each step then runs on the occupied prefix of the state only,
-with the same result (see ``solve_rk54``).
+``reach``; each step then runs on the occupied prefix of the state only.
+A DP5(4) step there is the full-width step; a Rosenbrock step is the step
+of the system truncated to the prefix (see ``solve_rk54``).
 """
 from __future__ import annotations
 
@@ -57,6 +68,22 @@ _P = np.array(
     ]
 )
 
+# Rosenbrock 4(3) pair for the stiff phase: Shampine's (1982) parameters
+# for the Kaps-Rentrop scheme, gamma = 1/2, R(infinity) = 1/3
+_GAMMA = 0.5
+_A21, _A31, _A32 = 2.0, 48 / 25, 6 / 25
+_C21, _C31, _C32 = -8.0, 372 / 25, 12 / 5
+_C41, _C42, _C43 = -112 / 125, -54 / 125, -2 / 5
+_ROS_B = np.array([19 / 9, 1 / 2, 25 / 108, 125 / 108])
+_ROS_E = np.array([17 / 54, 7 / 36, 0.0, 125 / 108])
+
+# DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2): a step
+# with h * lambda > 3.25 counts as stiff, 6 non-stiff steps in a row reset
+# the count, and 15 stiff steps switch the rest of the run to Rosenbrock
+_STIFF_H_LAMBDA = 3.25
+_NONSTIFF_RESET = 6
+_STIFF_SWITCH = 15
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -72,6 +99,7 @@ class StepStats:
     n_rejected_error: int = 0
     n_rejected_filter: int = 0
     n_fev: int = 0
+    t_stiff: float | None = None  # when the stiffness test switched to Rosenbrock steps
 
 
 @dataclass
@@ -107,6 +135,23 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:
     return min(100 * h0, h1, t_end - t0)
 
 
+def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the Rosenbrock pair from y, where fy = f(t, y): fills the
+    (4, len(y)) buffer g with the stages and returns (y_new, error estimate).
+
+    One factorization of I / (gamma h) - J(y), four solves and two
+    evaluations of ``f``; the third and fourth stage share one.  ``f`` must
+    not depend on t (the stage times are the pair's nodes 1 and 3/5).
+    """
+    solve = jacobian(y, 1.0 / (_GAMMA * h))
+    g[0] = solve(fy)
+    g[1] = solve(f(t + h, y + _A21 * g[0]) + (_C21 / h) * g[0])
+    f3 = f(t + 0.6 * h, y + _A31 * g[0] + _A32 * g[1])
+    g[2] = solve(f3 + (_C31 * g[0] + _C32 * g[1]) / h)
+    g[3] = solve(f3 + (_C41 * g[0] + _C42 * g[1] + _C43 * g[2]) / h)
+    return y + _ROS_B @ g, _ROS_E @ g
+
+
 def solve_rk54(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -121,6 +166,7 @@ def solve_rk54(
     fixed_step: float | None = None,
     max_steps: int = 2_000_000,
     reach: int | None = None,
+    jacobian: Callable[[np.ndarray, float], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> RKSolution:
     """Integrate y' = f(t, y) from t0 to t_end.
 
@@ -129,22 +175,36 @@ def solve_rk54(
     None, which halves the step and caps later steps at 0.9 times the
     vetoed one, a cap that relaxes by 1 % per accepted step).
     ``snapshot_transform`` is applied to interpolated output states only.
-    ``fixed_step`` disables adaptivity and the veto path.
+    ``fixed_step`` disables adaptivity, the veto path and the stiffness
+    switch.
+
+    ``jacobian(y, sigma)`` factors sigma I - J(y), J the Jacobian of an
+    ``f`` that does not depend on t, and returns the solve b -> x of
+    (sigma I - J(y)) x = b.  With it, DOPRI5's stiffness test runs after
+    every accepted step, and once it fires (``stats.t_stiff``) every later
+    step is a linearly implicit Rosenbrock 4(3) step: four solves with one
+    factorization, three evaluations of ``f`` (the last, at the accepted
+    state, is the next step's first), error exponent 1/4 and cubic Hermite
+    dense output.  The error test, the filter, the veto cap and the window
+    are the same in both phases.  Without it every step is DP5(4).
 
     ``reach`` is a promise about ``f``: when y vanishes from index m on,
     f(t, y) vanishes from index m + reach on, and f applied to a prefix of
     y that ends in a zero is the same prefix of f(t, y).  Each step then
     works on the window y[:w], w = min(N, support + 7 * reach + 1), where
     the support is 1 + the last non-zero index of the accepted state.  The
-    seven evaluations of a step move the support up by at most 7 * reach,
-    so every stage, the error estimate and the dense output vanish past the
-    window, and the result is the full system's up to summation order, not
-    an approximation.  ``f``, ``accept_filter`` and ``snapshot_transform``
-    then get and return window-length vectors, and the filter must not
-    make an entry non-zero past its input's support.  The error norm stays
-    the RMS over all N components, so step control does not depend on the
-    window.  ``y_eval`` is (len(t_eval), N) with zeros past each row's
-    window, and ``y`` has length N.  Without ``reach`` the window is all N.
+    seven evaluations of a DP5(4) step move the support up by at most
+    7 * reach, so every stage, the error estimate and the dense output
+    vanish past the window, and the result is the full system's up to
+    summation order, not an approximation.  A Rosenbrock step's solves
+    fill the window, so its result is the step of the system truncated to
+    the window.  ``f``, ``jacobian``, ``accept_filter`` and
+    ``snapshot_transform`` then get and return window-length vectors, and
+    the filter must not make an entry non-zero past its input's support.
+    The error norm stays the RMS over all N components, so step control
+    does not depend on the window.  ``y_eval`` is (len(t_eval), N) with
+    zeros past each row's window, and ``y`` has length N.  Without
+    ``reach`` the window is all N.
     """
     state = np.array(y0, dtype=float)  # the full state: zero past the window
     t = float(t0)
@@ -171,6 +231,8 @@ def solve_rk54(
     stats = StepStats()
     w = width(state)
     y = state[:w]
+    # DP5(4): k[0..6] are the stages; Rosenbrock: k[0] is f(y), k[1..4] the
+    # solves g_1..g_4
     k = np.empty((7, n))
     k[0, :w] = f(t, y)
     stats.n_fev += 1
@@ -190,6 +252,9 @@ def solve_rk54(
         h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
     fac_old = 1e-4
     h_cap = math.inf
+    detect = jacobian is not None and fixed_step is None
+    stiff = False
+    n_stiff = n_nonstiff = 0
 
     while t < t_end:
         if stats.n_steps + stats.n_rejected_error + stats.n_rejected_filter >= max_steps:
@@ -202,20 +267,26 @@ def solve_rk54(
             raise StepSizeUnderflowError(t, h)
 
         kw = k[:, :w]
-        for s in range(1, 7):
-            kw[s] = f(t + _C[s] * h, y + h * (_A[s] @ kw[:s]))
-        stats.n_fev += 6
-        y_new = y + h * (_B[:6] @ kw[:6])
-        # FSAL: _A[6] equals _B[:6], so k[6] already holds f(t+h, y_new)
+        if stiff:
+            y_new, err = _rosenbrock_step(f, jacobian, t, y, kw[0], h, kw[1:5])
+            stats.n_fev += 2
+            expo = 0.25
+        else:
+            for s in range(1, 7):
+                kw[s] = f(t + _C[s] * h, y + h * (_A[s] @ kw[:s]))
+            stats.n_fev += 6
+            y_new = y + h * (_B[:6] @ kw[:6])
+            # FSAL: _A[6] equals _B[:6], so k[6] already holds f(t+h, y_new)
+            err = h * (_E @ kw)
+            expo = 0.17
 
         if fixed_step is None:
-            err = h * (_E @ kw)
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = _rms(err / scale, n)
             if not math.isfinite(err_norm) or err_norm > 1.0:
                 stats.n_rejected_error += 1
                 if math.isfinite(err_norm):
-                    factor = max(_MIN_FACTOR, _SAFETY * err_norm**-0.17 * fac_old**0.04)
+                    factor = max(_MIN_FACTOR, _SAFETY * err_norm**-expo * fac_old**0.04)
                 else:
                     factor = _MIN_FACTOR
                 h *= min(1.0, factor)
@@ -242,36 +313,63 @@ def solve_rk54(
             filtered = result is not y_new
             y_accepted = result
 
-        # emit snapshots inside (t, t+h] from the dense interpolant
         t_new = t_end if last else t + h
+        if stiff:
+            f_new = f(t_new, y_accepted)
+            stats.n_fev += 1
+
+        # emit snapshots inside (t, t+h] from the dense interpolant
         while i_out < len(t_eval) and t_eval[i_out] <= t_new + 1e-15 * max(1.0, abs(t_new)):
             tq = t_eval[i_out]
+            theta = (tq - t) / h
             if tq >= t_new - 1e-15 * max(1.0, abs(t_new)):
                 out = y_accepted.copy()
+            elif stiff:
+                out = (1 - theta) * y + theta * y_accepted + theta * (theta - 1) * (
+                    (1 - 2 * theta) * (y_accepted - y) + (theta - 1) * h * kw[0] + theta * h * f_new
+                )
             else:
-                theta = (tq - t) / h
                 powers = np.array([theta, theta**2, theta**3, theta**4])
                 out = y + h * ((kw.T @ _P) @ powers)
             y_eval[i_out, :w] = snapshot_transform(out) if snapshot_transform else out
             i_out += 1
+
+        switch = False
+        if detect and not stiff:
+            # h lambda = h |k7 - k6| / |y_new - y6|, y6 the sixth stage's argument
+            dk = kw[6] - kw[5]
+            dy = y_new - (y + h * (_A[5] @ kw[:5]))
+            dy2 = (dy * dy).sum()
+            if dy2 > 0 and h * math.sqrt((dk * dk).sum() / dy2) > _STIFF_H_LAMBDA:
+                n_stiff, n_nonstiff = n_stiff + 1, 0
+                switch = n_stiff == _STIFF_SWITCH
+            else:
+                n_nonstiff += 1
+                if n_nonstiff == _NONSTIFF_RESET:
+                    n_stiff = 0
 
         t = t_new
         state[:w] = y_accepted
         w_new = width(state[:w])
         y = state[:w_new]
         stats.n_steps += 1
-        if filtered:
+        if stiff or not filtered:
+            # a wider window must not read what an earlier one left in k[0]
+            k[0, :w] = f_new if stiff else kw[6]
+            k[0, w:w_new] = 0.0
+        else:
             k[0, :w_new] = f(t, y)
             stats.n_fev += 1
-        else:
-            # a wider window must not read what an earlier one left in k[0]
-            k[0, :w] = kw[6]
-            k[0, w:w_new] = 0.0
         w = w_new
         if fixed_step is None:
-            fac = _SAFETY * max(err_norm, 1e-10) ** -0.17 * fac_old**0.04
+            fac = _SAFETY * max(err_norm, 1e-10) ** -expo * fac_old**0.04
             h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), h_cap)
             h_cap *= _CAP_RELAX
             fac_old = max(err_norm, 1e-4)
+        if switch:
+            # a veto so far capped an explicit step at its positivity limit,
+            # which does not bind the implicit one
+            stiff, h_cap = True, math.inf
+            stats.t_stiff = t
 
     return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval, stats=stats)

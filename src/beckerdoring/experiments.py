@@ -367,6 +367,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 "n_steps": trajectory.n_steps,
                 "n_rejected": trajectory.n_rejected,
                 "rho_drift": rho_drift,
+                "t_stiff": trajectory.t_stiff,
                 "warnings": list(trajectory.warnings),
             },
         )
@@ -455,9 +456,9 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
         )
 
         for kind, key, psi, factor, extra in certificates:
-            certified = factor * math.fsum(psi * super_sol.r)
-            observed = float(np.max(trajectory.tracked[key]))
             wb = weighted_sum_bound(super_sol.r, g_t0, psi, params)
+            certified = factor * wb.lhs
+            observed = float(np.max(trajectory.tracked[key]))
             info = {
                 "certified": certified,
                 "observed_sup": observed,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,24 @@ class TestConfigFile:
         report = run_uniform_moment_experiment(config_from_dict(parse_config_text(text)))
         summary = emit_report(report, tmp_path / "out")["summary"].read_text()
         assert '"rho": 1,' in summary
+
+
+def test_an_experiment_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests only, so
+    # a fresh interpreter runs an experiment, its Rosenbrock phase included,
+    # and lists what it imported from scipy
+    code = (
+        "import json, sys\n"
+        "from beckerdoring.experiments import ExperimentConfig, emit_report, run_uniform_moment_experiment\n"
+        "report = run_uniform_moment_experiment(ExperimentConfig(n=300, t_end=60.0, snapshots=31))\n"
+        "emit_report(report, sys.argv[1])\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([report.trajectory.t_stiff is not None, scipy]))\n"
+    )
+    src = str(Path(bd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [True, []]

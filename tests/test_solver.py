@@ -172,18 +172,21 @@ class TestIntegrate:
             )
 
     @pytest.mark.parametrize("family, counts", [
-        ("power_law", (8268, 1180, 1)),
-        ("exponential_tail", (7147, 1019, 2)),
+        ("power_law", (1361, 199, 1, 25.05435045561707)),
+        ("exponential_tail", (1378, 200, 2, 29.48482891568493)),
     ])
     def test_template_step_counts(self, family, counts):
         # step control is deterministic: a change to it shows here as a
-        # count (n_fev, n_steps, n_rejected), before any benchmark runs
+        # count (n_fev, n_steps, n_rejected) or a moved switch to Rosenbrock
+        # steps (t_stiff), before any benchmark runs
         from beckerdoring.experiments import ExperimentConfig, prepare
 
         config = ExperimentConfig(family=family)
         prep = prepare(config)
         traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
-        assert (traj.n_fev, traj.n_steps, traj.n_rejected) == counts
+        *n, t_stiff = counts
+        assert (traj.n_fev, traj.n_steps, traj.n_rejected) == tuple(n)
+        assert traj.t_stiff == pytest.approx(t_stiff, rel=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -359,9 +362,8 @@ class TestBatchedObservables:
         assert observables() == before
 
 
-def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
-    """``integrate``'s own call of ``solve_rk54``, repeated with and without
-    the window; the windowed run also records the width of every RHS call."""
+def _integrate_call(monkeypatch, state0, model, t_end, opts):
+    """The arguments (f, args, kwargs) of ``integrate``'s call of ``solve_rk54``."""
     from beckerdoring import _rk, solver
 
     calls = []
@@ -372,7 +374,16 @@ def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
 
     monkeypatch.setattr(solver, "solve_rk54", spy)
     bd.integrate(state0, model, t_end, opts)
-    (f, args, kwargs), = calls
+    (call,) = calls
+    return call
+
+
+def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
+    """``integrate``'s own call of ``solve_rk54``, repeated with and without
+    the window; the windowed run also records the width of every RHS call."""
+    from beckerdoring import _rk
+
+    f, args, kwargs = _integrate_call(monkeypatch, state0, model, t_end, opts)
     assert kwargs["reach"] == 1
     widths = []
 
@@ -503,3 +514,162 @@ class TestVetoMemory:
         free, once = run(math.inf), run(10.0)
         assert (free.n_rejected_filter, once.n_rejected_filter) == (0, 1)
         assert abs(once.n_steps - free.n_steps) <= 5
+
+
+def _arrowhead_dense(c, a, b_next):
+    from beckerdoring.solver import _jacobian
+
+    corner, row, col, sub, diag, sup = _jacobian(c, a, b_next)
+    jac = np.diag(np.concatenate([[corner], diag]))
+    jac[0, 1:], jac[1:, 0] = row, col
+    jac[1:, 1:] += np.diag(sub, -1) + np.diag(sup, 1)
+    return jac
+
+
+class TestStiffSwitch:
+    """Once DOPRI5's stiffness test fires, ``integrate`` takes Rosenbrock
+    steps with an O(window) arrowhead solve; before it, DP5(4) bit for bit."""
+
+    @pytest.mark.parametrize("w", [2, 3, 45, 2000])
+    def test_jacobian_is_the_rhs_derivative(self, family_a, w):
+        # _rhs_core is quadratic in c, so a central difference is exact up
+        # to round-off, about 1e-16 / eps relative to the entries of J
+        from beckerdoring.solver import _rhs_core
+
+        a, b_next = family_a.rate_pairs(w)
+        c = np.random.default_rng(w).random(w) * 0.8 ** np.arange(w)
+        jac = _arrowhead_dense(c, a, b_next)
+        if w <= 45:
+            eps = 1e-4
+            fd = np.column_stack([
+                (_rhs_core(c + eps * e, a, b_next) - _rhs_core(c - eps * e, a, b_next)) / (2 * eps)
+                for e in np.eye(w)
+            ])
+            assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
+        # mass conservation: i J = 0 column by column, up to round-off
+        i = np.arange(1, w + 1, dtype=float)
+        assert np.all(np.abs(i @ jac) <= 1e-13 * (i @ np.abs(jac)))
+
+    @pytest.mark.parametrize("w", [2, 3, 45, 400])
+    def test_arrowhead_solve_matches_dense_solve(self, family_a, w):
+        # windows of a truncation at N = 400, the last the full width; the
+        # shifted matrix has condition number below 1e5 here, so both solves
+        # agree to about 1e5 double epsilons
+        from beckerdoring.solver import _shifted_solver
+
+        rng = np.random.default_rng(w)
+        a, b_next = family_a.rate_pairs(w)
+        c = 2.0 * rng.random(w) * 0.8 ** np.arange(w)
+        jac = _arrowhead_dense(c, a, b_next)
+        for sigma in (200.0, 0.02):
+            b = rng.standard_normal(w)
+            x = _shifted_solver(c, a, b_next, sigma)(b)
+            ref = np.linalg.solve(sigma * np.eye(w) - jac, b)
+            assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_rosenbrock_step_is_fourth_order(self, family_a):
+        # local error O(h^5): halving h divides it by about 32; a tight
+        # DP5(4) run is the exact step
+        from beckerdoring._rk import _rosenbrock_step, solve_rk54
+        from beckerdoring.solver import _rhs_core, _shifted_solver
+
+        n = 30
+        a, b_next = family_a.rate_pairs(n)
+        i = np.arange(1, n + 1)
+        c = 0.5 * 0.6**i * (1 + 0.3 * np.sin(i))
+
+        def f(t, y):
+            return _rhs_core(y, a, b_next)
+
+        def jacobian(y, sigma):
+            return _shifted_solver(y, a, b_next, sigma)
+
+        errors = []
+        for h in (0.0125, 0.00625):
+            y_new, _ = _rosenbrock_step(f, jacobian, 0.0, c, f(0.0, c), h, np.empty((4, n)))
+            exact = solve_rk54(f, 0.0, c, h, rel_tol=1e-13, abs_tol=1e-22).y
+            errors.append(np.max(np.abs(y_new - exact)))
+        assert errors[0] >= 2**4.5 * errors[1]
+
+    def test_dense_output_in_the_stiff_phase(self):
+        # y' = A y with eigenvalues -1 and -1000: DP5(4) sits at its stability
+        # limit, h = 3.3e-3, until the switch; then Rosenbrock steps span many
+        # output times, so most snapshots come from the Hermite interpolant.
+        # Within rel_tol of the exact solution (measured 3.6e-8 after the
+        # switch, 2.3e-7 before it)
+        from beckerdoring._rk import solve_rk54
+
+        lam = np.array([-1.0, -1000.0])
+        q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        a = q @ np.diag(lam) @ q.T
+
+        def f(t, y):
+            return a @ y
+
+        def jacobian(y, sigma):
+            shifted = sigma * np.eye(2) - a
+            return lambda b: np.linalg.solve(shifted, b)
+
+        y0 = np.array([1.0, 0.0])
+        t_eval = np.linspace(0.0, 5.0, 501)
+        runs = [
+            solve_rk54(f, 0.0, y0, 5.0, rel_tol=1e-6, abs_tol=1e-9, t_eval=t_eval, jacobian=jac)
+            for jac in (jacobian, None)
+        ]
+        exact = (q @ (np.exp(np.outer(lam, t_eval)) * (q.T @ y0)[:, None])).T
+        run, dp5 = runs
+        assert run.stats.t_stiff < 0.1
+        assert 10 * run.stats.n_steps < dp5.stats.n_steps
+        assert np.max(np.abs(run.y_eval - exact)) <= 1e-6
+
+    @pytest.fixture(scope="class")
+    def template(self):
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        return prepare(ExperimentConfig())
+
+    def _runs(self, monkeypatch, template, t_end, **dp5_changes):
+        """The windowed run of ``integrate`` with its Jacobian, and the same
+        call without it (DP5(4) only), with ``dp5_changes`` applied."""
+        from beckerdoring import _rk
+
+        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, t_end, template.opts)
+        assert kwargs["jacobian"] is not None
+        run = _rk.solve_rk54(f, *args, **kwargs)
+        dp5 = _rk.solve_rk54(f, *args, **{**kwargs, "jacobian": None, **dp5_changes})
+        assert dp5.stats.t_stiff is None
+        return run, dp5
+
+    def test_dp5_bits_up_to_the_switch(self, monkeypatch, template):
+        run, dp5 = self._runs(monkeypatch, template, 200.0)
+        before = run.t_eval <= run.stats.t_stiff
+        assert 0 < before.sum() < len(before)
+        assert np.array_equal(run.y_eval[before], dp5.y_eval[before])
+
+    def test_rosenbrock_phase_matches_tight_dp5(self, monkeypatch, template):
+        # measured 4.2e-11; the DP5(4) run at rel_tol 1e-8 is off by 3.2e-9
+        # before the switch
+        run, ref = self._runs(monkeypatch, template, 200.0, rel_tol=1e-11)
+        after = run.t_eval > run.stats.t_stiff
+        rho = template.rho
+        assert np.max(np.abs(run.y_eval[after] - ref.y_eval[after])) <= 1e-9 * rho
+
+    def test_run_ending_before_the_switch_is_dp5(self, monkeypatch, template):
+        run, dp5 = self._runs(monkeypatch, template, 20.0)
+        assert run.stats == dp5.stats
+        assert np.array_equal(run.y_eval, dp5.y_eval)
+
+    def test_windowed_rosenbrock_matches_full_width(self, monkeypatch, template):
+        # implicit steps fill the window, so the windowed run is the system
+        # truncated to the window; measured 8e-14 from the full-width run
+        windowed, full, _ = _window_and_full_runs(
+            monkeypatch, template.state0, template.model, 200.0, template.opts
+        )
+        def counts(stats):
+            return stats.n_steps, stats.n_rejected_error, stats.n_rejected_filter, stats.n_fev
+
+        assert counts(windowed.stats) == counts(full.stats)
+        assert windowed.stats.t_stiff == pytest.approx(full.stats.t_stiff, rel=1e-12)
+        rho = template.rho
+        for row, ref in zip([*windowed.y_eval, windowed.y], [*full.y_eval, full.y]):
+            assert np.max(np.abs(row - ref)) <= 1e-11 * rho
