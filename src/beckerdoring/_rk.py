@@ -6,7 +6,11 @@ filter on top and the comparison-principle checks reuse it directly.  Step
 control is the classic PI controller (error exponent 0.17, memory exponent
 0.04, safety 0.9).  Snapshots at requested times come from the standard
 quartic interpolant of the pair, so accepted steps never need to land on
-the output grid.
+the output grid, and every output time inside an accepted step comes from
+one batched evaluation of the interpolant: a dense grid costs neither
+steps nor a round of calls per time.  The rows are returned as the
+interpolant gives them; a caller that needs them adjusted (the cluster
+solver's positivity clamp) does so on the whole matrix afterwards.
 
 The controller remembers filter vetoes.  Near equilibrium an explicit step
 is limited by stability and positivity, not accuracy, and the error test
@@ -32,6 +36,7 @@ of the system truncated to the prefix (see ``solve_rk54``).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -100,6 +105,10 @@ class StepStats:
     n_rejected_filter: int = 0
     n_fev: int = 0
     t_stiff: float | None = None  # when the stiffness test switched to Rosenbrock steps
+    # the widest window a step ran on; every column of y_eval from it on is
+    # zero.  The same steps on a narrower window are the same run, so ==
+    # ignores it
+    w_max: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -152,6 +161,32 @@ def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarra
     return y + _ROS_B @ g, _ROS_E @ g
 
 
+def _quartic_rows(y: np.ndarray, k: np.ndarray, h: float, theta: np.ndarray) -> np.ndarray:
+    """The DP5(4) interpolant at t + theta h, one row per theta, from the
+    step's start y and its stages k (a window of width >= 2).
+
+    Each row has the bits of the interpolant at its theta alone, the
+    matrix-vector product y + h (k^T P) [theta, .., theta^4]: the powers
+    come from each scalar theta, and the four terms are summed in that
+    product's two-lane order, (1st + 3rd) + (2nd + 4th).  A matrix product
+    over all rows at once changes the last bits of many of them.
+    """
+    q = k.T @ _P
+    p = np.array([(th, th**2, th**3, th**4) for th in theta])
+    return y + h * ((p[:, :1] * q[:, 0] + p[:, 2:3] * q[:, 2]) + (p[:, 1:2] * q[:, 1] + p[:, 3:] * q[:, 3]))
+
+
+def _hermite_rows(
+    y: np.ndarray, y_new: np.ndarray, f0: np.ndarray, f_new: np.ndarray, h: float, theta: np.ndarray
+) -> np.ndarray:
+    """The cubic Hermite interpolant of a Rosenbrock step at t + theta h, one
+    row per theta; elementwise, so each row has the bits of its theta alone."""
+    th = theta[:, None]
+    return (1 - th) * y + th * y_new + th * (th - 1) * (
+        (1 - 2 * th) * (y_new - y) + (th - 1) * h * f0 + th * h * f_new
+    )
+
+
 def solve_rk54(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -162,7 +197,6 @@ def solve_rk54(
     abs_tol: float = 1e-12,
     t_eval: np.ndarray | None = None,
     accept_filter: Callable[[float, np.ndarray], np.ndarray | None] | None = None,
-    snapshot_transform: Callable[[np.ndarray], np.ndarray] | None = None,
     fixed_step: float | None = None,
     max_steps: int = 2_000_000,
     reach: int | None = None,
@@ -174,9 +208,15 @@ def solve_rk54(
     adjust the state (returning the new vector) or veto it (returning
     None, which halves the step and caps later steps at 0.9 times the
     vetoed one, a cap that relaxes by 1 % per accepted step).
-    ``snapshot_transform`` is applied to interpolated output states only.
     ``fixed_step`` disables adaptivity, the veto path and the stiffness
     switch.
+
+    After each accepted step the rows of ``y_eval`` for the output times
+    in (t, t + h] are filled in one write: the dense interpolant evaluated
+    at all of them at once, and the accepted (filtered) state itself at a
+    time within 1e-15 max(1, |t + h|) of t + h.  Each row's bits are those
+    of evaluating the interpolant at its time alone, so they do not depend
+    on the rest of the grid.  Interpolated rows are not filtered.
 
     ``jacobian(y, sigma)`` factors sigma I - J(y), J the Jacobian of an
     ``f`` that does not depend on t, and returns the solve b -> x of
@@ -198,13 +238,14 @@ def solve_rk54(
     vanish past the window, and the result is the full system's up to
     summation order, not an approximation.  A Rosenbrock step's solves
     fill the window, so its result is the step of the system truncated to
-    the window.  ``f``, ``jacobian``, ``accept_filter`` and
-    ``snapshot_transform`` then get and return window-length vectors, and
-    the filter must not make an entry non-zero past its input's support.
-    The error norm stays the RMS over all N components, so step control
-    does not depend on the window.  ``y_eval`` is (len(t_eval), N) with
-    zeros past each row's window, and ``y`` has length N.  Without
-    ``reach`` the window is all N.
+    the window.  ``f``, ``jacobian`` and ``accept_filter`` then get and
+    return window-length vectors, and the filter must not make an entry
+    non-zero past its input's support.  The error norm stays the RMS over
+    all N components, so step control does not depend on the window.
+    ``y_eval`` is (len(t_eval), N) with zeros past each row's window, and
+    ``y`` has length N.  ``stats.w_max`` is the widest window of the run:
+    every column of ``y_eval`` from it on is zero.  Without ``reach`` the
+    window is all N.
     """
     state = np.array(y0, dtype=float)  # the full state: zero past the window
     t = float(t0)
@@ -238,11 +279,9 @@ def solve_rk54(
     stats.n_fev += 1
 
     y_eval = np.zeros((len(t_eval), n))
-    i_out = 0
-    while i_out < len(t_eval) and t_eval[i_out] <= t0 + 1e-15 * max(1.0, abs(t0)):
-        out = y.copy()
-        y_eval[i_out, :w] = snapshot_transform(out) if snapshot_transform else out
-        i_out += 1
+    t_out = t_eval.tolist()  # bisect on floats: most steps emit nothing
+    i_out = bisect.bisect_right(t_out, t0 + 1e-15 * max(1.0, abs(t0)))
+    y_eval[:i_out, :w] = y
 
     if fixed_step is not None:
         h = float(fixed_step)
@@ -265,6 +304,7 @@ def solve_rk54(
             h = t_end - t
         if h < tiny and not last:
             raise StepSizeUnderflowError(t, h)
+        stats.w_max = max(stats.w_max, w)
 
         kw = k[:, :w]
         if stiff:
@@ -318,21 +358,21 @@ def solve_rk54(
             f_new = f(t_new, y_accepted)
             stats.n_fev += 1
 
-        # emit snapshots inside (t, t+h] from the dense interpolant
-        while i_out < len(t_eval) and t_eval[i_out] <= t_new + 1e-15 * max(1.0, abs(t_new)):
-            tq = t_eval[i_out]
-            theta = (tq - t) / h
-            if tq >= t_new - 1e-15 * max(1.0, abs(t_new)):
-                out = y_accepted.copy()
-            elif stiff:
-                out = (1 - theta) * y + theta * y_accepted + theta * (theta - 1) * (
-                    (1 - 2 * theta) * (y_accepted - y) + (theta - 1) * h * kw[0] + theta * h * f_new
-                )
+        # the output times inside (t, t_new]: the interpolant at all of them in
+        # one evaluation, except that those within round-off of t_new get the
+        # accepted state itself
+        tol = 1e-15 * max(1.0, abs(t_new))
+        i_copy = bisect.bisect_left(t_out, t_new - tol, i_out)
+        i_end = bisect.bisect_right(t_out, t_new + tol, i_copy)
+        if i_copy > i_out:
+            theta = (t_eval[i_out:i_copy] - t) / h
+            if stiff:
+                y_eval[i_out:i_copy, :w] = _hermite_rows(y, y_accepted, kw[0], f_new, h, theta)
             else:
-                powers = np.array([theta, theta**2, theta**3, theta**4])
-                out = y + h * ((kw.T @ _P) @ powers)
-            y_eval[i_out, :w] = snapshot_transform(out) if snapshot_transform else out
-            i_out += 1
+                y_eval[i_out:i_copy, :w] = _quartic_rows(y, kw, h, theta)
+        if i_end > i_copy:
+            y_eval[i_copy:i_end, :w] = y_accepted
+        i_out = i_end
 
         switch = False
         if detect and not stiff:

@@ -76,6 +76,28 @@ def density_at_activity(
     value means the series is (numerically) divergent at this z and should
     be treated as +inf by callers that bracket.
     """
+    return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
+
+
+class _LogQPrefix:
+    """log Q_1..Q_n of a model for any n, computed once at the largest n
+    asked for so far: the recursion is a running sum, so a longer prefix
+    starts with the bits of every shorter one."""
+
+    def __init__(self, model: CoefficientModel):
+        self.model = model
+        self._log_q = np.empty(0)
+
+    def __call__(self, n: int) -> np.ndarray:
+        if len(self._log_q) < n:
+            self._log_q = detailed_balance(self.model, n).log_q
+        return self._log_q[:n]
+
+
+def _density_at_activity(
+    log_q_prefix: _LogQPrefix, z: float, tol_abs: float, n_start: int = 256, n_cap: int = _N_CAP
+) -> tuple[float, bool]:
+    model = log_q_prefix.model
     if z < 0:
         raise ParameterError("activity must be non-negative")
     if z == 0.0:
@@ -85,9 +107,8 @@ def density_at_activity(
     log_z = math.log(z)
     n = min(n_start, n_cap)
     while True:
-        db = detailed_balance(model, n)
         i = np.arange(1, n + 1, dtype=float)
-        log_t = np.log(i) + db.log_q + i * log_z
+        log_t = np.log(i) + log_q_prefix(n) + i * log_z
         with np.errstate(under="ignore"):
             terms = np.exp(log_t)
         total = float(np.sum(terms))
@@ -125,9 +146,10 @@ def solve_monomer_activity(
             f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
         )
     tol_series = tol * rho / 10.0
+    log_q_prefix = _LogQPrefix(model)
 
     def f(z: float) -> float:
-        value, converged = density_at_activity(model, z, tol_series)
+        value, converged = _density_at_activity(log_q_prefix, z, tol_series)
         return value if converged else math.inf
 
     hi = 0.999 * critical.z_s
@@ -255,12 +277,19 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
     entry in the first row that has one.
     """
     c = np.asarray(c, dtype=float)
-    profile, log_profile = equilibrium.profile, equilibrium.log_profile
-    if c.ndim not in (1, 2) or c.shape[-1:] != profile.shape:
+    if c.ndim not in (1, 2) or c.shape[-1:] != equilibrium.profile.shape:
         raise ParameterError("state and equilibrium must share the truncation length")
     rows = np.atleast_2d(c)
-    m = support_length(rows)
-    head, q, log_q = rows[:, :m], profile[:m], log_profile[:m]
+    h = _free_energy_head(rows[:, : support_length(rows)], equilibrium)
+    return float(h[0]) if c.ndim == 1 else h
+
+
+def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndarray:
+    """``relative_free_energy`` of the rows of a matrix whose columns from
+    head.shape[1] on are zero, given only its first head.shape[1] columns."""
+    m = head.shape[1]
+    profile = equilibrium.profile
+    q, log_q = profile[:m], equilibrium.log_profile[:m]
     if np.any(head < 0):
         raise ParameterError("concentrations must be non-negative")
     pos = head > 0
@@ -269,5 +298,4 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
         raise FreeEnergyDomainError(int(bad[0]) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(pos, head * (np.log(head) - log_q) - head + q, q)
-    h = terms.sum(axis=1) + profile[m:].sum()
-    return float(h[0]) if c.ndim == 1 else h
+    return terms.sum(axis=1) + profile[m:].sum()

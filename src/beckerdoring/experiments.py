@@ -25,7 +25,6 @@ from .equilibrium import (
     critical_values,
     equilibrium_profile,
     solve_monomer_activity,
-    support_length,
 )
 from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from .maximum_principle import check_domination
@@ -413,7 +412,13 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             pre = trajectory.tracked[key][: len(pre_t)].tolist()
             worst = 0.0
             for t, value in zip(pre_t, pre):
-                worst = max(worst, value / (math.exp(bound.c_phi * (t - pre_t[0])) * pre[0]))
+                growth = bound.c_phi * (t - pre_t[0])
+                try:
+                    ratio = value / (math.exp(growth) * pre[0])
+                except OverflowError:
+                    # exp(growth) is past the float range: the same ratio in log space
+                    ratio = math.exp(math.log(value / pre[0]) - growth)
+                worst = max(worst, ratio)
             stages.append(
                 StageResult(
                     f"short_time_bound[{_label(key)}]",
@@ -481,7 +486,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     # the weighted L1 distance of every snapshot, where past the common
     # support each term is i Q_i, one constant for all snapshots
     q = prep.equilibrium.profile
-    m = support_length(trajectory.states)
+    m = trajectory.support
     dist = np.abs(trajectory.states[:, :m] - q[:m])
     dist *= i_grid[:m]
     l1w = dist.sum(axis=1) + (i_grid[m:] * q[m:]).sum()
@@ -523,15 +528,20 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 _BLOCK_ROWS = 1024
 
 
-def write_columns(path: Path, header: list[str], columns: list[np.ndarray], sep: str = ",") -> Path:
+def write_columns(
+    path: Path, header: list[str], columns: list[np.ndarray | float], sep: str = ","
+) -> Path:
     """Write the header lines, then the columns' rows as Python ints and floats
     (``str`` of a float is its repr), converted a block of rows at a time: at
-    N = 32 000, whole columns as lists would add 3 MB to the peak memory."""
-    row = sep.join(["{}"] * len(columns)) + "\n"
+    N = 32 000, whole columns as lists would add 3 MB to the peak memory.  A
+    float in place of a column is the same value in every row, formatted
+    once into the row template; at least one column must be an array."""
+    row = sep.join("{}" if isinstance(col, np.ndarray) else str(float(col)) for col in columns) + "\n"
+    arrays = [col for col in columns if isinstance(col, np.ndarray)]
     with path.open("w") as fh:
         fh.write("".join(line + "\n" for line in header))
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [col[start : start + _BLOCK_ROWS].tolist() for col in columns]
+        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+            block = [col[start : start + _BLOCK_ROWS].tolist() for col in arrays]
             fh.write("".join(itertools.starmap(row.format, zip(*block))))
     return path
 
@@ -581,7 +591,7 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
         lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
         columns = [trajectory.times]
         for s in certs:
-            columns += [trajectory.tracked[s.key], np.full(len(trajectory.times), s.info["certified"])]
+            columns += [trajectory.tracked[s.key], s.info["certified"]]
         paths["bounds"] = write_columns(out / "bounds.dat", lines, columns, sep=" ")
 
     if report.supersolution is not None:

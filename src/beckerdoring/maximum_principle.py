@@ -16,7 +16,6 @@ import numpy as np
 
 from ._rk import solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import support_length
 from .errors import ParameterError
 from .solver import Trajectory
 from .tails import tail_density
@@ -180,7 +179,7 @@ def check_domination(
     (a supersolution's ``r``).  The tolerance absorbs integrator
     round-off and defaults to 1e-10 times the run's density; at finite
     truncation no epsilon-shift is needed.  The window is checked in one
-    pass over the snapshot matrix, trimmed to the states' common support.
+    pass over the snapshot matrix, trimmed to the run's support.
     """
     r = np.asarray(r, dtype=float)
     times = trajectory.times
@@ -193,7 +192,9 @@ def check_domination(
     rho = float(trajectory.rho[0])
     eps = tol_dom if tol_dom is not None else DEFAULT_DOMINATION_TOL_FACTOR * max(rho, 1e-300)
     window = trajectory.states[start:]
-    m = support_length(window)
+    # the run's support: the columns it adds past the window's are zero, so
+    # they change neither the suffix sums nor the largest gaps
+    m = trajectory.support
     gaps = tail_density(window[:, :m]) - r[:m]
     tail_gaps = 0.0 - r[m:n]  # G_j = 0 past the support, in every snapshot
     worst = np.maximum(np.max(gaps, axis=1, initial=-math.inf), np.max(tail_gaps, initial=-math.inf))

@@ -26,12 +26,16 @@ run, with the same counts.  With the exact Jacobian i J = 0, so every
 implicit stage conserves mass too.
 
 A run is stored as columns over its output times: the (snapshots, N)
-state matrix and one column per observable.  The observables (density,
-relative free energy and the weighted sums of the tracked keys, a moment
-order k or a stretched pair (alpha, mu)) are computed in one pass over the
-matrix, trimmed to the states' common support and summed pairwise along
-each row in a fixed order; compensated summation is kept only in the
-scalar helpers ``density``, ``moment`` and ``stretched_moment``.
+state matrix and one column per observable.  The integrator fills the
+matrix from its dense output, a batch of rows per accepted step, and
+``integrate`` then applies the positivity clamp of accepted steps to all
+rows in one pass and finds the support of the clamped matrix once; the
+``Trajectory`` carries it.  The observables (density, relative free energy
+and the weighted sums of the tracked keys, a moment order k or a
+stretched pair (alpha, mu)) are computed in one pass over the matrix,
+trimmed to that support and summed pairwise along each row in a fixed
+order; compensated summation is kept only in the scalar helpers
+``density``, ``moment`` and ``stretched_moment``.
 
 A state is a plain float array c_1..c_N everywhere: ``density``,
 ``moment``, ``stretched_moment``, ``net_rates`` and ``rhs`` take the array.
@@ -50,7 +54,8 @@ import numpy as np
 
 from ._rk import RKSolution, solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import EquilibriumData, relative_free_energy, support_length
+from .equilibrium import EquilibriumData, _free_energy_head, support_length
+from .equilibrium import relative_free_energy  # noqa: F401 (bench/tracing.py wraps it by this name)
 from .errors import ParameterError
 
 DEFAULT_REL_TOL = 1e-8
@@ -233,7 +238,10 @@ class Trajectory:
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
     ``t_stiff`` is when the integrator switched to Rosenbrock steps, None
-    if it never did; rejected steps are counted by cause.
+    if it never did; rejected steps are counted by cause.  ``support`` is
+    1 + the last column that is non-zero in any row of ``states`` (every
+    column from it on is zero); it is computed from ``states`` when not
+    given.
     """
 
     model: CoefficientModel
@@ -251,11 +259,14 @@ class Trajectory:
     clamped_mass: float = 0.0
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 0.0
+    support: int | None = None
 
     def __post_init__(self):
         self.times = np.array(self.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("snapshot times must be strictly increasing")
+        if self.support is None:
+            self.support = support_length(self.states)
         self.times.flags.writeable = False
         self.states.flags.writeable = False
 
@@ -293,7 +304,9 @@ def integrate(
     rejected one, a cap that relaxes by 1 % per accepted step; residual
     negatives in [-abs_tol, 0) are clamped to zero with the (signed)
     clamped mass folded back into the monomer slot, so density is
-    preserved exactly.
+    preserved exactly.  The snapshot rows come from the integrator's dense
+    output and get the same clamp, in one pass over the snapshot matrix
+    after the solve.
     """
     opts = opts or IntegrateOptions()
     n = state0.n
@@ -315,8 +328,8 @@ def integrate(
         m = len(y) - 1
         return _shifted_solver(y, a[:m], b_next[:m], sigma)
 
-    def clamp(y: np.ndarray, allow_reject: bool) -> np.ndarray | None:
-        if allow_reject and float(y.min()) < -abs_tol:
+    def accept_filter(t: float, y: np.ndarray) -> np.ndarray | None:
+        if opts.fixed_step is None and float(y.min()) < -abs_tol:
             return None
         # dead band: magnitudes below abs_tol are numerical zeros; zeroing
         # them (mass folded into the monomer slot) stops conservation noise
@@ -338,13 +351,6 @@ def integrate(
         clamped_total[0] += abs(deficit)
         return out
 
-    def accept_filter(t: float, y: np.ndarray) -> np.ndarray | None:
-        return clamp(y, allow_reject=opts.fixed_step is None)
-
-    def snapshot_transform(y: np.ndarray) -> np.ndarray:
-        out = clamp(y, allow_reject=False)
-        return out
-
     if opts.t_eval is not None:
         t_eval = np.asarray(opts.t_eval, dtype=float)
     else:
@@ -359,7 +365,6 @@ def integrate(
         abs_tol=abs_tol,
         t_eval=t_eval,
         accept_filter=accept_filter,
-        snapshot_transform=snapshot_transform,
         fixed_step=opts.fixed_step,
         max_steps=opts.max_steps,
         reach=1,
@@ -367,12 +372,27 @@ def integrate(
     )
 
     states = sol.y_eval
+    # the clamp of the accept filter, on every interpolated row at once: past
+    # the widest window every row is zero, and exact zeros need no clamp, so
+    # only the few entries it zeroes are gathered (no float temporaries the
+    # size of the matrix) and each row's deficit is summed along the row
+    head = states[:, : sol.stats.w_max]
+    zap = head < 0
+    if opts.dead_band:
+        body = head[:, 1:]
+        zap[:, 1:] |= (body > -abs_tol) & (body < abs_tol) & (body != 0)
+    rows, cols = np.nonzero(zap)
+    deficit = np.bincount(rows, weights=head[rows, cols] * i_grid[cols], minlength=len(head))
+    head[rows, cols] = 0.0
+    head[:, 0] += deficit
+    head[head[:, 0] < 0, 0] = 0.0
+    clamped_total[0] += float(np.abs(deficit).sum())
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
-    m = support_length(states)
+    m = support_length(head)
     head, i = states[:, :m], i_grid[:m]
     if opts.equilibrium is not None:
-        free_energy = relative_free_energy(states, opts.equilibrium)
+        free_energy = _free_energy_head(head, opts.equilibrium)
     else:
         free_energy = np.full(len(states), math.nan)
     warnings: list[str] = []
@@ -398,6 +418,7 @@ def integrate(
         n_fev=sol.stats.n_fev,
         t_stiff=sol.stats.t_stiff,
         clamped_mass=clamped_total[0],
+        support=m,
         rel_tol=opts.rel_tol,
         abs_tol=abs_tol,
     )

@@ -35,11 +35,11 @@ def traced_report():
     finally:
         undo()
     assert {attr: getattr(experiments, attr) for attr in originals} == originals
-    return report, tracing.layer_metrics(tracer, wall_s=1.0)
+    return report, tracing.layer_metrics(tracer, wall_s=1.0), tracer.spans
 
 
 def test_tracing_sees_the_solver_and_the_supersolution_step(traced_report):
-    _, layers = traced_report
+    _, layers, _ = traced_report
     assert layers["solver.n_fev"] > 0 and layers["solver.n_steps"] > 0
     assert layers["maximum_principle.snapshots_checked"] > 0
     for metric in ("supersolution.build_s", "supersolution.verify_s", "supersolution.params_s"):
@@ -47,5 +47,16 @@ def test_tracing_sees_the_solver_and_the_supersolution_step(traced_report):
 
 
 def test_bench_check_finds_no_problems(traced_report):
-    report, _ = traced_report
+    report, _, _ = traced_report
     assert _load("check").check_report(report, density, golden=None) == []
+
+
+def test_filter_callback_runs_once_per_step_that_passed_the_error_test(traced_report):
+    # ``solver.filter_s`` times the accept filter alone: snapshot rows are
+    # clamped inside ``integrate`` after the solve, not through a callback
+    report, _, spans = traced_report
+    (info,) = [info for name, *_, info in spans if name == "rk.solve"]
+    trajectory = report.trajectory
+    n_filter_calls, _ = info["callbacks"]["solver.filter"]
+    assert n_filter_calls == trajectory.n_steps + trajectory.n_rejected_filter
+    assert info["n_steps"] == trajectory.n_steps

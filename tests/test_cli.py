@@ -278,6 +278,27 @@ def test_numerical_failure_exit_12(small_config, tmp_path):
     assert main(["experiment", "--config", str(tight), "--out", str(tmp_path / "o")]) == 12
 
 
+def test_short_time_growth_past_the_float_range(tmp_path, capsys):
+    # C_phi * (t - t_0) passes 709 inside the pre-T0 window, so exp() of it
+    # overflows; the ratio is then taken in log space and the run goes on to
+    # its own refusal (PhiDecayError, exit 12) instead of a traceback
+    text = template_text().replace("mu_c = 0.5", "mu_c = 0.8").replace("t_end = 200.0", "t_end = 50.0")
+    text = text.replace('init = "monodisperse"', 'init = "geometric"')
+    text = re.sub(r"^stretched = .*$", "stretched = [[1.0, 0.117]]", text, flags=re.M)
+    text = re.sub(r"^rho = .*$", f"rho = {0.9 * 4.424719403509092!r}", text, flags=re.M)  # 0.9 rho_s
+    path = tmp_path / "growth.toml"
+    path.write_text(text)
+    config = load_config(path)
+    assert (config.mu_c, config.init, config.stretched) == (0.8, "geometric", ((1.0, 0.117),))
+    try:
+        run_uniform_moment_experiment(config)
+    except bd.BeckerDoringError:
+        pass  # a named refusal; an OverflowError fails the test
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code in (0, 2, 10, 11, 12)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_determinism_bit_identical(small_config, tmp_path):
     assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "d1")]) == 0
     assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "d2")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
+from beckerdoring import _rk
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
 from conftest import bare_equilibrium, monodisperse
@@ -673,3 +675,92 @@ class TestStiffSwitch:
         rho = template.rho
         for row, ref in zip([*windowed.y_eval, windowed.y], [*full.y_eval, full.y]):
             assert np.max(np.abs(row - ref)) <= 1e-11 * rho
+
+
+class TestBatchedOutputGrid:
+    """The output times inside an accepted step come from one evaluation of
+    the interpolant, and ``integrate`` clamps the snapshot matrix in one
+    pass afterwards."""
+
+    @pytest.fixture(scope="class")
+    def template(self):
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        return prepare(ExperimentConfig())
+
+    @staticmethod
+    def _run(template, t_eval):
+        opts = dataclasses.replace(template.opts, t_eval=t_eval)
+        return bd.integrate(template.state0, template.model, 200.0, opts)
+
+    @pytest.fixture(scope="class")
+    def dense(self, template):
+        return self._run(template, np.linspace(0.0, 200.0, 1001))
+
+    def test_rows_do_not_depend_on_the_rest_of_the_grid(self, template, dense):
+        # every 7th time: its rows share their steps with other output times
+        # in the dense run and with none or fewer in the sparse one
+        sparse = self._run(template, dense.times[::7])
+        assert (sparse.n_fev, sparse.t_stiff) == (dense.n_fev, dense.t_stiff)
+        shared = dense.states[::7]
+        for phase in (sparse.times <= dense.t_stiff, sparse.times > dense.t_stiff):
+            assert phase.sum() >= 10
+            assert np.array_equal(shared[phase], sparse.states[phase])
+
+    def test_dead_band_rows_are_clamped(self, monkeypatch, template, dense):
+        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, 200.0,
+                                          dataclasses.replace(template.opts, t_eval=dense.times))
+        raw = _rk.solve_rk54(f, *args, **kwargs).y_eval[:, 1:]
+        states = dense.states[:, 1:]
+        in_band = (states != 0) & (np.abs(states) < dense.abs_tol)
+        # the interpolant leaves entries in the band, which the clamp removes
+        assert np.any((raw != 0) & (np.abs(raw) < dense.abs_tol))
+        assert not np.any(dense.states < 0) and not np.any(in_band)
+
+    def test_states_vanish_past_the_widest_window(self, monkeypatch, template):
+        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, 200.0, template.opts)
+        widths = []
+
+        def recording_f(t, y):
+            widths.append(len(y))
+            return f(t, y)
+
+        sol = _rk.solve_rk54(recording_f, *args, **kwargs)
+        assert sol.stats.w_max in widths and sol.stats.w_max < sol.y_eval.shape[1]
+        assert not np.any(sol.y_eval[:, sol.stats.w_max :])
+
+    def test_carried_support(self, dense):
+        assert dense.support == support_length(dense.states) < dense.states.shape[1]
+
+
+class TestDenseOutputRows:
+    """The batched interpolants against the one-time-at-a-time formulas,
+    bit for bit: the arithmetic is the same, only batched.  The quartic's
+    reference is numpy's matrix-vector product, which sums its four terms
+    in two lanes with OpenBLAS's x86-64 kernels (numpy's wheels); a BLAS
+    that sums them in another order fails it, as it would change the bits
+    of the per-time emission too."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quartic_rows_match_one_time_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(2, 80))
+        y = rng.standard_normal(w)
+        k = rng.standard_normal((7, w)) * 10.0 ** rng.integers(-20, 5, size=(7, w))
+        h, theta = float(rng.uniform(1e-3, 10.0)), np.sort(rng.random(int(rng.integers(1, 30))))
+        rows = _rk._quartic_rows(y, k, h, theta)
+        for row, th in zip(rows, theta):
+            powers = np.array([th, th**2, th**3, th**4])
+            assert np.array_equal(row, y + h * ((k.T @ _rk._P) @ powers))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hermite_rows_match_one_time_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        y, y_new, f0, f_new = rng.standard_normal((4, 50))
+        h, theta = float(rng.uniform(1e-3, 10.0)), np.sort(rng.random(20))
+        rows = _rk._hermite_rows(y, y_new, f0, f_new, h, theta)
+        for row, th in zip(rows, theta):
+            ref = (1 - th) * y + th * y_new + th * (th - 1) * (
+                (1 - 2 * th) * (y_new - y) + (th - 1) * h * f0 + th * h * f_new
+            )
+            assert np.array_equal(row, ref)
