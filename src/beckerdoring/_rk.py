@@ -209,7 +209,7 @@ def solve_rk54(
     None, which halves the step and caps later steps at 0.9 times the
     vetoed one, a cap that relaxes by 1 % per accepted step).
     ``fixed_step`` disables adaptivity, the veto path and the stiffness
-    switch.
+    switch.  ``max_steps`` bounds the step attempts, accepted and rejected.
 
     After each accepted step the rows of ``y_eval`` for the output times
     in (t, t + h] are filled in one write: the dense interpolant evaluated
@@ -297,7 +297,9 @@ def solve_rk54(
 
     while t < t_end:
         if stats.n_steps + stats.n_rejected_error + stats.n_rejected_filter >= max_steps:
-            raise StepSizeUnderflowError(t, h)
+            raise NumericalError(
+                f"step budget exhausted: {max_steps} attempts reached t={t:.6g} (h={h:.3g}); raise max_steps"
+            )
         tiny = 1e-14 * max(1.0, abs(t))
         last = t + h >= t_end - tiny
         if last:

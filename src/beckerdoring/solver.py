@@ -10,10 +10,10 @@ One evaluation of the right-hand side makes at most one more size
 non-zero, because the fluxes couple only neighbouring sizes and the
 monomer.  ``integrate`` tells the integrator so (``reach=1``), and every
 step runs on the occupied prefix of the state, min(N, support + 8)
-entries, not on all N: from monodisperse data the dead band keeps the
-support a few dozen sizes long at any N.  An explicit step there is the
-full system's up to summation order, with the same step control and
-counts.
+entries, not on all N: from monodisperse data the dead band of the
+positivity clamp keeps the support a few dozen sizes long at any N.  An
+explicit step there is the full system's up to summation order, with the
+same step control and counts.
 
 Near equilibrium the explicit steps sit at their stability limit, so
 ``integrate`` also hands the integrator the Jacobian: tridiagonal plus a
@@ -25,13 +25,14 @@ window; on the template configs it is within 1e-13 of the full-width
 run, with the same counts.  With the exact Jacobian i J = 0, so every
 implicit stage conserves mass too.
 
-A run is stored as columns over its output times: the (snapshots, N)
-state matrix and one column per observable.  The integrator fills the
-matrix from its dense output, a batch of rows per accepted step, and
-``integrate`` then applies the positivity clamp of accepted steps to all
-rows in one pass and finds the support of the clamped matrix once; the
-``Trajectory`` carries it.  The observables (density, relative free energy
-and the weighted sums of the tracked keys, a moment order k or a
+The positivity clamp (``_clamp`` states its rule; ``abs_tol`` is also
+the width of its dead band) is applied to every accepted step and, once
+after the solve, to every output row.  A run is stored as columns over
+its output times: the (snapshots, N) state matrix, filled from the
+integrator's dense output a batch of rows per accepted step, and one
+column per observable.  The support of the clamped matrix is found once;
+the ``Trajectory`` carries it.  The observables (density, relative free
+energy and the weighted sums of the tracked keys, a moment order k or a
 stretched pair (alpha, mu)) are computed in one pass over the matrix,
 trimmed to that support and summed pairwise along each row in a fixed
 order; compensated summation is kept only in the scalar helpers
@@ -189,6 +190,26 @@ def _shifted_solver(c: np.ndarray, a: np.ndarray, b_next: np.ndarray, sigma: flo
     return solve
 
 
+def _clamp(c: np.ndarray, i: np.ndarray, abs_tol: float) -> np.ndarray:
+    """The positivity clamp, in place on a state c or on each row of a
+    matrix of states; returns the mass moved into the monomer, per row.
+
+    Past the monomer every entry below ``abs_tol`` is zeroed: the negatives
+    and the dead band [0, abs_tol), magnitudes too small to be anything but
+    conservation noise, which would otherwise pool into a positive floor
+    that exp-weighted moments amplify.  Their mass sum_i i c_i (``i`` the
+    sizes of c's columns) is added to c_1, which keeps the density, and c_1
+    is floored at 0.  Every row is clamped with the same arithmetic, so a
+    matrix gets the bits of its rows clamped one at a time.
+    """
+    body = c[..., 1:]
+    moved = np.where(body < abs_tol, body, 0.0)
+    deficit = (moved * i[1:]).sum(axis=-1)
+    body -= moved
+    c[..., 0] = np.maximum(c[..., 0] + deficit, 0.0)
+    return deficit
+
+
 def rhs(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
     """Time derivative of the truncated system at the state c."""
     return _rhs_core(c, *model.rate_pairs(len(c)))
@@ -209,10 +230,12 @@ def weight(key: Key, i: np.ndarray) -> np.ndarray:
 class IntegrateOptions:
     """Tolerances, output grid and tracking requests for ``integrate``.
 
-    ``abs_tol`` of 0 selects 1e-14 times the initial density.  The weighted
-    sums sum_i weight(key, i) c_i of the keys in ``track`` and (when an
-    equilibrium is supplied) the relative free energy are evaluated for all
-    snapshots at once, over the snapshot matrix.
+    ``abs_tol`` of 0 selects 1e-14 times the initial density; it is the
+    error test's absolute tolerance and the dead band of the positivity
+    clamp (see ``_clamp``).  The weighted sums sum_i weight(key, i) c_i of
+    the keys in ``track`` and (when an equilibrium is supplied) the
+    relative free energy are evaluated for all snapshots at once, over the
+    snapshot matrix.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
@@ -224,10 +247,6 @@ class IntegrateOptions:
     equilibrium: EquilibriumData | None = None
     fixed_step: float | None = None
     max_steps: int = 2_000_000
-    # positivity strategy: with the dead band, magnitudes below abs_tol are
-    # zeroed (mass-compensated) so conservation noise cannot pool into a
-    # positive floor; without it only negatives in [-abs_tol, 0) are clamped
-    dead_band: bool = True
 
 
 @dataclass
@@ -301,12 +320,10 @@ def integrate(
     finds the explicit steps at their stability limit (never with
     ``fixed_step``).  Steps producing a component below -abs_tol are
     rejected and halved, and later steps are capped at 0.9 times the
-    rejected one, a cap that relaxes by 1 % per accepted step; residual
-    negatives in [-abs_tol, 0) are clamped to zero with the (signed)
-    clamped mass folded back into the monomer slot, so density is
-    preserved exactly.  The snapshot rows come from the integrator's dense
-    output and get the same clamp, in one pass over the snapshot matrix
-    after the solve.
+    rejected one, a cap that relaxes by 1 % per accepted step.  Every
+    accepted step gets the positivity clamp (``_clamp``; abs_tol is its
+    dead band), and so do the rows of the integrator's dense output, in
+    one pass over the snapshot matrix after the solve.
     """
     opts = opts or IntegrateOptions()
     n = state0.n
@@ -315,7 +332,7 @@ def integrate(
     a, b_next = model.rate_pairs(n)
     i_grid = np.arange(1, n + 1, dtype=float)
 
-    clamped_total = [0.0]
+    clamped = 0.0  # mass the clamp moved, summed in magnitude
 
     # the hooks get the occupied prefix of the state (reach=1: the fluxes
     # couple neighbouring sizes and the monomer only), so rates and sizes
@@ -329,26 +346,13 @@ def integrate(
         return _shifted_solver(y, a[:m], b_next[:m], sigma)
 
     def accept_filter(t: float, y: np.ndarray) -> np.ndarray | None:
+        nonlocal clamped
         if opts.fixed_step is None and float(y.min()) < -abs_tol:
             return None
-        # dead band: magnitudes below abs_tol are numerical zeros; zeroing
-        # them (mass folded into the monomer slot) stops conservation noise
-        # from pooling into a positive floor that exp-weighted moments amplify
-        if opts.dead_band:
-            zap = np.abs(y) < abs_tol
-            zap[0] = False
-            zap |= y < 0
-        else:
-            zap = y < 0
-        if not zap.any():
-            return y
+        if y[0] >= 0 and float(y[1:].min()) >= abs_tol:
+            return y  # nothing to clamp: the integrator may reuse its last stage
         out = y.copy()
-        deficit = float(np.dot(i_grid[: len(y)][zap], out[zap]))
-        out[zap] = 0.0
-        out[0] += deficit
-        if out[0] < 0:
-            out[0] = 0.0
-        clamped_total[0] += abs(deficit)
+        clamped += abs(float(_clamp(out, i_grid[: len(y)], abs_tol)))
         return out
 
     if opts.t_eval is not None:
@@ -372,24 +376,12 @@ def integrate(
     )
 
     states = sol.y_eval
-    # the clamp of the accept filter, on every interpolated row at once: past
-    # the widest window every row is zero, and exact zeros need no clamp, so
-    # only the few entries it zeroes are gathered (no float temporaries the
-    # size of the matrix) and each row's deficit is summed along the row
-    head = states[:, : sol.stats.w_max]
-    zap = head < 0
-    if opts.dead_band:
-        body = head[:, 1:]
-        zap[:, 1:] |= (body > -abs_tol) & (body < abs_tol) & (body != 0)
-    rows, cols = np.nonzero(zap)
-    deficit = np.bincount(rows, weights=head[rows, cols] * i_grid[cols], minlength=len(head))
-    head[rows, cols] = 0.0
-    head[:, 0] += deficit
-    head[head[:, 0] < 0, 0] = 0.0
-    clamped_total[0] += float(np.abs(deficit).sum())
+    # every row is zero past the widest window, so the clamp needs only the head
+    w = sol.stats.w_max
+    clamped += float(np.abs(_clamp(states[:, :w], i_grid[:w], abs_tol)).sum())
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
-    m = support_length(head)
+    m = support_length(states[:, :w])
     head, i = states[:, :m], i_grid[:m]
     if opts.equilibrium is not None:
         free_energy = _free_energy_head(head, opts.equilibrium)
@@ -417,7 +409,7 @@ def integrate(
         n_rejected_filter=sol.stats.n_rejected_filter,
         n_fev=sol.stats.n_fev,
         t_stiff=sol.stats.t_stiff,
-        clamped_mass=clamped_total[0],
+        clamped_mass=clamped,
         support=m,
         rel_tol=opts.rel_tol,
         abs_tol=abs_tol,

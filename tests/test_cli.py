@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
+import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
 from beckerdoring.errors import ConfigError
-from beckerdoring.experiments import dominating_sequence, prepare, run_uniform_moment_experiment
+from beckerdoring.experiments import ExperimentConfig, dominating_sequence, prepare, run_uniform_moment_experiment
 
 
 @pytest.fixture()
@@ -398,3 +405,47 @@ def test_sweep_workers_match_serial_bytes(small_config, tmp_path):
         serial = (tmp_path / "ser" / "exp" / name).read_bytes()
         parallel = (tmp_path / "par" / "exp" / name).read_bytes()
         assert serial == parallel
+
+
+def _robustness_config(family: str, gamma: float, mu_c: float, share: float, init: str) -> str:
+    """The template at N = 300, t_end = 20 with rho = share * rho_s (share * 10
+    where rho_s is infinite, or 1 where the model itself is refused) and one
+    stretched weight of admissible order mu = (1 - gamma) / 2, none at
+    gamma = 1, where the linear branch refuses them."""
+    config = ExperimentConfig(family=family, gamma=gamma, mu_c=mu_c)
+    try:
+        rho_s = bd.critical_values(config.build_model(), config.n_series).rho_s
+        rho = share * (rho_s if math.isfinite(rho_s) else 10.0)
+    except bd.ParameterError:
+        rho = 1.0
+    text = template_text().replace("n = 2000", "n = 300").replace("t_end = 200.0", "t_end = 20.0")
+    for key, value in [("family", f'"{family}"'), ("gamma", gamma), ("mu_c", mu_c), ("rho", repr(rho)),
+                       ("init", f'"{init}"'), ("stretched", f"[[1.0, {(1 - gamma) / 2!r}]]" if gamma < 1 else "[]")]:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(["power_law", "exponential_tail"]),
+    gamma=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+    mu_c=st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]),
+    share=st.sampled_from([0.3, 0.6, 0.9, 0.97, 0.995]),
+    init=st.sampled_from(["monodisperse", "equilibrium", "geometric"]),
+)
+def test_every_run_ends_in_a_verdict_or_a_named_error(family, gamma, mu_c, share, init):
+    # a bare exception propagates out of main and fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "exp.toml", Path(tmp) / "o"
+        path.write_text(_robustness_config(family, gamma, mu_c, share, init))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["experiment", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 10, 11, 12)
+        if (out / "summary.json").exists():
+            json.loads((out / "summary.json").read_text(), parse_constant=_refuse_nan)
+
+
+def _refuse_nan(name):
+    if name == "NaN":
+        raise AssertionError("summary.json holds NaN")
+    return float(name)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
-from beckerdoring import _rk
+from beckerdoring import _rk, solver
+from beckerdoring.cli import EXIT_NUMERICAL, _exit_code
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
 from conftest import bare_equilibrium, monodisperse
@@ -134,19 +136,19 @@ class TestIntegrate:
         )
         assert traj.warnings and "truncation" in traj.warnings[0]
 
-    def test_negative_only_clamp_strategy(self, family_a):
-        # the dead band off: still conserving and positive, but a noise
-        # floor of order abs_tol survives across the truncation
-        opts = bd.IntegrateOptions(n_snapshots=21, dead_band=False)
-        traj = bd.integrate(monodisperse(200, 1.0), family_a, 20.0, opts)
-        assert np.all(np.abs(traj.rho - traj.rho[0]) / traj.rho[0] <= 1e-10)
-        assert np.all(traj.states >= 0.0)
-
     def test_step_budget_exhaustion_names_remedies(self, family_a):
-        with pytest.raises(StepSizeUnderflowError) as err:
+        # the budget runs out far above the step-size floor: the error names
+        # the budget, not an underflow, and is a numerical failure (exit 12)
+        def run():
             bd.integrate(monodisperse(100, 1.0), family_a, 100.0, bd.IntegrateOptions(max_steps=3))
-        message = str(err.value)
-        assert "implicit" in message and "truncation" in message
+
+        with pytest.raises(bd.NumericalError) as err:
+            run()
+        assert not isinstance(err.value, StepSizeUnderflowError)
+        pattern = r"step budget exhausted: (\d+) attempts reached t=(\S+) \(h=(\S+)\); raise max_steps"
+        budget, t, h = re.fullmatch(pattern, str(err.value)).groups()
+        assert int(budget) == 3 and float(t) > 0 and float(h) > 1e-6
+        assert _exit_code(run) == EXIT_NUMERICAL
 
     def test_snapshot_grid_and_lookup(self, family_a):
         t_eval = np.array([0.0, 0.5, 1.5, 4.0])
@@ -205,6 +207,53 @@ class TestIntegrate:
         traj = bd.integrate(bd.ClusterState(c0), model, 2.0, bd.IntegrateOptions(n_snapshots=9))
         assert np.all(np.abs(traj.rho - traj.rho[0]) <= 1e-10 * traj.rho[0])
         assert np.all(traj.states >= 0.0)
+
+
+class TestClamp:
+    """The positivity clamp: one rule for a state and for each row of a matrix."""
+
+    ABS_TOL = 1e-14
+
+    @classmethod
+    def _rows(cls, seed):
+        # monomers of 0.1-1; past them entries of either sign from 1e-17 to
+        # 1e-11, so inside and outside the band, and exact zeros; the last
+        # rows hold only entries at or above abs_tol
+        rng = np.random.default_rng(seed)
+        rows = 10.0 ** rng.uniform(-17, -11, (40, 45)) * rng.choice([-1.0, 1.0], (40, 45))
+        rows[rng.random((40, 45)) < 0.1] = 0.0
+        rows[-5:] = np.abs(rows[-5:]) + cls.ABS_TOL
+        rows[:, 0] = rng.uniform(0.1, 1.0, 40)
+        return rows
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_equals_rows(self, seed):
+        rows, i = self._rows(seed), np.arange(1.0, 46.0)
+        matrix = rows.copy()
+        moved = solver._clamp(matrix, i, self.ABS_TOL)
+        for j, row in enumerate(rows):
+            one = row.copy()
+            assert np.array_equal(solver._clamp(one, i, self.ABS_TOL), moved[j])
+            assert np.array_equal(one, matrix[j])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mass_kept_and_band_emptied(self, seed):
+        rows, i = self._rows(seed), np.arange(1.0, 46.0)
+        clamped = rows.copy()
+        moved = solver._clamp(clamped, i, self.ABS_TOL)
+        for before, after, mass in zip(rows, clamped, moved):
+            assert math.fsum(i * after) == pytest.approx(math.fsum(i * before), rel=4e-16, abs=0)
+            assert after[0] == before[0] + mass
+            assert mass == pytest.approx(math.fsum(i[1:] * (before[1:] - after[1:])), rel=1e-12, abs=1e-30)
+            body = after[1:]
+            assert not np.any(body < 0) and not np.any((body != 0) & (body < self.ABS_TOL))
+        assert np.any(moved[:-5] != 0) and np.any((rows[:-5, 1:] != 0) & (clamped[:-5, 1:] == 0))
+
+    def test_row_with_nothing_to_clamp_is_unchanged(self):
+        rows, i = self._rows(0), np.arange(1.0, 46.0)
+        clean = rows[-5:].copy()
+        moved = solver._clamp(clean, i, self.ABS_TOL)
+        assert np.array_equal(clean, rows[-5:]) and not np.any(moved)
 
 
 class TestCrossValidation:
@@ -305,14 +354,15 @@ class TestBatchedObservables:
         _assert_matches_scalar_references(traj, prep.equilibrium, config.k_moments, config.stretched)
 
     def test_full_support_run_matches_scalar_references(self, family_a):
+        # geometric data with ratio 0.8 keeps the last size above the dead
+        # band (its smallest value is 1.3e-13) up to t = 20
         crit = bd.critical_values(family_a, 100_000)
-        eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 200, critical=crit)
+        eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 40, critical=crit)
         k_moments, stretched = (2.0, 3.5), ((1.0, 0.5), (0.5, 0.25))
-        opts = bd.IntegrateOptions(
-            n_snapshots=21, dead_band=False, track=k_moments + stretched, equilibrium=eq,
-        )
-        traj = bd.integrate(monodisperse(200, 1.0), family_a, 20.0, opts)
-        assert np.any(traj.states[:, -1] > 0)  # support = N
+        opts = bd.IntegrateOptions(n_snapshots=21, track=k_moments + stretched, equilibrium=eq)
+        c0 = 0.8 ** np.arange(1, 41)
+        traj = bd.integrate(bd.ClusterState(c0 / bd.density(c0)), family_a, 20.0, opts)
+        assert np.all(traj.states[:, -1] > 0)  # support = N in every row
         _assert_matches_scalar_references(traj, eq, k_moments, stretched)
 
     def test_tail_warning_run_matches_scalar_references(self, family_a):
@@ -420,13 +470,12 @@ class TestActiveWindow:
         assert max(widths) < 100
 
     def test_support_grows_to_n(self, monkeypatch, family_a):
-        opts = bd.IntegrateOptions(n_snapshots=21, dead_band=False)
         windowed, full, widths = _window_and_full_runs(
-            monkeypatch, monodisperse(40, 1.0), family_a, 20.0, opts
+            monkeypatch, monodisperse(32, 1.0), family_a, 20.0, bd.IntegrateOptions(n_snapshots=21)
         )
         _assert_same_run(windowed, full)
-        assert widths[0] == 9 and max(widths) == widths[-1] == 40
-        assert support_length(full.y) == 40
+        assert widths[0] == 9 and max(widths) == widths[-1] == 32
+        assert support_length(full.y) == 32
 
     def test_support_shrinks_then_grows(self, monkeypatch, family_a):
         # mass below the dead band out to size 1500: the first accepted step
@@ -477,9 +526,10 @@ class TestVetoMemory:
     relaxes step by step until it lapses."""
 
     def test_vetoes_rare_at_the_positivity_limit(self, monkeypatch):
-        # gamma = 1 without the dead band: the steps sit at the positivity
-        # limit, and growing each one back to the vetoed size drew a veto
-        # about every second step (379 in 830 steps)
+        # gamma = 1: the steps sit at the positivity limit, and growing each
+        # one back to the vetoed size draws a veto on most steps (168 in 236
+        # without the cap, 18 in 206 with it); at N = 200 the dead band
+        # leaves too few vetoes to tell
         from beckerdoring import _rk, solver
 
         runs = []
@@ -490,7 +540,7 @@ class TestVetoMemory:
 
         monkeypatch.setattr(solver, "solve_rk54", spy)
         model = bd.make_power_law_model(1.0, 1.0, 1.0, 0.5)
-        bd.integrate(monodisperse(200, 1.0), model, 5.0, bd.IntegrateOptions(n_snapshots=11, dead_band=False))
+        bd.integrate(monodisperse(2000, 1.0), model, 5.0, bd.IntegrateOptions(n_snapshots=11))
         (run,) = runs
         assert run.stats.n_rejected_filter <= 0.1 * run.stats.n_steps
 
