@@ -1,14 +1,14 @@
-"""Embedded Dormand-Prince 5(4) integrator with dense output, and a
-Rosenbrock 4(3) phase for the stiff part of a run.
+"""Adaptive integrator: embedded Dormand-Prince 5(4) steps with dense
+output, then Rosenbrock 4(3) steps for the stiff part of a run.
 
 Generic over the right-hand side; the cluster solver layers its positivity
-filter on top and the comparison-principle checks reuse it directly.  Step
-control is the classic PI controller (error exponent 0.17, memory exponent
-0.04, safety 0.9).  Snapshots at requested times come from the standard
-quartic interpolant of the pair, so accepted steps never need to land on
-the output grid, and every output time inside an accepted step comes from
-one batched evaluation of the interpolant: a dense grid costs neither
-steps nor a round of calls per time.  The rows are returned as the
+filter on top and the comparison-principle checks reuse it directly.  Every
+step is adaptive, under the classic PI controller (error exponent 0.17,
+memory exponent 0.04, safety 0.9).  Snapshots at requested times come
+from the standard quartic interpolant of the pair, so accepted steps
+never need to land on the output grid, and every output time inside an
+accepted step comes from one batched evaluation of the interpolant: a
+dense grid costs neither steps nor a round of calls per time.  The rows are returned as the
 interpolant gives them; a caller that needs them adjusted (the cluster
 solver's positivity clamp) does so on the whole matrix afterwards.
 
@@ -144,6 +144,18 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:
     return min(100 * h0, h1, t_end - t0)
 
 
+def _dopri_step(f, t, y, k, h) -> tuple[np.ndarray, np.ndarray]:
+    """One DP5(4) step from y, where k[0] = f(t, y): fills the stages
+    k[1..6] in place and returns (y_new, error estimate).
+
+    Six evaluations of ``f``; by FSAL (_A[6] equals _B[:6]) k[6] is
+    f(t + h, y_new), the next step's first stage.
+    """
+    for s in range(1, 7):
+        k[s] = f(t + _C[s] * h, y + h * (_A[s] @ k[:s]))
+    return y + h * (_B[:6] @ k[:6]), h * (_E @ k)
+
+
 def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarray]:
     """One step of the Rosenbrock pair from y, where fy = f(t, y): fills the
     (4, len(y)) buffer g with the stages and returns (y_new, error estimate).
@@ -197,7 +209,6 @@ def solve_rk54(
     abs_tol: float = 1e-12,
     t_eval: np.ndarray | None = None,
     accept_filter: Callable[[float, np.ndarray], np.ndarray | None] | None = None,
-    fixed_step: float | None = None,
     max_steps: int = 2_000_000,
     reach: int | None = None,
     jacobian: Callable[[np.ndarray, float], Callable[[np.ndarray], np.ndarray]] | None = None,
@@ -208,8 +219,7 @@ def solve_rk54(
     adjust the state (returning the new vector) or veto it (returning
     None, which halves the step and caps later steps at 0.9 times the
     vetoed one, a cap that relaxes by 1 % per accepted step).
-    ``fixed_step`` disables adaptivity, the veto path and the stiffness
-    switch.  ``max_steps`` bounds the step attempts, accepted and rejected.
+    ``max_steps`` bounds the step attempts, accepted and rejected.
 
     After each accepted step the rows of ``y_eval`` for the output times
     in (t, t + h] are filled in one write: the dense interpolant evaluated
@@ -283,15 +293,10 @@ def solve_rk54(
     i_out = bisect.bisect_right(t_out, t0 + 1e-15 * max(1.0, abs(t0)))
     y_eval[:i_out, :w] = y
 
-    if fixed_step is not None:
-        h = float(fixed_step)
-        if h <= 0:
-            raise ParameterError("fixed_step must be positive")
-    else:
-        h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
+    h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
     fac_old = 1e-4
     h_cap = math.inf
-    detect = jacobian is not None and fixed_step is None
+    detect = jacobian is not None
     stiff = False
     n_stiff = n_nonstiff = 0
 
@@ -314,40 +319,26 @@ def solve_rk54(
             stats.n_fev += 2
             expo = 0.25
         else:
-            for s in range(1, 7):
-                kw[s] = f(t + _C[s] * h, y + h * (_A[s] @ kw[:s]))
+            y_new, err = _dopri_step(f, t, y, kw, h)
             stats.n_fev += 6
-            y_new = y + h * (_B[:6] @ kw[:6])
-            # FSAL: _A[6] equals _B[:6], so k[6] already holds f(t+h, y_new)
-            err = h * (_E @ kw)
             expo = 0.17
 
-        if fixed_step is None:
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _rms(err / scale, n)
-            if not math.isfinite(err_norm) or err_norm > 1.0:
-                stats.n_rejected_error += 1
-                if math.isfinite(err_norm):
-                    factor = max(_MIN_FACTOR, _SAFETY * err_norm**-expo * fac_old**0.04)
-                else:
-                    factor = _MIN_FACTOR
-                h *= min(1.0, factor)
-                continue
-        else:
-            err_norm = 0.0
-            if not np.all(np.isfinite(y_new)):
-                raise NumericalError(
-                    f"fixed-step solution left the representable range at t={t:.6g} "
-                    f"(h={h:.3g} is past the stability limit)"
-                )
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = _rms(err / scale, n)
+        if not math.isfinite(err_norm) or err_norm > 1.0:
+            stats.n_rejected_error += 1
+            if math.isfinite(err_norm):
+                factor = max(_MIN_FACTOR, _SAFETY * err_norm**-expo * fac_old**0.04)
+            else:
+                factor = _MIN_FACTOR
+            h *= min(1.0, factor)
+            continue
 
         y_accepted = y_new
         filtered = False
         if accept_filter is not None:
             result = accept_filter(t + h, y_new)
             if result is None:
-                if fixed_step is not None:
-                    raise ParameterError("accept_filter may not veto in fixed-step mode")
                 stats.n_rejected_filter += 1
                 h_cap = min(h_cap, _VETO_CAP * h)
                 h *= 0.5
@@ -403,11 +394,10 @@ def solve_rk54(
             k[0, :w_new] = f(t, y)
             stats.n_fev += 1
         w = w_new
-        if fixed_step is None:
-            fac = _SAFETY * max(err_norm, 1e-10) ** -expo * fac_old**0.04
-            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), h_cap)
-            h_cap *= _CAP_RELAX
-            fac_old = max(err_norm, 1e-4)
+        fac = _SAFETY * max(err_norm, 1e-10) ** -expo * fac_old**0.04
+        h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), h_cap)
+        h_cap *= _CAP_RELAX
+        fac_old = max(err_norm, 1e-4)
         if switch:
             # a veto so far capped an explicit step at its positivity limit,
             # which does not bind the implicit one

@@ -271,7 +271,9 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
     by termwise convexity.  ``c`` is one state (returns a float) or a matrix
     with one state per row (returns one value per row), summed pairwise
     along the row.  Past the rows' common support each term is Q_i, so that
-    tail is one constant.  The equilibrium carries log Q_i, so mass past the
+    tail is one constant.  So a row's value depends, in its last digits, on
+    the other rows: a row that widens the common support moves a Q_i from
+    the constant into every row's pairwise sum.  The equilibrium carries log Q_i, so mass past the
     profile's underflow cut still gets a finite value; mass where log Q_i is
     -inf (a zero activity) raises with the 1-based index of the first such
     entry in the first row that has one.

@@ -24,8 +24,8 @@ class NumericalError(BeckerDoringError):
 class StepSizeUnderflowError(NumericalError):
     """The adaptive integrator shrank the step below the representable floor.
 
-    Carries the time of failure; switching to an implicit method or
-    enlarging the truncation are the usual remedies.
+    Carries the time of failure; a larger truncation N or a looser
+    ``rel_tol`` are the remedies a caller can apply.
     """
 
     def __init__(self, t: float, h: float):
@@ -33,7 +33,7 @@ class StepSizeUnderflowError(NumericalError):
         self.h = h
         super().__init__(
             f"step size underflow at t={t:.6g} (h={h:.3g}); "
-            "consider an implicit fallback or a larger truncation N"
+            "try a larger truncation N or a looser rel_tol"
         )
 
 

@@ -4,7 +4,9 @@ The truncation closes the hierarchy with a zero net rate at the top size
 (w_N = 0), which makes sum_i i * dc_i/dt vanish identically, so density is
 conserved to round-off by construction.  Faithfulness of the truncation is
 monitored: a run whose top concentration grows past a configurable share
-of the density is flagged, not trusted silently.
+of the density is flagged, not trusted silently.  The integration is
+adaptive only: DP5(4) steps, then Rosenbrock 4(3) steps once the run is
+stiff.
 
 One evaluation of the right-hand side makes at most one more size
 non-zero, because the fluxes couple only neighbouring sizes and the
@@ -245,7 +247,6 @@ class IntegrateOptions:
     tail_threshold: float = DEFAULT_TAIL_THRESHOLD
     track: tuple[Key, ...] = ()
     equilibrium: EquilibriumData | None = None
-    fixed_step: float | None = None
     max_steps: int = 2_000_000
 
 
@@ -260,7 +261,8 @@ class Trajectory:
     if it never did; rejected steps are counted by cause.  ``support`` is
     1 + the last column that is non-zero in any row of ``states`` (every
     column from it on is zero); it is computed from ``states`` when not
-    given.
+    given.  ``abs_tol`` is the absolute tolerance the run used, its default
+    resolved.
     """
 
     model: CoefficientModel
@@ -276,7 +278,6 @@ class Trajectory:
     n_fev: int = 0
     t_stiff: float | None = None
     clamped_mass: float = 0.0
-    rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 0.0
     support: int | None = None
 
@@ -317,13 +318,13 @@ def integrate(
 
     Adaptive 5(4) pair with PI step control, and Rosenbrock 4(3) steps
     from the time ``Trajectory.t_stiff`` on, when DOPRI5's stiffness test
-    finds the explicit steps at their stability limit (never with
-    ``fixed_step``).  Steps producing a component below -abs_tol are
-    rejected and halved, and later steps are capped at 0.9 times the
-    rejected one, a cap that relaxes by 1 % per accepted step.  Every
-    accepted step gets the positivity clamp (``_clamp``; abs_tol is its
-    dead band), and so do the rows of the integrator's dense output, in
-    one pass over the snapshot matrix after the solve.
+    finds the explicit steps at their stability limit; every step is
+    adaptive.  Steps producing a component below -abs_tol are rejected and
+    halved, and later steps are capped at 0.9 times the rejected one, a
+    cap that relaxes by 1 % per accepted step.  Every accepted step gets
+    the positivity clamp (``_clamp``; abs_tol is its dead band), and so do
+    the rows of the integrator's dense output, in one pass over the
+    snapshot matrix after the solve.
     """
     opts = opts or IntegrateOptions()
     n = state0.n
@@ -347,7 +348,7 @@ def integrate(
 
     def accept_filter(t: float, y: np.ndarray) -> np.ndarray | None:
         nonlocal clamped
-        if opts.fixed_step is None and float(y.min()) < -abs_tol:
+        if float(y.min()) < -abs_tol:
             return None
         if y[0] >= 0 and float(y[1:].min()) >= abs_tol:
             return y  # nothing to clamp: the integrator may reuse its last stage
@@ -369,7 +370,6 @@ def integrate(
         abs_tol=abs_tol,
         t_eval=t_eval,
         accept_filter=accept_filter,
-        fixed_step=opts.fixed_step,
         max_steps=opts.max_steps,
         reach=1,
         jacobian=jacobian,
@@ -411,7 +411,6 @@ def integrate(
         t_stiff=sol.stats.t_stiff,
         clamped_mass=clamped,
         support=m,
-        rel_tol=opts.rel_tol,
         abs_tol=abs_tol,
     )
 

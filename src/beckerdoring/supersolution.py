@@ -315,10 +315,11 @@ def weighted_sum_bound(
     # smallest M with both conditions holding for every j >= M
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(valid)))
     if not suffix_ok[-1]:
-        raise PhiDecayError(
-            f"weight ratio {ratio[-1]:.6g} still above delta_star = {delta_star:.6g} "
-            "at the truncation end"
-        )
+        if ratio[-1] < 1.0 - 1e-12:
+            failing = "below 1: the weight is still decreasing"
+        else:
+            failing = f"still above delta_star = {delta_star:.6g}"
+        raise PhiDecayError(f"weight ratio {ratio[-1]:.6g} {failing} at the truncation end")
     first = int(np.argmax(suffix_ok))  # ratio index j-1 -> condition at j = first + 2
     m = max(first + 2, params.n_switch, 2)
     if m > n - 1:

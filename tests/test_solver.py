@@ -150,6 +150,26 @@ class TestIntegrate:
         assert int(budget) == 3 and float(t) > 0 and float(h) > 1e-6
         assert _exit_code(run) == EXIT_NUMERICAL
 
+    def test_step_size_underflow_names_remedies(self):
+        # y' = y^2 from y = 1 blows up at t = 1: the steps shrink to the floor
+        with pytest.raises(StepSizeUnderflowError) as err:
+            _rk.solve_rk54(lambda t, y: y * y, 0.0, np.array([1.0]), 2.0)
+        assert err.value.t == pytest.approx(1.0, abs=1e-3)
+        message = str(err.value)
+        assert "truncation N" in message and "rel_tol" in message and "implicit" not in message
+
+    @pytest.mark.parametrize("t_end, t_eval, refusal", [
+        (0.0, None, "t_end must exceed t0"),
+        (-1.0, None, "t_end must exceed t0"),
+        (1.0, [0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        (1.0, [0.0, 0.7, 0.3], "strictly increasing"),
+        (1.0, [-0.1, 0.5], r"within \[t0, t_end\]"),
+        (1.0, [0.5, 1.1], r"within \[t0, t_end\]"),
+    ])
+    def test_solve_rk54_refuses_bad_times(self, t_end, t_eval, refusal):
+        with pytest.raises(ParameterError, match=refusal):
+            _rk.solve_rk54(lambda t, y: -y, 0.0, np.array([1.0]), t_end, t_eval=t_eval)
+
     def test_snapshot_grid_and_lookup(self, family_a):
         t_eval = np.array([0.0, 0.5, 1.5, 4.0])
         traj = bd.integrate(monodisperse(50, 0.5), family_a, 4.0, bd.IntegrateOptions(t_eval=t_eval))

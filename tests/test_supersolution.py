@@ -253,8 +253,18 @@ class TestWeightedSumBound:
     def test_too_fast_growth_rejected(self, built):
         params, g, sol = built
         phi = 3.0 ** np.arange(1, 301, dtype=float)
-        with pytest.raises(PhiDecayError):
+        with pytest.raises(PhiDecayError, match="weight ratio 3 still above delta_star"):
             bd.weighted_sum_bound(sol.r, g, phi, params)
+
+    def test_still_decreasing_weight_named(self, built):
+        # the stretched psi-weight of (0.5, 0.245) rises only from j ~ 1660:
+        # at N = 300 its ratio is below 1, not above delta_star
+        params, g, sol = built
+        phi = stretched_weights(0.5, 0.245).psi(300)
+        assert phi[-1] < phi[-2]
+        with pytest.raises(PhiDecayError, match="below 1: the weight is still decreasing") as err:
+            bd.weighted_sum_bound(sol.r, g, phi, params)
+        assert "delta_star" not in str(err.value)
 
     def test_monotone_in_omega(self, family_a):
         # above the turnover the dominating sequence grows with the cap
