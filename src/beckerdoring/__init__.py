@@ -58,7 +58,6 @@ from .maximum_principle import (
     verify_sign_preservation,
 )
 from .solver import (
-    ClusterState,
     IntegrateOptions,
     Trajectory,
     density,

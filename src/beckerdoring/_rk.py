@@ -213,7 +213,7 @@ def solve_rk54(
     reach: int | None = None,
     jacobian: Callable[[np.ndarray, float], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> RKSolution:
-    """Integrate y' = f(t, y) from t0 to t_end.
+    """Integrate y' = f(t, y) from a finite y(t0) = y0 to t_end.
 
     ``accept_filter`` sees every step that passed the error test and may
     adjust the state (returning the new vector) or veto it (returning
@@ -258,6 +258,8 @@ def solve_rk54(
     window is all N.
     """
     state = np.array(y0, dtype=float)  # the full state: zero past the window
+    if not np.all(np.isfinite(state)):
+        raise ParameterError("initial state must be finite")
     t = float(t0)
     if t_end <= t:
         raise ParameterError("t_end must exceed t0")

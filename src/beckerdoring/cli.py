@@ -135,14 +135,14 @@ def _cmd_equilibrium(args) -> int:
     print(f"n_cut={eq.cut_index}")
     print(f"tail_bound={eq.tail_bound!r}")
     print(f"h_empty_state={math.fsum(eq.profile)!r}")
-    print(f"h_initial={relative_free_energy(prep.state0.c, eq)!r}")
+    print(f"h_initial={relative_free_energy(prep.c0, eq)!r}")
     return EXIT_PASS
 
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     prep = prepare(config)
-    trajectory = integrate(prep.state0, prep.model, config.t_end, prep.opts)
+    trajectory = integrate(prep.c0, prep.model, config.t_end, prep.opts)
     header = {
         "family": config.family, "gamma": config.gamma, "z_s": prep.critical.z_s,
         "rho": prep.rho, "z_bar": prep.z_bar,
@@ -168,7 +168,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_supersolution(args) -> int:
     config = load_config(args.config)
     prep = prepare(config)
-    _, sol, check = dominating_sequence(prep, config, tail_density(prep.state0.c))
+    _, sol, check = dominating_sequence(prep, config, tail_density(prep.c0))
     path = export_supersolution(sol, args.out)
     witness = args.out / "witness.json"
     witness.write_text(json.dumps({

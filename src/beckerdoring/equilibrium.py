@@ -239,7 +239,7 @@ def equilibrium_profile(
         r = math.exp(
             float(log_profile[-1] - log_profile[-2]) + math.log(n + 1) - math.log(n)
         )
-        tail = n * profile[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+        tail = float(n * profile[-1] * r / (1.0 - r)) if r < 1.0 else math.inf
     else:
         tail = 0.0
     return EquilibriumData(
@@ -269,14 +269,13 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
 
     H = sum_i (c_i log(c_i / Q_i) - c_i + Q_i) with 0 log 0 = 0; non-negative
     by termwise convexity.  ``c`` is one state (returns a float) or a matrix
-    with one state per row (returns one value per row), summed pairwise
-    along the row.  Past the rows' common support each term is Q_i, so that
-    tail is one constant.  So a row's value depends, in its last digits, on
-    the other rows: a row that widens the common support moves a Q_i from
-    the constant into every row's pairwise sum.  The equilibrium carries log Q_i, so mass past the
-    profile's underflow cut still gets a finite value; mass where log Q_i is
-    -inf (a zero activity) raises with the 1-based index of the first such
-    entry in the first row that has one.
+    with one state per row (returns one value per row).  Each row's terms
+    are summed pairwise over its own support, and past it each term is Q_i,
+    so that tail is one constant; a row's value is the same bits in any
+    matrix.  The equilibrium carries log Q_i, so mass past the profile's
+    underflow cut still gets a finite value; mass where log Q_i is -inf (a
+    zero activity) raises with the 1-based index of the first such entry in
+    the first row that has one.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1:] != equilibrium.profile.shape:
@@ -300,4 +299,10 @@ def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndar
         raise FreeEnergyDomainError(int(bad[0]) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(pos, head * (np.log(head) - log_q) - head + q, q)
-    return terms.sum(axis=1) + profile[m:].sum()
+    # rows grouped by their support, 1 + their last non-zero column
+    support = np.max(np.where(head != 0, np.arange(1, m + 1), 0), axis=1, initial=0)
+    h = np.empty(len(head))
+    for s in set(support.tolist()):
+        rows = np.flatnonzero(support == s)
+        h[rows] = terms[rows, :s].sum(axis=1) + profile[s:].sum()
+    return h

@@ -28,7 +28,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from .maximum_principle import check_domination
-from .solver import ClusterState, IntegrateOptions, Key, Trajectory, density, integrate, weight
+from .solver import IntegrateOptions, Key, Trajectory, density, integrate, weight
 from .supersolution import (
     Supersolution,
     SupersolutionCheck,
@@ -89,12 +89,12 @@ class ExperimentConfig:
             return load_rate_table(self.rates_file, gamma=self.gamma, z_s=self.z_s or None)
         raise ConfigError(f"unknown family {self.family!r}")
 
-    def initial_state(self, eq: EquilibriumData | None = None) -> ClusterState:
+    def initial_state(self, eq: EquilibriumData | None = None) -> np.ndarray:
         i = np.arange(1, self.n + 1, dtype=float)
         if self.init == "monodisperse":
             c = np.zeros(self.n)
             c[0] = self.rho
-            return ClusterState(c)
+            return c
         if self.init == "equilibrium":
             if eq is None:
                 raise ConfigError("equilibrium initial data needs an equilibrium profile")
@@ -105,18 +105,23 @@ class ExperimentConfig:
             shape = self.init_ratio**i
         elif self.init == "file":
             data = np.loadtxt(self.init_file, dtype=float, ndmin=2)
+            where = f"initial-state file {self.init_file!r}"
             if data.shape[1] != 2 or not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
-                raise ConfigError("initial-state file needs contiguous columns 'i c_i'")
+                raise ConfigError(f"{where} needs contiguous columns 'i c_i'")
+            if not (np.all(np.isfinite(data[:, 1])) and np.all(data[:, 1] >= 0)):
+                raise ConfigError(f"{where}: concentrations must be finite and non-negative")
             c = np.zeros(self.n)
             m = min(self.n, len(data))
             c[:m] = data[:m, 1]
-            return ClusterState(c)
+            if not np.any(c):
+                raise ConfigError(f"{where} carries no mass in sizes 1..{self.n}")
+            return c
         else:
             raise ConfigError(f"unknown initial shape {self.init!r}")
         mass = math.fsum(i * shape)
         if mass <= 0:
             raise ConfigError("initial shape carries no mass")
-        return ClusterState(shape * (self.rho / mass))
+        return shape * (self.rho / mass)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,7 +131,7 @@ class ExperimentConfig:
 class Preamble:
     """What every command derives from a config before it integrates.
 
-    ``rho`` is the density of ``state0``, which for ``init = "file"`` is not
+    ``rho`` is the density of ``c0``, which for ``init = "file"`` is not
     ``config.rho``.  ``omega`` is the configured cap or, for ``omega = 0``,
     z_bar + omega_margin * (z_s - z_bar); it is not checked against z_s here.
     """
@@ -135,7 +140,7 @@ class Preamble:
     critical: CriticalValues
     z_bar: float
     equilibrium: EquilibriumData
-    state0: ClusterState
+    c0: np.ndarray
     rho: float
     omega: float
     opts: IntegrateOptions
@@ -151,7 +156,7 @@ def prepare(config: ExperimentConfig) -> Preamble:
     crit = critical_values(model, config.n_series)
     z_bar = solve_monomer_activity(model, config.rho, critical=crit)
     eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
-    state0 = config.initial_state(eq)
+    c0 = config.initial_state(eq)
     omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
     opts = IntegrateOptions(
         rel_tol=config.rel_tol,
@@ -161,7 +166,7 @@ def prepare(config: ExperimentConfig) -> Preamble:
         track=(*config.k_moments, *(tuple(p) for p in config.stretched)),
         equilibrium=eq,
     )
-    return Preamble(model, crit, z_bar, eq, state0, density(state0.c), omega, opts)
+    return Preamble(model, crit, z_bar, eq, c0, density(c0), omega, opts)
 
 
 def dominating_sequence(
@@ -356,7 +361,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
         raise ConfigError(f"omega = {omega:.6g} must be below z_s = {crit.z_s:.6g}")
 
     stages: list[StageResult] = []
-    trajectory = integrate(prep.state0, model, config.t_end, prep.opts)
+    trajectory = integrate(prep.c0, model, config.t_end, prep.opts)
     rho_drift = float(np.max(np.abs(trajectory.rho - rho))) / rho
     stages.append(
         StageResult(
@@ -428,7 +433,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 )
             )
 
-        g_t0 = tail_density(trajectory.at(t0).c)
+        g_t0 = tail_density(trajectory.at(t0))
         params, super_sol, check = dominating_sequence(prep, config, g_t0)
         witness = {
             "lambda": super_sol.lam,

@@ -40,10 +40,9 @@ trimmed to that support and summed pairwise along each row in a fixed
 order; compensated summation is kept only in the scalar helpers
 ``density``, ``moment`` and ``stretched_moment``.
 
-A state is a plain float array c_1..c_N everywhere: ``density``,
-``moment``, ``stretched_moment``, ``net_rates`` and ``rhs`` take the array.
-``ClusterState`` pairs an array with its time; it checks the initial state
-of ``integrate`` and is what ``Trajectory.at`` and ``snapshots`` return.
+A state is a plain float array c_1..c_N everywhere, from ``integrate``'s
+initial state to ``Trajectory.at``'s row: ``density``, ``moment``,
+``stretched_moment``, ``net_rates`` and ``rhs`` take the array.
 
 A single integration is sequential and deterministic.  Distinct
 integrations are independent and may run concurrently.
@@ -68,21 +67,10 @@ DEFAULT_TAIL_THRESHOLD = 1e-6
 
 @dataclass
 class ClusterState:
-    """Concentrations c_1..c_N at a time t."""
+    """A row c of ``Trajectory.states`` and its output time t."""
 
     c: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.ndim != 1 or len(self.c) < 2:
-            raise ParameterError("state needs at least two cluster sizes")
-        if np.any(self.c < 0):
-            raise ParameterError("concentrations must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
+    t: float
 
 
 def density(c: np.ndarray) -> float:
@@ -300,21 +288,22 @@ class Trajectory:
         """Every output time as a state over its row of ``states``, built on access."""
         return [ClusterState(c, t) for t, c in zip(self.times.tolist(), self.states)]
 
-    def at(self, t: float) -> ClusterState:
-        """State at the output time matching t (within grid round-off)."""
+    def at(self, t: float) -> np.ndarray:
+        """The read-only row of ``states`` at the output time matching t
+        (within grid round-off)."""
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ParameterError(f"no snapshot at t={t}")
-        return ClusterState(self.states[idx], float(self.times[idx]))
+        return self.states[idx]
 
 
 def integrate(
-    state0: ClusterState,
+    c0: np.ndarray,
     model: CoefficientModel,
     t_end: float,
     opts: IntegrateOptions | None = None,
 ) -> Trajectory:
-    """Integrate the truncated system from ``state0`` up to ``t_end``.
+    """Integrate the truncated system from c(0) = ``c0`` up to ``t_end``.
 
     Adaptive 5(4) pair with PI step control, and Rosenbrock 4(3) steps
     from the time ``Trajectory.t_stiff`` on, when DOPRI5's stiffness test
@@ -324,11 +313,17 @@ def integrate(
     cap that relaxes by 1 % per accepted step.  Every accepted step gets
     the positivity clamp (``_clamp``; abs_tol is its dead band), and so do
     the rows of the integrator's dense output, in one pass over the
-    snapshot matrix after the solve.
+    snapshot matrix after the solve.  ``c0`` must hold at least two
+    sizes, finite and non-negative.
     """
+    c0 = np.asarray(c0, dtype=float)
+    if c0.ndim != 1 or len(c0) < 2:
+        raise ParameterError("state needs at least two cluster sizes")
+    if np.any(c0 < 0):
+        raise ParameterError("concentrations must be non-negative")
     opts = opts or IntegrateOptions()
-    n = state0.n
-    rho0 = density(state0.c)
+    n = len(c0)
+    rho0 = density(c0)
     abs_tol = opts.abs_tol if opts.abs_tol > 0 else DEFAULT_ABS_TOL_FACTOR * max(rho0, 1e-300)
     a, b_next = model.rate_pairs(n)
     i_grid = np.arange(1, n + 1, dtype=float)
@@ -359,12 +354,12 @@ def integrate(
     if opts.t_eval is not None:
         t_eval = np.asarray(opts.t_eval, dtype=float)
     else:
-        t_eval = np.linspace(state0.t, t_end, opts.n_snapshots)
+        t_eval = np.linspace(0.0, t_end, opts.n_snapshots)
 
     sol: RKSolution = solve_rk54(
         f,
-        state0.t,
-        state0.c,
+        0.0,
+        c0,
         t_end,
         rel_tol=opts.rel_tol,
         abs_tol=abs_tol,

@@ -30,10 +30,10 @@ def half_model():
     return bd.make_custom_model(np.ones(n), 2 * np.ones(n), gamma=1.0, z_s=2.0)
 
 
-def monodisperse(n: int, rho: float) -> bd.ClusterState:
+def monodisperse(n: int, rho: float) -> np.ndarray:
     c = np.zeros(n)
     c[0] = rho
-    return bd.ClusterState(c)
+    return c
 
 
 def bare_equilibrium(profile) -> bd.EquilibriumData:

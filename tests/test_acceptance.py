@@ -63,10 +63,10 @@ def test_criterion_2_detailed_balance_fixed_point(flagship_model, flagship_equil
     rates_ok = np.max(np.abs(w[:-1])) <= 1e-12 * np.max(flux)
 
     traj = bd.integrate(
-        bd.ClusterState(eq.profile.copy()), flagship_model, 100.0,
+        eq.profile.copy(), flagship_model, 100.0,
         bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=51),
     )
-    drift = max(float(np.max(np.abs(s.c - eq.profile))) for s in traj.snapshots)
+    drift = float(np.max(np.abs(traj.states - eq.profile)))
     drift_ok = drift <= 1e-6 * float(np.max(eq.profile))
     _criterion(
         2, "detailed balance fixed point", rates_ok and drift_ok,
@@ -267,7 +267,7 @@ def test_criterion_11_integrator_self_convergence(flagship, flagship_model):
     def f(t, y):
         return _rhs_core(y, a, b_next)
 
-    states = {"monodisperse": monodisperse(n, 1.0).c, "t=1": report.trajectory.at(1.0).c[:n]}
+    states = {"monodisperse": monodisperse(n, 1.0), "t=1": report.trajectory.at(1.0)[:n]}
     ratios = {}
     for name, c in states.items():
         errs = []

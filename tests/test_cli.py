@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_dumped_states_parse_back_to_the_trajectory(small_config, tmp_path):
     assert main(["simulate", "--config", str(small_config), "--out", str(out_dir), "--dump-states", "3"]) == 0
     config = load_config(small_config)
     prep = prepare(config)
-    traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+    traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
     for i in np.linspace(0, len(traj.times) - 1, 3).astype(int):
         t, c = traj.times[i], traj.states[i]
         for name, want in ((f"state_t{t:g}.csv", c), (f"tail_t{t:g}.csv", bd.tail_density(c))):
@@ -87,13 +88,20 @@ def test_dumped_states_parse_back_to_the_trajectory(small_config, tmp_path):
             assert np.array_equal(data[:, 1], want)
 
 
-def test_written_files_hold_plain_numbers(small_config, tmp_path):
+def test_written_files_hold_plain_numbers(small_config, tmp_path, capsys):
+    # files and stdout print repr() of floats: a NumPy scalar would read np.float64(...)
     assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "sim"), "--dump-states", "3"]) == 0
     assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "exp")]) == 0
+    assert main(["supersolution", "--config", str(small_config), "--out", str(tmp_path / "sup")]) == 0
     written = sorted(tmp_path.glob("*/*"))
-    assert len(written) == 1 + 6 + 5
+    assert len(written) == 1 + 6 + 5 + 2
     for path in written:
         assert "np.float64" not in path.read_text(), path.name
+    for command in ("equilibrium", "verify"):
+        assert main([command, "--config", str(small_config)]) == 0
+    out = capsys.readouterr().out
+    assert "tail_bound=" in out and "all_ok=" in out and "uniform_bound=" in out
+    assert "np." not in out
 
 
 def test_supersolution_export(small_config, tmp_path):
@@ -112,7 +120,7 @@ def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
     config_path.write_text(text)
     config = load_config(config_path)
     prep = prepare(config)
-    _, initial, _ = dominating_sequence(prep, config, bd.tail_density(prep.state0.c))
+    _, initial, _ = dominating_sequence(prep, config, bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     for command, sol in (("supersolution", initial), ("experiment", built)):
         out_dir = tmp_path / command
@@ -261,6 +269,30 @@ def test_supercritical_config_exit_11(small_config, tmp_path):
     sup = small_config.parent / "super.toml"
     sup.write_text(text)
     assert main(["experiment", "--config", str(sup), "--out", str(tmp_path / "o")]) == 11
+
+
+@pytest.mark.parametrize("values", [
+    ["1.0", "nan", "0.1"],
+    ["1.0", "0.2", "inf"],
+    ["1.0", "-0.1", "0.1"],
+    ["0.0", "0.0", "0.0"],
+], ids=["nan", "inf", "negative", "no-mass"])
+def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
+    # refused where the config is read: a non-finite state would spin the
+    # step budget with h = nan, and a massless one divide by its density
+    init = tmp_path / "c0.txt"
+    init.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values, start=1)))
+    config = tmp_path / "file.toml"
+    config.write_text(small_config.read_text().replace('init = "monodisperse"', 'init = "file"')
+                      .replace('init_file = ""', f'init_file = "{init}"'))
+    for command in ("experiment", "simulate", "supersolution", "equilibrium"):
+        out = ["--out", str(tmp_path / command)] if command != "equilibrium" else []
+        start = time.perf_counter()
+        assert main([command, "--config", str(config), *out]) == 11, command
+        assert time.perf_counter() - start < 5.0, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(init) in err, err
+        assert not (tmp_path / command).exists()
 
 
 def test_overflowing_stretched_weight_exit_11(tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestDetectThreshold:
 
     def test_equilibrium_start_is_immediate(self, family_a, setup):
         crit, z_bar, eq = setup
-        traj = bd.integrate(bd.ClusterState(eq.profile.copy()), family_a, 5.0, bd.IntegrateOptions(n_snapshots=11))
+        traj = bd.integrate(eq.profile.copy(), family_a, 5.0, bd.IntegrateOptions(n_snapshots=11))
         omega = z_bar + 0.1 * (crit.z_s - z_bar)
         assert bd.detect_threshold(traj, omega) == 0.0
 

@@ -40,7 +40,7 @@ class TestMetzlerSystem:
             bd.MetzlerSystem.from_tridiagonal(np.array([0.1, 0.2]), np.array([-1.0, -1.0]), np.array([0.2]))
 
     def test_domination_of_a_built_supersolution(self, family_a, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c)
+        g0 = bd.tail_density(trajectory.at(2.0))
         params = bd.make_params(family_a, 0.7, trajectory.rho[0])
         sol = bd.build_supersolution(family_a, params, g0)
         report = bd.check_domination(trajectory, sol.r, 2.0)
@@ -64,6 +64,13 @@ class TestSignPreservation:
         res = bd.verify_sign_preservation(system, np.array([-1.0, -1.0]), 2.0, rel_tol=1e-11)
         assert res.ok
         assert res.y_end == pytest.approx(-math.exp(-2.0) * np.ones(2), rel=1e-9)
+
+    @pytest.mark.parametrize("u0", [[np.nan, -1.0], [-np.inf, -1.0]], ids=["nan", "-inf"])
+    def test_rejects_non_finite_initial_data(self, u0):
+        # NaN passes the u0 <= 0 check; the integrator refuses it before a step
+        system = bd.MetzlerSystem.from_dense(-np.eye(2))
+        with pytest.raises(ParameterError, match="initial state must be finite"):
+            bd.verify_sign_preservation(system, np.array(u0), 1.0)
 
     def test_zero_stays_zero(self):
         system = bd.MetzlerSystem.from_dense(-np.eye(3))
@@ -123,12 +130,12 @@ def trajectory(family_a):
 class TestCheckDomination:
 
     def test_offset_tail_dominates(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c)
+        g0 = bd.tail_density(trajectory.at(2.0))
         report = bd.check_domination(trajectory, g0 + 1.0, 2.0)
         assert report.holds and report.first_violation is None
 
     def test_broken_entry_located(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c)
+        g0 = bd.tail_density(trajectory.at(2.0))
         r = g0 + 1.0
         r[4] = g0[4] / 2.0
         report = bd.check_domination(trajectory, r, 2.0)
@@ -137,7 +144,7 @@ class TestCheckDomination:
         assert t == pytest.approx(2.0) and j == 5 and gap > 0
 
     def test_monotone_in_r(self, trajectory):
-        g0 = bd.tail_density(trajectory.at(2.0).c)
+        g0 = bd.tail_density(trajectory.at(2.0))
         base = bd.check_domination(trajectory, g0 + 0.5, 2.0)
         bigger = bd.check_domination(trajectory, g0 + 1.5, 2.0)
         assert bigger.max_gap <= base.max_gap
@@ -147,7 +154,7 @@ class TestCheckDomination:
     def test_matches_per_snapshot_reference(self, trajectory, case):
         # the one-pass check against the per-snapshot loop it replaced
         n = trajectory.states.shape[1]
-        r = bd.tail_density(trajectory.at(2.0).c) + 1.0
+        r = bd.tail_density(trajectory.at(2.0)) + 1.0
         if case == "head":
             r[2] = 0.0
         elif case == "past_support":
@@ -155,15 +162,15 @@ class TestCheckDomination:
         report = bd.check_domination(trajectory, r, 2.0)
         eps = 1e-10 * trajectory.rho[0]
         max_gap, first, checked = -math.inf, None, 0
-        for snap in trajectory.snapshots:
-            if snap.t < 2.0 - 1e-12:
+        for t, c in zip(trajectory.times.tolist(), trajectory.states):
+            if t < 2.0 - 1e-12:
                 continue
             checked += 1
-            gaps = bd.tail_density(snap.c) - r
+            gaps = bd.tail_density(c) - r
             max_gap = max(max_gap, float(np.max(gaps)))
             if first is None and np.max(gaps) > eps:
                 j = int(np.argmax(gaps > eps)) + 1
-                first = (snap.t, j, float(gaps[j - 1]))
+                first = (t, j, float(gaps[j - 1]))
         assert (report.max_gap, report.first_violation, report.n_snapshots) == (max_gap, first, checked)
         assert report.holds == (case == "holds")
 

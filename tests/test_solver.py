@@ -92,8 +92,8 @@ class TestIntegrate:
         z = bd.solve_monomer_activity(family_a, 0.5, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 500, critical=crit)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=21)
-        traj = bd.integrate(bd.ClusterState(eq.profile.copy()), family_a, 10.0, opts)
-        drift = max(float(np.max(np.abs(s.c - eq.profile))) for s in traj.snapshots)
+        traj = bd.integrate(eq.profile.copy(), family_a, 10.0, opts)
+        drift = float(np.max(np.abs(traj.states - eq.profile)))
         assert drift <= 10 * 1e-8 * float(np.max(eq.profile))
 
     def test_mass_conserved_and_positive(self, family_a):
@@ -115,8 +115,8 @@ class TestIntegrate:
         state0 = monodisperse(200, 1.0)
         ref = bd.integrate(state0, family_a, 5.0, bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=2))
         run = bd.integrate(state0, family_a, 5.0, bd.IntegrateOptions(rel_tol=1e-6, n_snapshots=2))
-        err = float(np.max(np.abs(run.snapshots[-1].c - ref.snapshots[-1].c)))
-        scale = float(np.max(ref.snapshots[-1].c))
+        err = float(np.max(np.abs(run.states[-1] - ref.states[-1])))
+        scale = float(np.max(ref.states[-1]))
         assert err <= 100 * 1e-6 * scale
 
     def test_free_energy_monotone(self, family_a):
@@ -174,7 +174,9 @@ class TestIntegrate:
         t_eval = np.array([0.0, 0.5, 1.5, 4.0])
         traj = bd.integrate(monodisperse(50, 0.5), family_a, 4.0, bd.IntegrateOptions(t_eval=t_eval))
         assert traj.times == pytest.approx(t_eval, abs=0)
-        assert traj.at(1.5).t == 1.5
+        row = traj.at(1.5 + 1e-12)  # the row itself, read-only
+        assert np.shares_memory(row, traj.states) and not row.flags.writeable
+        assert np.array_equal(row, traj.states[2])
         with pytest.raises(ParameterError):
             traj.at(2.37)
 
@@ -182,11 +184,17 @@ class TestIntegrate:
         t_eval = np.array([1.0, 2.0, 3.0])
         traj = bd.integrate(monodisperse(50, 0.5), family_a, 3.0, bd.IntegrateOptions(t_eval=t_eval))
         assert traj.times == pytest.approx(t_eval, abs=0)
-        assert all(np.all(s.c >= 0) for s in traj.snapshots)
+        assert np.all(traj.states >= 0)
 
-    def test_rejects_negative_initial_data(self):
-        with pytest.raises(ParameterError):
-            bd.ClusterState(np.array([1.0, -0.1]))
+    @pytest.mark.parametrize("c0, refusal", [
+        (np.ones((2, 3)), "at least two cluster sizes"),
+        (np.array([1.0]), "at least two cluster sizes"),
+        (np.array([1.0, -0.1]), "must be non-negative"),
+        (np.array([1.0, np.nan, 0.1]), "initial state must be finite"),
+    ], ids=["2d", "one-size", "negative", "nan"])
+    def test_rejects_bad_initial_data(self, family_a, c0, refusal):
+        with pytest.raises(ParameterError, match=refusal):
+            bd.integrate(c0, family_a, 1.0)
 
     def test_snapshot_times_strictly_increasing_enforced(self, family_a):
         with pytest.raises(ParameterError):
@@ -207,7 +215,7 @@ class TestIntegrate:
 
         config = ExperimentConfig(family=family)
         prep = prepare(config)
-        traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+        traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
         *n, t_stiff = counts
         assert (traj.n_fev, traj.n_steps, traj.n_rejected) == tuple(n)
         assert traj.t_stiff == pytest.approx(t_stiff, rel=1e-12)
@@ -224,7 +232,7 @@ class TestIntegrate:
         else:
             model = bd.make_exponential_tail_model(gamma, z_s, rng.uniform(0.3, 1.5), mu)
         c0 = rng.random(30) * np.exp(-np.arange(30) / 5.0)
-        traj = bd.integrate(bd.ClusterState(c0), model, 2.0, bd.IntegrateOptions(n_snapshots=9))
+        traj = bd.integrate(c0, model, 2.0, bd.IntegrateOptions(n_snapshots=9))
         assert np.all(np.abs(traj.rho - traj.rho[0]) <= 1e-10 * traj.rho[0])
         assert np.all(traj.states >= 0.0)
 
@@ -285,7 +293,7 @@ class TestCrossValidation:
         c0 = np.zeros(n)
         c0[0] = 0.8
         traj = bd.integrate(
-            bd.ClusterState(c0.copy()), family_a, 5.0,
+            c0.copy(), family_a, 5.0,
             bd.IntegrateOptions(rel_tol=1e-10, abs_tol=1e-16, n_snapshots=6),
         )
         sol = scipy.integrate.solve_ivp(
@@ -298,7 +306,7 @@ class TestCrossValidation:
             t_eval=traj.times,
         )
         assert sol.success
-        err = float(np.max(np.abs(traj.snapshots[-1].c - sol.y[:, -1])))
+        err = float(np.max(np.abs(traj.states[-1] - sol.y[:, -1])))
         assert err <= 1e-8
 
     def test_free_energy_dissipation_identity(self, ones_model):
@@ -310,7 +318,7 @@ class TestCrossValidation:
         dt = 1e-3
         t_eval = np.arange(0.0, 0.2 + dt / 2, dt)
         traj = bd.integrate(
-            bd.ClusterState(c0), ones_model, 0.2,
+            c0, ones_model, 0.2,
             bd.IntegrateOptions(rel_tol=1e-11, abs_tol=1e-18, t_eval=t_eval, equilibrium=eq),
         )
         for idx in (40, 100, 160):
@@ -344,7 +352,7 @@ class TestWeakFormResidual:
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
-        traj = bd.integrate(bd.ClusterState(eq.profile.copy()), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
+        traj = bd.integrate(eq.profile.copy(), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
         phi = np.arange(1, 301, dtype=float) ** 2
         assert bd.weak_form_residual(traj, phi, 1.0) <= 1e-10
 
@@ -368,7 +376,7 @@ class TestBatchedObservables:
 
         config = ExperimentConfig()
         prep = prepare(config)
-        traj = bd.integrate(prep.state0, prep.model, config.t_end, prep.opts)
+        traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
         # the dead band leaves a short support: the trimming is exercised
         assert not np.any(traj.states[:, 100:])
         _assert_matches_scalar_references(traj, prep.equilibrium, config.k_moments, config.stretched)
@@ -381,7 +389,7 @@ class TestBatchedObservables:
         k_moments, stretched = (2.0, 3.5), ((1.0, 0.5), (0.5, 0.25))
         opts = bd.IntegrateOptions(n_snapshots=21, track=k_moments + stretched, equilibrium=eq)
         c0 = 0.8 ** np.arange(1, 41)
-        traj = bd.integrate(bd.ClusterState(c0 / bd.density(c0)), family_a, 20.0, opts)
+        traj = bd.integrate(c0 / bd.density(c0), family_a, 20.0, opts)
         assert np.all(traj.states[:, -1] > 0)  # support = N in every row
         _assert_matches_scalar_references(traj, eq, k_moments, stretched)
 
@@ -392,8 +400,8 @@ class TestBatchedObservables:
         )
         traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, opts)
         assert traj.warnings and "truncation" in traj.warnings[0]
-        occupied = [s for s in traj.snapshots if s.c[-1] > 1e-12 * 3.0 / 8]
-        assert f"t={occupied[0].t:.6g}:" in traj.warnings[0]
+        occupied = traj.times[traj.states[:, -1] > 1e-12 * 3.0 / 8]
+        assert f"t={occupied[0]:.6g}:" in traj.warnings[0]
         _assert_matches_scalar_references(traj, eq, (2.0,), ((1.0, 0.5),))
 
     def test_free_energy_matrix_names_the_bad_row_index(self):
@@ -418,7 +426,21 @@ class TestBatchedObservables:
         h = bd.relative_free_energy(states, eq)
         assert h.shape == (5,)
         for row, value in zip(states, h):
-            assert value == pytest.approx(bd.relative_free_energy(row, eq), rel=1e-14, abs=0)
+            assert value == bd.relative_free_energy(row, eq)  # bit for bit
+
+    @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+    def test_template_free_energy_rows_are_their_own(self, family):
+        # a row's H is summed over its own support: no other row, however
+        # wide, moves its last digits
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        config = ExperimentConfig(family=family)
+        prep = prepare(config)
+        traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
+        supports = {support_length(c) for c in traj.states}
+        assert len(supports) > 10 and max(supports) == traj.support
+        one_row = [bd.relative_free_energy(c, prep.equilibrium) for c in traj.states]
+        assert traj.free_energy.tolist() == one_row
 
     def test_snapshot_states_are_read_only_views(self, family_a):
         opts = bd.IntegrateOptions(n_snapshots=11, track=(2.0,))
@@ -503,7 +525,7 @@ class TestActiveWindow:
         c0 = np.zeros(2000)
         c0[0], c0[1:1500] = 1.0, 1e-16
         windowed, full, widths = _window_and_full_runs(
-            monkeypatch, bd.ClusterState(c0), family_a, 20.0, bd.IntegrateOptions(n_snapshots=41)
+            monkeypatch, c0, family_a, 20.0, bd.IntegrateOptions(n_snapshots=41)
         )
         _assert_same_run(windowed, full)
         low = int(np.argmin(widths))
@@ -705,7 +727,7 @@ class TestStiffSwitch:
         call without it (DP5(4) only), with ``dp5_changes`` applied."""
         from beckerdoring import _rk
 
-        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, t_end, template.opts)
+        f, args, kwargs = _integrate_call(monkeypatch, template.c0, template.model, t_end, template.opts)
         assert kwargs["jacobian"] is not None
         run = _rk.solve_rk54(f, *args, **kwargs)
         dp5 = _rk.solve_rk54(f, *args, **{**kwargs, "jacobian": None, **dp5_changes})
@@ -735,7 +757,7 @@ class TestStiffSwitch:
         # implicit steps fill the window, so the windowed run is the system
         # truncated to the window; measured 8e-14 from the full-width run
         windowed, full, _ = _window_and_full_runs(
-            monkeypatch, template.state0, template.model, 200.0, template.opts
+            monkeypatch, template.c0, template.model, 200.0, template.opts
         )
         def counts(stats):
             return stats.n_steps, stats.n_rejected_error, stats.n_rejected_filter, stats.n_fev
@@ -761,7 +783,7 @@ class TestBatchedOutputGrid:
     @staticmethod
     def _run(template, t_eval):
         opts = dataclasses.replace(template.opts, t_eval=t_eval)
-        return bd.integrate(template.state0, template.model, 200.0, opts)
+        return bd.integrate(template.c0, template.model, 200.0, opts)
 
     @pytest.fixture(scope="class")
     def dense(self, template):
@@ -778,7 +800,7 @@ class TestBatchedOutputGrid:
             assert np.array_equal(shared[phase], sparse.states[phase])
 
     def test_dead_band_rows_are_clamped(self, monkeypatch, template, dense):
-        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, 200.0,
+        f, args, kwargs = _integrate_call(monkeypatch, template.c0, template.model, 200.0,
                                           dataclasses.replace(template.opts, t_eval=dense.times))
         raw = _rk.solve_rk54(f, *args, **kwargs).y_eval[:, 1:]
         states = dense.states[:, 1:]
@@ -788,7 +810,7 @@ class TestBatchedOutputGrid:
         assert not np.any(dense.states < 0) and not np.any(in_band)
 
     def test_states_vanish_past_the_widest_window(self, monkeypatch, template):
-        f, args, kwargs = _integrate_call(monkeypatch, template.state0, template.model, 200.0, template.opts)
+        f, args, kwargs = _integrate_call(monkeypatch, template.c0, template.model, 200.0, template.opts)
         widths = []
 
         def recording_f(t, y):

@@ -174,10 +174,10 @@ def _pipeline(items: tuple) -> tuple:
     prep = prepare(config)
     grid = np.linspace(0.0, config.t_end, config.snapshots)
     opts = dataclasses.replace(prep.opts, t_eval=grid[grid <= 3.0])
-    traj = bd.integrate(prep.state0, prep.model, 3.0, opts)
-    c_t0 = traj.at(detect_threshold(traj, prep.omega)).c
+    traj = bd.integrate(prep.c0, prep.model, 3.0, opts)
+    c_t0 = traj.at(detect_threshold(traj, prep.omega))
     step = np.where(np.arange(config.n) < 30, 0.5 * prep.rho, 0.0)
-    return config, prep, c_t0, (tail_density(c_t0), tail_density(prep.state0.c), step)
+    return config, prep, c_t0, (tail_density(c_t0), tail_density(prep.c0), step)
 
 
 def pipeline(changes: dict) -> tuple:
@@ -401,7 +401,7 @@ class TestTrimmedSums:
         for changes in PIPELINE_CONFIGS:
             config, prep, c_t0, (g_t0, *_) = pipeline(changes)
             full = _full_support_profile(config.n, prep.rho)
-            yield config, prep, (c_t0, prep.state0.c, full), (g_t0, full)
+            yield config, prep, (c_t0, prep.c0, full), (g_t0, full)
 
     def test_weighted_sum_rhs(self):
         for config, prep, _, profiles in self._states_and_profiles():
