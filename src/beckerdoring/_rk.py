@@ -105,9 +105,9 @@ class StepStats:
     n_rejected_filter: int = 0
     n_fev: int = 0
     t_stiff: float | None = None  # when the stiffness test switched to Rosenbrock steps
-    # the widest window a step ran on; every column of y_eval from it on is
-    # zero.  The same steps on a narrower window are the same run, so ==
-    # ignores it
+    # the widest window a step ran on, and the width of y_eval: every
+    # column from it on would be zero.  The same steps on a narrower window
+    # are the same run, so == ignores it
     w_max: int = field(default=0, compare=False)
 
 
@@ -116,7 +116,7 @@ class RKSolution:
     t: float
     y: np.ndarray
     t_eval: np.ndarray
-    y_eval: np.ndarray  # shape (len(t_eval), n)
+    y_eval: np.ndarray  # shape (len(t_eval), stats.w_max)
     stats: StepStats = field(default_factory=StepStats)
 
 
@@ -252,10 +252,12 @@ def solve_rk54(
     return window-length vectors, and the filter must not make an entry
     non-zero past its input's support.  The error norm stays the RMS over
     all N components, so step control does not depend on the window.
-    ``y_eval`` is (len(t_eval), N) with zeros past each row's window, and
-    ``y`` has length N.  ``stats.w_max`` is the widest window of the run:
-    every column of ``y_eval`` from it on is zero.  Without ``reach`` the
-    window is all N.
+    ``stats.w_max`` is the widest window of the run, and ``y_eval`` is
+    (len(t_eval), w_max): the columns from w_max on would be zero in every
+    row, so they are not stored, and a row is zero past its own window.
+    The matrix starts at the first window's width and doubles (up to N)
+    when a step's window outgrows it.  ``y`` has length N.  Without
+    ``reach`` the window is all N from the start.
     """
     state = np.array(y0, dtype=float)  # the full state: zero past the window
     if not np.all(np.isfinite(state)):
@@ -290,7 +292,7 @@ def solve_rk54(
     k[0, :w] = f(t, y)
     stats.n_fev += 1
 
-    y_eval = np.zeros((len(t_eval), n))
+    y_eval = np.zeros((len(t_eval), w))  # widened as the window grows
     t_out = t_eval.tolist()  # bisect on floats: most steps emit nothing
     i_out = bisect.bisect_right(t_out, t0 + 1e-15 * max(1.0, abs(t0)))
     y_eval[:i_out, :w] = y
@@ -314,6 +316,10 @@ def solve_rk54(
         if h < tiny and not last:
             raise StepSizeUnderflowError(t, h)
         stats.w_max = max(stats.w_max, w)
+        if w > y_eval.shape[1]:
+            wider = np.zeros((len(t_eval), min(n, max(w, 2 * y_eval.shape[1]))))
+            wider[:, : y_eval.shape[1]] = y_eval
+            y_eval = wider
 
         kw = k[:, :w]
         if stiff:
@@ -406,4 +412,4 @@ def solve_rk54(
             stiff, h_cap = True, math.inf
             stats.t_stiff = t
 
-    return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval, stats=stats)
+    return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval[:, : stats.w_max], stats=stats)

@@ -158,7 +158,8 @@ def _cmd_simulate(args) -> int:
         idx = np.linspace(0, n_snapshots - 1, args.dump_states).astype(int)
         j = np.arange(1, config.n + 1)
         for i in sorted(set(idx.tolist())):
-            t, c = float(trajectory.times[i]), trajectory.states[i]
+            t = float(trajectory.times[i])
+            c = trajectory.at(t)
             path = write_columns(args.out / f"state_t{t:g}.csv", ["i,c_i"], [j, c])
             tail_path = write_columns(args.out / f"tail_t{t:g}.csv", ["j,G_j"], [j, tail_density(c)])
             print(f"wrote {path} and {tail_path}")

@@ -291,8 +291,9 @@ def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndar
     m = head.shape[1]
     profile = equilibrium.profile
     q, log_q = profile[:m], equilibrium.log_profile[:m]
-    if np.any(head < 0):
-        raise ParameterError("concentrations must be non-negative")
+    # min and max propagate a NaN, which fails both comparisons; inf fails the second
+    if not (head.min(initial=0.0) >= 0 and head.max(initial=0.0) < math.inf):
+        raise ParameterError("concentrations must be finite and non-negative")
     pos = head > 0
     _, bad = np.nonzero(pos & (log_q == -np.inf))
     if len(bad):

@@ -186,16 +186,16 @@ def check_domination(
     start = int(np.searchsorted(times, t_start - 1e-12))
     if start == len(times):
         raise ParameterError("no snapshots at or after t_start")
-    n = trajectory.states.shape[1]
+    n = trajectory.n
     if len(r) < n:
         raise ParameterError("dominating sequence shorter than the truncation")
     rho = float(trajectory.rho[0])
     eps = tol_dom if tol_dom is not None else DEFAULT_DOMINATION_TOL_FACTOR * max(rho, 1e-300)
     window = trajectory.states[start:]
-    # the run's support: the columns it adds past the window's are zero, so
-    # they change neither the suffix sums nor the largest gaps
+    # the stored head ends at the run's support: the columns past it are
+    # zero, so they change neither the suffix sums nor the largest gaps
     m = trajectory.support
-    gaps = tail_density(window[:, :m]) - r[:m]
+    gaps = tail_density(window) - r[:m]
     tail_gaps = 0.0 - r[m:n]  # G_j = 0 past the support, in every snapshot
     worst = np.maximum(np.max(gaps, axis=1, initial=-math.inf), np.max(tail_gaps, initial=-math.inf))
     max_gap = float(np.max(worst))

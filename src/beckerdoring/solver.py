@@ -30,19 +30,23 @@ implicit stage conserves mass too.
 The positivity clamp (``_clamp`` states its rule; ``abs_tol`` is also
 the width of its dead band) is applied to every accepted step and, once
 after the solve, to every output row.  A run is stored as columns over
-its output times: the (snapshots, N) state matrix, filled from the
-integrator's dense output a batch of rows per accepted step, and one
-column per observable.  The support of the clamped matrix is found once;
-the ``Trajectory`` carries it.  The observables (density, relative free
-energy and the weighted sums of the tracked keys, a moment order k or a
-stretched pair (alpha, mu)) are computed in one pass over the matrix,
-trimmed to that support and summed pairwise along each row in a fixed
-order; compensated summation is kept only in the scalar helpers
-``density``, ``moment`` and ``stretched_moment``.
+its output times: the state matrix, filled from the integrator's dense
+output a batch of rows per accepted step, and one column per observable.
+The matrix holds only the occupied head of each state: the integrator
+stores the columns its widest window reached, and the ``Trajectory``
+keeps the (snapshots, support) head of the clamped matrix, support being
+1 + its last non-zero column; every column past it is zero in every row
+and is not stored.  The observables (density, relative free energy and
+the weighted sums of the tracked keys, a moment order k or a stretched
+pair (alpha, mu)) are computed in one pass over the head, summed
+pairwise along each row in a fixed order; compensated summation is kept
+only in the scalar helpers ``density``, ``moment`` and
+``stretched_moment``.
 
 A state is a plain float array c_1..c_N everywhere, from ``integrate``'s
-initial state to ``Trajectory.at``'s row: ``density``, ``moment``,
-``stretched_moment``, ``net_rates`` and ``rhs`` take the array.
+initial state to ``Trajectory.at``'s row, which pads the stored head
+with zeros to length N: ``density``, ``moment``, ``stretched_moment``,
+``net_rates`` and ``rhs`` take the array.
 
 A single integration is sequential and deterministic.  Distinct
 integrations are independent and may run concurrently.
@@ -67,7 +71,7 @@ DEFAULT_TAIL_THRESHOLD = 1e-6
 
 @dataclass
 class ClusterState:
-    """A row c of ``Trajectory.states`` and its output time t."""
+    """A stored head row c of ``Trajectory.states`` and its output time t."""
 
     c: np.ndarray
     t: float
@@ -242,15 +246,18 @@ class IntegrateOptions:
 class Trajectory:
     """One run as columns over its output times, plus its bookkeeping.
 
-    ``times`` (S,) and ``states`` (S, N) are read-only.  ``rho``,
+    ``times`` (S,) and ``states`` (S, support) are read-only.  ``states``
+    is the occupied head of the run's (S, N) state matrix: ``support`` is
+    1 + the last column that is non-zero in any row, every column from it
+    on is zero and is not stored, and ``n`` is the truncation length N.
+    Both are computed from the ``states`` given when not given, and a wider
+    ``states`` is trimmed to its support, so ``states.shape[1] ==
+    support`` always holds; ``at`` pads a row back to length N.  ``rho``,
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
     ``t_stiff`` is when the integrator switched to Rosenbrock steps, None
-    if it never did; rejected steps are counted by cause.  ``support`` is
-    1 + the last column that is non-zero in any row of ``states`` (every
-    column from it on is zero); it is computed from ``states`` when not
-    given.  ``abs_tol`` is the absolute tolerance the run used, its default
-    resolved.
+    if it never did; rejected steps are counted by cause.  ``abs_tol`` is
+    the absolute tolerance the run used, its default resolved.
     """
 
     model: CoefficientModel
@@ -268,13 +275,17 @@ class Trajectory:
     clamped_mass: float = 0.0
     abs_tol: float = 0.0
     support: int | None = None
+    n: int | None = None
 
     def __post_init__(self):
         self.times = np.array(self.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("snapshot times must be strictly increasing")
+        if self.n is None:
+            self.n = self.states.shape[1]
         if self.support is None:
             self.support = support_length(self.states)
+        self.states = self.states[:, : self.support]
         self.times.flags.writeable = False
         self.states.flags.writeable = False
 
@@ -285,16 +296,20 @@ class Trajectory:
 
     @property
     def snapshots(self) -> list[ClusterState]:
-        """Every output time as a state over its row of ``states``, built on access."""
+        """Every output time as a state over its stored head row of
+        ``states`` (not padded to N), built on access."""
         return [ClusterState(c, t) for t, c in zip(self.times.tolist(), self.states)]
 
     def at(self, t: float) -> np.ndarray:
-        """The read-only row of ``states`` at the output time matching t
-        (within grid round-off)."""
+        """The state at the output time matching t (within grid round-off):
+        a read-only length-N copy, its row of ``states`` followed by zeros."""
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ParameterError(f"no snapshot at t={t}")
-        return self.states[idx]
+        row = np.zeros(self.n)
+        row[: self.support] = self.states[idx]
+        row.flags.writeable = False
+        return row
 
 
 def integrate(
@@ -370,22 +385,22 @@ def integrate(
         jacobian=jacobian,
     )
 
+    # y_eval holds the columns up to the widest window, the rest being zero
     states = sol.y_eval
-    # every row is zero past the widest window, so the clamp needs only the head
-    w = sol.stats.w_max
-    clamped += float(np.abs(_clamp(states[:, :w], i_grid[:w], abs_tol)).sum())
+    clamped += float(np.abs(_clamp(states, i_grid[: states.shape[1]], abs_tol)).sum())
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
-    m = support_length(states[:, :w])
+    m = support_length(states)
     head, i = states[:, :m], i_grid[:m]
     if opts.equilibrium is not None:
         free_energy = _free_energy_head(head, opts.equilibrium)
     else:
         free_energy = np.full(len(states), math.nan)
     warnings: list[str] = []
-    occupied = np.flatnonzero(states[:, -1] > opts.tail_threshold * rho0 / n)
+    # c_N is zero in every snapshot unless the support reaches N
+    occupied = np.flatnonzero(head[:, -1] > opts.tail_threshold * rho0 / n) if m == n else []
     if len(occupied):
-        tq, c_top = sol.t_eval[occupied[0]], states[occupied[0], -1]
+        tq, c_top = sol.t_eval[occupied[0]], head[occupied[0], -1]
         warnings.append(
             f"truncation tail occupied at t={tq:.6g}: c_N = {c_top:.3g} exceeds "
             f"{opts.tail_threshold:g} * rho / N; the truncation may no longer be faithful"
@@ -394,7 +409,7 @@ def integrate(
     return Trajectory(
         model=model,
         times=sol.t_eval,
-        states=states,
+        states=head,
         rho=(head * i).sum(axis=1),
         free_energy=free_energy,
         tracked={key: (head * weight(key, i)).sum(axis=1) for key in opts.track},
@@ -406,6 +421,7 @@ def integrate(
         t_stiff=sol.stats.t_stiff,
         clamped_mass=clamped,
         support=m,
+        n=n,
         abs_tol=abs_tol,
     )
 
@@ -422,7 +438,8 @@ def weak_form_residual(trajectory: Trajectory, phi: np.ndarray, t: float) -> flo
     idx = int(np.argmin(np.abs(times - t)))
     if idx == 0 or idx == len(times) - 1:
         raise ParameterError("need interior snapshot time for the centered difference")
-    c_prev, c_mid, c_next = trajectory.states[idx - 1 : idx + 2]
+    # full rows: net_rates of a head row would drop its last flux
+    c_prev, c_mid, c_next = (trajectory.at(s) for s in times[idx - 1 : idx + 2].tolist())
     n = len(c_mid)
     if len(phi) < n:
         raise ParameterError("weight sequence shorter than the truncation")

@@ -36,6 +36,20 @@ def monodisperse(n: int, rho: float) -> np.ndarray:
     return c
 
 
+def full_states(traj: bd.Trajectory) -> np.ndarray:
+    """A run's (snapshots, N) state matrix: each stored head row of
+    ``traj.states`` padded with zeros to length N, as ``Trajectory.at``
+    returns it."""
+    return np.array([traj.at(t) for t in traj.times.tolist()])
+
+
+def padded(rows: np.ndarray, n: int) -> np.ndarray:
+    """The rows of a matrix padded with zeros to width n."""
+    out = np.zeros((len(rows), n))
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
 def bare_equilibrium(profile) -> bd.EquilibriumData:
     """Equilibrium data around a given profile, log Q_i = -inf where Q_i = 0;
     the other fields are NaN (``relative_free_energy`` reads only these two)."""

@@ -17,7 +17,7 @@ import beckerdoring as bd
 from beckerdoring.experiments import ExperimentConfig, run_uniform_moment_experiment
 from beckerdoring.supersolution import make_params, build_supersolution, verify_supersolution, weighted_sum_bound
 from beckerdoring.tails import stretched_weights, stretched_sandwich_check, tail_density, tail_moment, tail_rhs
-from conftest import monodisperse
+from conftest import full_states, monodisperse
 
 
 def _criterion(number, name, ok, detail=""):
@@ -66,7 +66,7 @@ def test_criterion_2_detailed_balance_fixed_point(flagship_model, flagship_equil
         eq.profile.copy(), flagship_model, 100.0,
         bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=51),
     )
-    drift = float(np.max(np.abs(traj.states - eq.profile)))
+    drift = float(np.max(np.abs(full_states(traj) - eq.profile)))
     drift_ok = drift <= 1e-6 * float(np.max(eq.profile))
     _criterion(
         2, "detailed balance fixed point", rates_ok and drift_ok,
@@ -125,7 +125,7 @@ def test_criterion_5_tail_dynamics_consistency(flagship_model):
     worst = 0.0
     for t in np.linspace(0.3, 2.7, 20):
         idx = int(np.argmin(np.abs(times - t)))
-        g_prev, g_mid, g_next = (tail_density(c) for c in traj.states[idx - 1 : idx + 2])
+        g_prev, g_mid, g_next = (tail_density(traj.at(s)) for s in times[idx - 1 : idx + 2].tolist())
         fd = (g_next - g_prev) / (2 * dt)
         rhs = tail_rhs(g_mid, traj.states[idx, 0], flagship_model)
         window_fd = fd[1:50]        # tail entries j = 2..50

@@ -4,9 +4,12 @@
 ``bench/check.py`` reads the report's trajectory; a rename in the library
 would otherwise only show when the benchmark runs.
 """
+import dataclasses
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from beckerdoring import density, experiments
@@ -49,6 +52,29 @@ def test_tracing_sees_the_solver_and_the_supersolution_step(traced_report):
 def test_bench_check_finds_no_problems(traced_report):
     report, _, _ = traced_report
     assert _load("check").check_report(report, density, golden=None) == []
+
+
+def _with_full_rows(report):
+    """The report as ``check.py`` would read it from a full (snapshots, N)
+    matrix: each snapshot's stored head row padded with zeros to N."""
+    trajectory = report.trajectory
+    rows = [SimpleNamespace(c=trajectory.at(s.t), t=s.t) for s in trajectory.snapshots]
+    return dataclasses.replace(report, trajectory=SimpleNamespace(snapshots=rows))
+
+
+def test_bench_check_reads_head_rows_as_full_rows(traced_report):
+    # the check's density drift and suffix sums give the same verdict on the
+    # stored head rows, so it need not rebuild the (snapshots, N) matrix
+    report, _, _ = traced_report
+    trajectory = report.trajectory
+    assert trajectory.support < trajectory.n
+    assert all(np.shares_memory(s.c, trajectory.states) for s in trajectory.snapshots)
+    check = _load("check").check_report
+    undominated = dataclasses.replace(report, supersolution=SimpleNamespace(r=np.zeros(trajectory.n)))
+    for case in (report, undominated):
+        problems = check(case, density, golden=None)
+        assert problems == check(_with_full_rows(case), density, golden=None)
+    assert problems and "final tail density exceeds r at j=1" in problems[-1]
 
 
 def test_filter_callback_runs_once_per_step_that_passed_the_error_test(traced_report):

@@ -81,7 +81,8 @@ def test_dumped_states_parse_back_to_the_trajectory(small_config, tmp_path):
     prep = prepare(config)
     traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
     for i in np.linspace(0, len(traj.times) - 1, 3).astype(int):
-        t, c = traj.times[i], traj.states[i]
+        t = traj.times[i]
+        c = traj.at(t)
         for name, want in ((f"state_t{t:g}.csv", c), (f"tail_t{t:g}.csv", bd.tail_density(c))):
             data = np.loadtxt(out_dir / name, delimiter=",", skiprows=1)
             assert np.array_equal(data[:, 0], np.arange(1, len(want) + 1))

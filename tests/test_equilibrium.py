@@ -191,6 +191,19 @@ class TestRelativeFreeEnergy:
         c[-1] = 1e-30  # mass past the underflow cut
         assert math.isfinite(bd.relative_free_energy(c, eq))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_entries(self, family_a, bad):
+        # a NaN once counted as zero: (1, nan, 0, ...) got a finite H, one
+        # ulp from that of (1, 0, ...)
+        crit = bd.critical_values(family_a, 100_000)
+        z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
+        c = np.zeros(300)
+        c[0], c[1] = 1.0, bad
+        for states in (c, np.array([eq.profile, c])):
+            with pytest.raises(ParameterError, match="concentrations must be finite and non-negative"):
+                bd.relative_free_energy(states, eq)
+
     def test_length_mismatch(self, ones_model):
         eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         with pytest.raises(ParameterError):

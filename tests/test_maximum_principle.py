@@ -153,7 +153,7 @@ class TestCheckDomination:
     @pytest.mark.parametrize("case", ["holds", "head", "past_support"])
     def test_matches_per_snapshot_reference(self, trajectory, case):
         # the one-pass check against the per-snapshot loop it replaced
-        n = trajectory.states.shape[1]
+        n = trajectory.n
         r = bd.tail_density(trajectory.at(2.0)) + 1.0
         if case == "head":
             r[2] = 0.0
@@ -162,11 +162,11 @@ class TestCheckDomination:
         report = bd.check_domination(trajectory, r, 2.0)
         eps = 1e-10 * trajectory.rho[0]
         max_gap, first, checked = -math.inf, None, 0
-        for t, c in zip(trajectory.times.tolist(), trajectory.states):
+        for t in trajectory.times.tolist():
             if t < 2.0 - 1e-12:
                 continue
             checked += 1
-            gaps = bd.tail_density(c) - r
+            gaps = bd.tail_density(trajectory.at(t)) - r
             max_gap = max(max_gap, float(np.max(gaps)))
             if first is None and np.max(gaps) > eps:
                 j = int(np.argmax(gaps > eps)) + 1

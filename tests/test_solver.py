@@ -12,7 +12,7 @@ from beckerdoring import _rk, solver
 from beckerdoring.cli import EXIT_NUMERICAL, _exit_code
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
-from conftest import bare_equilibrium, monodisperse
+from conftest import bare_equilibrium, full_states, monodisperse, padded
 
 
 class TestNetRates:
@@ -93,7 +93,7 @@ class TestIntegrate:
         eq = bd.equilibrium_profile(family_a, z, 500, critical=crit)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=21)
         traj = bd.integrate(eq.profile.copy(), family_a, 10.0, opts)
-        drift = float(np.max(np.abs(traj.states - eq.profile)))
+        drift = float(np.max(np.abs(full_states(traj) - eq.profile)))
         assert drift <= 10 * 1e-8 * float(np.max(eq.profile))
 
     def test_mass_conserved_and_positive(self, family_a):
@@ -115,7 +115,7 @@ class TestIntegrate:
         state0 = monodisperse(200, 1.0)
         ref = bd.integrate(state0, family_a, 5.0, bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=2))
         run = bd.integrate(state0, family_a, 5.0, bd.IntegrateOptions(rel_tol=1e-6, n_snapshots=2))
-        err = float(np.max(np.abs(run.states[-1] - ref.states[-1])))
+        err = float(np.max(np.abs(run.at(5.0) - ref.at(5.0))))  # full rows: supports may differ
         scale = float(np.max(ref.states[-1]))
         assert err <= 100 * 1e-6 * scale
 
@@ -174,9 +174,10 @@ class TestIntegrate:
         t_eval = np.array([0.0, 0.5, 1.5, 4.0])
         traj = bd.integrate(monodisperse(50, 0.5), family_a, 4.0, bd.IntegrateOptions(t_eval=t_eval))
         assert traj.times == pytest.approx(t_eval, abs=0)
-        row = traj.at(1.5 + 1e-12)  # the row itself, read-only
-        assert np.shares_memory(row, traj.states) and not row.flags.writeable
-        assert np.array_equal(row, traj.states[2])
+        row = traj.at(1.5 + 1e-12)  # the stored head row padded to N, read-only
+        assert not np.shares_memory(row, traj.states) and not row.flags.writeable
+        assert traj.states.shape == (4, traj.support) and traj.support < traj.n == 50
+        assert np.array_equal(row, np.concatenate([traj.states[2], np.zeros(50 - traj.support)]))
         with pytest.raises(ParameterError):
             traj.at(2.37)
 
@@ -202,6 +203,15 @@ class TestIntegrate:
                 model=family_a, times=np.array([0.0, 0.0]), states=np.zeros((2, 3)),
                 rho=np.zeros(2), free_energy=np.zeros(2),
             )
+
+    def test_trajectory_keeps_the_head_of_wider_states(self, family_a):
+        states = np.array([[1.0, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        traj = bd.Trajectory(
+            model=family_a, times=np.array([0.0, 1.0]), states=states,
+            rho=np.zeros(2), free_energy=np.zeros(2),
+        )
+        assert (traj.support, traj.n) == (2, 4) and traj.states.shape == (2, 2)
+        assert traj.at(0.0).tolist() == [1.0, 0.5, 0.0, 0.0]
 
     @pytest.mark.parametrize("family, counts", [
         ("power_law", (1361, 199, 1, 25.05435045561707)),
@@ -306,7 +316,7 @@ class TestCrossValidation:
             t_eval=traj.times,
         )
         assert sol.success
-        err = float(np.max(np.abs(traj.states[-1] - sol.y[:, -1])))
+        err = float(np.max(np.abs(traj.at(5.0) - sol.y[:, -1])))
         assert err <= 1e-8
 
     def test_free_energy_dissipation_identity(self, ones_model):
@@ -359,8 +369,9 @@ class TestWeakFormResidual:
 
 def _assert_matches_scalar_references(traj, eq, k_moments, stretched):
     # batched, support-trimmed observables against the compensated scalar
-    # helpers and the one-state free energy, snapshot by snapshot
-    for j, c in enumerate(traj.states):
+    # helpers and the one-state free energy, snapshot by snapshot, on the
+    # full rows
+    for j, c in enumerate(full_states(traj)):
         assert traj.rho[j] == pytest.approx(bd.density(c), rel=1e-14, abs=0)
         for k in k_moments:
             assert traj.tracked[k][j] == pytest.approx(bd.moment(c, k), rel=1e-14, abs=0)
@@ -378,7 +389,7 @@ class TestBatchedObservables:
         prep = prepare(config)
         traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
         # the dead band leaves a short support: the trimming is exercised
-        assert not np.any(traj.states[:, 100:])
+        assert traj.states.shape == (len(traj.times), traj.support) and traj.support < 100
         _assert_matches_scalar_references(traj, prep.equilibrium, config.k_moments, config.stretched)
 
     def test_full_support_run_matches_scalar_references(self, family_a):
@@ -439,7 +450,7 @@ class TestBatchedObservables:
         traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
         supports = {support_length(c) for c in traj.states}
         assert len(supports) > 10 and max(supports) == traj.support
-        one_row = [bd.relative_free_energy(c, prep.equilibrium) for c in traj.states]
+        one_row = [bd.relative_free_energy(c, prep.equilibrium) for c in full_states(traj)]
         assert traj.free_energy.tolist() == one_row
 
     def test_snapshot_states_are_read_only_views(self, family_a):
@@ -493,10 +504,13 @@ def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
 def _assert_same_run(windowed, full):
     # rows agree within 1e-12 of their largest entry: the summation order
     # differs, and entries at the support's front are tiny and grow out of
-    # cancelling stage sums, so a last-bit change is relatively large there
+    # cancelling stage sums, so a last-bit change is relatively large there.
+    # The windowed run stores its widest window, the full run all N columns
+    n = len(full.y)
     assert windowed.stats == full.stats
-    assert windowed.y_eval.shape == full.y_eval.shape
-    for row, ref in zip([*windowed.y_eval, windowed.y], [*full.y_eval, full.y]):
+    assert windowed.y_eval.shape == (len(full.t_eval), windowed.stats.w_max)
+    assert full.y_eval.shape == (len(full.t_eval), n)
+    for row, ref in zip([*padded(windowed.y_eval, n), windowed.y], [*full.y_eval, full.y]):
         assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert not np.any(row[support_length(ref):])
 
@@ -738,7 +752,9 @@ class TestStiffSwitch:
         run, dp5 = self._runs(monkeypatch, template, 200.0)
         before = run.t_eval <= run.stats.t_stiff
         assert 0 < before.sum() < len(before)
-        assert np.array_equal(run.y_eval[before], dp5.y_eval[before])
+        # each run stores its own widest window: compare at the wider one
+        width = max(run.stats.w_max, dp5.stats.w_max)
+        assert np.array_equal(padded(run.y_eval, width)[before], padded(dp5.y_eval, width)[before])
 
     def test_rosenbrock_phase_matches_tight_dp5(self, monkeypatch, template):
         # measured 4.2e-11; the DP5(4) run at rel_tol 1e-8 is off by 3.2e-9
@@ -765,7 +781,8 @@ class TestStiffSwitch:
         assert counts(windowed.stats) == counts(full.stats)
         assert windowed.stats.t_stiff == pytest.approx(full.stats.t_stiff, rel=1e-12)
         rho = template.rho
-        for row, ref in zip([*windowed.y_eval, windowed.y], [*full.y_eval, full.y]):
+        rows = padded(windowed.y_eval, len(full.y))
+        for row, ref in zip([*rows, windowed.y], [*full.y_eval, full.y]):
             assert np.max(np.abs(row - ref)) <= 1e-11 * rho
 
 
@@ -818,11 +835,41 @@ class TestBatchedOutputGrid:
             return f(t, y)
 
         sol = _rk.solve_rk54(recording_f, *args, **kwargs)
-        assert sol.stats.w_max in widths and sol.stats.w_max < sol.y_eval.shape[1]
-        assert not np.any(sol.y_eval[:, sol.stats.w_max :])
+        # the columns from the widest window on are zero, so none is stored
+        assert sol.stats.w_max in widths and sol.stats.w_max < len(sol.y)
+        assert sol.y_eval.shape == (len(sol.t_eval), sol.stats.w_max)
+
+    def test_large_n_run_stores_only_its_head(self, monkeypatch):
+        # N = 32 000 with a support of a few dozen sizes: a (41, N) snapshot
+        # matrix alone would be 10.5 MB; the call's traced peak measures
+        # 2.9 MB, most of it the integrator's (7, N) stage buffer
+        import tracemalloc
+
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        config = ExperimentConfig(n=32_000, t_end=20.0, snapshots=41)
+        prep = prepare(config)
+        sols = []
+
+        def spy(f, *args, **kwargs):
+            sols.append(_rk.solve_rk54(f, *args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(solver, "solve_rk54", spy)
+        tracemalloc.start()
+        try:
+            traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (sol,) = sols
+        assert traj.states.shape == (41, traj.support) and traj.n == 32_000
+        assert sol.y_eval.shape[1] == sol.stats.w_max < 100
+        assert peak <= 4e6, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_carried_support(self, dense):
-        assert dense.support == support_length(dense.states) < dense.states.shape[1]
+        assert dense.support == support_length(dense.states) == dense.states.shape[1] < dense.n
+        assert not np.any(full_states(dense)[:, dense.support :])
 
 
 class TestDenseOutputRows:
