@@ -186,7 +186,6 @@ def _cmd_supersolution(args) -> int:
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
     report = check_assumptions(config.build_model(), min(config.n_series, 100_000))
-    print(f"growth_ok={report.growth_ok} first_violation={report.growth_first_violation}")
     print(f"frag_ok={report.frag_ok} b_bar_observed={report.b_bar_observed!r}")
     print(f"ratio_ok={report.ratio_ok} estimate={report.ratio_estimate!r} target={report.ratio_target!r}")
     print(f"profile_monotone_ok={report.profile_monotone_ok} start_index={report.profile_start_index}")

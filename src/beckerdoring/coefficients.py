@@ -28,13 +28,13 @@ class Family(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientModel:
-    """A coagulation/fragmentation rate pair a_i, b_i with growth metadata.
+    """A coagulation/fragmentation rate pair a_i, b_i.
 
     ``gamma`` is the coagulation growth exponent; ``z_s_param`` the asymptotic
     fragmentation-to-coagulation ratio (None when unknown, e.g. for raw
-    tables).  ``a_bar`` bounds a_i / i^gamma from above; for gamma = 1 the
-    linear-branch constants ``c1_lin <= a_i/i <= c2_lin`` apply instead.
-    ``b_bar`` is sup_i b_i/a_i over the evaluated range.
+    tables).  ``b_bar`` is sup_i b_i/a_i over the evaluated range.  b_1 never
+    enters the dynamics, so any family may set it to 0; its log ratio is
+    then -inf and it never attains the sup.
     """
 
     family: Family
@@ -43,21 +43,9 @@ class CoefficientModel:
     q: float | None = None
     mu_c: float | None = None
     sigma: float | None = None
-    a_bar: float | None = None
-    c1_lin: float | None = None
-    c2_lin: float | None = None
     b_bar: float = 0.0
     a_table: np.ndarray | None = field(default=None, repr=False)
     b_table: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def positivity_start(self) -> int:
-        """First index at which b_i > 0 is required.
-
-        The exponential-tail family has b_1 = 0 by convention; b_1 never
-        enters the dynamics, so checks start at i = 2 there.
-        """
-        return 2 if self.family is Family.EXPONENTIAL_TAIL else 1
 
     @property
     def table_length(self) -> int | None:
@@ -141,7 +129,7 @@ class CoefficientModel:
 
 
 def _sup_ratio_b_over_a(model: CoefficientModel, n_eval: int) -> float:
-    i = np.arange(model.positivity_start, n_eval + 1)
+    i = np.arange(1, n_eval + 1)
     ratio = np.exp(model.log_b(i) - model.log_a(i))
     sup = float(np.max(ratio))
     if model.z_s_param is not None:
@@ -161,16 +149,12 @@ def make_power_law_model(gamma: float, z_s: float, q: float, mu_c: float) -> Coe
         raise ParameterError("z_s and q must be positive")
     if not (0 < mu_c < 1):
         raise ParameterError(f"mu_c must be in (0, 1), got {mu_c}")
-    lin = 1.0 if gamma == 1.0 else None
     return CoefficientModel(
         family=Family.POWER_LAW,
         gamma=gamma,
         z_s_param=z_s,
         q=q,
         mu_c=mu_c,
-        a_bar=1.0,
-        c1_lin=lin,
-        c2_lin=lin,
         b_bar=z_s + q,
     )
 
@@ -196,7 +180,6 @@ def make_exponential_tail_model(
         z_s_param=z_s,
         sigma=sigma,
         mu_c=mu_c,
-        a_bar=1.0,
     )
     object.__setattr__(model, "b_bar", _sup_ratio_b_over_a(model, _EVAL_RANGE))
     return model
@@ -211,10 +194,10 @@ def make_custom_model(
 ) -> CoefficientModel:
     """Model backed by tabulated rates a_1..a_L, b_1..b_L.
 
-    ``gamma`` classifies the growth branch used by the assumption checks
-    (gamma = 1 selects the linear-branch bounds).  Bound constants are
-    estimated from the table itself; assumptions are then checked
-    numerically rather than assumed.
+    ``gamma`` is the growth exponent the table is declared to follow
+    (a_i ~ i^gamma); it is taken as given.  ``b_bar`` is the table's own
+    max of b_i/a_i, and ``check_assumptions`` tests the remaining
+    hypotheses numerically.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -224,28 +207,14 @@ def make_custom_model(
         raise ParameterError("tabulated a_i must be positive")
     if np.any(b[1:] <= 0) or b[0] < 0:
         raise ParameterError("tabulated b_i must be positive (b_1 may be 0)")
-    i = np.arange(1, len(a) + 1, dtype=float)
-    if gamma == 1.0:
-        c1 = float(np.min(a / i))
-        c2 = float(np.max(a / i))
-        a_bar = None
-    else:
-        c1 = c2 = None
-        a_bar = float(np.max(a / i**gamma))
-    model = CoefficientModel(
+    return CoefficientModel(
         family=Family.CUSTOM,
         gamma=gamma,
         z_s_param=z_s,
-        a_bar=a_bar,
-        c1_lin=c1,
-        c2_lin=c2,
+        b_bar=float(np.max(b / a)),
         a_table=a,
         b_table=b,
     )
-    start = 1 if b[0] > 0 else 2
-    ratio = b[start - 1 :] / a[start - 1 :]
-    object.__setattr__(model, "b_bar", float(np.max(ratio)))
-    return model
 
 
 def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float | None = None) -> CoefficientModel:
@@ -307,15 +276,17 @@ def detailed_balance(model: CoefficientModel, n: int) -> DetailedBalance:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Verdicts for the four structural assumptions on a rate pair.
+    """Verdicts for the three structural assumptions on a rate pair.
 
-    Violations are reported, never raised.  ``profile_start_index`` is the
-    first index i0 from which Q_i z_s^i is non-increasing (1 when globally
-    monotone); a non-monotone prefix is tolerated.
+    ``frag_ok``: b_i/a_i is bounded (its sup is not still climbing at the
+    end of the scan).  ``ratio_ok``: Q_{i+1}/Q_i tends to 1/z_s, i.e.
+    b_i/a_i -> z_s.  ``profile_monotone_ok``: Q_i z_s^i is eventually
+    non-increasing.  Violations are reported, never raised.
+    ``profile_start_index`` is the first index i0 from which Q_i z_s^i is
+    non-increasing (1 when globally monotone); a non-monotone prefix is
+    tolerated.
     """
 
-    growth_ok: bool
-    growth_first_violation: int | None
     frag_ok: bool
     frag_first_violation: int | None
     b_bar_observed: float
@@ -327,11 +298,17 @@ class AssumptionReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.growth_ok and self.frag_ok and self.ratio_ok and self.profile_monotone_ok
+        return self.frag_ok and self.ratio_ok and self.profile_monotone_ok
 
 
 def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> AssumptionReport:
     """Scan i = 1..n and report whether the standing assumptions hold.
+
+    For a rate table the scan stops at its last row (n is clamped to the
+    table length).  The growth bound on a_i is not scanned: a_i = i^gamma
+    for the built-in families, and a finite table meets it with its own
+    max of a_i/i^gamma.  Nor is b_i > 0 (for i >= 2): building a model
+    enforces it.
 
     The ratio check splits the last N/10 indices into blocks and requires
     the block-averaged gap |Q_{i+1}/Q_i - 1/z_s| to shrink monotonically
@@ -340,44 +317,24 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     The monotonicity check of Q_i z_s^i allows an initial non-monotone
     prefix and reports its end.
     """
+    if model.table_length is not None:
+        n = min(n, model.table_length)
     if n < 10:
         raise ParameterError("assumption scan needs n >= 10")
     slack = 1e-12
-    i = np.arange(1, n + 1, dtype=float)
-    av = model.a(i)
 
-    # growth bound: positivity plus the branch bound on a_i
-    growth_viol = None
-    if np.any(av <= 0):
-        growth_viol = int(np.argmax(av <= 0)) + 1
-    elif model.gamma == 1.0 and model.c1_lin is not None:
-        bad = (av < model.c1_lin * i * (1 - slack)) | (av > model.c2_lin * i * (1 + slack))
-        if np.any(bad):
-            growth_viol = int(np.argmax(bad)) + 1
-    elif model.a_bar is not None:
-        bad = av > model.a_bar * i**model.gamma * (1 + slack)
-        if np.any(bad):
-            growth_viol = int(np.argmax(bad)) + 1
-
-    # fragmentation bound: positivity and bounded b_i/a_i (flag a sup that is
-    # still climbing at the edge of the scan)
-    start = model.positivity_start
-    bi = np.arange(start, n + 1, dtype=float)
+    # fragmentation bound: bounded b_i/a_i (flag a sup that is still
+    # climbing at the edge of the scan); a zero b_1 has log ratio -inf
+    bi = np.arange(1, n + 1, dtype=float)
     log_ratio_ba = model.log_b(bi) - model.log_a(bi)
-    frag_viol = None
-    bv = model.b(bi)
-    if np.any(bv <= 0):
-        frag_viol = int(np.argmax(bv <= 0)) + start
     b_bar_obs = float(np.exp(np.max(log_ratio_ba)))
     argmax = int(np.argmax(log_ratio_ba))
     edge = len(log_ratio_ba) - 1
-    climbing = (
+    frag_ok = not (
         argmax > 0.99 * edge
         and log_ratio_ba[edge] > log_ratio_ba[int(0.9 * edge)] + slack
     )
-    frag_ok = frag_viol is None and not climbing
-    if frag_viol is None and climbing:
-        frag_viol = argmax + start
+    frag_viol = None if frag_ok else argmax + 1
 
     # tail ratio of Q: block-averaged gaps to 1/z_s must shrink (or already
     # hit) the target; stabilization test when no z_s is known
@@ -410,8 +367,6 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
         profile_ok = i0 <= max(2, int(0.9 * n))
 
     return AssumptionReport(
-        growth_ok=growth_viol is None,
-        growth_first_violation=growth_viol,
         frag_ok=frag_ok,
         frag_first_violation=frag_viol,
         b_bar_observed=b_bar_obs,

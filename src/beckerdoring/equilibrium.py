@@ -33,7 +33,6 @@ class CriticalValues:
     rho_s: float
     diverges: bool
     inconclusive: bool
-    n_used: int
 
 
 def critical_values(model: CoefficientModel, n: int = _N_SERIES_DEFAULT, tol: float = 1e-8) -> CriticalValues:
@@ -55,11 +54,9 @@ def critical_values(model: CoefficientModel, n: int = _N_SERIES_DEFAULT, tol: fl
     s_full = float(np.sum(terms))
     tol_div = max(tol, 1e-6)
     if s_half > 0 and s_full > s_half * (1.0 + tol_div):
-        return CriticalValues(z_s=z_s, rho_s=math.inf, diverges=True, inconclusive=False, n_used=n)
+        return CriticalValues(z_s=z_s, rho_s=math.inf, diverges=True, inconclusive=False)
     stabilized = s_full - s_half <= tol * s_full
-    return CriticalValues(
-        z_s=z_s, rho_s=s_full, diverges=False, inconclusive=not stabilized, n_used=n
-    )
+    return CriticalValues(z_s=z_s, rho_s=s_full, diverges=False, inconclusive=not stabilized)
 
 
 def density_at_activity(
@@ -184,15 +181,13 @@ def solve_monomer_activity(
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumData:
-    """A subcritical equilibrium profile Q_i z_bar^i with its critical data.
+    """A subcritical equilibrium profile Q_i z_bar^i.
 
     ``cut_index`` is the first (1-based) index zeroed by double underflow,
     None when every entry is representable.  ``tail_bound`` estimates the
     density carried beyond the truncation.
     """
 
-    z_s: float
-    rho_s: float
     z_bar: float
     profile: np.ndarray
     log_profile: np.ndarray
@@ -218,8 +213,6 @@ def equilibrium_profile(
         raise ParameterError(f"activity {z_bar} outside [0, z_s = {critical.z_s:.6g})")
     if z_bar == 0.0:
         return EquilibriumData(
-            z_s=critical.z_s,
-            rho_s=critical.rho_s,
             z_bar=0.0,
             profile=np.zeros(n),
             log_profile=np.full(n, -np.inf),
@@ -243,8 +236,6 @@ def equilibrium_profile(
     else:
         tail = 0.0
     return EquilibriumData(
-        z_s=critical.z_s,
-        rho_s=critical.rho_s,
         z_bar=z_bar,
         profile=profile,
         log_profile=log_profile,

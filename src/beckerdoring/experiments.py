@@ -190,14 +190,11 @@ class ShortTimeBound:
 
     ``eps`` is the largest constant with phi_{i+1} - phi_i >= eps * phi_1;
     ``a_phi`` the supremum of a_i (phi_{i+1} - phi_i) / phi_i over the scan.
-    Edge flags mark extrema still moving at the end of the range.
     """
 
     c_phi: float
     eps: float
     a_phi: float
-    eps_at_edge: bool
-    a_phi_argmax: int
 
 
 def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) -> ShortTimeBound:
@@ -216,7 +213,6 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
     eps = float(np.min(diffs)) / float(phi[0])
     if eps <= 0:
         raise ParameterError("weights must be strictly increasing")
-    eps_at_edge = int(np.argmin(diffs)) == len(diffs) - 1
     a = model.a(np.arange(1, len(phi), dtype=float))
     ratios = a * diffs / phi[:-1]
     argmax = int(np.argmax(ratios))
@@ -231,8 +227,6 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
         c_phi=(rho + model.b_bar / eps) * a_phi,
         eps=eps,
         a_phi=a_phi,
-        eps_at_edge=eps_at_edge,
-        a_phi_argmax=argmax + 1,
     )
 
 
@@ -458,7 +452,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 ok=dom.holds,
                 info={
                     "max_gap": dom.max_gap,
-                    "epsilon": dom.epsilon_used,
+                    "epsilon": dom.tol,
                     "first_violation": dom.first_violation,
                     "n_snapshots": dom.n_snapshots,
                 },

@@ -155,14 +155,14 @@ def verify_sign_preservation(
 class DominationReport:
     """Outcome of comparing tail densities against a dominating sequence.
 
-    ``max_gap`` <= the tolerance means domination holds over the window;
+    ``max_gap`` <= ``tol`` means domination holds over the window;
     ``first_violation`` is (t, j, gap) for the earliest snapshot and
     smallest index exceeding it.
     """
 
     holds: bool
     max_gap: float
-    epsilon_used: float
+    tol: float
     first_violation: tuple[float, int, float] | None
     n_snapshots: int
 
@@ -208,7 +208,7 @@ def check_domination(
     return DominationReport(
         holds=max_gap <= eps,
         max_gap=max_gap,
-        epsilon_used=eps,
+        tol=eps,
         first_violation=first,
         n_snapshots=len(window),
     )

@@ -129,8 +129,6 @@ class Supersolution:
     lam: float
     n_switch: int
     n_head: int
-    omega: float
-    rho: float
     tail_value: float
     uniform_bound: float
 
@@ -222,8 +220,6 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         lam=lam,
         n_switch=ns,
         n_head=m,
-        omega=omega,
-        rho=rho,
         tail_value=tail_value,
         uniform_bound=params.uniform_bound,
     )

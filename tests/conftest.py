@@ -57,6 +57,6 @@ def bare_equilibrium(profile) -> bd.EquilibriumData:
     with np.errstate(divide="ignore"):
         log_profile = np.log(profile)
     return bd.EquilibriumData(
-        z_s=math.nan, rho_s=math.nan, z_bar=math.nan, profile=profile, log_profile=log_profile,
+        z_bar=math.nan, profile=profile, log_profile=log_profile,
         rho=math.nan, cut_index=None, tail_bound=math.nan,
     )

@@ -41,7 +41,19 @@ def test_config_template_parses(capsys):
 
 def test_verify_ok(small_config, capsys):
     assert main(["verify", "--config", str(small_config)]) == 0
-    assert "all_ok=True" in capsys.readouterr().out
+    keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["frag_ok", "ratio_ok", "profile_monotone_ok", "all_ok"]
+
+
+def test_verify_stops_at_the_table_end(tmp_path, capsys):
+    # a 500-row power-law table under the default n_series = 100000
+    rates = tmp_path / "rates.txt"
+    model = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5)
+    rates.write_text("".join(f"{i} {model.a(i)!r} {model.b(i)!r}\n" for i in range(1, 501)))
+    config = tmp_path / "custom.toml"
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 100\n')
+    assert main(["verify", "--config", str(config)]) == 0
+    assert "all_ok=True" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_failure_exit_2(tmp_path, capsys):
@@ -49,7 +61,7 @@ def test_verify_failure_exit_2(tmp_path, capsys):
     rates = tmp_path / "rates.txt"
     rates.write_text("\n".join(f"{i} 1.0 {1.0 / i!r}" for i in range(1, 2001)) + "\n")
     config = tmp_path / "custom.toml"
-    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 100\nn_series = 2000\n')
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 100\n')
     assert main(["verify", "--config", str(config)]) == 2
     assert "ratio_ok=False" in capsys.readouterr().out
 

@@ -9,6 +9,16 @@ import beckerdoring as bd
 from beckerdoring.errors import ParameterError
 
 
+def power_law_table_b1_zero(n: int = 500) -> bd.CoefficientModel:
+    """The power-law rates (gamma = 1/2, z_s = q = 1, mu_c = 1/2) as an
+    n-row table with b_1 = 0, the exponential-tail family's convention."""
+    rates = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5)
+    i = np.arange(1, n + 1, dtype=float)
+    b = rates.b(i)
+    b[0] = 0.0
+    return bd.make_custom_model(rates.a(i), b, gamma=0.5, z_s=1.0)
+
+
 class TestPowerLawFamily:
     def test_rate_formulas(self, family_a):
         # direct formula evaluation: a_4 = 4^(1/2), b_4 = a_4 (1 + 4^(-1/2))
@@ -19,7 +29,6 @@ class TestPowerLawFamily:
         model = bd.make_power_law_model(1.0, 2.0, 1.0, 0.5)
         i = np.arange(1, 500, dtype=float)
         assert np.allclose(model.a(i), i)
-        assert model.c1_lin == model.c2_lin == 1.0
 
     def test_b_bar_is_sup_of_ratio(self, family_a):
         # sup of z_s + q i^(mu-1) is attained at i = 1
@@ -58,7 +67,6 @@ class TestExponentialTailFamily:
 
     def test_b1_convention(self, family_b):
         assert family_b.b(1) == 0.0
-        assert family_b.positivity_start == 2
         i = np.arange(2, 2000, dtype=float)
         assert np.all(family_b.b(i) > 0)
 
@@ -142,10 +150,17 @@ class TestCheckAssumptions:
             bd.make_power_law_model(0.3, 0.3, 2.0, 0.8),
             bd.make_exponential_tail_model(0.8, 0.5, 2.0, 0.8),
             bd.make_exponential_tail_model(0.2, 2.0, 0.4, 0.2),
+            power_law_table_b1_zero(),
         ],
     )
     def test_both_families_any_valid_parameters(self, model):
-        assert bd.check_assumptions(model, 2_000).all_ok
+        # a table shorter than the scan is scanned up to its last row; a zero
+        # b_1 (log ratio -inf) neither sets the sup nor counts as a violation
+        report = bd.check_assumptions(model, 2_000)
+        assert report.all_ok
+        assert report.frag_first_violation is None
+        i = np.arange(1, min(2_000, model.table_length or 2_000) + 1, dtype=float)
+        assert report.b_bar_observed == pytest.approx(np.max(model.b(i) / model.a(i)), rel=1e-14)
 
     def test_vanishing_ratio_detected(self):
         # b_i = a_i / i: bounded with b_bar = 1, but Q_{i+1}/Q_i -> infinity
