@@ -19,9 +19,13 @@ straight back to the size the filter just vetoed.  So a veto at h_v caps
 later steps at 0.9 h_v, and each accepted step relaxes the cap by 1 %; it
 is back at h_v after 11 accepted steps.
 
-No explicit controller lifts the stability limit itself.  A caller that
-can solve with sigma I - J (``jacobian``) lets DOPRI5's stiffness test
-(Hairer & Wanner, Solving ODEs II, IV.2) watch the accepted steps; once it
+No explicit controller lifts the stability or positivity limit itself.
+A caller that can solve with sigma I - J (``jacobian``) lets two switch
+conditions watch the explicit steps: DOPRI5's stiffness test (Hairer &
+Wanner, Solving ODEs II, IV.2) on the accepted ones, and the second
+filter veto.  The stiffness test sees the stability limit only; a run
+whose steps sit at the filter's limit, with h lambda well below the
+test's threshold, draws a veto every few dozen steps instead.  Once either
 fires, the rest of the run takes linearly implicit Rosenbrock steps
 (Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded 3) in
 the same loop: the same error test, filter, veto cap, window and snapshot
@@ -32,7 +36,8 @@ A caller whose right-hand side moves the support of a state (1 + its last
 non-zero index) by a bounded number of entries per evaluation says so with
 ``reach``; each step then runs on the occupied prefix of the state only.
 A DP5(4) step there is the full-width step; a Rosenbrock step is the step
-of the system truncated to the prefix (see ``solve_rk54``).
+of the system truncated to the prefix, redone on a wider one when its
+last entry is not negligible (see ``solve_rk54``).
 """
 from __future__ import annotations
 
@@ -56,7 +61,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -88,6 +92,9 @@ _ROS_E = np.array([17 / 54, 7 / 36, 0.0, 125 / 108])
 _STIFF_H_LAMBDA = 3.25
 _NONSTIFF_RESET = 6
 _STIFF_SWITCH = 15
+# the second positivity veto of the explicit phase switches too: the steps
+# then sit at the filter's limit, which the stiffness test does not see
+_VETO_SWITCH = 2
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -104,7 +111,7 @@ class StepStats:
     n_rejected_error: int = 0
     n_rejected_filter: int = 0
     n_fev: int = 0
-    t_stiff: float | None = None  # when the stiffness test switched to Rosenbrock steps
+    t_stiff: float | None = None  # when the run switched to Rosenbrock steps
     # the widest window a step ran on, and the width of y_eval: every
     # column from it on would be zero.  The same steps on a narrower window
     # are the same run, so == ignores it
@@ -144,16 +151,21 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:
     return min(100 * h0, h1, t_end - t0)
 
 
-def _dopri_step(f, t, y, k, h) -> tuple[np.ndarray, np.ndarray]:
+def _dopri_step(f, t, y, k, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One DP5(4) step from y, where k[0] = f(t, y): fills the stages
-    k[1..6] in place and returns (y_new, error estimate).
+    k[1..6] in place and returns (y_new, error estimate, y6), y6 the sixth
+    stage's argument, which the stiffness test reads.
 
-    Six evaluations of ``f``; by FSAL (_A[6] equals _B[:6]) k[6] is
-    f(t + h, y_new), the next step's first stage.
+    Six evaluations of ``f``; by FSAL (_A[6] holds the weights of y_new) the
+    seventh stage's argument is y_new and k[6] is f(t + h, y_new), the next
+    step's first stage.
     """
     for s in range(1, 7):
-        k[s] = f(t + _C[s] * h, y + h * (_A[s] @ k[:s]))
-    return y + h * (_B[:6] @ k[:6]), h * (_E @ k)
+        arg = y + h * (_A[s] @ k[:s])
+        if s == 5:
+            y6 = arg
+        k[s] = f(t + _C[s] * h, arg)
+    return arg, h * (_E @ k), y6
 
 
 def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarray]:
@@ -230,13 +242,18 @@ def solve_rk54(
 
     ``jacobian(y, sigma)`` factors sigma I - J(y), J the Jacobian of an
     ``f`` that does not depend on t, and returns the solve b -> x of
-    (sigma I - J(y)) x = b.  With it, DOPRI5's stiffness test runs after
-    every accepted step, and once it fires (``stats.t_stiff``) every later
-    step is a linearly implicit Rosenbrock 4(3) step: four solves with one
-    factorization, three evaluations of ``f`` (the last, at the accepted
-    state, is the next step's first), error exponent 1/4 and cubic Hermite
-    dense output.  The error test, the filter, the veto cap and the window
-    are the same in both phases.  Without it every step is DP5(4).
+    (sigma I - J(y)) x = b.  With it, the run switches to Rosenbrock steps
+    at the first of two conditions: DOPRI5's stiffness test, run after
+    every accepted step, fires; or ``accept_filter`` vetoes a step for the
+    second time.  From then on (``stats.t_stiff``; the veto is retried
+    from the same t at half the step) every step is a linearly implicit
+    Rosenbrock 4(3) step: four solves with one factorization, three
+    evaluations of ``f`` (the last, at the accepted state, is the next
+    step's first), error exponent 1/4 and cubic Hermite dense output.  The
+    switch lifts the veto cap, which bound the explicit steps only; the
+    error test, the filter, later vetoes and the window are the same in
+    both phases.  Without ``jacobian`` every step is DP5(4), however many
+    vetoes come.
 
     ``reach`` is a promise about ``f``: when y vanishes from index m on,
     f(t, y) vanishes from index m + reach on, and f applied to a prefix of
@@ -248,10 +265,14 @@ def solve_rk54(
     vanish past the window, and the result is the full system's up to
     summation order, not an approximation.  A Rosenbrock step's solves
     fill the window, so its result is the step of the system truncated to
-    the window.  ``f``, ``jacobian`` and ``accept_filter`` then get and
-    return window-length vectors, and the filter must not make an entry
-    non-zero past its input's support.  The error norm stays the RMS over
-    all N components, so step control does not depend on the window.
+    the window.  The error estimate cannot see that cut, so a step that
+    passes the error test with its last entry at or above ``abs_tol`` is
+    redone from the same t and h on a window twice as wide (at most N),
+    until that entry is below ``abs_tol``.  ``f``, ``jacobian`` and
+    ``accept_filter`` then get and return window-length vectors, and the
+    filter must not make an entry non-zero past its input's support.  The
+    error norm stays the RMS over all N components, so step control does
+    not depend on the window.
     ``stats.w_max`` is the widest window of the run, and ``y_eval`` is
     (len(t_eval), w_max): the columns from w_max on would be zero in every
     row, so they are not stored, and a row is zero past its own window.
@@ -327,7 +348,7 @@ def solve_rk54(
             stats.n_fev += 2
             expo = 0.25
         else:
-            y_new, err = _dopri_step(f, t, y, kw, h)
+            y_new, err, y6 = _dopri_step(f, t, y, kw, h)
             stats.n_fev += 6
             expo = 0.17
 
@@ -341,6 +362,16 @@ def solve_rk54(
                 factor = _MIN_FACTOR
             h *= min(1.0, factor)
             continue
+        if stiff and w < n and abs(y_new[-1]) >= abs_tol:
+            # the solves filled the window up to an entry that is not
+            # negligible, so truncating there may have cut the step short,
+            # which the error estimate cannot see: redo it on a wider window
+            # (the RHS at the state vanishes past the old one)
+            w_wide = min(n, 2 * w)
+            k[0, w:w_wide] = 0.0
+            w = w_wide
+            y = state[:w]
+            continue
 
         y_accepted = y_new
         filtered = False
@@ -350,6 +381,9 @@ def solve_rk54(
                 stats.n_rejected_filter += 1
                 h_cap = min(h_cap, _VETO_CAP * h)
                 h *= 0.5
+                if detect and not stiff and stats.n_rejected_filter == _VETO_SWITCH:
+                    stiff, h_cap = True, math.inf
+                    stats.t_stiff = t
                 continue
             filtered = result is not y_new
             y_accepted = result
@@ -379,7 +413,7 @@ def solve_rk54(
         if detect and not stiff:
             # h lambda = h |k7 - k6| / |y_new - y6|, y6 the sixth stage's argument
             dk = kw[6] - kw[5]
-            dy = y_new - (y + h * (_A[5] @ kw[:5]))
+            dy = y_new - y6
             dy2 = (dy * dy).sum()
             if dy2 > 0 and h * math.sqrt((dk * dk).sum() / dy2) > _STIFF_H_LAMBDA:
                 n_stiff, n_nonstiff = n_stiff + 1, 0

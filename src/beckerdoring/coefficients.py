@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError
 
 _EVAL_RANGE = 10_000  # default range scanned when estimating sup-type constants
 
@@ -220,9 +220,13 @@ def make_custom_model(
 def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float | None = None) -> CoefficientModel:
     """Read a whitespace-separated table with columns ``i a_i b_i``.
 
-    Indices must be 1-based and contiguous.
+    Indices must be 1-based and contiguous.  A file that does not parse as
+    a table of numbers raises ``ConfigError`` naming it.
     """
-    data = np.loadtxt(path, dtype=float, ndmin=2)
+    try:
+        data = np.loadtxt(path, dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"rate file {str(path)!r} is not a table of numbers: {exc}") from None
     if data.shape[1] != 3:
         raise ParameterError(f"rate file must have 3 columns 'i a_i b_i', got {data.shape[1]}")
     idx = data[:, 0]

@@ -104,8 +104,11 @@ class ExperimentConfig:
                 raise ConfigError("init_ratio must be in (0, 1)")
             shape = self.init_ratio**i
         elif self.init == "file":
-            data = np.loadtxt(self.init_file, dtype=float, ndmin=2)
             where = f"initial-state file {self.init_file!r}"
+            try:
+                data = np.loadtxt(self.init_file, dtype=float, ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{where} is not a table of numbers: {exc}") from None
             if data.shape[1] != 2 or not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
                 raise ConfigError(f"{where} needs contiguous columns 'i c_i'")
             if not (np.all(np.isfinite(data[:, 1])) and np.all(data[:, 1] >= 0)):

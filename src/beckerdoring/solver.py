@@ -6,7 +6,7 @@ conserved to round-off by construction.  Faithfulness of the truncation is
 monitored: a run whose top concentration grows past a configurable share
 of the density is flagged, not trusted silently.  The integration is
 adaptive only: DP5(4) steps, then Rosenbrock 4(3) steps once the run is
-stiff.
+stiff or at its positivity limit.
 
 One evaluation of the right-hand side makes at most one more size
 non-zero, because the fluxes couple only neighbouring sizes and the
@@ -21,11 +21,13 @@ Near equilibrium the explicit steps sit at their stability limit, so
 ``integrate`` also hands the integrator the Jacobian: tridiagonal plus a
 dense monomer row and column, factored per step in O(window) (a Thomas
 sweep, then the Schur complement on c_1).  Once DOPRI5's stiffness test
-fires, the rest of the run takes Rosenbrock steps.  Their solves fill the
+fires, or the positivity filter vetoes an explicit step for the second
+time, the rest of the run takes Rosenbrock steps.  Their solves fill the
 window, so an implicit step is the step of the system truncated to the
-window; on the template configs it is within 1e-13 of the full-width
-run, with the same counts.  With the exact Jacobian i J = 0, so every
-implicit stage conserves mass too.
+window, widened while its last entry is not below abs_tol; on the
+template configs it is within 1e-13 of the full-width run, with the same
+counts.  With the exact Jacobian i J = 0, so every implicit stage
+conserves mass too.
 
 The positivity clamp (``_clamp`` states its rule; ``abs_tol`` is also
 the width of its dead band) is applied to every accepted step and, once
@@ -255,8 +257,8 @@ class Trajectory:
     support`` always holds; ``at`` pads a row back to length N.  ``rho``,
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
-    ``t_stiff`` is when the integrator switched to Rosenbrock steps, None
-    if it never did; rejected steps are counted by cause.  ``abs_tol`` is
+    ``t_stiff`` is when the integrator switched to Rosenbrock steps (by
+    the stiffness test or the second positivity veto), None if it never did; rejected steps are counted by cause.  ``abs_tol`` is
     the absolute tolerance the run used, its default resolved.
     """
 
@@ -322,10 +324,12 @@ def integrate(
 
     Adaptive 5(4) pair with PI step control, and Rosenbrock 4(3) steps
     from the time ``Trajectory.t_stiff`` on, when DOPRI5's stiffness test
-    finds the explicit steps at their stability limit; every step is
-    adaptive.  Steps producing a component below -abs_tol are rejected and
-    halved, and later steps are capped at 0.9 times the rejected one, a
-    cap that relaxes by 1 % per accepted step.  Every accepted step gets
+    finds the explicit steps at their stability limit or the second
+    positivity veto finds them at the filter's limit, whichever comes
+    first; every step is adaptive.  Steps producing a component below
+    -abs_tol are rejected and halved, and later explicit steps are capped
+    at 0.9 times the rejected one, a cap that relaxes by 1 % per accepted
+    step.  Every accepted step gets
     the positivity clamp (``_clamp``; abs_tol is its dead band), and so do
     the rows of the integrator's dense output, in one pass over the
     snapshot matrix after the solve.  ``c0`` must hold at least two

@@ -256,7 +256,7 @@ def test_criterion_11_integrator_self_convergence(flagship, flagship_model):
     # the local error is O(h^6), so halving h divides it by about 64.  The
     # exact step is a tight run of scipy's DOP853, which shares no
     # coefficient with the step under test: a reference from solve_rk54
-    # would move with a perturbed _B and hide it
+    # would move with a perturbed _A[6] and hide it
     from beckerdoring._rk import _dopri_step
     from beckerdoring.solver import _rhs_core
 
@@ -274,7 +274,7 @@ def test_criterion_11_integrator_self_convergence(flagship, flagship_model):
         for h in (0.1, 0.05):
             k = np.empty((7, n))
             k[0] = f(0.0, c)
-            y_new, _ = _dopri_step(f, 0.0, c, k, h)
+            y_new = _dopri_step(f, 0.0, c, k, h)[0]
             exact = scipy.integrate.solve_ivp(f, (0.0, h), c, method="DOP853", rtol=1e-13, atol=1e-22).y[:, -1]
             errs.append(float(np.max(np.abs(y_new - exact))))
         ratios[name] = errs[0] / errs[1]

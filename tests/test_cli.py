@@ -289,7 +289,8 @@ def test_supercritical_config_exit_11(small_config, tmp_path):
     ["1.0", "0.2", "inf"],
     ["1.0", "-0.1", "0.1"],
     ["0.0", "0.0", "0.0"],
-], ids=["nan", "inf", "negative", "no-mass"])
+    ["1.0", "np.float64(0.2)", "0.1"],
+], ids=["nan", "inf", "negative", "no-mass", "not-a-number"])
 def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
     # refused where the config is read: a non-finite state would spin the
     # step budget with h = nan, and a massless one divide by its density
@@ -305,6 +306,23 @@ def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
         assert time.perf_counter() - start < 5.0, command
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(init) in err, err
+        assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("row", ["1 np.float64(1.0) 2.0", "1 1.0"], ids=["not-a-number", "ragged"])
+def test_malformed_rate_table_exit_11(tmp_path, capsys, row):
+    # numpy's own parse error names neither the file nor the config; it is
+    # a bad configuration, not a crash
+    rates = tmp_path / "rates.txt"
+    rates.write_text(row + "\n" + "".join(f"{i} 1.0 2.0\n" for i in range(2, 101)))
+    config = tmp_path / "custom.toml"
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 50\n')
+    for command in ("experiment", "verify"):
+        out = ["--out", str(tmp_path / command)] if command == "experiment" else []
+        assert main([command, "--config", str(config), *out]) == 11, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rate file ") and str(rates) in err, err
+        assert "Traceback" not in err
         assert not (tmp_path / command).exists()
 
 

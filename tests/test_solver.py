@@ -483,6 +483,17 @@ def _integrate_call(monkeypatch, state0, model, t_end, opts):
     return call
 
 
+def _jacobian_and_dp5_runs(monkeypatch, prep, t_end, **dp5_changes):
+    """The windowed run of ``integrate`` with its Jacobian, and the same
+    call without it (DP5(4) only), with ``dp5_changes`` applied."""
+    f, args, kwargs = _integrate_call(monkeypatch, prep.c0, prep.model, t_end, prep.opts)
+    assert kwargs["jacobian"] is not None
+    run = _rk.solve_rk54(f, *args, **kwargs)
+    dp5 = _rk.solve_rk54(f, *args, **{**kwargs, "jacobian": None, **dp5_changes})
+    assert dp5.stats.t_stiff is None
+    return run, dp5
+
+
 def _window_and_full_runs(monkeypatch, state0, model, t_end, opts):
     """``integrate``'s own call of ``solve_rk54``, repeated with and without
     the window; the windowed run also records the width of every RHS call."""
@@ -585,19 +596,14 @@ class TestVetoMemory:
         # gamma = 1: the steps sit at the positivity limit, and growing each
         # one back to the vetoed size draws a veto on most steps (168 in 236
         # without the cap, 18 in 206 with it); at N = 200 the dead band
-        # leaves too few vetoes to tell
-        from beckerdoring import _rk, solver
-
-        runs = []
-
-        def spy(*args, **kwargs):
-            runs.append(_rk.solve_rk54(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(solver, "solve_rk54", spy)
+        # leaves too few vetoes to tell.  DP5(4) only: with the Jacobian the
+        # second veto ends the explicit steps before the cap has much to do
         model = bd.make_power_law_model(1.0, 1.0, 1.0, 0.5)
-        bd.integrate(monodisperse(2000, 1.0), model, 5.0, bd.IntegrateOptions(n_snapshots=11))
-        (run,) = runs
+        f, args, kwargs = _integrate_call(
+            monkeypatch, monodisperse(2000, 1.0), model, 5.0, bd.IntegrateOptions(n_snapshots=11)
+        )
+        run = _rk.solve_rk54(f, *args, **{**kwargs, "jacobian": None})
+        assert run.stats.t_stiff is None
         assert run.stats.n_rejected_filter <= 0.1 * run.stats.n_steps
 
     def test_single_veto_cap_lapses(self):
@@ -736,20 +742,8 @@ class TestStiffSwitch:
 
         return prepare(ExperimentConfig())
 
-    def _runs(self, monkeypatch, template, t_end, **dp5_changes):
-        """The windowed run of ``integrate`` with its Jacobian, and the same
-        call without it (DP5(4) only), with ``dp5_changes`` applied."""
-        from beckerdoring import _rk
-
-        f, args, kwargs = _integrate_call(monkeypatch, template.c0, template.model, t_end, template.opts)
-        assert kwargs["jacobian"] is not None
-        run = _rk.solve_rk54(f, *args, **kwargs)
-        dp5 = _rk.solve_rk54(f, *args, **{**kwargs, "jacobian": None, **dp5_changes})
-        assert dp5.stats.t_stiff is None
-        return run, dp5
-
     def test_dp5_bits_up_to_the_switch(self, monkeypatch, template):
-        run, dp5 = self._runs(monkeypatch, template, 200.0)
+        run, dp5 = _jacobian_and_dp5_runs(monkeypatch, template, 200.0)
         before = run.t_eval <= run.stats.t_stiff
         assert 0 < before.sum() < len(before)
         # each run stores its own widest window: compare at the wider one
@@ -759,13 +753,13 @@ class TestStiffSwitch:
     def test_rosenbrock_phase_matches_tight_dp5(self, monkeypatch, template):
         # measured 4.2e-11; the DP5(4) run at rel_tol 1e-8 is off by 3.2e-9
         # before the switch
-        run, ref = self._runs(monkeypatch, template, 200.0, rel_tol=1e-11)
+        run, ref = _jacobian_and_dp5_runs(monkeypatch, template, 200.0, rel_tol=1e-11)
         after = run.t_eval > run.stats.t_stiff
         rho = template.rho
         assert np.max(np.abs(run.y_eval[after] - ref.y_eval[after])) <= 1e-9 * rho
 
     def test_run_ending_before_the_switch_is_dp5(self, monkeypatch, template):
-        run, dp5 = self._runs(monkeypatch, template, 20.0)
+        run, dp5 = _jacobian_and_dp5_runs(monkeypatch, template, 20.0)
         assert run.stats == dp5.stats
         assert np.array_equal(run.y_eval, dp5.y_eval)
 
@@ -784,6 +778,72 @@ class TestStiffSwitch:
         rows = padded(windowed.y_eval, len(full.y))
         for row, ref in zip([*rows, windowed.y], [*full.y_eval, full.y]):
             assert np.max(np.abs(row - ref)) <= 1e-11 * rho
+
+
+class TestVetoSwitch:
+    """The second positivity veto of the explicit phase switches the rest of
+    a run with a Jacobian to Rosenbrock steps, as the stiffness test does;
+    a Rosenbrock step whose solves reach the window's edge is redone on a
+    wider window."""
+
+    T_END = 50.0
+
+    @pytest.fixture(scope="class")
+    def stiff_linear(self):
+        # gamma = 1, N = 2000, t_end = 50: DP5(4) sits at the positivity
+        # limit from t = 0, and the stiffness test fires only at t = 9.2
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        return prepare(ExperimentConfig(gamma=1.0, stretched=(), t_end=self.T_END, snapshots=101))
+
+    def test_switch_follows_the_second_veto(self, stiff_linear):
+        # measured: t_stiff 0.899, 2 vetoes, 728 evaluations; the stiffness
+        # test alone switched at t = 9.2 after 33 vetoes and 2827 evaluations
+        traj = bd.integrate(stiff_linear.c0, stiff_linear.model, self.T_END, stiff_linear.opts)
+        assert traj.t_stiff < 1.5
+        assert traj.n_rejected_filter <= 3
+        assert traj.n_fev <= 1000
+
+    def test_snapshots_match_tight_dp5(self, monkeypatch, stiff_linear):
+        # sum_i i |dc_i| against a DP5(4)-only run at rel_tol 1e-11: measured
+        # 4.3e-9 rho; the DP5(4)-only run at rel_tol 1e-8 is 1.8e-9 rho from
+        # a rel_tol 1e-12 one
+        run, ref = _jacobian_and_dp5_runs(monkeypatch, stiff_linear, self.T_END, rel_tol=1e-11)
+        n = len(ref.y)
+        sizes = np.arange(1, n + 1)
+        diff = np.abs(padded(run.y_eval, n) - padded(ref.y_eval, n)) @ sizes
+        assert np.max(diff) <= 1e-8 * stiff_linear.rho
+
+    def test_no_switch_without_jacobian(self, monkeypatch, stiff_linear):
+        run, dp5 = _jacobian_and_dp5_runs(monkeypatch, stiff_linear, self.T_END)
+        assert run.stats.n_rejected_filter == 2
+        assert dp5.stats.t_stiff is None and dp5.stats.n_rejected_filter >= 10
+
+    def test_rosenbrock_step_at_the_window_edge_is_widened(self, monkeypatch):
+        # exp tail at rho = 25 (0.77 of the exact rho_s), rel_tol 1e-4: late
+        # in the run the support grows by more per implicit step than the
+        # window's margin, so the solves leave the edge entry above abs_tol.
+        # Redone on a wider window, every step matches the full-width run
+        # (measured 2.2e-10 rho in sum_i i |dc_i|); cut at the edge, the run
+        # is off by 4.8e-8 rho
+        from beckerdoring.experiments import ExperimentConfig, prepare
+
+        config = ExperimentConfig(
+            family="exponential_tail", rho=25.0, n=1000, rel_tol=1e-4, snapshots=11, stretched=()
+        )
+        prep = prepare(config)
+        windowed, full, _ = _window_and_full_runs(monkeypatch, prep.c0, prep.model, config.t_end, prep.opts)
+
+        def counts(stats):
+            return stats.n_steps, stats.n_rejected_error, stats.n_rejected_filter
+
+        assert counts(windowed.stats) == counts(full.stats)
+        n = config.n
+        sizes = np.arange(1, n + 1)
+        diff = np.abs(padded(windowed.y_eval, n) - full.y_eval) @ sizes
+        assert np.max(diff) <= 2e-9 * config.rho
+        # each redo costs two evaluations more than the full-width step
+        assert windowed.stats.n_fev > full.stats.n_fev
 
 
 class TestBatchedOutputGrid:
