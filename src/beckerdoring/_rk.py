@@ -8,27 +8,21 @@ memory exponent 0.04, safety 0.9).  Snapshots at requested times come
 from the standard quartic interpolant of the pair, so accepted steps
 never need to land on the output grid, and every output time inside an
 accepted step comes from one batched evaluation of the interpolant: a
-dense grid costs neither steps nor a round of calls per time.  The rows are returned as the
-interpolant gives them; a caller that needs them adjusted (the cluster
-solver's positivity clamp) does so on the whole matrix afterwards.
+dense grid costs neither steps nor a round of calls per time.  The rows
+are returned as the interpolant gives them; a caller that needs them
+adjusted (the cluster solver's positivity clamp) does so on the whole
+matrix afterwards.
 
-The controller remembers filter vetoes.  Near equilibrium an explicit step
-is limited by stability and positivity, not accuracy, and the error test
-does not see that limit: the PI proposal alone would grow each step
-straight back to the size the filter just vetoed.  So a veto at h_v caps
-later steps at 0.9 h_v, and each accepted step relaxes the cap by 1 %; it
-is back at h_v after 11 accepted steps.
-
-No explicit controller lifts the stability or positivity limit itself.
-A caller that can solve with sigma I - J (``jacobian``) lets two switch
-conditions watch the explicit steps: DOPRI5's stiffness test (Hairer &
-Wanner, Solving ODEs II, IV.2) on the accepted ones, and the second
-filter veto.  The stiffness test sees the stability limit only; a run
-whose steps sit at the filter's limit, with h lambda well below the
-test's threshold, draws a veto every few dozen steps instead.  Once either
-fires, the rest of the run takes linearly implicit Rosenbrock steps
-(Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded 3) in
-the same loop: the same error test, filter, veto cap, window and snapshot
+No explicit controller lifts the stability or positivity limit, and the
+error test sees neither.  A caller that can solve with sigma I - J
+(``jacobian``) lets two switch conditions watch the explicit steps:
+DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2) on the
+accepted ones, and the first filter veto.  The stiffness test sees the
+stability limit only; a run whose steps sit at the filter's limit, with
+h lambda well below the test's threshold, draws a veto instead.  Once
+either fires, the rest of the run takes linearly implicit Rosenbrock
+steps (Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded
+3) in the same loop: the same error test, filter, window and snapshot
 emission, with error exponent 1/4 and cubic Hermite dense output.  The
 switch is one-way, and every snapshot before it is the DP5(4) run's.
 
@@ -92,17 +86,10 @@ _ROS_E = np.array([17 / 54, 7 / 36, 0.0, 125 / 108])
 _STIFF_H_LAMBDA = 3.25
 _NONSTIFF_RESET = 6
 _STIFF_SWITCH = 15
-# the second positivity veto of the explicit phase switches too: the steps
-# then sit at the filter's limit, which the stiffness test does not see
-_VETO_SWITCH = 2
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# veto memory: a positivity veto at h_v caps later steps at _VETO_CAP * h_v,
-# and every accepted step relaxes the cap by _CAP_RELAX
-_VETO_CAP = 0.9
-_CAP_RELAX = 1.01
 
 
 @dataclass
@@ -229,8 +216,7 @@ def solve_rk54(
 
     ``accept_filter`` sees every step that passed the error test and may
     adjust the state (returning the new vector) or veto it (returning
-    None, which halves the step and caps later steps at 0.9 times the
-    vetoed one, a cap that relaxes by 1 % per accepted step).
+    None, which halves the step and retries it from the same t).
     ``max_steps`` bounds the step attempts, accepted and rejected.
 
     After each accepted step the rows of ``y_eval`` for the output times
@@ -244,16 +230,14 @@ def solve_rk54(
     ``f`` that does not depend on t, and returns the solve b -> x of
     (sigma I - J(y)) x = b.  With it, the run switches to Rosenbrock steps
     at the first of two conditions: DOPRI5's stiffness test, run after
-    every accepted step, fires; or ``accept_filter`` vetoes a step for the
-    second time.  From then on (``stats.t_stiff``; the veto is retried
-    from the same t at half the step) every step is a linearly implicit
-    Rosenbrock 4(3) step: four solves with one factorization, three
-    evaluations of ``f`` (the last, at the accepted state, is the next
-    step's first), error exponent 1/4 and cubic Hermite dense output.  The
-    switch lifts the veto cap, which bound the explicit steps only; the
-    error test, the filter, later vetoes and the window are the same in
-    both phases.  Without ``jacobian`` every step is DP5(4), however many
-    vetoes come.
+    every accepted step, fires; or ``accept_filter`` vetoes a step.  From
+    then on (``stats.t_stiff``; the vetoed step is retried from the same t
+    at half its size) every step is a linearly implicit Rosenbrock 4(3)
+    step: four solves with one factorization, three evaluations of ``f``
+    (the last, at the accepted state, is the next step's first), error
+    exponent 1/4 and cubic Hermite dense output.  The error test, the
+    filter, later vetoes and the window are the same in both phases.
+    Without ``jacobian`` every step is DP5(4), however many vetoes come.
 
     ``reach`` is a promise about ``f``: when y vanishes from index m on,
     f(t, y) vanishes from index m + reach on, and f applied to a prefix of
@@ -289,6 +273,8 @@ def solve_rk54(
     if t_eval is None:
         t_eval = np.array([t0, t_end])
     t_eval = np.asarray(t_eval, dtype=float)
+    if len(t_eval) == 0:
+        raise ParameterError("output times must not be empty")
     if np.any(np.diff(t_eval) <= 0):
         raise ParameterError("output times must be strictly increasing")
     if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t_end + 1e-12:
@@ -320,7 +306,6 @@ def solve_rk54(
 
     h = _initial_step(f, t, y, k[0, :w], t_end, rel_tol, abs_tol, stats, n)
     fac_old = 1e-4
-    h_cap = math.inf
     detect = jacobian is not None
     stiff = False
     n_stiff = n_nonstiff = 0
@@ -379,10 +364,9 @@ def solve_rk54(
             result = accept_filter(t + h, y_new)
             if result is None:
                 stats.n_rejected_filter += 1
-                h_cap = min(h_cap, _VETO_CAP * h)
                 h *= 0.5
-                if detect and not stiff and stats.n_rejected_filter == _VETO_SWITCH:
-                    stiff, h_cap = True, math.inf
+                if detect and not stiff:
+                    stiff = True
                     stats.t_stiff = t
                 continue
             filtered = result is not y_new
@@ -437,13 +421,10 @@ def solve_rk54(
             stats.n_fev += 1
         w = w_new
         fac = _SAFETY * max(err_norm, 1e-10) ** -expo * fac_old**0.04
-        h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), h_cap)
-        h_cap *= _CAP_RELAX
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         fac_old = max(err_norm, 1e-4)
         if switch:
-            # a veto so far capped an explicit step at its positivity limit,
-            # which does not bind the implicit one
-            stiff, h_cap = True, math.inf
+            stiff = True
             stats.t_stiff = t
 
     return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval[:, : stats.w_max], stats=stats)

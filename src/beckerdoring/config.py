@@ -3,8 +3,9 @@
 A config file is a TOML 1.0 document whose top-level keys are fields of
 ``ExperimentConfig``; the dataclass's annotations are the only schema.
 ``template_text`` prints every key with its default and a short comment.
-Unknown keys, values of the wrong type, booleans and non-finite numbers
-are refused with ``ConfigError``.
+Unknown keys, values of the wrong type, booleans, non-finite numbers and
+values below a key's least admissible one (``_MINIMUM``) are refused with
+``ConfigError``.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from .errors import ConfigError
 from .experiments import ExperimentConfig
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+# the least value of a key that has one: an output grid needs two times,
+# and a negative tolerance or threshold would pass for 0 or run as given
+_MINIMUM = {"snapshots": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0}
 
 TEMPLATE = """\
 # model
@@ -104,6 +108,8 @@ def config_from_dict(values: dict) -> ExperimentConfig:
             # the field's annotation with floats marked finite, e.g. "tuple[finite float, ...]"
             expected = ExperimentConfig.__annotations__[key].replace("float", "finite float")
             raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}") from None
+        if key in _MINIMUM and cleaned[key] < _MINIMUM[key]:
+            raise ConfigError(f"config key {key!r}: must be at least {_MINIMUM[key]}, got {value!r}")
     return ExperimentConfig(**cleaned)
 
 

@@ -21,13 +21,12 @@ Near equilibrium the explicit steps sit at their stability limit, so
 ``integrate`` also hands the integrator the Jacobian: tridiagonal plus a
 dense monomer row and column, factored per step in O(window) (a Thomas
 sweep, then the Schur complement on c_1).  Once DOPRI5's stiffness test
-fires, or the positivity filter vetoes an explicit step for the second
-time, the rest of the run takes Rosenbrock steps.  Their solves fill the
-window, so an implicit step is the step of the system truncated to the
-window, widened while its last entry is not below abs_tol; on the
-template configs it is within 1e-13 of the full-width run, with the same
-counts.  With the exact Jacobian i J = 0, so every implicit stage
-conserves mass too.
+fires, or the positivity filter vetoes an explicit step, the rest of the
+run takes Rosenbrock steps.  Their solves fill the window, so an
+implicit step is the step of the system truncated to the window, widened
+while its last entry is not below abs_tol; on the template configs it is
+within 1e-13 of the full-width run, with the same counts.  With the
+exact Jacobian i J = 0, so every implicit stage conserves mass too.
 
 The positivity clamp (``_clamp`` states its rule; ``abs_tol`` is also
 the width of its dead band) is applied to every accepted step and, once
@@ -258,8 +257,9 @@ class Trajectory:
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
     ``t_stiff`` is when the integrator switched to Rosenbrock steps (by
-    the stiffness test or the second positivity veto), None if it never did; rejected steps are counted by cause.  ``abs_tol`` is
-    the absolute tolerance the run used, its default resolved.
+    the stiffness test or the first positivity veto), None if it never
+    did; rejected steps are counted by cause.  ``abs_tol`` is the absolute
+    tolerance the run used, its default resolved.
     """
 
     model: CoefficientModel
@@ -324,16 +324,14 @@ def integrate(
 
     Adaptive 5(4) pair with PI step control, and Rosenbrock 4(3) steps
     from the time ``Trajectory.t_stiff`` on, when DOPRI5's stiffness test
-    finds the explicit steps at their stability limit or the second
-    positivity veto finds them at the filter's limit, whichever comes
-    first; every step is adaptive.  Steps producing a component below
-    -abs_tol are rejected and halved, and later explicit steps are capped
-    at 0.9 times the rejected one, a cap that relaxes by 1 % per accepted
-    step.  Every accepted step gets
-    the positivity clamp (``_clamp``; abs_tol is its dead band), and so do
-    the rows of the integrator's dense output, in one pass over the
-    snapshot matrix after the solve.  ``c0`` must hold at least two
-    sizes, finite and non-negative.
+    finds the explicit steps at their stability limit or a positivity veto
+    finds them at the filter's limit, whichever comes first; every step
+    is adaptive.  Steps producing a component below -abs_tol are rejected
+    and halved.  Every accepted step gets the positivity clamp
+    (``_clamp``; abs_tol is its dead band), and so do the rows of the
+    integrator's dense output, in one pass over the snapshot matrix after
+    the solve.  ``c0`` must hold at least two sizes, finite and
+    non-negative.
     """
     c0 = np.asarray(c0, dtype=float)
     if c0.ndim != 1 or len(c0) < 2:

@@ -233,17 +233,30 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
         pytest.param('stretched = [[1.0, "a"]]', id="string-in-pair"),
         pytest.param("rho = nan", id="nan"),
         pytest.param("rho = inf", id="inf"),
+        pytest.param("snapshots = 0", id="no-snapshots"),
+        pytest.param("snapshots = 1", id="one-snapshot"),
+        pytest.param("rel_tol = -1e-8", id="negative-rel-tol"),
+        pytest.param("abs_tol = -1e-14", id="negative-abs-tol"),
+        pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
+        pytest.param("tol_dom = -1e-10", id="negative-tol-dom"),
     ],
 )
 def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
-    # every value the config's TOML or its field types refuse: exit 11 with
-    # the key named, before anything runs or is written
+    # every value the config's TOML, its field types or their ranges refuse:
+    # exit 11 from every command with the key named, before anything runs
+    # or is written (a sweep makes its output directory, not the config's)
     key = line.split(" = ")[0]
     bad = tmp_path / "bad.toml"
     bad.write_text(re.sub(rf"^{key} = .*$", line, small_config.read_text(), flags=re.M))
-    assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")]) == 11
+    out = tmp_path / "o"
+    for argv in (["equilibrium"], ["verify"], ["simulate", "--out", str(out)],
+                 ["supersolution", "--out", str(out)], ["experiment", "--out", str(out)]):
+        assert main([argv[0], "--config", str(bad), *argv[1:]]) == 11, argv[0]
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not out.exists()
+    assert main(["sweep", str(bad), "--out", str(out)]) == 11
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
-    assert not (tmp_path / "o").exists()
+    assert not (out / "bad").exists()
 
 
 @pytest.mark.parametrize(
@@ -506,6 +519,21 @@ def test_every_run_ends_in_a_verdict_or_a_named_error(family, gamma, mu_c, share
         assert code in (0, 2, 10, 11, 12)
         if (out / "summary.json").exists():
             json.loads((out / "summary.json").read_text(), parse_constant=_refuse_nan)
+
+
+def test_robustness_run_switches_at_its_first_veto(tmp_path):
+    # a run of the robustness space that draws one positivity veto early:
+    # that veto ends its explicit steps (measured 771 evaluations).  A veto
+    # that only held the explicit steps just under the filter's limit left
+    # it at that limit for the rest of the run (7762 evaluations)
+    path = tmp_path / "veto.toml"
+    path.write_text(_robustness_config("power_law", 0.8, 0.2, 0.6, "geometric"))
+    config = load_config(path)
+    prep = prepare(config)
+    traj = bd.integrate(prep.c0, prep.model, config.t_end, prep.opts)
+    assert traj.t_stiff is not None
+    assert traj.n_rejected_filter == 1
+    assert traj.n_fev <= 1000
 
 
 def _refuse_nan(name):
