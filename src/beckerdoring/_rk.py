@@ -16,11 +16,11 @@ matrix afterwards.
 No explicit controller lifts the stability or positivity limit, and the
 error test sees neither.  A caller that can solve with sigma I - J
 (``jacobian``) lets two switch conditions watch the explicit steps:
-DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2) on the
-accepted ones, and the first filter veto.  The stiffness test sees the
+DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2) on each
+accepted one, and a filter veto.  The stiffness test sees the
 stability limit only; a run whose steps sit at the filter's limit, with
-h lambda well below the test's threshold, draws a veto instead.  Once
-either fires, the rest of the run takes linearly implicit Rosenbrock
+h lambda well below the test's threshold, draws a veto instead.  From
+the first stiff step or veto the run takes linearly implicit Rosenbrock
 steps (Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded
 3) in the same loop: the same error test, filter, window and snapshot
 emission, with error exponent 1/4 and cubic Hermite dense output.  The
@@ -80,12 +80,9 @@ _C41, _C42, _C43 = -112 / 125, -54 / 125, -2 / 5
 _ROS_B = np.array([19 / 9, 1 / 2, 25 / 108, 125 / 108])
 _ROS_E = np.array([17 / 54, 7 / 36, 0.0, 125 / 108])
 
-# DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2): a step
-# with h * lambda > 3.25 counts as stiff, 6 non-stiff steps in a row reset
-# the count, and 15 stiff steps switch the rest of the run to Rosenbrock
+# DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2): one
+# accepted step with h * lambda > 3.25 switches to Rosenbrock steps
 _STIFF_H_LAMBDA = 3.25
-_NONSTIFF_RESET = 6
-_STIFF_SWITCH = 15
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -230,14 +227,15 @@ def solve_rk54(
     ``f`` that does not depend on t, and returns the solve b -> x of
     (sigma I - J(y)) x = b.  With it, the run switches to Rosenbrock steps
     at the first of two conditions: DOPRI5's stiffness test, run after
-    every accepted step, fires; or ``accept_filter`` vetoes a step.  From
-    then on (``stats.t_stiff``; the vetoed step is retried from the same t
-    at half its size) every step is a linearly implicit Rosenbrock 4(3)
-    step: four solves with one factorization, three evaluations of ``f``
-    (the last, at the accepted state, is the next step's first), error
-    exponent 1/4 and cubic Hermite dense output.  The error test, the
-    filter, later vetoes and the window are the same in both phases.
-    Without ``jacobian`` every step is DP5(4), however many vetoes come.
+    every accepted step, reads h lambda > 3.25; or ``accept_filter``
+    vetoes a step.  From then on (``stats.t_stiff``; the vetoed step is
+    retried from the same t at half its size) every step is a linearly
+    implicit Rosenbrock 4(3) step: four solves with one factorization,
+    three evaluations of ``f`` (the last, at the accepted state, is the
+    next step's first), error exponent 1/4 and cubic Hermite dense output.
+    The error test, the filter, later vetoes and the window are the same
+    in both phases.  Without ``jacobian`` every step is DP5(4), however
+    many vetoes come.
 
     ``reach`` is a promise about ``f``: when y vanishes from index m on,
     f(t, y) vanishes from index m + reach on, and f applied to a prefix of
@@ -308,7 +306,6 @@ def solve_rk54(
     fac_old = 1e-4
     detect = jacobian is not None
     stiff = False
-    n_stiff = n_nonstiff = 0
 
     while t < t_end:
         if stats.n_steps + stats.n_rejected_error + stats.n_rejected_filter >= max_steps:
@@ -393,20 +390,6 @@ def solve_rk54(
             y_eval[i_copy:i_end, :w] = y_accepted
         i_out = i_end
 
-        switch = False
-        if detect and not stiff:
-            # h lambda = h |k7 - k6| / |y_new - y6|, y6 the sixth stage's argument
-            dk = kw[6] - kw[5]
-            dy = y_new - y6
-            dy2 = (dy * dy).sum()
-            if dy2 > 0 and h * math.sqrt((dk * dk).sum() / dy2) > _STIFF_H_LAMBDA:
-                n_stiff, n_nonstiff = n_stiff + 1, 0
-                switch = n_stiff == _STIFF_SWITCH
-            else:
-                n_nonstiff += 1
-                if n_nonstiff == _NONSTIFF_RESET:
-                    n_stiff = 0
-
         t = t_new
         state[:w] = y_accepted
         w_new = width(state[:w])
@@ -420,11 +403,17 @@ def solve_rk54(
             k[0, :w_new] = f(t, y)
             stats.n_fev += 1
         w = w_new
+        if detect and not stiff:
+            # h lambda = h |k7 - k6| / |y_new - y6|, y6 the sixth stage's
+            # argument; only k[0] has been overwritten since the step
+            dk = kw[6] - kw[5]
+            dy = y_new - y6
+            dy2 = (dy * dy).sum()
+            if dy2 > 0 and h * math.sqrt((dk * dk).sum() / dy2) > _STIFF_H_LAMBDA:
+                stiff = True
+                stats.t_stiff = t
         fac = _SAFETY * max(err_norm, 1e-10) ** -expo * fac_old**0.04
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         fac_old = max(err_norm, 1e-4)
-        if switch:
-            stiff = True
-            stats.t_stiff = t
 
     return RKSolution(t=t, y=state, t_eval=t_eval, y_eval=y_eval[:, : stats.w_max], stats=stats)

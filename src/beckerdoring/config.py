@@ -20,8 +20,9 @@ from .experiments import ExperimentConfig
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # the least value of a key that has one: an output grid needs two times,
-# and a negative tolerance or threshold would pass for 0 or run as given
-_MINIMUM = {"snapshots": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0}
+# the weight-growth bound delta is at least 1, and a negative tolerance or
+# threshold would pass for 0 or run as given
+_MINIMUM = {"snapshots": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0, "delta": 1.0}
 
 TEMPLATE = """\
 # model
@@ -52,7 +53,7 @@ k_moments = [2.0]           # algebraic moment orders to certify
 stretched = [[1.0, 0.5]]    # (alpha, mu) pairs to certify
 omega = 0.0                 # monomer cap; 0 selects z_bar + omega_margin*(z_s - z_bar)
 omega_margin = 0.1
-delta = 1.0                 # weight-growth bound for the construction
+delta = 1.0                 # weight-growth bound for the construction, >= 1
 tol_dom = 0.0               # domination slack; 0 selects 1e-10 * rho
 n_series = 100000           # truncation for critical-value estimates
 seed = 0                    # recorded for randomized corpora; dynamics are deterministic

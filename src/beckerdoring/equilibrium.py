@@ -291,10 +291,15 @@ def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndar
         raise FreeEnergyDomainError(int(bad[0]) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(pos, head * (np.log(head) - log_q) - head + q, q)
-    # rows grouped by their support, 1 + their last non-zero column
-    support = np.max(np.where(head != 0, np.arange(1, m + 1), 0), axis=1, initial=0)
-    h = np.empty(len(head))
+    return _sum_over_support(head, terms, profile)
+
+
+def _sum_over_support(head: np.ndarray, terms: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Row r of ``terms`` summed over its own support s, 1 + the last
+    non-zero column of head[r], plus tail[s:].sum(): no other row moves it."""
+    support = np.max(np.where(head != 0, np.arange(1, head.shape[1] + 1), 0), axis=1, initial=0)
+    sums = np.empty(len(head))
     for s in set(support.tolist()):
         rows = np.flatnonzero(support == s)
-        h[rows] = terms[rows, :s].sum(axis=1) + profile[s:].sum()
-    return h
+        sums[rows] = terms[rows, :s].sum(axis=1) + tail[s:].sum()
+    return sums

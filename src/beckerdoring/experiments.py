@@ -22,6 +22,7 @@ from .coefficients import CoefficientModel, Family, load_rate_table, make_expone
 from .equilibrium import (
     CriticalValues,
     EquilibriumData,
+    _sum_over_support,
     critical_values,
     equilibrium_profile,
     solve_monomer_activity,
@@ -231,6 +232,14 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
         eps=eps,
         a_phi=a_phi,
     )
+
+
+def weighted_l1_distance(states: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """sum_i i |c_i - Q_i| of each row c of ``states`` (zero past its
+    columns), summed over the row's own support, past which it is i Q_i."""
+    m = states.shape[1]
+    i = np.arange(1, len(profile) + 1, dtype=float)
+    return _sum_over_support(states, np.abs(states - profile[:m]) * i[:m], i * profile)
 
 
 def detect_threshold(trajectory: Trajectory, omega: float) -> float | None:
@@ -484,14 +493,8 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
                 )
             )
 
-    # qualitative relaxation toward the equilibrium profile (informational):
-    # the weighted L1 distance of every snapshot, where past the common
-    # support each term is i Q_i, one constant for all snapshots
-    q = prep.equilibrium.profile
-    m = trajectory.support
-    dist = np.abs(trajectory.states[:, :m] - q[:m])
-    dist *= i_grid[:m]
-    l1w = dist.sum(axis=1) + (i_grid[m:] * q[m:]).sum()
+    # qualitative relaxation toward the equilibrium profile (informational)
+    l1w = weighted_l1_distance(trajectory.states, prep.equilibrium.profile)
     tail_start = 3 * len(l1w) // 4
     # below ~100 rel_tol * rho the distance is integrator noise; treat it as
     # converged rather than demanding monotonicity of noise

@@ -5,8 +5,8 @@ The truncation closes the hierarchy with a zero net rate at the top size
 conserved to round-off by construction.  Faithfulness of the truncation is
 monitored: a run whose top concentration grows past a configurable share
 of the density is flagged, not trusted silently.  The integration is
-adaptive only: DP5(4) steps, then Rosenbrock 4(3) steps once the run is
-stiff or at its positivity limit.
+adaptive only: DP5(4) steps, then Rosenbrock 4(3) steps from the first
+step that is stiff or at its positivity limit.
 
 One evaluation of the right-hand side makes at most one more size
 non-zero, because the fluxes couple only neighbouring sizes and the
@@ -20,9 +20,9 @@ same step control and counts.
 Near equilibrium the explicit steps sit at their stability limit, so
 ``integrate`` also hands the integrator the Jacobian: tridiagonal plus a
 dense monomer row and column, factored per step in O(window) (a Thomas
-sweep, then the Schur complement on c_1).  Once DOPRI5's stiffness test
-fires, or the positivity filter vetoes an explicit step, the rest of the
-run takes Rosenbrock steps.  Their solves fill the window, so an
+sweep, then the Schur complement on c_1).  From the first explicit step
+that DOPRI5's stiffness test reads as stiff or the positivity filter vetoes,
+the run takes Rosenbrock steps.  Their solves fill the window, so an
 implicit step is the step of the system truncated to the window, widened
 while its last entry is not below abs_tol; on the template configs it is
 within 1e-13 of the full-width run, with the same counts.  With the
@@ -256,9 +256,9 @@ class Trajectory:
     support`` always holds; ``at`` pads a row back to length N.  ``rho``,
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
-    ``t_stiff`` is when the integrator switched to Rosenbrock steps (by
-    the stiffness test or the first positivity veto), None if it never
-    did; rejected steps are counted by cause.  ``abs_tol`` is the absolute
+    ``t_stiff`` is when the integrator switched to Rosenbrock steps (at
+    the first stiff step or positivity veto), None if it never did;
+    rejected steps are counted by cause.  ``abs_tol`` is the absolute
     tolerance the run used, its default resolved.
     """
 
@@ -324,8 +324,8 @@ def integrate(
 
     Adaptive 5(4) pair with PI step control, and Rosenbrock 4(3) steps
     from the time ``Trajectory.t_stiff`` on, when DOPRI5's stiffness test
-    finds the explicit steps at their stability limit or a positivity veto
-    finds them at the filter's limit, whichever comes first; every step
+    finds an explicit step at its stability limit or a positivity veto
+    finds one at the filter's limit, whichever comes first; every step
     is adaptive.  Steps producing a component below -abs_tol are rejected
     and halved.  Every accepted step gets the positivity clamp
     (``_clamp``; abs_tol is its dead band), and so do the rows of the

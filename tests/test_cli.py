@@ -239,6 +239,7 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
         pytest.param("abs_tol = -1e-14", id="negative-abs-tol"),
         pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
         pytest.param("tol_dom = -1e-10", id="negative-tol-dom"),
+        pytest.param("delta = 0.5", id="delta-below-1"),
     ],
 )
 def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):

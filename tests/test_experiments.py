@@ -11,7 +11,10 @@ import pytest
 import beckerdoring as bd
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
-from beckerdoring.experiments import ExperimentConfig, emit_report, run_uniform_moment_experiment
+from beckerdoring.equilibrium import support_length
+from beckerdoring.experiments import (
+    ExperimentConfig, emit_report, prepare, run_uniform_moment_experiment, weighted_l1_distance,
+)
 from conftest import monodisperse
 
 SMALL = dict(n=300, t_end=10.0, snapshots=51)
@@ -87,6 +90,18 @@ class TestPipeline:
         assert stage.info["observed_sup"] <= stage.info["certified"]
         stage = report.stage("certified_stretched[alpha=1,mu=0.5]")
         assert stage.info["observed_sup"] <= stage.info["certified"]
+
+    @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+    def test_weighted_l1_rows_are_their_own(self, family):
+        # each row of the convergence shadow's distance is summed over its
+        # own support: no other row, however wide, moves its last digits
+        config = ExperimentConfig(family=family)
+        report = run_uniform_moment_experiment(config)
+        q = prepare(config).equilibrium.profile
+        states = report.trajectory.states
+        one_row = [weighted_l1_distance(c[None, : support_length(c)], q)[0] for c in states]
+        assert weighted_l1_distance(states, q).tolist() == one_row
+        assert report.stage("convergence_shadow").info["final_l1_weighted"] == one_row[-1]
 
     def test_supercritical_refused(self):
         with pytest.raises(bd.SupercriticalError):
