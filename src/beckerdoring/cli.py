@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,7 +30,10 @@ from .experiments import (
     export_supersolution,
     prepare,
     run_uniform_moment_experiment,
+    supersolution_params,
+    supersolution_witness,
     write_columns,
+    write_json,
     write_trajectory_csv,
 )
 from .solver import integrate
@@ -143,13 +145,9 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     prep = prepare(config)
     trajectory = integrate(prep.c0, prep.model, config.t_end, prep.opts)
-    header = {
-        "family": config.family, "gamma": config.gamma, "z_s": prep.critical.z_s,
-        "rho": prep.rho, "z_bar": prep.z_bar,
-        "rel_tol": config.rel_tol, "abs_tol": trajectory.abs_tol,
-    }
     args.out.mkdir(exist_ok=True)
-    csv = write_trajectory_csv(args.out / "timeseries.csv", trajectory, header)
+    csv = write_trajectory_csv(args.out / "timeseries.csv", trajectory,
+                               config, prep.critical.z_s, prep.z_bar, prep.omega)
     n_snapshots = len(trajectory.times)
     print(f"wrote {csv} ({n_snapshots} snapshots, {trajectory.n_steps} steps)")
     for warning in trajectory.warnings:
@@ -169,14 +167,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_supersolution(args) -> int:
     config = load_config(args.config)
     prep = prepare(config)
-    _, sol, check = dominating_sequence(prep, config, tail_density(prep.c0))
+    sol, check = dominating_sequence(prep, supersolution_params(prep, config), tail_density(prep.c0))
     path = export_supersolution(sol, args.out)
-    witness = args.out / "witness.json"
-    witness.write_text(json.dumps({
-        "lambda": sol.lam, "n_switch": sol.n_switch, "tail_value": sol.tail_value,
-        "uniform_bound": sol.uniform_bound, "omega": prep.omega, "rho": prep.rho,
+    witness = write_json(args.out / "witness.json", {
+        **supersolution_witness(sol), "omega": prep.omega, "rho": prep.rho,
         "verified": check.ok, "worst_margin": check.worst_margin,
-    }, indent=2, sort_keys=True) + "\n")
+    })
     print(f"lambda={sol.lam!r} n_switch={sol.n_switch} uniform_bound={sol.uniform_bound!r}")
     print(f"verified={check.ok} worst_margin={check.worst_margin!r}")
     print(f"wrote {path} and {witness}")

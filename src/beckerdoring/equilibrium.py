@@ -255,6 +255,12 @@ def support_length(c: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
+def row_supports(rows: np.ndarray) -> np.ndarray:
+    """The support of each row of a matrix of states: 1 + its last non-zero
+    column, 0 for an all-zero row."""
+    return np.max(np.where(rows != 0, np.arange(1, rows.shape[1] + 1), 0), axis=1, initial=0)
+
+
 def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float | np.ndarray:
     """Free energy of states relative to an equilibrium profile.
 
@@ -272,13 +278,13 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
     if c.ndim not in (1, 2) or c.shape[-1:] != equilibrium.profile.shape:
         raise ParameterError("state and equilibrium must share the truncation length")
     rows = np.atleast_2d(c)
-    h = _free_energy_head(rows[:, : support_length(rows)], equilibrium)
+    h = _free_energy_head(rows, row_supports(rows), equilibrium)
     return float(h[0]) if c.ndim == 1 else h
 
 
-def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndarray:
+def _free_energy_head(head: np.ndarray, supports: np.ndarray, equilibrium: EquilibriumData) -> np.ndarray:
     """``relative_free_energy`` of the rows of a matrix whose columns from
-    head.shape[1] on are zero, given only its first head.shape[1] columns."""
+    head.shape[1] on are zero, given its first columns and row supports."""
     m = head.shape[1]
     profile = equilibrium.profile
     q, log_q = profile[:m], equilibrium.log_profile[:m]
@@ -291,15 +297,14 @@ def _free_energy_head(head: np.ndarray, equilibrium: EquilibriumData) -> np.ndar
         raise FreeEnergyDomainError(int(bad[0]) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(pos, head * (np.log(head) - log_q) - head + q, q)
-    return _sum_over_support(head, terms, profile)
+    return _sum_over_support(supports, terms, profile)
 
 
-def _sum_over_support(head: np.ndarray, terms: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Row r of ``terms`` summed over its own support s, 1 + the last
-    non-zero column of head[r], plus tail[s:].sum(): no other row moves it."""
-    support = np.max(np.where(head != 0, np.arange(1, head.shape[1] + 1), 0), axis=1, initial=0)
-    sums = np.empty(len(head))
-    for s in set(support.tolist()):
-        rows = np.flatnonzero(support == s)
+def _sum_over_support(supports: np.ndarray, terms: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Row r of ``terms`` summed over its own support s = supports[r], plus
+    tail[s:].sum(): no other row moves it."""
+    sums = np.empty(len(terms))
+    for s in set(supports.tolist()):
+        rows = np.flatnonzero(supports == s)
         sums[rows] = terms[rows, :s].sum(axis=1) + tail[s:].sum()
     return sums

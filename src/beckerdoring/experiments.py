@@ -173,16 +173,25 @@ def prepare(config: ExperimentConfig) -> Preamble:
     return Preamble(model, crit, z_bar, eq, c0, density(c0), omega, opts)
 
 
+def supersolution_params(prep: Preamble, config: ExperimentConfig) -> SupersolutionParams:
+    """lambda and the switch index from the rates up to max(N, 1000) and the
+    model's z_s: they need no trajectory, so a refusal precedes integration."""
+    return make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), prep.critical.z_s)
+
+
 def dominating_sequence(
-    prep: Preamble, config: ExperimentConfig, g: np.ndarray
-) -> tuple[SupersolutionParams, Supersolution, SupersolutionCheck]:
-    """Build the dominating sequence above the tail profile g and verify it:
-    lambda from the rates up to max(N, 1000) and the model's z_s, the balance
-    inequality with slack 1e-12 * rho."""
-    model, omega, rho = prep.model, prep.omega, prep.rho
-    params = make_params(model, omega, rho, config.delta, n_max=max(config.n, 1000), z_s_est=prep.critical.z_s)
-    sol = build_supersolution(model, params, g)
-    return params, sol, verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
+    prep: Preamble, params: SupersolutionParams, g: np.ndarray
+) -> tuple[Supersolution, SupersolutionCheck]:
+    """Build the dominating sequence above the tail profile g and verify
+    the balance inequality with slack 1e-12 * rho."""
+    sol = build_supersolution(prep.model, params, g)
+    return sol, verify_supersolution(sol.r, prep.model, params.omega, params.rho, tol=1e-12 * params.rho)
+
+
+def supersolution_witness(sol: Supersolution) -> dict:
+    """The ``witness.json`` keys that every command writing one shares."""
+    return {"lambda": sol.lam, "n_switch": sol.n_switch, "tail_value": sol.tail_value,
+            "uniform_bound": sol.uniform_bound}
 
 
 # -- short-time growth constant ----------------------------------------------
@@ -234,12 +243,12 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
     )
 
 
-def weighted_l1_distance(states: np.ndarray, profile: np.ndarray) -> np.ndarray:
+def weighted_l1_distance(states: np.ndarray, supports: np.ndarray, profile: np.ndarray) -> np.ndarray:
     """sum_i i |c_i - Q_i| of each row c of ``states`` (zero past its
     columns), summed over the row's own support, past which it is i Q_i."""
     m = states.shape[1]
     i = np.arange(1, len(profile) + 1, dtype=float)
-    return _sum_over_support(states, np.abs(states - profile[:m]) * i[:m], i * profile)
+    return _sum_over_support(supports, np.abs(states - profile[:m]) * i[:m], i * profile)
 
 
 def detect_threshold(trajectory: Trajectory, omega: float) -> float | None:
@@ -290,7 +299,7 @@ class UniformBoundReport:
     stages: list[StageResult]
     witness: dict
     verdict: bool
-    trajectory: Trajectory | None = None  # not serialized
+    trajectory: Trajectory  # not serialized
     supersolution: Supersolution | None = None  # not serialized
 
     def stage(self, name: str) -> StageResult:
@@ -365,6 +374,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     model, crit, rho, omega = prep.model, prep.critical, prep.rho, prep.omega
     if not omega < crit.z_s:
         raise ConfigError(f"omega = {omega:.6g} must be below z_s = {crit.z_s:.6g}")
+    params = supersolution_params(prep, config)
 
     stages: list[StageResult] = []
     trajectory = integrate(prep.c0, model, config.t_end, prep.opts)
@@ -415,21 +425,14 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             else:
                 certificates.append(("moment", key, i_grid ** (key - 1), key + 1, {}))
 
-        # the window up to T0 is a prefix of the grid; math.exp over Python
-        # floats keeps the ratios' bits
-        pre_t = trajectory.times[trajectory.times <= t0 + 1e-12].tolist()
+        # the window up to T0, against the growth bound in log space, where
+        # C_phi (t - t_0) may pass the float range of its exponential
+        pre = trajectory.times <= t0 + 1e-12
+        pre_t = trajectory.times[pre]
         for _, key, *_ in certificates:
             bound = short_time_constant(model, weight(key, i_grid), rho)
-            pre = trajectory.tracked[key][: len(pre_t)].tolist()
-            worst = 0.0
-            for t, value in zip(pre_t, pre):
-                growth = bound.c_phi * (t - pre_t[0])
-                try:
-                    ratio = value / (math.exp(growth) * pre[0])
-                except OverflowError:
-                    # exp(growth) is past the float range: the same ratio in log space
-                    ratio = math.exp(math.log(value / pre[0]) - growth)
-                worst = max(worst, ratio)
+            values = trajectory.tracked[key][pre]
+            worst = float(np.max(np.exp(np.log(values / values[0]) - bound.c_phi * (pre_t - pre_t[0]))))
             stages.append(
                 StageResult(
                     f"short_time_bound[{_label(key)}]",
@@ -440,14 +443,8 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
 
         g_t0 = tail_density(trajectory.at(t0))
-        params, super_sol, check = dominating_sequence(prep, config, g_t0)
-        witness = {
-            "lambda": super_sol.lam,
-            "n_switch": super_sol.n_switch,
-            "tail_value": super_sol.tail_value,
-            "uniform_bound": super_sol.uniform_bound,
-            "r_max": float(np.max(super_sol.r)),
-        }
+        super_sol, check = dominating_sequence(prep, params, g_t0)
+        witness = {**supersolution_witness(super_sol), "r_max": float(np.max(super_sol.r))}
         stages.append(
             StageResult(
                 "supersolution",
@@ -494,7 +491,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
 
     # qualitative relaxation toward the equilibrium profile (informational)
-    l1w = weighted_l1_distance(trajectory.states, prep.equilibrium.profile)
+    l1w = weighted_l1_distance(trajectory.states, trajectory.supports, prep.equilibrium.profile)
     tail_start = 3 * len(l1w) // 4
     # below ~100 rel_tol * rho the distance is integrator noise; treat it as
     # converged rather than demanding monotonicity of noise
@@ -551,27 +548,20 @@ def write_columns(
     return path
 
 
-def write_trajectory_csv(path: Path, trajectory: Trajectory, header: dict[str, object]) -> Path:
-    """``#key=value`` header lines, then t, c1, rho, H and the tracked sums."""
+def write_trajectory_csv(
+    path: Path, trajectory: Trajectory, config: ExperimentConfig, z_s: float, z_bar: float, omega: float
+) -> Path:
+    """``#key=value`` header lines (rho is the first row's), then t, c1, rho,
+    H and the tracked sums."""
+    header = {
+        "family": config.family, "gamma": config.gamma, "z_s": z_s, "rho": float(trajectory.rho[0]),
+        "z_bar": z_bar, "omega": omega, "rel_tol": config.rel_tol, "abs_tol": trajectory.abs_tol,
+    }
     lines = [f"#{key}={value}" for key, value in header.items()]
     names = [f"E_{k[0]:g}_{k[1]:g}" if isinstance(k, tuple) else f"M_{k:g}" for k in trajectory.tracked]
     lines.append(",".join(["t", "c1", "rho", "H", *names]))
     columns = [trajectory.times, trajectory.states[:, 0], trajectory.rho, trajectory.free_energy]
     return write_columns(path, lines, columns + list(trajectory.tracked.values()))
-
-
-def report_csv_header(report: UniformBoundReport) -> dict[str, object]:
-    config = report.config
-    return {
-        "family": config.family,
-        "gamma": config.gamma,
-        "z_s": report.z_s,
-        "rho": float(report.trajectory.rho[0]),
-        "z_bar": report.z_bar,
-        "omega": report.omega,
-        "rel_tol": config.rel_tol,
-        "abs_tol": report.trajectory.abs_tol,
-    }
 
 
 def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Path]:
@@ -585,26 +575,29 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
     out.mkdir(exist_ok=True)
     paths: dict[str, Path] = {}
 
-    summary = out / "summary.json"
-    summary.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    paths["summary"] = summary
+    paths["summary"] = write_json(out / "summary.json", report.to_dict())
 
     trajectory = report.trajectory
-    if trajectory is not None:
-        paths["timeseries"] = write_trajectory_csv(out / "timeseries.csv", trajectory, report_csv_header(report))
-        certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
-        lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
-        columns = [trajectory.times]
-        for s in certs:
-            columns += [trajectory.tracked[s.key], s.info["certified"]]
-        paths["bounds"] = write_columns(out / "bounds.dat", lines, columns, sep=" ")
+    paths["timeseries"] = write_trajectory_csv(
+        out / "timeseries.csv", trajectory, report.config, report.z_s, report.z_bar, report.omega
+    )
+    certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
+    lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
+    columns = [trajectory.times]
+    for s in certs:
+        columns += [trajectory.tracked[s.key], s.info["certified"]]
+    paths["bounds"] = write_columns(out / "bounds.dat", lines, columns, sep=" ")
 
     if report.supersolution is not None:
         paths["supersolution"] = export_supersolution(report.supersolution, out)
-        witness = out / "witness.json"
-        witness.write_text(json.dumps(report.witness, indent=2, sort_keys=True) + "\n")
-        paths["witness"] = witness
+        paths["witness"] = write_json(out / "witness.json", report.witness)
     return paths
+
+
+def write_json(path: Path, data: dict) -> Path:
+    """``data`` as indented JSON with sorted keys."""
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 _SUPERSOLUTION_COLUMNS = "j,r_j,s_j"

@@ -61,7 +61,7 @@ import numpy as np
 
 from ._rk import RKSolution, solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import EquilibriumData, _free_energy_head, support_length
+from .equilibrium import EquilibriumData, _free_energy_head, row_supports, support_length
 from .equilibrium import relative_free_energy  # noqa: F401 (bench/tracing.py wraps it by this name)
 from .errors import ParameterError
 
@@ -247,13 +247,13 @@ class IntegrateOptions:
 class Trajectory:
     """One run as columns over its output times, plus its bookkeeping.
 
-    ``times`` (S,) and ``states`` (S, support) are read-only.  ``states``
-    is the occupied head of the run's (S, N) state matrix: ``support`` is
-    1 + the last column that is non-zero in any row, every column from it
-    on is zero and is not stored, and ``n`` is the truncation length N.
-    Both are computed from the ``states`` given when not given, and a wider
-    ``states`` is trimmed to its support, so ``states.shape[1] ==
-    support`` always holds; ``at`` pads a row back to length N.  ``rho``,
+    ``times`` (S,), ``states`` (S, support) and ``supports`` (S,), each
+    row's support (1 + its last non-zero column, found once for every
+    per-row sum), are read-only.  ``states`` is the occupied head of the
+    run's (S, N) state matrix: ``support`` = states.shape[1], the largest
+    row support; the zero columns past it are not stored.  ``supports`` and
+    ``n`` = N are computed from the ``states`` given when not given, and a
+    wider ``states`` is trimmed; ``at`` pads a row back to length N.  ``rho``,
     ``free_energy`` (NaN without an equilibrium) and each ``tracked[key]``
     are (S,) columns, in the order of ``IntegrateOptions.track``.
     ``t_stiff`` is when the integrator switched to Rosenbrock steps (at
@@ -276,7 +276,7 @@ class Trajectory:
     t_stiff: float | None = None
     clamped_mass: float = 0.0
     abs_tol: float = 0.0
-    support: int | None = None
+    supports: np.ndarray | None = None
     n: int | None = None
 
     def __post_init__(self):
@@ -285,11 +285,12 @@ class Trajectory:
             raise ParameterError("snapshot times must be strictly increasing")
         if self.n is None:
             self.n = self.states.shape[1]
-        if self.support is None:
-            self.support = support_length(self.states)
-        self.states = self.states[:, : self.support]
-        self.times.flags.writeable = False
-        self.states.flags.writeable = False
+        if self.supports is None:
+            self.supports = row_supports(self.states)
+        self.states = self.states[:, : self.supports.max(initial=0)]
+        self.support = self.states.shape[1]
+        for column in (self.times, self.states, self.supports):
+            column.flags.writeable = False
 
     @property
     def n_rejected(self) -> int:
@@ -392,10 +393,11 @@ def integrate(
     clamped += float(np.abs(_clamp(states, i_grid[: states.shape[1]], abs_tol)).sum())
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
-    m = support_length(states)
+    supports = row_supports(states)
+    m = int(supports.max(initial=0))
     head, i = states[:, :m], i_grid[:m]
     if opts.equilibrium is not None:
-        free_energy = _free_energy_head(head, opts.equilibrium)
+        free_energy = _free_energy_head(head, supports, opts.equilibrium)
     else:
         free_energy = np.full(len(states), math.nan)
     warnings: list[str] = []
@@ -422,7 +424,7 @@ def integrate(
         n_fev=sol.stats.n_fev,
         t_stiff=sol.stats.t_stiff,
         clamped_mass=clamped,
-        support=m,
+        supports=supports,
         n=n,
         abs_tol=abs_tol,
     )

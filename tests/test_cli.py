@@ -17,7 +17,9 @@ import beckerdoring as bd
 from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
 from beckerdoring.errors import ConfigError
-from beckerdoring.experiments import ExperimentConfig, dominating_sequence, prepare, run_uniform_moment_experiment
+from beckerdoring.experiments import (
+    ExperimentConfig, dominating_sequence, prepare, run_uniform_moment_experiment, supersolution_params,
+)
 
 
 @pytest.fixture()
@@ -133,7 +135,7 @@ def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
     config_path.write_text(text)
     config = load_config(config_path)
     prep = prepare(config)
-    _, initial, _ = dominating_sequence(prep, config, bd.tail_density(prep.c0))
+    initial, _ = dominating_sequence(prep, supersolution_params(prep, config), bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     for command, sol in (("supersolution", initial), ("experiment", built)):
         out_dir = tmp_path / command
@@ -151,6 +153,20 @@ def test_experiment_pass_and_outputs(small_config, tmp_path):
     assert summary["verdict"] is True
     stage_names = {s["name"] for s in summary["stages"]}
     assert {"integrate", "threshold", "supersolution", "domination"} <= stage_names
+
+
+def test_delta_refused_before_integration(small_config, tmp_path, capsys, monkeypatch):
+    # delta = 5 is above z_s / omega, so no lambda exists; lambda depends on
+    # the model, omega and delta only, so the refusal needs no trajectory
+    path = tmp_path / "delta.toml"
+    path.write_text(re.sub(r"^delta = .*$", "delta = 5.0", small_config.read_text(), flags=re.M))
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a config that lambda refuses")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 11
+    assert "delta must be below z_s/omega" in capsys.readouterr().err
 
 
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
@@ -181,9 +197,14 @@ def test_commands_agree_on_preamble(small_config, tmp_path, capsys):
     experiment = _header(tmp_path / "exp" / "timeseries.csv")
     z_bar = summary["z_bar"]
     assert float(printed["z_bar"]) == float(simulated["z_bar"]) == float(experiment["z_bar"]) == z_bar
-    assert witness["omega"] == float(experiment["omega"]) == summary["omega"]
+    assert witness["omega"] == float(simulated["omega"]) == float(experiment["omega"]) == summary["omega"]
     rho = summary["config"]["rho"]
     assert witness["rho"] == float(simulated["rho"]) == float(experiment["rho"]) == rho
+    # lambda, n_switch and the bound on r depend on the config alone, not on
+    # the tail profile each command builds above
+    experiment_witness = json.loads((tmp_path / "exp" / "witness.json").read_text())
+    for key in ("lambda", "n_switch", "uniform_bound"):
+        assert witness[key] == experiment_witness[key]
 
 
 @pytest.mark.parametrize(

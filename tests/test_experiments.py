@@ -98,9 +98,10 @@ class TestPipeline:
         config = ExperimentConfig(family=family)
         report = run_uniform_moment_experiment(config)
         q = prepare(config).equilibrium.profile
-        states = report.trajectory.states
-        one_row = [weighted_l1_distance(c[None, : support_length(c)], q)[0] for c in states]
-        assert weighted_l1_distance(states, q).tolist() == one_row
+        states, supports = report.trajectory.states, report.trajectory.supports
+        assert supports.tolist() == [support_length(c) for c in states]
+        one_row = [weighted_l1_distance(c[None, :s], np.array([s]), q)[0] for c, s in zip(states, supports.tolist())]
+        assert weighted_l1_distance(states, supports, q).tolist() == one_row
         assert report.stage("convergence_shadow").info["final_l1_weighted"] == one_row[-1]
 
     def test_supercritical_refused(self):

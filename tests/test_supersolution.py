@@ -15,6 +15,7 @@ from beckerdoring.experiments import (
     export_supersolution,
     prepare,
     read_supersolution,
+    supersolution_params,
     write_columns,
 )
 from beckerdoring.supersolution import SupersolutionParams
@@ -191,7 +192,8 @@ class TestSupportTrimmedRecurrence:
     def test_equals_full_loop(self, changes):
         config, prep, _, profiles = pipeline(changes)
         for g in profiles:
-            params, sol, _ = dominating_sequence(prep, config, g)
+            params = supersolution_params(prep, config)
+            sol, _ = dominating_sequence(prep, params, g)
             assert max(support_length(g), params.n_switch) < config.n // 10
             assert sol.s.tobytes() == _reference_increments(params, g).tobytes()
 
@@ -284,6 +286,11 @@ def _full_support_profile(n: int, rho: float) -> np.ndarray:
     return rho * np.exp(-15.0 * np.arange(1, n + 1) / n)
 
 
+def _sequence(prep, config, g):
+    """The dominating sequence the commands build above g."""
+    return dominating_sequence(prep, supersolution_params(prep, config), g)[0]
+
+
 def _switch_past_support() -> tuple:
     # fragmentation approaches z_s from below, so the switch index (27)
     # lies past the support (1) of a monodisperse tail
@@ -302,9 +309,9 @@ def _built_cases() -> list:
     cases = []
     for changes in PIPELINE_CONFIGS:
         config, prep, _, (g_t0, *_) = pipeline(changes)
-        cases.append((f"G(T0) n={config.n} {config.family}", dominating_sequence(prep, config, g_t0)[1]))
+        cases.append((f"G(T0) n={config.n} {config.family}", _sequence(prep, config, g_t0)))
         if config.n == 2000 and config.family == "power_law":
-            sol = dominating_sequence(prep, config, _full_support_profile(config.n, prep.rho))[1]
+            sol = _sequence(prep, config, _full_support_profile(config.n, prep.rho))
             assert sol.n_head == config.n  # nothing to rebuild
             cases.append(("full support", sol))
     params, sol = _switch_past_support()
@@ -359,7 +366,7 @@ class TestReadSupersolution:
     ])
     def test_malformed_file_names_the_line(self, tmp_path, edit, line):
         config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[0])
-        sol = dominating_sequence(prep, config, g_t0)[1]
+        sol = _sequence(prep, config, g_t0)
         path = export_supersolution(sol, tmp_path)
         path.write_text("".join(f"{text}\n" for text in edit(path.read_text().splitlines())))
         with pytest.raises(ConfigError, match=rf"line {line}: expected"):
@@ -386,7 +393,7 @@ class TestReadSupersolution:
 
     def test_cut_last_line_refused(self, tmp_path):
         config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[0])
-        path = export_supersolution(dominating_sequence(prep, config, g_t0)[1], tmp_path)
+        path = export_supersolution(_sequence(prep, config, g_t0), tmp_path)
         text = path.read_text()
         path.write_text(text[:-3])
         with pytest.raises(ConfigError, match=rf"line {len(text.splitlines())}: expected"):
@@ -407,7 +414,8 @@ class TestTrimmedSums:
         for config, prep, _, profiles in self._states_and_profiles():
             i = np.arange(1, config.n + 1, dtype=float)
             for g in profiles:
-                params, sol, _ = dominating_sequence(prep, config, g)
+                params = supersolution_params(prep, config)
+                sol, _ = dominating_sequence(prep, params, g)
                 for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
                     wb = bd.weighted_sum_bound(sol.r, g, phi, params)
                     assert wb.rhs == wb.c_used * (1.0 + math.fsum(phi * g))
