@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import math
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .coefficients import check_assumptions
 from .config import load_config, template_text
-from .equilibrium import relative_free_energy
+from .equilibrium import fsum_array, relative_free_energy
 from .errors import (
     BeckerDoringError,
     ConfigError,
@@ -136,7 +135,7 @@ def _cmd_equilibrium(args) -> int:
     print(f"rho={eq.rho!r}")
     print(f"n_cut={eq.cut_index}")
     print(f"tail_bound={eq.tail_bound!r}")
-    print(f"h_empty_state={math.fsum(eq.profile)!r}")
+    print(f"h_empty_state={fsum_array(eq.profile)!r}")
     print(f"h_initial={relative_free_energy(prep.c0, eq)!r}")
     return EXIT_PASS
 

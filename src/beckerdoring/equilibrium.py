@@ -227,7 +227,7 @@ def equilibrium_profile(
         profile = np.exp(log_profile)
     zero = np.nonzero(profile == 0.0)[0]
     cut = int(zero[0]) + 1 if len(zero) else None
-    rho = math.fsum(i * profile)
+    rho = fsum_array(i * profile)
     if profile[-1] > 0.0:
         r = math.exp(
             float(log_profile[-1] - log_profile[-2]) + math.log(n + 1) - math.log(n)
@@ -253,6 +253,40 @@ def support_length(c: np.ndarray) -> int:
     """
     nonzero = np.flatnonzero(np.any(c, axis=0) if np.ndim(c) == 2 else c)
     return int(nonzero[-1]) + 1 if len(nonzero) else 0
+
+
+def fsum_array(x: np.ndarray) -> float:
+    """``math.fsum(x)`` of a float array, bit for bit, summing exactly only
+    the terms that can move the correctly rounded result.
+
+    The head |x_i| >= 2^-110 max|x| is summed with ``math.fsum`` to s, and
+    e = fsum(head, -s) is its rounded residual.  In any summation order the
+    rest adds at most B = 2 sum|rest| + len(rest) 2^-1074, so the exact
+    total lies in s + e +- (ulp(e) + B).  When that range, rounded outward,
+    is strictly inside s's rounding interval (half the gap to the next float
+    on each side), the result is s; otherwise, and for non-finite or huge
+    entries, it is ``math.fsum(x)``.  The cut only sets how often that
+    fallback runs: on a geometric tail that underflows, ``math.fsum`` walks
+    each subnormal across the binades below the head.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    amax = float(a.max(initial=0.0))
+    if not amax < 2.0**960:
+        return math.fsum(x)
+    keep = a >= amax * 2.0**-110
+    head = x[keep].tolist()
+    s = math.fsum(head)
+    head.append(-s)
+    e = math.fsum(head)
+    rest = a[~keep]
+    bound = math.nextafter(2.0 * float(rest.sum()) + len(rest) * 2.0**-1074, math.inf)
+    slack = math.nextafter(math.ulp(e) + bound, math.inf)
+    hi = math.nextafter(e + slack, math.inf)
+    lo = math.nextafter(e - slack, -math.inf)
+    if 2.0 * hi < math.nextafter(s, math.inf) - s and 2.0 * lo > math.nextafter(s, -math.inf) - s:
+        return s
+    return math.fsum(x)
 
 
 def row_supports(rows: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .equilibrium import (
     _sum_over_support,
     critical_values,
     equilibrium_profile,
+    fsum_array,
     solve_monomer_activity,
 )
 from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
@@ -122,7 +123,7 @@ class ExperimentConfig:
             return c
         else:
             raise ConfigError(f"unknown initial shape {self.init!r}")
-        mass = math.fsum(i * shape)
+        mass = fsum_array(i * shape)
         if mass <= 0:
             raise ConfigError("initial shape carries no mass")
         return shape * (self.rho / mass)

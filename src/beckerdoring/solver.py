@@ -40,9 +40,11 @@ keeps the (snapshots, support) head of the clamped matrix, support being
 and is not stored.  The observables (density, relative free energy and
 the weighted sums of the tracked keys, a moment order k or a stretched
 pair (alpha, mu)) are computed in one pass over the head, summed
-pairwise along each row in a fixed order; compensated summation is kept
-only in the scalar helpers ``density``, ``moment`` and
-``stretched_moment``.
+pairwise along each row in a fixed order.  The scalar helpers return
+correctly rounded sums, ``math.fsum``'s value: ``density`` sums over the
+support of c with ``math.fsum``, and ``moment``, ``stretched_moment`` and
+``weak_form_residual`` sum their length-N arrays with
+``equilibrium.fsum_array``.
 
 A state is a plain float array c_1..c_N everywhere, from ``integrate``'s
 initial state to ``Trajectory.at``'s row, which pads the stored head
@@ -61,7 +63,7 @@ import numpy as np
 
 from ._rk import RKSolution, solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import EquilibriumData, _free_energy_head, row_supports, support_length
+from .equilibrium import EquilibriumData, _free_energy_head, fsum_array, row_supports, support_length
 from .equilibrium import relative_free_energy  # noqa: F401 (bench/tracing.py wraps it by this name)
 from .errors import ParameterError
 
@@ -90,7 +92,7 @@ def moment(c: np.ndarray, k: float) -> float:
     if k < 0:
         raise ParameterError("moment order must be >= 0")
     i = np.arange(1, len(c) + 1, dtype=float)
-    return math.fsum(i**k * c)
+    return fsum_array(i**k * c)
 
 
 def stretched_moment(c: np.ndarray, alpha: float, mu: float) -> float:
@@ -98,7 +100,7 @@ def stretched_moment(c: np.ndarray, alpha: float, mu: float) -> float:
     if alpha <= 0 or not (0 < mu < 1):
         raise ParameterError("need alpha > 0 and 0 < mu < 1")
     i = np.arange(1, len(c) + 1, dtype=float)
-    return math.fsum(np.exp(alpha * i**mu) * c)
+    return fsum_array(np.exp(alpha * i**mu) * c)
 
 
 def net_rates(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
@@ -449,11 +451,11 @@ def weak_form_residual(trajectory: Trajectory, phi: np.ndarray, t: float) -> flo
         raise ParameterError("weight sequence shorter than the truncation")
     hm = float(times[idx] - times[idx - 1])
     hp = float(times[idx + 1] - times[idx])
-    fm = math.fsum(phi[:n] * c_prev)
-    f0 = math.fsum(phi[:n] * c_mid)
-    fp = math.fsum(phi[:n] * c_next)
+    fm = fsum_array(phi[:n] * c_prev)
+    f0 = fsum_array(phi[:n] * c_mid)
+    fp = fsum_array(phi[:n] * c_next)
     deriv = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / (hm * hp * (hm + hp))
     w = net_rates(c_mid, trajectory.model)
     increments = phi[1:n] - phi[: n - 1] - phi[0]
-    weighted = math.fsum(w[: n - 1] * increments)
+    weighted = fsum_array(w[: n - 1] * increments)
     return abs(deriv - weighted)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientModel
+from .equilibrium import fsum_array
 from .errors import ParameterError
 
 
@@ -36,7 +37,7 @@ def tail_moment(g: np.ndarray, k: float) -> float:
     if k < 0:
         raise ParameterError("moment order must be >= 0")
     j = np.arange(1, len(g) + 1, dtype=float)
-    return math.fsum(j**k * g)
+    return fsum_array(j**k * g)
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def stretched_sandwich_check(c: np.ndarray, weights: StretchedWeights) -> Sandwi
     """Evaluate sum_i exp(alpha i^mu) c_i against the psi-weighted tail sums."""
     n = len(c)
     i = np.arange(1, n + 1, dtype=float)
-    value = math.fsum(np.exp(weights.alpha * i**weights.mu) * c)
-    s = math.fsum(weights.psi(n) * tail_density(c))
+    value = fsum_array(np.exp(weights.alpha * i**weights.mu) * c)
+    s = fsum_array(weights.psi(n) * tail_density(c))
     return SandwichReport(
         value=value,
         weighted_tail_sum=s,

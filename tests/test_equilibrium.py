@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
-from beckerdoring.equilibrium import density_at_activity
+from beckerdoring.equilibrium import density_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 
@@ -208,3 +210,78 @@ class TestRelativeFreeEnergy:
         eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         with pytest.raises(ParameterError):
             bd.relative_free_energy(np.zeros(10), eq)
+
+
+def assert_same_as_fsum(x):
+    """fsum_array(x) is math.fsum(x) bit for bit (sign of zero and NaN
+    included), or raises the same exception."""
+    x = np.asarray(x, dtype=float)
+    try:
+        expected = math.fsum(x)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fsum_array(x)
+        return
+    assert fsum_array(x).hex() == expected.hex()
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # integer mantissas over the whole exponent range, subnormals included
+    st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 900)),
+)
+
+
+@st.composite
+def _near_ties(draw):
+    """[s, half the gap above s, -delta] and many terms just below the head
+    cut: the rest decides on which side of the tie the exact sum lies."""
+    s = draw(st.floats(min_value=1e-290, max_value=1e290)) * draw(st.sampled_from([-1.0, 1.0]))
+    half = (math.nextafter(s, math.copysign(math.inf, s)) - s) / 2.0
+    delta = math.ldexp(abs(half), -draw(st.integers(40, 60)))
+    tiny = math.ldexp(abs(s), -draw(st.integers(111, 114)))
+    terms = [s, half, -math.copysign(delta, s)] + [math.copysign(tiny, s)] * draw(st.integers(0, 3000))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(terms)
+    return terms
+
+
+class TestFsumArray:
+    """fsum_array returns math.fsum's value on every input."""
+
+    @given(st.lists(_FINITE, max_size=80))
+    @settings(max_examples=400, deadline=None)
+    def test_finite_arrays(self, x):
+        assert_same_as_fsum(x)
+
+    @given(st.lists(_FINITE, max_size=40).flatmap(lambda xs: st.permutations(xs + [-v for v in xs])),
+           st.lists(st.sampled_from([5e-324, -5e-324, 1e-310]), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_cancellation(self, pairs, tiny):
+        assert_same_as_fsum(pairs)
+        assert_same_as_fsum(pairs + tiny)
+
+    @given(_near_ties())
+    @settings(max_examples=200, deadline=None)
+    def test_near_ties(self, x):
+        assert_same_as_fsum(x)
+
+    @pytest.mark.parametrize("x", [
+        [], [0.0], [-0.0], [5e-324], [-3.5],
+        # ties that only the exact sum breaks
+        [1.0, 2.0**-53, 2.0**-1074],
+        [-1.0, -(2.0**-53), -(2.0**-1074)],
+        [1.0, 2.0**-53, -(2.0**-1074)],
+        # head below the tie, and 2049 terms past the cut add more than it lacks
+        [1.0, 2.0**-53, -(2.0**-100)] + [2.0**-111] * 2049,
+        [1.0, 2.0**-53, -(2.0**-100)] + [2.0**-111] * 2047,
+        [-1.0, -(2.0**-53), 2.0**-100] + [-(2.0**-111)] * 2049,
+    ])
+    def test_fixed_cases(self, x):
+        assert_same_as_fsum(x)
+
+    @pytest.mark.parametrize("x", [
+        [math.inf, 1.0], [-math.inf, 1.0], [math.nan, 1.0], [math.inf, -math.inf],
+        [1e308, 1e308], [1e308, 1e308, -1e308], [1e300, 1.0, -1e300],
+    ])
+    def test_non_finite_and_huge(self, x):
+        assert_same_as_fsum(x)

@@ -420,6 +420,21 @@ class TestTrimmedSums:
                     wb = bd.weighted_sum_bound(sol.r, g, phi, params)
                     assert wb.rhs == wb.c_used * (1.0 + math.fsum(phi * g))
 
+    def test_weighted_sum_lhs_at_n_32000(self, monkeypatch):
+        # r's geometric continuation sticks at a 2-ulp subnormal, so r has
+        # 29 244 subnormal entries and no zero; the two experiment sums
+        # equal math.fsum's without summing them exactly
+        config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
+        params = supersolution_params(prep, config)
+        sol, _ = dominating_sequence(prep, params, g)
+        assert np.count_nonzero(sol.r < 2.0**-1022) == 29_244 and np.all(sol.r > 0)
+        fsum, lengths = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda x: lengths.append(len(x)) or fsum(x))
+        i = np.arange(1, config.n + 1, dtype=float)
+        for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
+            assert bd.weighted_sum_bound(sol.r, g, phi, params).lhs == fsum(phi * sol.r)
+        assert max(lengths) < config.n // 10
+
     def test_density(self):
         for config, _, states, _ in self._states_and_profiles():
             i = np.arange(1, config.n + 1, dtype=float)

@@ -11,6 +11,13 @@ and the sha1 of each output file; a last line gives the totals.
     PYTHONPATH=src python tools/census.py > census.jsonl
     python tools/census.py --compare parent.jsonl census.jsonl
 
+``--bench`` runs instead the rho = 1 config of every workload in
+``bench/workloads.py`` (read, not changed), one record per workload and
+label, so ``--compare`` of two such files checks that every output file of
+the benchmark's configs is byte-identical between two trees:
+
+    PYTHONPATH=src python tools/census.py --bench > bench.jsonl
+
 ``--compare`` prints every config whose line differs in anything but the
 wall time, then the number of such configs; it exits 1 if there are any.
 """
@@ -41,11 +48,30 @@ GRID = {
 }
 
 
-def census():
-    """Yield one record per config of the grid, then the totals."""
+def grid_configs():
+    """(parameters, config text) of every config of the robustness grid."""
+    from test_cli import _robustness_config
+
+    for values in itertools.product(*GRID.values()):
+        params = dict(zip(GRID, values))
+        yield params, _robustness_config(**params)
+
+
+def bench_configs():
+    """(workload and label, config text) of each benchmark config at rho = 1."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, config_text, rep_configs
+
+    for workload in WORKLOADS:
+        for label, cfg in rep_configs(workload, seed=0, rep=0).items():
+            yield {"workload": workload, "label": label}, config_text(cfg)
+
+
+def census(configs):
+    """Yield one record per (parameters, config text) pair, then the totals."""
     import beckerdoring.experiments as experiments
     from beckerdoring.cli import main
-    from test_cli import _robustness_config
 
     real_integrate = experiments.integrate
     n_fev = 0
@@ -59,12 +85,11 @@ def census():
     experiments.integrate = counted
     codes: Counter = Counter()
     total_fev, total_wall = 0, 0.0
-    for values in itertools.product(*GRID.values()):
-        params = dict(zip(GRID, values))
+    for params, text in configs:
         n_fev = 0
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "exp.toml", Path(tmp) / "o"
-            path.write_text(_robustness_config(**params))
+            path.write_text(text)
             err = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -100,8 +125,9 @@ def compare(before: Path, after: Path) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--bench", action="store_true", help="run the benchmark's rho = 1 configs, not the grid")
     args = parser.parse_args()
     if args.compare:
         sys.exit(compare(*args.compare))
-    for record in census():
+    for record in census(bench_configs() if args.bench else grid_configs()):
         print(json.dumps(record), flush=True)
