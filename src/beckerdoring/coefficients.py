@@ -1,8 +1,17 @@
 """Coagulation/fragmentation rate families and their detailed-balance data.
 
-Rates are evaluated lazily from closed-form expressions (or a user table for
-the custom family); nothing of size N is stored except the log-prefix of the
-detailed-balance coefficients, which callers are expected to keep around.
+Rates are evaluated from closed-form expressions (or a user table for the
+custom family).  The rates are elementwise in i and log Q_i is a running
+sum of them, so a shorter sequence is the first entries of a longer one, bit
+for bit.  Each is evaluated once and sliced by its consumers:
+
+- the flux rates (a_{j-1}, b_j) are kept on the model by ``rate_pairs`` at
+  the largest n asked for so far, as read-only arrays that the solver, the
+  supersolution and the short-time bound slice;
+- the detailed-balance prefix log Q_i is computed by ``detailed_balance``
+  and kept, for the length of one preamble only, by
+  ``equilibrium._LogQPrefix``: its 10^5 entries are not kept on the model.
+
 All evaluations are pure functions of (model, i) and safe to share across
 workers.
 """
@@ -46,6 +55,8 @@ class CoefficientModel:
     b_bar: float = 0.0
     a_table: np.ndarray | None = field(default=None, repr=False)
     b_table: np.ndarray | None = field(default=None, repr=False)
+    # "pairs": rate_pairs' (n, a_1..a_{n-1}, b_2..b_n), the arrays read-only
+    _rate_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def table_length(self) -> int | None:
@@ -83,8 +94,19 @@ class CoefficientModel:
         return float(out) if out.ndim == 0 else out
 
     def rate_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The flux rates (a_{j-1}, b_j) for j = 2..n, as two arrays."""
-        return self.a(np.arange(1, n, dtype=float)), self.b(np.arange(2, n + 1, dtype=float))
+        """The flux rates (a_{j-1}, b_j) for j = 2..n, as two read-only arrays.
+
+        Both are evaluated once, at the largest n asked for so far, and every
+        call returns slices of them: the same bits as evaluating at n.
+        """
+        table = self._rate_table.get("pairs")
+        if table is None or table[0] < n:
+            a, b = self.a(np.arange(1, n, dtype=float)), self.b(np.arange(2, n + 1, dtype=float))
+            a.flags.writeable = b.flags.writeable = False
+            table = self._rate_table["pairs"] = (n, a, b)  # one store: a reader sees n with its arrays
+        _, a, b = table
+        m = max(n - 1, 0)
+        return a[:m], b[:m]
 
     def log_a(self, i):
         """log a_i, evaluated without forming a_i (safe for huge i)."""

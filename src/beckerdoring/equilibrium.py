@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, detailed_balance
+from .coefficients import CoefficientModel, DetailedBalance, detailed_balance
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
 _N_SERIES_DEFAULT = 100_000
@@ -35,17 +35,24 @@ class CriticalValues:
     inconclusive: bool
 
 
-def critical_values(model: CoefficientModel, n: int = _N_SERIES_DEFAULT, tol: float = 1e-8) -> CriticalValues:
+def critical_values(
+    model: CoefficientModel,
+    n: int = _N_SERIES_DEFAULT,
+    tol: float = 1e-8,
+    log_q_prefix: _LogQPrefix | None = None,
+) -> CriticalValues:
     """Estimate (z_s, rho_s) from the detailed-balance prefix of length n.
 
     z_s is the reciprocal of the tail-averaged ratio Q_{i+1}/Q_i.  The
     partial sums of i Q_i z_s^i are declared divergent when the second half
     of the range still grows them by more than a factor 1 + tol_div, and
-    converged when it contributes less than tol relative.
+    converged when it contributes less than tol relative.  A given
+    ``log_q_prefix`` keeps the length-n log Q for the preamble's later
+    consumers.
     """
     if model.table_length is not None:
         n = min(n, model.table_length)
-    db = detailed_balance(model, n)
+    db = detailed_balance(model, n) if log_q_prefix is None else log_q_prefix.balance(n)
     z_s = 1.0 / db.ratio_tail
     i = np.arange(1, n + 1, dtype=float)
     with np.errstate(under="ignore"):
@@ -77,17 +84,31 @@ def density_at_activity(
 
 
 class _LogQPrefix:
-    """log Q_1..Q_n of a model for any n, computed once at the largest n
-    asked for so far: the recursion is a running sum, so a longer prefix
-    starts with the bits of every shorter one."""
+    """log Q_1..Q_n of a model for any n, as slices of one array computed at
+    the largest n asked for so far: the recursion is a running sum, so a
+    longer prefix starts with the bits of every shorter one.
+
+    ``experiments.prepare`` makes one per preamble: ``critical_values``
+    fills it at n_series, and the activity solve's bisection and
+    ``equilibrium_profile`` slice it.  It is dropped with the preamble's
+    locals, so its 10^5 entries do not outlive ``prepare``.
+    """
 
     def __init__(self, model: CoefficientModel):
         self.model = model
         self._log_q = np.empty(0)
 
+    def balance(self, n: int) -> DetailedBalance:
+        """``detailed_balance(model, n)``, kept as the prefix when it is the
+        longest yet."""
+        db = detailed_balance(self.model, n)
+        if n > len(self._log_q):
+            self._log_q = db.log_q
+        return db
+
     def __call__(self, n: int) -> np.ndarray:
         if len(self._log_q) < n:
-            self._log_q = detailed_balance(self.model, n).log_q
+            self.balance(n)
         return self._log_q[:n]
 
 
@@ -127,12 +148,14 @@ def solve_monomer_activity(
     rho: float,
     tol: float = 1e-12,
     critical: CriticalValues | None = None,
+    log_q_prefix: _LogQPrefix | None = None,
 ) -> float:
     """Solve F(z_bar) = rho for the monomer activity of a subcritical density.
 
     Bisection on [0, z_s), exploiting strict monotonicity of F.  The upper
     bracket starts at 0.999 z_s and creeps toward z_s while F there is
-    still below rho.  Raises SupercriticalError when rho >= rho_s.
+    still below rho.  Raises SupercriticalError when rho >= rho_s.  The
+    truncations of F slice ``log_q_prefix`` (a new one when None).
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
@@ -143,7 +166,8 @@ def solve_monomer_activity(
             f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
         )
     tol_series = tol * rho / 10.0
-    log_q_prefix = _LogQPrefix(model)
+    if log_q_prefix is None:
+        log_q_prefix = _LogQPrefix(model)
 
     def f(z: float) -> float:
         value, converged = _density_at_activity(log_q_prefix, z, tol_series)
@@ -205,10 +229,14 @@ def equilibrium_profile(
     z_bar: float,
     n: int,
     critical: CriticalValues | None = None,
+    log_q_prefix: _LogQPrefix | None = None,
 ) -> EquilibriumData:
-    """Build the length-n equilibrium profile for a given monomer activity."""
+    """Build the length-n equilibrium profile for a given monomer activity,
+    from the first n entries of ``log_q_prefix`` (a new one when None)."""
+    if log_q_prefix is None:
+        log_q_prefix = _LogQPrefix(model)
     if critical is None:
-        critical = critical_values(model, max(_N_SERIES_DEFAULT, n))
+        critical = critical_values(model, max(_N_SERIES_DEFAULT, n), log_q_prefix=log_q_prefix)
     if z_bar < 0 or z_bar >= critical.z_s * (1 + 1e-9):
         raise ParameterError(f"activity {z_bar} outside [0, z_s = {critical.z_s:.6g})")
     if z_bar == 0.0:
@@ -220,9 +248,8 @@ def equilibrium_profile(
             cut_index=1,
             tail_bound=0.0,
         )
-    db = detailed_balance(model, n)
     i = np.arange(1, n + 1, dtype=float)
-    log_profile = db.log_q + i * math.log(z_bar)
+    log_profile = log_q_prefix(n) + i * math.log(z_bar)
     with np.errstate(under="ignore"):
         profile = np.exp(log_profile)
     zero = np.nonzero(profile == 0.0)[0]

@@ -22,6 +22,7 @@ from .coefficients import CoefficientModel, Family, load_rate_table, make_expone
 from .equilibrium import (
     CriticalValues,
     EquilibriumData,
+    _LogQPrefix,
     _sum_over_support,
     critical_values,
     equilibrium_profile,
@@ -155,12 +156,14 @@ def prepare(config: ExperimentConfig) -> Preamble:
     """Build the model, its critical values and the equilibrium of a config.
 
     Adds no refusal of its own: a supercritical density fails in the
-    activity solve.
+    activity solve.  The three share one log-Q prefix: the critical values
+    compute it at n_series, the activity solve and the profile slice it.
     """
     model = config.build_model()
-    crit = critical_values(model, config.n_series)
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit)
+    log_q_prefix = _LogQPrefix(model)
+    crit = critical_values(model, config.n_series, log_q_prefix=log_q_prefix)
+    z_bar = solve_monomer_activity(model, config.rho, critical=crit, log_q_prefix=log_q_prefix)
+    eq = equilibrium_profile(model, z_bar, config.n, critical=crit, log_q_prefix=log_q_prefix)
     c0 = config.initial_state(eq)
     omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
     opts = IntegrateOptions(
@@ -227,7 +230,7 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
     eps = float(np.min(diffs)) / float(phi[0])
     if eps <= 0:
         raise ParameterError("weights must be strictly increasing")
-    a = model.a(np.arange(1, len(phi), dtype=float))
+    a = model.rate_pairs(len(phi))[0]
     ratios = a * diffs / phi[:-1]
     argmax = int(np.argmax(ratios))
     edge = len(ratios) - 1

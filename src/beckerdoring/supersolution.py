@@ -142,23 +142,34 @@ def continue_geometrically(s: np.ndarray, r: np.ndarray, lam: float, m: int, sta
     of r with the suffix sums of s plus tail_value = s_N / (lambda - 1), the
     continuation past the truncation; return tail_value.  Rows are 1-based.
 
-    Past the support of g the increments' recurrence is this decay; a
-    running product makes its multiplications in the recurrence's order.
-    ``build_supersolution`` and ``experiments.read_supersolution`` both
-    call it, so r and s rebuilt from rows 1..m are the built ones bit for
-    bit (the suffix sums accumulate from row N, so where they start does
-    not change them).
+    Past the support of g the increments' recurrence is this decay.  It is
+    a running product in the recurrence's order, taken in chunks of growing
+    length whose first factor is the previous chunk's last product, so each
+    s_j has the bits of one product over all rows.  ``build_supersolution``
+    and ``experiments.read_supersolution`` both call it, so r and s rebuilt
+    from rows 1..m are the built ones bit for bit (the suffix sums
+    accumulate from row N, so where they start does not change them).
 
-    The decay underflows but never reaches zero: for lambda < 2 a 1-ulp
-    subnormal times 1/lambda > 1/2 rounds back to itself, and for
-    lambda <= 4/3 so does a 2-ulp one.  On the power-law template at
-    N = 32 000 (lambda = 1.294) s sticks at 2^-1073 from row 2888, so r has
-    29 244 subnormal entries and no zero, and the balance check's worst
-    margin (-2.37e-6 at j = 2888) lies in that floor.
+    The decay underflows to a fixed point: for lambda < 2 a 1-ulp subnormal
+    times 1/lambda > 1/2 rounds back to itself, and for lambda <= 4/3 so
+    does a 2-ulp one; for lambda >= 2 it reaches 0.  Once s_j / lambda
+    rounds to s_j the remaining rows are filled with s_j, not multiplied
+    through: on the power-law template at N = 32 000 (lambda = 1.294) s
+    sticks at 2^-1073 from row 2888, so r has 29 244 subnormal entries and
+    no zero, and the balance check's worst margin (-2.37e-6 at j = 2888)
+    lies in that floor.
     """
-    decay = np.full(len(s) - m + 1, 1.0 / lam)
-    decay[0] = s[m - 1]
-    s[m - 1 :] = np.multiply.accumulate(decay)
+    inv_lam = 1.0 / lam
+    j, chunk = m - 1, 256  # j: 0-based row of the last product
+    while j < len(s) - 1:
+        end = min(j + chunk, len(s) - 1)
+        decay = np.full(end - j + 1, inv_lam)
+        decay[0] = s[j]
+        s[j : end + 1] = np.multiply.accumulate(decay)
+        j, chunk = end, 2 * chunk
+        if s[j] * inv_lam == s[j]:
+            s[j + 1 :] = s[j]
+            break
     tail_value = float(s[-1]) / (lam - 1.0)
     r[start - 1 :] = np.cumsum(s[start - 1 :][::-1])[::-1] + tail_value
     return tail_value

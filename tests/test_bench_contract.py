@@ -49,6 +49,14 @@ def test_tracing_sees_the_solver_and_the_supersolution_step(traced_report):
         assert layers[metric] > 0, metric
 
 
+def test_tracing_sees_the_preamble(traced_report):
+    # the preamble's three spans are wrapped by their names in
+    # ``experiments``: ``prepare`` must still call them through those names
+    _, layers, _ = traced_report
+    for metric in ("equilibrium.critical_s", "equilibrium.activity_s", "equilibrium.profile_s"):
+        assert layers[metric] > 0, metric
+
+
 def test_bench_check_finds_no_problems(traced_report):
     report, _, _ = traced_report
     assert _load("check").check_report(report, density, golden=None) == []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -75,6 +76,64 @@ class TestExponentialTailFamily:
             bd.make_exponential_tail_model(1.0, 1.0, 1.0, 0.5)  # needs gamma < 1
         with pytest.raises(ParameterError):
             bd.make_exponential_tail_model(0.5, 1.0, -1.0, 0.5)
+
+
+# a fresh model per call, so that no rate_pairs table is shared
+PREFIX_MODELS = {
+    "power_law": lambda: bd.make_power_law_model(0.5, 1.0, 1.0, 0.5),
+    "exponential_tail": lambda: bd.make_exponential_tail_model(0.5, 1.0, 1.0, 0.5),
+    "rate_table": lambda: bd.make_custom_model(
+        np.linspace(1.0, 3.0, 10**5), np.linspace(1.5, 4.0, 10**5), gamma=0.5, z_s=1.3
+    ),
+}
+PREFIX_LENGTHS = [2, 255, 256, 1999, 2000, 31_999, 32_000]
+
+
+@functools.cache
+def _long_log_q(kind: str) -> np.ndarray:
+    return bd.detailed_balance(PREFIX_MODELS[kind](), 10**5).log_q
+
+
+@functools.cache
+def _long_rate_pairs(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    return PREFIX_MODELS[kind]().rate_pairs(32_000)
+
+
+class TestPrefixProperty:
+    """A shorter model sequence is the first entries of a longer one, bit
+    for bit: what lets each consumer slice one evaluation."""
+
+    @pytest.mark.parametrize("n", PREFIX_LENGTHS)
+    @pytest.mark.parametrize("kind", PREFIX_MODELS)
+    def test_log_q(self, kind, n):
+        log_q = bd.detailed_balance(PREFIX_MODELS[kind](), n).log_q
+        assert log_q.tobytes() == _long_log_q(kind)[:n].tobytes()
+
+    @pytest.mark.parametrize("n", PREFIX_LENGTHS)
+    @pytest.mark.parametrize("kind", PREFIX_MODELS)
+    def test_rate_pairs(self, kind, n):
+        a, b = PREFIX_MODELS[kind]().rate_pairs(n)
+        a_long, b_long = _long_rate_pairs(kind)
+        assert len(a) == len(b) == n - 1
+        assert a.tobytes() == a_long[: n - 1].tobytes()
+        assert b.tobytes() == b_long[: n - 1].tobytes()
+
+    @pytest.mark.parametrize("kind", PREFIX_MODELS)
+    def test_rate_pairs_are_read_only(self, kind):
+        model = PREFIX_MODELS[kind]()
+        for n in (300, 100, 2000):  # evaluated, sliced, evaluated again
+            for rates in model.rate_pairs(n):
+                with pytest.raises(ValueError, match="read-only"):
+                    rates[0] = 1.0
+
+    def test_rate_pairs_are_evaluated_once_at_the_longest_n(self, monkeypatch):
+        model = PREFIX_MODELS["power_law"]()
+        lengths = []
+        a = bd.CoefficientModel.a
+        monkeypatch.setattr(bd.CoefficientModel, "a", lambda self, i: lengths.append(len(i)) or a(self, i))
+        for n in (2000, 1999, 300, 2000, 4000, 32):
+            assert len(model.rate_pairs(n)[0]) == n - 1
+        assert lengths == [1999, 3999]
 
 
 class TestDetailedBalance:

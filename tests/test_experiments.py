@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -162,6 +163,67 @@ class TestPipeline:
         report = run_uniform_moment_experiment(ExperimentConfig(**changes))
         types = {type(leaf) for leaf in leaves(report.to_dict())}
         assert types <= {str, int, float, bool, type(None)}
+
+
+def _arrays(obj, seen=None):
+    """Every array reachable from obj through dataclass fields, dicts,
+    tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name), seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value, seen)
+
+
+class TestModelSequencesOnce:
+    """An experiment evaluates each model sequence once and slices it."""
+
+    @staticmethod
+    def _count(monkeypatch, *names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(bd.CoefficientModel, name)
+
+            def counted(self, i, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, i)
+
+            monkeypatch.setattr(bd.CoefficientModel, name, counted)
+        return calls
+
+    # building an exponential-tail model scans log b_i / a_i for b_bar
+    @pytest.mark.parametrize("family,log_b_calls", [("power_law", 1), ("exponential_tail", 2)])
+    def test_prepare_computes_log_q_once(self, monkeypatch, family, log_b_calls):
+        calls = self._count(monkeypatch, "log_b")
+        prepare(ExperimentConfig(family=family))
+        assert calls == {"log_b": log_b_calls}
+
+    @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+    def test_an_experiment_evaluates_the_rates_once(self, monkeypatch, family):
+        calls = self._count(monkeypatch, "a", "b")
+        report = run_uniform_moment_experiment(ExperimentConfig(family=family))
+        assert report.supersolution is not None  # every consumer of the rates ran
+        assert calls == {"a": 1, "b": 1}
+
+    def test_the_preamble_keeps_no_log_q_prefix(self):
+        config = ExperimentConfig()
+        prep = prepare(config)
+        sizes = set()
+        for array in _arrays(prep):
+            while isinstance(array, np.ndarray):
+                sizes.add(array.size)
+                array = array.base
+        assert config.n in sizes and config.n_series not in sizes
 
 
 @pytest.fixture(scope="module")

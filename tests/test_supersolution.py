@@ -18,6 +18,7 @@ from beckerdoring.experiments import (
     supersolution_params,
     write_columns,
 )
+from beckerdoring import supersolution
 from beckerdoring.supersolution import SupersolutionParams
 from beckerdoring.tails import stretched_weights, tail_density
 
@@ -398,6 +399,61 @@ class TestReadSupersolution:
         path.write_text(text[:-3])
         with pytest.raises(ConfigError, match=rf"line {len(text.splitlines())}: expected"):
             read_supersolution(path)
+
+
+def _one_product(s: np.ndarray, r: np.ndarray, lam: float, m: int, start: int) -> float:
+    """``continue_geometrically`` as one running product over every row
+    past m, without stopping at the decay's fixed point."""
+    decay = np.full(len(s) - m + 1, 1.0 / lam)
+    decay[0] = s[m - 1]
+    s[m - 1 :] = np.multiply.accumulate(decay)
+    tail_value = float(s[-1]) / (lam - 1.0)
+    r[start - 1 :] = np.cumsum(s[start - 1 :][::-1])[::-1] + tail_value
+    return tail_value
+
+
+class _CountingNumpy:
+    """numpy, with the lengths of the arrays ``np.full`` makes recorded."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def full(self, shape, value):
+        self.lengths.append(shape)
+        return np.full(shape, value)
+
+
+class TestContinueGeometrically:
+    """Stopping the decay at its fixed point keeps the bits of one product."""
+
+    @pytest.mark.parametrize("lam", [1.0001, 1.05, 1.294, 4 / 3, 1.5, 1.99, 2.0, 2.5, 7.0])
+    @pytest.mark.parametrize("n,m,start", [(32_000, 40, 5), (2000, 37, 3), (300, 299, 10), (10, 10, 2), (5000, 1, 1)])
+    def test_same_bits_as_one_product(self, lam, n, m, start):
+        head = np.zeros(n)
+        head[start - 1 : m] = 0.37 * 0.8 ** np.arange(m - start + 1)
+        s, r = head.copy(), np.zeros(n)
+        s_ref, r_ref = head.copy(), np.zeros(n)
+        assert supersolution.continue_geometrically(s, r, lam, m, start) == _one_product(s_ref, r_ref, lam, m, start)
+        assert s.tobytes() == s_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+
+    def test_large_n_stops_multiplying_at_the_floor(self, monkeypatch, tmp_path):
+        # the N = 32 000 pipeline's s sticks at 2^-1073 from row 2888: the
+        # rebuild multiplies well short of N rows, and the export still
+        # reads back as one product over every row would give
+        config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[2])
+        sol = _sequence(prep, config, g_t0)
+        s_ref, r_ref = sol.s.copy(), sol.r.copy()
+        _one_product(s_ref, r_ref, sol.lam, sol.n_head, sol.n_head)
+        assert sol.s.tobytes() == s_ref.tobytes() and sol.r.tobytes() == r_ref.tobytes()
+        assert sol.s[-1] == 2.0**-1073
+        counting = _CountingNumpy()
+        monkeypatch.setattr(supersolution, "np", counting)
+        r, s = read_supersolution(export_supersolution(sol, tmp_path))
+        assert r.tobytes() == sol.r.tobytes() and s.tobytes() == sol.s.tobytes()
+        assert sum(counting.lengths) < 4000 < config.n - sol.n_head
 
 
 class TestTrimmedSums:
