@@ -9,7 +9,6 @@ moment bounds.
 from .coefficients import (
     AssumptionReport,
     CoefficientModel,
-    DetailedBalance,
     Family,
     check_assumptions,
     detailed_balance,

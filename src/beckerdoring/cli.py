@@ -130,7 +130,7 @@ def _cmd_equilibrium(args) -> int:
     prep = prepare(load_config(args.config))
     crit, eq = prep.critical, prep.equilibrium
     print(f"z_s={crit.z_s!r}")
-    print(f"rho_s={'inf' if crit.diverges else repr(crit.rho_s)}")
+    print(f"rho_s={crit.rho_s!r}")
     print(f"z_bar={prep.z_bar!r}")
     print(f"rho={eq.rho!r}")
     print(f"n_cut={eq.cut_index}")

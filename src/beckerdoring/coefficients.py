@@ -8,9 +8,12 @@ for bit.  Each is evaluated once and sliced by its consumers:
 - the flux rates (a_{j-1}, b_j) are kept on the model by ``rate_pairs`` at
   the largest n asked for so far, as read-only arrays that the solver, the
   supersolution and the short-time bound slice;
-- the detailed-balance prefix log Q_i is computed by ``detailed_balance``
-  and kept, for the length of one preamble only, by
+- the detailed-balance prefix log Q_i is the array ``detailed_balance``
+  returns, kept for the length of one preamble only by
   ``equilibrium._LogQPrefix``: its 10^5 entries are not kept on the model.
+
+z_s and rho_s are not derived here: ``equilibrium.critical_values`` does
+that from log Q, once per preamble.
 
 All evaluations are pure functions of (model, i) and safe to share across
 workers.
@@ -260,29 +263,9 @@ def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float | None =
 # -- detailed balance --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DetailedBalance:
-    """Detailed-balance prefix Q_1..Q_N, held in log space.
-
-    ``log_q[i-1]`` is log Q_i with Q_1 = 1 and Q_{i+1} b_{i+1} = a_i Q_i.
-    ``ratio_tail`` estimates lim Q_{i+1}/Q_i as the geometric mean of the
-    last N//10 consecutive ratios.
-    """
-
-    log_q: np.ndarray
-    ratio_tail: float
-
-    @property
-    def n(self) -> int:
-        return len(self.log_q)
-
-    def q(self) -> np.ndarray:
-        """Q_i in linear scale; entries below the double range underflow to 0."""
-        return np.exp(self.log_q)
-
-
-def detailed_balance(model: CoefficientModel, n: int) -> DetailedBalance:
-    """Compute Q_1..Q_n by the log-space recursion log Q_{i+1} = log Q_i + log(a_i/b_{i+1})."""
+def detailed_balance(model: CoefficientModel, n: int) -> np.ndarray:
+    """log Q_1..log Q_n by the recursion log Q_{i+1} = log Q_i + log(a_i/b_{i+1}),
+    with Q_1 = 1."""
     if n < 2:
         raise ParameterError("detailed balance needs n >= 2")
     i = np.arange(1, n, dtype=float)
@@ -290,11 +273,7 @@ def detailed_balance(model: CoefficientModel, n: int) -> DetailedBalance:
     log_q = np.concatenate([[0.0], np.cumsum(incr)])
     if not np.all(np.isfinite(log_q)):
         raise NumericalError("log Q_i left the representable range")
-    m = max(1, n // 10)
-    ratio_tail = math.exp((log_q[-1] - log_q[-1 - m]) / m)
-    if ratio_tail <= 0:
-        raise NumericalError("non-positive tail ratio estimate")
-    return DetailedBalance(log_q=log_q, ratio_tail=ratio_tail)
+    return log_q
 
 
 # -- assumption checks -------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, DetailedBalance, detailed_balance
+from .coefficients import CoefficientModel, detailed_balance
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
 _N_SERIES_DEFAULT = 100_000
@@ -22,48 +22,41 @@ _N_CAP = 1 << 21
 
 @dataclass(frozen=True)
 class CriticalValues:
-    """Root-test estimate of z_s and the partial-sum estimate of rho_s.
-
-    ``diverges`` marks partial sums that keep growing at the scan end
-    (rho_s = +inf); ``inconclusive`` marks sums that neither stabilized nor
-    grew measurably.
-    """
+    """Root-test estimate of z_s and the partial-sum estimate of rho_s,
+    which is +inf when the partial sums keep growing at the scan end."""
 
     z_s: float
     rho_s: float
-    diverges: bool
-    inconclusive: bool
 
 
 def critical_values(
     model: CoefficientModel,
     n: int = _N_SERIES_DEFAULT,
-    tol: float = 1e-8,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> CriticalValues:
     """Estimate (z_s, rho_s) from the detailed-balance prefix of length n.
 
-    z_s is the reciprocal of the tail-averaged ratio Q_{i+1}/Q_i.  The
-    partial sums of i Q_i z_s^i are declared divergent when the second half
-    of the range still grows them by more than a factor 1 + tol_div, and
-    converged when it contributes less than tol relative.  A given
-    ``log_q_prefix`` keeps the length-n log Q for the preamble's later
-    consumers.
+    z_s is the reciprocal of the geometric mean of the last n//10 ratios
+    Q_{i+1}/Q_i.  The partial sums of i Q_i z_s^i are declared divergent
+    when the second half of the range still grows them by more than a
+    factor 1 + 1e-6.  A given ``log_q_prefix`` keeps the length-n log Q for
+    the preamble's later consumers.
     """
     if model.table_length is not None:
         n = min(n, model.table_length)
-    db = detailed_balance(model, n) if log_q_prefix is None else log_q_prefix.balance(n)
-    z_s = 1.0 / db.ratio_tail
+    log_q = (log_q_prefix or _LogQPrefix(model))(n)
+    m = max(1, n // 10)
+    ratio_tail = math.exp((log_q[-1] - log_q[-1 - m]) / m)
+    if ratio_tail <= 0:
+        raise NumericalError("non-positive tail ratio estimate")
+    z_s = 1.0 / ratio_tail
     i = np.arange(1, n + 1, dtype=float)
     with np.errstate(under="ignore"):
-        terms = np.exp(np.log(i) + db.log_q + i * math.log(z_s))
+        terms = np.exp(np.log(i) + log_q + i * math.log(z_s))
     s_half = float(np.sum(terms[: n // 2]))
     s_full = float(np.sum(terms))
-    tol_div = max(tol, 1e-6)
-    if s_half > 0 and s_full > s_half * (1.0 + tol_div):
-        return CriticalValues(z_s=z_s, rho_s=math.inf, diverges=True, inconclusive=False)
-    stabilized = s_full - s_half <= tol * s_full
-    return CriticalValues(z_s=z_s, rho_s=s_full, diverges=False, inconclusive=not stabilized)
+    diverges = s_half > 0 and s_full > s_half * (1.0 + 1e-6)
+    return CriticalValues(z_s=z_s, rho_s=math.inf if diverges else s_full)
 
 
 def density_at_activity(
@@ -98,17 +91,9 @@ class _LogQPrefix:
         self.model = model
         self._log_q = np.empty(0)
 
-    def balance(self, n: int) -> DetailedBalance:
-        """``detailed_balance(model, n)``, kept as the prefix when it is the
-        longest yet."""
-        db = detailed_balance(self.model, n)
-        if n > len(self._log_q):
-            self._log_q = db.log_q
-        return db
-
     def __call__(self, n: int) -> np.ndarray:
         if len(self._log_q) < n:
-            self.balance(n)
+            self._log_q = detailed_balance(self.model, n)
         return self._log_q[:n]
 
 
@@ -147,7 +132,8 @@ def solve_monomer_activity(
     model: CoefficientModel,
     rho: float,
     tol: float = 1e-12,
-    critical: CriticalValues | None = None,
+    *,
+    critical: CriticalValues,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> float:
     """Solve F(z_bar) = rho for the monomer activity of a subcritical density.
@@ -159,15 +145,12 @@ def solve_monomer_activity(
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
-    if critical is None:
-        critical = critical_values(model)
-    if not critical.diverges and rho >= critical.rho_s:
+    if rho >= critical.rho_s:
         raise SupercriticalError(
             f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
         )
     tol_series = tol * rho / 10.0
-    if log_q_prefix is None:
-        log_q_prefix = _LogQPrefix(model)
+    log_q_prefix = log_q_prefix or _LogQPrefix(model)
 
     def f(z: float) -> float:
         value, converged = _density_at_activity(log_q_prefix, z, tol_series)
@@ -228,15 +211,12 @@ def equilibrium_profile(
     model: CoefficientModel,
     z_bar: float,
     n: int,
-    critical: CriticalValues | None = None,
+    critical: CriticalValues,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> EquilibriumData:
-    """Build the length-n equilibrium profile for a given monomer activity,
-    from the first n entries of ``log_q_prefix`` (a new one when None)."""
-    if log_q_prefix is None:
-        log_q_prefix = _LogQPrefix(model)
-    if critical is None:
-        critical = critical_values(model, max(_N_SERIES_DEFAULT, n), log_q_prefix=log_q_prefix)
+    """Build the length-n equilibrium profile for a given monomer activity
+    below ``critical.z_s``, from the first n entries of ``log_q_prefix`` (a
+    new one when None)."""
     if z_bar < 0 or z_bar >= critical.z_s * (1 + 1e-9):
         raise ParameterError(f"activity {z_bar} outside [0, z_s = {critical.z_s:.6g})")
     if z_bar == 0.0:
@@ -249,7 +229,7 @@ def equilibrium_profile(
             tail_bound=0.0,
         )
     i = np.arange(1, n + 1, dtype=float)
-    log_profile = log_q_prefix(n) + i * math.log(z_bar)
+    log_profile = (log_q_prefix or _LogQPrefix(model))(n) + i * math.log(z_bar)
     with np.errstate(under="ignore"):
         profile = np.exp(log_profile)
     zero = np.nonzero(profile == 0.0)[0]

@@ -155,9 +155,11 @@ class Preamble:
 def prepare(config: ExperimentConfig) -> Preamble:
     """Build the model, its critical values and the equilibrium of a config.
 
-    Adds no refusal of its own: a supercritical density fails in the
-    activity solve.  The three share one log-Q prefix: the critical values
-    compute it at n_series, the activity solve and the profile slice it.
+    The critical values (z_s, rho_s) are computed here and nowhere else in
+    the pipeline: every later consumer reads ``Preamble.critical``.  Adds no
+    refusal of its own: a supercritical density fails in the activity
+    solve.  The three share one log-Q prefix: the critical values compute it
+    at n_series, the activity solve and the profile slice it.
     """
     model = config.build_model()
     log_q_prefix = _LogQPrefix(model)
@@ -178,9 +180,10 @@ def prepare(config: ExperimentConfig) -> Preamble:
 
 
 def supersolution_params(prep: Preamble, config: ExperimentConfig) -> SupersolutionParams:
-    """lambda and the switch index from the rates up to max(N, 1000) and the
-    model's z_s: they need no trajectory, so a refusal precedes integration."""
-    return make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), prep.critical.z_s)
+    """lambda and the switch index from the rates up to max(N, 1000) and
+    ``prepare``'s root-test estimate of z_s: they need no trajectory, so a
+    refusal (omega outside (0, z_s), delta too large) precedes integration."""
+    return make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
 
 
 def dominating_sequence(
@@ -369,15 +372,14 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     """Run the full certificate pipeline for one configuration.
 
     Raises SupercriticalError when the configured density is not below the
-    critical density (the uniform-bound machinery does not apply there) and
-    ConfigError for weights outside the certified hypotheses.  Every other
-    failure is a stage verdict, never a silent pass.
+    critical density (the uniform-bound machinery does not apply there),
+    ConfigError for weights outside the certified hypotheses and, before
+    integrating, ParameterError when omega and delta admit no lambda.  Every
+    other failure is a stage verdict, never a silent pass.
     """
     _check_hypotheses(config)
     prep = prepare(config)
     model, crit, rho, omega = prep.model, prep.critical, prep.rho, prep.omega
-    if not omega < crit.z_s:
-        raise ConfigError(f"omega = {omega:.6g} must be below z_s = {crit.z_s:.6g}")
     params = supersolution_params(prep, config)
 
     stages: list[StageResult] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, detailed_balance
+from .coefficients import CoefficientModel
 from .equilibrium import fsum_array, support_length
 from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
 
@@ -27,22 +27,19 @@ _SCAN_DEFAULT = 100_000
 TAIL_DECAY_TOL = 1e-6  # g_N must be below this share of rho: g is taken as 0 past N
 
 
-def _z_s_estimate(model: CoefficientModel, n_max: int) -> float:
-    if model.z_s_param is not None:
-        return model.z_s_param
-    return 1.0 / detailed_balance(model, min(n_max, _SCAN_DEFAULT)).ratio_tail
-
-
 def choose_lambda(
     model: CoefficientModel,
     omega: float,
     delta: float = 1.0,
     n_max: int = _SCAN_DEFAULT,
-    z_s_est: float | None = None,
+    *,
+    z_s: float,
 ) -> tuple[float, int]:
-    """Pick the decay rate lambda and the switch index for a given cap.
+    """Pick the decay rate lambda and the switch index for a cap omega in
+    (0, z_s), given the critical monomer density z_s (in the pipeline,
+    ``experiments.prepare``'s ``critical.z_s``).
 
-    lambda is the geometric mean of delta and the admissible ceiling; the
+    lambda is the geometric mean of delta and the ceiling z_s/omega; the
     ceiling is additionally capped at 1 + 1/omega when possible, which keeps
     r_1 >= rho automatic (for omega(lambda-1) > 1 the prefix patch alone
     cannot guarantee it).  The switch index is the smallest index past which
@@ -50,13 +47,11 @@ def choose_lambda(
     """
     if model.table_length is not None:
         n_max = min(n_max, model.table_length)
-    if z_s_est is None:
-        z_s_est = _z_s_estimate(model, n_max)
-    if omega <= 0 or omega >= z_s_est:
-        raise ParameterError(f"omega must lie in (0, z_s = {z_s_est:.6g}), got {omega}")
+    if omega <= 0 or omega >= z_s:
+        raise ParameterError(f"omega must lie in (0, z_s = {z_s:.6g}), got {omega}")
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    ceiling = z_s_est / omega
+    ceiling = z_s / omega
     if delta >= ceiling:
         raise ParameterError(f"delta must be below z_s/omega = {ceiling:.6g}")
     capped = min(ceiling, 1.0 + 1.0 / omega)
@@ -106,9 +101,10 @@ def make_params(
     rho: float,
     delta: float = 1.0,
     n_max: int = _SCAN_DEFAULT,
-    z_s_est: float | None = None,
+    *,
+    z_s: float,
 ) -> SupersolutionParams:
-    lam, n_switch = choose_lambda(model, omega, delta, n_max, z_s_est)
+    lam, n_switch = choose_lambda(model, omega, delta, n_max, z_s=z_s)
     return SupersolutionParams(omega=omega, rho=rho, delta=delta, lam=lam, n_switch=n_switch)
 
 

@@ -57,6 +57,18 @@ def test_tracing_sees_the_preamble(traced_report):
         assert layers[metric] > 0, metric
 
 
+def test_every_traced_call_the_template_reaches_records_a_span(traced_report):
+    # a refactor that calls past a traced name of ``experiments`` (say,
+    # ``supersolution.make_params`` from ``supersolution_params``) would
+    # leave its layer's metrics at zero; the power-law template builds no
+    # rate table and no exponential-tail model
+    tracing = _load("tracing")
+    _, _, spans = traced_report
+    unreached = {"load_rate_table", "make_exponential_tail_model"}
+    expected = {span for attr, span in tracing.EXPERIMENTS_CALLS.items() if attr not in unreached}
+    assert expected - {name for name, *_ in spans} == set()
+
+
 def test_bench_check_finds_no_problems(traced_report):
     report, _, _ = traced_report
     assert _load("check").check_report(report, density, golden=None) == []

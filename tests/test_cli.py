@@ -156,17 +156,19 @@ def test_experiment_pass_and_outputs(small_config, tmp_path):
 
 
 def test_delta_refused_before_integration(small_config, tmp_path, capsys, monkeypatch):
-    # delta = 5 is above z_s / omega, so no lambda exists; lambda depends on
-    # the model, omega and delta only, so the refusal needs no trajectory
-    path = tmp_path / "delta.toml"
-    path.write_text(re.sub(r"^delta = .*$", "delta = 5.0", small_config.read_text(), flags=re.M))
-
+    # delta = 5 is above z_s / omega, and omega = 1.5 is above z_s, so no
+    # lambda exists; lambda depends on the model, omega and delta only, so
+    # the refusal needs no trajectory
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a config that lambda refuses")
 
     monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
-    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 11
-    assert "delta must be below z_s/omega" in capsys.readouterr().err
+    for key, value, message in [("delta", "5.0", "delta must be below z_s/omega"),
+                                ("omega", "1.5", "omega must lie in (0, z_s")]:
+        path = tmp_path / f"{key}.toml"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", small_config.read_text(), flags=re.M))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / key)]) == 11
+        assert message in capsys.readouterr().err
 
 
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):

@@ -91,7 +91,7 @@ PREFIX_LENGTHS = [2, 255, 256, 1999, 2000, 31_999, 32_000]
 
 @functools.cache
 def _long_log_q(kind: str) -> np.ndarray:
-    return bd.detailed_balance(PREFIX_MODELS[kind](), 10**5).log_q
+    return bd.detailed_balance(PREFIX_MODELS[kind](), 10**5)
 
 
 @functools.cache
@@ -106,7 +106,7 @@ class TestPrefixProperty:
     @pytest.mark.parametrize("n", PREFIX_LENGTHS)
     @pytest.mark.parametrize("kind", PREFIX_MODELS)
     def test_log_q(self, kind, n):
-        log_q = bd.detailed_balance(PREFIX_MODELS[kind](), n).log_q
+        log_q = bd.detailed_balance(PREFIX_MODELS[kind](), n)
         assert log_q.tobytes() == _long_log_q(kind)[:n].tobytes()
 
     @pytest.mark.parametrize("n", PREFIX_LENGTHS)
@@ -138,37 +138,36 @@ class TestPrefixProperty:
 
 class TestDetailedBalance:
     def test_constant_rates(self, ones_model):
-        db = bd.detailed_balance(ones_model, 5)
-        assert np.allclose(db.q(), np.ones(5), atol=0)
-        assert db.ratio_tail == pytest.approx(1.0, abs=0)
+        log_q = bd.detailed_balance(ones_model, 5)
+        assert np.allclose(np.exp(log_q), np.ones(5), atol=0)
+        assert bd.critical_values(ones_model, 5).z_s == pytest.approx(1.0, abs=0)
 
     def test_geometric(self, half_model):
-        db = bd.detailed_balance(half_model, 3)
-        assert db.q() == pytest.approx([1.0, 0.5, 0.25], rel=1e-15)
+        log_q = bd.detailed_balance(half_model, 3)
+        assert np.exp(log_q) == pytest.approx([1.0, 0.5, 0.25], rel=1e-15)
 
     def test_family_a_q2(self, family_a):
         # recursion by hand: Q_2 = a_1 / b_2 = 1 / (sqrt(2) (1 + 2^(-1/2))) = sqrt(2) - 1
-        db = bd.detailed_balance(family_a, 2)
-        assert db.q()[1] == pytest.approx(math.sqrt(2) - 1.0, rel=1e-14)
+        log_q = bd.detailed_balance(family_a, 2)
+        assert np.exp(log_q)[1] == pytest.approx(math.sqrt(2) - 1.0, rel=1e-14)
 
     @pytest.mark.parametrize("fixture", ["family_a", "family_b"])
     def test_recursion_identity(self, fixture, request):
         # Q_{i+1} b_{i+1} = a_i Q_i to relative round-off, checked in linear scale
         model = request.getfixturevalue(fixture)
         n = 1000
-        db = bd.detailed_balance(model, n)
+        log_q = bd.detailed_balance(model, n)
         i = np.arange(1, n, dtype=float)
-        lhs = db.log_q[1:] + model.log_b(i + 1)
-        rhs = db.log_q[:-1] + model.log_a(i)
+        lhs = log_q[1:] + model.log_b(i + 1)
+        rhs = log_q[:-1] + model.log_a(i)
         # |log difference| bounds the relative error of Q_{i+1} b_{i+1} vs a_i Q_i
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
     def test_ratio_tail_converges_like_power(self, family_a):
-        # error of 1/ratio_tail against z_s shrinks when N doubles
+        # error of the root-test z_s (1/ratio_tail) against z_s shrinks when N doubles
         errs = []
         for n in (2_000, 4_000, 8_000, 16_000):
-            db = bd.detailed_balance(family_a, n)
-            errs.append(abs(1.0 / db.ratio_tail - family_a.z_s_param))
+            errs.append(abs(bd.critical_values(family_a, n).z_s - family_a.z_s_param))
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
     def test_needs_two_sizes(self, family_a):
@@ -185,7 +184,7 @@ class TestDetailedBalance:
         a = np.array(a_vals[:n])
         b = np.array(b_vals[:n])
         model = bd.make_custom_model(a, b, gamma=1.0)
-        q = bd.detailed_balance(model, n).q()
+        q = np.exp(bd.detailed_balance(model, n))
         direct = [1.0]
         for i in range(1, n):
             direct.append(direct[-1] * a[i - 1] / b[i])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import beckerdoring as bd
+from beckerdoring.cli import main
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from beckerdoring.equilibrium import support_length
@@ -201,11 +202,26 @@ class TestModelSequencesOnce:
             monkeypatch.setattr(bd.CoefficientModel, name, counted)
         return calls
 
-    # building an exponential-tail model scans log b_i / a_i for b_bar
-    @pytest.mark.parametrize("family,log_b_calls", [("power_law", 1), ("exponential_tail", 2)])
-    def test_prepare_computes_log_q_once(self, monkeypatch, family, log_b_calls):
+    # building an exponential-tail model scans log b_i / a_i for b_bar; an
+    # experiment and the supersolution command evaluate log b no further
+    # than their preamble does: z_s has one producer (the prepare cases keep
+    # the ids [power_law-1] and [exponential_tail-2])
+    @pytest.mark.parametrize("family,log_b_calls,run", [
+        pytest.param(family, calls, run, id="-".join([family, str(calls)] + [run] * (run != "prepare")))
+        for family, calls in [("power_law", 1), ("exponential_tail", 2)]
+        for run in ("prepare", "experiment", "supersolution")
+    ])
+    def test_prepare_computes_log_q_once(self, monkeypatch, tmp_path, family, log_b_calls, run):
         calls = self._count(monkeypatch, "log_b")
-        prepare(ExperimentConfig(family=family))
+        config = ExperimentConfig(family=family)
+        if run == "prepare":
+            prepare(config)
+        elif run == "experiment":
+            assert run_uniform_moment_experiment(config).supersolution is not None
+        else:
+            path = tmp_path / "exp.toml"
+            path.write_text(template_text().replace('family = "power_law"', f'family = "{family}"'))
+            assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert calls == {"log_b": log_b_calls}
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])

@@ -41,7 +41,7 @@ class TestMetzlerSystem:
 
     def test_domination_of_a_built_supersolution(self, family_a, trajectory):
         g0 = bd.tail_density(trajectory.at(2.0))
-        params = bd.make_params(family_a, 0.7, trajectory.rho[0])
+        params = bd.make_params(family_a, 0.7, trajectory.rho[0], z_s=family_a.z_s_param)
         sol = bd.build_supersolution(family_a, params, g0)
         report = bd.check_domination(trajectory, sol.r, 2.0)
         assert isinstance(report.max_gap, float)

@@ -33,7 +33,7 @@ class TestNetRates:
         assert bd.net_rates(state, family_a)[-1] == 0.0
 
     def test_equilibrium_rates_vanish(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.4, 200)
+        eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
         w = bd.net_rates(eq.profile.copy(), family_a)
         scale = np.max(family_a.a(np.arange(1, 200, dtype=float)) * 0.4 * eq.profile[:-1])
         assert np.max(np.abs(w)) <= 1e-12 * scale
@@ -46,7 +46,7 @@ class TestRhs:
         assert dc == pytest.approx([0.375, -0.375, 0.125], abs=0)
 
     def test_equilibrium_is_fixed_point(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.4, 200)
+        eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
         dc = bd.rhs(eq.profile.copy(), family_a)
         assert np.max(np.abs(dc)) <= 1e-12
 
@@ -335,7 +335,7 @@ class TestCrossValidation:
         # dH/dt = -sum_i W_i log(a_i c_1 c_i / (b_{i+1} c_{i+1})), checked by
         # centered differences of H along a strictly positive trajectory
         n = 30
-        eq = bd.equilibrium_profile(ones_model, 0.5, n)
+        eq = bd.equilibrium_profile(ones_model, 0.5, n, bd.critical_values(ones_model))
         c0 = eq.profile * (1.0 + 0.3 * np.sin(np.arange(1, n + 1)))
         dt = 1e-3
         t_eval = np.arange(0.0, 0.2 + dt / 2, dt)
@@ -417,7 +417,7 @@ class TestBatchedObservables:
         _assert_matches_scalar_references(traj, eq, k_moments, stretched)
 
     def test_tail_warning_run_matches_scalar_references(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.5, 8)
+        eq = bd.equilibrium_profile(family_a, 0.5, 8, bd.critical_values(family_a))
         opts = bd.IntegrateOptions(
             n_snapshots=11, tail_threshold=1e-12, track=(2.0, (1.0, 0.5)), equilibrium=eq,
         )
@@ -441,7 +441,7 @@ class TestBatchedObservables:
         assert batched.value.index == scalar.value.index == 4
 
     def test_free_energy_matrix_rows_match_one_state_calls(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.5, 40)
+        eq = bd.equilibrium_profile(family_a, 0.5, 40, bd.critical_values(family_a))
         rng = np.random.default_rng(3)
         states = rng.random((5, 40)) * eq.profile
         states[1, 10:] = 0.0  # rows of different support

@@ -41,20 +41,20 @@ def random_model(rng):
 
 class TestChooseLambda:
     def test_constant_rates(self, half_model):
-        lam, n_switch = bd.choose_lambda(half_model, 1.0, 1.0, n_max=2000)
+        lam, n_switch = bd.choose_lambda(half_model, 1.0, 1.0, n_max=2000, z_s=half_model.z_s_param)
         assert lam == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert n_switch == 1
 
     def test_family_a(self, family_a):
-        lam, n_switch = bd.choose_lambda(family_a, 0.5, 1.0, n_max=2000)
+        lam, n_switch = bd.choose_lambda(family_a, 0.5, 1.0, n_max=2000, z_s=family_a.z_s_param)
         assert lam == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert n_switch == 1
 
     def test_cap_too_high_rejected(self, family_a):
         with pytest.raises(ParameterError):
-            bd.choose_lambda(family_a, family_a.z_s_param, 1.0)
+            bd.choose_lambda(family_a, family_a.z_s_param, 1.0, z_s=family_a.z_s_param)
         with pytest.raises(ParameterError):
-            bd.choose_lambda(family_a, 2.0, 1.0)
+            bd.choose_lambda(family_a, 2.0, 1.0, z_s=family_a.z_s_param)
 
     def test_delayed_switch_index(self):
         # fragmentation approaches z_s from below: the switch moves inward
@@ -62,7 +62,7 @@ class TestChooseLambda:
         i = np.arange(1, n + 1, dtype=float)
         b = 1.0 * (1.0 - 0.6 * np.exp(-i / 15.0))
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
-        lam, n_switch = bd.choose_lambda(model, 0.8, 1.0, n_max=n)
+        lam, n_switch = bd.choose_lambda(model, 0.8, 1.0, n_max=n, z_s=model.z_s_param)
         assert n_switch > 1
         js = np.arange(max(2, n_switch), n + 1, dtype=float)
         assert np.all(model.b(js) >= lam * 0.8 * model.a(js - 1))
@@ -75,7 +75,7 @@ class TestChooseLambda:
         b = 1.0 * (1.0 - 0.3 * j**-0.05)
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
         with pytest.raises(NoSwitchIndexError):
-            bd.choose_lambda(model, 0.95, 1.0, n_max=n)
+            bd.choose_lambda(model, 0.95, 1.0, n_max=n, z_s=model.z_s_param)
 
 
 class TestBuildSupersolution:
@@ -110,7 +110,7 @@ class TestBuildSupersolution:
         # then needs the inflated start to keep r_1 at the density
         n = 80
         model = bd.make_custom_model(np.ones(n), 4.0 * np.ones(n), gamma=1.0, z_s=4.0)
-        params = bd.make_params(model, 1.5, 1.0, delta=2.0, n_max=n)
+        params = bd.make_params(model, 1.5, 1.0, delta=2.0, n_max=n, z_s=model.z_s_param)
         assert params.omega * (params.lam - 1.0) > 1.0
         sol = bd.build_supersolution(model, params, np.zeros(n))
         assert sol.r[0] >= 1.0 * (1 - 1e-12)
@@ -120,7 +120,7 @@ class TestBuildSupersolution:
     def test_domination_and_shape(self, family_a):
         rng = np.random.default_rng(8)
         g = random_profile(rng, 300, 1.0)
-        params = bd.make_params(family_a, 0.6, 1.0)
+        params = bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param)
         sol = bd.build_supersolution(family_a, params, g)
         assert np.all(sol.r >= g)
         ns = sol.n_switch
@@ -137,7 +137,7 @@ class TestBuildSupersolution:
         ],
     )
     def test_rejects_bad_profiles(self, family_a, g_builder, match):
-        params = bd.make_params(family_a, 0.6, 1.0)
+        params = bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param)
         with pytest.raises((ParameterError, NoSwitchIndexError), match=match):
             bd.build_supersolution(family_a, params, g_builder(100))
 
@@ -220,7 +220,7 @@ class TestVerifySupersolution:
             z_s = model.z_s_param
             omega = rng.uniform(0.2, 0.9) * z_s
             g = random_profile(rng, 300, rho)
-            params = bd.make_params(model, omega, rho, n_max=2000)
+            params = bd.make_params(model, omega, rho, n_max=2000, z_s=model.z_s_param)
             sol = bd.build_supersolution(model, params, g)
             check = bd.verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
             assert check.ok, (model.family, omega, z_s, check.worst_margin)
@@ -230,7 +230,7 @@ class TestVerifySupersolution:
 def built(family_a):
     rng = np.random.default_rng(77)
     g = random_profile(rng, 300, 1.0)
-    params = bd.make_params(family_a, 0.6, 1.0)
+    params = bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param)
     return params, g, bd.build_supersolution(family_a, params, g)
 
 
@@ -275,7 +275,7 @@ class TestWeightedSumBound:
         g = random_profile(rng, 300, 1.0)
         previous = None
         for omega in (0.3, 0.5, 0.7, 0.9):
-            params = bd.make_params(family_a, omega, 1.0)
+            params = bd.make_params(family_a, omega, 1.0, z_s=family_a.z_s_param)
             sol = bd.build_supersolution(family_a, params, g)
             if previous is not None:
                 assert np.all(sol.r >= previous * (1 - 1e-12))
@@ -298,7 +298,7 @@ def _switch_past_support() -> tuple:
     n = 500
     i = np.arange(1, n + 1, dtype=float)
     model = bd.make_custom_model(np.ones(n), 1.0 - 0.6 * np.exp(-i / 15.0), gamma=1.0, z_s=1.0)
-    params = bd.make_params(model, 0.8, 0.5, n_max=n)
+    params = bd.make_params(model, 0.8, 0.5, n_max=n, z_s=model.z_s_param)
     g = np.zeros(n)
     g[0] = 0.5
     return params, bd.build_supersolution(model, params, g)
