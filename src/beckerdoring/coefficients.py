@@ -42,16 +42,17 @@ class Family(str, Enum):
 class CoefficientModel:
     """A coagulation/fragmentation rate pair a_i, b_i.
 
-    ``gamma`` is the coagulation growth exponent; ``z_s_param`` the asymptotic
-    fragmentation-to-coagulation ratio (None when unknown, e.g. for raw
-    tables).  ``b_bar`` is sup_i b_i/a_i over the evaluated range.  b_1 never
-    enters the dynamics, so any family may set it to 0; its log ratio is
-    then -inf and it never attains the sup.
+    ``gamma`` is the coagulation growth exponent; ``z_s_param`` the limit
+    z_s of b_i/a_i, positive and finite: a formula fixes it, and a rate
+    table declares it, since no finite table fixes a limit.  ``b_bar`` is
+    sup_i b_i/a_i over the evaluated range.  b_1 never enters the dynamics,
+    so any family may set it to 0; its log ratio is then -inf and it never
+    attains the sup.
     """
 
     family: Family
     gamma: float
-    z_s_param: float | None
+    z_s_param: float
     q: float | None = None
     mu_c: float | None = None
     sigma: float | None = None
@@ -156,10 +157,7 @@ class CoefficientModel:
 def _sup_ratio_b_over_a(model: CoefficientModel, n_eval: int) -> float:
     i = np.arange(1, n_eval + 1)
     ratio = np.exp(model.log_b(i) - model.log_a(i))
-    sup = float(np.max(ratio))
-    if model.z_s_param is not None:
-        sup = max(sup, model.z_s_param)  # asymptotic value of b_i/a_i
-    return sup
+    return max(float(np.max(ratio)), model.z_s_param)  # z_s: the limit of b_i/a_i
 
 
 def make_power_law_model(gamma: float, z_s: float, q: float, mu_c: float) -> CoefficientModel:
@@ -215,23 +213,28 @@ def make_custom_model(
     b: np.ndarray,
     *,
     gamma: float = 1.0,
-    z_s: float | None = None,
+    z_s: float,
 ) -> CoefficientModel:
     """Model backed by tabulated rates a_1..a_L, b_1..b_L.
 
     ``gamma`` is the growth exponent the table is declared to follow
-    (a_i ~ i^gamma); it is taken as given.  ``b_bar`` is the table's own
-    max of b_i/a_i, and ``check_assumptions`` tests the remaining
-    hypotheses numerically.
+    (a_i ~ i^gamma) and ``z_s`` the limit of b_i/a_i it is declared to
+    tend to; both are taken as given, and z_s must be positive and finite.
+    The rates must be finite.  ``b_bar`` is the table's own max of b_i/a_i,
+    and ``check_assumptions`` tests the remaining hypotheses numerically.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or len(a) < 2:
         raise ParameterError("rate tables must be 1-d, equal length, length >= 2")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("tabulated rates must be finite")
     if np.any(a <= 0):
         raise ParameterError("tabulated a_i must be positive")
     if np.any(b[1:] <= 0) or b[0] < 0:
         raise ParameterError("tabulated b_i must be positive (b_1 may be 0)")
+    if not (0 < z_s < math.inf):
+        raise ParameterError(f"z_s must be positive and finite, got {z_s}")
     return CoefficientModel(
         family=Family.CUSTOM,
         gamma=gamma,
@@ -242,22 +245,27 @@ def make_custom_model(
     )
 
 
-def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float | None = None) -> CoefficientModel:
-    """Read a whitespace-separated table with columns ``i a_i b_i``.
+def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float) -> CoefficientModel:
+    """Read a whitespace-separated table with columns ``i a_i b_i`` whose
+    b_i/a_i is declared to tend to ``z_s``.
 
-    Indices must be 1-based and contiguous.  A file that does not parse as
-    a table of numbers raises ``ConfigError`` naming it.
+    Indices must be 1-based and contiguous.  Every refusal, of the layout
+    or of the rates and z_s by ``make_custom_model``, raises ``ConfigError``
+    naming the file.
     """
+    where = f"rate file {str(path)!r}"
     try:
         data = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:
-        raise ConfigError(f"rate file {str(path)!r} is not a table of numbers: {exc}") from None
+        raise ConfigError(f"{where} is not a table of numbers: {exc}") from None
     if data.shape[1] != 3:
-        raise ParameterError(f"rate file must have 3 columns 'i a_i b_i', got {data.shape[1]}")
-    idx = data[:, 0]
-    if not np.array_equal(idx, np.arange(1, len(idx) + 1)):
-        raise ParameterError("rate file indices must be 1-based and contiguous")
-    return make_custom_model(data[:, 1], data[:, 2], gamma=gamma, z_s=z_s)
+        raise ConfigError(f"{where} must have 3 columns 'i a_i b_i', got {data.shape[1]}")
+    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
+        raise ConfigError(f"{where}: indices must be 1-based and contiguous")
+    try:
+        return make_custom_model(data[:, 1], data[:, 2], gamma=gamma, z_s=z_s)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 # -- detailed balance --------------------------------------------------------
@@ -283,13 +291,13 @@ def detailed_balance(model: CoefficientModel, n: int) -> np.ndarray:
 class AssumptionReport:
     """Verdicts for the three structural assumptions on a rate pair.
 
-    ``frag_ok``: b_i/a_i is bounded (its sup is not still climbing at the
-    end of the scan).  ``ratio_ok``: Q_{i+1}/Q_i tends to 1/z_s, i.e.
-    b_i/a_i -> z_s.  ``profile_monotone_ok``: Q_i z_s^i is eventually
-    non-increasing.  Violations are reported, never raised.
-    ``profile_start_index`` is the first index i0 from which Q_i z_s^i is
-    non-increasing (1 when globally monotone); a non-monotone prefix is
-    tolerated.
+    z_s is the model's stated one.  ``frag_ok``: b_i/a_i is bounded (its
+    sup is not still climbing at the end of the scan).  ``ratio_ok``:
+    Q_{i+1}/Q_i tends to ``ratio_target`` = 1/z_s, i.e. b_i/a_i -> z_s.
+    ``profile_monotone_ok``: Q_i z_s^i is eventually non-increasing.
+    Violations are reported, never raised.  ``profile_start_index`` is the
+    first index i0 from which Q_i z_s^i is non-increasing (1 when globally
+    monotone); a non-monotone prefix is tolerated.
     """
 
     frag_ok: bool
@@ -297,9 +305,9 @@ class AssumptionReport:
     b_bar_observed: float
     ratio_ok: bool
     ratio_estimate: float  # smoothed tail value of Q_{i+1}/Q_i
-    ratio_target: float | None
+    ratio_target: float
     profile_monotone_ok: bool
-    profile_start_index: int | None
+    profile_start_index: int
 
     @property
     def all_ok(self) -> bool:
@@ -315,12 +323,12 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     max of a_i/i^gamma.  Nor is b_i > 0 (for i >= 2): building a model
     enforces it.
 
-    The ratio check splits the last N/10 indices into blocks and requires
-    the block-averaged gap |Q_{i+1}/Q_i - 1/z_s| to shrink monotonically
-    (within tol slack per block) or to sit already within tol of the
-    target; without a known z_s it falls back to a stabilization test.
-    The monotonicity check of Q_i z_s^i allows an initial non-monotone
-    prefix and reports its end.
+    z_s is the model's stated ``z_s_param``.  The ratio check splits the
+    last N/10 indices into blocks and requires the block-averaged gap
+    |Q_{i+1}/Q_i - 1/z_s| to shrink monotonically (within tol slack per
+    block) or to sit already within tol of the target.  The monotonicity
+    check of Q_i z_s^i allows an initial non-monotone prefix and reports
+    its end.
     """
     if model.table_length is not None:
         n = min(n, model.table_length)
@@ -342,41 +350,29 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     frag_viol = None if frag_ok else argmax + 1
 
     # tail ratio of Q: block-averaged gaps to 1/z_s must shrink (or already
-    # hit) the target; stabilization test when no z_s is known
+    # hit) the target
     ir = np.arange(1, n, dtype=float)
     log_ratio_q = model.log_a(ir) - model.log_b(ir + 1)
     tail = log_ratio_q[-max(5, len(ir) // 10) :]
     blocks = np.array_split(tail, 5)
     v = np.array([math.exp(float(np.mean(b))) for b in blocks])
-    estimate = float(v[-1])
-    if model.z_s_param is not None:
-        target = 1.0 / model.z_s_param
-        gaps = np.abs(v - target)
-        trending = bool(
-            np.all(gaps[1:] <= gaps[:-1] * (1 + tol) + slack * target)
-        )
-        ratio_ok = trending or bool(gaps[-1] <= tol * target)
-    else:
-        target = None
-        spread = float(np.max(v) - np.min(v))
-        ratio_ok = bool(spread <= tol * abs(float(np.mean(v))))
+    target = 1.0 / model.z_s_param
+    gaps = np.abs(v - target)
+    trending = bool(np.all(gaps[1:] <= gaps[:-1] * (1 + tol) + slack * target))
+    ratio_ok = trending or bool(gaps[-1] <= tol * target)
 
     # monotonicity of Q_i z_s^i from some i0 on
-    z_ref = model.z_s_param if model.z_s_param is not None else 1.0 / estimate
-    if z_ref is None or z_ref <= 0:
-        profile_ok, i0 = False, None
-    else:
-        d = log_ratio_q + math.log(z_ref)  # log of (Q_{i+1} z^{i+1}) / (Q_i z^i)
-        viol = np.nonzero(d > slack)[0]
-        i0 = int(viol[-1]) + 2 if len(viol) else 1
-        profile_ok = i0 <= max(2, int(0.9 * n))
+    d = log_ratio_q + math.log(model.z_s_param)  # log of (Q_{i+1} z^{i+1}) / (Q_i z^i)
+    viol = np.nonzero(d > slack)[0]
+    i0 = int(viol[-1]) + 2 if len(viol) else 1
+    profile_ok = i0 <= max(2, int(0.9 * n))
 
     return AssumptionReport(
         frag_ok=frag_ok,
         frag_first_violation=frag_viol,
         b_bar_observed=b_bar_obs,
         ratio_ok=ratio_ok,
-        ratio_estimate=estimate,
+        ratio_estimate=float(v[-1]),
         ratio_target=target,
         profile_monotone_ok=profile_ok,
         profile_start_index=i0,

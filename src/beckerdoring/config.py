@@ -28,7 +28,7 @@ TEMPLATE = """\
 # model
 family = "power_law"        # power_law | exponential_tail | custom
 gamma = 0.5                 # coagulation growth exponent, (0, 1]
-z_s = 1.0                   # asymptotic fragmentation/coagulation ratio
+z_s = 1.0                   # limit of b_i/a_i, > 0 (custom: the one the table declares)
 q = 1.0                     # power_law perturbation amplitude
 mu_c = 0.5                  # family exponent, (0, 1)
 sigma = 1.0                 # exponential_tail stretch amplitude

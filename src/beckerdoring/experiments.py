@@ -89,7 +89,7 @@ class ExperimentConfig:
         if self.family == Family.CUSTOM.value:
             if not self.rates_file:
                 raise ConfigError("custom family needs rates_file")
-            return load_rate_table(self.rates_file, gamma=self.gamma, z_s=self.z_s or None)
+            return load_rate_table(self.rates_file, gamma=self.gamma, z_s=self.z_s)
         raise ConfigError(f"unknown family {self.family!r}")
 
     def initial_state(self, eq: EquilibriumData | None = None) -> np.ndarray:

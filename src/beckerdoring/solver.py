@@ -40,11 +40,10 @@ keeps the (snapshots, support) head of the clamped matrix, support being
 and is not stored.  The observables (density, relative free energy and
 the weighted sums of the tracked keys, a moment order k or a stretched
 pair (alpha, mu)) are computed in one pass over the head, summed
-pairwise along each row in a fixed order.  The scalar helpers return
-correctly rounded sums, ``math.fsum``'s value: ``density`` sums over the
-support of c with ``math.fsum``, and ``moment``, ``stretched_moment`` and
-``weak_form_residual`` sum their length-N arrays with
-``equilibrium.fsum_array``.
+pairwise along each row in a fixed order.  The scalar helpers
+(``density``, ``moment``, ``stretched_moment`` and ``weak_form_residual``)
+return correctly rounded sums: ``equilibrium.fsum_array`` of their
+length-N arrays.
 
 A state is a plain float array c_1..c_N everywhere, from ``integrate``'s
 initial state to ``Trajectory.at``'s row, which pads the stored head
@@ -63,7 +62,7 @@ import numpy as np
 
 from ._rk import RKSolution, solve_rk54
 from .coefficients import CoefficientModel
-from .equilibrium import EquilibriumData, _free_energy_head, fsum_array, row_supports, support_length
+from .equilibrium import EquilibriumData, _free_energy_head, fsum_array, row_supports
 from .equilibrium import relative_free_energy  # noqa: F401 (bench/tracing.py wraps it by this name)
 from .errors import ParameterError
 
@@ -81,10 +80,8 @@ class ClusterState:
 
 
 def density(c: np.ndarray) -> float:
-    """Mass density sum_i i c_i (compensated summation over the support of
-    c: the exact zeros past it add nothing to a correctly rounded sum)."""
-    m = support_length(c)
-    return math.fsum(np.arange(1, m + 1, dtype=float) * c[:m])
+    """Mass density sum_i i c_i, correctly rounded."""
+    return fsum_array(np.arange(1, len(c) + 1, dtype=float) * c)
 
 
 def moment(c: np.ndarray, k: float) -> float:

@@ -335,12 +335,9 @@ def weighted_sum_bound(
     if m > n - 1:
         raise PhiDecayError("no admissible anchor index within the truncation")
     bound = params.uniform_bound
-    head = math.fsum(phi[: m - 1])
+    head = fsum_array(phi[: m - 1])
     factor = params.lam * delta_star / (params.lam - delta_star)
     c = 2.0 * max(bound * head, factor * max(1.0, bound * float(phi[m - 2])))
     lhs = fsum_array(phi * r)
-    # past the support of g the terms are exact zeros, which add nothing
-    # to a correctly rounded sum
-    k = support_length(g)
-    rhs = c * (1.0 + math.fsum(phi[:k] * g[:k]))
+    rhs = c * (1.0 + fsum_array(phi * g))
     return WeightedSumBound(lhs=lhs, rhs=rhs, c_used=c, m_index=m, delta_star=delta_star)

@@ -187,26 +187,37 @@ def _header(path):
 
 
 def test_commands_agree_on_preamble(small_config, tmp_path, capsys):
-    config = str(small_config)
-    assert main(["equilibrium", "--config", config]) == 0
-    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
-    assert main(["supersolution", "--config", config, "--out", str(tmp_path / "sup")]) == 0
-    assert main(["experiment", "--config", config, "--out", str(tmp_path / "exp")]) == 0
-    simulated = _header(tmp_path / "sim" / "timeseries.csv")
-    witness = json.loads((tmp_path / "sup" / "witness.json").read_text())
-    summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
-    experiment = _header(tmp_path / "exp" / "timeseries.csv")
-    z_bar = summary["z_bar"]
-    assert float(printed["z_bar"]) == float(simulated["z_bar"]) == float(experiment["z_bar"]) == z_bar
-    assert witness["omega"] == float(simulated["omega"]) == float(experiment["omega"]) == summary["omega"]
-    rho = summary["config"]["rho"]
-    assert witness["rho"] == float(simulated["rho"]) == float(experiment["rho"]) == rho
-    # lambda, n_switch and the bound on r depend on the config alone, not on
-    # the tail profile each command builds above
-    experiment_witness = json.loads((tmp_path / "exp" / "witness.json").read_text())
-    for key in ("lambda", "n_switch", "uniform_bound"):
-        assert witness[key] == experiment_witness[key]
+    # the template's power-law rates, and a table of them for i = 1..3000
+    # that declares their limit z_s = 1
+    rates = tmp_path / "rates.txt"
+    model, i = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5), np.arange(1, 3001)
+    rates.write_text("".join(f"{j} {a!r} {b!r}\n" for j, a, b in zip(i, model.a(i).tolist(), model.b(i).tolist())))
+    table = tmp_path / "table.toml"
+    table.write_text(small_config.read_text().replace('family = "power_law"', 'family = "custom"')
+                     .replace('rates_file = ""', f'rates_file = "{rates}"'))
+    for path in (small_config, table):
+        config, out = str(path), tmp_path / path.stem
+        out.mkdir()
+        capsys.readouterr()  # the previous config's output
+        assert main(["equilibrium", "--config", config]) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert main(["simulate", "--config", config, "--out", str(out / "sim")]) == 0
+        assert main(["supersolution", "--config", config, "--out", str(out / "sup")]) == 0
+        assert main(["experiment", "--config", config, "--out", str(out / "exp")]) == 0
+        simulated = _header(out / "sim" / "timeseries.csv")
+        witness = json.loads((out / "sup" / "witness.json").read_text())
+        summary = json.loads((out / "exp" / "summary.json").read_text())
+        experiment = _header(out / "exp" / "timeseries.csv")
+        z_bar = summary["z_bar"]
+        assert float(printed["z_bar"]) == float(simulated["z_bar"]) == float(experiment["z_bar"]) == z_bar
+        assert witness["omega"] == float(simulated["omega"]) == float(experiment["omega"]) == summary["omega"]
+        rho = summary["config"]["rho"]
+        assert witness["rho"] == float(simulated["rho"]) == float(experiment["rho"]) == rho
+        # lambda, n_switch and the bound on r depend on the config alone, not
+        # on the tail profile each command builds above
+        experiment_witness = json.loads((out / "exp" / "witness.json").read_text())
+        for key in ("lambda", "n_switch", "uniform_bound"):
+            assert witness[key] == experiment_witness[key]
 
 
 @pytest.mark.parametrize(
@@ -346,14 +357,24 @@ def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
         assert not (tmp_path / command).exists()
 
 
-@pytest.mark.parametrize("row", ["1 np.float64(1.0) 2.0", "1 1.0"], ids=["not-a-number", "ragged"])
-def test_malformed_rate_table_exit_11(tmp_path, capsys, row):
+@pytest.mark.parametrize("row, line", [
+    ("1 np.float64(1.0) 2.0", ""),
+    ("1 1.0", ""),
+    ("1 nan 2.0", ""),
+    ("1 1.0 inf", ""),
+    ("", ""),
+    ("1 0.0 2.0", ""),
+    ("1 1.0 2.0", "z_s = 0.0"),
+], ids=["not-a-number", "ragged", "nan", "inf", "gap", "zero-rate", "no-z_s"])
+def test_malformed_rate_table_exit_11(tmp_path, capsys, row, line):
     # numpy's own parse error names neither the file nor the config; it is
-    # a bad configuration, not a crash
+    # a bad configuration, not a crash.  A non-finite rate, a missing row 1
+    # ("gap"), a zero a_1 and a table that declares no z_s are refused the
+    # same way, with the file named
     rates = tmp_path / "rates.txt"
     rates.write_text(row + "\n" + "".join(f"{i} 1.0 2.0\n" for i in range(2, 101)))
     config = tmp_path / "custom.toml"
-    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 50\n')
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 50\n{line}\n')
     for command in ("experiment", "verify"):
         out = ["--out", str(tmp_path / command)] if command == "experiment" else []
         assert main([command, "--config", str(config), *out]) == 11, command

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
-from beckerdoring.errors import ParameterError
+from beckerdoring.errors import ConfigError, ParameterError
 
 
 def power_law_table_b1_zero(n: int = 500) -> bd.CoefficientModel:
@@ -183,7 +183,7 @@ class TestDetailedBalance:
         n = min(len(a_vals), len(b_vals))
         a = np.array(a_vals[:n])
         b = np.array(b_vals[:n])
-        model = bd.make_custom_model(a, b, gamma=1.0)
+        model = bd.make_custom_model(a, b, gamma=1.0, z_s=1.0)
         q = np.exp(bd.detailed_balance(model, n))
         direct = [1.0]
         for i in range(1, n):
@@ -221,10 +221,11 @@ class TestCheckAssumptions:
         assert report.b_bar_observed == pytest.approx(np.max(model.b(i) / model.a(i)), rel=1e-14)
 
     def test_vanishing_ratio_detected(self):
-        # b_i = a_i / i: bounded with b_bar = 1, but Q_{i+1}/Q_i -> infinity
+        # b_i = a_i / i: bounded with b_bar = 1, but Q_{i+1}/Q_i -> infinity,
+        # moving away from the declared target 1/z_s
         n = 2000
         i = np.arange(1, n + 1, dtype=float)
-        model = bd.make_custom_model(np.ones(n), 1.0 / i, gamma=1.0)
+        model = bd.make_custom_model(np.ones(n), 1.0 / i, gamma=1.0, z_s=1.0)
         report = bd.check_assumptions(model, n)
         assert report.frag_ok
         assert report.b_bar_observed == pytest.approx(1.0, abs=0)
@@ -250,10 +251,10 @@ class TestCustomRates:
     def test_load_rejects_gaps(self, tmp_path):
         path = tmp_path / "rates.txt"
         path.write_text("1 1.0 1.0\n3 1.0 1.0\n")
-        with pytest.raises(ParameterError):
-            bd.load_rate_table(path)
+        with pytest.raises(ConfigError, match="rates.txt"):
+            bd.load_rate_table(path, z_s=1.0)
 
     def test_index_past_table(self):
-        model = bd.make_custom_model(np.ones(10), np.ones(10))
+        model = bd.make_custom_model(np.ones(10), np.ones(10), z_s=1.0)
         with pytest.raises(ParameterError):
             model.a(11)

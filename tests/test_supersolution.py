@@ -457,7 +457,8 @@ class TestContinueGeometrically:
 
 
 class TestTrimmedSums:
-    """Sums trimmed to the support of a factor equal the full-length ones."""
+    """Sums that skip terms which cannot move them (zeros past a support,
+    subnormals below the head) equal ``math.fsum`` of the full arrays."""
 
     @staticmethod
     def _states_and_profiles():
