@@ -12,6 +12,12 @@ for bit.  Each is evaluated once and sliced by its consumers:
   returns, kept for the length of one preamble only by
   ``equilibrium._LogQPrefix``: its 10^5 entries are not kept on the model.
 
+The long sequences of a preamble (log Q, and the terms of F(z) in
+``equilibrium``) are evaluated ``_BLOCK`` indices at a time into one
+preallocated output.  Each step is elementwise, so every entry has the bits
+of the one-shot expression, and what is held at once is the output plus a
+few block-length temporaries, not one temporary per step at full length.
+
 z_s and rho_s are not derived here: ``equilibrium.critical_values`` does
 that from log Q, once per preamble.
 
@@ -30,6 +36,12 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ParameterError
 
 _EVAL_RANGE = 10_000  # default range scanned when estimating sup-type constants
+_BLOCK = 8192  # indices of a long sequence evaluated at once
+
+
+def index_blocks(start: int, stop: int):
+    """The ranges (lo, hi) of at most ``_BLOCK`` indices that cover start..stop-1."""
+    return ((lo, min(lo + _BLOCK, stop)) for lo in range(start, stop, _BLOCK))
 
 
 class Family(str, Enum):
@@ -273,13 +285,22 @@ def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float) -> Coef
 
 def detailed_balance(model: CoefficientModel, n: int) -> np.ndarray:
     """log Q_1..log Q_n by the recursion log Q_{i+1} = log Q_i + log(a_i/b_{i+1}),
-    with Q_1 = 1."""
+    with Q_1 = 1.
+
+    The increments are evaluated a block at a time into the returned array
+    and summed there in place by one sequential ``np.cumsum``, so besides
+    the n entries only block-length temporaries are held.
+    """
     if n < 2:
         raise ParameterError("detailed balance needs n >= 2")
-    i = np.arange(1, n, dtype=float)
-    incr = model.log_a(i) - model.log_b(i + 1)
-    log_q = np.concatenate([[0.0], np.cumsum(incr)])
-    if not np.all(np.isfinite(log_q)):
+    log_q = np.empty(n)
+    log_q[0] = 0.0
+    for lo, hi in index_blocks(1, n):
+        i = np.arange(lo, hi, dtype=float)
+        np.subtract(model.log_a(i), model.log_b(i + 1), out=log_q[lo:hi])
+    np.cumsum(log_q[1:], out=log_q[1:])
+    # a running sum that leaves the finite range never comes back to it
+    if not math.isfinite(log_q[-1]):
         raise NumericalError("log Q_i left the representable range")
     return log_q
 
@@ -339,7 +360,8 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     # fragmentation bound: bounded b_i/a_i (flag a sup that is still
     # climbing at the edge of the scan); a zero b_1 has log ratio -inf
     bi = np.arange(1, n + 1, dtype=float)
-    log_ratio_ba = model.log_b(bi) - model.log_a(bi)
+    la, lb = model.log_a(bi), model.log_b(bi)
+    log_ratio_ba = lb - la
     b_bar_obs = float(np.exp(np.max(log_ratio_ba)))
     argmax = int(np.argmax(log_ratio_ba))
     edge = len(log_ratio_ba) - 1
@@ -351,9 +373,8 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
 
     # tail ratio of Q: block-averaged gaps to 1/z_s must shrink (or already
     # hit) the target
-    ir = np.arange(1, n, dtype=float)
-    log_ratio_q = model.log_a(ir) - model.log_b(ir + 1)
-    tail = log_ratio_q[-max(5, len(ir) // 10) :]
+    log_ratio_q = la[:-1] - lb[1:]  # log(a_i / b_{i+1}), i = 1..n-1
+    tail = log_ratio_q[-max(5, len(log_ratio_q) // 10) :]
     blocks = np.array_split(tail, 5)
     v = np.array([math.exp(float(np.mean(b))) for b in blocks])
     target = 1.0 / model.z_s_param

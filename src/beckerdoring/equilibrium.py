@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, detailed_balance
+from .coefficients import CoefficientModel, detailed_balance, index_blocks
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
 _N_SERIES_DEFAULT = 100_000
@@ -40,7 +40,9 @@ def critical_values(
     Q_{i+1}/Q_i.  The partial sums of i Q_i z_s^i are declared divergent
     when the second half of the range still grows them by more than a
     factor 1 + 1e-6.  A given ``log_q_prefix`` keeps the length-n log Q for
-    the preamble's later consumers.
+    the preamble's later consumers.  Besides log Q, the scan holds one
+    length-n array, the terms; both sums read all of it, since a pairwise
+    sum's bits depend on the whole array.
     """
     if model.table_length is not None:
         n = min(n, model.table_length)
@@ -50,9 +52,7 @@ def critical_values(
     if ratio_tail <= 0:
         raise NumericalError("non-positive tail ratio estimate")
     z_s = 1.0 / ratio_tail
-    i = np.arange(1, n + 1, dtype=float)
-    with np.errstate(under="ignore"):
-        terms = np.exp(np.log(i) + log_q + i * math.log(z_s))
+    terms = _series_terms(log_q, math.log(z_s))
     s_half = float(np.sum(terms[: n // 2]))
     s_full = float(np.sum(terms))
     diverges = s_half > 0 and s_full > s_half * (1.0 + 1e-6)
@@ -71,7 +71,8 @@ def density_at_activity(
     The truncation doubles until the geometric tail-remainder bound drops
     below ``tol_abs``.  Returns ``(value, converged)``; a non-converged
     value means the series is (numerically) divergent at this z and should
-    be treated as +inf by callers that bracket.
+    be treated as +inf by callers that bracket.  Each truncation n holds
+    log Q_1..Q_n and one length-n array of terms.
     """
     return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
 
@@ -84,7 +85,9 @@ class _LogQPrefix:
     ``experiments.prepare`` makes one per preamble: ``critical_values``
     fills it at n_series, and the activity solve's bisection and
     ``equilibrium_profile`` slice it.  It is dropped with the preamble's
-    locals, so its 10^5 entries do not outlive ``prepare``.
+    locals, so its 10^5 entries do not outlive ``prepare``.  It holds one
+    array; a longer prefix replaces it, and while ``detailed_balance``
+    builds one, both are held.
     """
 
     def __init__(self, model: CoefficientModel):
@@ -110,15 +113,17 @@ def _density_at_activity(
     log_z = math.log(z)
     n = min(n_start, n_cap)
     while True:
-        i = np.arange(1, n + 1, dtype=float)
-        log_t = np.log(i) + log_q_prefix(n) + i * log_z
-        with np.errstate(under="ignore"):
-            terms = np.exp(log_t)
+        log_q = log_q_prefix(n)
+        terms = _series_terms(log_q, log_z)
         total = float(np.sum(terms))
         t_last = terms[-1]
         if t_last == 0.0:
             return total, True
-        r = math.exp(float(np.mean(np.diff(log_t[-6:]))))
+        # the last six log-terms, from their own indices: they may straddle a block edge
+        lo = max(n - 6, 0)
+        i = np.arange(lo + 1, n + 1, dtype=float)
+        log_t = np.log(i) + log_q[lo:] + i * log_z
+        r = math.exp(float(np.mean(np.diff(log_t))))
         if r < 1.0 - 1e-12:
             remainder = t_last * r / (1.0 - r)
             if remainder <= tol_abs:
@@ -126,6 +131,23 @@ def _density_at_activity(
         if n >= n_cap:
             return total, False
         n = min(2 * n, n_cap)
+
+
+def _series_terms(log_q: np.ndarray, log_z: float) -> np.ndarray:
+    """The terms i Q_i z^i = exp(log i + log Q_i + i log z) of F(z) for
+    i = 1..len(log_q), evaluated a block at a time into one array: the bits
+    of the one-shot expression, holding one block of temporaries."""
+    terms = np.empty(len(log_q))
+    for lo, hi in index_blocks(0, len(log_q)):
+        i = np.arange(lo + 1, hi + 1, dtype=float)
+        t = terms[lo:hi]
+        np.log(i, out=t)
+        t += log_q[lo:hi]
+        i *= log_z
+        t += i
+        with np.errstate(under="ignore"):
+            np.exp(t, out=t)
+    return terms
 
 
 def solve_monomer_activity(

@@ -536,29 +536,51 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 _BLOCK_ROWS = 1024
 
 
+def column_text(col: np.ndarray) -> list[str]:
+    """The entries of a column as ``str`` of Python ints and floats (``str``
+    of a float is its repr)."""
+    return list(map(str, col.tolist()))
+
+
 def write_columns(
-    path: Path, header: list[str], columns: list[np.ndarray | float], sep: str = ","
+    path: Path, header: list[str], columns: list[np.ndarray | list[str] | float], sep: str = ","
 ) -> Path:
-    """Write the header lines, then the columns' rows as Python ints and floats
-    (``str`` of a float is its repr), converted a block of rows at a time: at
-    N = 32 000, whole columns as lists would add 3 MB to the peak memory.  A
-    float in place of a column is the same value in every row, formatted
-    once into the row template; at least one column must be an array."""
-    row = sep.join("{}" if isinstance(col, np.ndarray) else str(float(col)) for col in columns) + "\n"
-    arrays = [col for col in columns if isinstance(col, np.ndarray)]
+    """Write the header lines, then the columns' rows.  A column is an array,
+    formatted by ``column_text`` a block of rows at a time (at N = 32 000,
+    whole columns as text would add 3 MB to the peak memory); its text,
+    already formatted, so that a column two files share is formatted once;
+    or a float, the same value in every row.  At least one column must not
+    be a float."""
+    n = next(len(col) for col in columns if not isinstance(col, float))
     with path.open("w") as fh:
         fh.write("".join(line + "\n" for line in header))
-        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            block = [col[start : start + _BLOCK_ROWS].tolist() for col in arrays]
-            fh.write("".join(itertools.starmap(row.format, zip(*block))))
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = [
+                itertools.repeat(str(float(col))) if isinstance(col, float)
+                else column_text(col[rows]) if isinstance(col, np.ndarray)
+                else col[rows]
+                for col in columns
+            ]
+            fh.writelines(sep.join(row) + "\n" for row in zip(*block))
     return path
 
 
+def shared_columns(trajectory: Trajectory) -> dict:
+    """The text of the columns ``timeseries.csv`` and ``bounds.dat`` share:
+    t (under the key "t") and each tracked sum (under its key)."""
+    return {"t": column_text(trajectory.times)} | {
+        key: column_text(col) for key, col in trajectory.tracked.items()
+    }
+
+
 def write_trajectory_csv(
-    path: Path, trajectory: Trajectory, config: ExperimentConfig, z_s: float, z_bar: float, omega: float
+    path: Path, trajectory: Trajectory, config: ExperimentConfig, z_s: float, z_bar: float, omega: float,
+    shared: dict | None = None,
 ) -> Path:
     """``#key=value`` header lines (rho is the first row's), then t, c1, rho,
-    H and the tracked sums."""
+    H and the tracked sums; t and the tracked sums are taken from ``shared``
+    (``shared_columns(trajectory)`` when None)."""
     header = {
         "family": config.family, "gamma": config.gamma, "z_s": z_s, "rho": float(trajectory.rho[0]),
         "z_bar": z_bar, "omega": omega, "rel_tol": config.rel_tol, "abs_tol": trajectory.abs_tol,
@@ -566,8 +588,9 @@ def write_trajectory_csv(
     lines = [f"#{key}={value}" for key, value in header.items()]
     names = [f"E_{k[0]:g}_{k[1]:g}" if isinstance(k, tuple) else f"M_{k:g}" for k in trajectory.tracked]
     lines.append(",".join(["t", "c1", "rho", "H", *names]))
-    columns = [trajectory.times, trajectory.states[:, 0], trajectory.rho, trajectory.free_energy]
-    return write_columns(path, lines, columns + list(trajectory.tracked.values()))
+    shared = shared or shared_columns(trajectory)
+    columns = [shared["t"], trajectory.states[:, 0], trajectory.rho, trajectory.free_energy]
+    return write_columns(path, lines, columns + [shared[key] for key in trajectory.tracked])
 
 
 def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Path]:
@@ -575,7 +598,8 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
 
     The parent of ``out_dir`` must exist; missing parents surface as I/O
     errors rather than being silently created.  Outputs are bit-identical
-    for identical configs.
+    for identical configs.  The columns that ``timeseries.csv`` and
+    ``bounds.dat`` share are formatted once.
     """
     out = Path(out_dir)
     out.mkdir(exist_ok=True)
@@ -584,14 +608,15 @@ def emit_report(report: UniformBoundReport, out_dir: str | Path) -> dict[str, Pa
     paths["summary"] = write_json(out / "summary.json", report.to_dict())
 
     trajectory = report.trajectory
+    shared = shared_columns(trajectory)
     paths["timeseries"] = write_trajectory_csv(
-        out / "timeseries.csv", trajectory, report.config, report.z_s, report.z_bar, report.omega
+        out / "timeseries.csv", trajectory, report.config, report.z_s, report.z_bar, report.omega, shared
     )
     certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
     lines = ["# t " + " ".join(f"{s.name} {s.name}_certified" for s in certs)]
-    columns = [trajectory.times]
+    columns = [shared["t"]]
     for s in certs:
-        columns += [trajectory.tracked[s.key], s.info["certified"]]
+        columns += [shared[s.key], s.info["certified"]]
     paths["bounds"] = write_columns(out / "bounds.dat", lines, columns, sep=" ")
 
     if report.supersolution is not None:

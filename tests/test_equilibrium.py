@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beckerdoring as bd
-from beckerdoring.equilibrium import density_at_activity, fsum_array
+from beckerdoring.coefficients import _BLOCK
+from beckerdoring.equilibrium import _density_at_activity, _LogQPrefix, density_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 
@@ -43,6 +44,92 @@ class TestCriticalValues:
         crit = bd.critical_values(family_a, 100_000)
         assert not math.isinf(crit.rho_s)
         assert 2.0 < crit.rho_s < 10.0
+
+
+BLOCKED_MODELS = {
+    "power_law": lambda: bd.make_power_law_model(0.5, 1.0, 1.0, 0.5),
+    "exponential_tail": lambda: bd.make_exponential_tail_model(0.5, 1.0, 1.0, 0.5),
+    "rate_table": lambda: bd.make_custom_model(
+        np.linspace(1.0, 3.0, 10**5), np.linspace(1.5, 4.0, 10**5), gamma=0.5, z_s=1.3
+    ),
+}
+BLOCKED_LENGTHS = [2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 10**5]
+
+
+def _one_shot_log_q(model, n):
+    i = np.arange(1, n, dtype=float)
+    log_q = np.concatenate([[0.0], np.cumsum(model.log_a(i) - model.log_b(i + 1))])
+    assert np.all(np.isfinite(log_q))
+    return log_q
+
+
+def _one_shot_terms(log_q, log_z):
+    i = np.arange(1, len(log_q) + 1, dtype=float)
+    log_t = np.log(i) + log_q + i * log_z
+    with np.errstate(under="ignore"):
+        return log_t, np.exp(log_t)
+
+
+def _one_shot_critical_values(model, n):
+    log_q = _one_shot_log_q(model, n)
+    m = max(1, n // 10)
+    z_s = 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m)
+    _, terms = _one_shot_terms(log_q, math.log(z_s))
+    s_half, s_full = float(np.sum(terms[: n // 2])), float(np.sum(terms))
+    return z_s, math.inf if s_half > 0 and s_full > s_half * (1.0 + 1e-6) else s_full
+
+
+def _one_shot_density(model, z, tol_abs, n):
+    """One truncation n of ``_density_at_activity``, every sequence evaluated whole."""
+    log_t, terms = _one_shot_terms(_one_shot_log_q(model, n), math.log(z))
+    total, t_last = float(np.sum(terms)), terms[-1]
+    if t_last == 0.0:
+        return total, True
+    r = math.exp(float(np.mean(np.diff(log_t[-6:]))))
+    if r < 1.0 - 1e-12 and t_last * r / (1.0 - r) <= tol_abs:
+        return total + t_last * r / (1.0 - r), True
+    return total, False
+
+
+class TestBlockedSeries:
+    """The preamble's long sequences, evaluated a block at a time, have the
+    bits of the one-shot expressions, on both sides of every block edge."""
+
+    @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
+    @pytest.mark.parametrize("kind", BLOCKED_MODELS)
+    def test_detailed_balance(self, kind, n):
+        model = BLOCKED_MODELS[kind]()
+        assert bd.detailed_balance(model, n).tobytes() == _one_shot_log_q(model, n).tobytes()
+
+    @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
+    @pytest.mark.parametrize("kind", BLOCKED_MODELS)
+    def test_critical_values(self, kind, n):
+        crit = bd.critical_values(BLOCKED_MODELS[kind](), n)
+        assert (crit.z_s, crit.rho_s) == _one_shot_critical_values(BLOCKED_MODELS[kind](), n)
+
+    @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
+    @pytest.mark.parametrize("kind", BLOCKED_MODELS)
+    def test_density_at_activity(self, kind, n):
+        model = BLOCKED_MODELS[kind]()
+        radius = 4 / 3 if kind == "rate_table" else 1.0  # 1 / lim Q_{i+1}/Q_i
+        # inside the radius the terms underflow or the remainder test decides;
+        # past it the ratio test reads >= 1 and the long sums overflow
+        for z in (0.5 * radius, 0.99 * radius, 1.001 * radius, 1.05 * radius):
+            with np.errstate(over="ignore"):
+                got = _density_at_activity(_LogQPrefix(model), z, 1e-12, n_start=n, n_cap=n)
+                assert got == _one_shot_density(model, z, 1e-12, n)
+
+    def test_the_ratio_test_reads_across_a_block_edge(self):
+        # Q_i = 2^(1-i) and z = 2 (1 - 1e-3): at n = B + 3 the tail remainder
+        # is about 2e-3 of F, and the six log-terms its ratio is read from
+        # straddle the edge between the first two blocks
+        n = _BLOCK + 3
+        model = bd.make_custom_model(np.ones(n), 2 * np.ones(n), z_s=2.0)
+        z = 2 * (1 - 1e-3)
+        value, converged = _density_at_activity(_LogQPrefix(model), z, 1e300, n_start=n, n_cap=n)
+        assert converged and (value, converged) == _one_shot_density(model, z, 1e300, n)
+        partial = float(np.sum(_one_shot_terms(_one_shot_log_q(model, n), math.log(z))[1]))
+        assert value > (1 + 1e-3) * partial
 
 
 class TestSolveActivity:

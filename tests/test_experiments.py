@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 
 import beckerdoring as bd
 from beckerdoring.cli import main
+from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from beckerdoring.equilibrium import support_length
 from beckerdoring.experiments import (
     ExperimentConfig, emit_report, prepare, run_uniform_moment_experiment, weighted_l1_distance,
+    write_trajectory_csv,
 )
 from conftest import monodisperse
 
@@ -202,17 +205,32 @@ class TestModelSequencesOnce:
             monkeypatch.setattr(bd.CoefficientModel, name, counted)
         return calls
 
-    # building an exponential-tail model scans log b_i / a_i for b_bar; an
-    # experiment and the supersolution command evaluate log b no further
-    # than their preamble does: z_s has one producer (the prepare cases keep
-    # the ids [power_law-1] and [exponential_tail-2])
-    @pytest.mark.parametrize("family,log_b_calls,run", [
-        pytest.param(family, calls, run, id="-".join([family, str(calls)] + [run] * (run != "prepare")))
-        for family, calls in [("power_law", 1), ("exponential_tail", 2)]
+    @staticmethod
+    def _record(monkeypatch, name) -> list:
+        """The index array of every call of ``CoefficientModel.<name>``."""
+        seen = []
+        original = getattr(bd.CoefficientModel, name)
+
+        def recorded(self, i):
+            seen.append(np.array(i, dtype=float).ravel())
+            return original(self, i)
+
+        monkeypatch.setattr(bd.CoefficientModel, name, recorded)
+        return seen
+
+    # log b is evaluated in ``scans`` index ranges, each index once: the
+    # log-Q prefix's 2..n_series, a block at a time, and for the exponential
+    # tail the model build's 1..10^4 b_bar scan.  An experiment and the
+    # supersolution command evaluate log b no further than their preamble
+    # does: z_s has one producer (the prepare cases keep the ids
+    # [power_law-1] and [exponential_tail-2])
+    @pytest.mark.parametrize("family,scans,run", [
+        pytest.param(family, scans, run, id="-".join([family, str(scans)] + [run] * (run != "prepare")))
+        for family, scans in [("power_law", 1), ("exponential_tail", 2)]
         for run in ("prepare", "experiment", "supersolution")
     ])
-    def test_prepare_computes_log_q_once(self, monkeypatch, tmp_path, family, log_b_calls, run):
-        calls = self._count(monkeypatch, "log_b")
+    def test_prepare_computes_log_q_once(self, monkeypatch, tmp_path, family, scans, run):
+        seen = self._record(monkeypatch, "log_b")
         config = ExperimentConfig(family=family)
         if run == "prepare":
             prepare(config)
@@ -222,7 +240,12 @@ class TestModelSequencesOnce:
             path = tmp_path / "exp.toml"
             path.write_text(template_text().replace('family = "power_law"', f'family = "{family}"'))
             assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"log_b": log_b_calls}
+        long = [i for i in seen if len(i) > _BLOCK]
+        blocked = [i for i in seen if len(i) <= _BLOCK]
+        b_bar_scan = [] if family == "power_law" else [np.arange(1, _EVAL_RANGE + 1, dtype=float)]
+        assert len(long) == len(b_bar_scan) == scans - 1
+        assert all(np.array_equal(i, j) for i, j in zip(long, b_bar_scan))
+        assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(2, config.n_series + 1))
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_an_experiment_evaluates_the_rates_once(self, monkeypatch, family):
@@ -230,6 +253,20 @@ class TestModelSequencesOnce:
         report = run_uniform_moment_experiment(ExperimentConfig(family=family))
         assert report.supersolution is not None  # every consumer of the rates ran
         assert calls == {"a": 1, "b": 1}
+
+    @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+    def test_the_preamble_holds_log_q_and_one_term_array(self, family):
+        # log Q and the terms of F: 1.6 MB at n_series = 10^5; evaluated
+        # whole, the scan's temporaries took the traced peak to 4.6-5.7 MB
+        config = ExperimentConfig(family=family)
+        prepare(config)  # lazy imports and first-call set-up are not traced
+        tracemalloc.start()
+        try:
+            prepare(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_the_preamble_keeps_no_log_q_prefix(self):
         config = ExperimentConfig()
@@ -257,6 +294,21 @@ class TestEmitReport:
         assert header[0].startswith("#family=")
         assert any(line.startswith("#z_bar=") for line in header[:10])
         assert "t,c1,rho,H,M_2,E_1_0.5" in header[8]
+
+    def test_shared_columns_are_formatted_once_for_both_files(self, report, tmp_path):
+        paths = emit_report(report, tmp_path / "out")
+        trajectory = report.trajectory
+        alone = write_trajectory_csv(tmp_path / "alone.csv", trajectory, report.config,
+                                     report.z_s, report.z_bar, report.omega)
+        assert alone.read_bytes() == paths["timeseries"].read_bytes()
+        rows = [line.split(",") for line in paths["timeseries"].read_text().splitlines()[9:]]
+        bounds = [line.split(" ") for line in paths["bounds"].read_text().splitlines()[1:]]
+        # bounds.dat: t, then each certified key's tracked sum and bound
+        keys = list(trajectory.tracked)
+        certs = sorted((s for s in report.stages if s.name.startswith("certified_")), key=lambda s: s.name)
+        assert len(rows) == len(bounds) == len(trajectory.times) and certs
+        for row, line in zip(rows, bounds):
+            assert [line[0], *line[1::2]] == [row[0]] + [row[4 + keys.index(s.key)] for s in certs]
 
     def test_supersolution_columns(self, report, tmp_path):
         paths = emit_report(report, tmp_path / "out")

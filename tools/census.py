@@ -6,7 +6,8 @@ x 5 shares x 3 initial shapes, 600 configs) through ``cli.main
 experiment``, in process, each in its own temporary directory.  Prints one
 JSON line per config: its five parameters, the exit code, the first
 stderr line, ``n_fev`` summed over its ``integrate`` calls, the wall time
-and the sha1 of each output file; a last line gives the totals.
+and the sha1 of each output file; a last line gives the totals, with the
+process's peak resident memory (``ru_maxrss``) as ``peak_rss_mb``.
 
     PYTHONPATH=src python tools/census.py > census.jsonl
     python tools/census.py --compare parent.jsonl census.jsonl
@@ -19,7 +20,8 @@ the benchmark's configs is byte-identical between two trees:
     PYTHONPATH=src python tools/census.py --bench > bench.jsonl
 
 ``--compare`` prints every config whose line differs in anything but the
-wall time, then the number of such configs; it exits 1 if there are any.
+wall time and the peak memory, then the number of such configs; it exits 1
+if there are any.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import hashlib
 import io
 import itertools
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -103,14 +106,16 @@ def census(configs):
         yield {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
                "files": files, "wall_s": round(wall, 4)}
     yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
-           "n_fev": total_fev, "wall_s": round(total_wall, 2)}
+           "n_fev": total_fev, "wall_s": round(total_wall, 2),
+           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)}
 
 
 def compare(before: Path, after: Path) -> int:
-    """Print the configs whose records differ in anything but wall time."""
+    """Print the configs whose records differ in anything but wall time and
+    peak memory."""
     def records(path):
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        return [{k: v for k, v in r.items() if k != "wall_s"} for r in lines]
+        return [{k: v for k, v in r.items() if k not in ("wall_s", "peak_rss_mb")} for r in lines]
 
     old, new = records(before), records(after)
     changed = [(a, b) for a, b in zip(old, new) if a != b]
