@@ -2,9 +2,8 @@
 
 Rate families with detailed balance, subcritical equilibria, a
 mass-conserving truncated integrator, tail-density transforms, a
-Metzler-matrix sign-preservation checker, constructive dominating
-sequences, and an experiment harness that certifies uniform-in-time
-moment bounds.
+tail-domination check, constructive dominating sequences, and an
+experiment harness that certifies uniform-in-time moment bounds.
 """
 from .coefficients import (
     AssumptionReport,
@@ -21,7 +20,6 @@ from .equilibrium import (
     CriticalValues,
     EquilibriumData,
     critical_values,
-    density_at_activity,
     equilibrium_profile,
     relative_free_energy,
     solve_monomer_activity,
@@ -51,21 +49,13 @@ from .experiments import (
 )
 from .maximum_principle import (
     DominationReport,
-    MetzlerSystem,
-    build_tail_comparison_matrix,
     check_domination,
-    verify_sign_preservation,
 )
 from .solver import (
     IntegrateOptions,
     Trajectory,
     density,
     integrate,
-    moment,
-    net_rates,
-    rhs,
-    stretched_moment,
-    weak_form_residual,
 )
 from .supersolution import (
     Supersolution,
@@ -78,11 +68,9 @@ from .supersolution import (
 )
 from .tails import (
     StretchedWeights,
-    stretched_sandwich_check,
     stretched_weights,
     tail_density,
     tail_moment,
-    tail_rhs,
 )
 
 __version__ = "0.1.0"

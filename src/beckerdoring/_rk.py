@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,13 +102,12 @@ class StepStats:
     w_max: int = field(default=0, compare=False)
 
 
-@dataclass
-class RKSolution:
+class RKSolution(NamedTuple):
     t: float
     y: np.ndarray
     t_eval: np.ndarray
     y_eval: np.ndarray  # shape (len(t_eval), stats.w_max)
-    stats: StepStats = field(default_factory=StepStats)
+    stats: StepStats
 
 
 def _rms(v: np.ndarray, n: int) -> float:

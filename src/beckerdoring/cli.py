@@ -8,7 +8,6 @@ error included), 12 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from pathlib import Path
 
@@ -209,6 +208,8 @@ def _cmd_sweep(args) -> int:
     if args.workers <= 1:
         codes = dict(map(_sweep_worker, jobs))
     else:
+        import concurrent.futures  # only a parallel sweep pays for its import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             codes = dict(pool.map(_sweep_worker, jobs))
     for name, code in sorted(codes.items()):

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,22 +284,28 @@ def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float) -> Coef
 # -- detailed balance --------------------------------------------------------
 
 
-def detailed_balance(model: CoefficientModel, n: int) -> np.ndarray:
+def detailed_balance(model: CoefficientModel, n: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """log Q_1..log Q_n by the recursion log Q_{i+1} = log Q_i + log(a_i/b_{i+1}),
     with Q_1 = 1.
 
     The increments are evaluated a block at a time into the returned array
     and summed there in place by one sequential ``np.cumsum``, so besides
-    the n entries only block-length temporaries are held.
+    the n entries only block-length temporaries are held.  A ``prefix``
+    log Q_1..log Q_m of the same model (m < n) is copied, and only the
+    increments past it are evaluated: the sum continues from log Q_m in the
+    same order, so every entry has the one-shot bits.
     """
     if n < 2:
         raise ParameterError("detailed balance needs n >= 2")
     log_q = np.empty(n)
-    log_q[0] = 0.0
-    for lo, hi in index_blocks(1, n):
+    m = 1 if prefix is None else len(prefix)
+    log_q[:m] = 0.0 if prefix is None else prefix
+    for lo, hi in index_blocks(m, n):
         i = np.arange(lo, hi, dtype=float)
         np.subtract(model.log_a(i), model.log_b(i + 1), out=log_q[lo:hi])
-    np.cumsum(log_q[1:], out=log_q[1:])
+    if m > 1:
+        log_q[m] += log_q[m - 1]
+    np.cumsum(log_q[m:], out=log_q[m:])
     # a running sum that leaves the finite range never comes back to it
     if not math.isfinite(log_q[-1]):
         raise NumericalError("log Q_i left the representable range")
@@ -308,8 +315,7 @@ def detailed_balance(model: CoefficientModel, n: int) -> np.ndarray:
 # -- assumption checks -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Verdicts for the three structural assumptions on a rate pair.
 
     z_s is the model's stated one.  ``frag_ok``: b_i/a_i is bounded (its

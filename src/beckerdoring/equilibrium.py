@@ -9,7 +9,7 @@ log-space detailed-balance prefix to dodge overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ _N_SERIES_DEFAULT = 100_000
 _N_CAP = 1 << 21
 
 
-@dataclass(frozen=True)
-class CriticalValues:
+class CriticalValues(NamedTuple):
     """Root-test estimate of z_s and the partial-sum estimate of rho_s,
     which is +inf when the partial sums keep growing at the scan end."""
 
@@ -59,24 +58,6 @@ def critical_values(
     return CriticalValues(z_s=z_s, rho_s=math.inf if diverges else s_full)
 
 
-def density_at_activity(
-    model: CoefficientModel,
-    z: float,
-    tol_abs: float,
-    n_start: int = 256,
-    n_cap: int = _N_CAP,
-) -> tuple[float, bool]:
-    """Evaluate F(z) = sum_i i Q_i z^i by adaptive truncation.
-
-    The truncation doubles until the geometric tail-remainder bound drops
-    below ``tol_abs``.  Returns ``(value, converged)``; a non-converged
-    value means the series is (numerically) divergent at this z and should
-    be treated as +inf by callers that bracket.  Each truncation n holds
-    log Q_1..Q_n and one length-n array of terms.
-    """
-    return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
-
-
 class _LogQPrefix:
     """log Q_1..Q_n of a model for any n, as slices of one array computed at
     the largest n asked for so far: the recursion is a running sum, so a
@@ -86,17 +67,18 @@ class _LogQPrefix:
     fills it at n_series, and the activity solve's bisection and
     ``equilibrium_profile`` slice it.  It is dropped with the preamble's
     locals, so its 10^5 entries do not outlive ``prepare``.  It holds one
-    array; a longer prefix replaces it, and while ``detailed_balance``
-    builds one, both are held.
+    array; a longer prefix replaces it, grown from the last entry of the
+    old one (``detailed_balance`` evaluates only the new increments), and
+    while it is built both are held.
     """
 
     def __init__(self, model: CoefficientModel):
         self.model = model
-        self._log_q = np.empty(0)
+        self._log_q = None
 
     def __call__(self, n: int) -> np.ndarray:
-        if len(self._log_q) < n:
-            self._log_q = detailed_balance(self.model, n)
+        if self._log_q is None or len(self._log_q) < n:
+            self._log_q = detailed_balance(self.model, n, self._log_q)
         return self._log_q[:n]
 
 
@@ -208,8 +190,7 @@ def solve_monomer_activity(
     return z_bar
 
 
-@dataclass(frozen=True, eq=False)
-class EquilibriumData:
+class EquilibriumData(NamedTuple):
     """A subcritical equilibrium profile Q_i z_bar^i.
 
     ``cut_index`` is the first (1-based) index zeroed by double underflow,

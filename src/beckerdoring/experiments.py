@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +134,7 @@ class ExperimentConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Preamble:
+class Preamble(NamedTuple):
     """What every command derives from a config before it integrates.
 
     ``rho`` is the density of ``c0``, which for ``init = "file"`` is not
@@ -204,8 +204,7 @@ def supersolution_witness(sol: Supersolution) -> dict:
 # -- short-time growth constant ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShortTimeBound:
+class ShortTimeBound(NamedTuple):
     """Constant C such that the phi-weighted sum grows at most like exp(C t).
 
     ``eps`` is the largest constant with phi_{i+1} - phi_i >= eps * phi_1;

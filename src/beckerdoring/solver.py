@@ -40,15 +40,13 @@ keeps the (snapshots, support) head of the clamped matrix, support being
 and is not stored.  The observables (density, relative free energy and
 the weighted sums of the tracked keys, a moment order k or a stretched
 pair (alpha, mu)) are computed in one pass over the head, summed
-pairwise along each row in a fixed order.  The scalar helpers
-(``density``, ``moment``, ``stretched_moment`` and ``weak_form_residual``)
-return correctly rounded sums: ``equilibrium.fsum_array`` of their
-length-N arrays.
+pairwise along each row in a fixed order.  The scalar ``density`` of
+one state is correctly rounded: ``equilibrium.fsum_array`` of its
+length-N array.
 
 A state is a plain float array c_1..c_N everywhere, from ``integrate``'s
 initial state to ``Trajectory.at``'s row, which pads the stored head
-with zeros to length N: ``density``, ``moment``, ``stretched_moment``,
-``net_rates`` and ``rhs`` take the array.
+with zeros to length N; ``density`` takes the array.
 
 A single integration is sequential and deterministic.  Distinct
 integrations are independent and may run concurrently.
@@ -82,29 +80,6 @@ class ClusterState:
 def density(c: np.ndarray) -> float:
     """Mass density sum_i i c_i, correctly rounded."""
     return fsum_array(np.arange(1, len(c) + 1, dtype=float) * c)
-
-
-def moment(c: np.ndarray, k: float) -> float:
-    """Algebraic moment sum_i i^k c_i."""
-    if k < 0:
-        raise ParameterError("moment order must be >= 0")
-    i = np.arange(1, len(c) + 1, dtype=float)
-    return fsum_array(i**k * c)
-
-
-def stretched_moment(c: np.ndarray, alpha: float, mu: float) -> float:
-    """Stretched-exponential moment sum_i exp(alpha i^mu) c_i."""
-    if alpha <= 0 or not (0 < mu < 1):
-        raise ParameterError("need alpha > 0 and 0 < mu < 1")
-    i = np.arange(1, len(c) + 1, dtype=float)
-    return fsum_array(np.exp(alpha * i**mu) * c)
-
-
-def net_rates(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
-    """Net reaction rates w_i = a_i c_1 c_i - b_{i+1} c_{i+1}, with w_N = 0."""
-    w = np.zeros(len(c))
-    w[:-1] = _flux(c, *model.rate_pairs(len(c)))
-    return w
 
 
 def _flux(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
@@ -202,11 +177,6 @@ def _clamp(c: np.ndarray, i: np.ndarray, abs_tol: float) -> np.ndarray:
     body -= moved
     c[..., 0] = np.maximum(c[..., 0] + deficit, 0.0)
     return deficit
-
-
-def rhs(c: np.ndarray, model: CoefficientModel) -> np.ndarray:
-    """Time derivative of the truncated system at the state c."""
-    return _rhs_core(c, *model.rate_pairs(len(c)))
 
 
 Key = float | tuple[float, float]  # a moment order k or a stretched pair (alpha, mu)
@@ -427,32 +397,3 @@ def integrate(
         n=n,
         abs_tol=abs_tol,
     )
-
-
-def weak_form_residual(trajectory: Trajectory, phi: np.ndarray, t: float) -> float:
-    """Residual of the weighted-sum identity at a snapshot time.
-
-    Compares a centered finite difference of sum_i phi_i c_i(t) against
-    sum_i w_i (phi_{i+1} - phi_i - phi_1); the difference is O(dt^2) plus
-    integrator error.  Needs snapshots on both sides of t.
-    """
-    phi = np.asarray(phi, dtype=float)
-    times = trajectory.times
-    idx = int(np.argmin(np.abs(times - t)))
-    if idx == 0 or idx == len(times) - 1:
-        raise ParameterError("need interior snapshot time for the centered difference")
-    # full rows: net_rates of a head row would drop its last flux
-    c_prev, c_mid, c_next = (trajectory.at(s) for s in times[idx - 1 : idx + 2].tolist())
-    n = len(c_mid)
-    if len(phi) < n:
-        raise ParameterError("weight sequence shorter than the truncation")
-    hm = float(times[idx] - times[idx - 1])
-    hp = float(times[idx + 1] - times[idx])
-    fm = fsum_array(phi[:n] * c_prev)
-    f0 = fsum_array(phi[:n] * c_mid)
-    fp = fsum_array(phi[:n] * c_next)
-    deriv = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / (hm * hp * (hm + hp))
-    w = net_rates(c_mid, trajectory.model)
-    increments = phi[1:n] - phi[: n - 1] - phi[0]
-    weighted = fsum_array(w[: n - 1] * increments)
-    return abs(deriv - weighted)

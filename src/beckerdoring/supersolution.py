@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +109,7 @@ def make_params(
     return SupersolutionParams(omega=omega, rho=rho, delta=delta, lam=lam, n_switch=n_switch)
 
 
-@dataclass(frozen=True, eq=False)
-class Supersolution:
+class Supersolution(NamedTuple):
     """A dominating sequence with its construction witness.
 
     ``s`` holds the increments r_j - r_{j+1} on [n_switch, N] (zeros
@@ -239,8 +239,7 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
     )
 
 
-@dataclass(frozen=True)
-class SupersolutionCheck:
+class SupersolutionCheck(NamedTuple):
     """Verdict of the balance-inequality check on a candidate sequence."""
 
     ok: bool
@@ -284,8 +283,7 @@ def verify_supersolution(
     )
 
 
-@dataclass(frozen=True)
-class WeightedSumBound:
+class WeightedSumBound(NamedTuple):
     """Both sides of the weighted-sum control sum phi_j r_j <= C (1 + sum phi_j g_j)."""
 
     lhs: float

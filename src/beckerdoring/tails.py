@@ -11,11 +11,10 @@ concentration, which is what makes comparison arguments possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientModel
 from .equilibrium import fsum_array
 from .errors import ParameterError
 
@@ -40,8 +39,7 @@ def tail_moment(g: np.ndarray, k: float) -> float:
     return fsum_array(j**k * g)
 
 
-@dataclass(frozen=True)
-class StretchedWeights:
+class StretchedWeights(NamedTuple):
     """Weights psi_j = j^(mu-1) exp(alpha j^mu) with sandwich constants.
 
     eta2 = max(1, 2^(1-mu) alpha mu); eta1 = min(1, alpha mu inf_j
@@ -84,41 +82,3 @@ def finite_weight_size(alpha: float, mu: float, n: int) -> int:
     while finite(m + 1):
         m += 1
     return m
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Both sides of the two-sided bound; negative margin = violation."""
-
-    value: float
-    weighted_tail_sum: float
-    lower_margin: float  # value - eta1 * sum
-    upper_margin: float  # eta2 * sum - value
-
-
-def stretched_sandwich_check(c: np.ndarray, weights: StretchedWeights) -> SandwichReport:
-    """Evaluate sum_i exp(alpha i^mu) c_i against the psi-weighted tail sums."""
-    n = len(c)
-    i = np.arange(1, n + 1, dtype=float)
-    value = fsum_array(np.exp(weights.alpha * i**weights.mu) * c)
-    s = fsum_array(weights.psi(n) * tail_density(c))
-    return SandwichReport(
-        value=value,
-        weighted_tail_sum=s,
-        lower_margin=value - weights.eta1 * s,
-        upper_margin=weights.eta2 * s - value,
-    )
-
-
-def tail_rhs(g: np.ndarray, c1: float, model: CoefficientModel) -> np.ndarray:
-    """Time derivative of the tail entries G_2..G_{N-1}.
-
-    Entry for index j is a_{j-1} c1 (G_{j-1} - G_j) + b_j (G_{j+1} - G_j).
-    The j = 1 line needs no tracking here: G_1 is controlled by the mass
-    constraint, and the comparison machinery only uses j >= 2.
-    """
-    n = len(g)
-    if n < 3:
-        raise ParameterError("tail derivative needs length >= 3")
-    a_prev, b_j = model.rate_pairs(n - 1)
-    return a_prev * c1 * (g[:-2] - g[1:-1]) + b_j * (g[2:] - g[1:-1])

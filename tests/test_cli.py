@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -432,6 +434,16 @@ def test_determinism_bit_identical(small_config, tmp_path):
     assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "d2")]) == 0
     for name in ("summary.json", "timeseries.csv", "supersolution.csv", "bounds.dat", "witness.json"):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only ``sweep --workers`` > 1 runs a pool; every other command starts
+    # without importing concurrent.futures
+    code = "import sys, beckerdoring.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(bd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_runs_workers(small_config, tmp_path):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
-from beckerdoring.equilibrium import _density_at_activity, _LogQPrefix, density_at_activity, fsum_array
+from beckerdoring.equilibrium import _density_at_activity, _LogQPrefix, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
+import oracles
+from oracles import density_at_activity
 
 
 class TestCriticalValues:
@@ -118,6 +120,29 @@ class TestBlockedSeries:
             with np.errstate(over="ignore"):
                 got = _density_at_activity(_LogQPrefix(model), z, 1e-12, n_start=n, n_cap=n)
                 assert got == _one_shot_density(model, z, 1e-12, n)
+
+    @pytest.mark.parametrize("kind", BLOCKED_MODELS)
+    def test_a_grown_log_q_prefix_has_the_one_shot_bits(self, kind, monkeypatch):
+        # the activity solve's doubling truncations n = 256 * 2^k: each
+        # growth evaluates only the increments past the old prefix
+        model = BLOCKED_MODELS[kind]()
+        seen = []
+        original = bd.CoefficientModel.log_b
+
+        def recorded(self, i):
+            seen.append(np.array(i, dtype=float).ravel())
+            return original(self, i)
+
+        monkeypatch.setattr(bd.CoefficientModel, "log_b", recorded)
+        prefix = _LogQPrefix(model)
+        grown_from = 1
+        for n in (256 * 2**k for k in range(9)):
+            seen.clear()
+            log_q = prefix(n)
+            assert np.array_equal(np.concatenate(seen), np.arange(grown_from + 1, n + 1))
+            assert log_q.tobytes() == bd.detailed_balance(model, n).tobytes()
+            assert prefix(n // 2).tobytes() == log_q[: n // 2].tobytes()
+            grown_from = n
 
     def test_the_ratio_test_reads_across_a_block_edge(self):
         # Q_i = 2^(1-i) and z = 2 (1 - 1e-3): at n = B + 3 the tail remainder
@@ -231,7 +256,7 @@ class TestEquilibriumProfile:
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 2000, critical=crit)
-        w = bd.net_rates(eq.profile.copy(), family_a)
+        w = oracles.net_rates(eq.profile.copy(), family_a)
         i = np.arange(1, 2000, dtype=float)
         flux = family_a.a(i) * z * eq.profile[:-1]
         assert np.max(np.abs(w[:-1])) <= 1e-12 * np.max(flux)

@@ -7,6 +7,7 @@ import scipy.linalg
 import beckerdoring as bd
 from beckerdoring.errors import ParameterError
 from conftest import monodisperse
+import oracles
 
 
 def random_metzler(rng, n):
@@ -19,25 +20,25 @@ def random_metzler(rng, n):
 class TestMetzlerSystem:
     def test_tail_comparison_rows(self, half_model):
         # a_i = 1, b_i = 2, omega = 1, range 2..4
-        system = bd.build_tail_comparison_matrix(half_model, 1.0, 2, 4)
+        system = oracles.build_tail_comparison_matrix(half_model, 1.0, 2, 4)
         dense = system.to_dense()
         expected = np.array([[-3.0, 2.0, 0.0], [1.0, -3.0, 2.0], [0.0, 1.0, -3.0]])
         assert dense == pytest.approx(expected, abs=0)
 
     def test_interior_row_sums_vanish(self, family_a):
-        system = bd.build_tail_comparison_matrix(family_a, 0.7, 2, 40)
+        system = oracles.build_tail_comparison_matrix(family_a, 0.7, 2, 40)
         sums = system.to_dense().sum(axis=1)
         assert np.max(np.abs(sums[1:-1])) <= 1e-12
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(ParameterError):
-            bd.MetzlerSystem.from_dense(np.array([[-1.0, -0.1], [0.5, -1.0]]))
+            oracles.MetzlerSystem.from_dense(np.array([[-1.0, -0.1], [0.5, -1.0]]))
         with pytest.raises(ParameterError):
-            bd.MetzlerSystem.from_tridiagonal(np.array([-0.1]), np.array([-1.0, -1.0]), np.array([0.2]))
+            oracles.MetzlerSystem.from_tridiagonal(np.array([-0.1]), np.array([-1.0, -1.0]), np.array([0.2]))
 
     def test_band_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            bd.MetzlerSystem.from_tridiagonal(np.array([0.1, 0.2]), np.array([-1.0, -1.0]), np.array([0.2]))
+            oracles.MetzlerSystem.from_tridiagonal(np.array([0.1, 0.2]), np.array([-1.0, -1.0]), np.array([0.2]))
 
     def test_domination_of_a_built_supersolution(self, family_a, trajectory):
         g0 = bd.tail_density(trajectory.at(2.0))
@@ -47,11 +48,11 @@ class TestMetzlerSystem:
         assert isinstance(report.max_gap, float)
 
     def test_row_abs_sum(self):
-        system = bd.MetzlerSystem.from_dense(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+        system = oracles.MetzlerSystem.from_dense(np.array([[-2.0, 1.0], [1.0, -2.0]]))
         assert system.c_row == 3.0
 
     def test_matvec_matches_dense(self, family_a):
-        system = bd.build_tail_comparison_matrix(family_a, 0.5, 2, 30)
+        system = oracles.build_tail_comparison_matrix(family_a, 0.5, 2, 30)
         rng = np.random.default_rng(1)
         u = rng.normal(size=system.n)
         assert system.matvec(u) == pytest.approx(system.to_dense() @ u, rel=1e-13)
@@ -60,31 +61,31 @@ class TestMetzlerSystem:
 class TestSignPreservation:
     def test_symmetric_eigenvector_decay(self):
         # u0 = (-1,-1) is the eigenvalue -1 eigenvector: u(t) = -e^-t (1,1)
-        system = bd.MetzlerSystem.from_dense(np.array([[-2.0, 1.0], [1.0, -2.0]]))
-        res = bd.verify_sign_preservation(system, np.array([-1.0, -1.0]), 2.0, rel_tol=1e-11)
+        system = oracles.MetzlerSystem.from_dense(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+        res = oracles.verify_sign_preservation(system, np.array([-1.0, -1.0]), 2.0, rel_tol=1e-11)
         assert res.ok
         assert res.y_end == pytest.approx(-math.exp(-2.0) * np.ones(2), rel=1e-9)
 
     @pytest.mark.parametrize("u0", [[np.nan, -1.0], [-np.inf, -1.0]], ids=["nan", "-inf"])
     def test_rejects_non_finite_initial_data(self, u0):
         # NaN passes the u0 <= 0 check; the integrator refuses it before a step
-        system = bd.MetzlerSystem.from_dense(-np.eye(2))
+        system = oracles.MetzlerSystem.from_dense(-np.eye(2))
         with pytest.raises(ParameterError, match="initial state must be finite"):
-            bd.verify_sign_preservation(system, np.array(u0), 1.0)
+            oracles.verify_sign_preservation(system, np.array(u0), 1.0)
 
     def test_zero_stays_zero(self):
-        system = bd.MetzlerSystem.from_dense(-np.eye(3))
-        res = bd.verify_sign_preservation(system, np.zeros(3), 5.0)
+        system = oracles.MetzlerSystem.from_dense(-np.eye(3))
+        res = oracles.verify_sign_preservation(system, np.zeros(3), 5.0)
         assert res.ok and np.max(np.abs(res.y_end)) <= 1e-12
 
     def test_random_systems_with_slack(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            system = bd.MetzlerSystem.from_dense(random_metzler(rng, n))
+            system = oracles.MetzlerSystem.from_dense(random_metzler(rng, n))
             u0 = -rng.random(n)
             s0 = -rng.random(n)
-            res = bd.verify_sign_preservation(
+            res = oracles.verify_sign_preservation(
                 system, u0, 3.0, slack=lambda t, s0=s0: s0 * math.exp(-t)
             )
             assert res.ok
@@ -94,9 +95,9 @@ class TestSignPreservation:
         for _ in range(20):
             n = int(rng.integers(2, 7))
             a = random_metzler(rng, n)
-            system = bd.MetzlerSystem.from_dense(a)
+            system = oracles.MetzlerSystem.from_dense(a)
             u0 = -rng.random(n)
-            res = bd.verify_sign_preservation(system, u0, 2.0, rel_tol=1e-11, abs_tol=1e-14)
+            res = oracles.verify_sign_preservation(system, u0, 2.0, rel_tol=1e-11, abs_tol=1e-14)
             exact = scipy.linalg.expm(2.0 * a) @ u0
             assert np.max(np.abs(res.y_end - exact)) <= 1e-9
 
@@ -117,9 +118,9 @@ class TestSignPreservation:
                 assert y <= y0 * math.exp(c_row * t) * (1 + 1e-9)
 
     def test_rejects_positive_initial_data(self):
-        system = bd.MetzlerSystem.from_dense(-np.eye(2))
+        system = oracles.MetzlerSystem.from_dense(-np.eye(2))
         with pytest.raises(ParameterError):
-            bd.verify_sign_preservation(system, np.array([0.1, -1.0]), 1.0)
+            oracles.verify_sign_preservation(system, np.array([0.1, -1.0]), 1.0)
 
 
 @pytest.fixture(scope="module")

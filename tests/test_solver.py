@@ -13,28 +13,29 @@ from beckerdoring.cli import EXIT_NUMERICAL, _exit_code
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import FreeEnergyDomainError, ParameterError, StepSizeUnderflowError
 from conftest import bare_equilibrium, full_states, monodisperse, padded
+import oracles
 
 
 class TestNetRates:
     def test_hand_example(self, half_model):
         # w_1 = a_1 c_1 c_1 - b_2 c_2 = 0.25 - 0.5, w_2 = a_2 c_1 c_2 - b_3 c_3
         state = np.array([0.5, 0.25, 0.0])
-        w = bd.net_rates(state, half_model)
+        w = oracles.net_rates(state, half_model)
         assert w == pytest.approx([-0.25, 0.125, 0.0], abs=0)
 
     def test_single_species(self, ones_model):
         state = np.array([1.0, 0.0, 0.0])
-        w = bd.net_rates(state, ones_model)
+        w = oracles.net_rates(state, ones_model)
         assert w == pytest.approx([1.0, 0.0, 0.0], abs=0)
 
     def test_truncation_closure(self, family_a):
         rng = np.random.default_rng(0)
         state = rng.random(50)
-        assert bd.net_rates(state, family_a)[-1] == 0.0
+        assert oracles.net_rates(state, family_a)[-1] == 0.0
 
     def test_equilibrium_rates_vanish(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
-        w = bd.net_rates(eq.profile.copy(), family_a)
+        w = oracles.net_rates(eq.profile.copy(), family_a)
         scale = np.max(family_a.a(np.arange(1, 200, dtype=float)) * 0.4 * eq.profile[:-1])
         assert np.max(np.abs(w)) <= 1e-12 * scale
 
@@ -42,12 +43,12 @@ class TestNetRates:
 class TestRhs:
     def test_hand_example(self, half_model):
         state = np.array([0.5, 0.25, 0.0])
-        dc = bd.rhs(state, half_model)
+        dc = oracles.rhs(state, half_model)
         assert dc == pytest.approx([0.375, -0.375, 0.125], abs=0)
 
     def test_equilibrium_is_fixed_point(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
-        dc = bd.rhs(eq.profile.copy(), family_a)
+        dc = oracles.rhs(eq.profile.copy(), family_a)
         assert np.max(np.abs(dc)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -57,7 +58,7 @@ class TestRhs:
         n = int(rng.integers(3, 200))
         model = bd.make_power_law_model(rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0), 1.0, 0.5)
         state = rng.random(n)
-        dc = bd.rhs(state, model)
+        dc = oracles.rhs(state, model)
         i = np.arange(1, n + 1, dtype=float)
         assert abs(math.fsum(i * dc)) <= 1e-13 * math.fsum(np.abs(i * dc)) + 1e-300
 
@@ -69,21 +70,21 @@ class TestMomentAccessors:
 
     def test_zeroth_moment(self):
         state = np.array([1.0, 0.5, 0.25])
-        assert bd.moment(state, 0) == pytest.approx(1.75, abs=0)
+        assert oracles.moment(state, 0) == pytest.approx(1.75, abs=0)
 
     def test_stretched_moment(self):
         # e + e^sqrt(2)/2 + e^sqrt(3)/4, evaluated directly
         state = np.array([1.0, 0.5, 0.25])
         expected = math.e + math.exp(math.sqrt(2)) * 0.5 + math.exp(math.sqrt(3)) * 0.25
-        assert bd.stretched_moment(state, 1.0, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert oracles.stretched_moment(state, 1.0, 0.5) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(6.187965436359033, rel=1e-12)
 
     def test_parameter_validation(self):
         state = np.array([1.0, 0.5])
         with pytest.raises(ParameterError):
-            bd.moment(state, -1)
+            oracles.moment(state, -1)
         with pytest.raises(ParameterError):
-            bd.stretched_moment(state, 1.0, 1.0)
+            oracles.stretched_moment(state, 1.0, 1.0)
 
 
 class TestIntegrate:
@@ -319,7 +320,7 @@ class TestCrossValidation:
             bd.IntegrateOptions(rel_tol=1e-10, abs_tol=1e-16, n_snapshots=6),
         )
         sol = scipy.integrate.solve_ivp(
-            lambda t, y: bd.rhs(np.clip(y, 0.0, None), family_a),
+            lambda t, y: oracles.rhs(np.clip(y, 0.0, None), family_a),
             (0.0, 5.0),
             c0,
             method="Radau",
@@ -346,7 +347,7 @@ class TestCrossValidation:
         for idx in (40, 100, 160):
             fd = (traj.free_energy[idx + 1] - traj.free_energy[idx - 1]) / (2 * dt)
             c = traj.states[idx]
-            w = bd.net_rates(c, ones_model)[: n - 1]
+            w = oracles.net_rates(c, ones_model)[: n - 1]
             gain = c[0] * c[:-1]  # a_i c_1 c_i with a_i = 1
             loss = c[1:]          # b_{i+1} c_{i+1} with b_{i+1} = 1
             dissipation = math.fsum(w * np.log(gain / loss))
@@ -358,7 +359,7 @@ class TestWeakFormResidual:
     def test_mass_weight_vanishes(self, family_a):
         traj = bd.integrate(monodisperse(200, 1.0), family_a, 4.0, bd.IntegrateOptions(n_snapshots=201))
         phi = np.arange(1, 201, dtype=float)
-        res = bd.weak_form_residual(traj, phi, 2.0)
+        res = oracles.weak_form_residual(traj, phi, 2.0)
         assert res <= 1e-8 * 1.0
 
     def test_counting_weight_second_order(self, family_a):
@@ -367,7 +368,7 @@ class TestWeakFormResidual:
         residuals = []
         for n_snap in (101, 201):
             traj = bd.integrate(state0, family_a, 4.0, bd.IntegrateOptions(n_snapshots=n_snap, rel_tol=1e-10))
-            residuals.append(bd.weak_form_residual(traj, np.ones(200), 2.0))
+            residuals.append(oracles.weak_form_residual(traj, np.ones(200), 2.0))
         assert residuals[1] <= residuals[0] / 2.5
 
     def test_equilibrium_quadratic_weight(self, family_a):
@@ -376,7 +377,7 @@ class TestWeakFormResidual:
         eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
         traj = bd.integrate(eq.profile.copy(), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
         phi = np.arange(1, 301, dtype=float) ** 2
-        assert bd.weak_form_residual(traj, phi, 1.0) <= 1e-10
+        assert oracles.weak_form_residual(traj, phi, 1.0) <= 1e-10
 
 
 def _assert_matches_scalar_references(traj, eq, k_moments, stretched):
@@ -386,9 +387,9 @@ def _assert_matches_scalar_references(traj, eq, k_moments, stretched):
     for j, c in enumerate(full_states(traj)):
         assert traj.rho[j] == pytest.approx(bd.density(c), rel=1e-14, abs=0)
         for k in k_moments:
-            assert traj.tracked[k][j] == pytest.approx(bd.moment(c, k), rel=1e-14, abs=0)
+            assert traj.tracked[k][j] == pytest.approx(oracles.moment(c, k), rel=1e-14, abs=0)
         for alpha, mu in stretched:
-            want = bd.stretched_moment(c, alpha, mu)
+            want = oracles.stretched_moment(c, alpha, mu)
             assert traj.tracked[(alpha, mu)][j] == pytest.approx(want, rel=1e-14, abs=0)
         assert traj.free_energy[j] == pytest.approx(bd.relative_free_energy(c, eq), rel=1e-14, abs=0)
 

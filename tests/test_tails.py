@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.errors import ParameterError
-from beckerdoring.tails import tail_density, tail_moment, tail_rhs
+from beckerdoring.tails import tail_density, tail_moment
 from conftest import monodisperse
+import oracles
+from oracles import tail_rhs
 
 EPS = np.finfo(float).eps
 
@@ -120,7 +122,7 @@ class TestStretchedWeights:
 class TestStretchedSandwich:
     def test_point_mass_is_tight(self):
         w = bd.stretched_weights(1.0, 0.5)
-        rep = bd.stretched_sandwich_check(np.array([1.0, 0.0, 0.0]), w)
+        rep = oracles.stretched_sandwich_check(np.array([1.0, 0.0, 0.0]), w)
         assert rep.value == pytest.approx(math.e, rel=1e-15)
         assert rep.upper_margin >= 0.0 and rep.lower_margin >= 0.0
 
@@ -129,13 +131,13 @@ class TestStretchedSandwich:
         rng = np.random.default_rng(int(alpha * 10 + mu * 100))
         w = bd.stretched_weights(alpha, mu)
         for _ in range(50):
-            rep = bd.stretched_sandwich_check(random_state(rng), w)
+            rep = oracles.stretched_sandwich_check(random_state(rng), w)
             assert rep.lower_margin >= 0.0
             assert rep.upper_margin >= 0.0
 
     def test_geometric_state(self):
         c = 0.5 ** np.arange(1, 200)
-        rep = bd.stretched_sandwich_check(c, bd.stretched_weights(1.0, 0.5))
+        rep = oracles.stretched_sandwich_check(c, bd.stretched_weights(1.0, 0.5))
         assert rep.lower_margin >= 0.0 and rep.upper_margin >= 0.0
 
 
@@ -173,5 +175,5 @@ class TestTailRhs:
         c = rng.random(80)
         g = tail_density(c)
         rhs = tail_rhs(g, c[0], family_a)
-        w = bd.net_rates(c, family_a)
+        w = oracles.net_rates(c, family_a)
         assert rhs == pytest.approx(w[:78], rel=1e-11, abs=1e-13)

@@ -7,7 +7,11 @@ experiment``, in process, each in its own temporary directory.  Prints one
 JSON line per config: its five parameters, the exit code, the first
 stderr line, ``n_fev`` summed over its ``integrate`` calls, the wall time
 and the sha1 of each output file; a last line gives the totals, with the
-process's peak resident memory (``ru_maxrss``) as ``peak_rss_mb``.
+process's peak resident memory (``ru_maxrss``) as ``peak_rss_mb`` and the
+package's import cost as ``import_ms``: the median, over 5 fresh
+interpreters, of ``import beckerdoring`` plus one ``load_config`` of the
+template, timed after an untimed ``import numpy`` (without cached bytecode,
+as under ``PYTHONDONTWRITEBYTECODE=1``, it includes compiling the package).
 
     PYTHONPATH=src python tools/census.py > census.jsonl
     python tools/census.py --compare parent.jsonl census.jsonl
@@ -20,7 +24,7 @@ the benchmark's configs is byte-identical between two trees:
     PYTHONPATH=src python tools/census.py --bench > bench.jsonl
 
 ``--compare`` prints every config whose line differs in anything but the
-wall time and the peak memory, then the number of such configs; it exits 1
+wall time, the peak memory and the import cost, then the number of such configs; it exits 1
 if there are any.
 """
 from __future__ import annotations
@@ -31,7 +35,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import resource
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -71,6 +78,34 @@ def bench_configs():
             yield {"workload": workload, "label": label}, config_text(cfg)
 
 
+IMPORT_PROBE = """\
+import sys, time
+import numpy
+start = time.perf_counter()
+import beckerdoring
+from beckerdoring.config import load_config
+load_config(sys.argv[1])
+print((time.perf_counter() - start) * 1e3)
+"""
+
+
+def import_ms(runs: int = 5) -> float:
+    """Median over ``runs`` fresh interpreters of ``IMPORT_PROBE``'s time, in
+    ms, importing the package this process imported."""
+    import beckerdoring
+    from beckerdoring.config import template_text
+
+    src = str(Path(beckerdoring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "template.toml"
+        config.write_text(template_text())
+        times = [float(subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config)], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+                 for _ in range(runs)]
+    return round(statistics.median(times), 2)
+
+
 def census(configs):
     """Yield one record per (parameters, config text) pair, then the totals."""
     import beckerdoring.experiments as experiments
@@ -107,15 +142,16 @@ def census(configs):
                "files": files, "wall_s": round(wall, 4)}
     yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
            "n_fev": total_fev, "wall_s": round(total_wall, 2),
-           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)}
+           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+           "import_ms": import_ms()}
 
 
 def compare(before: Path, after: Path) -> int:
-    """Print the configs whose records differ in anything but wall time and
-    peak memory."""
+    """Print the configs whose records differ in anything but wall time,
+    peak memory and import cost."""
     def records(path):
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        return [{k: v for k, v in r.items() if k not in ("wall_s", "peak_rss_mb")} for r in lines]
+        return [{k: v for k, v in r.items() if k not in ("wall_s", "peak_rss_mb", "import_ms")} for r in lines]
 
     old, new = records(before), records(after)
     changed = [(a, b) for a, b in zip(old, new) if a != b]
