@@ -61,7 +61,6 @@ from .supersolution import (
     Supersolution,
     SupersolutionParams,
     build_supersolution,
-    choose_lambda,
     make_params,
     verify_supersolution,
     weighted_sum_bound,

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import check_assumptions
 from .config import load_config, template_text
 from .equilibrium import fsum_array, relative_free_energy
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     SupercriticalError,
 )
 from .experiments import (
+    assumption_report,
     dominating_sequence,
     emit_report,
     export_supersolution,
@@ -171,7 +171,8 @@ def _cmd_supersolution(args) -> int:
         **supersolution_witness(sol), "omega": prep.omega, "rho": prep.rho,
         "verified": check.ok, "worst_margin": check.worst_margin,
     })
-    print(f"lambda={sol.lam!r} n_switch={sol.n_switch} uniform_bound={sol.uniform_bound!r}")
+    params = sol.params
+    print(f"lambda={params.lam!r} n_switch={params.n_switch} uniform_bound={params.uniform_bound!r}")
     print(f"verified={check.ok} worst_margin={check.worst_margin!r}")
     print(f"wrote {path} and {witness}")
     return EXIT_PASS if check.ok else EXIT_VERDICT
@@ -179,10 +180,9 @@ def _cmd_supersolution(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
-    report = check_assumptions(config.build_model(), min(config.n_series, 100_000))
-    print(f"frag_ok={report.frag_ok} b_bar_observed={report.b_bar_observed!r}")
-    print(f"ratio_ok={report.ratio_ok} estimate={report.ratio_estimate!r} target={report.ratio_target!r}")
-    print(f"profile_monotone_ok={report.profile_monotone_ok} start_index={report.profile_start_index}")
+    report = assumption_report(config.build_model(), config)
+    for _, line in report.checks():
+        print(line)
     print(f"all_ok={report.all_ok}")
     return EXIT_PASS if report.all_ok else EXIT_VERDICT
 

@@ -340,6 +340,15 @@ class AssumptionReport(NamedTuple):
     def all_ok(self) -> bool:
         return self.frag_ok and self.ratio_ok and self.profile_monotone_ok
 
+    def checks(self) -> list[tuple[bool, str]]:
+        """Each check's verdict with the line that reports it."""
+        return [
+            (self.frag_ok, f"frag_ok={self.frag_ok} b_bar_observed={self.b_bar_observed!r}"),
+            (self.ratio_ok, f"ratio_ok={self.ratio_ok} estimate={self.ratio_estimate!r} target={self.ratio_target!r}"),
+            (self.profile_monotone_ok,
+             f"profile_monotone_ok={self.profile_monotone_ok} start_index={self.profile_start_index}"),
+        ]
+
 
 def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> AssumptionReport:
     """Scan i = 1..n and report whether the standing assumptions hold.

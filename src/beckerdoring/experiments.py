@@ -19,7 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientModel, Family, load_rate_table, make_exponential_tail_model, make_power_law_model
+from .coefficients import (
+    AssumptionReport,
+    CoefficientModel,
+    Family,
+    check_assumptions,
+    load_rate_table,
+    make_exponential_tail_model,
+    make_power_law_model,
+)
 from .equilibrium import (
     CriticalValues,
     EquilibriumData,
@@ -117,6 +125,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{where} needs contiguous columns 'i c_i'")
             if not (np.all(np.isfinite(data[:, 1])) and np.all(data[:, 1] >= 0)):
                 raise ConfigError(f"{where}: concentrations must be finite and non-negative")
+            past = np.flatnonzero(data[self.n :, 1])
+            if len(past):
+                raise ConfigError(f"{where} puts mass in row {self.n + 1 + int(past[0])}, past n = {self.n}")
             c = np.zeros(self.n)
             m = min(self.n, len(data))
             c[:m] = data[:m, 1]
@@ -179,10 +190,24 @@ def prepare(config: ExperimentConfig) -> Preamble:
     return Preamble(model, crit, z_bar, eq, c0, density(c0), omega, opts)
 
 
+def assumption_report(model: CoefficientModel, config: ExperimentConfig) -> AssumptionReport:
+    """``check_assumptions`` over i = 1..min(n_series, 100 000), clamped to a
+    rate table's rows: the scan that ``verify`` reports."""
+    return check_assumptions(model, min(config.n_series, 100_000))
+
+
 def supersolution_params(prep: Preamble, config: ExperimentConfig) -> SupersolutionParams:
     """lambda and the switch index from the rates up to max(N, 1000) and
     ``prepare``'s root-test estimate of z_s: they need no trajectory, so a
-    refusal (omega outside (0, z_s), delta too large) precedes integration."""
+    refusal (omega outside (0, z_s), delta too large) precedes integration.
+
+    A rate table must first pass ``assumption_report``, or it is refused
+    with ConfigError naming each failed check; the formula families meet
+    the assumptions through their parameter ranges, and are not scanned."""
+    if prep.model.family is Family.CUSTOM:
+        failed = [line for ok, line in assumption_report(prep.model, config).checks() if not ok]
+        if failed:
+            raise ConfigError(f"rate file {config.rates_file!r} fails the standing assumptions: {'; '.join(failed)}")
     return make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
 
 
@@ -197,8 +222,8 @@ def dominating_sequence(
 
 def supersolution_witness(sol: Supersolution) -> dict:
     """The ``witness.json`` keys that every command writing one shares."""
-    return {"lambda": sol.lam, "n_switch": sol.n_switch, "tail_value": sol.tail_value,
-            "uniform_bound": sol.uniform_bound}
+    return {"lambda": sol.params.lam, "n_switch": sol.params.n_switch, "tail_value": sol.tail_value,
+            "uniform_bound": sol.params.uniform_bound}
 
 
 # -- short-time growth constant ----------------------------------------------
@@ -641,7 +666,7 @@ def export_supersolution(sol: Supersolution, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(exist_ok=True)
     m = sol.n_head
-    header = [f"#n={sol.n}", f"#lambda={float(sol.lam)!r}", _SUPERSOLUTION_COLUMNS]
+    header = [f"#n={sol.n}", f"#lambda={float(sol.params.lam)!r}", _SUPERSOLUTION_COLUMNS]
     return write_columns(out / "supersolution.csv", header, [np.arange(1, m + 1), sol.r[:m], sol.s[:m]])
 
 

@@ -7,10 +7,14 @@ a sequence r with r_1 >= rho, the one-sided balance inequality
     a_{j-1} omega (r_{j-1} - r_j) + b_j (r_{j+1} - r_j) <= 0
 
 at every interior index, termwise domination r_j >= g_j, and weighted sums
-controlled by those of g.  The decay rate lambda lives strictly between the
-weight-growth bound delta and z_s/omega; past the switch index the
-fragmentation rate wins against lambda * omega * a_{j-1}, which is what
-makes the geometric envelope a valid continuation.
+controlled by those of g.  ``make_params`` fixes the build's tuple (omega,
+rho, delta, lambda, switch index), and is the only code that computes
+lambda and the switch index.  The decay rate lambda is the geometric mean
+of the weight-growth bound delta and the ceiling z_s/omega (capped at
+1 + 1/omega when that stays above delta), so it lives strictly between
+them; past the switch index the fragmentation rate wins against
+lambda * omega * a_{j-1}, which is what makes the geometric envelope a
+valid continuation.
 """
 from __future__ import annotations
 
@@ -26,50 +30,6 @@ from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecay
 
 _SCAN_DEFAULT = 100_000
 TAIL_DECAY_TOL = 1e-6  # g_N must be below this share of rho: g is taken as 0 past N
-
-
-def choose_lambda(
-    model: CoefficientModel,
-    omega: float,
-    delta: float = 1.0,
-    n_max: int = _SCAN_DEFAULT,
-    *,
-    z_s: float,
-) -> tuple[float, int]:
-    """Pick the decay rate lambda and the switch index for a cap omega in
-    (0, z_s), given the critical monomer density z_s (in the pipeline,
-    ``experiments.prepare``'s ``critical.z_s``).
-
-    lambda is the geometric mean of delta and the ceiling z_s/omega; the
-    ceiling is additionally capped at 1 + 1/omega when possible, which keeps
-    r_1 >= rho automatic (for omega(lambda-1) > 1 the prefix patch alone
-    cannot guarantee it).  The switch index is the smallest index past which
-    b_j >= lambda omega a_{j-1} holds throughout the scanned range.
-    """
-    if model.table_length is not None:
-        n_max = min(n_max, model.table_length)
-    if omega <= 0 or omega >= z_s:
-        raise ParameterError(f"omega must lie in (0, z_s = {z_s:.6g}), got {omega}")
-    if delta < 1:
-        raise ParameterError("delta must be >= 1")
-    ceiling = z_s / omega
-    if delta >= ceiling:
-        raise ParameterError(f"delta must be below z_s/omega = {ceiling:.6g}")
-    capped = min(ceiling, 1.0 + 1.0 / omega)
-    if capped > delta * (1 + 1e-9):
-        ceiling = capped
-    lam = math.sqrt(delta * ceiling)
-
-    a_prev, b_j = model.rate_pairs(n_max)
-    ok = b_j >= lam * omega * a_prev
-    if not ok[-1]:
-        raise NoSwitchIndexError(
-            f"b_j >= lambda omega a_(j-1) still fails at j = {n_max}; "
-            "omega is too close to z_s for this truncation"
-        )
-    bad = np.nonzero(~ok)[0]
-    n_switch = int(bad[-1]) + 3 if len(bad) else 1  # one past the last failing j = bad + 2
-    return lam, n_switch
 
 
 @dataclass(frozen=True)
@@ -105,28 +65,60 @@ def make_params(
     *,
     z_s: float,
 ) -> SupersolutionParams:
-    lam, n_switch = choose_lambda(model, omega, delta, n_max, z_s=z_s)
+    """The parameters of a build for a cap omega in (0, z_s) and density rho,
+    given the critical monomer density z_s (in the pipeline,
+    ``experiments.prepare``'s ``critical.z_s``).
+
+    lambda is the geometric mean of delta and the ceiling z_s/omega; the
+    ceiling is additionally capped at 1 + 1/omega when possible, which keeps
+    r_1 >= rho automatic (for omega(lambda-1) > 1 the prefix patch alone
+    cannot guarantee it).  The switch index is the smallest index past which
+    b_j >= lambda omega a_{j-1} holds throughout the scanned range
+    j <= n_max (clamped to a rate table's rows).
+    """
+    if model.table_length is not None:
+        n_max = min(n_max, model.table_length)
+    if omega <= 0 or omega >= z_s:
+        raise ParameterError(f"omega must lie in (0, z_s = {z_s:.6g}), got {omega}")
+    if delta < 1:
+        raise ParameterError("delta must be >= 1")
+    ceiling = z_s / omega
+    if delta >= ceiling:
+        raise ParameterError(f"delta must be below z_s/omega = {ceiling:.6g}")
+    capped = min(ceiling, 1.0 + 1.0 / omega)
+    if capped > delta * (1 + 1e-9):
+        ceiling = capped
+    lam = math.sqrt(delta * ceiling)
+
+    a_prev, b_j = model.rate_pairs(n_max)
+    ok = b_j >= lam * omega * a_prev
+    if not ok[-1]:
+        raise NoSwitchIndexError(
+            f"b_j >= lambda omega a_(j-1) still fails at j = {n_max}; "
+            "omega is too close to z_s for this truncation"
+        )
+    bad = np.nonzero(~ok)[0]
+    n_switch = int(bad[-1]) + 3 if len(bad) else 1  # one past the last failing j = bad + 2
     return SupersolutionParams(omega=omega, rho=rho, delta=delta, lam=lam, n_switch=n_switch)
 
 
 class Supersolution(NamedTuple):
     """A dominating sequence with its construction witness.
 
-    ``s`` holds the increments r_j - r_{j+1} on [n_switch, N] (zeros
-    before); ``tail_value`` is the geometric continuation sum added past
-    the truncation, which preserves the balance inequality at j = N.
-    Past row ``n_head`` = max(support of g, n_switch), s and r are the
-    geometric continuation of row ``n_head`` (``continue_geometrically``):
-    N, lambda and that row determine them.
+    ``params`` is the record it was built from: lambda, the switch index
+    and the uniform bound on r are read there.  ``s`` holds the increments
+    r_j - r_{j+1} on [n_switch, N] (zeros before); ``tail_value`` is the
+    geometric continuation sum added past the truncation, which preserves
+    the balance inequality at j = N.  Past row ``n_head`` = max(support of
+    g, n_switch), s and r are the geometric continuation of row ``n_head``
+    (``continue_geometrically``): N, lambda and that row determine them.
     """
 
     r: np.ndarray
     s: np.ndarray
-    lam: float
-    n_switch: int
+    params: SupersolutionParams
     n_head: int
     tail_value: float
-    uniform_bound: float
 
     @property
     def n(self) -> int:
@@ -228,15 +220,7 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
         raise NumericalError(
             f"constructed r_1 = {r[0]:.6g} fell below the density {rho:.6g}"
         )
-    return Supersolution(
-        r=r,
-        s=s,
-        lam=lam,
-        n_switch=ns,
-        n_head=m,
-        tail_value=tail_value,
-        uniform_bound=params.uniform_bound,
-    )
+    return Supersolution(r=r, s=s, params=params, n_head=m, tail_value=tail_value)
 
 
 class SupersolutionCheck(NamedTuple):

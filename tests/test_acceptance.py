@@ -204,7 +204,7 @@ def test_criterion_7_supersolution_round_trip():
         if not np.all(sol.r >= g):
             failures.append((trial, "domination", None))
             continue
-        if np.max(sol.r) > sol.uniform_bound * (1 + 1e-12):
+        if np.max(sol.r) > sol.params.uniform_bound * (1 + 1e-12):
             failures.append((trial, "uniform bound", float(np.max(sol.r))))
             continue
         j = np.arange(1, n + 1, dtype=float)

@@ -129,6 +129,30 @@ def test_supersolution_export(small_config, tmp_path):
     assert (out_dir / "supersolution.csv").exists()
 
 
+def test_outputs_carry_the_bits_of_the_params_the_sequence_was_built_from(small_config, tmp_path, capsys):
+    # witness.json, the #lambda line and the stdout of ``supersolution`` read
+    # lambda, the switch index and the uniform bound off ``sol.params``
+    config = load_config(small_config)
+    prep = prepare(config)
+    params = supersolution_params(prep, config)
+    initial, _ = dominating_sequence(prep, params, bd.tail_density(prep.c0))
+    built = run_uniform_moment_experiment(config).supersolution
+    capsys.readouterr()
+    for command, sol in (("supersolution", initial), ("experiment", built)):
+        assert sol.params == params
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(small_config), "--out", str(out_dir)]) == 0
+        witness = json.loads((out_dir / "witness.json").read_text())
+        assert (witness["lambda"], witness["n_switch"], witness["uniform_bound"]) == (
+            sol.params.lam, sol.params.n_switch, sol.params.uniform_bound)
+        lines = (out_dir / "supersolution.csv").read_text().splitlines()
+        assert lines[1] == f"#lambda={sol.params.lam!r}"
+        printed = capsys.readouterr().out.splitlines()
+        if command == "supersolution":
+            assert printed[0] == (f"lambda={sol.params.lam!r} n_switch={sol.params.n_switch} "
+                                  f"uniform_bound={sol.params.uniform_bound!r}")
+
+
 def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
     # N = 32 000: both commands write rows 1..m of r and s, m + 3 lines,
     # and the file reads back to the full arrays the run built
@@ -220,6 +244,35 @@ def test_commands_agree_on_preamble(small_config, tmp_path, capsys):
         experiment_witness = json.loads((out / "exp" / "witness.json").read_text())
         for key in ("lambda", "n_switch", "uniform_bound"):
             assert witness[key] == experiment_witness[key]
+
+
+def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, tmp_path, capsys, monkeypatch):
+    # the template's power-law rates for i = 1..3000, declared with z_s = 1.2
+    # where they tend to 1: Q_i z_s^i grows to the table's end
+    rates = tmp_path / "rates.txt"
+    model, i = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5), np.arange(1, 3001)
+    rates.write_text("".join(f"{j} {a!r} {b!r}\n" for j, a, b in zip(i, model.a(i).tolist(), model.b(i).tolist())))
+    table = tmp_path / "table.toml"
+    table.write_text(small_config.read_text().replace('family = "power_law"', 'family = "custom"')
+                     .replace('rates_file = ""', f'rates_file = "{rates}"').replace("z_s = 1.0", "z_s = 1.2"))
+    assert main(["verify", "--config", str(table)]) == 2
+    assert "profile_monotone_ok=False start_index=3000" in capsys.readouterr().out
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a rate table that verify rejects")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    for command in ("experiment", "supersolution"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(table), "--out", str(out_dir)]) == 11, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: rate file {str(rates)!r} fails the standing assumptions: "), err
+        assert "profile_monotone_ok=False start_index=3000" in err, err
+        assert not out_dir.exists()
+    monkeypatch.undo()
+    # the commands that certify nothing still run it
+    assert main(["simulate", "--config", str(table), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["equilibrium", "--config", str(table)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -340,10 +393,12 @@ def test_supercritical_config_exit_11(small_config, tmp_path):
     ["1.0", "-0.1", "0.1"],
     ["0.0", "0.0", "0.0"],
     ["1.0", "np.float64(0.2)", "0.1"],
-], ids=["nan", "inf", "negative", "no-mass", "not-a-number"])
+    ["0.1"] * 301,
+], ids=["nan", "inf", "negative", "no-mass", "not-a-number", "mass-past-n"])
 def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
     # refused where the config is read: a non-finite state would spin the
-    # step budget with h = nan, and a massless one divide by its density
+    # step budget with h = nan, a massless one divide by its density, and
+    # the truncation at n = 300 would drop the mass of row 301
     init = tmp_path / "c0.txt"
     init.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values, start=1)))
     config = tmp_path / "file.toml"
@@ -356,7 +411,14 @@ def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
         assert time.perf_counter() - start < 5.0, command
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(init) in err, err
+        assert len(values) <= 300 or "puts mass in row 301, past n = 300" in err, err
         assert not (tmp_path / command).exists()
+
+
+def test_initial_state_file_accepts_zero_rows_past_n(tmp_path):
+    init = tmp_path / "c0.txt"
+    init.write_text("".join(f"{i} {0.1 if i <= 5 else 0.0}\n" for i in range(1, 11)))
+    assert ExperimentConfig(n=5, init="file", init_file=str(init)).initial_state().tolist() == [0.1] * 5
 
 
 @pytest.mark.parametrize("row, line", [

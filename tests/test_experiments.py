@@ -314,7 +314,7 @@ class TestEmitReport:
         paths = emit_report(report, tmp_path / "out")
         lines = paths["supersolution"].read_text().splitlines()
         sol = report.supersolution
-        assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.lam!r}", "j,r_j,s_j"]
+        assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.params.lam!r}", "j,r_j,s_j"]
         assert len(lines) == sol.n_head + 3
         first = lines[3].split(",")
         assert int(first[0]) == 1 and float(first[1]) > 0

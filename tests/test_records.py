@@ -3,7 +3,7 @@ import pytest
 import beckerdoring as bd
 from beckerdoring import _rk, coefficients, equilibrium, experiments, maximum_principle, solver, supersolution, tails
 
-# the read-only result records, with the field names and order they have had
+# the read-only result records, with their field names and order
 RECORDS = {
     coefficients.AssumptionReport: (
         "frag_ok", "frag_first_violation", "b_bar_observed", "ratio_ok", "ratio_estimate",
@@ -13,7 +13,7 @@ RECORDS = {
     equilibrium.EquilibriumData: ("z_bar", "profile", "log_profile", "rho", "cut_index", "tail_bound"),
     experiments.Preamble: ("model", "critical", "z_bar", "equilibrium", "c0", "rho", "omega", "opts"),
     experiments.ShortTimeBound: ("c_phi", "eps", "a_phi"),
-    supersolution.Supersolution: ("r", "s", "lam", "n_switch", "n_head", "tail_value", "uniform_bound"),
+    supersolution.Supersolution: ("r", "s", "params", "n_head", "tail_value"),
     supersolution.SupersolutionCheck: ("ok", "r1_ok", "worst_margin", "worst_index", "n_checked"),
     supersolution.WeightedSumBound: ("lhs", "rhs", "c_used", "m_index", "delta_star"),
     maximum_principle.DominationReport: ("holds", "max_gap", "tol", "first_violation", "n_snapshots"),

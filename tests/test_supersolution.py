@@ -41,20 +41,20 @@ def random_model(rng):
 
 class TestChooseLambda:
     def test_constant_rates(self, half_model):
-        lam, n_switch = bd.choose_lambda(half_model, 1.0, 1.0, n_max=2000, z_s=half_model.z_s_param)
-        assert lam == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert n_switch == 1
+        params = bd.make_params(half_model, 1.0, 1.0, 1.0, n_max=2000, z_s=half_model.z_s_param)
+        assert params.lam == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert params.n_switch == 1
 
     def test_family_a(self, family_a):
-        lam, n_switch = bd.choose_lambda(family_a, 0.5, 1.0, n_max=2000, z_s=family_a.z_s_param)
-        assert lam == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert n_switch == 1
+        params = bd.make_params(family_a, 0.5, 1.0, 1.0, n_max=2000, z_s=family_a.z_s_param)
+        assert params.lam == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert params.n_switch == 1
 
     def test_cap_too_high_rejected(self, family_a):
         with pytest.raises(ParameterError):
-            bd.choose_lambda(family_a, family_a.z_s_param, 1.0, z_s=family_a.z_s_param)
+            bd.make_params(family_a, family_a.z_s_param, 1.0, 1.0, z_s=family_a.z_s_param)
         with pytest.raises(ParameterError):
-            bd.choose_lambda(family_a, 2.0, 1.0, z_s=family_a.z_s_param)
+            bd.make_params(family_a, 2.0, 1.0, 1.0, z_s=family_a.z_s_param)
 
     def test_delayed_switch_index(self):
         # fragmentation approaches z_s from below: the switch moves inward
@@ -62,10 +62,10 @@ class TestChooseLambda:
         i = np.arange(1, n + 1, dtype=float)
         b = 1.0 * (1.0 - 0.6 * np.exp(-i / 15.0))
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
-        lam, n_switch = bd.choose_lambda(model, 0.8, 1.0, n_max=n, z_s=model.z_s_param)
-        assert n_switch > 1
-        js = np.arange(max(2, n_switch), n + 1, dtype=float)
-        assert np.all(model.b(js) >= lam * 0.8 * model.a(js - 1))
+        params = bd.make_params(model, 0.8, 1.0, 1.0, n_max=n, z_s=model.z_s_param)
+        assert params.n_switch > 1
+        js = np.arange(max(2, params.n_switch), n + 1, dtype=float)
+        assert np.all(model.b(js) >= params.lam * 0.8 * model.a(js - 1))
 
     def test_no_switch_index_error(self):
         # fragmentation crawls up to z_s so slowly that b_j < lambda omega a_{j-1}
@@ -75,7 +75,12 @@ class TestChooseLambda:
         b = 1.0 * (1.0 - 0.3 * j**-0.05)
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
         with pytest.raises(NoSwitchIndexError):
-            bd.choose_lambda(model, 0.95, 1.0, n_max=n, z_s=model.z_s_param)
+            bd.make_params(model, 0.95, 1.0, 1.0, n_max=n, z_s=model.z_s_param)
+
+
+    def test_make_params_is_the_only_producer(self):
+        assert not hasattr(bd, "choose_lambda")
+        assert not hasattr(supersolution, "choose_lambda")
 
 
 class TestBuildSupersolution:
@@ -123,10 +128,10 @@ class TestBuildSupersolution:
         params = bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param)
         sol = bd.build_supersolution(family_a, params, g)
         assert np.all(sol.r >= g)
-        ns = sol.n_switch
+        ns = sol.params.n_switch
         assert np.all(np.diff(sol.r[ns - 1 :]) <= 0.0)
         assert sol.r[0] >= 1.0 * (1 - 1e-12)
-        assert np.max(sol.r) <= sol.uniform_bound * (1 + 1e-12)
+        assert np.max(sol.r) <= sol.params.uniform_bound * (1 + 1e-12)
 
     @pytest.mark.parametrize(
         "g_builder,match",
@@ -335,7 +340,7 @@ class TestReadSupersolution:
         for label, sol in _built_cases():
             path = export_supersolution(sol, tmp_path / label.replace(" ", "_"))
             lines = path.read_text().splitlines()
-            assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.lam!r}", "j,r_j,s_j"], label
+            assert lines[:3] == [f"#n={sol.n}", f"#lambda={sol.params.lam!r}", "j,r_j,s_j"], label
             assert len(lines) == sol.n_head + 3, label
             r, s = read_supersolution(path)
             assert r.tobytes() == sol.r.tobytes(), label
@@ -446,7 +451,7 @@ class TestContinueGeometrically:
         config, prep, _, (g_t0, *_) = pipeline(PIPELINE_CONFIGS[2])
         sol = _sequence(prep, config, g_t0)
         s_ref, r_ref = sol.s.copy(), sol.r.copy()
-        _one_product(s_ref, r_ref, sol.lam, sol.n_head, sol.n_head)
+        _one_product(s_ref, r_ref, sol.params.lam, sol.n_head, sol.n_head)
         assert sol.s.tobytes() == s_ref.tobytes() and sol.r.tobytes() == r_ref.tobytes()
         assert sol.s[-1] == 2.0**-1073
         counting = _CountingNumpy()

@@ -3,15 +3,17 @@
 Runs every config of the grid that ``tests/test_cli.py``'s robustness
 guard draws from (``_robustness_config``: 2 families x 4 gammas x 5 mu_c
 x 5 shares x 3 initial shapes, 600 configs) through ``cli.main
-experiment``, in process, each in its own temporary directory.  Prints one
-JSON line per config: its five parameters, the exit code, the first
-stderr line, ``n_fev`` summed over its ``integrate`` calls, the wall time
-and the sha1 of each output file; a last line gives the totals, with the
-process's peak resident memory (``ru_maxrss``) as ``peak_rss_mb`` and the
-package's import cost as ``import_ms``: the median, over 5 fresh
-interpreters, of ``import beckerdoring`` plus one ``load_config`` of the
-template, timed after an untimed ``import numpy`` (without cached bytecode,
-as under ``PYTHONDONTWRITEBYTECODE=1``, it includes compiling the package).
+experiment`` and ``cli.main verify``, in process, each in its own temporary
+directory.  Prints one JSON line per config: its five parameters, the exit
+code of ``experiment``, the first stderr line, ``n_fev`` summed over its
+``integrate`` calls, the wall time of ``experiment``, the sha1 of each
+output file and the exit code of ``verify`` (``verify_exit``); a last line
+gives the totals, with the process's peak resident memory (``ru_maxrss``)
+as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
+median, over 5 fresh interpreters, of ``import beckerdoring`` plus one
+``load_config`` of the template, timed after an untimed ``import numpy``
+(without cached bytecode, as under ``PYTHONDONTWRITEBYTECODE=1``, it
+includes compiling the package).
 
     PYTHONPATH=src python tools/census.py > census.jsonl
     python tools/census.py --compare parent.jsonl census.jsonl
@@ -24,8 +26,8 @@ the benchmark's configs is byte-identical between two trees:
     PYTHONPATH=src python tools/census.py --bench > bench.jsonl
 
 ``--compare`` prints every config whose line differs in anything but the
-wall time, the peak memory and the import cost, then the number of such configs; it exits 1
-if there are any.
+wall time, the peak memory and the import cost (so in ``verify_exit`` too),
+then the number of such configs; it exits 1 if there are any.
 """
 from __future__ import annotations
 
@@ -122,6 +124,7 @@ def census(configs):
 
     experiments.integrate = counted
     codes: Counter = Counter()
+    verify_codes: Counter = Counter()
     total_fev, total_wall = 0, 0.0
     for params, text in configs:
         n_fev = 0
@@ -134,13 +137,17 @@ def census(configs):
                 code = main(["experiment", "--config", str(path), "--out", str(out)])
             wall = time.perf_counter() - start
             files = {p.name: hashlib.sha1(p.read_bytes()).hexdigest() for p in sorted(out.glob("*"))}
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                verify_code = main(["verify", "--config", str(path)])
         codes[code] += 1
+        verify_codes[verify_code] += 1
         total_fev += n_fev
         total_wall += wall
         stderr = err.getvalue().splitlines()
         yield {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
-               "files": files, "wall_s": round(wall, 4)}
+               "files": files, "wall_s": round(wall, 4), "verify_exit": verify_code}
     yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
+           "verify_exit_codes": {str(c): verify_codes[c] for c in sorted(verify_codes)},
            "n_fev": total_fev, "wall_s": round(total_wall, 2),
            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
            "import_ms": import_ms()}
