@@ -2,7 +2,8 @@
 output, then Rosenbrock 4(3) steps for the stiff part of a run.
 
 Generic over the right-hand side; the cluster solver layers its positivity
-filter on top and the comparison-principle checks reuse it directly.  Every
+filter on top, and the sign-preservation oracle in ``tests/oracles.py``
+calls it directly.  Every
 step is adaptive, under the classic PI controller (error exponent 0.17,
 memory exponent 0.04, safety 0.9).  Snapshots at requested times come
 from the standard quartic interpolant of the pair, so accepted steps

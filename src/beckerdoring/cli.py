@@ -26,9 +26,9 @@ from .experiments import (
     dominating_sequence,
     emit_report,
     export_supersolution,
+    preflight,
     prepare,
     run_uniform_moment_experiment,
-    supersolution_params,
     supersolution_witness,
     write_columns,
     write_json,
@@ -163,15 +163,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_supersolution(args) -> int:
-    config = load_config(args.config)
-    prep = prepare(config)
-    sol, check = dominating_sequence(prep, supersolution_params(prep, config), tail_density(prep.c0))
+    prep, params = preflight(load_config(args.config))
+    sol, check = dominating_sequence(prep, params, tail_density(prep.c0))
     path = export_supersolution(sol, args.out)
     witness = write_json(args.out / "witness.json", {
         **supersolution_witness(sol), "omega": prep.omega, "rho": prep.rho,
         "verified": check.ok, "worst_margin": check.worst_margin,
     })
-    params = sol.params
     print(f"lambda={params.lam!r} n_switch={params.n_switch} uniform_bound={params.uniform_bound!r}")
     print(f"verified={check.ok} worst_margin={check.worst_margin!r}")
     print(f"wrote {path} and {witness}")
@@ -184,6 +182,8 @@ def _cmd_verify(args) -> int:
     for _, line in report.checks():
         print(line)
     print(f"all_ok={report.all_ok}")
+    if report.all_ok:
+        preflight(config)  # refuses what ``experiment`` refuses before integrating
     return EXIT_PASS if report.all_ok else EXIT_VERDICT
 
 

@@ -20,9 +20,11 @@ from .experiments import ExperimentConfig
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # the least value of a key that has one: an output grid needs two times,
-# the weight-growth bound delta is at least 1, and a negative tolerance or
-# threshold would pass for 0 or run as given
-_MINIMUM = {"snapshots": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0, "delta": 1.0}
+# the integrator two sizes (the equilibrium profile's tail estimate reads
+# its last two entries), the weight-growth bound delta is at least 1, and a
+# negative tolerance or threshold would pass for 0 or run as given
+_MINIMUM = {"snapshots": 2, "n": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0,
+            "delta": 1.0}
 
 TEMPLATE = """\
 # model
@@ -35,7 +37,7 @@ sigma = 1.0                 # exponential_tail stretch amplitude
 rates_file = ""             # custom family: text file with columns "i a_i b_i"
 
 # initial data (shapes are scaled to hit rho exactly; "file" is raw)
-n = 2000                    # truncation length
+n = 2000                    # truncation length, >= 2
 rho = 1.0                   # target density
 init = "monodisperse"       # monodisperse | equilibrium | geometric | file
 init_ratio = 0.5            # geometric shape ratio

@@ -32,6 +32,7 @@ from .equilibrium import (
     CriticalValues,
     EquilibriumData,
     _LogQPrefix,
+    _series_terms,
     _sum_over_support,
     critical_values,
     equilibrium_profile,
@@ -61,7 +62,9 @@ class ExperimentConfig:
     ``omega = 0`` selects z_bar + omega_margin * (z_s - z_bar); ``abs_tol``
     and ``tol_dom`` of 0 select the density-scaled defaults.  For
     ``init = "file"`` the density is taken from the file and ``rho`` is
-    ignored; every other shape is scaled to hit ``rho`` exactly.
+    ignored: z_bar, the default omega, the equilibrium profile and H belong
+    to the file's density.  Every other shape is scaled to hit ``rho``
+    exactly.
     """
 
     family: str = "power_law"
@@ -170,14 +173,18 @@ def prepare(config: ExperimentConfig) -> Preamble:
     the pipeline: every later consumer reads ``Preamble.critical``.  Adds no
     refusal of its own: a supercritical density fails in the activity
     solve.  The three share one log-Q prefix: the critical values compute it
-    at n_series, the activity solve and the profile slice it.
+    at n_series, the activity solve and the profile slice it.  The activity
+    solves the density of the initial state: ``config.rho``, or for
+    ``init = "file"`` the file's, which is read first.
     """
     model = config.build_model()
     log_q_prefix = _LogQPrefix(model)
     crit = critical_values(model, config.n_series, log_q_prefix=log_q_prefix)
-    z_bar = solve_monomer_activity(model, config.rho, critical=crit, log_q_prefix=log_q_prefix)
+    c0 = config.initial_state() if config.init == "file" else None
+    rho = config.rho if c0 is None else density(c0)
+    z_bar = solve_monomer_activity(model, rho, critical=crit, log_q_prefix=log_q_prefix)
     eq = equilibrium_profile(model, z_bar, config.n, critical=crit, log_q_prefix=log_q_prefix)
-    c0 = config.initial_state(eq)
+    c0 = config.initial_state(eq) if c0 is None else c0
     omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
     opts = IntegrateOptions(
         rel_tol=config.rel_tol,
@@ -196,19 +203,66 @@ def assumption_report(model: CoefficientModel, config: ExperimentConfig) -> Assu
     return check_assumptions(model, min(config.n_series, 100_000))
 
 
-def supersolution_params(prep: Preamble, config: ExperimentConfig) -> SupersolutionParams:
-    """lambda and the switch index from the rates up to max(N, 1000) and
-    ``prepare``'s root-test estimate of z_s: they need no trajectory, so a
-    refusal (omega outside (0, z_s), delta too large) precedes integration.
-
-    A rate table must first pass ``assumption_report``, or it is refused
-    with ConfigError naming each failed check; the formula families meet
-    the assumptions through their parameter ranges, and are not scanned."""
+def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams]:
+    """The preamble of a config and its build parameters, after every
+    refusal that needs no trajectory, in this order: the weights (ConfigError
+    for a moment order below max(2 - gamma, 1 + gamma), a stretched pair
+    outside the sublinear branch or overflowing at N, two weights with one
+    stage label); ``prepare``; a rate table that fails ``assumption_report``
+    (ConfigError naming each failed check; the formula families meet the
+    assumptions through their parameter ranges, and are not scanned);
+    ``make_params``, over the rates up to max(N, 1000); and ParameterError
+    for a cap that the truncated system's equilibrium monomer z_N reaches:
+    c_1 tends to z_N, the root of F_N(z) = sum_{i<=N} i Q_i z^i = rho, and
+    z_N >= omega exactly when F_N(omega) <= rho."""
+    gamma = config.gamma
+    k_min = max(2.0 - gamma, 1.0 + gamma)
+    for k in config.k_moments:
+        if k < k_min - 1e-12:
+            raise ConfigError(
+                f"moment order k = {k} is below max(2 - gamma, 1 + gamma) = {k_min}; "
+                "the certified pipeline needs at least that order"
+            )
+    if config.stretched:
+        if gamma >= 1.0:
+            raise ConfigError(
+                "stretched-exponential certificates need the sublinear branch "
+                "(gamma < 1); refuse for the linear branch"
+            )
+        for alpha, mu in config.stretched:
+            if alpha <= 0 or not (0 < mu <= 1.0 - gamma + 1e-12):
+                raise ConfigError(
+                    f"stretched pair (alpha={alpha}, mu={mu}) needs alpha > 0 and "
+                    f"0 < mu <= 1 - gamma = {1.0 - gamma}"
+                )
+            n_max = finite_weight_size(alpha, mu, config.n)
+            if n_max < config.n:
+                raise ConfigError(
+                    f"stretched pair (alpha={alpha}, mu={mu}): the weight exp(alpha n^mu) "
+                    f"overflows float64 at n = {config.n}; the largest admissible n is {n_max}"
+                )
+    for labels in ([_label(k) for k in config.k_moments], [_label((a, m)) for a, m in config.stretched]):
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(
+                    f"two weights give the same stage label {label!r} (labels keep 6 "
+                    "significant digits); drop one or make them differ within 6 digits"
+                )
+    prep = prepare(config)
     if prep.model.family is Family.CUSTOM:
         failed = [line for ok, line in assumption_report(prep.model, config).checks() if not ok]
         if failed:
             raise ConfigError(f"rate file {config.rates_file!r} fails the standing assumptions: {'; '.join(failed)}")
-    return make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
+    params = make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
+    eq, omega, rho = prep.equilibrium, prep.omega, prep.rho
+    f_n = float(np.sum(_series_terms(eq.log_profile, math.log(omega / prep.z_bar))))
+    if f_n <= rho:
+        raise ParameterError(
+            f"omega = {omega:.6g} is at or below z_N, the equilibrium monomer of the system truncated at "
+            f"N = {config.n}, where c_1 tends: sum_(i<=N) i Q_i omega^i = {f_n:.6g} <= rho = {rho:.6g} "
+            f"(z_bar = {prep.z_bar:.6g}; the infinite equilibrium keeps {1.0 - eq.rho / rho:.3g} of rho past N)"
+        )
+    return prep, params
 
 
 def dominating_sequence(
@@ -356,55 +410,17 @@ class UniformBoundReport:
         }
 
 
-def _check_hypotheses(config: ExperimentConfig) -> None:
-    gamma = config.gamma
-    k_min = max(2.0 - gamma, 1.0 + gamma)
-    for k in config.k_moments:
-        if k < k_min - 1e-12:
-            raise ConfigError(
-                f"moment order k = {k} is below max(2 - gamma, 1 + gamma) = {k_min}; "
-                "the certified pipeline needs at least that order"
-            )
-    if config.stretched:
-        if gamma >= 1.0:
-            raise ConfigError(
-                "stretched-exponential certificates need the sublinear branch "
-                "(gamma < 1); refuse for the linear branch"
-            )
-        for alpha, mu in config.stretched:
-            if alpha <= 0 or not (0 < mu <= 1.0 - gamma + 1e-12):
-                raise ConfigError(
-                    f"stretched pair (alpha={alpha}, mu={mu}) needs alpha > 0 and "
-                    f"0 < mu <= 1 - gamma = {1.0 - gamma}"
-                )
-            n_max = finite_weight_size(alpha, mu, config.n)
-            if n_max < config.n:
-                raise ConfigError(
-                    f"stretched pair (alpha={alpha}, mu={mu}): the weight exp(alpha n^mu) "
-                    f"overflows float64 at n = {config.n}; the largest admissible n is {n_max}"
-                )
-    for labels in ([_label(k) for k in config.k_moments], [_label((a, m)) for a, m in config.stretched]):
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigError(
-                    f"two weights give the same stage label {label!r} (labels keep 6 "
-                    "significant digits); drop one or make them differ within 6 digits"
-                )
-
-
 def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundReport:
     """Run the full certificate pipeline for one configuration.
 
-    Raises SupercriticalError when the configured density is not below the
-    critical density (the uniform-bound machinery does not apply there),
-    ConfigError for weights outside the certified hypotheses and, before
-    integrating, ParameterError when omega and delta admit no lambda.  Every
-    other failure is a stage verdict, never a silent pass.
+    Raises, before integrating, what ``preflight`` refuses: a supercritical
+    density (the uniform-bound machinery does not apply there), weights
+    outside the certified hypotheses, an omega and delta that admit no
+    lambda, and a cap that c_1 cannot fall below.  Every other failure is
+    a stage verdict, never a silent pass.
     """
-    _check_hypotheses(config)
-    prep = prepare(config)
+    prep, params = preflight(config)
     model, crit, rho, omega = prep.model, prep.critical, prep.rho, prep.omega
-    params = supersolution_params(prep, config)
 
     stages: list[StageResult] = []
     trajectory = integrate(prep.c0, model, config.t_end, prep.opts)

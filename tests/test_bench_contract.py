@@ -59,9 +59,9 @@ def test_tracing_sees_the_preamble(traced_report):
 
 def test_every_traced_call_the_template_reaches_records_a_span(traced_report):
     # a refactor that calls past a traced name of ``experiments`` (say,
-    # ``supersolution.make_params`` from ``supersolution_params``) would
-    # leave its layer's metrics at zero; the power-law template builds no
-    # rate table and no exponential-tail model
+    # ``supersolution.make_params`` from ``preflight``) would leave its
+    # layer's metrics at zero; the power-law template builds no rate table
+    # and no exponential-tail model
     tracing = _load("tracing")
     _, _, spans = traced_report
     unreached = {"load_rate_table", "make_exponential_tail_model"}

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
 from beckerdoring.errors import ConfigError
 from beckerdoring.experiments import (
-    ExperimentConfig, dominating_sequence, prepare, run_uniform_moment_experiment, supersolution_params,
+    ExperimentConfig, dominating_sequence, preflight, prepare, run_uniform_moment_experiment,
 )
 
 
@@ -133,8 +134,7 @@ def test_outputs_carry_the_bits_of_the_params_the_sequence_was_built_from(small_
     # witness.json, the #lambda line and the stdout of ``supersolution`` read
     # lambda, the switch index and the uniform bound off ``sol.params``
     config = load_config(small_config)
-    prep = prepare(config)
-    params = supersolution_params(prep, config)
+    prep, params = preflight(config)
     initial, _ = dominating_sequence(prep, params, bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     capsys.readouterr()
@@ -160,8 +160,8 @@ def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
     config_path = tmp_path / "large.toml"
     config_path.write_text(text)
     config = load_config(config_path)
-    prep = prepare(config)
-    initial, _ = dominating_sequence(prep, supersolution_params(prep, config), bd.tail_density(prep.c0))
+    prep, params = preflight(config)
+    initial, _ = dominating_sequence(prep, params, bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     for command, sol in (("supersolution", initial), ("experiment", built)):
         out_dir = tmp_path / command
@@ -198,7 +198,8 @@ def test_delta_refused_before_integration(small_config, tmp_path, capsys, monkey
 
 
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
-    text = small_config.read_text().replace("omega = 0.0", "omega = 0.25")
+    # at t = 0.5, c_1 = 0.630 is still above omega = 0.599
+    text = small_config.read_text().replace("t_end = 10.0", "t_end = 0.5")
     bad = small_config.parent / "low_omega.toml"
     bad.write_text(text)
     out_dir = tmp_path / "fail"
@@ -276,6 +277,48 @@ def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, t
 
 
 @pytest.mark.parametrize(
+    "lines, code, message",
+    [
+        pytest.param(["k_moments = [1.2]"], 11, "moment order k = 1.2 is below max(2 - gamma, 1 + gamma)",
+                     id="moment-order"),
+        pytest.param(["gamma = 0.1", "stretched = [[1.0, 0.9]]", "n = 2000"], 11,
+                     "largest admissible n is 1472", id="overflowing-weight"),
+        pytest.param(["omega = 1.5"], 11, "omega must lie in (0, z_s", id="omega-above-z_s"),
+        pytest.param(["delta = 5.0"], 11, "delta must be below z_s/omega", id="delta-above-ceiling"),
+        # b_j / a_(j-1) falls to lambda omega = 1.0026 near j = 145 000
+        pytest.param(["omega = 1.002", "n = 150000"], 12, "b_j >= lambda omega a_(j-1) still fails at j = 150000",
+                     id="no-switch-index"),
+        pytest.param(["rho = 9.0"], 11, "density 9 is not below the critical density", id="supercritical"),
+        pytest.param(["omega = 0.25"], 11, "omega = 0.25 is at or below z_N", id="z_N-reaches-omega"),
+    ],
+)
+def test_preflight_refusals_agree(small_config, tmp_path, capsys, monkeypatch, lines, code, message):
+    # every refusal that needs no trajectory: ``experiment``, ``supersolution``
+    # and ``verify`` exit with one code and one message, and nothing is
+    # integrated or written
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a config the preflight refuses")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    text = small_config.read_text()
+    for line in lines:
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+    path = tmp_path / "refused.toml"
+    path.write_text(text)
+    errors = []
+    for command in ("experiment", "supersolution", "verify"):
+        out = ["--out", str(tmp_path / command)] if command != "verify" else []
+        assert main([command, "--config", str(path), *out]) == code, command
+        captured = capsys.readouterr()
+        assert message in captured.err, (command, captured.err)
+        errors.append(captured.err)
+        assert not (tmp_path / command).exists()
+    assert errors[0] == errors[1] == errors[2]
+    assert captured.out.splitlines()[-1] == "all_ok=True"
+
+
+@pytest.mark.parametrize(
     "line, stage, column",
     [
         # keys whose stage label (6 significant digits) does not parse back to them
@@ -329,6 +372,7 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
         pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
         pytest.param("tol_dom = -1e-10", id="negative-tol-dom"),
         pytest.param("delta = 0.5", id="delta-below-1"),
+        pytest.param("n = 1", id="one-size"),
     ],
 )
 def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
@@ -413,6 +457,42 @@ def test_bad_initial_state_file_exit_11(small_config, tmp_path, capsys, values):
         assert err.startswith("config error: ") and str(init) in err, err
         assert len(values) <= 300 or "puts mass in row 301, past n = 300" in err, err
         assert not (tmp_path / command).exists()
+
+
+def _file_config(small_config, tmp_path, rho: float) -> Path:
+    """The small config started from a file holding a monodisperse state of
+    density ``rho``; the config's own ``rho`` stays 1."""
+    init = tmp_path / f"c0_{rho:g}.txt"
+    init.write_text("".join(f"{i} {rho if i == 1 else 0.0!r}\n" for i in range(1, 301)))
+    config = tmp_path / f"file_{rho:g}.toml"
+    config.write_text(small_config.read_text().replace('init = "monodisperse"', 'init = "file"')
+                      .replace('init_file = ""', f'init_file = "{init}"'))
+    return config
+
+
+def test_initial_state_file_sets_the_density_of_the_activity(small_config, tmp_path):
+    # z_bar, and with it omega and the equilibrium, solve the file's
+    # density 3, not the config's rho = 1
+    path = _file_config(small_config, tmp_path, 3.0)
+    config = load_config(path)
+    assert config.rho == 1.0
+    prep = prepare(config)
+    monodisperse = prepare(dataclasses.replace(config, init="monodisperse", init_file="", rho=3.0))
+    assert prep.rho == 3.0
+    assert prep.z_bar.hex() == monodisperse.z_bar.hex() and prep.omega == monodisperse.omega
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 0
+
+
+def test_supercritical_initial_state_file_exit_11(small_config, tmp_path, capsys, monkeypatch):
+    # a file of density 6, above rho_s = 4.96, with the config's rho = 1
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a supercritical initial state")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    path = _file_config(small_config, tmp_path, 6.0)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 11
+    assert "config error: density 6 is not below the critical density" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_initial_state_file_accepts_zero_rows_past_n(tmp_path):
@@ -519,7 +599,7 @@ def test_sweep_runs_workers(small_config, tmp_path):
 
 def test_sweep_propagates_verdict_failure(small_config, tmp_path):
     failing = small_config.parent / "failing.toml"
-    failing.write_text(small_config.read_text().replace("omega = 0.0", "omega = 0.25"))
+    failing.write_text(small_config.read_text().replace("t_end = 10.0", "t_end = 0.5"))
     rc = main(["sweep", str(small_config), str(failing), "--out", str(tmp_path / "sw2")])
     assert rc == 2
 
@@ -530,7 +610,7 @@ def test_sweep_reports_every_config(small_config, tmp_path, capfd, workers):
     bad = small_config.parent / "bad.toml"
     bad.write_text(small_config.read_text().replace("rho = 1.0", "rho = 9.0"))
     failing = small_config.parent / "failing.toml"
-    failing.write_text(small_config.read_text().replace("omega = 0.0", "omega = 0.25"))
+    failing.write_text(small_config.read_text().replace("t_end = 10.0", "t_end = 0.5"))
     out_dir = tmp_path / "sw"
     rc = main(["sweep", str(small_config), str(bad), str(failing), "--out", str(out_dir), "--workers", workers])
     assert rc == 11
@@ -540,6 +620,18 @@ def test_sweep_reports_every_config(small_config, tmp_path, capfd, workers):
     assert "config error: density 9 is not below the critical density" in captured.err
     assert json.loads((out_dir / "exp" / "summary.json").read_text())["verdict"] is True
     assert (out_dir / "failing" / "summary.json").exists() and not (out_dir / "bad").exists()
+
+
+def test_sweep_reports_a_refused_size_beside_a_passing_config(small_config, tmp_path, capfd):
+    # n = 1 is refused where the config is read, so it stays with its config
+    one = small_config.parent / "one.toml"
+    one.write_text(small_config.read_text().replace("n = 300", "n = 1"))
+    rc = main(["sweep", str(small_config), str(one), "--out", str(tmp_path / "sw")])
+    assert rc == 11
+    captured = capfd.readouterr()
+    verdicts = dict(reversed(line.split(" ", 1)) for line in captured.out.splitlines())
+    assert verdicts == {str(small_config): "PASS", str(one): "ERROR(11)"}
+    assert f"{one}: config error: config key 'n'" in captured.err
 
 
 @pytest.mark.parametrize("same_path", [False, True])

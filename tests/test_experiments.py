@@ -17,7 +17,7 @@ from beckerdoring.config import config_from_dict, load_config, parse_config_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from beckerdoring.equilibrium import support_length
 from beckerdoring.experiments import (
-    ExperimentConfig, emit_report, prepare, run_uniform_moment_experiment, weighted_l1_distance,
+    ExperimentConfig, emit_report, preflight, prepare, run_uniform_moment_experiment, weighted_l1_distance,
     write_trajectory_csv,
 )
 from conftest import monodisperse
@@ -127,8 +127,44 @@ class TestPipeline:
                 ExperimentConfig(gamma=1.0, z_s=2.0, k_moments=(2.0,), stretched=((1.0, 0.2),), **SMALL)
             )
 
+    @pytest.mark.parametrize("changes, refused", [
+        (dict(omega=0.25, **SMALL), True),
+        (dict(omega_margin=-0.1, **SMALL), True),
+        (dict(SMALL), False),
+        # omega = 0.599 lies above z_bar = 0.554 in both, but the two-size
+        # system's monomer tends to 0.650 and the five-size one's to 0.559
+        (dict(SMALL, n=2), True),
+        (dict(SMALL, n=5), False),
+    ], ids=["low-cap", "negative-margin", "template", "two-sizes", "five-sizes"])
+    def test_preflight_refuses_a_cap_the_truncated_equilibrium_reaches(self, changes, refused):
+        # z_N, the root of F_N(z) = sum_(i<=N) i Q_i z^i = rho, by bisection
+        config = ExperimentConfig(**changes)
+        prep = prepare(config)
+        i = np.arange(1, config.n + 1)
+
+        def f_n(z):
+            return math.fsum(i * prep.equilibrium.profile * (z / prep.z_bar) ** i)
+
+        lo, hi = 0.0, prep.critical.z_s
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f_n(mid) < prep.rho else (lo, mid)
+        assert (hi >= prep.omega) == refused
+        if not refused:
+            assert preflight(config)[0].omega == prep.omega
+            return
+        with pytest.raises(ParameterError) as exc:
+            preflight(config)
+        message = str(exc.value)
+        assert message.startswith(f"omega = {prep.omega:.6g} is at or below z_N")
+        share = 1.0 - prep.equilibrium.rho / prep.rho
+        for part in (f"{f_n(prep.omega):.6g} <= rho = {prep.rho:.6g}", f"z_bar = {prep.z_bar:.6g}",
+                     f"keeps {share:.3g} of rho past N"):
+            assert part in message
+
     def test_low_cap_fails_threshold_stage(self):
-        report = run_uniform_moment_experiment(ExperimentConfig(omega=0.25, stretched=(), **SMALL))
+        # at t = 0.5, c_1 = 0.630 is still above omega = 0.599
+        report = run_uniform_moment_experiment(ExperimentConfig(stretched=(), **{**SMALL, "t_end": 0.5}))
         assert not report.verdict
         assert not report.stage("threshold").ok
 
@@ -148,7 +184,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "changes",
-        [{}, {"family": "exponential_tail"}, dict(omega=0.25, **SMALL)],
+        [{}, {"family": "exponential_tail"}, {**SMALL, "t_end": 0.5}],
         ids=["template", "exponential-tail-template", "threshold-fails"],
     )
     def test_report_dict_holds_only_builtin_types(self, changes):

@@ -13,9 +13,9 @@ from beckerdoring.experiments import (
     detect_threshold,
     dominating_sequence,
     export_supersolution,
+    preflight,
     prepare,
     read_supersolution,
-    supersolution_params,
     write_columns,
 )
 from beckerdoring import supersolution
@@ -198,7 +198,7 @@ class TestSupportTrimmedRecurrence:
     def test_equals_full_loop(self, changes):
         config, prep, _, profiles = pipeline(changes)
         for g in profiles:
-            params = supersolution_params(prep, config)
+            _, params = preflight(config)
             sol, _ = dominating_sequence(prep, params, g)
             assert max(support_length(g), params.n_switch) < config.n // 10
             assert sol.s.tobytes() == _reference_increments(params, g).tobytes()
@@ -294,7 +294,7 @@ def _full_support_profile(n: int, rho: float) -> np.ndarray:
 
 def _sequence(prep, config, g):
     """The dominating sequence the commands build above g."""
-    return dominating_sequence(prep, supersolution_params(prep, config), g)[0]
+    return dominating_sequence(prep, preflight(config)[1], g)[0]
 
 
 def _switch_past_support() -> tuple:
@@ -476,7 +476,7 @@ class TestTrimmedSums:
         for config, prep, _, profiles in self._states_and_profiles():
             i = np.arange(1, config.n + 1, dtype=float)
             for g in profiles:
-                params = supersolution_params(prep, config)
+                _, params = preflight(config)
                 sol, _ = dominating_sequence(prep, params, g)
                 for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
                     wb = bd.weighted_sum_bound(sol.r, g, phi, params)
@@ -487,7 +487,7 @@ class TestTrimmedSums:
         # 29 244 subnormal entries and no zero; the two experiment sums
         # equal math.fsum's without summing them exactly
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
-        params = supersolution_params(prep, config)
+        _, params = preflight(config)
         sol, _ = dominating_sequence(prep, params, g)
         assert np.count_nonzero(sol.r < 2.0**-1022) == 29_244 and np.all(sol.r > 0)
         fsum, lengths = math.fsum, []
