@@ -267,36 +267,45 @@ def support_length(c: np.ndarray) -> int:
 
 def fsum_array(x: np.ndarray) -> float:
     """``math.fsum(x)`` of a float array, bit for bit, summing exactly only
-    the terms that can move the correctly rounded result.
+    the terms that can move the correctly rounded result: ``settled_fsum``
+    of x, else ``math.fsum(x)``.
+    """
+    x = np.asarray(x, dtype=float)
+    s = settled_fsum(x)
+    return math.fsum(x) if s is None else s
+
+
+def settled_fsum(x: np.ndarray, rest: float = 0.0) -> float | None:
+    """The correctly rounded sum of x and of further terms whose exact total
+    lies in [-rest, rest], when those bounds alone decide it; else None.
 
     The head |x_i| >= 2^-110 max|x| is summed with ``math.fsum`` to s, and
     e = fsum(head, -s) is its rounded residual.  In any summation order the
-    rest adds at most B = 2 sum|rest| + len(rest) 2^-1074, so the exact
-    total lies in s + e +- (ulp(e) + B).  When that range, rounded outward,
-    is strictly inside s's rounding interval (half the gap to the next float
-    on each side), the result is s; otherwise, and for non-finite or huge
-    entries, it is ``math.fsum(x)``.  The cut only sets how often that
-    fallback runs: on a geometric tail that underflows, ``math.fsum`` walks
-    each subnormal across the binades below the head.
+    rest of x adds at most B = 2 sum|rest of x| + len(rest of x) 2^-1074, so
+    the exact total lies in s + e +- (ulp(e) + B + rest).  When that range,
+    rounded outward, is strictly inside s's rounding interval (half the gap
+    to the next float on each side), the sum is s.  Non-finite or huge
+    entries give None.  The cut only sets how often None is returned: on a
+    geometric tail that underflows, ``math.fsum`` walks each subnormal
+    across the binades below the head.
     """
-    x = np.asarray(x, dtype=float)
     a = np.abs(x)
     amax = float(a.max(initial=0.0))
     if not amax < 2.0**960:
-        return math.fsum(x)
+        return None
     keep = a >= amax * 2.0**-110
     head = x[keep].tolist()
     s = math.fsum(head)
     head.append(-s)
     e = math.fsum(head)
-    rest = a[~keep]
-    bound = math.nextafter(2.0 * float(rest.sum()) + len(rest) * 2.0**-1074, math.inf)
+    small = a[~keep]
+    bound = math.nextafter(math.fsum([2.0 * float(small.sum()), len(small) * 2.0**-1074, rest]), math.inf)
     slack = math.nextafter(math.ulp(e) + bound, math.inf)
     hi = math.nextafter(e + slack, math.inf)
     lo = math.nextafter(e - slack, -math.inf)
     if 2.0 * hi < math.nextafter(s, math.inf) - s and 2.0 * lo > math.nextafter(s, -math.inf) - s:
         return s
-    return math.fsum(x)
+    return None
 
 
 def row_supports(rows: np.ndarray) -> np.ndarray:

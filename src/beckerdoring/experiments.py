@@ -214,7 +214,10 @@ def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams]:
     ``make_params``, over the rates up to max(N, 1000); and ParameterError
     for a cap that the truncated system's equilibrium monomer z_N reaches:
     c_1 tends to z_N, the root of F_N(z) = sum_{i<=N} i Q_i z^i = rho, and
-    z_N >= omega exactly when F_N(omega) <= rho."""
+    z_N >= omega exactly when F_N(omega) <= rho.  z_bar solves F(z_bar) = rho
+    only to the activity solve's relative tolerance 1e-12, so a cap that
+    close (omega = z_bar at omega_margin = 0) is refused too:
+    F_N(omega) <= rho (1 + 1e-12)."""
     gamma = config.gamma
     k_min = max(2.0 - gamma, 1.0 + gamma)
     for k in config.k_moments:
@@ -256,7 +259,7 @@ def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams]:
     params = make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
     eq, omega, rho = prep.equilibrium, prep.omega, prep.rho
     f_n = float(np.sum(_series_terms(eq.log_profile, math.log(omega / prep.z_bar))))
-    if f_n <= rho:
+    if f_n <= rho * (1 + 1e-12):
         raise ParameterError(
             f"omega = {omega:.6g} is at or below z_N, the equilibrium monomer of the system truncated at "
             f"N = {config.n}, where c_1 tends: sum_(i<=N) i Q_i omega^i = {f_n:.6g} <= rho = {rho:.6g} "
@@ -269,9 +272,11 @@ def dominating_sequence(
     prep: Preamble, params: SupersolutionParams, g: np.ndarray
 ) -> tuple[Supersolution, SupersolutionCheck]:
     """Build the dominating sequence above the tail profile g and verify
-    the balance inequality with slack 1e-12 * rho."""
+    the balance inequality with slack 1e-12 * rho, in closed form from the
+    sequence's floor row on."""
     sol = build_supersolution(prep.model, params, g)
-    return sol, verify_supersolution(sol.r, prep.model, params.omega, params.rho, tol=1e-12 * params.rho)
+    return sol, verify_supersolution(sol.r, prep.model, params.omega, params.rho, tol=1e-12 * params.rho,
+                                     lam=params.lam, floor_row=sol.floor_row)
 
 
 def supersolution_witness(sol: Supersolution) -> dict:
@@ -515,7 +520,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
         )
 
         for kind, key, psi, factor, extra in certificates:
-            wb = weighted_sum_bound(super_sol.r, g_t0, psi, params)
+            wb = weighted_sum_bound(super_sol.r, g_t0, psi, params, floor_row=super_sol.floor_row)
             certified = factor * wb.lhs
             observed = float(np.max(trajectory.tracked[key]))
             info = {

@@ -18,18 +18,21 @@ valid continuation.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import CoefficientModel
-from .equilibrium import fsum_array, support_length
+from .equilibrium import fsum_array, settled_fsum, support_length
 from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
 
 _SCAN_DEFAULT = 100_000
 TAIL_DECAY_TOL = 1e-6  # g_N must be below this share of rho: g is taken as 0 past N
+_TINY = 2.0**-1022  # the smallest normal float: an increment below it is subnormal
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,16 @@ class Supersolution(NamedTuple):
     def n(self) -> int:
         return len(self.r)
 
+    @property
+    def floor_row(self) -> int:
+        """The first row j >= n_head + 2 whose increment s_j is subnormal
+        (below 2^-1022), or N + 1 when there is none.  From it on r_{j-1},
+        r_j and r_{j+1} are the geometric continuation, and r holds the
+        decay's underflow: the checks read the rates there, not r."""
+        # past row n_head s is non-increasing: bisect for its first subnormal
+        first = bisect.bisect_right(self.s, -_TINY, lo=min(self.n_head + 1, self.n), key=operator.neg)
+        return first + 1
+
 
 def continue_geometrically(s: np.ndarray, r: np.ndarray, lam: float, m: int, start: int) -> float:
     """Fill rows m+1..N of s with s_j = s_{j-1} / lambda and rows start..N
@@ -138,14 +151,25 @@ def continue_geometrically(s: np.ndarray, r: np.ndarray, lam: float, m: int, sta
     from rows 1..m are the built ones bit for bit (the suffix sums
     accumulate from row N, so where they start does not change them).
 
+    In exact arithmetic r_j = s_j lambda / (lambda - 1) for j >= m: the
+    suffix sum of a geometric s plus tail_value is the whole geometric
+    series.  So from row m + 2 on, r_{j-1}, r_j and r_{j+1} are c lambda^-j
+    times lambda, 1 and 1/lambda, and the balance row's margin lhs_j /
+    scale_j is the closed form (lambda - 1)(lambda omega a_{j-1} - b_j) /
+    (lambda (lambda omega a_{j-1} + b_j)) of the rates alone.  Row m + 1
+    still reads r_m, which ``build_supersolution``'s round-off guard
+    r = max(r, g) may lift to g_m; g vanishes past row m.
+
     The decay underflows to a fixed point: for lambda < 2 a 1-ulp subnormal
     times 1/lambda > 1/2 rounds back to itself, and for lambda <= 4/3 so
     does a 2-ulp one; for lambda >= 2 it reaches 0.  Once s_j / lambda
     rounds to s_j the remaining rows are filled with s_j, not multiplied
-    through: on the power-law template at N = 32 000 (lambda = 1.294) s
-    sticks at 2^-1073 from row 2888, so r has 29 244 subnormal entries and
-    no zero, and the balance check's worst margin (-2.37e-6 at j = 2888)
-    lies in that floor.
+    through: on the power-law template at N = 32 000 (lambda = 1.294) s is
+    subnormal from row 2752 (``Supersolution.floor_row``) and sticks at
+    2^-1073 from row 2888, so r has 29 244 subnormal entries and no zero.
+    Read from that floor, the balance rows' worst margin would be -2.37e-6
+    at j = 2888, a measure of underflow; ``verify_supersolution`` takes the
+    closed form there (-0.0294 at j = N - 1).
     """
     inv_lam = 1.0 / lam
     j, chunk = m - 1, 256  # j: 0-based row of the last product
@@ -239,29 +263,53 @@ def verify_supersolution(
     omega: float,
     rho: float,
     tol: float,
+    *,
+    lam: float | None = None,
+    floor_row: int | None = None,
 ) -> SupersolutionCheck:
     """Check r_1 >= rho - tol and the balance inequality on 2 <= j <= N-1.
 
     Each row is allowed slack tol * (a_{j-1} omega r_{j-1} + b_j r_j), the
-    natural magnitude of the two competing fluxes.
+    natural magnitude of the two competing fluxes.  Without ``floor_row``
+    every row is read from r.  With it (``Supersolution.floor_row``, with
+    the build's lambda) rows j >= floor_row are not: there r_{j-1}, r_j and
+    r_{j+1} are the geometric continuation r_i = c lambda^-i, where the
+    margin lhs_j / scale_j is the closed form
+
+        (lambda - 1)(lambda omega a_{j-1} - b_j) / (lambda (lambda omega a_{j-1} + b_j)),
+
+    which depends on the rates alone and is at most 0 exactly where the
+    switch condition b_j >= lambda omega a_{j-1} holds.  In floating point
+    r there is the decay's subnormal floor, whose margins measure underflow,
+    not the sequence.
     """
     r = np.asarray(r, dtype=float)
     n = len(r)
     if n < 3:
         raise ParameterError("sequence too short to verify")
+    k = n if floor_row is None else min(floor_row, n)
+    if k < 3 or (k < n and lam is None):
+        raise ParameterError("the closed-form rows need lambda and start at row 3 or later")
     r1_ok = bool(r[0] >= rho - tol)
     a_prev, b_j = model.rate_pairs(n - 1)
-    a_prev = a_prev * omega
-    lhs = a_prev * (r[:-2] - r[1:-1]) + b_j * (r[2:] - r[1:-1])
-    scale = a_prev * r[:-2] + b_j * r[1:-1]
+    a_head = a_prev[: k - 2] * omega
+    lhs = a_head * (r[: k - 2] - r[1 : k - 1]) + b_j[: k - 2] * (r[2:k] - r[1 : k - 1])
+    scale = a_head * r[: k - 2] + b_j[: k - 2] * r[1 : k - 1]
     scale = np.where(scale > 0, scale, 1.0)
     margins = lhs / scale
     worst = int(np.argmax(margins))
-    cond2_ok = bool(np.all(lhs <= tol * scale))
+    worst_margin, ok = float(margins[worst]), bool(np.all(lhs <= tol * scale))
+    if k < n:
+        flux = lam * omega * a_prev[k - 2 :]
+        closed = (lam - 1.0) * (flux - b_j[k - 2 :]) / (lam * (flux + b_j[k - 2 :]))
+        top = int(np.argmax(closed))
+        if closed[top] > worst_margin:
+            worst, worst_margin = k - 2 + top, float(closed[top])
+        ok = ok and bool(closed[top] <= tol)
     return SupersolutionCheck(
-        ok=r1_ok and cond2_ok,
+        ok=r1_ok and ok,
         r1_ok=r1_ok,
-        worst_margin=float(margins[worst]),
+        worst_margin=worst_margin,
         worst_index=worst + 2,
         n_checked=n - 2,
     )
@@ -282,6 +330,8 @@ def weighted_sum_bound(
     g: np.ndarray,
     phi: np.ndarray,
     params: SupersolutionParams,
+    *,
+    floor_row: int | None = None,
 ) -> WeightedSumBound:
     """Assemble the weighted-sum bound with its explicit constant.
 
@@ -291,7 +341,12 @@ def weighted_sum_bound(
 
         C = 2 max(B sum_{j<M} phi_j, (lambda d*/(lambda - d*)) max(1, B phi_{M-1}))
 
-    with B the uniform bound on r.
+    with B the uniform bound on r.  The left side is ``math.fsum(phi * r)``
+    bit for bit.  With ``floor_row`` = k (``Supersolution.floor_row``) it
+    forms phi r only on rows before k: r is non-increasing, so the rows from
+    k on add at most (N - k + 1) max_{j>=k} phi_j r_k, and when
+    ``settled_fsum`` shows that cannot move the rounded sum, the head's
+    sum is the result; otherwise it sums the full product.
     """
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -320,6 +375,14 @@ def weighted_sum_bound(
     head = fsum_array(phi[: m - 1])
     factor = params.lam * delta_star / (params.lam - delta_star)
     c = 2.0 * max(bound * head, factor * max(1.0, bound * float(phi[m - 2])))
-    lhs = fsum_array(phi * r)
+    lhs = None
+    if floor_row is not None and floor_row <= n:
+        # r is non-increasing, so each skipped term phi_j r_j is at most
+        # max phi r_k; the 2 covers the products' rounding, 2^-1074 their underflow
+        k = floor_row
+        skipped, top = n - k + 1, float(phi[k - 1 :].max()) * float(r[k - 1])
+        lhs = settled_fsum(phi[: k - 1] * r[: k - 1], math.fsum([2.0 * skipped * top, skipped * 2.0**-1074]))
+    if lhs is None:
+        lhs = fsum_array(phi * r)
     rhs = c * (1.0 + fsum_array(phi * g))
     return WeightedSumBound(lhs=lhs, rhs=rhs, c_used=c, m_index=m, delta_star=delta_star)

@@ -3,7 +3,8 @@
 No command or stage of ``beckerdoring`` runs these: they recompute the
 pipeline's arithmetic from a second direction (scalar moments and fluxes of
 one state, the tail evolution, the weak form of the system, the stretched
-sandwich bounds, the monomer-activity series at one z, and a Metzler-matrix
+sandwich bounds, the monomer-activity series at one z, the balance check of
+a dominating sequence read from every row of r, and a Metzler-matrix
 sign-preservation checker for the comparison principle).
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ from beckerdoring.coefficients import CoefficientModel
 from beckerdoring.equilibrium import _N_CAP, _density_at_activity, _LogQPrefix, fsum_array
 from beckerdoring.errors import ParameterError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
+from beckerdoring.supersolution import SupersolutionCheck
 from beckerdoring.tails import StretchedWeights, tail_density
 
 DEFAULT_SIGN_TOL = 1e-9
@@ -103,6 +105,44 @@ def density_at_activity(
     log Q_1..Q_n and one length-n array of terms.
     """
     return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
+
+
+# -- supersolution: the balance check on every row ----------------------------
+
+
+def verify_supersolution(
+    r: np.ndarray,
+    model: CoefficientModel,
+    omega: float,
+    rho: float,
+    tol: float,
+) -> SupersolutionCheck:
+    """Check r_1 >= rho - tol and the balance inequality on 2 <= j <= N-1.
+
+    Each row is allowed slack tol * (a_{j-1} omega r_{j-1} + b_j r_j), the
+    natural magnitude of the two competing fluxes.  Every row is read from
+    r, the subnormal floor of its geometric continuation included.
+    """
+    r = np.asarray(r, dtype=float)
+    n = len(r)
+    if n < 3:
+        raise ParameterError("sequence too short to verify")
+    r1_ok = bool(r[0] >= rho - tol)
+    a_prev, b_j = model.rate_pairs(n - 1)
+    a_prev = a_prev * omega
+    lhs = a_prev * (r[:-2] - r[1:-1]) + b_j * (r[2:] - r[1:-1])
+    scale = a_prev * r[:-2] + b_j * r[1:-1]
+    scale = np.where(scale > 0, scale, 1.0)
+    margins = lhs / scale
+    worst = int(np.argmax(margins))
+    cond2_ok = bool(np.all(lhs <= tol * scale))
+    return SupersolutionCheck(
+        ok=r1_ok and cond2_ok,
+        r1_ok=r1_ok,
+        worst_margin=float(margins[worst]),
+        worst_index=worst + 2,
+        n_checked=n - 2,
+    )
 
 
 # -- tails: the tail evolution and the stretched sandwich ---------------------

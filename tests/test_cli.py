@@ -197,6 +197,21 @@ def test_delta_refused_before_integration(small_config, tmp_path, capsys, monkey
         assert message in capsys.readouterr().err
 
 
+def test_supersolution_margin_at_n_32000_reads_the_rates(tmp_path, capsys, monkeypatch):
+    # r's geometric continuation underflows from row 2752: the balance rows
+    # from there on are the closed form, worst at j = N - 1, where the
+    # subnormal floor read -2.3705159961431706e-06 at j = 2888
+    def integrate(*args, **kwargs):
+        raise AssertionError("the supersolution command integrated")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    path = tmp_path / "large.toml"
+    path.write_text(re.sub(r"^n = 2000", "n = 32000", template_text(), flags=re.M))
+    assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "verified=True worst_margin=-0.029397009137838\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "out" / "witness.json").read_text())["worst_margin"] == -0.029397009137838
+
+
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
     # at t = 0.5, c_1 = 0.630 is still above omega = 0.599
     text = small_config.read_text().replace("t_end = 10.0", "t_end = 0.5")
@@ -290,6 +305,9 @@ def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, t
                      id="no-switch-index"),
         pytest.param(["rho = 9.0"], 11, "density 9 is not below the critical density", id="supercritical"),
         pytest.param(["omega = 0.25"], 11, "omega = 0.25 is at or below z_N", id="z_N-reaches-omega"),
+        # omega = z_bar: F_N(omega) = rho (1 + 8.7e-13), inside the activity
+        # solve's tolerance, so z_N may lie at or below omega
+        pytest.param(["omega_margin = 0.0"], 11, "omega = 0.554153 is at or below z_N", id="omega-at-z_bar"),
     ],
 )
 def test_preflight_refusals_agree(small_config, tmp_path, capsys, monkeypatch, lines, code, message):

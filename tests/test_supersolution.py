@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import beckerdoring as bd
+import oracles
 from beckerdoring.equilibrium import support_length
 from beckerdoring.errors import ConfigError, NoSwitchIndexError, ParameterError, PhiDecayError
 from beckerdoring.experiments import (
@@ -431,6 +433,92 @@ class _CountingNumpy:
         return np.full(shape, value)
 
 
+class _RecordingNumpy:
+    """numpy, with the lengths of the arrays passed to each of its functions
+    recorded under the function's name."""
+
+    def __init__(self):
+        self.lengths = collections.defaultdict(list)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def recorded(*args, **kwargs):
+            self.lengths[name] += [len(a) for a in args if isinstance(a, np.ndarray) and a.ndim]
+            return attr(*args, **kwargs)
+
+        return recorded
+
+
+def _poisoned_past_floor(sol) -> np.ndarray:
+    """r with NaN on the rows past the floor row k: no balance row before k
+    reads them, and any product over them is NaN."""
+    r = sol.r.copy()
+    r[sol.floor_row :] = np.nan
+    return r
+
+
+class TestClosedFormRows:
+    """From the floor row on, the balance check reads the rates, not r's
+    subnormal floor; before it, every row is the all-rows check's."""
+
+    @staticmethod
+    def _checks(changes):
+        config, prep, _, profiles = pipeline(changes)
+        _, params = preflight(config)
+        for g in profiles:
+            sol, check = dominating_sequence(prep, params, g)
+            tol = 1e-12 * params.rho
+            yield sol, check, oracles.verify_supersolution(sol.r, prep.model, params.omega, params.rho, tol)
+
+    @pytest.mark.parametrize("changes", PIPELINE_CONFIGS[:2])
+    def test_all_rows_where_s_stays_normal(self, changes):
+        for sol, check, oracle in self._checks(changes):
+            assert sol.floor_row == sol.n + 1
+            assert check == oracle
+
+    def test_worst_margin_at_n_32000_is_the_closed_form(self):
+        config, prep, _, _ = pipeline(PIPELINE_CONFIGS[2])
+        _, params = preflight(config)
+        lam, omega = params.lam, params.omega
+        a_prev, b_j = prep.model.rate_pairs(config.n - 1)
+        flux = lam * omega * a_prev[-1]
+        closed = (lam - 1.0) * (flux - b_j[-1]) / (lam * (flux + b_j[-1]))
+        worst = []
+        for sol, check, oracle in self._checks(PIPELINE_CONFIGS[2]):
+            # the all-rows check's worst lies in the floor, where it reads underflow
+            assert sol.n_head + 2 <= sol.floor_row <= oracle.worst_index < config.n - 1
+            assert max(closed, check.worst_margin) < oracle.worst_margin < 0
+            assert check._replace(worst_margin=oracle.worst_margin, worst_index=oracle.worst_index) == oracle
+            worst.append((check.worst_index, check.worst_margin))
+        # G(T0) and the initial tail: the closed form at j = N - 1; the step
+        # profile's own worst row, j = 29, lies in the head
+        assert worst[:2] == [(config.n - 1, closed)] * 2 and worst[2][0] == 29
+
+    def test_no_array_operation_over_the_floor(self, monkeypatch):
+        config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
+        _, params = preflight(config)
+        sol, check = dominating_sequence(prep, params, g)
+        recording = _RecordingNumpy()
+        monkeypatch.setattr(supersolution, "np", recording)
+        poisoned = bd.verify_supersolution(_poisoned_past_floor(sol), prep.model, params.omega, params.rho,
+                                           tol=1e-12 * params.rho, lam=params.lam, floor_row=sol.floor_row)
+        assert poisoned == check
+        # lhs and scale, the only arrays formed from r, span rows 2..k-1
+        assert {*recording.lengths["where"], *recording.lengths["all"]} == {sol.floor_row - 2}
+
+    def test_bare_array_reads_every_row(self):
+        config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
+        _, params = preflight(config)
+        sol, _ = dominating_sequence(prep, params, g)
+        args = (sol.r, prep.model, params.omega, params.rho, 1e-12 * params.rho)
+        assert bd.verify_supersolution(*args) == oracles.verify_supersolution(*args)
+        with pytest.raises(ParameterError, match="need lambda"):
+            bd.verify_supersolution(*args, floor_row=sol.floor_row)
+
+
 class TestContinueGeometrically:
     """Stopping the decay at its fixed point keeps the bits of one product."""
 
@@ -485,17 +573,27 @@ class TestTrimmedSums:
     def test_weighted_sum_lhs_at_n_32000(self, monkeypatch):
         # r's geometric continuation sticks at a 2-ulp subnormal, so r has
         # 29 244 subnormal entries and no zero; the two experiment sums
-        # equal math.fsum's without summing them exactly
+        # equal math.fsum's without summing them exactly, and from the
+        # floor row on they form no product phi r at all
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
         _, params = preflight(config)
         sol, _ = dominating_sequence(prep, params, g)
         assert np.count_nonzero(sol.r < 2.0**-1022) == 29_244 and np.all(sol.r > 0)
+        poisoned, k = _poisoned_past_floor(sol), sol.floor_row
         fsum, lengths = math.fsum, []
         monkeypatch.setattr(math, "fsum", lambda x: lengths.append(len(x)) or fsum(x))
         i = np.arange(1, config.n + 1, dtype=float)
         for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
-            assert bd.weighted_sum_bound(sol.r, g, phi, params).lhs == fsum(phi * sol.r)
+            expected = fsum(phi * sol.r)
+            assert bd.weighted_sum_bound(sol.r, g, phi, params).lhs == expected
+            assert bd.weighted_sum_bound(poisoned, g, phi, params, floor_row=k).lhs == expected
         assert max(lengths) < config.n // 10
+        # growth ratio e^0.0216 < delta_star, and the skipped rows' bound
+        # (N - k + 1) phi_N r_k = 1.0e-3 could move a sum of 39.9: the full
+        # product is summed, NaN rows included
+        heavy = np.exp(690.0 * i / config.n)
+        assert bd.weighted_sum_bound(sol.r, g, heavy, params, floor_row=k).lhs == fsum(heavy * sol.r)
+        assert math.isnan(bd.weighted_sum_bound(poisoned, g, heavy, params, floor_row=k).lhs)
 
     def test_density(self):
         for config, _, states, _ in self._states_and_profiles():

@@ -7,7 +7,9 @@ experiment`` and ``cli.main verify``, in process, each in its own temporary
 directory.  Prints one JSON line per config: its five parameters, the exit
 code of ``experiment``, the first stderr line, ``n_fev`` summed over its
 ``integrate`` calls, the wall time of ``experiment``, the sha1 of each
-output file and the exit code of ``verify`` (``verify_exit``); a last line
+output file, the ``supersolution`` stage's ``worst_margin`` and
+``worst_index`` (null when no sequence was built) and the exit code of
+``verify`` (``verify_exit``); a last line
 gives the totals, with the process's peak resident memory (``ru_maxrss``)
 as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
 median, over 5 fresh interpreters, of ``import beckerdoring`` plus one
@@ -27,7 +29,8 @@ the benchmark's configs is byte-identical between two trees:
 
 ``--compare`` prints every config whose line differs in anything but the
 wall time, the peak memory and the import cost (so in ``verify_exit`` too),
-then the number of such configs; it exits 1 if there are any.
+with the keys that moved and their two values, then the number of such
+configs; it exits 1 if there are any.
 """
 from __future__ import annotations
 
@@ -108,6 +111,14 @@ def import_ms(runs: int = 5) -> float:
     return round(statistics.median(times), 2)
 
 
+def supersolution_margin(summary: Path) -> dict:
+    """The ``supersolution`` stage's worst margin and its row from a
+    ``summary.json``, or nulls when the run wrote none or built no sequence."""
+    stages = json.loads(summary.read_text())["stages"] if summary.exists() else []
+    info = next((s["info"] for s in stages if s["name"] == "supersolution"), {})
+    return {"worst_margin": info.get("worst_margin"), "worst_index": info.get("worst_index")}
+
+
 def census(configs):
     """Yield one record per (parameters, config text) pair, then the totals."""
     import beckerdoring.experiments as experiments
@@ -137,6 +148,7 @@ def census(configs):
                 code = main(["experiment", "--config", str(path), "--out", str(out)])
             wall = time.perf_counter() - start
             files = {p.name: hashlib.sha1(p.read_bytes()).hexdigest() for p in sorted(out.glob("*"))}
+            margin = supersolution_margin(out / "summary.json")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 verify_code = main(["verify", "--config", str(path)])
         codes[code] += 1
@@ -145,7 +157,7 @@ def census(configs):
         total_wall += wall
         stderr = err.getvalue().splitlines()
         yield {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
-               "files": files, "wall_s": round(wall, 4), "verify_exit": verify_code}
+               "files": files, "wall_s": round(wall, 4), **margin, "verify_exit": verify_code}
     yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
            "verify_exit_codes": {str(c): verify_codes[c] for c in sorted(verify_codes)},
            "n_fev": total_fev, "wall_s": round(total_wall, 2),
@@ -160,11 +172,20 @@ def compare(before: Path, after: Path) -> int:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         return [{k: v for k, v in r.items() if k not in ("wall_s", "peak_rss_mb", "import_ms")} for r in lines]
 
+    def flat(record, prefix=""):
+        for key, value in record.items():
+            if isinstance(value, dict):
+                yield from flat(value, f"{prefix}{key}.")
+            else:
+                yield f"{prefix}{key}", value
+
     old, new = records(before), records(after)
     changed = [(a, b) for a, b in zip(old, new) if a != b]
     for a, b in changed:
-        print(json.dumps(a))
-        print(json.dumps(b))
+        fa, fb = dict(flat(a)), dict(flat(b))
+        label = {k: v for k, v in a.items() if k in (*GRID, "workload", "label")}
+        moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in {**fa, **fb} if fa.get(k) != fb.get(k)]
+        print(f"{json.dumps(label)}: {'; '.join(moved)}")
     print(f"{len(changed)} of {max(len(old), len(new))} records differ" + (
         "" if len(old) == len(new) else f"; the files have {len(old)} and {len(new)} records"))
     return 1 if changed or len(old) != len(new) else 0
