@@ -60,6 +60,7 @@ from .solver import (
 from .supersolution import (
     Supersolution,
     SupersolutionParams,
+    anchor_index,
     build_supersolution,
     make_params,
     verify_supersolution,

@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_supersolution(args) -> int:
-    prep, params = preflight(load_config(args.config))
+    prep, params, _ = preflight(load_config(args.config))
     sol, check = dominating_sequence(prep, params, tail_density(prep.c0))
     path = export_supersolution(sol, args.out)
     witness = write_json(args.out / "witness.json", {
@@ -183,7 +183,8 @@ def _cmd_verify(args) -> int:
         print(line)
     print(f"all_ok={report.all_ok}")
     if report.all_ok:
-        preflight(config)  # refuses what ``experiment`` refuses before integrating
+        for cert in preflight(config)[2]:  # refuses what ``experiment`` refuses before integrating
+            print(f"{cert.kind}[{cert.label}] anchor={cert.anchor} c_phi={cert.short_time.c_phi!r}")
     return EXIT_PASS if report.all_ok else EXIT_VERDICT
 
 

@@ -46,6 +46,7 @@ from .supersolution import (
     Supersolution,
     SupersolutionCheck,
     SupersolutionParams,
+    anchor_index,
     build_supersolution,
     continue_geometrically,
     make_params,
@@ -203,54 +204,61 @@ def assumption_report(model: CoefficientModel, config: ExperimentConfig) -> Assu
     return check_assumptions(model, min(config.n_series, 100_000))
 
 
-def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams]:
-    """The preamble of a config and its build parameters, after every
-    refusal that needs no trajectory, in this order: the weights (ConfigError
-    for a moment order below max(2 - gamma, 1 + gamma), a stretched pair
-    outside the sublinear branch or overflowing at N, two weights with one
-    stage label); ``prepare``; a rate table that fails ``assumption_report``
-    (ConfigError naming each failed check; the formula families meet the
-    assumptions through their parameter ranges, and are not scanned);
-    ``make_params``, over the rates up to max(N, 1000); and ParameterError
-    for a cap that the truncated system's equilibrium monomer z_N reaches:
-    c_1 tends to z_N, the root of F_N(z) = sum_{i<=N} i Q_i z^i = rho, and
-    z_N >= omega exactly when F_N(omega) <= rho.  z_bar solves F(z_bar) = rho
-    only to the activity solve's relative tolerance 1e-12, so a cap that
-    close (omega = z_bar at omega_margin = 0) is refused too:
-    F_N(omega) <= rho (1 + 1e-12)."""
+def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams, tuple[Certificate, ...]]:
+    """The preamble of a config, its build parameters and one ``Certificate``
+    per tracked weight, after every refusal that needs no trajectory, in
+    this order: the weights (ConfigError for a moment order below
+    max(2 - gamma, 1 + gamma), a stretched pair outside the sublinear branch
+    or overflowing at N, two weights with one stage label); ``prepare``; a
+    rate table that fails ``assumption_report`` (ConfigError naming each
+    failed check; the formula families meet the assumptions through their
+    parameter ranges, and are not scanned); ``make_params``, over the rates
+    up to max(N, 1000); ParameterError for a cap that the truncated system's
+    equilibrium monomer z_N reaches: c_1 tends to z_N, the root of
+    F_N(z) = sum_{i<=N} i Q_i z^i = rho, and z_N >= omega exactly when
+    F_N(omega) <= rho.  z_bar solves F(z_bar) = rho only to the activity
+    solve's relative tolerance 1e-12, so a cap that close (omega = z_bar at
+    omega_margin = 0) is refused too: F_N(omega) <= rho (1 + 1e-12).  Last,
+    per tracked weight, its phi's ``short_time_constant`` and its psi's
+    ``anchor_index`` (PhiDecayError)."""
     gamma = config.gamma
     k_min = max(2.0 - gamma, 1.0 + gamma)
+    weights = []  # (key, label, kind, factor, extra) of each tracked weight, in ``track`` order
     for k in config.k_moments:
         if k < k_min - 1e-12:
             raise ConfigError(
                 f"moment order k = {k} is below max(2 - gamma, 1 + gamma) = {k_min}; "
                 "the certified pipeline needs at least that order"
             )
-    if config.stretched:
-        if gamma >= 1.0:
+        weights.append((k, f"k={k:g}", "moment", k + 1, {}))
+    if config.stretched and gamma >= 1.0:
+        raise ConfigError(
+            "stretched-exponential certificates need the sublinear branch "
+            "(gamma < 1); refuse for the linear branch"
+        )
+    for alpha, mu in config.stretched:
+        if alpha <= 0 or not (0 < mu <= 1.0 - gamma + 1e-12):
             raise ConfigError(
-                "stretched-exponential certificates need the sublinear branch "
-                "(gamma < 1); refuse for the linear branch"
+                f"stretched pair (alpha={alpha}, mu={mu}) needs alpha > 0 and "
+                f"0 < mu <= 1 - gamma = {1.0 - gamma}"
             )
-        for alpha, mu in config.stretched:
-            if alpha <= 0 or not (0 < mu <= 1.0 - gamma + 1e-12):
-                raise ConfigError(
-                    f"stretched pair (alpha={alpha}, mu={mu}) needs alpha > 0 and "
-                    f"0 < mu <= 1 - gamma = {1.0 - gamma}"
-                )
-            n_max = finite_weight_size(alpha, mu, config.n)
-            if n_max < config.n:
-                raise ConfigError(
-                    f"stretched pair (alpha={alpha}, mu={mu}): the weight exp(alpha n^mu) "
-                    f"overflows float64 at n = {config.n}; the largest admissible n is {n_max}"
-                )
-    for labels in ([_label(k) for k in config.k_moments], [_label((a, m)) for a, m in config.stretched]):
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigError(
-                    f"two weights give the same stage label {label!r} (labels keep 6 "
-                    "significant digits); drop one or make them differ within 6 digits"
-                )
+        n_max = finite_weight_size(alpha, mu, config.n)
+        if n_max < config.n:
+            raise ConfigError(
+                f"stretched pair (alpha={alpha}, mu={mu}): the weight exp(alpha n^mu) "
+                f"overflows float64 at n = {config.n}; the largest admissible n is {n_max}"
+            )
+        w = stretched_weights(alpha, mu)
+        regime = "mu == 1 - gamma" if abs(mu - (1 - gamma)) < 1e-12 else "mu < 1 - gamma"
+        extra = {"eta1": w.eta1, "eta2": w.eta2, "regime": regime}
+        weights.append(((alpha, mu), f"alpha={alpha:g},mu={mu:g}", "stretched", w.eta2, extra))
+    labels = [label for _, label, *_ in weights]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(
+                f"two weights give the same stage label {label!r} (labels keep 6 "
+                "significant digits); drop one or make them differ within 6 digits"
+            )
     prep = prepare(config)
     if prep.model.family is Family.CUSTOM:
         failed = [line for ok, line in assumption_report(prep.model, config).checks() if not ok]
@@ -265,7 +273,12 @@ def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams]:
             f"N = {config.n}, where c_1 tends: sum_(i<=N) i Q_i omega^i = {f_n:.6g} <= rho = {rho:.6g} "
             f"(z_bar = {prep.z_bar:.6g}; the infinite equilibrium keeps {1.0 - eq.rho / rho:.3g} of rho past N)"
         )
-    return prep, params
+    i = np.arange(1, config.n + 1, dtype=float)
+    return prep, params, tuple(
+        Certificate(key, *rest, short_time=short_time_constant(prep.model, weight(key, i), rho),
+                    anchor=anchor_index(tail_weight(key, config.n), params))
+        for key, *rest in weights
+    )
 
 
 def dominating_sequence(
@@ -333,6 +346,25 @@ def short_time_constant(model: CoefficientModel, phi: np.ndarray, rho: float) ->
     )
 
 
+class Certificate(NamedTuple):
+    """One tracked weight, decided by ``preflight``: ``kind`` "moment" (factor
+    k + 1) or "stretched" (factor eta2), the info ``extra`` its certified
+    stage adds, psi's ``anchor_index`` and the pre-T0 ``short_time`` bound."""
+
+    key: Key
+    label: str
+    kind: str
+    factor: float
+    extra: dict
+    anchor: int
+    short_time: ShortTimeBound
+
+
+def tail_weight(key: Key, n: int) -> np.ndarray:
+    """psi_1..psi_N of a key's certificate factor * sum_j psi_j r_j."""
+    return stretched_weights(*key).psi(n) if isinstance(key, tuple) else np.arange(1, n + 1, dtype=float) ** (key - 1)
+
+
 def weighted_l1_distance(states: np.ndarray, supports: np.ndarray, profile: np.ndarray) -> np.ndarray:
     """sum_i i |c_i - Q_i| of each row c of ``states`` (zero past its
     columns), summed over the row's own support, past which it is i Q_i."""
@@ -368,12 +400,6 @@ class StageResult:
     gating: bool = True
     info: dict = field(default_factory=dict)
     key: Key | None = None
-
-
-def _label(key: Key) -> str:
-    if isinstance(key, tuple):
-        return f"alpha={key[0]:g},mu={key[1]:g}"
-    return f"k={key:g}"
 
 
 @dataclass
@@ -420,15 +446,15 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
 
     Raises, before integrating, what ``preflight`` refuses: a supercritical
     density (the uniform-bound machinery does not apply there), weights
-    outside the certified hypotheses, an omega and delta that admit no
-    lambda, and a cap that c_1 cannot fall below.  Every other failure is
-    a stage verdict, never a silent pass.
+    outside the certified hypotheses or that no horizon can certify, an
+    omega and delta that admit no lambda, and a cap that c_1 cannot fall
+    below.  Every other failure is a stage verdict, never a silent pass.
     """
-    prep, params = preflight(config)
-    model, crit, rho, omega = prep.model, prep.critical, prep.rho, prep.omega
+    prep, params, certificates = preflight(config)
+    crit, rho, omega = prep.critical, prep.rho, prep.omega
 
     stages: list[StageResult] = []
-    trajectory = integrate(prep.c0, model, config.t_end, prep.opts)
+    trajectory = integrate(prep.c0, prep.model, config.t_end, prep.opts)
     rho_drift = float(np.max(np.abs(trajectory.rho - rho))) / rho
     stages.append(
         StageResult(
@@ -460,38 +486,16 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     )
 
     witness: dict = {}
-    i_grid = np.arange(1, config.n + 1, dtype=float)
     if t0 is not None:
-        # per tracked key: stage kind, the tail weight psi and factor of the
-        # certificate factor * sum_j psi_j r_j, and extra info for its stage
-        certificates = []
-        for key in trajectory.tracked:
-            if isinstance(key, tuple):
-                weights = stretched_weights(*key)
-                regime = "mu == 1 - gamma" if abs(key[1] - (1 - model.gamma)) < 1e-12 else "mu < 1 - gamma"
-                certificates.append((
-                    "stretched", key, weights.psi(config.n), weights.eta2,
-                    {"eta1": weights.eta1, "eta2": weights.eta2, "regime": regime},
-                ))
-            else:
-                certificates.append(("moment", key, i_grid ** (key - 1), key + 1, {}))
-
         # the window up to T0, against the growth bound in log space, where
         # C_phi (t - t_0) may pass the float range of its exponential
         pre = trajectory.times <= t0 + 1e-12
         pre_t = trajectory.times[pre]
-        for _, key, *_ in certificates:
-            bound = short_time_constant(model, weight(key, i_grid), rho)
-            values = trajectory.tracked[key][pre]
-            worst = float(np.max(np.exp(np.log(values / values[0]) - bound.c_phi * (pre_t - pre_t[0]))))
-            stages.append(
-                StageResult(
-                    f"short_time_bound[{_label(key)}]",
-                    ok=worst <= 1.0 + 1e-8,
-                    info={"c_phi": bound.c_phi, "eps": bound.eps, "a_phi": bound.a_phi, "worst_ratio": worst},
-                    key=key,
-                )
-            )
+        for cert in certificates:
+            values = trajectory.tracked[cert.key][pre]
+            worst = float(np.max(np.exp(np.log(values / values[0]) - cert.short_time.c_phi * (pre_t - pre_t[0]))))
+            info = {**cert.short_time._asdict(), "worst_ratio": worst}
+            stages.append(StageResult(f"short_time_bound[{cert.label}]", worst <= 1.0 + 1e-8, info=info, key=cert.key))
 
         g_t0 = tail_density(trajectory.at(t0))
         super_sol, check = dominating_sequence(prep, params, g_t0)
@@ -519,27 +523,16 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
         )
 
-        for kind, key, psi, factor, extra in certificates:
-            wb = weighted_sum_bound(super_sol.r, g_t0, psi, params, floor_row=super_sol.floor_row)
-            certified = factor * wb.lhs
-            observed = float(np.max(trajectory.tracked[key]))
-            info = {
-                "certified": certified,
-                "observed_sup": observed,
-                "weighted_sum_lhs": wb.lhs,
-                "weighted_sum_rhs": wb.rhs,
-                **extra,
-            }
-            if kind == "moment":
+        for cert in certificates:
+            psi = tail_weight(cert.key, config.n)
+            wb = weighted_sum_bound(super_sol.r, g_t0, psi, params, cert.anchor, floor_row=super_sol.floor_row)
+            certified, observed = cert.factor * wb.lhs, float(np.max(trajectory.tracked[cert.key]))
+            info = {"certified": certified, "observed_sup": observed, "weighted_sum_lhs": wb.lhs,
+                    "weighted_sum_rhs": wb.rhs, **cert.extra}
+            if cert.kind == "moment":
                 info["c_used"] = wb.c_used
-            stages.append(
-                StageResult(
-                    f"certified_{kind}[{_label(key)}]",
-                    ok=observed <= certified * (1 + 1e-12) and wb.lhs <= wb.rhs,
-                    info=info,
-                    key=key,
-                )
-            )
+            ok = observed <= certified * (1 + 1e-12) and wb.lhs <= wb.rhs
+            stages.append(StageResult(f"certified_{cert.kind}[{cert.label}]", ok, info=info, key=cert.key))
 
     # qualitative relaxation toward the equilibrium profile (informational)
     l1w = weighted_l1_distance(trajectory.states, trajectory.supports, prep.equilibrium.profile)

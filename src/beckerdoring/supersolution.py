@@ -54,6 +54,11 @@ class SupersolutionParams:
             raise ParameterError("switch index must be >= 1")
 
     @property
+    def delta_star(self) -> float:
+        """(delta + lambda) / 2, the growth ratio an admissible weight stays below."""
+        return 0.5 * (self.delta + self.lam)
+
+    @property
     def uniform_bound(self) -> float:
         """rho (lambda omega + 1) / (omega (lambda - 1)), the bound on every r_j."""
         return self.rho * (self.lam * self.omega + 1.0) / (self.omega * (self.lam - 1.0))
@@ -321,68 +326,68 @@ class WeightedSumBound(NamedTuple):
     lhs: float
     rhs: float
     c_used: float
-    m_index: int
-    delta_star: float
 
 
-def weighted_sum_bound(
-    r: np.ndarray,
-    g: np.ndarray,
-    phi: np.ndarray,
-    params: SupersolutionParams,
-    *,
-    floor_row: int | None = None,
-) -> WeightedSumBound:
-    """Assemble the weighted-sum bound with its explicit constant.
-
-    The weight must be positive, eventually non-decreasing and have growth
-    ratio eventually below delta_star = (delta + lambda)/2; the index M from
-    which both hold (at least the switch index) anchors the constant
-
-        C = 2 max(B sum_{j<M} phi_j, (lambda d*/(lambda - d*)) max(1, B phi_{M-1}))
-
-    with B the uniform bound on r.  The left side is ``math.fsum(phi * r)``
-    bit for bit.  With ``floor_row`` = k (``Supersolution.floor_row``) it
-    forms phi r only on rows before k: r is non-increasing, so the rows from
-    k on add at most (N - k + 1) max_{j>=k} phi_j r_k, and when
-    ``settled_fsum`` shows that cannot move the rounded sum, the head's
-    sum is the result; otherwise it sums the full product.
-    """
-    r = np.asarray(r, dtype=float)
-    g = np.asarray(g, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    n = len(r)
-    if len(g) != n or len(phi) != n:
-        raise ParameterError("r, g and phi must share the truncation length")
-    if np.any(phi <= 0):
+def anchor_index(psi: np.ndarray, params: SupersolutionParams) -> int:
+    """The least index M >= max(2, switch index) from which the positive
+    weight psi is non-decreasing with growth ratio below delta_star through
+    row N; PhiDecayError when there is none.  It reads no trajectory."""
+    psi = np.asarray(psi, dtype=float)
+    if np.any(psi <= 0):
         raise ParameterError("weights must be positive")
-    delta_star = 0.5 * (params.delta + params.lam)
-    ratio = phi[1:] / phi[:-1]
-    valid = (ratio >= 1.0 - 1e-12) & (ratio <= delta_star * (1 + 1e-12))
+    ratio = psi[1:] / psi[:-1]
+    valid = (ratio >= 1.0 - 1e-12) & (ratio <= params.delta_star * (1 + 1e-12))
     # smallest M with both conditions holding for every j >= M
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(valid)))
     if not suffix_ok[-1]:
         if ratio[-1] < 1.0 - 1e-12:
             failing = "below 1: the weight is still decreasing"
         else:
-            failing = f"still above delta_star = {delta_star:.6g}"
+            failing = f"still above delta_star = {params.delta_star:.6g}"
         raise PhiDecayError(f"weight ratio {ratio[-1]:.6g} {failing} at the truncation end")
     first = int(np.argmax(suffix_ok))  # ratio index j-1 -> condition at j = first + 2
     m = max(first + 2, params.n_switch, 2)
-    if m > n - 1:
+    if m > len(psi) - 1:
         raise PhiDecayError("no admissible anchor index within the truncation")
-    bound = params.uniform_bound
-    head = fsum_array(phi[: m - 1])
+    return m
+
+
+def weighted_sum_bound(r: np.ndarray, g: np.ndarray, psi: np.ndarray, params: SupersolutionParams, m: int,
+                       *, floor_row: int | None = None) -> WeightedSumBound:
+    """Assemble the weighted-sum bound with its explicit constant.
+
+    The anchor index M = m of psi (``anchor_index``) anchors the constant
+
+        C = 2 max(B sum_{j<M} psi_j, (lambda d*/(lambda - d*)) max(1, B psi_{M-1}))
+
+    with B the uniform bound on r and d* = delta_star.  The right side sums
+    psi g over g's support: the terms past it are exact zeros.  The left
+    side is ``math.fsum(psi * r)`` bit for bit.  With ``floor_row`` = k
+    (``Supersolution.floor_row``) it forms psi r only on rows before k: r is
+    non-increasing, so the rows from k on add at most
+    (N - k + 1) max_{j>=k} psi_j r_k, and when ``settled_fsum`` shows that
+    cannot move the rounded sum, the head's sum is the result; otherwise it
+    sums the full product.
+    """
+    r = np.asarray(r, dtype=float)
+    g = np.asarray(g, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    n = len(r)
+    if len(g) != n or len(psi) != n:
+        raise ParameterError("r, g and psi must share the truncation length")
+    bound, delta_star = params.uniform_bound, params.delta_star
+    head = fsum_array(psi[: m - 1])
     factor = params.lam * delta_star / (params.lam - delta_star)
-    c = 2.0 * max(bound * head, factor * max(1.0, bound * float(phi[m - 2])))
+    c = 2.0 * max(bound * head, factor * max(1.0, bound * float(psi[m - 2])))
     lhs = None
     if floor_row is not None and floor_row <= n:
-        # r is non-increasing, so each skipped term phi_j r_j is at most
-        # max phi r_k; the 2 covers the products' rounding, 2^-1074 their underflow
+        # r is non-increasing, so each skipped term psi_j r_j is at most
+        # max psi r_k; the 2 covers the products' rounding, 2^-1074 their underflow
         k = floor_row
-        skipped, top = n - k + 1, float(phi[k - 1 :].max()) * float(r[k - 1])
-        lhs = settled_fsum(phi[: k - 1] * r[: k - 1], math.fsum([2.0 * skipped * top, skipped * 2.0**-1074]))
+        skipped, top = n - k + 1, float(psi[k - 1 :].max()) * float(r[k - 1])
+        lhs = settled_fsum(psi[: k - 1] * r[: k - 1], math.fsum([2.0 * skipped * top, skipped * 2.0**-1074]))
     if lhs is None:
-        lhs = fsum_array(phi * r)
-    rhs = c * (1.0 + fsum_array(phi * g))
-    return WeightedSumBound(lhs=lhs, rhs=rhs, c_used=c, m_index=m, delta_star=delta_star)
+        lhs = fsum_array(psi * r)
+    g = g[: support_length(g)]
+    rhs = c * (1.0 + fsum_array(psi[: len(g)] * g))
+    return WeightedSumBound(lhs=lhs, rhs=rhs, c_used=c)

@@ -15,7 +15,9 @@ import scipy.linalg
 
 import beckerdoring as bd
 from beckerdoring.experiments import ExperimentConfig, run_uniform_moment_experiment
-from beckerdoring.supersolution import make_params, build_supersolution, verify_supersolution, weighted_sum_bound
+from beckerdoring.supersolution import (
+    anchor_index, build_supersolution, make_params, verify_supersolution, weighted_sum_bound,
+)
 from beckerdoring.tails import stretched_weights, tail_density, tail_moment
 from conftest import full_states, monodisperse
 import oracles
@@ -209,7 +211,7 @@ def test_criterion_7_supersolution_round_trip():
             continue
         j = np.arange(1, n + 1, dtype=float)
         for label, phi in (("j", j), ("j^2", j**2), ("exp(sqrt j)", np.exp(np.sqrt(j)))):
-            wb = weighted_sum_bound(sol.r, g, phi, params)
+            wb = weighted_sum_bound(sol.r, g, phi, params, anchor_index(phi, params))
             if wb.lhs > wb.rhs:
                 failures.append((trial, f"weighted sum {label}", wb.lhs / wb.rhs))
     _criterion(7, "supersolution round trip", not failures, f"200 builds, failures={failures[:3]}")

@@ -44,10 +44,20 @@ def test_config_template_parses(capsys):
     assert "family" in out and "k_moments" in out
 
 
-def test_verify_ok(small_config, capsys):
+def test_verify_ok(small_config, tmp_path, capsys):
     assert main(["verify", "--config", str(small_config)]) == 0
-    keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
-    assert keys == ["frag_ok", "ratio_ok", "profile_monotone_ok", "all_ok"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in lines[:4]] == ["frag_ok", "ratio_ok", "profile_monotone_ok", "all_ok"]
+    # then one line per weight: its label, anchor index M (for k = 2 the
+    # first j with j / (j - 1) <= delta_star) and the growth constant C_phi
+    # of the experiment's pre-T0 stage
+    assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "exp")]) == 0
+    stages = json.loads((tmp_path / "exp" / "summary.json").read_text())["stages"]
+    c_phi = {s["name"]: s["info"]["c_phi"] for s in stages if s["name"].startswith("short_time_bound")}
+    assert lines[4:] == [
+        f"moment[k=2] anchor=8 c_phi={c_phi['short_time_bound[k=2]']!r}",
+        f"stretched[alpha=1,mu=0.5] anchor=2 c_phi={c_phi['short_time_bound[alpha=1,mu=0.5]']!r}",
+    ]
 
 
 def test_verify_stops_at_the_table_end(tmp_path, capsys):
@@ -134,7 +144,7 @@ def test_outputs_carry_the_bits_of_the_params_the_sequence_was_built_from(small_
     # witness.json, the #lambda line and the stdout of ``supersolution`` read
     # lambda, the switch index and the uniform bound off ``sol.params``
     config = load_config(small_config)
-    prep, params = preflight(config)
+    prep, params, _ = preflight(config)
     initial, _ = dominating_sequence(prep, params, bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     capsys.readouterr()
@@ -160,7 +170,7 @@ def test_large_n_supersolution_holds_the_head(small_config, tmp_path):
     config_path = tmp_path / "large.toml"
     config_path.write_text(text)
     config = load_config(config_path)
-    prep, params = preflight(config)
+    prep, params, _ = preflight(config)
     initial, _ = dominating_sequence(prep, params, bd.tail_density(prep.c0))
     built = run_uniform_moment_experiment(config).supersolution
     for command, sol in (("supersolution", initial), ("experiment", built)):
@@ -308,6 +318,11 @@ def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, t
         # omega = z_bar: F_N(omega) = rho (1 + 8.7e-13), inside the activity
         # solve's tolerance, so z_N may lie at or below omega
         pytest.param(["omega_margin = 0.0"], 11, "omega = 0.554153 is at or below z_N", id="omega-at-z_bar"),
+        # psi of (0.5, 0.245) rises only from j ~ 1660: the certificate stage
+        # would refuse it at any horizon, and its test reads neither T0 nor c
+        pytest.param(["stretched = [[0.5, 0.245]]"], 12,
+                     "numerical failure: weight ratio 0.999133 below 1: the weight is still decreasing",
+                     id="inadmissible-weight"),
     ],
 )
 def test_preflight_refusals_agree(small_config, tmp_path, capsys, monkeypatch, lines, code, message):
@@ -568,25 +583,20 @@ def test_numerical_failure_exit_12(small_config, tmp_path):
     assert main(["experiment", "--config", str(tight), "--out", str(tmp_path / "o")]) == 12
 
 
-def test_short_time_growth_past_the_float_range(tmp_path, capsys):
-    # C_phi * (t - t_0) passes 709 inside the pre-T0 window, so exp() of it
-    # overflows; the ratio is then taken in log space and the run goes on to
-    # its own refusal (PhiDecayError, exit 12) instead of a traceback
-    text = template_text().replace("mu_c = 0.5", "mu_c = 0.8").replace("t_end = 200.0", "t_end = 50.0")
-    text = text.replace('init = "monodisperse"', 'init = "geometric"')
-    text = re.sub(r"^stretched = .*$", "stretched = [[1.0, 0.117]]", text, flags=re.M)
-    text = re.sub(r"^rho = .*$", f"rho = {0.9 * 4.424719403509092!r}", text, flags=re.M)  # 0.9 rho_s
+def test_short_time_growth_past_the_float_range(tmp_path):
+    # C_phi T0 = 71.78 * 19.2 = 1378 for k = 3, so exp(C_phi (t - t_0))
+    # overflows inside the pre-T0 window; the ratio is taken in log space
+    # and the run certifies.  An overflow raises: a ratio over an infinite
+    # exponential would read 0 and pass
+    text = _robustness_config(family="exponential_tail", gamma=0.2, mu_c=0.5, share=0.3, init="monodisperse")
     path = tmp_path / "growth.toml"
-    path.write_text(text)
-    config = load_config(path)
-    assert (config.mu_c, config.init, config.stretched) == (0.8, "geometric", ((1.0, 0.117),))
-    try:
-        run_uniform_moment_experiment(config)
-    except bd.BeckerDoringError:
-        pass  # a named refusal; an OverflowError fails the test
-    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code in (0, 2, 10, 11, 12)
-    assert "Traceback" not in capsys.readouterr().err
+    path.write_text(re.sub(r"^k_moments = .*$", "k_moments = [3.0]", text, flags=re.M))
+    with np.errstate(over="raise"):
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    (info,) = [s["info"] for s in summary["stages"] if s["name"] == "short_time_bound[k=3]"]
+    assert info["worst_ratio"] <= 1 + 1e-8
+    assert info["c_phi"] * summary["t0"] > 709
 
 
 def test_determinism_bit_identical(small_config, tmp_path):

@@ -132,9 +132,10 @@ class TestPipeline:
         (dict(omega_margin=-0.1, **SMALL), True),
         (dict(SMALL), False),
         # omega = 0.599 lies above z_bar = 0.554 in both, but the two-size
-        # system's monomer tends to 0.650 and the five-size one's to 0.559
+        # system's monomer tends to 0.650 and the five-size one's to 0.559;
+        # five sizes carry no weight (the short-time bound needs ten)
         (dict(SMALL, n=2), True),
-        (dict(SMALL, n=5), False),
+        (dict(SMALL, n=5, k_moments=(), stretched=()), False),
     ], ids=["low-cap", "negative-margin", "template", "two-sizes", "five-sizes"])
     def test_preflight_refuses_a_cap_the_truncated_equilibrium_reaches(self, changes, refused):
         # z_N, the root of F_N(z) = sum_(i<=N) i Q_i z^i = rho, by bisection

@@ -13,9 +13,10 @@ RECORDS = {
     equilibrium.EquilibriumData: ("z_bar", "profile", "log_profile", "rho", "cut_index", "tail_bound"),
     experiments.Preamble: ("model", "critical", "z_bar", "equilibrium", "c0", "rho", "omega", "opts"),
     experiments.ShortTimeBound: ("c_phi", "eps", "a_phi"),
+    experiments.Certificate: ("key", "label", "kind", "factor", "extra", "anchor", "short_time"),
     supersolution.Supersolution: ("r", "s", "params", "n_head", "tail_value"),
     supersolution.SupersolutionCheck: ("ok", "r1_ok", "worst_margin", "worst_index", "n_checked"),
-    supersolution.WeightedSumBound: ("lhs", "rhs", "c_used", "m_index", "delta_star"),
+    supersolution.WeightedSumBound: ("lhs", "rhs", "c_used"),
     maximum_principle.DominationReport: ("holds", "max_gap", "tol", "first_violation", "n_snapshots"),
     tails.StretchedWeights: ("alpha", "mu", "eta1", "eta2"),
     _rk.RKSolution: ("t", "y", "t_eval", "y_eval", "stats"),

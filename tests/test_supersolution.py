@@ -200,7 +200,7 @@ class TestSupportTrimmedRecurrence:
     def test_equals_full_loop(self, changes):
         config, prep, _, profiles = pipeline(changes)
         for g in profiles:
-            _, params = preflight(config)
+            _, params, _ = preflight(config)
             sol, _ = dominating_sequence(prep, params, g)
             assert max(support_length(g), params.n_switch) < config.n // 10
             assert sol.s.tobytes() == _reference_increments(params, g).tobytes()
@@ -248,7 +248,7 @@ class TestWeightedSumBound:
         params, g, sol = built
         j = np.arange(1, 301, dtype=float)
         phi = {"linear": j, "quadratic": j**2, "stretched": np.exp(np.sqrt(j))}[weight]
-        wb = bd.weighted_sum_bound(sol.r, g, phi, params)
+        wb = bd.weighted_sum_bound(sol.r, g, phi, params, bd.anchor_index(phi, params))
         assert wb.lhs <= wb.rhs
 
     def test_zero_profile_bound_is_constant(self, half_model):
@@ -256,24 +256,25 @@ class TestWeightedSumBound:
         n = 40
         g = np.zeros(n)
         sol = bd.build_supersolution(half_model, params, g)
-        wb = bd.weighted_sum_bound(sol.r, g, np.arange(1, n + 1, dtype=float), params)
+        phi = np.arange(1, n + 1, dtype=float)
+        wb = bd.weighted_sum_bound(sol.r, g, phi, params, bd.anchor_index(phi, params))
         assert wb.rhs == pytest.approx(wb.c_used, rel=1e-15)
         assert wb.lhs <= wb.rhs
 
     def test_too_fast_growth_rejected(self, built):
-        params, g, sol = built
+        params, _, _ = built
         phi = 3.0 ** np.arange(1, 301, dtype=float)
         with pytest.raises(PhiDecayError, match="weight ratio 3 still above delta_star"):
-            bd.weighted_sum_bound(sol.r, g, phi, params)
+            bd.anchor_index(phi, params)
 
     def test_still_decreasing_weight_named(self, built):
         # the stretched psi-weight of (0.5, 0.245) rises only from j ~ 1660:
         # at N = 300 its ratio is below 1, not above delta_star
-        params, g, sol = built
+        params, _, _ = built
         phi = stretched_weights(0.5, 0.245).psi(300)
         assert phi[-1] < phi[-2]
         with pytest.raises(PhiDecayError, match="below 1: the weight is still decreasing") as err:
-            bd.weighted_sum_bound(sol.r, g, phi, params)
+            bd.anchor_index(phi, params)
         assert "delta_star" not in str(err.value)
 
     def test_monotone_in_omega(self, family_a):
@@ -467,7 +468,7 @@ class TestClosedFormRows:
     @staticmethod
     def _checks(changes):
         config, prep, _, profiles = pipeline(changes)
-        _, params = preflight(config)
+        _, params, _ = preflight(config)
         for g in profiles:
             sol, check = dominating_sequence(prep, params, g)
             tol = 1e-12 * params.rho
@@ -481,7 +482,7 @@ class TestClosedFormRows:
 
     def test_worst_margin_at_n_32000_is_the_closed_form(self):
         config, prep, _, _ = pipeline(PIPELINE_CONFIGS[2])
-        _, params = preflight(config)
+        _, params, _ = preflight(config)
         lam, omega = params.lam, params.omega
         a_prev, b_j = prep.model.rate_pairs(config.n - 1)
         flux = lam * omega * a_prev[-1]
@@ -499,7 +500,7 @@ class TestClosedFormRows:
 
     def test_no_array_operation_over_the_floor(self, monkeypatch):
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
-        _, params = preflight(config)
+        _, params, _ = preflight(config)
         sol, check = dominating_sequence(prep, params, g)
         recording = _RecordingNumpy()
         monkeypatch.setattr(supersolution, "np", recording)
@@ -511,7 +512,7 @@ class TestClosedFormRows:
 
     def test_bare_array_reads_every_row(self):
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
-        _, params = preflight(config)
+        _, params, _ = preflight(config)
         sol, _ = dominating_sequence(prep, params, g)
         args = (sol.r, prep.model, params.omega, params.rho, 1e-12 * params.rho)
         assert bd.verify_supersolution(*args) == oracles.verify_supersolution(*args)
@@ -564,10 +565,10 @@ class TestTrimmedSums:
         for config, prep, _, profiles in self._states_and_profiles():
             i = np.arange(1, config.n + 1, dtype=float)
             for g in profiles:
-                _, params = preflight(config)
+                _, params, _ = preflight(config)
                 sol, _ = dominating_sequence(prep, params, g)
                 for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
-                    wb = bd.weighted_sum_bound(sol.r, g, phi, params)
+                    wb = bd.weighted_sum_bound(sol.r, g, phi, params, bd.anchor_index(phi, params))
                     assert wb.rhs == wb.c_used * (1.0 + math.fsum(phi * g))
 
     def test_weighted_sum_lhs_at_n_32000(self, monkeypatch):
@@ -576,7 +577,7 @@ class TestTrimmedSums:
         # equal math.fsum's without summing them exactly, and from the
         # floor row on they form no product phi r at all
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
-        _, params = preflight(config)
+        _, params, _ = preflight(config)
         sol, _ = dominating_sequence(prep, params, g)
         assert np.count_nonzero(sol.r < 2.0**-1022) == 29_244 and np.all(sol.r > 0)
         poisoned, k = _poisoned_past_floor(sol), sol.floor_row
@@ -584,16 +585,17 @@ class TestTrimmedSums:
         monkeypatch.setattr(math, "fsum", lambda x: lengths.append(len(x)) or fsum(x))
         i = np.arange(1, config.n + 1, dtype=float)
         for phi in (i, stretched_weights(1.0, 0.5).psi(config.n)):
-            expected = fsum(phi * sol.r)
-            assert bd.weighted_sum_bound(sol.r, g, phi, params).lhs == expected
-            assert bd.weighted_sum_bound(poisoned, g, phi, params, floor_row=k).lhs == expected
+            expected, m = fsum(phi * sol.r), bd.anchor_index(phi, params)
+            assert bd.weighted_sum_bound(sol.r, g, phi, params, m).lhs == expected
+            assert bd.weighted_sum_bound(poisoned, g, phi, params, m, floor_row=k).lhs == expected
         assert max(lengths) < config.n // 10
         # growth ratio e^0.0216 < delta_star, and the skipped rows' bound
         # (N - k + 1) phi_N r_k = 1.0e-3 could move a sum of 39.9: the full
         # product is summed, NaN rows included
         heavy = np.exp(690.0 * i / config.n)
-        assert bd.weighted_sum_bound(sol.r, g, heavy, params, floor_row=k).lhs == fsum(heavy * sol.r)
-        assert math.isnan(bd.weighted_sum_bound(poisoned, g, heavy, params, floor_row=k).lhs)
+        m = bd.anchor_index(heavy, params)
+        assert bd.weighted_sum_bound(sol.r, g, heavy, params, m, floor_row=k).lhs == fsum(heavy * sol.r)
+        assert math.isnan(bd.weighted_sum_bound(poisoned, g, heavy, params, m, floor_row=k).lhs)
 
     def test_density(self):
         for config, _, states, _ in self._states_and_profiles():

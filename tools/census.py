@@ -8,7 +8,9 @@ directory.  Prints one JSON line per config: its five parameters, the exit
 code of ``experiment``, the first stderr line, ``n_fev`` summed over its
 ``integrate`` calls, the wall time of ``experiment``, the sha1 of each
 output file, the ``supersolution`` stage's ``worst_margin`` and
-``worst_index`` (null when no sequence was built) and the exit code of
+``worst_index`` (null when no sequence was built), the first failing
+gating stage (``failed_stage``) and its ``flag`` (null when the run wrote
+no verdict or passed, or the stage has no flag) and the exit code of
 ``verify`` (``verify_exit``); a last line
 gives the totals, with the process's peak resident memory (``ru_maxrss``)
 as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
@@ -29,8 +31,10 @@ the benchmark's configs is byte-identical between two trees:
 
 ``--compare`` prints every config whose line differs in anything but the
 wall time, the peak memory and the import cost (so in ``verify_exit`` too),
-with the keys that moved and their two values, then the number of such
-configs; it exits 1 if there are any.
+with the keys that moved and their two values, then the number of configs
+that moved from each cause (exit code with stderr, or failed stage and
+flag) to each other, then the number of such configs; it exits 1 if there
+are any.
 """
 from __future__ import annotations
 
@@ -111,12 +115,15 @@ def import_ms(runs: int = 5) -> float:
     return round(statistics.median(times), 2)
 
 
-def supersolution_margin(summary: Path) -> dict:
-    """The ``supersolution`` stage's worst margin and its row from a
-    ``summary.json``, or nulls when the run wrote none or built no sequence."""
+def summary_fields(summary: Path) -> dict:
+    """From a ``summary.json``: the ``supersolution`` stage's worst margin and
+    its row, and the first failing gating stage with its flag; nulls where
+    the run wrote none, built no sequence or failed no stage."""
     stages = json.loads(summary.read_text())["stages"] if summary.exists() else []
     info = next((s["info"] for s in stages if s["name"] == "supersolution"), {})
-    return {"worst_margin": info.get("worst_margin"), "worst_index": info.get("worst_index")}
+    failed = next((s for s in stages if s["gating"] and not s["ok"]), None)
+    return {"worst_margin": info.get("worst_margin"), "worst_index": info.get("worst_index"),
+            "failed_stage": failed and failed["name"], "flag": failed and failed["info"].get("flag")}
 
 
 def census(configs):
@@ -148,7 +155,7 @@ def census(configs):
                 code = main(["experiment", "--config", str(path), "--out", str(out)])
             wall = time.perf_counter() - start
             files = {p.name: hashlib.sha1(p.read_bytes()).hexdigest() for p in sorted(out.glob("*"))}
-            margin = supersolution_margin(out / "summary.json")
+            fields = summary_fields(out / "summary.json")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 verify_code = main(["verify", "--config", str(path)])
         codes[code] += 1
@@ -157,7 +164,7 @@ def census(configs):
         total_wall += wall
         stderr = err.getvalue().splitlines()
         yield {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
-               "files": files, "wall_s": round(wall, 4), **margin, "verify_exit": verify_code}
+               "files": files, "wall_s": round(wall, 4), **fields, "verify_exit": verify_code}
     yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
            "verify_exit_codes": {str(c): verify_codes[c] for c in sorted(verify_codes)},
            "n_fev": total_fev, "wall_s": round(total_wall, 2),
@@ -165,9 +172,17 @@ def census(configs):
            "import_ms": import_ms()}
 
 
+def cause(record: dict) -> str:
+    """A config's outcome: its exit code with the first 40 characters of its
+    stderr or, for a verdict, its failed stage and flag."""
+    why = record.get("stderr") or " ".join(str(record.get(k)) for k in ("failed_stage", "flag") if record.get(k))
+    return f"exit {record['exit']}" + (f": {why[:40]}" if why else "")
+
+
 def compare(before: Path, after: Path) -> int:
     """Print the configs whose records differ in anything but wall time,
-    peak memory and import cost."""
+    peak memory and import cost, then how many moved from each cause to
+    each other."""
     def records(path):
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         return [{k: v for k, v in r.items() if k not in ("wall_s", "peak_rss_mb", "import_ms")} for r in lines]
@@ -185,7 +200,10 @@ def compare(before: Path, after: Path) -> int:
         fa, fb = dict(flat(a)), dict(flat(b))
         label = {k: v for k, v in a.items() if k in (*GRID, "workload", "label")}
         moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in {**fa, **fb} if fa.get(k) != fb.get(k)]
-        print(f"{json.dumps(label)}: {'; '.join(moved)}")
+        print(f"{json.dumps(label) if label else 'totals'}: {'; '.join(moved)}")
+    shifts = Counter((cause(a), cause(b)) for a, b in changed if "exit" in a and "exit" in b)
+    for (was, now), count in sorted(shifts.items()):
+        print(f"{count:5d}  {was} -> {now}")
     print(f"{len(changed)} of {max(len(old), len(new))} records differ" + (
         "" if len(old) == len(new) else f"; the files have {len(old)} and {len(new)} records"))
     return 1 if changed or len(old) != len(new) else 0
