@@ -27,6 +27,15 @@ steps (Shampine's 1982 Kaps-Rentrop parameters, order 4 with an embedded
 emission, with error exponent 1/4 and cubic Hermite dense output.  The
 switch is one-way, and every snapshot before it is the DP5(4) run's.
 
+The stage arithmetic is a few numpy calls per stage: a DP5(4) step scales
+the tableau by h once, and each stage's argument is one product of its row
+with the earlier stages, plus y; a Rosenbrock step forms its stage
+combinations as products with the earlier stages too.  Each entry of such
+a product sums at most seven stages.  The error norm and the stiffness
+quotient, sums over the whole window, stay numpy's pairwise sums: a BLAS
+dot over a long window may be split across threads, which would tie its
+bits to the thread count.
+
 A caller whose right-hand side moves the support of a state (1 + its last
 non-zero index) by a bounded number of entries per evaluation says so with
 ``reach``; each step then runs on the occupied prefix of the state only.
@@ -47,17 +56,19 @@ from .equilibrium import support_length
 from .errors import NumericalError, ParameterError, StepSizeUnderflowError
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# the tableau as one matrix: row s = 1..6 weighs the stages in the argument
+# of stage s (row 6 also in y_new, by FSAL), and row 7 in the error estimate
+_A = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5] + [0.0] * 6,
+        [3 / 40, 9 / 40] + [0.0] * 5,
+        [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ]
 )
 # dense-output polynomial coefficients: y(t0 + s h) = y0 + h (K^T P) [s, s^2, s^3, s^4]
 _P = np.array(
@@ -75,9 +86,9 @@ _P = np.array(
 # Rosenbrock 4(3) pair for the stiff phase: Shampine's (1982) parameters
 # for the Kaps-Rentrop scheme, gamma = 1/2, R(infinity) = 1/3
 _GAMMA = 0.5
-_A21, _A31, _A32 = 2.0, 48 / 25, 6 / 25
-_C21, _C31, _C32 = -8.0, 372 / 25, 12 / 5
-_C41, _C42, _C43 = -112 / 125, -54 / 125, -2 / 5
+_A21, _C21 = 2.0, -8.0
+_ROS_A3 = np.array([48 / 25, 6 / 25])  # A31, A32
+_ROS_C = np.array([[372 / 25, 12 / 5, 0.0], [-112 / 125, -54 / 125, -2 / 5]])  # C31, C32; C41, C42, C43
 _ROS_B = np.array([19 / 9, 1 / 2, 25 / 108, 125 / 108])
 _ROS_E = np.array([17 / 54, 7 / 36, 0.0, 125 / 108])
 
@@ -142,14 +153,16 @@ def _dopri_step(f, t, y, k, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Six evaluations of ``f``; by FSAL (_A[6] holds the weights of y_new) the
     seventh stage's argument is y_new and k[6] is f(t + h, y_new), the next
-    step's first stage.
+    step's first stage.  The tableau is scaled by h once, and each argument
+    is one product with the stages plus y.
     """
+    ha = h * _A
     for s in range(1, 7):
-        arg = y + h * (_A[s] @ k[:s])
+        arg = ha[s, :s] @ k[:s] + y
         if s == 5:
             y6 = arg
         k[s] = f(t + _C[s] * h, arg)
-    return arg, h * (_E @ k), y6
+    return arg, ha[7] @ k, y6
 
 
 def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +171,17 @@ def _rosenbrock_step(f, jacobian, t, y, fy, h, g) -> tuple[np.ndarray, np.ndarra
 
     One factorization of I / (gamma h) - J(y), four solves and two
     evaluations of ``f``; the third and fourth stage share one.  ``f`` must
-    not depend on t (the stage times are the pair's nodes 1 and 3/5).
+    not depend on t (the stage times are the pair's nodes 1 and 3/5).  The
+    combinations of earlier stages in the third stage's argument and in the
+    last two right-hand sides are each one product with g.
     """
     solve = jacobian(y, 1.0 / (_GAMMA * h))
+    c_h = _ROS_C / h
     g[0] = solve(fy)
     g[1] = solve(f(t + h, y + _A21 * g[0]) + (_C21 / h) * g[0])
-    f3 = f(t + 0.6 * h, y + _A31 * g[0] + _A32 * g[1])
-    g[2] = solve(f3 + (_C31 * g[0] + _C32 * g[1]) / h)
-    g[3] = solve(f3 + (_C41 * g[0] + _C42 * g[1] + _C43 * g[2]) / h)
+    f3 = f(t + 0.6 * h, _ROS_A3 @ g[:2] + y)
+    g[2] = solve(c_h[0, :2] @ g[:2] + f3)
+    g[3] = solve(c_h[1] @ g[:3] + f3)
     return y + _ROS_B @ g, _ROS_E @ g
 
 

@@ -21,8 +21,10 @@ _N_CAP = 1 << 21
 
 
 class CriticalValues(NamedTuple):
-    """Root-test estimate of z_s and the partial-sum estimate of rho_s,
-    which is +inf when the partial sums keep growing at the scan end."""
+    """z_s and rho_s: a rate table's stated z_s and its partial sum there,
+    or for a formula family the root-test estimate of z_s and the partial-sum
+    estimate of rho_s, which is +inf when the partial sums keep growing at
+    the scan end."""
 
     z_s: float
     rho_s: float
@@ -33,19 +35,28 @@ def critical_values(
     n: int = _N_SERIES_DEFAULT,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> CriticalValues:
-    """Estimate (z_s, rho_s) from the detailed-balance prefix of length n.
+    """(z_s, rho_s) of a model, from its detailed-balance prefix.
 
-    z_s is the reciprocal of the geometric mean of the last n//10 ratios
+    A rate table of L rows states its z_s, and its rho_s is the table's
+    partial sum sum_{i<=L} i Q_i z_s^i, whatever n: every term is positive,
+    so that sum is a lower bound on rho_s for every continuation of the
+    table, and refusing a density at or above it never lets a supercritical
+    one through.
+
+    A formula family's are estimated from the prefix of length n.  z_s is
+    the reciprocal of the geometric mean of the last n//10 ratios
     Q_{i+1}/Q_i.  The partial sums of i Q_i z_s^i are declared divergent
     when the second half of the range still grows them by more than a
-    factor 1 + 1e-6.  A given ``log_q_prefix`` keeps the length-n log Q for
-    the preamble's later consumers.  Besides log Q, the scan holds one
-    length-n array, the terms; both sums read all of it, since a pairwise
-    sum's bits depend on the whole array.
+    factor 1 + 1e-6.  A given ``log_q_prefix`` keeps the length-n (or L)
+    log Q for the preamble's later consumers.  Besides log Q, the scan holds
+    one length-n array, the terms; both sums read all of it, since a
+    pairwise sum's bits depend on the whole array.
     """
+    log_q_prefix = log_q_prefix or _LogQPrefix(model)
     if model.table_length is not None:
-        n = min(n, model.table_length)
-    log_q = (log_q_prefix or _LogQPrefix(model))(n)
+        terms = _series_terms(log_q_prefix(model.table_length), math.log(model.z_s_param))
+        return CriticalValues(z_s=model.z_s_param, rho_s=float(np.sum(terms)))
+    log_q = log_q_prefix(n)
     m = max(1, n // 10)
     ratio_tail = math.exp((log_q[-1] - log_q[-1 - m]) / m)
     if ratio_tail <= 0:
@@ -85,11 +96,23 @@ class _LogQPrefix:
 def _density_at_activity(
     log_q_prefix: _LogQPrefix, z: float, tol_abs: float, n_start: int = 256, n_cap: int = _N_CAP
 ) -> tuple[float, bool]:
+    """F(z) and whether its truncation converged: ``_series_at_activity``
+    without the terms."""
+    return _series_at_activity(log_q_prefix, z, tol_abs, n_start, n_cap)[:2]
+
+
+def _series_at_activity(
+    log_q_prefix: _LogQPrefix, z: float, tol_abs: float, n_start: int = 256, n_cap: int = _N_CAP
+) -> tuple[float, bool, np.ndarray]:
+    """(F(z), converged, the terms summed): the truncation doubles from
+    ``n_start`` until the geometric remainder bound of its last six terms is
+    at most ``tol_abs``, which is added to the sum; it stops unconverged at
+    ``n_cap`` (or a rate table's length)."""
     model = log_q_prefix.model
     if z < 0:
         raise ParameterError("activity must be non-negative")
     if z == 0.0:
-        return 0.0, True
+        return 0.0, True, np.zeros(0)
     if model.table_length is not None:
         n_cap = min(n_cap, model.table_length)
     log_z = math.log(z)
@@ -100,7 +123,7 @@ def _density_at_activity(
         total = float(np.sum(terms))
         t_last = terms[-1]
         if t_last == 0.0:
-            return total, True
+            return total, True, terms
         # the last six log-terms, from their own indices: they may straddle a block edge
         lo = max(n - 6, 0)
         i = np.arange(lo + 1, n + 1, dtype=float)
@@ -109,9 +132,9 @@ def _density_at_activity(
         if r < 1.0 - 1e-12:
             remainder = t_last * r / (1.0 - r)
             if remainder <= tol_abs:
-                return total + remainder, True
+                return total + remainder, True, terms
         if n >= n_cap:
-            return total, False
+            return total, False, terms
         n = min(2 * n, n_cap)
 
 
@@ -142,10 +165,18 @@ def solve_monomer_activity(
 ) -> float:
     """Solve F(z_bar) = rho for the monomer activity of a subcritical density.
 
-    Bisection on [0, z_s), exploiting strict monotonicity of F.  The upper
+    Safeguarded Newton on [0, z_s), from above.  The upper end of the
     bracket starts at 0.999 z_s and creeps toward z_s while F there is
-    still below rho.  Raises SupercriticalError when rho >= rho_s.  The
-    truncations of F slice ``log_q_prefix`` (a new one when None).
+    still below rho, each point it leaves becoming the lower end; the
+    iteration starts at the upper end.  F is increasing and convex, so from
+    above a Newton step z - (F(z) - rho) / F'(z) does not pass z_bar, and
+    the iterates descend onto it.  F'(z) = sum_i i t_i / z is read from the
+    terms t_i that F(z) summed, at its truncation.  An iterate where F is
+    below rho or its series did not converge, or a step that leaves the
+    bracket, bisects the bracket instead.  Stops at |F(z) - rho| <= tol rho.
+    Raises SupercriticalError when rho >= rho_s, and NumericalError when
+    no bracket is found or the bracket collapses short of the tolerance.
+    The truncations of F slice ``log_q_prefix`` (a new one when None).
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
@@ -156,33 +187,41 @@ def solve_monomer_activity(
     tol_series = tol * rho / 10.0
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
 
-    def f(z: float) -> float:
-        value, converged = _density_at_activity(log_q_prefix, z, tol_series)
-        return value if converged else math.inf
+    def f(z: float) -> tuple[float, np.ndarray | None]:
+        value, converged, terms = _series_at_activity(log_q_prefix, z, tol_series)
+        return (float(value), terms) if converged else (math.inf, None)
 
-    hi = 0.999 * critical.z_s
+    lo, hi = 0.0, 0.999 * critical.z_s
+    value, terms = f(hi)
     expansions = 0
-    while f(hi) < rho:
-        hi = critical.z_s - 0.5 * (critical.z_s - hi)
+    while value < rho:
+        lo, hi = hi, critical.z_s - 0.5 * (critical.z_s - hi)
         expansions += 1
         if expansions > 64:
             raise NumericalError(
                 "could not bracket the monomer activity below the critical density"
             )
-    lo = 0.0
+        value, terms = f(hi)
+    z = hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        value = f(mid)
         if abs(value - rho) <= tol * rho:
-            return mid
+            return z
         if value < rho:
-            lo = mid
+            lo = z
         else:
-            hi = mid
+            hi = z
+        step = 0.5 * (lo + hi)
+        if terms is not None and value > rho:
+            slope = float((np.arange(1, len(terms) + 1, dtype=float) * terms).sum()) / z
+            newton = z - (value - rho) / slope
+            if lo < newton < hi:
+                step = newton
+        if step == lo or step == hi:
+            break
+        z = step
+        value, terms = f(z)
     z_bar = 0.5 * (lo + hi)
-    residual = abs(f(z_bar) - rho)
+    residual = abs(f(z_bar)[0] - rho)
     if not residual <= tol * rho:
         raise NumericalError(
             f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol * rho:.3g}"

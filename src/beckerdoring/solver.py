@@ -17,6 +17,17 @@ positivity clamp keeps the support a few dozen sizes long at any N.  An
 explicit step there is the full system's up to summation order, with the
 same step control and counts.
 
+On a window of a few dozen entries a numpy call costs the same whatever
+its length, so the right-hand side counts its calls: the fluxes w, then
+their balance dc as one matrix-vector product B w with the +-1 balance
+matrix (``_balance_matrix``), built once per ``integrate`` at width
+min(N, 64).  Its products are exact, so every row but the monomer's is
+one rounding of w_{i-1} - w_i, the bits of ``_balance``; the monomer row
+-w_1 - sum_i w_i is summed in the BLAS kernel's order.  The cap keeps B
+small (64 x 63) and the product below the size at which OpenBLAS splits a
+gemv across threads, so the bits do not depend on the thread count.  A
+window wider than 64 takes ``_balance``, as does the Jacobian's column.
+
 Near equilibrium the explicit steps sit at their stability limit, so
 ``integrate`` also hands the integrator the Jacobian: tridiagonal plus a
 dense monomer row and column, factored per step in O(window) (a Thomas
@@ -98,6 +109,45 @@ def _balance(w: np.ndarray) -> np.ndarray:
 
 def _rhs_core(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> np.ndarray:
     return _balance(_flux(c, a, b_next))
+
+
+_GEMV_WIDTH = 64  # the widest window whose balance is one matrix-vector product
+
+
+def _balance_matrix(width: int) -> np.ndarray:
+    """The (width, width - 1) matrix B of ``_balance``: for fluxes w of any
+    length m < width, B[:m + 1, :m] @ w is _balance(w).
+
+    Row 1 is -2, -1, -1, ..., row i > 1 holds +1 at w_{i-1} and -1 at w_i.
+    Every product is exact, so each row past the monomer's is one rounding
+    of w_{i-1} - w_i, the bits of ``_balance``; only the monomer row's sum
+    is in the BLAS kernel's order.
+    """
+    bal = np.zeros((width, width - 1))
+    j = np.arange(width - 1)
+    bal[j, j] = -1.0
+    bal[j + 1, j] = 1.0
+    bal[0] -= 1.0
+    return bal
+
+
+def _windowed_rhs(a: np.ndarray, b_next: np.ndarray, n: int):
+    """``integrate``'s right-hand side f(t, y) of a state's occupied prefix y
+    (reach=1: the fluxes couple neighbouring sizes and the monomer only),
+    with rates a_1..a_{N-1}, b_2..b_N of a truncation at N = n.
+
+    A prefix of at most ``_GEMV_WIDTH`` entries gets its balance as one
+    product with ``_balance_matrix``; a wider one from ``_balance``.
+    """
+    width = min(n, _GEMV_WIDTH)
+    balance = _balance_matrix(width)
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        m = len(y) - 1
+        w = _flux(y, a[:m], b_next[:m])
+        return balance[: m + 1, :m] @ w if m < width else _balance(w)
+
+    return f
 
 
 def _jacobian(c: np.ndarray, a: np.ndarray, b_next: np.ndarray) -> tuple:
@@ -317,12 +367,9 @@ def integrate(
 
     clamped = 0.0  # mass the clamp moved, summed in magnitude
 
-    # the hooks get the occupied prefix of the state (reach=1: the fluxes
-    # couple neighbouring sizes and the monomer only), so rates and sizes
+    # the hooks get the occupied prefix of the state, so rates and sizes
     # are cut to its length
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        m = len(y) - 1
-        return _rhs_core(y, a[:m], b_next[:m])
+    f = _windowed_rhs(a, b_next, n)
 
     def jacobian(y: np.ndarray, sigma: float):
         m = len(y) - 1

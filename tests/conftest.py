@@ -18,14 +18,16 @@ def family_b():
 
 @pytest.fixture(scope="session")
 def ones_model():
-    # a_i = b_i = 1: Q_i = 1, z_s = 1, rho_s = +inf
+    # a_i = b_i = 1: Q_i = 1, z_s = 1; F(z_s) = +inf for these rates, and
+    # the table's rho_s is its partial sum
     n = 4000
     return bd.make_custom_model(np.ones(n), np.ones(n), gamma=1.0, z_s=1.0)
 
 
 @pytest.fixture(scope="session")
 def half_model():
-    # a_i = 1, b_i = 2: Q_i = 2^(1-i), z_s = 2, rho_s = +inf
+    # a_i = 1, b_i = 2: Q_i = 2^(1-i), z_s = 2; F(z_s) = +inf for these rates,
+    # and the table's rho_s is its partial sum
     n = 4000
     return bd.make_custom_model(np.ones(n), 2 * np.ones(n), gamma=1.0, z_s=2.0)
 

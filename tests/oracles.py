@@ -3,12 +3,14 @@
 No command or stage of ``beckerdoring`` runs these: they recompute the
 pipeline's arithmetic from a second direction (scalar moments and fluxes of
 one state, the tail evolution, the weak form of the system, the stretched
-sandwich bounds, the monomer-activity series at one z, the balance check of
-a dominating sequence read from every row of r, and a Metzler-matrix
-sign-preservation checker for the comparison principle).
+sandwich bounds, the monomer-activity series at one z and the activity's
+bisection solve, the balance check of a dominating sequence read from every
+row of r, and a Metzler-matrix sign-preservation checker for the comparison
+principle).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from beckerdoring._rk import solve_rk54
 from beckerdoring.coefficients import CoefficientModel
-from beckerdoring.equilibrium import _N_CAP, _density_at_activity, _LogQPrefix, fsum_array
-from beckerdoring.errors import ParameterError
+from beckerdoring.equilibrium import _N_CAP, CriticalValues, _density_at_activity, _LogQPrefix, fsum_array
+from beckerdoring.errors import NumericalError, ParameterError, SupercriticalError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
 from beckerdoring.supersolution import SupersolutionCheck
 from beckerdoring.tails import StretchedWeights, tail_density
@@ -105,6 +107,64 @@ def density_at_activity(
     log Q_1..Q_n and one length-n array of terms.
     """
     return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
+
+
+def bisect_monomer_activity(
+    model: CoefficientModel,
+    rho: float,
+    tol: float = 1e-12,
+    *,
+    critical: CriticalValues,
+    log_q_prefix: _LogQPrefix | None = None,
+) -> float:
+    """Solve F(z_bar) = rho by bisection on [0, z_s): the reference for
+    ``equilibrium.solve_monomer_activity``'s Newton iteration.
+
+    The upper bracket starts at 0.999 z_s and creeps toward z_s while F
+    there is still below rho; a truncation that does not converge reads as
+    F = inf.  Stops at |F(z) - rho| <= tol rho, with the solve's refusals.
+    """
+    if rho <= 0:
+        raise ParameterError("density must be positive")
+    if rho >= critical.rho_s:
+        raise SupercriticalError(
+            f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
+        )
+    tol_series = tol * rho / 10.0
+    log_q_prefix = log_q_prefix or _LogQPrefix(model)
+
+    def f(z: float) -> float:
+        value, converged = _density_at_activity(log_q_prefix, z, tol_series)
+        return value if converged else math.inf
+
+    hi = 0.999 * critical.z_s
+    expansions = 0
+    while f(hi) < rho:
+        hi = critical.z_s - 0.5 * (critical.z_s - hi)
+        expansions += 1
+        if expansions > 64:
+            raise NumericalError(
+                "could not bracket the monomer activity below the critical density"
+            )
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        value = f(mid)
+        if abs(value - rho) <= tol * rho:
+            return mid
+        if value < rho:
+            lo = mid
+        else:
+            hi = mid
+    z_bar = 0.5 * (lo + hi)
+    residual = abs(f(z_bar) - rho)
+    if not residual <= tol * rho:
+        raise NumericalError(
+            f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol * rho:.3g}"
+        )
+    return z_bar
 
 
 # -- supersolution: the balance check on every row ----------------------------

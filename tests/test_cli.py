@@ -218,8 +218,8 @@ def test_supersolution_margin_at_n_32000_reads_the_rates(tmp_path, capsys, monke
     path = tmp_path / "large.toml"
     path.write_text(re.sub(r"^n = 2000", "n = 32000", template_text(), flags=re.M))
     assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert "verified=True worst_margin=-0.029397009137838\n" in capsys.readouterr().out
-    assert json.loads((tmp_path / "out" / "witness.json").read_text())["worst_margin"] == -0.029397009137838
+    assert "verified=True worst_margin=-0.029397009137836494\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "out" / "witness.json").read_text())["worst_margin"] == -0.029397009137836494
 
 
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
@@ -270,6 +270,33 @@ def test_commands_agree_on_preamble(small_config, tmp_path, capsys):
         experiment_witness = json.loads((out / "exp" / "witness.json").read_text())
         for key in ("lambda", "n_switch", "uniform_bound"):
             assert witness[key] == experiment_witness[key]
+
+
+def test_rate_table_states_its_critical_values(small_config, tmp_path, capsys, monkeypatch):
+    # the template's power-law rates for i = 1..3000, declared with their
+    # limit z_s = 1: the critical values are that z_s and the table's sum
+    # of i Q_i z_s^i, 4.87787 (the root test read z_s = 1.01892 and
+    # rho_s = 5.3949, and rho = 5 then solved to z_bar = 1.0048 > z_s)
+    rates = tmp_path / "rates.txt"
+    model, i = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5), np.arange(1, 3001)
+    rates.write_text("".join(f"{j} {a!r} {b!r}\n" for j, a, b in zip(i, model.a(i).tolist(), model.b(i).tolist())))
+    table = tmp_path / "table.toml"
+    table.write_text(small_config.read_text().replace('family = "power_law"', 'family = "custom"')
+                     .replace('rates_file = ""', f'rates_file = "{rates}"'))
+    assert main(["equilibrium", "--config", str(table)]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    log_q = bd.detailed_balance(model, 3000)
+    assert float(printed["z_s"]) == 1.0
+    assert float(printed["rho_s"]) == pytest.approx(math.fsum((i * np.exp(log_q)).tolist()), rel=1e-12)
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a supercritical density was integrated")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    table.write_text(table.read_text().replace("rho = 1.0", "rho = 5.0"))
+    assert main(["experiment", "--config", str(table), "--out", str(tmp_path / "out")]) == 11
+    assert "density 5 is not below the critical density 4.87787" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, tmp_path, capsys, monkeypatch):
@@ -604,6 +631,26 @@ def test_determinism_bit_identical(small_config, tmp_path):
     assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "d2")]) == 0
     for name in ("summary.json", "timeseries.csv", "supersolution.csv", "bounds.dat", "witness.json"):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the balance product of the right-hand side is at most 64 x 63, below
+    # the size at which OpenBLAS splits a gemv across threads, and no sum
+    # over a long window goes through BLAS: the template at N = 300 writes
+    # the same bytes on one BLAS thread and on two
+    config = tmp_path / "exp.toml"
+    config.write_text(template_text().replace("n = 2000", "n = 300"))
+    src = str(Path(bd.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "beckerdoring", "experiment", "--config", str(config), "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    names = {"summary.json", "timeseries.csv", "supersolution.csv", "bounds.dat", "witness.json"}
+    assert set(outputs[0]) == names and outputs[0] == outputs[1]
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -31,10 +31,12 @@ the benchmark's configs is byte-identical between two trees:
 
 ``--compare`` prints every config whose line differs in anything but the
 wall time, the peak memory and the import cost (so in ``verify_exit`` too),
-with the keys that moved and their two values, then the number of configs
-that moved from each cause (exit code with stderr, or failed stage and
-flag) to each other, then the number of such configs; it exits 1 if there
-are any.
+with the keys that moved and their two values; then, for each numeric key
+that moved, the number of configs it moved in and its largest relative
+change, so a round-off change reads as one line per key; then the number
+of configs that moved from each cause (exit code with stderr, or failed
+stage and flag) to each other, then the number of such configs; it exits 1
+if there are any.
 """
 from __future__ import annotations
 
@@ -179,6 +181,23 @@ def cause(record: dict) -> str:
     return f"exit {record['exit']}" + (f": {why[:40]}" if why else "")
 
 
+def numeric_moves(pairs) -> dict:
+    """For each numeric key of the config records that moved between the
+    two records of a pair: (the number of configs it moved in, its largest
+    relative change |after - before| / max(|before|, |after|))."""
+    moves: dict = {}
+    for a, b in pairs:
+        if "exit" not in a:
+            continue  # the totals line
+        for key in a.keys() & b.keys():
+            x, y = a[key], b[key]
+            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+            if numeric and x != y:
+                count, largest = moves.get(key, (0, 0.0))
+                moves[key] = (count + 1, max(largest, abs(y - x) / max(abs(x), abs(y))))
+    return moves
+
+
 def compare(before: Path, after: Path) -> int:
     """Print the configs whose records differ in anything but wall time,
     peak memory and import cost, then how many moved from each cause to
@@ -201,6 +220,8 @@ def compare(before: Path, after: Path) -> int:
         label = {k: v for k, v in a.items() if k in (*GRID, "workload", "label")}
         moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in {**fa, **fb} if fa.get(k) != fb.get(k)]
         print(f"{json.dumps(label) if label else 'totals'}: {'; '.join(moved)}")
+    for key, (count, largest) in sorted(numeric_moves(changed).items()):
+        print(f"{key}: moved in {count} configs, largest relative change {largest:.3g}")
     shifts = Counter((cause(a), cause(b)) for a, b in changed if "exit" in a and "exit" in b)
     for (was, now), count in sorted(shifts.items()):
         print(f"{count:5d}  {was} -> {now}")
