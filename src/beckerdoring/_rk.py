@@ -135,6 +135,8 @@ def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol, stats, n) -> float:
     d1 = _rms(f0 / scale, n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
+    if not h0 > 0:  # nan, or 0 from an infinite norm
+        raise NumericalError(f"no finite initial step size at t={t0:.6g} (h={h0:.3g})")
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
     stats.n_fev += 1
@@ -230,7 +232,10 @@ def solve_rk54(
     ``accept_filter`` sees every step that passed the error test and may
     adjust the state (returning the new vector) or veto it (returning
     None, which halves the step and retries it from the same t).
-    ``max_steps`` bounds the step attempts, accepted and rejected.
+    ``max_steps`` bounds the step attempts, accepted and rejected.  A
+    right-hand side that is not finite at (t0, y0), or norms of y0 and
+    f(t0, y0) that give no finite initial step, raise NumericalError naming
+    t0 before any step.
 
     After each accepted step the rows of ``y_eval`` for the output times
     in (t, t + h] are filled in one write: the dense interpolant evaluated
@@ -312,6 +317,8 @@ def solve_rk54(
     k = np.empty((7, n))
     k[0, :w] = f(t, y)
     stats.n_fev += 1
+    if not np.isfinite(k[0, :w]).all():
+        raise NumericalError(f"the right-hand side is not finite at t={t:.6g}")
 
     y_eval = np.zeros((len(t_eval), w))  # widened as the window grows
     t_out = t_eval.tolist()  # bisect on floats: most steps emit nothing

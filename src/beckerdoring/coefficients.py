@@ -1,9 +1,16 @@
 """Coagulation/fragmentation rate families and their detailed-balance data.
 
 Rates are evaluated from closed-form expressions (or a user table for the
-custom family).  The rates are elementwise in i and log Q_i is a running
-sum of them, so a shorter sequence is the first entries of a longer one, bit
-for bit.  Each is evaluated once and sliced by its consumers:
+custom family), each family's a_i and b_i written once, in
+``CoefficientModel.a`` and ``b``.  Every consumer reads them as they are;
+only log Q is kept in log space, its increments log(a_i / b_{i+1}).  A
+model whose rates overflow is refused with ``ParameterError`` when it is
+built: a formula's sup of b_i/a_i, or a table's b_i/a_i or a_i/b_{i+1},
+is not finite.
+
+The rates are elementwise in i and log Q_i is a running sum of its
+increments, so a shorter sequence is the first entries of a longer one, bit
+for bit.  Each sequence is evaluated once and sliced by its consumers:
 
 - the flux rates (a_{j-1}, b_j) are kept on the model by ``rate_pairs`` at
   the largest n asked for so far, as read-only arrays that the solver, the
@@ -101,13 +108,8 @@ class CoefficientModel:
         elif self.family is Family.POWER_LAW:
             out = i**self.gamma * (self.z_s_param + self.q * i ** (self.mu_c - 1.0))
         else:
-            out = np.where(
-                i > 1,
-                self.z_s_param
-                * np.where(i > 1, i - 1.0, 1.0) ** self.gamma
-                * np.exp(self.sigma * (i**self.mu_c - np.where(i > 1, i - 1.0, 1.0) ** self.mu_c)),
-                0.0,
-            )
+            im1 = i - 1.0  # 0**gamma = 0 gives b_1 = 0
+            out = self.z_s_param * im1**self.gamma * np.exp(self.sigma * (i**self.mu_c - im1**self.mu_c))
         return float(out) if out.ndim == 0 else out
 
     def rate_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,39 +127,6 @@ class CoefficientModel:
         m = max(n - 1, 0)
         return a[:m], b[:m]
 
-    def log_a(self, i):
-        """log a_i, evaluated without forming a_i (safe for huge i)."""
-        i = np.asarray(i, dtype=float)
-        self._check_range(i)
-        if self.family is Family.CUSTOM:
-            out = np.log(self.a_table[np.asarray(i, dtype=int) - 1])
-        else:
-            out = self.gamma * np.log(i)
-        return float(out) if out.ndim == 0 else out
-
-    def log_b(self, i):
-        """log b_i; -inf at i = 1 for the exponential-tail family."""
-        i = np.asarray(i, dtype=float)
-        self._check_range(i)
-        if self.family is Family.CUSTOM:
-            with np.errstate(divide="ignore"):
-                out = np.log(self.b_table[np.asarray(i, dtype=int) - 1])
-        elif self.family is Family.POWER_LAW:
-            out = self.gamma * np.log(i) + np.log(
-                self.z_s_param + self.q * i ** (self.mu_c - 1.0)
-            )
-        else:
-            im1 = np.where(i > 1, i - 1.0, 1.0)
-            with np.errstate(divide="ignore"):
-                out = np.where(
-                    i > 1,
-                    math.log(self.z_s_param)
-                    + self.gamma * np.log(im1)
-                    + self.sigma * (i**self.mu_c - im1**self.mu_c),
-                    -np.inf,
-                )
-        return float(out) if out.ndim == 0 else out
-
     def _check_range(self, i) -> None:
         if np.any(i < 1):
             raise ParameterError("cluster sizes are 1-based")
@@ -168,9 +137,21 @@ class CoefficientModel:
 
 
 def _sup_ratio_b_over_a(model: CoefficientModel, n_eval: int) -> float:
-    i = np.arange(1, n_eval + 1)
-    ratio = np.exp(model.log_b(i) - model.log_a(i))
+    i = np.arange(1, n_eval + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # _with_b_bar refuses an overflow
+        ratio = model.b(i) / model.a(i)
     return max(float(np.max(ratio)), model.z_s_param)  # z_s: the limit of b_i/a_i
+
+
+def _with_b_bar(model: CoefficientModel, b_bar: float) -> CoefficientModel:
+    """``model`` with its sup of b_i/a_i, refused when that is not finite:
+    its rates overflow, so no detailed balance or trajectory can be built."""
+    if not math.isfinite(b_bar):
+        params = {"gamma": model.gamma, "z_s": model.z_s_param, "q": model.q, "sigma": model.sigma, "mu_c": model.mu_c}
+        named = ", ".join(f"{k}={v!r}" for k, v in params.items() if v is not None)
+        raise ParameterError(f"{model.family.value} rates overflow at {named}: sup b_i/a_i is {b_bar!r}")
+    object.__setattr__(model, "b_bar", b_bar)
+    return model
 
 
 def make_power_law_model(gamma: float, z_s: float, q: float, mu_c: float) -> CoefficientModel:
@@ -185,14 +166,7 @@ def make_power_law_model(gamma: float, z_s: float, q: float, mu_c: float) -> Coe
         raise ParameterError("z_s and q must be positive")
     if not (0 < mu_c < 1):
         raise ParameterError(f"mu_c must be in (0, 1), got {mu_c}")
-    return CoefficientModel(
-        family=Family.POWER_LAW,
-        gamma=gamma,
-        z_s_param=z_s,
-        q=q,
-        mu_c=mu_c,
-        b_bar=z_s + q,
-    )
+    return _with_b_bar(CoefficientModel(Family.POWER_LAW, gamma, z_s, q=q, mu_c=mu_c), z_s + q)
 
 
 def make_exponential_tail_model(
@@ -201,8 +175,10 @@ def make_exponential_tail_model(
     """Rates a_i = i^gamma, b_i = z_s (i-1)^gamma exp(sigma (i^mu_c - (i-1)^mu_c)).
 
     Requires 0 < gamma < 1, z_s > 0, sigma > 0, 0 < mu_c < 1.  The formula
-    gives b_1 = 0; the model keeps that value as a convention and the
-    dynamics never evaluate it.
+    gives b_1 = 0^gamma exp(sigma) = 0; the model keeps that value as a
+    convention and the dynamics never evaluate it.  A sigma past
+    log(DBL_MAX) = 709.78 makes that product nan, and the model is refused
+    with those whose rates overflow.
     """
     if not (0 < gamma < 1):
         raise ParameterError(f"gamma must be in (0, 1) for this family, got {gamma}")
@@ -210,15 +186,8 @@ def make_exponential_tail_model(
         raise ParameterError("z_s and sigma must be positive")
     if not (0 < mu_c < 1):
         raise ParameterError(f"mu_c must be in (0, 1), got {mu_c}")
-    model = CoefficientModel(
-        family=Family.EXPONENTIAL_TAIL,
-        gamma=gamma,
-        z_s_param=z_s,
-        sigma=sigma,
-        mu_c=mu_c,
-    )
-    object.__setattr__(model, "b_bar", _sup_ratio_b_over_a(model, _EVAL_RANGE))
-    return model
+    model = CoefficientModel(Family.EXPONENTIAL_TAIL, gamma, z_s, sigma=sigma, mu_c=mu_c)
+    return _with_b_bar(model, _sup_ratio_b_over_a(model, _EVAL_RANGE))
 
 
 def make_custom_model(
@@ -233,7 +202,8 @@ def make_custom_model(
     ``gamma`` is the growth exponent the table is declared to follow
     (a_i ~ i^gamma) and ``z_s`` the limit of b_i/a_i it is declared to
     tend to; both are taken as given, and z_s must be positive and finite.
-    The rates must be finite.  ``b_bar`` is the table's own max of b_i/a_i,
+    The rates and their ratios b_i/a_i and a_i/b_{i+1} must be finite.
+    ``b_bar`` is the table's own max of b_i/a_i,
     and ``check_assumptions`` tests the remaining hypotheses numerically.
     """
     a = np.asarray(a, dtype=float)
@@ -248,11 +218,15 @@ def make_custom_model(
         raise ParameterError("tabulated b_i must be positive (b_1 may be 0)")
     if not (0 < z_s < math.inf):
         raise ParameterError(f"z_s must be positive and finite, got {z_s}")
+    with np.errstate(over="ignore"):
+        ratios = b / a, a[:-1] / b[1:]  # b_i/a_i, and Q_{i+1}/Q_i = a_i/b_{i+1}
+    if not all(np.isfinite(r).all() for r in ratios):
+        raise ParameterError("tabulated rates overflow: b_i/a_i or a_i/b_(i+1) is not finite")
     return CoefficientModel(
         family=Family.CUSTOM,
         gamma=gamma,
         z_s_param=z_s,
-        b_bar=float(np.max(b / a)),
+        b_bar=float(np.max(ratios[0])),
         a_table=a,
         b_table=b,
     )
@@ -302,7 +276,7 @@ def detailed_balance(model: CoefficientModel, n: int, prefix: np.ndarray | None 
     log_q[:m] = 0.0 if prefix is None else prefix
     for lo, hi in index_blocks(m, n):
         i = np.arange(lo, hi, dtype=float)
-        np.subtract(model.log_a(i), model.log_b(i + 1), out=log_q[lo:hi])
+        np.log(model.a(i) / model.b(i + 1), out=log_q[lo:hi])
     if m > 1:
         log_q[m] += log_q[m - 1]
     np.cumsum(log_q[m:], out=log_q[m:])
@@ -375,7 +349,8 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     # fragmentation bound: bounded b_i/a_i (flag a sup that is still
     # climbing at the edge of the scan); a zero b_1 has log ratio -inf
     bi = np.arange(1, n + 1, dtype=float)
-    la, lb = model.log_a(bi), model.log_b(bi)
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(model.a(bi)), np.log(model.b(bi))
     log_ratio_ba = lb - la
     b_bar_obs = float(np.exp(np.max(log_ratio_ba)))
     argmax = int(np.argmax(log_ratio_ba))

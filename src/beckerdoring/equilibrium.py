@@ -4,7 +4,8 @@ The central object is the power series F(z) = sum_i i Q_i z^i.  Its radius
 of convergence is the critical monomer density z_s; F(z_s) is the critical
 density rho_s; and for a subcritical target density rho the monomer
 activity z_bar solves F(z_bar) = rho.  Everything is evaluated through the
-log-space detailed-balance prefix to dodge overflow.
+detailed-balance prefix log Q, the one sequence kept in log space: Q_i and
+z^i overflow or underflow where their product does not.
 """
 from __future__ import annotations
 
@@ -91,14 +92,6 @@ class _LogQPrefix:
         if self._log_q is None or len(self._log_q) < n:
             self._log_q = detailed_balance(self.model, n, self._log_q)
         return self._log_q[:n]
-
-
-def _density_at_activity(
-    log_q_prefix: _LogQPrefix, z: float, tol_abs: float, n_start: int = 256, n_cap: int = _N_CAP
-) -> tuple[float, bool]:
-    """F(z) and whether its truncation converged: ``_series_at_activity``
-    without the terms."""
-    return _series_at_activity(log_q_prefix, z, tol_abs, n_start, n_cap)[:2]
 
 
 def _series_at_activity(

@@ -18,7 +18,7 @@ import numpy as np
 
 from beckerdoring._rk import solve_rk54
 from beckerdoring.coefficients import CoefficientModel
-from beckerdoring.equilibrium import _N_CAP, CriticalValues, _density_at_activity, _LogQPrefix, fsum_array
+from beckerdoring.equilibrium import _N_CAP, CriticalValues, _LogQPrefix, _series_at_activity, fsum_array
 from beckerdoring.errors import NumericalError, ParameterError, SupercriticalError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
 from beckerdoring.supersolution import SupersolutionCheck
@@ -106,7 +106,7 @@ def density_at_activity(
     be treated as +inf by callers that bracket.  Each truncation n holds
     log Q_1..Q_n and one length-n array of terms.
     """
-    return _density_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)
+    return _series_at_activity(_LogQPrefix(model), z, tol_abs, n_start, n_cap)[:2]
 
 
 def bisect_monomer_activity(
@@ -134,7 +134,7 @@ def bisect_monomer_activity(
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
 
     def f(z: float) -> float:
-        value, converged = _density_at_activity(log_q_prefix, z, tol_series)
+        value, converged, _ = _series_at_activity(log_q_prefix, z, tol_series)
         return value if converged else math.inf
 
     hi = 0.999 * critical.z_s

@@ -569,12 +569,13 @@ def test_initial_state_file_accepts_zero_rows_past_n(tmp_path):
     ("", ""),
     ("1 0.0 2.0", ""),
     ("1 1.0 2.0", "z_s = 0.0"),
-], ids=["not-a-number", "ragged", "nan", "inf", "gap", "zero-rate", "no-z_s"])
+    ("1 1e-300 1e300", ""),
+], ids=["not-a-number", "ragged", "nan", "inf", "gap", "zero-rate", "no-z_s", "overflowing-ratio"])
 def test_malformed_rate_table_exit_11(tmp_path, capsys, row, line):
     # numpy's own parse error names neither the file nor the config; it is
     # a bad configuration, not a crash.  A non-finite rate, a missing row 1
-    # ("gap"), a zero a_1 and a table that declares no z_s are refused the
-    # same way, with the file named
+    # ("gap"), a zero a_1, a table that declares no z_s and one whose b_1/a_1
+    # overflows are refused the same way, with the file named
     rates = tmp_path / "rates.txt"
     rates.write_text(row + "\n" + "".join(f"{i} 1.0 2.0\n" for i in range(2, 101)))
     config = tmp_path / "custom.toml"
@@ -599,6 +600,30 @@ def test_overflowing_stretched_weight_exit_11(tmp_path, capsys):
     assert "(alpha=1.0, mu=0.9)" in err and "n = 2000" in err
     assert "largest admissible n is 1472" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_rates_exit_11(tmp_path, capsys, monkeypatch):
+    # exp(sigma (2^mu_c - 1)) overflows at sigma = 2000: the model is refused
+    # when it is built, so no command reports b_bar = inf or steps with h = nan
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a model whose rates overflow")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    monkeypatch.setattr("beckerdoring.cli.integrate", integrate)
+    text = template_text().replace('family = "power_law"', 'family = "exponential_tail"')
+    path = tmp_path / "overflow.toml"
+    path.write_text(text.replace("sigma = 1.0", "sigma = 2000.0"))
+    for command in ("experiment", "verify", "simulate"):
+        out = ["--out", str(tmp_path / command)] if command != "verify" else []
+        start = time.perf_counter()
+        assert main([command, "--config", str(path), *out]) == 11, command
+        assert time.perf_counter() - start < 2.0, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: exponential_tail rates overflow at gamma=0.5, z_s=1.0, sigma=2000.0, mu_c=0.5: "
+            "sup b_i/a_i is nan\n"
+        ), command
+        assert not (tmp_path / command).exists()
 
 
 def test_numerical_failure_exit_12(small_config, tmp_path):

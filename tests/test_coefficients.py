@@ -77,6 +77,30 @@ class TestExponentialTailFamily:
         with pytest.raises(ParameterError):
             bd.make_exponential_tail_model(0.5, 1.0, -1.0, 0.5)
 
+    @pytest.mark.parametrize("gamma,sigma,mu_c", [(0.5, 1.0, 0.5), (0.2, 3.0, 0.2), (0.8, 0.5, 0.8)])
+    def test_b_keeps_the_bits_of_the_guarded_formula(self, gamma, sigma, mu_c):
+        # b_i with i - 1 guarded away from 0 and b_1 set apart: 0^gamma = 0
+        # gives b_1 = 0 without the guards, and every other entry is the
+        # same expression
+        model = bd.make_exponential_tail_model(gamma, 1.3, sigma, mu_c)
+        i = np.arange(1, 10**5 + 1, dtype=float)
+        im1 = np.where(i > 1, i - 1.0, 1.0)
+        guarded = np.where(i > 1, 1.3 * im1**gamma * np.exp(sigma * (i**mu_c - im1**mu_c)), 0.0)
+        assert model.b(i).tobytes() == guarded.tobytes()
+        assert model.b(1) == 0.0 and model.b(np.array([1.0]))[0] == 0.0
+        _, b = model.rate_pairs(10**5)
+        assert b.tobytes() == guarded[1:].tobytes()
+
+    def test_overflowing_rates_are_refused(self):
+        # exp(sigma (2^mu_c - 1)) overflows at sigma = 2000: b_bar is not finite
+        with pytest.raises(ParameterError, match=r"exponential_tail rates overflow at gamma=0\.5, z_s=1\.0, sigma=2000\.0, mu_c=0\.5"):
+            bd.make_exponential_tail_model(0.5, 1.0, 2000.0, 0.5)
+        # b_2 = exp(800 (2^0.2 - 1)) = 4.6e51 is finite, but b_1 = 0 exp(800) is nan
+        with pytest.raises(ParameterError, match=r"sigma=800\.0, mu_c=0\.2: sup b_i/a_i is nan"):
+            bd.make_exponential_tail_model(0.5, 1.0, 800.0, 0.2)
+        with pytest.raises(ParameterError, match=r"power_law rates overflow at gamma=0\.5, z_s=1e\+308, q=1e\+308, mu_c=0\.5"):
+            bd.make_power_law_model(0.5, 1e308, 1e308, 0.5)
+
 
 # a fresh model per call, so that no rate_pairs table is shared
 PREFIX_MODELS = {
@@ -151,6 +175,15 @@ class TestDetailedBalance:
         log_q = bd.detailed_balance(family_a, 2)
         assert np.exp(log_q)[1] == pytest.approx(math.sqrt(2) - 1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("kind", PREFIX_MODELS)
+    def test_increments_are_the_log_rate_ratios(self, kind):
+        # log Q_{i+1} - log Q_i is log(a_i / b_{i+1}) of the flux rates, summed
+        # in index order from log Q_1 = 0
+        model = PREFIX_MODELS[kind]()
+        a, b = model.rate_pairs(20_000)
+        log_q = np.concatenate([[0.0], np.cumsum(np.log(a / b))])
+        assert bd.detailed_balance(model, 20_000).tobytes() == log_q.tobytes()
+
     @pytest.mark.parametrize("fixture", ["family_a", "family_b"])
     def test_recursion_identity(self, fixture, request):
         # Q_{i+1} b_{i+1} = a_i Q_i to relative round-off, checked in linear scale
@@ -158,8 +191,8 @@ class TestDetailedBalance:
         n = 1000
         log_q = bd.detailed_balance(model, n)
         i = np.arange(1, n, dtype=float)
-        lhs = log_q[1:] + model.log_b(i + 1)
-        rhs = log_q[:-1] + model.log_a(i)
+        lhs = log_q[1:] + np.log(model.b(i + 1))
+        rhs = log_q[:-1] + np.log(model.a(i))
         # |log difference| bounds the relative error of Q_{i+1} b_{i+1} vs a_i Q_i
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
@@ -253,6 +286,16 @@ class TestCustomRates:
         path.write_text("1 1.0 1.0\n3 1.0 1.0\n")
         with pytest.raises(ConfigError, match="rates.txt"):
             bd.load_rate_table(path, z_s=1.0)
+
+    @pytest.mark.parametrize("a, b", [
+        ([1e300, 1.0, 1.0], [0.0, 1e-300, 1.0]),  # Q_2 / Q_1 = a_1 / b_2 = 1e600
+        ([1e-300, 1.0, 1.0], [1e300, 1.0, 1.0]),  # b_1 / a_1 = 1e600
+    ], ids=["a_over_b", "b_over_a"])
+    def test_overflowing_ratios_are_refused(self, a, b):
+        # log Q is built from a_i / b_(i+1), so a table whose ratios overflow
+        # is refused when it is built, not when log Q leaves the float range
+        with pytest.raises(ParameterError, match="tabulated rates overflow"):
+            bd.make_custom_model(np.array(a), np.array(b), z_s=1.0)
 
     def test_index_past_table(self):
         model = bd.make_custom_model(np.ones(10), np.ones(10), z_s=1.0)

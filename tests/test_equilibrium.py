@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
-from beckerdoring.equilibrium import _density_at_activity, _LogQPrefix, fsum_array
+from beckerdoring.equilibrium import _LogQPrefix, _series_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 import oracles
@@ -65,7 +65,7 @@ BLOCKED_LENGTHS = [2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 10**5]
 
 def _one_shot_log_q(model, n):
     i = np.arange(1, n, dtype=float)
-    log_q = np.concatenate([[0.0], np.cumsum(model.log_a(i) - model.log_b(i + 1))])
+    log_q = np.concatenate([[0.0], np.cumsum(np.log(model.a(i) / model.b(i + 1)))])
     assert np.all(np.isfinite(log_q))
     return log_q
 
@@ -90,7 +90,8 @@ def _one_shot_critical_values(model, n):
 
 
 def _one_shot_density(model, z, tol_abs, n):
-    """One truncation n of ``_density_at_activity``, every sequence evaluated whole."""
+    """One truncation n of ``_series_at_activity``'s (F(z), converged), every
+    sequence evaluated whole."""
     log_t, terms = _one_shot_terms(_one_shot_log_q(model, n), math.log(z))
     total, t_last = float(np.sum(terms)), terms[-1]
     if t_last == 0.0:
@@ -126,28 +127,32 @@ class TestBlockedSeries:
         # past it the ratio test reads >= 1 and the long sums overflow
         for z in (0.5 * radius, 0.99 * radius, 1.001 * radius, 1.05 * radius):
             with np.errstate(over="ignore"):
-                got = _density_at_activity(_LogQPrefix(model), z, 1e-12, n_start=n, n_cap=n)
+                got = _series_at_activity(_LogQPrefix(model), z, 1e-12, n_start=n, n_cap=n)[:2]
                 assert got == _one_shot_density(model, z, 1e-12, n)
 
     @pytest.mark.parametrize("kind", BLOCKED_MODELS)
     def test_a_grown_log_q_prefix_has_the_one_shot_bits(self, kind, monkeypatch):
         # the activity solve's doubling truncations n = 256 * 2^k: each
-        # growth evaluates only the increments past the old prefix
+        # growth evaluates only the increments past the old prefix, from
+        # a_i and b_{i+1}
         model = BLOCKED_MODELS[kind]()
-        seen = []
-        original = bd.CoefficientModel.log_b
+        seen = {"a": [], "b": []}
+        for name, calls in seen.items():
+            original = getattr(bd.CoefficientModel, name)
 
-        def recorded(self, i):
-            seen.append(np.array(i, dtype=float).ravel())
-            return original(self, i)
+            def recorded(self, i, _calls=calls, _original=original):
+                _calls.append(np.array(i, dtype=float).ravel())
+                return _original(self, i)
 
-        monkeypatch.setattr(bd.CoefficientModel, "log_b", recorded)
+            monkeypatch.setattr(bd.CoefficientModel, name, recorded)
         prefix = _LogQPrefix(model)
         grown_from = 1
         for n in (256 * 2**k for k in range(9)):
-            seen.clear()
+            seen["a"].clear()
+            seen["b"].clear()
             log_q = prefix(n)
-            assert np.array_equal(np.concatenate(seen), np.arange(grown_from + 1, n + 1))
+            assert np.array_equal(np.concatenate(seen["a"]), np.arange(grown_from, n))
+            assert np.array_equal(np.concatenate(seen["b"]), np.arange(grown_from + 1, n + 1))
             assert log_q.tobytes() == bd.detailed_balance(model, n).tobytes()
             assert prefix(n // 2).tobytes() == log_q[: n // 2].tobytes()
             grown_from = n
@@ -159,7 +164,7 @@ class TestBlockedSeries:
         n = _BLOCK + 3
         model = bd.make_custom_model(np.ones(n), 2 * np.ones(n), z_s=2.0)
         z = 2 * (1 - 1e-3)
-        value, converged = _density_at_activity(_LogQPrefix(model), z, 1e300, n_start=n, n_cap=n)
+        value, converged, _ = _series_at_activity(_LogQPrefix(model), z, 1e300, n_start=n, n_cap=n)
         assert converged and (value, converged) == _one_shot_density(model, z, 1e300, n)
         partial = float(np.sum(_one_shot_terms(_one_shot_log_q(model, n), math.log(z))[1]))
         assert value > (1 + 1e-3) * partial
@@ -291,7 +296,7 @@ class TestSolveActivity:
     def _assert_matches_bisection(model, rho, crit, prefix, z):
         ref = oracles.bisect_monomer_activity(model, rho, critical=crit, log_q_prefix=prefix)
         assert z == pytest.approx(ref, rel=1e-11, abs=0)
-        value, converged = _density_at_activity(prefix, z, 1e-12 * rho / 10)
+        value, converged, _ = _series_at_activity(prefix, z, 1e-12 * rho / 10)
         assert converged and abs(value - rho) <= 1e-12 * rho
 
 

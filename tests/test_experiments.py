@@ -12,7 +12,7 @@ import pytest
 
 import beckerdoring as bd
 from beckerdoring.cli import main
-from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE
+from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE, index_blocks
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from beckerdoring.equilibrium import support_length
@@ -230,44 +230,34 @@ class TestModelSequencesOnce:
     """An experiment evaluates each model sequence once and slices it."""
 
     @staticmethod
-    def _count(monkeypatch, *names) -> dict:
-        calls = dict.fromkeys(names, 0)
-        for name in names:
+    def _record(monkeypatch) -> dict:
+        """The index array of every call of ``CoefficientModel.a`` and ``b``,
+        by rate and by the name of the calling function."""
+        seen = {"a": {}, "b": {}}
+        for name in seen:
             original = getattr(bd.CoefficientModel, name)
 
-            def counted(self, i, _name=name, _original=original):
-                calls[_name] += 1
+            def recorded(self, i, _calls=seen[name], _original=original):
+                _calls.setdefault(sys._getframe(1).f_code.co_name, []).append(np.array(i, dtype=float).ravel())
                 return _original(self, i)
 
-            monkeypatch.setattr(bd.CoefficientModel, name, counted)
-        return calls
-
-    @staticmethod
-    def _record(monkeypatch, name) -> list:
-        """The index array of every call of ``CoefficientModel.<name>``."""
-        seen = []
-        original = getattr(bd.CoefficientModel, name)
-
-        def recorded(self, i):
-            seen.append(np.array(i, dtype=float).ravel())
-            return original(self, i)
-
-        monkeypatch.setattr(bd.CoefficientModel, name, recorded)
+            monkeypatch.setattr(bd.CoefficientModel, name, recorded)
         return seen
 
-    # log b is evaluated in ``scans`` index ranges, each index once: the
-    # log-Q prefix's 2..n_series, a block at a time, and for the exponential
+    # the rates are evaluated by ``scans`` consumers in the preamble, each
+    # index once per consumer: the log-Q prefix's a_1..a_{n-1} and
+    # b_2..b_n at n = n_series, a block at a time, and for the exponential
     # tail the model build's 1..10^4 b_bar scan.  An experiment and the
-    # supersolution command evaluate log b no further than their preamble
-    # does: z_s has one producer (the prepare cases keep the ids
-    # [power_law-1] and [exponential_tail-2])
+    # supersolution command add ``rate_pairs``' one evaluation, and extend
+    # no scan of the preamble: z_s has one producer (the prepare cases keep
+    # the ids [power_law-1] and [exponential_tail-2])
     @pytest.mark.parametrize("family,scans,run", [
         pytest.param(family, scans, run, id="-".join([family, str(scans)] + [run] * (run != "prepare")))
         for family, scans in [("power_law", 1), ("exponential_tail", 2)]
         for run in ("prepare", "experiment", "supersolution")
     ])
     def test_prepare_computes_log_q_once(self, monkeypatch, tmp_path, family, scans, run):
-        seen = self._record(monkeypatch, "log_b")
+        seen = self._record(monkeypatch)
         config = ExperimentConfig(family=family)
         if run == "prepare":
             prepare(config)
@@ -277,19 +267,32 @@ class TestModelSequencesOnce:
             path = tmp_path / "exp.toml"
             path.write_text(template_text().replace('family = "power_law"', f'family = "{family}"'))
             assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        long = [i for i in seen if len(i) > _BLOCK]
-        blocked = [i for i in seen if len(i) <= _BLOCK]
-        b_bar_scan = [] if family == "power_law" else [np.arange(1, _EVAL_RANGE + 1, dtype=float)]
-        assert len(long) == len(b_bar_scan) == scans - 1
-        assert all(np.array_equal(i, j) for i, j in zip(long, b_bar_scan))
-        assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(2, config.n_series + 1))
+        b_bar_scan = {} if family == "power_law" else {"_sup_ratio_b_over_a": 1}
+        pairs = {} if run == "prepare" else {"rate_pairs": 1}
+        assert len(b_bar_scan) == scans - 1
+        for name, first in (("a", 1), ("b", 2)):
+            calls = seen[name]
+            blocked = calls.pop("detailed_balance")
+            assert {caller: len(c) for caller, c in calls.items()} == {**b_bar_scan, **pairs}
+            for i in calls.get("_sup_ratio_b_over_a", []):
+                assert np.array_equal(i, np.arange(1, _EVAL_RANGE + 1))
+            assert all(len(i) <= _BLOCK for i in blocked)
+            assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(first, config.n_series + first - 1))
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_an_experiment_evaluates_the_rates_once(self, monkeypatch, family):
-        calls = self._count(monkeypatch, "a", "b")
-        report = run_uniform_moment_experiment(ExperimentConfig(family=family))
+        # each consumer evaluates the rates once: rate_pairs in one call, the
+        # log-Q prefix once per block, the exponential tail's b_bar scan once
+        seen = self._record(monkeypatch)
+        config = ExperimentConfig(family=family)
+        report = run_uniform_moment_experiment(config)
         assert report.supersolution is not None  # every consumer of the rates ran
-        assert calls == {"a": 1, "b": 1}
+        blocks = len(list(index_blocks(1, config.n_series)))
+        expected = {"rate_pairs": 1, "detailed_balance": blocks}
+        if family == "exponential_tail":
+            expected["_sup_ratio_b_over_a"] = 1
+        for calls in seen.values():
+            assert {caller: len(c) for caller, c in calls.items()} == expected
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_the_preamble_holds_log_q_and_one_term_array(self, family):

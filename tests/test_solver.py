@@ -159,6 +159,25 @@ class TestIntegrate:
         message = str(err.value)
         assert "truncation N" in message and "rel_tol" in message and "implicit" not in message
 
+    @pytest.mark.parametrize("rhs, refusal", [
+        (lambda t, y: np.full_like(y, np.nan), r"the right-hand side is not finite at t=0\.5"),
+        (lambda t, y: -np.inf * y, r"the right-hand side is not finite at t=0\.5"),
+        # finite entries whose squares overflow: the norm of f is inf, and h 0
+        (lambda t, y: 1e200 * np.ones_like(y), r"no finite initial step size at t=0\.5 \(h=0\)"),
+    ], ids=["nan", "minus_inf_times_y", "norm_overflows"])
+    def test_a_non_finite_right_hand_side_fails_fast(self, rhs, refusal):
+        # not the step budget after millions of NaN steps, nor a bare
+        # ZeroDivisionError from the initial step
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        with pytest.raises(bd.NumericalError, match=refusal) as err, np.errstate(over="ignore"):
+            _rk.solve_rk54(f, 0.5, np.array([1.0, 2.0]), 2.0)
+        assert not isinstance(err.value, StepSizeUnderflowError) and len(calls) <= 10
+
     @pytest.mark.parametrize("t_end, t_eval, refusal", [
         (0.0, None, "t_end must exceed t0"),
         (-1.0, None, "t_end must exceed t0"),

@@ -35,8 +35,9 @@ with the keys that moved and their two values; then, for each numeric key
 that moved, the number of configs it moved in and its largest relative
 change, so a round-off change reads as one line per key; then the number
 of configs that moved from each cause (exit code with stderr, or failed
-stage and flag) to each other, then the number of such configs; it exits 1
-if there are any.
+stage and flag) to each other, then the number of such configs, and last,
+one line per output file, the number of configs whose file moved (for
+example ``files.timeseries.csv: 155``); it exits 1 if any config differs.
 """
 from __future__ import annotations
 
@@ -215,10 +216,13 @@ def compare(before: Path, after: Path) -> int:
 
     old, new = records(before), records(after)
     changed = [(a, b) for a, b in zip(old, new) if a != b]
+    files: Counter = Counter()  # output file -> configs it moved in
     for a, b in changed:
         fa, fb = dict(flat(a)), dict(flat(b))
         label = {k: v for k, v in a.items() if k in (*GRID, "workload", "label")}
-        moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in {**fa, **fb} if fa.get(k) != fb.get(k)]
+        keys = [k for k in {**fa, **fb} if fa.get(k) != fb.get(k)]
+        files.update(k for k in keys if k.startswith("files."))
+        moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in keys]
         print(f"{json.dumps(label) if label else 'totals'}: {'; '.join(moved)}")
     for key, (count, largest) in sorted(numeric_moves(changed).items()):
         print(f"{key}: moved in {count} configs, largest relative change {largest:.3g}")
@@ -227,6 +231,8 @@ def compare(before: Path, after: Path) -> int:
         print(f"{count:5d}  {was} -> {now}")
     print(f"{len(changed)} of {max(len(old), len(new))} records differ" + (
         "" if len(old) == len(new) else f"; the files have {len(old)} and {len(new)} records"))
+    for key, count in sorted(files.items()):
+        print(f"{key}: {count}")
     return 1 if changed or len(old) != len(new) else 0
 
 
