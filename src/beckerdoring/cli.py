@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .coefficients import check_assumptions
 from .config import load_config, template_text
-from .equilibrium import fsum_array, relative_free_energy
+from .equilibrium import N_SERIES, fsum_array, relative_free_energy
 from .errors import (
     BeckerDoringError,
     ConfigError,
@@ -22,7 +23,6 @@ from .errors import (
     SupercriticalError,
 )
 from .experiments import (
-    assumption_report,
     dominating_sequence,
     emit_report,
     export_supersolution,
@@ -178,7 +178,7 @@ def _cmd_supersolution(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
-    report = assumption_report(config.build_model(), config)
+    report = check_assumptions(config.build_model(), N_SERIES)
     for _, line in report.checks():
         print(line)
     print(f"all_ok={report.all_ok}")

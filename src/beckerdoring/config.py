@@ -23,8 +23,7 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # the integrator two sizes (the equilibrium profile's tail estimate reads
 # its last two entries), the weight-growth bound delta is at least 1, and a
 # negative tolerance or threshold would pass for 0 or run as given
-_MINIMUM = {"snapshots": 2, "n": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "tol_dom": 0.0,
-            "delta": 1.0}
+_MINIMUM = {"snapshots": 2, "n": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "delta": 1.0}
 
 TEMPLATE = """\
 # model
@@ -56,8 +55,6 @@ stretched = [[1.0, 0.5]]    # (alpha, mu) pairs to certify
 omega = 0.0                 # monomer cap; 0 selects z_bar + omega_margin*(z_s - z_bar)
 omega_margin = 0.1
 delta = 1.0                 # weight-growth bound for the construction, >= 1
-tol_dom = 0.0               # domination slack; 0 selects 1e-10 * rho
-n_series = 100000           # truncation for critical-value estimates
 seed = 0                    # recorded for randomized corpora; dynamics are deterministic
 """
 

@@ -17,7 +17,8 @@ import numpy as np
 from .coefficients import CoefficientModel, detailed_balance, index_blocks
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
-_N_SERIES_DEFAULT = 100_000
+N_SERIES = 100_000  # the prefix length a formula family's critical values are estimated from
+ACTIVITY_TOL = 1e-12  # the activity solve's relative tolerance on F(z_bar) = rho
 _N_CAP = 1 << 21
 
 
@@ -33,7 +34,7 @@ class CriticalValues(NamedTuple):
 
 def critical_values(
     model: CoefficientModel,
-    n: int = _N_SERIES_DEFAULT,
+    n: int = N_SERIES,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> CriticalValues:
     """(z_s, rho_s) of a model, from its detailed-balance prefix.
@@ -76,7 +77,7 @@ class _LogQPrefix:
     longer prefix starts with the bits of every shorter one.
 
     ``experiments.prepare`` makes one per preamble: ``critical_values``
-    fills it at n_series, and the activity solve's bisection and
+    fills it at ``N_SERIES``, and the activity solve's bisection and
     ``equilibrium_profile`` slice it.  It is dropped with the preamble's
     locals, so its 10^5 entries do not outlive ``prepare``.  It holds one
     array; a longer prefix replaces it, grown from the last entry of the
@@ -102,10 +103,6 @@ def _series_at_activity(
     at most ``tol_abs``, which is added to the sum; it stops unconverged at
     ``n_cap`` (or a rate table's length)."""
     model = log_q_prefix.model
-    if z < 0:
-        raise ParameterError("activity must be non-negative")
-    if z == 0.0:
-        return 0.0, True, np.zeros(0)
     if model.table_length is not None:
         n_cap = min(n_cap, model.table_length)
     log_z = math.log(z)
@@ -151,7 +148,6 @@ def _series_terms(log_q: np.ndarray, log_z: float) -> np.ndarray:
 def solve_monomer_activity(
     model: CoefficientModel,
     rho: float,
-    tol: float = 1e-12,
     *,
     critical: CriticalValues,
     log_q_prefix: _LogQPrefix | None = None,
@@ -166,7 +162,8 @@ def solve_monomer_activity(
     the iterates descend onto it.  F'(z) = sum_i i t_i / z is read from the
     terms t_i that F(z) summed, at its truncation.  An iterate where F is
     below rho or its series did not converge, or a step that leaves the
-    bracket, bisects the bracket instead.  Stops at |F(z) - rho| <= tol rho.
+    bracket, bisects the bracket instead.  Stops at
+    |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
     Raises SupercriticalError when rho >= rho_s, and NumericalError when
     no bracket is found or the bracket collapses short of the tolerance.
     The truncations of F slice ``log_q_prefix`` (a new one when None).
@@ -177,11 +174,11 @@ def solve_monomer_activity(
         raise SupercriticalError(
             f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
         )
-    tol_series = tol * rho / 10.0
+    tol = ACTIVITY_TOL * rho
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
 
     def f(z: float) -> tuple[float, np.ndarray | None]:
-        value, converged, terms = _series_at_activity(log_q_prefix, z, tol_series)
+        value, converged, terms = _series_at_activity(log_q_prefix, z, tol / 10.0)
         return (float(value), terms) if converged else (math.inf, None)
 
     lo, hi = 0.0, 0.999 * critical.z_s
@@ -197,7 +194,7 @@ def solve_monomer_activity(
         value, terms = f(hi)
     z = hi
     for _ in range(200):
-        if abs(value - rho) <= tol * rho:
+        if abs(value - rho) <= tol:
             return z
         if value < rho:
             lo = z
@@ -215,9 +212,9 @@ def solve_monomer_activity(
         value, terms = f(z)
     z_bar = 0.5 * (lo + hi)
     residual = abs(f(z_bar)[0] - rho)
-    if not residual <= tol * rho:
+    if not residual <= tol:
         raise NumericalError(
-            f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol * rho:.3g}"
+            f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol:.3g}"
         )
     return z_bar
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import (
-    AssumptionReport,
     CoefficientModel,
     Family,
     check_assumptions,
@@ -29,6 +28,8 @@ from .coefficients import (
     make_power_law_model,
 )
 from .equilibrium import (
+    ACTIVITY_TOL,
+    N_SERIES,
     CriticalValues,
     EquilibriumData,
     _LogQPrefix,
@@ -61,11 +62,12 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment, flat and serializable.
 
     ``omega = 0`` selects z_bar + omega_margin * (z_s - z_bar); ``abs_tol``
-    and ``tol_dom`` of 0 select the density-scaled defaults.  For
-    ``init = "file"`` the density is taken from the file and ``rho`` is
-    ignored: z_bar, the default omega, the equilibrium profile and H belong
-    to the file's density.  Every other shape is scaled to hit ``rho``
-    exactly.
+    of 0 selects the density-scaled default.  For ``init = "file"`` the
+    density is taken from the file and ``rho`` is ignored: z_bar, the
+    default omega, the equilibrium profile and H belong to the file's
+    density.  Every other shape is scaled to hit ``rho`` exactly.  No field
+    sets a gate's slack or the critical-value series length: each is a
+    constant of the module that owns it.
     """
 
     family: str = "power_law"
@@ -90,8 +92,6 @@ class ExperimentConfig:
     omega: float = 0.0
     omega_margin: float = 0.1
     delta: float = 1.0
-    tol_dom: float = 0.0
-    n_series: int = 100_000
     seed: int = 0
 
     def build_model(self) -> CoefficientModel:
@@ -139,7 +139,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{where} carries no mass in sizes 1..{self.n}")
             return c
         else:
-            raise ConfigError(f"unknown initial shape {self.init!r}")
+            raise ConfigError(f"unknown init {self.init!r}")
         mass = fsum_array(i * shape)
         if mass <= 0:
             raise ConfigError("initial shape carries no mass")
@@ -174,13 +174,14 @@ def prepare(config: ExperimentConfig) -> Preamble:
     the pipeline: every later consumer reads ``Preamble.critical``.  Adds no
     refusal of its own: a supercritical density fails in the activity
     solve.  The three share one log-Q prefix: the critical values compute it
-    at n_series, the activity solve and the profile slice it.  The activity
-    solves the density of the initial state: ``config.rho``, or for
-    ``init = "file"`` the file's, which is read first.
+    at ``equilibrium.N_SERIES`` = 10^5, the activity solve and the profile
+    slice it.  The activity solves the density of the initial state:
+    ``config.rho``, or for ``init = "file"`` the file's, which is read
+    first.
     """
     model = config.build_model()
     log_q_prefix = _LogQPrefix(model)
-    crit = critical_values(model, config.n_series, log_q_prefix=log_q_prefix)
+    crit = critical_values(model, log_q_prefix=log_q_prefix)
     c0 = config.initial_state() if config.init == "file" else None
     rho = config.rho if c0 is None else density(c0)
     z_bar = solve_monomer_activity(model, rho, critical=crit, log_q_prefix=log_q_prefix)
@@ -198,27 +199,23 @@ def prepare(config: ExperimentConfig) -> Preamble:
     return Preamble(model, crit, z_bar, eq, c0, density(c0), omega, opts)
 
 
-def assumption_report(model: CoefficientModel, config: ExperimentConfig) -> AssumptionReport:
-    """``check_assumptions`` over i = 1..min(n_series, 100 000), clamped to a
-    rate table's rows: the scan that ``verify`` reports."""
-    return check_assumptions(model, min(config.n_series, 100_000))
-
-
 def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams, tuple[Certificate, ...]]:
     """The preamble of a config, its build parameters and one ``Certificate``
     per tracked weight, after every refusal that needs no trajectory, in
     this order: the weights (ConfigError for a moment order below
     max(2 - gamma, 1 + gamma), a stretched pair outside the sublinear branch
     or overflowing at N, two weights with one stage label); ``prepare``; a
-    rate table that fails ``assumption_report`` (ConfigError naming each
-    failed check; the formula families meet the assumptions through their
-    parameter ranges, and are not scanned); ``make_params``, over the rates
-    up to max(N, 1000); ParameterError for a cap that the truncated system's
-    equilibrium monomer z_N reaches: c_1 tends to z_N, the root of
+    rate table that fails ``check_assumptions`` over i = 1..N_SERIES,
+    clamped to its rows (ConfigError naming each failed check; the formula
+    families meet the assumptions through their parameter ranges, and are
+    not scanned); ``make_params``, over the rates up to max(N, 1000);
+    ParameterError for a cap that the truncated system's equilibrium
+    monomer z_N reaches: c_1 tends to z_N, the root of
     F_N(z) = sum_{i<=N} i Q_i z^i = rho, and z_N >= omega exactly when
     F_N(omega) <= rho.  z_bar solves F(z_bar) = rho only to the activity
-    solve's relative tolerance 1e-12, so a cap that close (omega = z_bar at
-    omega_margin = 0) is refused too: F_N(omega) <= rho (1 + 1e-12).  Last,
+    solve's relative tolerance ``ACTIVITY_TOL`` = 1e-12, so a cap that close
+    (omega = z_bar at omega_margin = 0) is refused too:
+    F_N(omega) <= rho (1 + ACTIVITY_TOL).  Last,
     per tracked weight, its phi's ``short_time_constant`` and its psi's
     ``anchor_index`` (PhiDecayError)."""
     gamma = config.gamma
@@ -261,13 +258,13 @@ def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams, 
             )
     prep = prepare(config)
     if prep.model.family is Family.CUSTOM:
-        failed = [line for ok, line in assumption_report(prep.model, config).checks() if not ok]
+        failed = [line for ok, line in check_assumptions(prep.model, N_SERIES).checks() if not ok]
         if failed:
             raise ConfigError(f"rate file {config.rates_file!r} fails the standing assumptions: {'; '.join(failed)}")
     params = make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
     eq, omega, rho = prep.equilibrium, prep.omega, prep.rho
     f_n = float(np.sum(_series_terms(eq.log_profile, math.log(omega / prep.z_bar))))
-    if f_n <= rho * (1 + 1e-12):
+    if f_n <= rho * (1 + ACTIVITY_TOL):
         raise ParameterError(
             f"omega = {omega:.6g} is at or below z_N, the equilibrium monomer of the system truncated at "
             f"N = {config.n}, where c_1 tends: sum_(i<=N) i Q_i omega^i = {f_n:.6g} <= rho = {rho:.6g} "
@@ -285,10 +282,10 @@ def dominating_sequence(
     prep: Preamble, params: SupersolutionParams, g: np.ndarray
 ) -> tuple[Supersolution, SupersolutionCheck]:
     """Build the dominating sequence above the tail profile g and verify
-    the balance inequality with slack 1e-12 * rho, in closed form from the
-    sequence's floor row on."""
+    the balance inequality with its fixed slack 1e-12 rho, in closed form
+    from the sequence's floor row on."""
     sol = build_supersolution(prep.model, params, g)
-    return sol, verify_supersolution(sol.r, prep.model, params.omega, params.rho, tol=1e-12 * params.rho,
+    return sol, verify_supersolution(sol.r, prep.model, params.omega, params.rho,
                                      lam=params.lam, floor_row=sol.floor_row)
 
 
@@ -508,8 +505,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             )
         )
 
-        tol_dom = config.tol_dom if config.tol_dom > 0 else None
-        dom = check_domination(trajectory, super_sol.r, t0, tol_dom)
+        dom = check_domination(trajectory, super_sol.r, t0)
         stages.append(
             StageResult(
                 "domination",

@@ -17,7 +17,7 @@ from .errors import ParameterError
 from .solver import Trajectory
 from .tails import tail_density
 
-DEFAULT_DOMINATION_TOL_FACTOR = 1e-10  # times the density
+DOMINATION_TOL_FACTOR = 1e-10  # times the density
 
 
 class DominationReport(NamedTuple):
@@ -39,15 +39,15 @@ def check_domination(
     trajectory: Trajectory,
     r: np.ndarray,
     t_start: float,
-    tol_dom: float | None = None,
 ) -> DominationReport:
     """Check G_j(t) <= r_j for every snapshot with t >= t_start.
 
     ``r`` is the dominating sequence, at least as long as the truncation
-    (a supersolution's ``r``).  The tolerance absorbs integrator
-    round-off and defaults to 1e-10 times the run's density; at finite
-    truncation no epsilon-shift is needed.  The window is checked in one
-    pass over the snapshot matrix, trimmed to the run's support.
+    (a supersolution's ``r``).  The slack, reported as ``tol``, absorbs
+    integrator round-off: a fixed ``DOMINATION_TOL_FACTOR`` = 1e-10 times
+    the run's density; at finite truncation no epsilon-shift is needed.
+    The window is checked in one pass over the snapshot matrix, trimmed to
+    the run's support.
     """
     r = np.asarray(r, dtype=float)
     times = trajectory.times
@@ -57,8 +57,7 @@ def check_domination(
     n = trajectory.n
     if len(r) < n:
         raise ParameterError("dominating sequence shorter than the truncation")
-    rho = float(trajectory.rho[0])
-    eps = tol_dom if tol_dom is not None else DEFAULT_DOMINATION_TOL_FACTOR * max(rho, 1e-300)
+    eps = DOMINATION_TOL_FACTOR * max(float(trajectory.rho[0]), 1e-300)
     window = trajectory.states[start:]
     # the stored head ends at the run's support: the columns past it are
     # zero, so they change neither the suffix sums nor the largest gaps

@@ -31,6 +31,7 @@ from .equilibrium import fsum_array, settled_fsum, support_length
 from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
 
 _SCAN_DEFAULT = 100_000
+BALANCE_TOL_FACTOR = 1e-12  # times the density: the balance check's slack
 TAIL_DECAY_TOL = 1e-6  # g_N must be below this share of rho: g is taken as 0 past N
 _TINY = 2.0**-1022  # the smallest normal float: an increment below it is subnormal
 
@@ -257,7 +258,7 @@ class SupersolutionCheck(NamedTuple):
 
     ok: bool
     r1_ok: bool
-    worst_margin: float  # max over j of lhs_j / scale_j; <= tol means pass
+    worst_margin: float  # max over j of lhs_j / scale_j; <= 1e-12 rho means pass
     worst_index: int | None
     n_checked: int
 
@@ -267,12 +268,12 @@ def verify_supersolution(
     model: CoefficientModel,
     omega: float,
     rho: float,
-    tol: float,
     *,
     lam: float | None = None,
     floor_row: int | None = None,
 ) -> SupersolutionCheck:
-    """Check r_1 >= rho - tol and the balance inequality on 2 <= j <= N-1.
+    """Check r_1 >= rho - tol and the balance inequality on 2 <= j <= N-1,
+    with the fixed slack tol = ``BALANCE_TOL_FACTOR`` rho = 1e-12 rho.
 
     Each row is allowed slack tol * (a_{j-1} omega r_{j-1} + b_j r_j), the
     natural magnitude of the two competing fluxes.  Without ``floor_row``
@@ -295,6 +296,7 @@ def verify_supersolution(
     k = n if floor_row is None else min(floor_row, n)
     if k < 3 or (k < n and lam is None):
         raise ParameterError("the closed-form rows need lambda and start at row 3 or later")
+    tol = BALANCE_TOL_FACTOR * rho
     r1_ok = bool(r[0] >= rho - tol)
     a_prev, b_j = model.rate_pairs(n - 1)
     a_head = a_prev[: k - 2] * omega

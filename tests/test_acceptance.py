@@ -79,7 +79,7 @@ def test_criterion_2_detailed_balance_fixed_point(flagship_model, flagship_equil
 
 
 def test_criterion_3_equilibrium_solve_exact(ones_model):
-    z = bd.solve_monomer_activity(ones_model, 2.0, tol=1e-12, critical=bd.critical_values(ones_model))
+    z = bd.solve_monomer_activity(ones_model, 2.0, critical=bd.critical_values(ones_model))
     err = abs(z - 0.5)
     _criterion(3, "equilibrium solve exactness", err <= 1e-12, f"|z-1/2|={err:.3g}")
 
@@ -199,7 +199,7 @@ def test_criterion_7_supersolution_round_trip():
         g = tail_density(c)
         params = make_params(model, omega, rho, delta=1.0, n_max=2000, z_s=model.z_s_param)
         sol = build_supersolution(model, params, g)
-        check = verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
+        check = verify_supersolution(sol.r, model, omega, rho)
         if not check.ok:
             failures.append((trial, "verify", check.worst_margin))
             continue

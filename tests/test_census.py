@@ -1,0 +1,31 @@
+import sys
+from pathlib import Path
+
+from beckerdoring import experiments
+from beckerdoring.config import template_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import census  # noqa: E402
+
+
+def _line_of(path: Path, fragment: str) -> int:
+    return next(number for number, line in enumerate(path.read_text().splitlines(), 1) if fragment in line)
+
+
+def test_lines_not_run_reads_the_tracer(monkeypatch):
+    # one small template run: the domination check runs, the unknown-family
+    # refusal does not; every module of the package is listed
+    monkeypatch.setattr(experiments, "integrate", experiments.integrate)  # census wraps it
+    tracer = sys.gettrace()
+    text = template_text().replace("n = 2000", "n = 300").replace("t_end = 200.0", "t_end = 10.0")
+    missing = census.lines_not_run([({"label": "small"}, text)])
+    source = Path(experiments.__file__)
+    assert _line_of(source, "dom = check_domination(") not in missing["experiments.py"]
+    assert _line_of(source, 'raise ConfigError(f"unknown family') in missing["experiments.py"]
+    assert set(missing) == {path.name for path in source.parent.glob("*.py")}
+    assert sys.gettrace() is tracer
+
+
+def test_spans_joins_consecutive_lines():
+    assert census.spans([3, 7, 8, 9, 12]) == "3, 7-9, 12"
+    assert census.spans([]) == ""

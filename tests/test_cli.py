@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import beckerdoring as bd
 from beckerdoring.cli import _exit_code, main
 from beckerdoring.config import load_config, template_text
+from beckerdoring.equilibrium import N_SERIES
 from beckerdoring.errors import ConfigError
 from beckerdoring.experiments import (
     ExperimentConfig, dominating_sequence, preflight, prepare, run_uniform_moment_experiment,
@@ -61,7 +62,7 @@ def test_verify_ok(small_config, tmp_path, capsys):
 
 
 def test_verify_stops_at_the_table_end(tmp_path, capsys):
-    # a 500-row power-law table under the default n_series = 100000
+    # a 500-row power-law table under the scan length N_SERIES = 100000
     rates = tmp_path / "rates.txt"
     model = bd.make_power_law_model(0.5, 1.0, 1.0, 0.5)
     rates.write_text("".join(f"{i} {model.a(i)!r} {model.b(i)!r}\n" for i in range(1, 501)))
@@ -430,18 +431,22 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
         pytest.param("rel_tol = -1e-8", id="negative-rel-tol"),
         pytest.param("abs_tol = -1e-14", id="negative-abs-tol"),
         pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
-        pytest.param("tol_dom = -1e-10", id="negative-tol-dom"),
+        # the lines of a template printed before the two keys were removed
+        pytest.param("tol_dom = 0.0", id="removed-tol-dom"),
+        pytest.param("n_series = 100000", id="removed-n-series"),
         pytest.param("delta = 0.5", id="delta-below-1"),
         pytest.param("n = 1", id="one-size"),
     ],
 )
 def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
-    # every value the config's TOML, its field types or their ranges refuse:
-    # exit 11 from every command with the key named, before anything runs
-    # or is written (a sweep makes its output directory, not the config's)
+    # every value the config's TOML, its field types or their ranges refuse,
+    # and every key that is not a field: exit 11 from every command with the
+    # key named, before anything runs or is written (a sweep makes its
+    # output directory, not the config's)
     key = line.split(" = ")[0]
     bad = tmp_path / "bad.toml"
-    bad.write_text(re.sub(rf"^{key} = .*$", line, small_config.read_text(), flags=re.M))
+    text, count = re.subn(rf"^{key} = .*$", line, small_config.read_text(), flags=re.M)
+    bad.write_text(text if count else text + line + "\n")
     out = tmp_path / "o"
     for argv in (["equilibrium"], ["verify"], ["simulate", "--out", str(out)],
                  ["supersolution", "--out", str(out)], ["experiment", "--out", str(out)]):
@@ -587,6 +592,74 @@ def test_malformed_rate_table_exit_11(tmp_path, capsys, row, line):
         assert err.startswith("config error: rate file ") and str(rates) in err, err
         assert "Traceback" not in err
         assert not (tmp_path / command).exists()
+
+
+_TABLE = "".join(f"{i} 1.0 2.0\n" for i in range(1, 101))
+
+
+@pytest.mark.parametrize("lines, files, named", [
+    pytest.param(['family = "custom"'], {}, "rates_file", id="custom-without-rates-file"),
+    pytest.param(['family = "power-law"'], {}, "unknown family 'power-law'", id="unknown-family"),
+    pytest.param(['init = "geometric"', "init_ratio = 1.5"], {}, "init_ratio", id="init-ratio-above-1"),
+    pytest.param(['init = "file"', 'init_file = "{c0}"'], {"c0": "1 0.5 0.0\n2 0.25 0.0\n"}, "'{c0}'",
+                 id="init-file-three-columns"),
+    pytest.param(['init = "uniform"'], {}, "unknown init 'uniform'", id="unknown-init"),
+    pytest.param(['family = "exponential_tail"', "mu_c = 1.0"], {}, "mu_c", id="exponential-tail-mu-c-1"),
+    pytest.param(['family = "custom"', 'rates_file = "{rates}"'], {"rates": "1 1.0 2.0\n"}, "'{rates}'",
+                 id="one-row-rate-file"),
+    pytest.param(['family = "custom"', 'rates_file = "{rates}"'],
+                 {"rates": _TABLE.replace("\n5 1.0 2.0\n", "\n5 1.0 0.0\n")}, "'{rates}'", id="zero-b-5"),
+    pytest.param(['family = "custom"', 'rates_file = "{rates}"'],
+                 {"rates": _TABLE.replace(" 2.0\n", " 2.0 0.0\n")}, "'{rates}'", id="four-column-rate-file"),
+])
+def test_config_refusals_exit_11(small_config, tmp_path, capsys, monkeypatch, lines, files, named):
+    # a model, rate file, initial shape or initial-state file that a config
+    # names and that cannot be built: exit 11 naming the key or the file,
+    # and nothing is integrated or written
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a config that cannot be built")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    text = small_config.read_text()
+    for line in lines:
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", line.format(**paths), text, flags=re.M)
+    path = tmp_path / "refused.toml"
+    path.write_text(text)
+    for command in ("experiment", "verify"):
+        out = ["--out", str(tmp_path / command)] if command == "experiment" else []
+        assert main([command, "--config", str(path), *out]) == 11, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named.format(**paths) in err, (command, err)
+        assert not (tmp_path / command).exists()
+
+
+def test_a_climbing_fragmentation_ratio_fails_verify(small_config, tmp_path, capsys, monkeypatch):
+    # a_i = 1 and b_i = 1, but for the last ten rows of 1000, where b_i/a_i
+    # climbs to 1.01: the sup of b_i/a_i is still rising at the scan's end
+    rates = tmp_path / "rates.txt"
+    b = [1.0] * 990 + [1.0 + 1e-3 * k for k in range(1, 11)]
+    rates.write_text("".join(f"{i} 1.0 {b_i!r}\n" for i, b_i in enumerate(b, start=1)))
+    table = tmp_path / "table.toml"
+    table.write_text(small_config.read_text().replace('family = "power_law"', 'family = "custom"')
+                     .replace('rates_file = ""', f'rates_file = "{rates}"').replace("n = 300", "n = 100"))
+    assert main(["verify", "--config", str(table)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["frag_ok=False b_bar_observed=1.01", out[1], out[2], "all_ok=False"]
+    assert out[1].startswith("ratio_ok=True") and out[2] == "profile_monotone_ok=True start_index=1"
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a rate table that verify rejects")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    assert main(["experiment", "--config", str(table), "--out", str(tmp_path / "out")]) == 11
+    err = capsys.readouterr().err
+    assert err == (f"config error: rate file {str(rates)!r} fails the standing assumptions: "
+                   "frag_ok=False b_bar_observed=1.01\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_stretched_weight_exit_11(tmp_path, capsys):
@@ -801,7 +874,7 @@ def _robustness_config(family: str, gamma: float, mu_c: float, share: float, ini
     gamma = 1, where the linear branch refuses them."""
     config = ExperimentConfig(family=family, gamma=gamma, mu_c=mu_c)
     try:
-        rho_s = bd.critical_values(config.build_model(), config.n_series).rho_s
+        rho_s = bd.critical_values(config.build_model(), N_SERIES).rho_s
         rho = share * (rho_s if math.isfinite(rho_s) else 10.0)
     except bd.ParameterError:
         rho = 1.0

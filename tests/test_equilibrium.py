@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
-from beckerdoring.equilibrium import _LogQPrefix, _series_at_activity, fsum_array
+from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 import oracles
@@ -173,7 +173,7 @@ class TestBlockedSeries:
 class TestSolveActivity:
     def test_closed_form_exact(self, ones_model):
         # F(z) = z/(1-z)^2 = 2 has root 2z^2 - 5z + 2 = 0, z = 1/2
-        z = bd.solve_monomer_activity(ones_model, 2.0, tol=1e-12, critical=bd.critical_values(ones_model))
+        z = bd.solve_monomer_activity(ones_model, 2.0, critical=bd.critical_values(ones_model))
         assert z == pytest.approx(0.5, abs=1e-12)
 
     def test_tiny_density_gives_tiny_activity(self, family_a):
@@ -247,7 +247,7 @@ class TestSolveActivity:
         config = ExperimentConfig(family=family)
         model = config.build_model()
         prefix = _LogQPrefix(model)
-        crit = bd.critical_values(model, config.n_series, log_q_prefix=prefix)
+        crit = bd.critical_values(model, N_SERIES, log_q_prefix=prefix)
         calls = []
         series = equilibrium._series_at_activity
 
@@ -280,7 +280,7 @@ class TestSolveActivity:
             except ParameterError:
                 continue
             prefix = _LogQPrefix(model)
-            crit = bd.critical_values(model, config.n_series, log_q_prefix=prefix)
+            crit = bd.critical_values(model, N_SERIES, log_q_prefix=prefix)
             rho = share * (crit.rho_s if math.isfinite(crit.rho_s) else 10.0)
             try:
                 z = bd.solve_monomer_activity(model, rho, critical=crit, log_q_prefix=prefix)

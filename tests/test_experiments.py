@@ -15,7 +15,7 @@ from beckerdoring.cli import main
 from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE, index_blocks
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
-from beckerdoring.equilibrium import support_length
+from beckerdoring.equilibrium import N_SERIES, support_length
 from beckerdoring.experiments import (
     ExperimentConfig, emit_report, preflight, prepare, run_uniform_moment_experiment, weighted_l1_distance,
     write_trajectory_csv,
@@ -246,7 +246,7 @@ class TestModelSequencesOnce:
 
     # the rates are evaluated by ``scans`` consumers in the preamble, each
     # index once per consumer: the log-Q prefix's a_1..a_{n-1} and
-    # b_2..b_n at n = n_series, a block at a time, and for the exponential
+    # b_2..b_n at n = N_SERIES, a block at a time, and for the exponential
     # tail the model build's 1..10^4 b_bar scan.  An experiment and the
     # supersolution command add ``rate_pairs``' one evaluation, and extend
     # no scan of the preamble: z_s has one producer (the prepare cases keep
@@ -277,7 +277,7 @@ class TestModelSequencesOnce:
             for i in calls.get("_sup_ratio_b_over_a", []):
                 assert np.array_equal(i, np.arange(1, _EVAL_RANGE + 1))
             assert all(len(i) <= _BLOCK for i in blocked)
-            assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(first, config.n_series + first - 1))
+            assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(first, N_SERIES + first - 1))
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_an_experiment_evaluates_the_rates_once(self, monkeypatch, family):
@@ -287,7 +287,7 @@ class TestModelSequencesOnce:
         config = ExperimentConfig(family=family)
         report = run_uniform_moment_experiment(config)
         assert report.supersolution is not None  # every consumer of the rates ran
-        blocks = len(list(index_blocks(1, config.n_series)))
+        blocks = len(list(index_blocks(1, N_SERIES)))
         expected = {"rate_pairs": 1, "detailed_balance": blocks}
         if family == "exponential_tail":
             expected["_sup_ratio_b_over_a"] = 1
@@ -296,7 +296,7 @@ class TestModelSequencesOnce:
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_the_preamble_holds_log_q_and_one_term_array(self, family):
-        # log Q and the terms of F: 1.6 MB at n_series = 10^5; evaluated
+        # log Q and the terms of F: 1.6 MB at N_SERIES = 10^5; evaluated
         # whole, the scan's temporaries took the traced peak to 4.6-5.7 MB
         config = ExperimentConfig(family=family)
         prepare(config)  # lazy imports and first-call set-up are not traced
@@ -316,7 +316,7 @@ class TestModelSequencesOnce:
             while isinstance(array, np.ndarray):
                 sizes.add(array.size)
                 array = array.base
-        assert config.n in sizes and config.n_series not in sizes
+        assert config.n in sizes and N_SERIES not in sizes
 
 
 @pytest.fixture(scope="module")

@@ -178,6 +178,26 @@ class TestIntegrate:
             _rk.solve_rk54(f, 0.5, np.array([1.0, 2.0]), 2.0)
         assert not isinstance(err.value, StepSizeUnderflowError) and len(calls) <= 10
 
+    def test_a_non_finite_error_norm_shrinks_the_step(self):
+        # y' = -1e4 (y - 0.8) from y = 1, undefined below y = 0.5, which the
+        # solution never reaches.  The starting heuristic's first step
+        # (h lambda = 3.5) puts the last four stage arguments there: its
+        # error norm is NaN, so the step is rejected and retried at
+        # _MIN_FACTOR times its size, and the run ends on the solution
+        calls = []
+
+        def f(t, y):
+            out = np.where(y >= 0.5, -1e4 * (y - 0.8), np.nan)
+            calls.append((t, bool(np.isfinite(out).all())))
+            return out
+
+        sol = _rk.solve_rk54(f, 0.0, np.array([1.0]), 1e-3)
+        # f(y0), the heuristic's probe, the first step's six stages, the retry's
+        assert [ok for _, ok in calls[:8]] == [True] * 4 + [False] * 4
+        assert calls[8][0] / calls[2][0] == pytest.approx(_rk._MIN_FACTOR, rel=1e-12)
+        assert sol.stats.n_rejected_error >= 1
+        assert sol.y[0] == pytest.approx(0.8 + 0.2 * math.exp(-10.0), rel=1e-9)
+
     @pytest.mark.parametrize("t_end, t_eval, refusal", [
         (0.0, None, "t_end must exceed t0"),
         (-1.0, None, "t_end must exceed t0"),

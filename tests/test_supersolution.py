@@ -109,7 +109,7 @@ class TestBuildSupersolution:
         sol = bd.build_supersolution(half_model, params, np.zeros(n))
         expected_s = (1.0 / 1.5) * 1.5 ** -np.arange(n, dtype=float)
         assert sol.s == pytest.approx(expected_s, rel=1e-12)
-        check = bd.verify_supersolution(sol.r, half_model, 1.0, 1.0, tol=1e-12)
+        check = bd.verify_supersolution(sol.r, half_model, 1.0, 1.0)
         assert check.ok and check.worst_margin < 0
 
     def test_wide_growth_bound_inflates_first_increment(self):
@@ -121,7 +121,7 @@ class TestBuildSupersolution:
         assert params.omega * (params.lam - 1.0) > 1.0
         sol = bd.build_supersolution(model, params, np.zeros(n))
         assert sol.r[0] >= 1.0 * (1 - 1e-12)
-        check = bd.verify_supersolution(sol.r, model, 1.5, 1.0, tol=1e-12)
+        check = bd.verify_supersolution(sol.r, model, 1.5, 1.0)
         assert check.ok
 
     def test_domination_and_shape(self, family_a):
@@ -209,13 +209,13 @@ class TestSupportTrimmedRecurrence:
 class TestVerifySupersolution:
     def test_constant_sequence(self, family_a):
         r = np.full(50, 2.0)
-        check = bd.verify_supersolution(r, family_a, 0.5, 2.0, tol=1e-12)
+        check = bd.verify_supersolution(r, family_a, 0.5, 2.0)
         assert check.ok
 
     def test_decaying_non_supersolution_located(self, ones_model):
         # r = g = 2^-j with omega close to z_s: balance flips positive
         r = 0.5 ** np.arange(1, 40)
-        check = bd.verify_supersolution(r, ones_model, 0.9, r[0], tol=1e-12)
+        check = bd.verify_supersolution(r, ones_model, 0.9, r[0])
         assert not check.ok
         assert check.worst_index is not None and check.worst_margin > 0
 
@@ -229,7 +229,7 @@ class TestVerifySupersolution:
             g = random_profile(rng, 300, rho)
             params = bd.make_params(model, omega, rho, n_max=2000, z_s=model.z_s_param)
             sol = bd.build_supersolution(model, params, g)
-            check = bd.verify_supersolution(sol.r, model, omega, rho, tol=1e-12 * rho)
+            check = bd.verify_supersolution(sol.r, model, omega, rho)
             assert check.ok, (model.family, omega, z_s, check.worst_margin)
 
 
@@ -505,7 +505,7 @@ class TestClosedFormRows:
         recording = _RecordingNumpy()
         monkeypatch.setattr(supersolution, "np", recording)
         poisoned = bd.verify_supersolution(_poisoned_past_floor(sol), prep.model, params.omega, params.rho,
-                                           tol=1e-12 * params.rho, lam=params.lam, floor_row=sol.floor_row)
+                                           lam=params.lam, floor_row=sol.floor_row)
         assert poisoned == check
         # lhs and scale, the only arrays formed from r, span rows 2..k-1
         assert {*recording.lengths["where"], *recording.lengths["all"]} == {sol.floor_row - 2}
@@ -514,8 +514,8 @@ class TestClosedFormRows:
         config, prep, _, (g, *_) = pipeline(PIPELINE_CONFIGS[2])
         _, params, _ = preflight(config)
         sol, _ = dominating_sequence(prep, params, g)
-        args = (sol.r, prep.model, params.omega, params.rho, 1e-12 * params.rho)
-        assert bd.verify_supersolution(*args) == oracles.verify_supersolution(*args)
+        args = (sol.r, prep.model, params.omega, params.rho)
+        assert bd.verify_supersolution(*args) == oracles.verify_supersolution(*args, 1e-12 * params.rho)
         with pytest.raises(ParameterError, match="need lambda"):
             bd.verify_supersolution(*args, floor_row=sol.floor_row)
 
