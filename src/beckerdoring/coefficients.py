@@ -45,6 +45,7 @@ from .errors import ConfigError, NumericalError, ParameterError
 
 _EVAL_RANGE = 10_000  # default range scanned when estimating sup-type constants
 _BLOCK = 8192  # indices of a long sequence evaluated at once
+RATIO_TOL = 1e-2  # the ratio check's relative slack on Q_{i+1}/Q_i -> 1/z_s
 
 
 def index_blocks(start: int, stop: int):
@@ -276,7 +277,8 @@ def detailed_balance(model: CoefficientModel, n: int, prefix: np.ndarray | None 
     log_q[:m] = 0.0 if prefix is None else prefix
     for lo, hi in index_blocks(m, n):
         i = np.arange(lo, hi, dtype=float)
-        np.log(model.a(i) / model.b(i + 1), out=log_q[lo:hi])
+        with np.errstate(divide="ignore"):  # a ratio that underflows to 0 is refused below
+            np.log(model.a(i) / model.b(i + 1), out=log_q[lo:hi])
     if m > 1:
         log_q[m] += log_q[m - 1]
     np.cumsum(log_q[m:], out=log_q[m:])
@@ -324,7 +326,7 @@ class AssumptionReport(NamedTuple):
         ]
 
 
-def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> AssumptionReport:
+def check_assumptions(model: CoefficientModel, n: int) -> AssumptionReport:
     """Scan i = 1..n and report whether the standing assumptions hold.
 
     For a rate table the scan stops at its last row (n is clamped to the
@@ -335,10 +337,10 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
 
     z_s is the model's stated ``z_s_param``.  The ratio check splits the
     last N/10 indices into blocks and requires the block-averaged gap
-    |Q_{i+1}/Q_i - 1/z_s| to shrink monotonically (within tol slack per
-    block) or to sit already within tol of the target.  The monotonicity
-    check of Q_i z_s^i allows an initial non-monotone prefix and reports
-    its end.
+    |Q_{i+1}/Q_i - 1/z_s| to shrink monotonically (within ``RATIO_TOL``
+    slack per block) or to sit already within ``RATIO_TOL`` of the
+    target.  The monotonicity check of Q_i z_s^i allows an initial
+    non-monotone prefix and reports its end.
     """
     if model.table_length is not None:
         n = min(n, model.table_length)
@@ -369,8 +371,8 @@ def check_assumptions(model: CoefficientModel, n: int, tol: float = 1e-2) -> Ass
     v = np.array([math.exp(float(np.mean(b))) for b in blocks])
     target = 1.0 / model.z_s_param
     gaps = np.abs(v - target)
-    trending = bool(np.all(gaps[1:] <= gaps[:-1] * (1 + tol) + slack * target))
-    ratio_ok = trending or bool(gaps[-1] <= tol * target)
+    trending = bool(np.all(gaps[1:] <= gaps[:-1] * (1 + RATIO_TOL) + slack * target))
+    ratio_ok = trending or bool(gaps[-1] <= RATIO_TOL * target)
 
     # monotonicity of Q_i z_s^i from some i0 on
     d = log_ratio_q + math.log(model.z_s_param)  # log of (Q_{i+1} z^{i+1}) / (Q_i z^i)

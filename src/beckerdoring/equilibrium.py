@@ -60,15 +60,27 @@ def critical_values(
         return CriticalValues(z_s=model.z_s_param, rho_s=float(np.sum(terms)))
     log_q = log_q_prefix(n)
     m = max(1, n // 10)
-    ratio_tail = math.exp((log_q[-1] - log_q[-1 - m]) / m)
-    if ratio_tail <= 0:
-        raise NumericalError("non-positive tail ratio estimate")
-    z_s = 1.0 / ratio_tail
+    z_s = 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m)
     terms = _series_terms(log_q, math.log(z_s))
     s_half = float(np.sum(terms[: n // 2]))
     s_full = float(np.sum(terms))
     diverges = s_half > 0 and s_full > s_half * (1.0 + 1e-6)
     return CriticalValues(z_s=z_s, rho_s=math.inf if diverges else s_full)
+
+
+def check_subcritical(model: CoefficientModel, rho: float, log_q: np.ndarray) -> None:
+    """Refuse (SupercriticalError, naming the full sum L and z_s) a density
+    that no partial sum of F(z_s) = sum_i i Q_i z_s^i exceeds, at the
+    model's own z_s, over the given log Q_1..log Q_n.  Each partial sum is a
+    lower bound on the exact rho_s, so a density below one is subcritical.
+    The first 32 terms are summed first: the templates need 2 of them."""
+    log_z = math.log(model.z_s_param)
+    for head in (log_q[:32], log_q):
+        total = float(np.sum(_series_terms(head, log_z)))
+        if total > rho:
+            return
+    raise SupercriticalError(f"density {rho:.6g} is not below the critical density: "
+                             f"sum_(i<={len(log_q)}) i Q_i z_s^i = {total:.6g} at z_s = {model.z_s_param:.6g}")
 
 
 class _LogQPrefix:
@@ -165,7 +177,8 @@ def solve_monomer_activity(
     bracket, bisects the bracket instead.  Stops at
     |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
     Raises SupercriticalError when rho >= rho_s, and NumericalError when
-    no bracket is found or the bracket collapses short of the tolerance.
+    no bracket is found or the iteration stalls short of the tolerance,
+    naming the last iterate's |F(z) - rho|.
     The truncations of F slice ``log_q_prefix`` (a new one when None).
     """
     if rho <= 0:
@@ -210,13 +223,7 @@ def solve_monomer_activity(
             break
         z = step
         value, terms = f(z)
-    z_bar = 0.5 * (lo + hi)
-    residual = abs(f(z_bar)[0] - rho)
-    if not residual <= tol:
-        raise NumericalError(
-            f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol:.3g}"
-        )
-    return z_bar
+    raise NumericalError(f"activity solve stalled: |F(z) - rho| = {abs(value - rho):.3g} > {tol:.3g}")
 
 
 class EquilibriumData(NamedTuple):
@@ -234,10 +241,6 @@ class EquilibriumData(NamedTuple):
     cut_index: int | None
     tail_bound: float
 
-    @property
-    def n(self) -> int:
-        return len(self.profile)
-
 
 def equilibrium_profile(
     model: CoefficientModel,
@@ -247,19 +250,10 @@ def equilibrium_profile(
     log_q_prefix: _LogQPrefix | None = None,
 ) -> EquilibriumData:
     """Build the length-n equilibrium profile for a given monomer activity
-    below ``critical.z_s``, from the first n entries of ``log_q_prefix`` (a
-    new one when None)."""
-    if z_bar < 0 or z_bar >= critical.z_s * (1 + 1e-9):
-        raise ParameterError(f"activity {z_bar} outside [0, z_s = {critical.z_s:.6g})")
-    if z_bar == 0.0:
-        return EquilibriumData(
-            z_bar=0.0,
-            profile=np.zeros(n),
-            log_profile=np.full(n, -np.inf),
-            rho=0.0,
-            cut_index=1,
-            tail_bound=0.0,
-        )
+    in (0, ``critical.z_s``), from the first n entries of ``log_q_prefix``
+    (a new one when None)."""
+    if not 0 < z_bar < critical.z_s * (1 + 1e-9):
+        raise ParameterError(f"activity {z_bar} outside (0, z_s = {critical.z_s:.6g})")
     i = np.arange(1, n + 1, dtype=float)
     log_profile = (log_q_prefix or _LogQPrefix(model))(n) + i * math.log(z_bar)
     with np.errstate(under="ignore"):
@@ -353,8 +347,8 @@ def relative_free_energy(c: np.ndarray, equilibrium: EquilibriumData) -> float |
     so that tail is one constant; a row's value is the same bits in any
     matrix.  The equilibrium carries log Q_i, so mass past the profile's
     underflow cut still gets a finite value; mass where log Q_i is -inf (a
-    zero activity) raises with the 1-based index of the first such entry in
-    the first row that has one.
+    hand-built profile's zero) raises with the 1-based index of the first
+    such entry in the first row that has one.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1:] != equilibrium.profile.shape:

@@ -35,6 +35,7 @@ from .equilibrium import (
     _LogQPrefix,
     _series_terms,
     _sum_over_support,
+    check_subcritical,
     critical_values,
     equilibrium_profile,
     fsum_array,
@@ -140,10 +141,7 @@ class ExperimentConfig:
             return c
         else:
             raise ConfigError(f"unknown init {self.init!r}")
-        mass = fsum_array(i * shape)
-        if mass <= 0:
-            raise ConfigError("initial shape carries no mass")
-        return shape * (self.rho / mass)
+        return shape * (self.rho / fsum_array(i * shape))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,19 +169,22 @@ def prepare(config: ExperimentConfig) -> Preamble:
     """Build the model, its critical values and the equilibrium of a config.
 
     The critical values (z_s, rho_s) are computed here and nowhere else in
-    the pipeline: every later consumer reads ``Preamble.critical``.  Adds no
-    refusal of its own: a supercritical density fails in the activity
-    solve.  The three share one log-Q prefix: the critical values compute it
-    at ``equilibrium.N_SERIES`` = 10^5, the activity solve and the profile
-    slice it.  The activity solves the density of the initial state:
-    ``config.rho``, or for ``init = "file"`` the file's, which is read
-    first.
+    the pipeline: every later consumer reads ``Preamble.critical``.  A
+    supercritical density is refused before the activity solve: a formula
+    family's by ``check_subcritical`` at the model's own z_s, a rate
+    table's by the solve, against its partial sum at its stated z_s.  The
+    steps share one log-Q prefix: the critical values compute it at
+    ``equilibrium.N_SERIES`` = 10^5, the others slice it.  The activity
+    solves the density of the initial state: ``config.rho``, or for
+    ``init = "file"`` the file's, which is read first.
     """
     model = config.build_model()
     log_q_prefix = _LogQPrefix(model)
     crit = critical_values(model, log_q_prefix=log_q_prefix)
     c0 = config.initial_state() if config.init == "file" else None
     rho = config.rho if c0 is None else density(c0)
+    if model.table_length is None:
+        check_subcritical(model, rho, log_q_prefix(N_SERIES))
     z_bar = solve_monomer_activity(model, rho, critical=crit, log_q_prefix=log_q_prefix)
     eq = equilibrium_profile(model, z_bar, config.n, critical=crit, log_q_prefix=log_q_prefix)
     c0 = config.initial_state(eq) if c0 is None else c0

@@ -12,18 +12,31 @@ def _line_of(path: Path, fragment: str) -> int:
     return next(number for number, line in enumerate(path.read_text().splitlines(), 1) if fragment in line)
 
 
-def test_lines_not_run_reads_the_tracer(monkeypatch):
+_SMALL = template_text().replace("n = 2000", "n = 300").replace("t_end = 200.0", "t_end = 10.0")
+
+
+def test_lines_not_run_reads_the_tracer():
     # one small template run: the domination check runs, the unknown-family
-    # refusal does not; every module of the package is listed
-    monkeypatch.setattr(experiments, "integrate", experiments.integrate)  # census wraps it
-    tracer = sys.gettrace()
-    text = template_text().replace("n = 2000", "n = 300").replace("t_end = 200.0", "t_end = 10.0")
-    missing = census.lines_not_run([({"label": "small"}, text)])
+    # refusal does not; every module of the package is listed, and the
+    # census's counting wrapper of ``integrate`` is gone afterwards
+    tracer, integrate = sys.gettrace(), experiments.integrate
+    missing = census.lines_not_run([({"label": "small"}, _SMALL)])
+    assert experiments.integrate is integrate
     source = Path(experiments.__file__)
     assert _line_of(source, "dom = check_domination(") not in missing["experiments.py"]
     assert _line_of(source, 'raise ConfigError(f"unknown family') in missing["experiments.py"]
     assert set(missing) == {path.name for path in source.parent.glob("*.py")}
     assert sys.gettrace() is tracer
+
+
+def test_census_puts_integrate_back():
+    integrate = experiments.integrate
+    records = census.census([({"label": "small"}, _SMALL)] * 2)
+    first = next(records)
+    assert first["exit"] == 0 and first["n_fev"] > 0
+    assert experiments.integrate is not integrate
+    records.close()  # closed before its second config and its totals
+    assert experiments.integrate is integrate
 
 
 def test_spans_joins_consecutive_lines():

@@ -342,6 +342,8 @@ def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, t
         pytest.param(["omega = 1.002", "n = 150000"], 12, "b_j >= lambda omega a_(j-1) still fails at j = 150000",
                      id="no-switch-index"),
         pytest.param(["rho = 9.0"], 11, "density 9 is not below the critical density", id="supercritical"),
+        pytest.param(["rho = -1.0"], 11, "density must be positive", id="negative-density"),
+        pytest.param(["n = 5"], 11, "weight sequence too short", id="too-few-sizes"),
         pytest.param(["omega = 0.25"], 11, "omega = 0.25 is at or below z_N", id="z_N-reaches-omega"),
         # omega = z_bar: F_N(omega) = rho (1 + 8.7e-13), inside the activity
         # solve's tolerance, so z_N may lie at or below omega
@@ -487,6 +489,42 @@ def test_experiment_seed_is_written_to_summary(small_config, tmp_path):
     out_dir = tmp_path / "exp"
     assert main(["experiment", "--config", str(small_config), "--out", str(out_dir), "--seed", "7"]) == 0
     assert '"seed": 7,' in (out_dir / "summary.json").read_text()
+
+
+@pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+def test_formula_families_refuse_a_density_at_their_partial_sum(small_config, tmp_path, capsys, monkeypatch, family):
+    # L = sum_(i<=10^5) i Q_i z_s^i at the model's own z_s = 1 bounds rho_s
+    # from below: 1.001 L is refused before the activity solve and before
+    # anything is integrated, by every command that certifies
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a density at or above the partial sum")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    monkeypatch.setattr("beckerdoring.experiments.solve_monomer_activity", integrate)
+    model = ExperimentConfig(family=family).build_model()
+    i = np.arange(1, N_SERIES + 1, dtype=float)
+    full = math.fsum((i * np.exp(bd.detailed_balance(model, N_SERIES))).tolist())
+    rho = 1.001 * full
+    path = tmp_path / "above.toml"
+    path.write_text(small_config.read_text().replace('family = "power_law"', f'family = "{family}"')
+                    .replace("rho = 1.0", f"rho = {rho!r}"))
+    for command in ("experiment", "supersolution", "verify"):
+        out = ["--out", str(tmp_path / command)] if command != "verify" else []
+        assert main([command, "--config", str(path), *out]) == 11, command
+        err = capsys.readouterr().err
+        assert err == (f"config error: density {rho:.6g} is not below the critical density: "
+                       f"sum_(i<=100000) i Q_i z_s^i = {full:.6g} at z_s = 1\n"), (command, err)
+        assert not (tmp_path / command).exists()
+
+
+def test_simulate_prints_the_truncation_warning(small_config, tmp_path, capsys):
+    # at n = 12 the monodisperse run's mass reaches c_N within the horizon
+    path = tmp_path / "short.toml"
+    path.write_text(small_config.read_text().replace("n = 300", "n = 12"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    warning = capsys.readouterr().out.splitlines()[1]
+    assert warning.startswith("warning: truncation tail occupied at t="), warning
+    assert warning.endswith("exceeds 1e-06 * rho / N; the truncation may no longer be faithful"), warning
 
 
 def test_supercritical_config_exit_11(small_config, tmp_path):
@@ -635,6 +673,33 @@ def test_config_refusals_exit_11(small_config, tmp_path, capsys, monkeypatch, li
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named.format(**paths) in err, (command, err)
         assert not (tmp_path / command).exists()
+
+
+def test_a_short_rate_table_is_refused_by_verify(tmp_path, capsys):
+    # the assumption scan reads 10 rows at least; a 5-row table has too few
+    rates = tmp_path / "rates.txt"
+    rates.write_text(_TABLE[: _TABLE.index("6 1.0")])
+    config = tmp_path / "custom.toml"
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 5\n')
+    assert main(["verify", "--config", str(config)]) == 11
+    assert capsys.readouterr().err == "config error: assumption scan needs n >= 10\n"
+
+
+def test_a_rate_table_whose_log_q_underflows_exit_12(tmp_path, capsys, recwarn):
+    # a_4 / b_5 = 1e-600 is 0 in float64, so log Q_5 and every later entry
+    # are -inf: refused with its own message, and with no numpy warning
+    table = _TABLE.replace("\n4 1.0 2.0\n", "\n4 1e-300 2.0\n").replace("\n5 1.0 2.0\n", "\n5 1.0 1e300\n")
+    rates = tmp_path / "rates.txt"
+    rates.write_text(table)
+    config = tmp_path / "custom.toml"
+    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 50\n')
+    for command in ("experiment", "verify"):
+        out = ["--out", str(tmp_path / command)] if command == "experiment" else []
+        assert main([command, "--config", str(config), *out]) == 12, command
+        err = capsys.readouterr().err
+        assert err == "numerical failure: log Q_i left the representable range\n", (command, err)
+        assert not (tmp_path / command).exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_a_climbing_fragmentation_ratio_fails_verify(small_config, tmp_path, capsys, monkeypatch):

@@ -26,6 +26,10 @@ class TestPowerLawFamily:
         assert family_a.a(4) == pytest.approx(2.0, abs=0)
         assert family_a.b(4) == pytest.approx(3.0, rel=1e-15)
 
+    def test_sizes_are_one_based(self, family_a):
+        with pytest.raises(ParameterError, match="cluster sizes are 1-based"):
+            family_a.a(0)
+
     def test_linear_exponent_brackets(self):
         model = bd.make_power_law_model(1.0, 2.0, 1.0, 0.5)
         i = np.arange(1, 500, dtype=float)

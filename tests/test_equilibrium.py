@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
-from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, fsum_array
+from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, check_subcritical, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 import oracles
@@ -170,6 +170,30 @@ class TestBlockedSeries:
         assert value > (1 + 1e-3) * partial
 
 
+class TestCheckSubcritical:
+    # a density is accepted only below a partial sum of F at the model's own
+    # z_s = 1: L, the sum of all 10^5 terms, decides, wherever the root-test
+    # estimate of rho_s lies (the CLI tests read the refusal's message)
+
+    @pytest.mark.parametrize("fixture", ["family_a", "family_b"])
+    def test_refuses_at_the_full_partial_sum(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        log_q = bd.detailed_balance(model, N_SERIES)
+        full = math.fsum((np.arange(1, N_SERIES + 1) * np.exp(log_q)).tolist())
+        check_subcritical(model, 0.999 * full, log_q)
+        with pytest.raises(SupercriticalError, match=f"= {full:.6g} at z_s = 1$"):
+            check_subcritical(model, 1.001 * full, log_q)
+
+    def test_a_small_density_reads_a_short_prefix(self, family_a):
+        # the first 32 terms sum to 4.86 of L = 4.88: rho = 1 stops the scan
+        # before the entries past them, here poisoned, which rho = 4.87 reads
+        log_q = bd.detailed_balance(family_a, N_SERIES).copy()
+        log_q[32:] = np.nan
+        check_subcritical(family_a, 1.0, log_q)
+        with pytest.raises(SupercriticalError):
+            check_subcritical(family_a, 4.87, log_q)
+
+
 class TestSolveActivity:
     def test_closed_form_exact(self, ones_model):
         # F(z) = z/(1-z)^2 = 2 has root 2z^2 - 5z + 2 = 0, z = 1/2
@@ -301,10 +325,12 @@ class TestSolveActivity:
 
 
 class TestEquilibriumProfile:
-    def test_zero_activity(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.0, 50, bd.critical_values(family_a))
-        assert np.all(eq.profile == 0.0)
-        assert eq.rho == 0.0
+    @pytest.mark.parametrize("share", [0.0, 1.001], ids=["zero", "at-z_s"])
+    def test_activity_outside_the_open_range_refused(self, family_a, share):
+        # the library solves only z_bar in (0, z_s): no profile is built at either end
+        crit = bd.critical_values(family_a)
+        with pytest.raises(ParameterError, match=r"outside \(0, z_s = "):
+            bd.equilibrium_profile(family_a, share * crit.z_s, 50, crit)
 
     def test_geometric_profile(self, ones_model):
         # Q_i = 1, z = 1/2: profile is 2^-i

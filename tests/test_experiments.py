@@ -50,6 +50,10 @@ class TestShortTimeConstant:
         with pytest.raises(ParameterError):
             bd.short_time_constant(family_a, np.ones(100), 1.0)
 
+    def test_zero_weight_rejected(self, family_a):
+        with pytest.raises(ParameterError, match="weights must be positive"):
+            bd.short_time_constant(family_a, np.arange(100, dtype=float), 1.0)
+
 
 @pytest.fixture(scope="module")
 def setup(family_a):
@@ -363,6 +367,11 @@ class TestEmitReport:
         with pytest.raises(OSError):
             emit_report(report, tmp_path / "absent" / "out")
 
+    def test_unknown_stage_name_raises(self, report):
+        assert report.stage("domination").name == "domination"
+        with pytest.raises(KeyError, match="no_such_stage"):
+            report.stage("no_such_stage")
+
     def test_deterministic_bytes(self, report, tmp_path):
         p1 = emit_report(report, tmp_path / "a")
         p2 = emit_report(report, tmp_path / "b")
@@ -371,6 +380,10 @@ class TestEmitReport:
 
 
 class TestConfigFile:
+    def test_equilibrium_start_needs_a_profile(self):
+        with pytest.raises(ConfigError, match="equilibrium initial data needs an equilibrium profile"):
+            ExperimentConfig(init="equilibrium").initial_state()
+
     def test_template_matches_defaults(self):
         config = config_from_dict(parse_config_text(template_text()))
         assert config == ExperimentConfig()

@@ -178,3 +178,7 @@ class TestCheckDomination:
     def test_needs_snapshots_in_window(self, trajectory):
         with pytest.raises(ParameterError):
             bd.check_domination(trajectory, np.ones(150), 99.0)
+
+    def test_needs_a_sequence_as_long_as_the_truncation(self, trajectory):
+        with pytest.raises(ParameterError, match="dominating sequence shorter than the truncation"):
+            bd.check_domination(trajectory, np.ones(149), 2.0)

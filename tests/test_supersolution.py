@@ -80,6 +80,20 @@ class TestChooseLambda:
             bd.make_params(model, 0.95, 1.0, 1.0, n_max=n, z_s=model.z_s_param)
 
 
+    def test_delta_below_one_refused(self, family_a):
+        with pytest.raises(ParameterError, match="delta must be >= 1"):
+            bd.make_params(family_a, 0.6, 1.0, delta=0.5, z_s=family_a.z_s_param)
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(delta=1.5), r"need 1 <= delta < lambda"),
+        (dict(omega=0.0), "omega and rho must be positive"),
+        (dict(n_switch=0), "switch index must be >= 1"),
+    ], ids=["delta-at-lambda", "zero-omega", "zero-switch-index"])
+    def test_direct_construction_refused(self, changes, match):
+        # parameters built by hand, not by make_params, are still checked
+        with pytest.raises(ParameterError, match=match):
+            SupersolutionParams(**{**dict(omega=1.0, rho=1.0, delta=1.0, lam=1.5, n_switch=1), **changes})
+
     def test_make_params_is_the_only_producer(self):
         assert not hasattr(bd, "choose_lambda")
         assert not hasattr(supersolution, "choose_lambda")
@@ -141,12 +155,19 @@ class TestBuildSupersolution:
             (lambda n: np.linspace(0.1, 0.5, n), "non-increasing"),
             (lambda n: np.linspace(2.0, 0.0, n), "exceeds the density"),
             (lambda n: np.linspace(1.0, 0.5, n), "decayed"),
+            (lambda n: np.zeros(2), "profile too short"),
+            (lambda n: np.linspace(0.5, -0.1, n), "profile must be non-negative"),
         ],
     )
     def test_rejects_bad_profiles(self, family_a, g_builder, match):
         params = bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param)
         with pytest.raises((ParameterError, NoSwitchIndexError), match=match):
             bd.build_supersolution(family_a, params, g_builder(100))
+
+    def test_switch_index_needs_room(self, family_a):
+        params = dataclasses.replace(bd.make_params(family_a, 0.6, 1.0, z_s=family_a.z_s_param), n_switch=99)
+        with pytest.raises(NoSwitchIndexError, match="switch index 99 leaves no room in a truncation of length 100"):
+            bd.build_supersolution(family_a, params, np.zeros(100))
 
 
 def _reference_increments(params, g):
@@ -207,6 +228,10 @@ class TestSupportTrimmedRecurrence:
 
 
 class TestVerifySupersolution:
+    def test_needs_three_rows(self, family_a):
+        with pytest.raises(ParameterError, match="sequence too short to verify"):
+            bd.verify_supersolution(np.ones(2), family_a, 0.6, 1.0)
+
     def test_constant_sequence(self, family_a):
         r = np.full(50, 2.0)
         check = bd.verify_supersolution(r, family_a, 0.5, 2.0)
@@ -276,6 +301,25 @@ class TestWeightedSumBound:
         with pytest.raises(PhiDecayError, match="below 1: the weight is still decreasing") as err:
             bd.anchor_index(phi, params)
         assert "delta_star" not in str(err.value)
+
+    def test_zero_weight_refused(self, built):
+        params, _, _ = built
+        phi = np.arange(300, dtype=float)  # psi_1 = 0
+        with pytest.raises(ParameterError, match="weights must be positive"):
+            bd.anchor_index(phi, params)
+
+    def test_anchor_needs_a_row_below_the_truncation_end(self, built):
+        # n_switch = N leaves no M <= N - 1, whatever the weight
+        params, _, _ = built
+        phi = np.arange(1, 301, dtype=float)
+        with pytest.raises(PhiDecayError, match="no admissible anchor index within the truncation"):
+            bd.anchor_index(phi, dataclasses.replace(params, n_switch=300))
+
+    def test_lengths_must_match(self, built):
+        params, g, sol = built
+        phi = np.arange(1, 301, dtype=float)
+        with pytest.raises(ParameterError, match="r, g and psi must share the truncation length"):
+            bd.weighted_sum_bound(sol.r, g, phi[:-1], params, bd.anchor_index(phi, params))
 
     def test_monotone_in_omega(self, family_a):
         # above the turnover the dominating sequence grows with the cap

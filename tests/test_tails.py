@@ -72,6 +72,10 @@ class TestTailMoments:
         for k in (0, 1, 2, 5):
             assert tail_moment(g, k) == 1.0
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ParameterError, match="moment order must be >= 0"):
+            tail_moment(np.ones(5), -1.0)
+
     def test_zeroth_tail_moment_is_density(self):
         c = np.array([1.0, 0.5, 0.25])
         g = tail_density(c)
