@@ -84,32 +84,25 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         return p
 
-    seed_help = "seed written to summary.json in place of the config's"
     add_common(sub.add_parser("equilibrium", help="print critical values and the equilibrium summary"), writes=False)
     sim = add_common(sub.add_parser("simulate", help="integrate and write the trajectory CSV"))
     sim.add_argument("--dump-states", type=int, default=0, metavar="N",
                      help="also dump N full states, evenly spaced over the run")
     add_common(sub.add_parser("supersolution", help="build, verify and export a dominating sequence"))
     add_common(sub.add_parser("verify", help="check the structural assumptions on the rates"), writes=False)
-    exp = add_common(sub.add_parser("experiment", help="run the full uniform-bound pipeline"))
-    exp.add_argument("--seed", type=int, default=None, help=seed_help)
+    add_common(sub.add_parser("experiment", help="run the full uniform-bound pipeline"))
     sweep = sub.add_parser("sweep", help="run several experiment configs concurrently")
     sweep.add_argument("configs", type=Path, nargs="+", help="config files")
     sweep.add_argument("--out", type=Path, default=Path("out"))
     sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=None, help=seed_help)
     sub.add_parser("config-template", help="print a config file with all defaults")
     return parser
 
 
-def _experiment(config_path, out_dir, seed: int | None, echo: bool = False) -> int:
-    """Run the experiment of one config, with ``seed`` (unless None) in place
-    of its own, and write its outputs to ``out_dir``; with ``echo``, print
-    the stage verdicts."""
-    config = load_config(config_path)
-    if seed is not None:
-        config.seed = seed
-    report = run_uniform_moment_experiment(config)
+def _experiment(config_path, out_dir, echo: bool = False) -> int:
+    """Run the experiment of one config and write its outputs to
+    ``out_dir``; with ``echo``, print the stage verdicts."""
+    report = run_uniform_moment_experiment(load_config(config_path))
     paths = emit_report(report, out_dir)
     if echo:
         for stage in report.stages:
@@ -122,7 +115,7 @@ def _experiment(config_path, out_dir, seed: int | None, echo: bool = False) -> i
 
 
 def _cmd_experiment(args) -> int:
-    return _experiment(args.config, args.out, args.seed, echo=True)
+    return _experiment(args.config, args.out, echo=True)
 
 
 def _cmd_equilibrium(args) -> int:
@@ -188,11 +181,11 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.all_ok else EXIT_VERDICT
 
 
-def _sweep_worker(payload: tuple[str, str, int | None]) -> tuple[str, int]:
+def _sweep_worker(payload: tuple[str, str]) -> tuple[str, int]:
     """One config's exit code: a failure stays with its config, and its
     message names it."""
-    config_path, out_dir, seed = payload
-    return config_path, _exit_code(_experiment, config_path, out_dir, seed, prefix=f"{config_path}: ")
+    config_path, out_dir = payload
+    return config_path, _exit_code(_experiment, config_path, out_dir, prefix=f"{config_path}: ")
 
 
 def _cmd_sweep(args) -> int:
@@ -205,7 +198,7 @@ def _cmd_sweep(args) -> int:
     if clashes:
         raise ConfigError("configs would share an output directory: " + "; ".join(clashes))
     args.out.mkdir(exist_ok=True)
-    jobs = [(paths[0], str(out_dir), args.seed) for out_dir, paths in by_dir.items()]
+    jobs = [(paths[0], str(out_dir)) for out_dir, paths in by_dir.items()]
     if args.workers <= 1:
         codes = dict(map(_sweep_worker, jobs))
     else:

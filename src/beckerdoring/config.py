@@ -21,9 +21,8 @@ from .experiments import ExperimentConfig
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # the least value of a key that has one: an output grid needs two times,
 # the integrator two sizes (the equilibrium profile's tail estimate reads
-# its last two entries), the weight-growth bound delta is at least 1, and a
-# negative tolerance or threshold would pass for 0 or run as given
-_MINIMUM = {"snapshots": 2, "n": 2, "rel_tol": 0.0, "abs_tol": 0.0, "tail_threshold": 0.0, "delta": 1.0}
+# its last two entries), and a negative tolerance would run as given
+_MINIMUM = {"snapshots": 2, "n": 2, "rel_tol": 0.0}
 
 TEMPLATE = """\
 # model
@@ -46,16 +45,12 @@ init_file = ""              # file shape: columns "i c_i"
 t_end = 200.0
 snapshots = 401             # uniform output grid size
 rel_tol = 1e-08
-abs_tol = 0.0               # 0 selects 1e-14 * rho
-tail_threshold = 1e-06      # warn when c_N exceeds this share of rho/N
 
 # experiment
 k_moments = [2.0]           # algebraic moment orders to certify
 stretched = [[1.0, 0.5]]    # (alpha, mu) pairs to certify
 omega = 0.0                 # monomer cap; 0 selects z_bar + omega_margin*(z_s - z_bar)
 omega_margin = 0.1
-delta = 1.0                 # weight-growth bound for the construction, >= 1
-seed = 0                    # recorded for randomized corpora; dynamics are deterministic
 """
 
 

@@ -109,14 +109,18 @@ class _LogQPrefix:
 
 def _series_at_activity(
     log_q_prefix: _LogQPrefix, z: float, tol_abs: float, n_start: int = 256, n_cap: int = _N_CAP
-) -> tuple[float, bool, np.ndarray]:
+) -> tuple[float, bool, np.ndarray | None]:
     """(F(z), converged, the terms summed): the truncation doubles from
     ``n_start`` until the geometric remainder bound of its last six terms is
     at most ``tol_abs``, which is added to the sum; it stops unconverged at
-    ``n_cap`` (or a rate table's length)."""
-    model = log_q_prefix.model
-    if model.table_length is not None:
-        n_cap = min(n_cap, model.table_length)
+    ``n_cap``.  A rate table's F is its finite sum, as ``critical_values``
+    takes its rho_s: at the table's length the sum is returned converged,
+    with no remainder.  Where the table's last terms still grow, the terms
+    are None: Newton from above on a sum its last rows dominate moves z by
+    about z / L a step, so the activity solve bisects there."""
+    table_length = log_q_prefix.model.table_length
+    if table_length is not None:
+        n_cap = min(n_cap, table_length)
     log_z = math.log(z)
     n = min(n_start, n_cap)
     while True:
@@ -131,6 +135,8 @@ def _series_at_activity(
         i = np.arange(lo + 1, n + 1, dtype=float)
         log_t = np.log(i) + log_q[lo:] + i * log_z
         r = math.exp(float(np.mean(np.diff(log_t))))
+        if n == table_length:
+            return total, True, terms if r < 1.0 - 1e-12 else None
         if r < 1.0 - 1e-12:
             remainder = t_last * r / (1.0 - r)
             if remainder <= tol_abs:
@@ -173,8 +179,9 @@ def solve_monomer_activity(
     above a Newton step z - (F(z) - rho) / F'(z) does not pass z_bar, and
     the iterates descend onto it.  F'(z) = sum_i i t_i / z is read from the
     terms t_i that F(z) summed, at its truncation.  An iterate where F is
-    below rho or its series did not converge, or a step that leaves the
-    bracket, bisects the bracket instead.  Stops at
+    below rho, its series did not converge or a rate table's last terms
+    still grow, or a step that leaves the bracket, bisects the bracket
+    instead.  Stops at
     |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
     Raises SupercriticalError when rho >= rho_s, and NumericalError when
     no bracket is found or the iteration stalls short of the tolerance,

@@ -62,13 +62,13 @@ from .tails import finite_weight_size, stretched_weights, tail_density
 class ExperimentConfig:
     """Everything needed to reproduce one experiment, flat and serializable.
 
-    ``omega = 0`` selects z_bar + omega_margin * (z_s - z_bar); ``abs_tol``
-    of 0 selects the density-scaled default.  For ``init = "file"`` the
-    density is taken from the file and ``rho`` is ignored: z_bar, the
-    default omega, the equilibrium profile and H belong to the file's
-    density.  Every other shape is scaled to hit ``rho`` exactly.  No field
-    sets a gate's slack or the critical-value series length: each is a
-    constant of the module that owns it.
+    ``omega = 0`` selects z_bar + omega_margin * (z_s - z_bar).  For
+    ``init = "file"`` the density is taken from the file and ``rho`` is
+    ignored: z_bar, the default omega, the equilibrium profile and H belong
+    to the file's density.  Every other shape is scaled to hit ``rho``
+    exactly.  No field sets a gate's slack, the critical-value series
+    length, the integrator's absolute tolerance or the truncation warning's
+    threshold: each is a constant of the module that owns it.
     """
 
     family: str = "power_law"
@@ -86,14 +86,10 @@ class ExperimentConfig:
     t_end: float = 200.0
     snapshots: int = 401
     rel_tol: float = 1e-8
-    abs_tol: float = 0.0
-    tail_threshold: float = 1e-6
     k_moments: tuple[float, ...] = (2.0,)
     stretched: tuple[tuple[float, float], ...] = ((1.0, 0.5),)
     omega: float = 0.0
     omega_margin: float = 0.1
-    delta: float = 1.0
-    seed: int = 0
 
     def build_model(self) -> CoefficientModel:
         if self.family == Family.POWER_LAW.value:
@@ -191,9 +187,7 @@ def prepare(config: ExperimentConfig) -> Preamble:
     omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
     opts = IntegrateOptions(
         rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
         n_snapshots=config.snapshots,
-        tail_threshold=config.tail_threshold,
         track=(*config.k_moments, *(tuple(p) for p in config.stretched)),
         equilibrium=eq,
     )
@@ -262,7 +256,7 @@ def preflight(config: ExperimentConfig) -> tuple[Preamble, SupersolutionParams, 
         failed = [line for ok, line in check_assumptions(prep.model, N_SERIES).checks() if not ok]
         if failed:
             raise ConfigError(f"rate file {config.rates_file!r} fails the standing assumptions: {'; '.join(failed)}")
-    params = make_params(prep.model, prep.omega, prep.rho, config.delta, max(config.n, 1000), z_s=prep.critical.z_s)
+    params = make_params(prep.model, prep.omega, prep.rho, max(config.n, 1000), z_s=prep.critical.z_s)
     eq, omega, rho = prep.equilibrium, prep.omega, prep.rho
     f_n = float(np.sum(_series_terms(eq.log_profile, math.log(omega / prep.z_bar))))
     if f_n <= rho * (1 + ACTIVITY_TOL):
@@ -445,7 +439,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     Raises, before integrating, what ``preflight`` refuses: a supercritical
     density (the uniform-bound machinery does not apply there), weights
     outside the certified hypotheses or that no horizon can certify, an
-    omega and delta that admit no lambda, and a cap that c_1 cannot fall
+    omega that admits no lambda, and a cap that c_1 cannot fall
     below.  Every other failure is a stage verdict, never a silent pass.
     """
     prep, params, certificates = preflight(config)

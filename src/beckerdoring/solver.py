@@ -77,7 +77,7 @@ from .errors import ParameterError
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL_FACTOR = 1e-14  # times the density
-DEFAULT_TAIL_THRESHOLD = 1e-6
+DEFAULT_TAIL_THRESHOLD = 1e-6  # c_N above this share of rho/N draws the truncation warning
 
 
 @dataclass
@@ -244,19 +244,18 @@ def weight(key: Key, i: np.ndarray) -> np.ndarray:
 class IntegrateOptions:
     """Tolerances, output grid and tracking requests for ``integrate``.
 
-    ``abs_tol`` of 0 selects 1e-14 times the initial density; it is the
-    error test's absolute tolerance and the dead band of the positivity
-    clamp (see ``_clamp``).  The weighted sums sum_i weight(key, i) c_i of
-    the keys in ``track`` and (when an equilibrium is supplied) the
-    relative free energy are evaluated for all snapshots at once, over the
-    snapshot matrix.
+    ``abs_tol`` of 0 selects 1e-14 times the initial density, the value the
+    experiment pipeline always runs with; it is the error test's absolute
+    tolerance and the dead band of the positivity clamp (see ``_clamp``).
+    The weighted sums sum_i weight(key, i) c_i of the keys in ``track`` and
+    (when an equilibrium is supplied) the relative free energy are
+    evaluated for all snapshots at once, over the snapshot matrix.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = 0.0
     t_eval: np.ndarray | None = None
     n_snapshots: int = 201
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD
     track: tuple[Key, ...] = ()
     equilibrium: EquilibriumData | None = None
     max_steps: int = 2_000_000
@@ -418,12 +417,12 @@ def integrate(
         free_energy = np.full(len(states), math.nan)
     warnings: list[str] = []
     # c_N is zero in every snapshot unless the support reaches N
-    occupied = np.flatnonzero(head[:, -1] > opts.tail_threshold * rho0 / n) if m == n else []
+    occupied = np.flatnonzero(head[:, -1] > DEFAULT_TAIL_THRESHOLD * rho0 / n) if m == n else []
     if len(occupied):
         tq, c_top = sol.t_eval[occupied[0]], head[occupied[0], -1]
         warnings.append(
             f"truncation tail occupied at t={tq:.6g}: c_N = {c_top:.3g} exceeds "
-            f"{opts.tail_threshold:g} * rho / N; the truncation may no longer be faithful"
+            f"{DEFAULT_TAIL_THRESHOLD:g} * rho / N; the truncation may no longer be faithful"
         )
 
     return Trajectory(

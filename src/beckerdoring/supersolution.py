@@ -8,13 +8,12 @@ a sequence r with r_1 >= rho, the one-sided balance inequality
 
 at every interior index, termwise domination r_j >= g_j, and weighted sums
 controlled by those of g.  ``make_params`` fixes the build's tuple (omega,
-rho, delta, lambda, switch index), and is the only code that computes
-lambda and the switch index.  The decay rate lambda is the geometric mean
-of the weight-growth bound delta and the ceiling z_s/omega (capped at
-1 + 1/omega when that stays above delta), so it lives strictly between
-them; past the switch index the fragmentation rate wins against
-lambda * omega * a_{j-1}, which is what makes the geometric envelope a
-valid continuation.
+rho, lambda, switch index), and is the only code that computes lambda and
+the switch index.  The decay rate lambda is the square root of the ceiling
+z_s/omega (capped at 1 + 1/omega when that stays above 1), so it lives
+strictly between 1 and the ceiling; past the switch index the
+fragmentation rate wins against lambda * omega * a_{j-1}, which is what
+makes the geometric envelope a valid continuation.
 """
 from __future__ import annotations
 
@@ -38,17 +37,16 @@ _TINY = 2.0**-1022  # the smallest normal float: an increment below it is subnor
 
 @dataclass(frozen=True)
 class SupersolutionParams:
-    """The tuple (omega, rho, delta, lambda, switch index) fixing a build."""
+    """The tuple (omega, rho, lambda, switch index) fixing a build."""
 
     omega: float
     rho: float
-    delta: float
     lam: float
     n_switch: int
 
     def __post_init__(self):
-        if not (1 <= self.delta < self.lam):
-            raise ParameterError("need 1 <= delta < lambda")
+        if not self.lam > 1.0:
+            raise ParameterError("need lambda > 1")
         if self.omega <= 0 or self.rho <= 0:
             raise ParameterError("omega and rho must be positive")
         if self.n_switch < 1:
@@ -56,8 +54,8 @@ class SupersolutionParams:
 
     @property
     def delta_star(self) -> float:
-        """(delta + lambda) / 2, the growth ratio an admissible weight stays below."""
-        return 0.5 * (self.delta + self.lam)
+        """(1 + lambda) / 2, the growth ratio an admissible weight stays below."""
+        return 0.5 * (1.0 + self.lam)
 
     @property
     def uniform_bound(self) -> float:
@@ -69,7 +67,6 @@ def make_params(
     model: CoefficientModel,
     omega: float,
     rho: float,
-    delta: float = 1.0,
     n_max: int = _SCAN_DEFAULT,
     *,
     z_s: float,
@@ -78,9 +75,9 @@ def make_params(
     given the critical monomer density z_s (in the pipeline,
     ``experiments.prepare``'s ``critical.z_s``).
 
-    lambda is the geometric mean of delta and the ceiling z_s/omega; the
-    ceiling is additionally capped at 1 + 1/omega when possible, which keeps
-    r_1 >= rho automatic (for omega(lambda-1) > 1 the prefix patch alone
+    lambda is the square root of the ceiling z_s/omega; the ceiling is
+    additionally capped at 1 + 1/omega when that stays above 1 + 1e-9, which
+    keeps r_1 >= rho automatic (for omega(lambda-1) > 1 the prefix patch alone
     cannot guarantee it).  The switch index is the smallest index past which
     b_j >= lambda omega a_{j-1} holds throughout the scanned range
     j <= n_max (clamped to a rate table's rows).
@@ -89,15 +86,11 @@ def make_params(
         n_max = min(n_max, model.table_length)
     if omega <= 0 or omega >= z_s:
         raise ParameterError(f"omega must lie in (0, z_s = {z_s:.6g}), got {omega}")
-    if delta < 1:
-        raise ParameterError("delta must be >= 1")
     ceiling = z_s / omega
-    if delta >= ceiling:
-        raise ParameterError(f"delta must be below z_s/omega = {ceiling:.6g}")
     capped = min(ceiling, 1.0 + 1.0 / omega)
-    if capped > delta * (1 + 1e-9):
+    if capped > 1.0 + 1e-9:
         ceiling = capped
-    lam = math.sqrt(delta * ceiling)
+    lam = math.sqrt(ceiling)
 
     a_prev, b_j = model.rate_pairs(n_max)
     ok = b_j >= lam * omega * a_prev
@@ -108,7 +101,7 @@ def make_params(
         )
     bad = np.nonzero(~ok)[0]
     n_switch = int(bad[-1]) + 3 if len(bad) else 1  # one past the last failing j = bad + 2
-    return SupersolutionParams(omega=omega, rho=rho, delta=delta, lam=lam, n_switch=n_switch)
+    return SupersolutionParams(omega=omega, rho=rho, lam=lam, n_switch=n_switch)
 
 
 class Supersolution(NamedTuple):
@@ -233,7 +226,8 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
     s_start = rho / (lam * omega)
     if omega * (lam - 1.0) > 1.0:
         # keep r at the switch index at or above rho; the constant prefix
-        # patch cannot repair a deficit here once omega exceeds 1
+        # patch cannot repair a deficit here.  make_params's 1 + 1/omega cap
+        # keeps omega (lambda - 1) <= 1 until omega >= 1e9 turns the cap off
         s_start = max(s_start, rho * (lam - 1.0) / lam)
     s[ns - 1] = s_start + h[ns - 1]
     inv_lam = 1.0 / lam

@@ -197,7 +197,7 @@ def test_criterion_7_supersolution_round_trip():
         c[-40:] = 0.0
         c *= rng.uniform(0.3, 1.0) * rho / math.fsum(c)
         g = tail_density(c)
-        params = make_params(model, omega, rho, delta=1.0, n_max=2000, z_s=model.z_s_param)
+        params = make_params(model, omega, rho, n_max=2000, z_s=model.z_s_param)
         sol = build_supersolution(model, params, g)
         check = verify_supersolution(sol.r, model, omega, rho)
         if not check.ok:

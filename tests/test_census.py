@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -37,6 +39,16 @@ def test_census_puts_integrate_back():
     assert experiments.integrate is not integrate
     records.close()  # closed before its second config and its totals
     assert experiments.integrate is integrate
+
+
+def test_summary_body_leaves_out_the_config_echo():
+    # init_file is not read under init = "monodisperse": it moves only the
+    # config echo, so summary.json's hash but not summary_body
+    echo_only = _SMALL.replace('init_file = ""', 'init_file = "unused.txt"')
+    with contextlib.closing(census.census([({"label": "a"}, _SMALL), ({"label": "b"}, echo_only)])) as records:
+        first, second = itertools.islice(records, 2)
+    assert first["files"]["summary.json"] != second["files"]["summary.json"]
+    assert first["summary_body"] is not None and first["summary_body"] == second["summary_body"]
 
 
 def test_spans_joins_consecutive_lines():

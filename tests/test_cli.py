@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,70 @@ def test_config_template_parses(capsys):
     assert main(["config-template"]) == 0
     out = capsys.readouterr().out
     assert "family" in out and "k_moments" in out
+
+
+def test_every_config_key_is_a_field_and_an_echo(small_config, tmp_path):
+    # the template prints each field of the config and nothing else, and
+    # summary.json echoes each of them
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(tomllib.loads(template_text())) == fields
+    assert main(["experiment", "--config", str(small_config), "--out", str(tmp_path / "exp")]) == 0
+    assert set(json.loads((tmp_path / "exp" / "summary.json").read_text())["config"]) == fields
+
+
+# per key: the lines that make a run read it, and a line that moves it off
+# the template's value there
+_KEY_MOVES = {
+    "family": ([], 'family = "exponential_tail"'),
+    "gamma": ([], "gamma = 0.4"),
+    "z_s": ([], "z_s = 1.2"),
+    "q": ([], "q = 2.0"),
+    "mu_c": ([], "mu_c = 0.3"),
+    "sigma": (['family = "exponential_tail"'], "sigma = 2.0"),
+    "rates_file": (['family = "custom"', 'rates_file = "{q1}"'], 'rates_file = "{q2}"'),
+    "n": ([], "n = 400"),
+    "rho": ([], "rho = 0.8"),
+    "init": ([], 'init = "geometric"'),
+    "init_ratio": (['init = "geometric"'], "init_ratio = 0.3"),
+    "init_file": (['init = "file"', 'init_file = "{c1}"'], 'init_file = "{c2}"'),
+    "t_end": ([], "t_end = 8.0"),
+    "snapshots": ([], "snapshots = 41"),
+    "rel_tol": ([], "rel_tol = 1e-07"),
+    "k_moments": ([], "k_moments = [3.0]"),
+    "stretched": ([], "stretched = [[0.5, 0.5]]"),
+    "omega": ([], "omega = 0.7"),
+    "omega_margin": ([], "omega_margin = 0.2"),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_config_key_moves_an_output(small_config, tmp_path, key):
+    # each key, moved where a run reads it, moves the exit code of
+    # ``experiment`` or a value of summary.json other than its config echo
+    paths = {name: tmp_path / f"{name}.txt" for name in ("q1", "q2", "c1", "c2")}
+    i = np.arange(1, 3001)
+    for name, q in (("q1", 1.0), ("q2", 2.0)):
+        model = bd.make_power_law_model(0.5, 1.0, q, 0.5)
+        paths[name].write_text("".join(f"{j} {a!r} {b!r}\n" for j, a, b in zip(i, model.a(i).tolist(), model.b(i).tolist())))
+    paths["c1"].write_text("1 1.0\n")
+    paths["c2"].write_text("1 0.5\n2 0.25\n")
+
+    def outcome(lines, out):
+        text = small_config.read_text()
+        for line in lines:
+            text = re.sub(rf"^{line.split(' = ')[0]} = .*$", line.format(**paths), text, flags=re.M)
+        path = tmp_path / f"{out}.toml"
+        path.write_text(text)
+        code = main(["experiment", "--config", str(path), "--out", str(tmp_path / out)])
+        summary = tmp_path / out / "summary.json"
+        body = json.loads(summary.read_text()) if summary.exists() else {}
+        body.pop("config", None)
+        return code, body
+
+    context, moved = _KEY_MOVES[key]
+    before = outcome(context, "before")
+    assert before[0] in (0, 2) and before[1], before[0]
+    assert outcome([*context, moved], "after") != before
 
 
 def test_verify_ok(small_config, tmp_path, capsys):
@@ -192,20 +257,17 @@ def test_experiment_pass_and_outputs(small_config, tmp_path):
     assert {"integrate", "threshold", "supersolution", "domination"} <= stage_names
 
 
-def test_delta_refused_before_integration(small_config, tmp_path, capsys, monkeypatch):
-    # delta = 5 is above z_s / omega, and omega = 1.5 is above z_s, so no
-    # lambda exists; lambda depends on the model, omega and delta only, so
-    # the refusal needs no trajectory
+def test_omega_refused_before_integration(small_config, tmp_path, capsys, monkeypatch):
+    # omega = 1.5 is above z_s, so no lambda exists; lambda depends on the
+    # model and omega only, so the refusal needs no trajectory
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a config that lambda refuses")
 
     monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
-    for key, value, message in [("delta", "5.0", "delta must be below z_s/omega"),
-                                ("omega", "1.5", "omega must lie in (0, z_s")]:
-        path = tmp_path / f"{key}.toml"
-        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", small_config.read_text(), flags=re.M))
-        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / key)]) == 11
-        assert message in capsys.readouterr().err
+    path = tmp_path / "omega.toml"
+    path.write_text(re.sub(r"^omega = .*$", "omega = 1.5", small_config.read_text(), flags=re.M))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "omega")]) == 11
+    assert "omega must lie in (0, z_s" in capsys.readouterr().err
 
 
 def test_supersolution_margin_at_n_32000_reads_the_rates(tmp_path, capsys, monkeypatch):
@@ -337,7 +399,6 @@ def test_certificate_commands_refuse_a_rate_table_verify_rejects(small_config, t
         pytest.param(["gamma = 0.1", "stretched = [[1.0, 0.9]]", "n = 2000"], 11,
                      "largest admissible n is 1472", id="overflowing-weight"),
         pytest.param(["omega = 1.5"], 11, "omega must lie in (0, z_s", id="omega-above-z_s"),
-        pytest.param(["delta = 5.0"], 11, "delta must be below z_s/omega", id="delta-above-ceiling"),
         # b_j / a_(j-1) falls to lambda omega = 1.0026 near j = 145 000
         pytest.param(["omega = 1.002", "n = 150000"], 12, "b_j >= lambda omega a_(j-1) still fails at j = 150000",
                      id="no-switch-index"),
@@ -431,12 +492,17 @@ def test_missing_out_parent_exit_10(small_config, tmp_path):
         pytest.param("snapshots = 0", id="no-snapshots"),
         pytest.param("snapshots = 1", id="one-snapshot"),
         pytest.param("rel_tol = -1e-8", id="negative-rel-tol"),
-        pytest.param("abs_tol = -1e-14", id="negative-abs-tol"),
-        pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
-        # the lines of a template printed before the two keys were removed
+        # the lines of an older template, each setting a key since removed,
+        # and values its range refused then: each is an unknown key now
         pytest.param("tol_dom = 0.0", id="removed-tol-dom"),
         pytest.param("n_series = 100000", id="removed-n-series"),
         pytest.param("delta = 0.5", id="delta-below-1"),
+        pytest.param("abs_tol = -1e-14", id="negative-abs-tol"),
+        pytest.param("tail_threshold = -1", id="negative-tail-threshold"),
+        pytest.param("delta = 1.0", id="removed-delta"),
+        pytest.param("abs_tol = 0.0", id="removed-abs-tol"),
+        pytest.param("tail_threshold = 1e-06", id="removed-tail-threshold"),
+        pytest.param("seed = 0", id="removed-seed"),
         pytest.param("n = 1", id="one-size"),
     ],
 )
@@ -466,6 +532,8 @@ def test_malformed_config_exit_11(small_config, tmp_path, capsys, line):
         pytest.param(["experiment"], id="missing-config"),
         pytest.param(["experiment", "--confg", "x.toml"], id="misspelt-option"),
         pytest.param(["simulate", "--config", "x.toml", "--seed", "7"], id="seed-not-recorded"),
+        pytest.param(["experiment", "--config", "x.toml", "--seed", "7"], id="experiment-seed"),
+        pytest.param(["sweep", "x.toml", "--seed", "7"], id="sweep-seed"),
         pytest.param(["verify", "--config", "x.toml", "--out", "x"], id="verify-writes-nothing"),
         pytest.param(["equilibrium", "--config", "x.toml", "--out", "x"], id="equilibrium-writes-nothing"),
     ],
@@ -482,13 +550,8 @@ def test_help_exit_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--help"])
     assert exc.value.code == 0
-    assert "--seed" in capsys.readouterr().out
-
-
-def test_experiment_seed_is_written_to_summary(small_config, tmp_path):
-    out_dir = tmp_path / "exp"
-    assert main(["experiment", "--config", str(small_config), "--out", str(out_dir), "--seed", "7"]) == 0
-    assert '"seed": 7,' in (out_dir / "summary.json").read_text()
+    out = capsys.readouterr().out
+    assert "--config" in out and "--out" in out
 
 
 @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
@@ -676,13 +739,19 @@ def test_config_refusals_exit_11(small_config, tmp_path, capsys, monkeypatch, li
 
 
 def test_a_short_rate_table_is_refused_by_verify(tmp_path, capsys):
-    # the assumption scan reads 10 rows at least; a 5-row table has too few
+    # the assumption scan reads 10 rows at least; a 5-row table has too few.
+    # ``experiment`` refuses it the same way at every density: the activity
+    # solve before the scan takes the table's F as its finite sum
     rates = tmp_path / "rates.txt"
     rates.write_text(_TABLE[: _TABLE.index("6 1.0")])
     config = tmp_path / "custom.toml"
-    config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 5\n')
-    assert main(["verify", "--config", str(config)]) == 11
-    assert capsys.readouterr().err == "config error: assumption scan needs n >= 10\n"
+    for rho in (1.0, 0.001):
+        config.write_text(f'family = "custom"\nrates_file = "{rates}"\nn = 5\nrho = {rho!r}\n')
+        for command in ("verify", "experiment"):
+            out = ["--out", str(tmp_path / command)] if command == "experiment" else []
+            assert main([command, "--config", str(config), *out]) == 11, (command, rho)
+            assert capsys.readouterr().err == "config error: assumption scan needs n >= 10\n"
+            assert not (tmp_path / command).exists()
 
 
 def test_a_rate_table_whose_log_q_underflows_exit_12(tmp_path, capsys, recwarn):

@@ -94,7 +94,7 @@ def _one_shot_density(model, z, tol_abs, n):
     sequence evaluated whole."""
     log_t, terms = _one_shot_terms(_one_shot_log_q(model, n), math.log(z))
     total, t_last = float(np.sum(terms)), terms[-1]
-    if t_last == 0.0:
+    if t_last == 0.0 or n == model.table_length:
         return total, True
     r = math.exp(float(np.mean(np.diff(log_t[-6:]))))
     if r < 1.0 - 1e-12 and t_last * r / (1.0 - r) <= tol_abs:
@@ -160,9 +160,10 @@ class TestBlockedSeries:
     def test_the_ratio_test_reads_across_a_block_edge(self):
         # Q_i = 2^(1-i) and z = 2 (1 - 1e-3): at n = B + 3 the tail remainder
         # is about 2e-3 of F, and the six log-terms its ratio is read from
-        # straddle the edge between the first two blocks
+        # straddle the edge between the first two blocks; the table runs on
+        # past n, so its sum is not taken as finite there
         n = _BLOCK + 3
-        model = bd.make_custom_model(np.ones(n), 2 * np.ones(n), z_s=2.0)
+        model = bd.make_custom_model(np.ones(2 * n), 2 * np.ones(2 * n), z_s=2.0)
         z = 2 * (1 - 1e-3)
         value, converged, _ = _series_at_activity(_LogQPrefix(model), z, 1e300, n_start=n, n_cap=n)
         assert converged and (value, converged) == _one_shot_density(model, z, 1e300, n)
@@ -199,6 +200,20 @@ class TestSolveActivity:
         # F(z) = z/(1-z)^2 = 2 has root 2z^2 - 5z + 2 = 0, z = 1/2
         z = bd.solve_monomer_activity(ones_model, 2.0, critical=bd.critical_values(ones_model))
         assert z == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("b, rho", [(2.0, 1.0), (1.0, 10.0), (1.0, 50.0), (1.0, 77.9)])
+    def test_short_table_solves_its_finite_sum(self, b, rho):
+        # 12 rows with a_i = 1 and z_s = 1: F(z) is the finite sum
+        # sum_(i<=12) i b^(1-i) z^i, as rho_s is (3.993 at b = 2, 78 at
+        # b = 1), so the solve meets its tolerance with no remainder bound;
+        # at b = 1 the last terms grow from z = 11/12 (F = 39.1) on
+        model = bd.make_custom_model(np.ones(12), b * np.ones(12), gamma=1.0, z_s=1.0)
+        crit = bd.critical_values(model)
+        assert crit.rho_s == pytest.approx({2.0: 3.993, 1.0: 78.0}[b], abs=1e-3)
+        z = bd.solve_monomer_activity(model, rho, critical=crit)
+        i = np.arange(1, 13, dtype=float)
+        f = math.fsum((i * np.exp(bd.detailed_balance(model, 12) + i * math.log(z))).tolist())
+        assert abs(f - rho) <= 1e-12 * rho
 
     def test_tiny_density_gives_tiny_activity(self, family_a):
         z = bd.solve_monomer_activity(family_a, 1e-8, critical=bd.critical_values(family_a))

@@ -131,10 +131,9 @@ class TestIntegrate:
         assert np.all(np.diff(h) <= slack)
 
     def test_tail_overflow_warning(self, family_a):
-        traj = bd.integrate(
-            monodisperse(8, 3.0), family_a, 5.0,
-            bd.IntegrateOptions(n_snapshots=11, tail_threshold=1e-12),
-        )
+        # c_N reaches 1.3e-3 rho / N by the first output time, past the
+        # warning's fixed 1e-6 rho / N
+        traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, bd.IntegrateOptions(n_snapshots=11))
         assert traj.warnings and "truncation" in traj.warnings[0]
 
     def test_step_budget_exhaustion_names_remedies(self, family_a):
@@ -458,12 +457,10 @@ class TestBatchedObservables:
 
     def test_tail_warning_run_matches_scalar_references(self, family_a):
         eq = bd.equilibrium_profile(family_a, 0.5, 8, bd.critical_values(family_a))
-        opts = bd.IntegrateOptions(
-            n_snapshots=11, tail_threshold=1e-12, track=(2.0, (1.0, 0.5)), equilibrium=eq,
-        )
+        opts = bd.IntegrateOptions(n_snapshots=11, track=(2.0, (1.0, 0.5)), equilibrium=eq)
         traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, opts)
         assert traj.warnings and "truncation" in traj.warnings[0]
-        occupied = traj.times[traj.states[:, -1] > 1e-12 * 3.0 / 8]
+        occupied = traj.times[traj.states[:, -1] > 1e-6 * 3.0 / 8]
         assert f"t={occupied[0]:.6g}:" in traj.warnings[0]
         _assert_matches_scalar_references(traj, eq, (2.0,), ((1.0, 0.5),))
 

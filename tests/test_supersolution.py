@@ -43,20 +43,20 @@ def random_model(rng):
 
 class TestChooseLambda:
     def test_constant_rates(self, half_model):
-        params = bd.make_params(half_model, 1.0, 1.0, 1.0, n_max=2000, z_s=half_model.z_s_param)
+        params = bd.make_params(half_model, 1.0, 1.0, n_max=2000, z_s=half_model.z_s_param)
         assert params.lam == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert params.n_switch == 1
 
     def test_family_a(self, family_a):
-        params = bd.make_params(family_a, 0.5, 1.0, 1.0, n_max=2000, z_s=family_a.z_s_param)
+        params = bd.make_params(family_a, 0.5, 1.0, n_max=2000, z_s=family_a.z_s_param)
         assert params.lam == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert params.n_switch == 1
 
     def test_cap_too_high_rejected(self, family_a):
         with pytest.raises(ParameterError):
-            bd.make_params(family_a, family_a.z_s_param, 1.0, 1.0, z_s=family_a.z_s_param)
+            bd.make_params(family_a, family_a.z_s_param, 1.0, z_s=family_a.z_s_param)
         with pytest.raises(ParameterError):
-            bd.make_params(family_a, 2.0, 1.0, 1.0, z_s=family_a.z_s_param)
+            bd.make_params(family_a, 2.0, 1.0, z_s=family_a.z_s_param)
 
     def test_delayed_switch_index(self):
         # fragmentation approaches z_s from below: the switch moves inward
@@ -64,7 +64,7 @@ class TestChooseLambda:
         i = np.arange(1, n + 1, dtype=float)
         b = 1.0 * (1.0 - 0.6 * np.exp(-i / 15.0))
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
-        params = bd.make_params(model, 0.8, 1.0, 1.0, n_max=n, z_s=model.z_s_param)
+        params = bd.make_params(model, 0.8, 1.0, n_max=n, z_s=model.z_s_param)
         assert params.n_switch > 1
         js = np.arange(max(2, params.n_switch), n + 1, dtype=float)
         assert np.all(model.b(js) >= params.lam * 0.8 * model.a(js - 1))
@@ -77,22 +77,17 @@ class TestChooseLambda:
         b = 1.0 * (1.0 - 0.3 * j**-0.05)
         model = bd.make_custom_model(np.ones(n), b, gamma=1.0, z_s=1.0)
         with pytest.raises(NoSwitchIndexError):
-            bd.make_params(model, 0.95, 1.0, 1.0, n_max=n, z_s=model.z_s_param)
-
-
-    def test_delta_below_one_refused(self, family_a):
-        with pytest.raises(ParameterError, match="delta must be >= 1"):
-            bd.make_params(family_a, 0.6, 1.0, delta=0.5, z_s=family_a.z_s_param)
+            bd.make_params(model, 0.95, 1.0, n_max=n, z_s=model.z_s_param)
 
     @pytest.mark.parametrize("changes, match", [
-        (dict(delta=1.5), r"need 1 <= delta < lambda"),
+        (dict(lam=1.0), r"need lambda > 1"),
         (dict(omega=0.0), "omega and rho must be positive"),
         (dict(n_switch=0), "switch index must be >= 1"),
-    ], ids=["delta-at-lambda", "zero-omega", "zero-switch-index"])
+    ], ids=["lambda-at-1", "zero-omega", "zero-switch-index"])
     def test_direct_construction_refused(self, changes, match):
         # parameters built by hand, not by make_params, are still checked
         with pytest.raises(ParameterError, match=match):
-            SupersolutionParams(**{**dict(omega=1.0, rho=1.0, delta=1.0, lam=1.5, n_switch=1), **changes})
+            SupersolutionParams(**{**dict(omega=1.0, rho=1.0, lam=1.5, n_switch=1), **changes})
 
     def test_make_params_is_the_only_producer(self):
         assert not hasattr(bd, "choose_lambda")
@@ -102,7 +97,7 @@ class TestChooseLambda:
 class TestBuildSupersolution:
     def test_hand_recursion(self, half_model):
         # lambda = 3/2, omega = 1, rho = 1, g_j = 2^-j
-        params = SupersolutionParams(omega=1.0, rho=1.0, delta=1.0, lam=1.5, n_switch=1)
+        params = SupersolutionParams(omega=1.0, rho=1.0, lam=1.5, n_switch=1)
         n = 60
         g = 0.5 ** np.arange(1, n + 1)
         sol = bd.build_supersolution(half_model, params, g)
@@ -118,7 +113,7 @@ class TestBuildSupersolution:
         assert sol.r == pytest.approx(r, rel=1e-12)
 
     def test_zero_profile_geometric(self, half_model):
-        params = SupersolutionParams(omega=1.0, rho=1.0, delta=1.0, lam=1.5, n_switch=1)
+        params = SupersolutionParams(omega=1.0, rho=1.0, lam=1.5, n_switch=1)
         n = 40
         sol = bd.build_supersolution(half_model, params, np.zeros(n))
         expected_s = (1.0 / 1.5) * 1.5 ** -np.arange(n, dtype=float)
@@ -127,15 +122,17 @@ class TestBuildSupersolution:
         assert check.ok and check.worst_margin < 0
 
     def test_wide_growth_bound_inflates_first_increment(self):
-        # delta = 2 rules out the 1 + 1/omega ceiling; omega (lambda - 1) > 1
-        # then needs the inflated start to keep r_1 at the density
+        # at omega = 3e9 the 1 + 1/omega cap is within 1e-9 of 1 and is not
+        # taken: lambda = sqrt(z_s/omega) = 1.1547, and omega (lambda - 1) =
+        # 4.6e8 > 1 then needs the inflated start to keep r_1 at the density
         n = 80
-        model = bd.make_custom_model(np.ones(n), 4.0 * np.ones(n), gamma=1.0, z_s=4.0)
-        params = bd.make_params(model, 1.5, 1.0, delta=2.0, n_max=n, z_s=model.z_s_param)
+        model = bd.make_custom_model(np.ones(n), 4e9 * np.ones(n), gamma=1.0, z_s=4e9)
+        params = bd.make_params(model, 3e9, 1.0, n_max=n, z_s=model.z_s_param)
+        assert params.lam == math.sqrt(4e9 / 3e9)
         assert params.omega * (params.lam - 1.0) > 1.0
         sol = bd.build_supersolution(model, params, np.zeros(n))
         assert sol.r[0] >= 1.0 * (1 - 1e-12)
-        check = bd.verify_supersolution(sol.r, model, 1.5, 1.0)
+        check = bd.verify_supersolution(sol.r, model, 3e9, 1.0)
         assert check.ok
 
     def test_domination_and_shape(self, family_a):
@@ -277,7 +274,7 @@ class TestWeightedSumBound:
         assert wb.lhs <= wb.rhs
 
     def test_zero_profile_bound_is_constant(self, half_model):
-        params = SupersolutionParams(omega=1.0, rho=1.0, delta=1.0, lam=1.5, n_switch=1)
+        params = SupersolutionParams(omega=1.0, rho=1.0, lam=1.5, n_switch=1)
         n = 40
         g = np.zeros(n)
         sol = bd.build_supersolution(half_model, params, g)

@@ -10,10 +10,12 @@ code of ``experiment``, the first stderr line, ``n_fev`` summed over its
 output file, the ``supersolution`` stage's ``worst_margin`` and
 ``worst_index`` (null when no sequence was built), the first failing
 gating stage (``failed_stage``) and its ``flag`` (null when the run wrote
-no verdict or passed, or the stage has no flag) and the exit code of
-``verify`` (``verify_exit``); a last line
-gives the totals, with the process's peak resident memory (``ru_maxrss``)
-as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
+no verdict or passed, or the stage has no flag), ``summary_body``, the sha1
+of ``summary.json`` with its ``config`` key dropped, dumped with sorted keys
+(null when no summary was written; a change to the config's echo moves
+``files.summary.json`` but not this), and the exit code of ``verify``
+(``verify_exit``); a last line gives the totals, with the process's peak
+resident memory (``ru_maxrss``) as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
 median, over 5 fresh interpreters, of ``import beckerdoring`` plus one
 ``load_config`` of the template, timed after an untimed ``import numpy``
 (without cached bytecode, as under ``PYTHONDONTWRITEBYTECODE=1``, it
@@ -28,6 +30,9 @@ label, so ``--compare`` of two such files checks that every output file of
 the benchmark's configs is byte-identical between two trees:
 
     PYTHONPATH=src python tools/census.py --bench > bench.jsonl
+
+To compare two trees, run this one tool on each, with the tree's package
+on the path: ``PYTHONPATH=<tree>/src python tools/census.py --bench``.
 
 ``--lines`` runs every grid config and every ``--bench`` config the same
 way, under a ``sys.settrace`` line tracer limited to the package's files,
@@ -142,13 +147,18 @@ def import_ms(runs: int = 5) -> float:
 
 def summary_fields(summary: Path) -> dict:
     """From a ``summary.json``: the ``supersolution`` stage's worst margin and
-    its row, and the first failing gating stage with its flag; nulls where
+    its row, the first failing gating stage with its flag, and the sha1 of
+    the summary without its ``config`` key (``summary_body``); nulls where
     the run wrote none, built no sequence or failed no stage."""
-    stages = json.loads(summary.read_text())["stages"] if summary.exists() else []
+    data = json.loads(summary.read_text()) if summary.exists() else {}
+    stages = data.get("stages", [])
     info = next((s["info"] for s in stages if s["name"] == "supersolution"), {})
     failed = next((s for s in stages if s["gating"] and not s["ok"]), None)
+    data.pop("config", None)
+    body = hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest() if data else None
     return {"worst_margin": info.get("worst_margin"), "worst_index": info.get("worst_index"),
-            "failed_stage": failed and failed["name"], "flag": failed and failed["info"].get("flag")}
+            "failed_stage": failed and failed["name"], "flag": failed and failed["info"].get("flag"),
+            "summary_body": body}
 
 
 def census(configs):
