@@ -34,6 +34,7 @@ from .errors import (
     PhiDecayError,
     StepSizeUnderflowError,
     SupercriticalError,
+    TailNotDecayedError,
     UnboundedGrowthConstantError,
 )
 from .experiments import (

@@ -242,18 +242,27 @@ def load_rate_table(path: str | Path, *, gamma: float = 1.0, z_s: float) -> Coef
     naming the file.
     """
     where = f"rate file {str(path)!r}"
+    data = read_indexed_table(path, "i a_i b_i", where)
+    try:
+        return make_custom_model(data[:, 0], data[:, 1], gamma=gamma, z_s=z_s)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def read_indexed_table(path: str | Path, columns: str, where: str) -> np.ndarray:
+    """The value columns of a whitespace-separated table of the named
+    ``columns`` (such as "i c_i"), the first being the 1-based contiguous
+    index; ConfigError, after ``where``, refuses any other layout."""
     try:
         data = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{where} is not a table of numbers: {exc}") from None
-    if data.shape[1] != 3:
-        raise ConfigError(f"{where} must have 3 columns 'i a_i b_i', got {data.shape[1]}")
+    width = len(columns.split())
+    if data.shape[1] != width:
+        raise ConfigError(f"{where} must have {width} columns '{columns}', got {data.shape[1]}")
     if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise ConfigError(f"{where}: indices must be 1-based and contiguous")
-    try:
-        return make_custom_model(data[:, 1], data[:, 2], gamma=gamma, z_s=z_s)
-    except ParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return data[:, 1:]
 
 
 # -- detailed balance --------------------------------------------------------

@@ -26,7 +26,7 @@ class CriticalValues(NamedTuple):
     """z_s and rho_s: a rate table's stated z_s and its partial sum there,
     or for a formula family the root-test estimate of z_s and the partial-sum
     estimate of rho_s, which is +inf when the partial sums keep growing at
-    the scan end."""
+    the scan end.  No refusal reads rho_s."""
 
     z_s: float
     rho_s: float
@@ -42,8 +42,8 @@ def critical_values(
     A rate table of L rows states its z_s, and its rho_s is the table's
     partial sum sum_{i<=L} i Q_i z_s^i, whatever n: every term is positive,
     so that sum is a lower bound on rho_s for every continuation of the
-    table, and refusing a density at or above it never lets a supercritical
-    one through.
+    table.  ``check_subcritical`` computes the same sum, with the same
+    expression, and refuses a density at or above it.
 
     A formula family's are estimated from the prefix of length n.  z_s is
     the reciprocal of the geometric mean of the last n//10 ratios
@@ -68,19 +68,21 @@ def critical_values(
     return CriticalValues(z_s=z_s, rho_s=math.inf if diverges else s_full)
 
 
-def check_subcritical(model: CoefficientModel, rho: float, log_q: np.ndarray) -> None:
-    """Refuse (SupercriticalError, naming the full sum L and z_s) a density
+def check_subcritical(model: CoefficientModel, rho: float, log_q_prefix: _LogQPrefix) -> None:
+    """Refuse (SupercriticalError, naming the full sum and z_s) a density
     that no partial sum of F(z_s) = sum_i i Q_i z_s^i exceeds, at the
-    model's own z_s, over the given log Q_1..log Q_n.  Each partial sum is a
-    lower bound on the exact rho_s, so a density below one is subcritical.
-    The first 32 terms are summed first: the templates need 2 of them."""
+    model's own z_s, over a rate table's L rows or N_SERIES terms of
+    ``log_q_prefix``.  Each is a lower bound on the exact rho_s.  The first
+    32 terms are summed first (the templates need 2): an accepted density
+    fills an empty prefix no further."""
+    n = model.table_length or N_SERIES
     log_z = math.log(model.z_s_param)
-    for head in (log_q[:32], log_q):
-        total = float(np.sum(_series_terms(head, log_z)))
+    for m in (min(32, n), n):
+        total = float(np.sum(_series_terms(log_q_prefix(m), log_z)))
         if total > rho:
             return
     raise SupercriticalError(f"density {rho:.6g} is not below the critical density: "
-                             f"sum_(i<={len(log_q)}) i Q_i z_s^i = {total:.6g} at z_s = {model.z_s_param:.6g}")
+                             f"sum_(i<={n}) i Q_i z_s^i = {total:.6g} at z_s = {model.z_s_param:.6g}")
 
 
 class _LogQPrefix:
@@ -89,7 +91,7 @@ class _LogQPrefix:
     longer prefix starts with the bits of every shorter one.
 
     ``experiments.prepare`` makes one per preamble: ``critical_values``
-    fills it at ``N_SERIES``, and the activity solve's bisection and
+    fills it at ``N_SERIES``, and the activity solve and
     ``equilibrium_profile`` slice it.  It is dropped with the preamble's
     locals, so its 10^5 entries do not outlive ``prepare``.  It holds one
     array; a longer prefix replaces it, grown from the last entry of the
@@ -183,19 +185,17 @@ def solve_monomer_activity(
     still grow, or a step that leaves the bracket, bisects the bracket
     instead.  Stops at
     |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
-    Raises SupercriticalError when rho >= rho_s, and NumericalError when
-    no bracket is found or the iteration stalls short of the tolerance,
+    ``check_subcritical`` first refuses a supercritical rho; ``critical``
+    gives only z_s, the bracket's start.  Raises NumericalError when no
+    bracket is found or the iteration stalls short of the tolerance,
     naming the last iterate's |F(z) - rho|.
     The truncations of F slice ``log_q_prefix`` (a new one when None).
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
-    if rho >= critical.rho_s:
-        raise SupercriticalError(
-            f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
-        )
-    tol = ACTIVITY_TOL * rho
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
+    check_subcritical(model, rho, log_q_prefix)
+    tol = ACTIVITY_TOL * rho
 
     def f(z: float) -> tuple[float, np.ndarray | None]:
         value, converged, terms = _series_at_activity(log_q_prefix, z, tol / 10.0)
@@ -253,14 +253,13 @@ def equilibrium_profile(
     model: CoefficientModel,
     z_bar: float,
     n: int,
-    critical: CriticalValues,
     log_q_prefix: _LogQPrefix | None = None,
 ) -> EquilibriumData:
     """Build the length-n equilibrium profile for a given monomer activity
-    in (0, ``critical.z_s``), from the first n entries of ``log_q_prefix``
-    (a new one when None)."""
-    if not 0 < z_bar < critical.z_s * (1 + 1e-9):
-        raise ParameterError(f"activity {z_bar} outside (0, z_s = {critical.z_s:.6g})")
+    in (0, z_s), z_s being the model's own, from the first n entries of
+    ``log_q_prefix`` (a new one when None)."""
+    if not 0 < z_bar < model.z_s_param * (1 + 1e-9):
+        raise ParameterError(f"activity {z_bar} outside (0, z_s = {model.z_s_param:.6g})")
     i = np.arange(1, n + 1, dtype=float)
     log_profile = (log_q_prefix or _LogQPrefix(model))(n) + i * math.log(z_bar)
     with np.errstate(under="ignore"):

@@ -9,6 +9,11 @@ class ParameterError(BeckerDoringError, ValueError):
     """A parameter is outside its admissible range."""
 
 
+class TailNotDecayedError(ParameterError):
+    """A tail profile has not decayed by the truncation end: no dominating
+    sequence is built above it."""
+
+
 class ConfigError(BeckerDoringError, ValueError):
     """An experiment configuration is malformed or inconsistent."""
 

@@ -26,6 +26,7 @@ from .coefficients import (
     load_rate_table,
     make_exponential_tail_model,
     make_power_law_model,
+    read_indexed_table,
 )
 from .equilibrium import (
     ACTIVITY_TOL,
@@ -35,13 +36,12 @@ from .equilibrium import (
     _LogQPrefix,
     _series_terms,
     _sum_over_support,
-    check_subcritical,
     critical_values,
     equilibrium_profile,
     fsum_array,
     solve_monomer_activity,
 )
-from .errors import ConfigError, ParameterError, UnboundedGrowthConstantError
+from .errors import ConfigError, ParameterError, TailNotDecayedError, UnboundedGrowthConstantError
 from .maximum_principle import check_domination
 from .solver import IntegrateOptions, Key, Trajectory, density, integrate, weight
 from .supersolution import (
@@ -118,20 +118,15 @@ class ExperimentConfig:
             shape = self.init_ratio**i
         elif self.init == "file":
             where = f"initial-state file {self.init_file!r}"
-            try:
-                data = np.loadtxt(self.init_file, dtype=float, ndmin=2)
-            except ValueError as exc:
-                raise ConfigError(f"{where} is not a table of numbers: {exc}") from None
-            if data.shape[1] != 2 or not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
-                raise ConfigError(f"{where} needs contiguous columns 'i c_i'")
-            if not (np.all(np.isfinite(data[:, 1])) and np.all(data[:, 1] >= 0)):
+            data = read_indexed_table(self.init_file, "i c_i", where)[:, 0]
+            if not (np.all(np.isfinite(data)) and np.all(data >= 0)):
                 raise ConfigError(f"{where}: concentrations must be finite and non-negative")
-            past = np.flatnonzero(data[self.n :, 1])
+            past = np.flatnonzero(data[self.n :])
             if len(past):
                 raise ConfigError(f"{where} puts mass in row {self.n + 1 + int(past[0])}, past n = {self.n}")
             c = np.zeros(self.n)
             m = min(self.n, len(data))
-            c[:m] = data[:m, 1]
+            c[:m] = data[:m]
             if not np.any(c):
                 raise ConfigError(f"{where} carries no mass in sizes 1..{self.n}")
             return c
@@ -165,11 +160,9 @@ def prepare(config: ExperimentConfig) -> Preamble:
     """Build the model, its critical values and the equilibrium of a config.
 
     The critical values (z_s, rho_s) are computed here and nowhere else in
-    the pipeline: every later consumer reads ``Preamble.critical``.  A
-    supercritical density is refused before the activity solve: a formula
-    family's by ``check_subcritical`` at the model's own z_s, a rate
-    table's by the solve, against its partial sum at its stated z_s.  The
-    steps share one log-Q prefix: the critical values compute it at
+    the pipeline: every later consumer reads ``Preamble.critical``.  The
+    activity solve refuses a supercritical density (``check_subcritical``).
+    The steps share one log-Q prefix: the critical values compute it at
     ``equilibrium.N_SERIES`` = 10^5, the others slice it.  The activity
     solves the density of the initial state: ``config.rho``, or for
     ``init = "file"`` the file's, which is read first.
@@ -179,10 +172,8 @@ def prepare(config: ExperimentConfig) -> Preamble:
     crit = critical_values(model, log_q_prefix=log_q_prefix)
     c0 = config.initial_state() if config.init == "file" else None
     rho = config.rho if c0 is None else density(c0)
-    if model.table_length is None:
-        check_subcritical(model, rho, log_q_prefix(N_SERIES))
     z_bar = solve_monomer_activity(model, rho, critical=crit, log_q_prefix=log_q_prefix)
-    eq = equilibrium_profile(model, z_bar, config.n, critical=crit, log_q_prefix=log_q_prefix)
+    eq = equilibrium_profile(model, z_bar, config.n, log_q_prefix=log_q_prefix)
     c0 = config.initial_state(eq) if c0 is None else c0
     omega = config.omega if config.omega > 0 else z_bar + config.omega_margin * (crit.z_s - z_bar)
     opts = IntegrateOptions(
@@ -440,7 +431,9 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     density (the uniform-bound machinery does not apply there), weights
     outside the certified hypotheses or that no horizon can certify, an
     omega that admits no lambda, and a cap that c_1 cannot fall
-    below.  Every other failure is a stage verdict, never a silent pass.
+    below.  Every other failure is a stage verdict, never a silent pass: a
+    tail at T0 that has not decayed by N fails the ``supersolution`` stage
+    with the flag ``tail-not-decayed``, and no later stage is run.
     """
     prep, params, certificates = preflight(config)
     crit, rho, omega = prep.critical, prep.rho, prep.omega
@@ -478,6 +471,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
     )
 
     witness: dict = {}
+    super_sol = None
     if t0 is not None:
         # the window up to T0, against the growth bound in log space, where
         # C_phi (t - t_0) may pass the float range of its exponential
@@ -490,7 +484,12 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
             stages.append(StageResult(f"short_time_bound[{cert.label}]", worst <= 1.0 + 1e-8, info=info, key=cert.key))
 
         g_t0 = tail_density(trajectory.at(t0))
-        super_sol, check = dominating_sequence(prep, params, g_t0)
+        try:
+            super_sol, check = dominating_sequence(prep, params, g_t0)
+        except TailNotDecayedError:
+            info = {"flag": "tail-not-decayed", "g_N_over_rho": float(g_t0[-1]) / rho}
+            stages.append(StageResult("supersolution", ok=False, info=info))
+    if super_sol is not None:
         witness = {**supersolution_witness(super_sol), "r_max": float(np.max(super_sol.r))}
         stages.append(
             StageResult(
@@ -555,7 +554,7 @@ def run_uniform_moment_experiment(config: ExperimentConfig) -> UniformBoundRepor
         witness=witness,
         verdict=verdict,
         trajectory=trajectory,
-        supersolution=super_sol if t0 is not None else None,
+        supersolution=super_sol,
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .equilibrium import fsum_array, settled_fsum, support_length
-from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError
+from .errors import NoSwitchIndexError, NumericalError, ParameterError, PhiDecayError, TailNotDecayedError
 
 _SCAN_DEFAULT = 100_000
 BALANCE_TOL_FACTOR = 1e-12  # times the density: the balance check's slack
@@ -190,9 +190,10 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
     """Construct a dominating sequence above the tail profile g.
 
     g must be non-negative, non-increasing, start at or below rho and have
-    decayed below TAIL_DECAY_TOL * rho by the truncation end (it is treated as
-    zero beyond).  Increments follow s_{j+1} = max(s_j / lambda, h_{j+1})
-    with h the first differences of g; before the switch index the sequence
+    decayed below TAIL_DECAY_TOL * rho by the truncation end (it is treated
+    as zero beyond; a g that has not raises TailNotDecayedError).
+    Increments follow s_{j+1} = max(s_j / lambda, h_{j+1}) with h the
+    first differences of g; before the switch index the sequence
     is the constant max(rho, r_{switch}).  The recurrence runs up to row
     m = max(support of g, n_switch); past it h vanishes, and
     ``continue_geometrically`` writes the decay and the suffix sums.
@@ -209,7 +210,7 @@ def build_supersolution(model: CoefficientModel, params: SupersolutionParams, g:
     if g[0] > rho * (1 + 1e-12):
         raise ParameterError(f"g_1 = {g[0]:.6g} exceeds the density {rho:.6g}")
     if g[-1] > TAIL_DECAY_TOL * rho:
-        raise ParameterError(
+        raise TailNotDecayedError(
             f"g_N = {g[-1]:.3g} has not decayed below {TAIL_DECAY_TOL:g} * rho; "
             "enlarge the truncation (the construction needs g -> 0)"
         )

@@ -18,8 +18,10 @@ import numpy as np
 
 from beckerdoring._rk import solve_rk54
 from beckerdoring.coefficients import CoefficientModel
-from beckerdoring.equilibrium import _N_CAP, CriticalValues, _LogQPrefix, _series_at_activity, fsum_array
-from beckerdoring.errors import NumericalError, ParameterError, SupercriticalError
+from beckerdoring.equilibrium import (
+    _N_CAP, CriticalValues, _LogQPrefix, _series_at_activity, check_subcritical, fsum_array,
+)
+from beckerdoring.errors import NumericalError, ParameterError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
 from beckerdoring.supersolution import SupersolutionCheck
 from beckerdoring.tails import StretchedWeights, tail_density
@@ -126,12 +128,9 @@ def bisect_monomer_activity(
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
-    if rho >= critical.rho_s:
-        raise SupercriticalError(
-            f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}"
-        )
-    tol_series = tol * rho / 10.0
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
+    check_subcritical(model, rho, log_q_prefix)
+    tol_series = tol * rho / 10.0
 
     def f(z: float) -> float:
         value, converged, _ = _series_at_activity(log_q_prefix, z, tol_series)

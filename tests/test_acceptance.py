@@ -48,7 +48,7 @@ def flagship_model():
 def flagship_equilibrium(flagship_model):
     crit = bd.critical_values(flagship_model, 100_000)
     z_bar = bd.solve_monomer_activity(flagship_model, 1.0, critical=crit)
-    return bd.equilibrium_profile(flagship_model, z_bar, 2000, critical=crit)
+    return bd.equilibrium_profile(flagship_model, z_bar, 2000)
 
 
 def test_criterion_1_mass_conservation(flagship):

@@ -54,3 +54,14 @@ def test_summary_body_leaves_out_the_config_echo():
 def test_spans_joins_consecutive_lines():
     assert census.spans([3, 7, 8, 9, 12]) == "3, 7-9, 12"
     assert census.spans([]) == ""
+
+
+def test_a_cause_reads_no_numbers():
+    # one refusal at two densities is one cause; a verdict's cause is its
+    # failed stage and flag, a label's numbers replaced too
+    record = {"exit": 11, "stderr": "config error: density 5.283 is not below the critical density: "
+                                   "sum_(i<=100000) i Q_i z_s^i = 4.32105 at z_s = 1"}
+    other = {**record, "stderr": record["stderr"].replace("5.283", "1.2e+03").replace("4.32105", "-0.5")}
+    assert census.cause(record) == census.cause(other) == "exit 11: config error: density # is not below the"
+    verdict = {"exit": 2, "stderr": "", "failed_stage": "short_time_bound[k=2.5]", "flag": None}
+    assert census.cause(verdict) == "exit 2: short_time_bound[k=#]"

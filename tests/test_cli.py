@@ -297,6 +297,29 @@ def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
     assert "threshold" in failed
 
 
+def test_a_tail_that_has_not_decayed_fails_its_stage(small_config, tmp_path, capsys):
+    # a geometric start of ratio 0.99 at N = 300 has c_N = 6.16e-6 rho: no
+    # dominating sequence is built above its tail at T0 = 0.  The run still
+    # ends in a verdict, with the trajectory written; ``supersolution``
+    # refuses the same initial tail as a bad configuration
+    text = (small_config.read_text().replace("t_end = 10.0", "t_end = 20.0")
+            .replace('init = "monodisperse"', 'init = "geometric"').replace("init_ratio = 0.5", "init_ratio = 0.99"))
+    path = tmp_path / "geometric.toml"
+    path.write_text(re.sub(r"^stretched = .*$", "stretched = []", text, flags=re.M))
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert "[FAIL] supersolution\n" in capsys.readouterr().out
+    assert {p.name for p in out_dir.iterdir()} == {"summary.json", "timeseries.csv", "bounds.dat"}
+    summary = json.loads((out_dir / "summary.json").read_text())
+    stages = {s["name"]: s for s in summary["stages"]}
+    assert list(stages) == ["integrate", "threshold", "short_time_bound[k=2]", "supersolution", "convergence_shadow"]
+    assert stages["supersolution"]["info"] == {"flag": "tail-not-decayed", "g_N_over_rho": pytest.approx(6.16e-6, rel=1e-3)}
+    assert summary["witness"] == {} and summary["verdict"] is False
+    assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "sup")]) == 11
+    assert capsys.readouterr().err.startswith("config error: g_N = 6.16e-06 has not decayed below 1e-06 * rho")
+    assert not (tmp_path / "sup").exists()
+
+
 def _header(path):
     return dict(line[1:].split("=", 1) for line in path.read_text().splitlines() if line.startswith("#"))
 
@@ -358,7 +381,8 @@ def test_rate_table_states_its_critical_values(small_config, tmp_path, capsys, m
     monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
     table.write_text(table.read_text().replace("rho = 1.0", "rho = 5.0"))
     assert main(["experiment", "--config", str(table), "--out", str(tmp_path / "out")]) == 11
-    assert "density 5 is not below the critical density 4.87787" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("config error: density 5 is not below the critical density: "
+                                       "sum_(i<=3000) i Q_i z_s^i = 4.87787 at z_s = 1\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -557,13 +581,17 @@ def test_help_exit_0(capsys):
 @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
 def test_formula_families_refuse_a_density_at_their_partial_sum(small_config, tmp_path, capsys, monkeypatch, family):
     # L = sum_(i<=10^5) i Q_i z_s^i at the model's own z_s = 1 bounds rho_s
-    # from below: 1.001 L is refused before the activity solve and before
-    # anything is integrated, by every command that certifies
+    # from below: 1.001 L is refused as the activity solve's first step,
+    # before F is evaluated at any iterate and before anything is
+    # integrated, by every command that certifies
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a density at or above the partial sum")
 
+    def series_at_activity(*args, **kwargs):
+        raise AssertionError("evaluated F for a density at or above the partial sum")
+
     monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
-    monkeypatch.setattr("beckerdoring.experiments.solve_monomer_activity", integrate)
+    monkeypatch.setattr("beckerdoring.equilibrium._series_at_activity", series_at_activity)
     model = ExperimentConfig(family=family).build_model()
     i = np.arange(1, N_SERIES + 1, dtype=float)
     full = math.fsum((i * np.exp(bd.detailed_balance(model, N_SERIES))).tolist())
@@ -702,8 +730,10 @@ _TABLE = "".join(f"{i} 1.0 2.0\n" for i in range(1, 101))
     pytest.param(['family = "custom"'], {}, "rates_file", id="custom-without-rates-file"),
     pytest.param(['family = "power-law"'], {}, "unknown family 'power-law'", id="unknown-family"),
     pytest.param(['init = "geometric"', "init_ratio = 1.5"], {}, "init_ratio", id="init-ratio-above-1"),
-    pytest.param(['init = "file"', 'init_file = "{c0}"'], {"c0": "1 0.5 0.0\n2 0.25 0.0\n"}, "'{c0}'",
-                 id="init-file-three-columns"),
+    pytest.param(['init = "file"', 'init_file = "{c0}"'], {"c0": "1 0.5 0.0\n2 0.25 0.0\n"},
+                 "'{c0}' must have 2 columns 'i c_i', got 3", id="init-file-three-columns"),
+    pytest.param(['init = "file"', 'init_file = "{c0}"'], {"c0": "1 0.5\n3 0.25\n"},
+                 "'{c0}': indices must be 1-based and contiguous", id="init-file-gap"),
     pytest.param(['init = "uniform"'], {}, "unknown init 'uniform'", id="unknown-init"),
     pytest.param(['family = "exponential_tail"', "mu_c = 1.0"], {}, "mu_c", id="exponential-tail-mu-c-1"),
     pytest.param(['family = "custom"', 'rates_file = "{rates}"'], {"rates": "1 1.0 2.0\n"}, "'{rates}'",

@@ -181,18 +181,31 @@ class TestCheckSubcritical:
         model = request.getfixturevalue(fixture)
         log_q = bd.detailed_balance(model, N_SERIES)
         full = math.fsum((np.arange(1, N_SERIES + 1) * np.exp(log_q)).tolist())
-        check_subcritical(model, 0.999 * full, log_q)
+        check_subcritical(model, 0.999 * full, _LogQPrefix(model))
         with pytest.raises(SupercriticalError, match=f"= {full:.6g} at z_s = 1$"):
-            check_subcritical(model, 1.001 * full, log_q)
+            check_subcritical(model, 1.001 * full, _LogQPrefix(model))
 
     def test_a_small_density_reads_a_short_prefix(self, family_a):
         # the first 32 terms sum to 4.86 of L = 4.88: rho = 1 stops the scan
-        # before the entries past them, here poisoned, which rho = 4.87 reads
-        log_q = bd.detailed_balance(family_a, N_SERIES).copy()
-        log_q[32:] = np.nan
-        check_subcritical(family_a, 1.0, log_q)
+        # before the entries past them, here poisoned in the prefix's own
+        # array, which rho = 4.87 reads; an empty prefix is filled to row 32
+        # only
+        prefix = _LogQPrefix(family_a)
+        check_subcritical(family_a, 1.0, prefix)
+        assert len(prefix(1)) == 1 and len(prefix._log_q) == 32
+        prefix(N_SERIES)[32:] = np.nan
+        check_subcritical(family_a, 1.0, prefix)
         with pytest.raises(SupercriticalError):
-            check_subcritical(family_a, 4.87, log_q)
+            check_subcritical(family_a, 4.87, prefix)
+
+    def test_a_rate_table_is_refused_at_its_full_sum(self, ones_model):
+        # i Q_i z_s^i = i over the 4000 rows: the sum is 4000 * 4001 / 2,
+        # the rho_s critical_values states, with the rows and z_s named
+        rho_s = bd.critical_values(ones_model).rho_s
+        assert rho_s == 4000 * 4001 / 2
+        check_subcritical(ones_model, math.nextafter(rho_s, 0.0), _LogQPrefix(ones_model))
+        with pytest.raises(SupercriticalError, match=r"sum_\(i<=4000\) i Q_i z_s\^i = 8\.002e\+06 at z_s = 1$"):
+            check_subcritical(ones_model, rho_s, _LogQPrefix(ones_model))
 
 
 class TestSolveActivity:
@@ -223,6 +236,40 @@ class TestSolveActivity:
         crit = bd.critical_values(family_a, 100_000)
         with pytest.raises(SupercriticalError):
             bd.solve_monomer_activity(family_a, crit.rho_s * 1.01, critical=crit)
+
+    @pytest.mark.parametrize("fixture, full", [("family_a", "4.87787"), ("family_b", "32.4591")])
+    def test_templates_refused_below_the_estimate(self, fixture, full, request):
+        # 0.995 of the root test's rho_s lies above L, the 10^5-term sum at
+        # the model's own z_s = 1: the library solve refuses it, naming L,
+        # where it once returned z_bar = 1.00228 and 1.00138 > z_s
+        model = request.getfixturevalue(fixture)
+        crit = bd.critical_values(model)
+        with pytest.raises(SupercriticalError, match=rf"= {full} at z_s = 1$"):
+            bd.solve_monomer_activity(model, 0.995 * crit.rho_s, critical=crit)
+
+    def test_below_the_partial_sum_the_bits_hold(self, family_a):
+        # 0.97 of the estimate is 4.811, below L = 4.87787: z_bar keeps the
+        # bits it had when the solve refused against the estimate
+        crit = bd.critical_values(family_a)
+        z = bd.solve_monomer_activity(family_a, 0.97 * crit.rho_s, critical=crit)
+        assert z == 0.9972865790949719
+
+    def test_a_near_critical_table_stalls(self):
+        # 10^5 rows of a_i = b_i = 1 at 1 - 1e-11 of their sum 5e9: F' near
+        # z_s = 1 is about 3e14, so one ulp of z moves F by 0.013, past the
+        # tolerance 5e-3: no float z meets this subcritical density, and the
+        # solve says so
+        n = 100_000
+        model = bd.make_custom_model(np.ones(n), np.ones(n), gamma=1.0, z_s=1.0)
+        crit = bd.critical_values(model)
+        with pytest.raises(NumericalError, match=r"^activity solve stalled: \|F\(z\) - rho\| = 0\.013 > 0\.005$"):
+            bd.solve_monomer_activity(model, (1 - 1e-11) * crit.rho_s, critical=crit)
+
+    def test_rate_table_refused_by_the_solve(self, ones_model):
+        crit = bd.critical_values(ones_model)
+        with pytest.raises(SupercriticalError, match=r"^density 8\.01e\+06 is not below the critical density: "
+                                                     r"sum_\(i<=4000\) i Q_i z_s\^i = 8\.002e\+06 at z_s = 1$"):
+            bd.solve_monomer_activity(ones_model, 1.001 * crit.rho_s, critical=crit)
 
     def test_round_trip(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
@@ -303,12 +350,13 @@ class TestSolveActivity:
     def test_newton_on_the_census(self):
         # every activity solve of tools/census.py's grid (the initial shape
         # does not enter it) whose model builds; measured within 5.4e-13 of
-        # the bisection.  Where F stays below rho up to the point its series
-        # stops converging (an exp tail at mu_c = 0.35, 0.995 of the root
-        # test's rho_s) the solve stalls, as the bisection does
+        # the bisection.  A density at or above L, the partial sum at the
+        # model's own z_s, is refused before any iterate: the 3 that stalled
+        # when the solve refused against the root test's rho_s (an exp tail
+        # at mu_c = 0.35, 0.995 of that estimate) are among them
         from beckerdoring.experiments import ExperimentConfig
 
-        built, stalled = 0, 0
+        built, refused, stalled = 0, 0, 0
         for family, gamma, mu_c, share in itertools.product(
             ["power_law", "exponential_tail"], [0.2, 0.5, 0.8, 1.0], [0.2, 0.35, 0.5, 0.65, 0.8],
             [0.3, 0.6, 0.9, 0.97, 0.995],
@@ -323,13 +371,16 @@ class TestSolveActivity:
             rho = share * (crit.rho_s if math.isfinite(crit.rho_s) else 10.0)
             try:
                 z = bd.solve_monomer_activity(model, rho, critical=crit, log_q_prefix=prefix)
+            except SupercriticalError:
+                refused += 1
+                continue
             except NumericalError as exc:
                 assert str(exc).startswith("activity solve stalled")
                 stalled += 1
                 continue
             self._assert_matches_bisection(model, rho, crit, prefix, z)
             built += 1
-        assert (built, stalled) == (172, 3)
+        assert (built, refused, stalled) == (121, 54, 0)
 
     @staticmethod
     def _assert_matches_bisection(model, rho, crit, prefix, z):
@@ -340,28 +391,30 @@ class TestSolveActivity:
 
 
 class TestEquilibriumProfile:
-    @pytest.mark.parametrize("share", [0.0, 1.001], ids=["zero", "at-z_s"])
-    def test_activity_outside_the_open_range_refused(self, family_a, share):
-        # the library solves only z_bar in (0, z_s): no profile is built at either end
-        crit = bd.critical_values(family_a)
-        with pytest.raises(ParameterError, match=r"outside \(0, z_s = "):
-            bd.equilibrium_profile(family_a, share * crit.z_s, 50, crit)
+    @pytest.mark.parametrize("z_bar", [0.0, 1.001], ids=["zero", "at-z_s"])
+    def test_activity_outside_the_open_range_refused(self, family_a, z_bar):
+        # the library solves only z_bar in (0, z_s), z_s the model's own 1:
+        # no profile is built at either end, nor below the root test's
+        # estimate 1.00325
+        assert bd.critical_values(family_a).z_s > 1.003
+        with pytest.raises(ParameterError, match=r"outside \(0, z_s = 1\)$"):
+            bd.equilibrium_profile(family_a, z_bar, 50)
 
     def test_geometric_profile(self, ones_model):
         # Q_i = 1, z = 1/2: profile is 2^-i
-        eq = bd.equilibrium_profile(ones_model, 0.5, 30, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, 30)
         expected = 0.5 ** np.arange(1, 31)
         assert eq.profile == pytest.approx(expected, rel=1e-13)
 
     def test_family_a_entry(self, family_a):
         # Q_2 z^2 at z = 0.3: (sqrt(2) - 1) * 0.09
-        eq = bd.equilibrium_profile(family_a, 0.3, 10, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.3, 10)
         assert eq.profile[1] == pytest.approx((math.sqrt(2) - 1.0) * 0.09, rel=1e-13)
 
     def test_underflow_cut_reported(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 2000, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 2000)
         assert eq.cut_index is not None
         assert np.all(eq.profile[eq.cut_index - 1 :] == 0.0)
         assert np.all(eq.profile[: eq.cut_index - 1] > 0.0)
@@ -371,7 +424,7 @@ class TestEquilibriumProfile:
         # max_i |a_i z 𝒬_i - b_{i+1} 𝒬_{i+1}| <= 1e-12 max_i(a_i z 𝒬_i)
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 2000, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 2000)
         w = oracles.net_rates(eq.profile.copy(), family_a)
         i = np.arange(1, 2000, dtype=float)
         flux = family_a.a(i) * z * eq.profile[:-1]
@@ -380,18 +433,18 @@ class TestEquilibriumProfile:
 
 class TestRelativeFreeEnergy:
     def test_zero_at_equilibrium(self, ones_model):
-        eq = bd.equilibrium_profile(ones_model, 0.5, 40, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         assert bd.relative_free_energy(eq.profile.copy(), eq) == pytest.approx(0.0, abs=1e-16)
 
     def test_empty_state(self, ones_model):
-        eq = bd.equilibrium_profile(ones_model, 0.5, 40, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         assert bd.relative_free_energy(np.zeros(40), eq) == pytest.approx(
             math.fsum(eq.profile), rel=1e-14
         )
 
     def test_doubled_state(self, ones_model):
         # termwise: 2Q log 2 - 2Q + Q = Q (2 log 2 - 1)
-        eq = bd.equilibrium_profile(ones_model, 0.5, 40, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         expected = (2.0 * math.log(2.0) - 1.0) * math.fsum(eq.profile)
         assert bd.relative_free_energy(2.0 * eq.profile, eq) == pytest.approx(expected, rel=1e-12)
 
@@ -400,7 +453,7 @@ class TestRelativeFreeEnergy:
     def test_positive_away_from_equilibrium(self, seed):
         rng = np.random.default_rng(seed)
         model = bd.make_custom_model(np.ones(30), np.ones(30), gamma=1.0, z_s=1.0)
-        eq = bd.equilibrium_profile(model, 0.5, 30, bd.critical_values(model))
+        eq = bd.equilibrium_profile(model, 0.5, 30)
         factors = np.exp(rng.normal(0, 0.5, size=30))
         c = eq.profile * factors
         h = bd.relative_free_energy(c, eq)
@@ -417,7 +470,7 @@ class TestRelativeFreeEnergy:
     def test_finite_past_cut_with_log_profile(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 2000, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 2000)
         c = eq.profile.copy()
         c[-1] = 1e-30  # mass past the underflow cut
         assert math.isfinite(bd.relative_free_energy(c, eq))
@@ -428,7 +481,7 @@ class TestRelativeFreeEnergy:
         # ulp from that of (1, 0, ...)
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 300)
         c = np.zeros(300)
         c[0], c[1] = 1.0, bad
         for states in (c, np.array([eq.profile, c])):
@@ -436,7 +489,7 @@ class TestRelativeFreeEnergy:
                 bd.relative_free_energy(states, eq)
 
     def test_length_mismatch(self, ones_model):
-        eq = bd.equilibrium_profile(ones_model, 0.5, 40, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, 40)
         with pytest.raises(ParameterError):
             bd.relative_free_energy(np.zeros(10), eq)
 

@@ -59,7 +59,7 @@ class TestShortTimeConstant:
 def setup(family_a):
     crit = bd.critical_values(family_a, 100_000)
     z_bar = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-    eq = bd.equilibrium_profile(family_a, z_bar, 300, critical=crit)
+    eq = bd.equilibrium_profile(family_a, z_bar, 300)
     return crit, z_bar, eq
 
 

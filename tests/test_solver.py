@@ -34,7 +34,7 @@ class TestNetRates:
         assert oracles.net_rates(state, family_a)[-1] == 0.0
 
     def test_equilibrium_rates_vanish(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.4, 200)
         w = oracles.net_rates(eq.profile.copy(), family_a)
         scale = np.max(family_a.a(np.arange(1, 200, dtype=float)) * 0.4 * eq.profile[:-1])
         assert np.max(np.abs(w)) <= 1e-12 * scale
@@ -47,7 +47,7 @@ class TestRhs:
         assert dc == pytest.approx([0.375, -0.375, 0.125], abs=0)
 
     def test_equilibrium_is_fixed_point(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.4, 200)
         dc = oracles.rhs(eq.profile.copy(), family_a)
         assert np.max(np.abs(dc)) <= 1e-12
 
@@ -91,7 +91,7 @@ class TestIntegrate:
     def test_equilibrium_stays_fixed(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 0.5, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 500, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 500)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=21)
         traj = bd.integrate(eq.profile.copy(), family_a, 10.0, opts)
         drift = float(np.max(np.abs(full_states(traj) - eq.profile)))
@@ -123,7 +123,7 @@ class TestIntegrate:
     def test_free_energy_monotone(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 300)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=101, equilibrium=eq)
         traj = bd.integrate(monodisperse(300, 1.0), family_a, 50.0, opts)
         h = traj.free_energy
@@ -374,7 +374,7 @@ class TestCrossValidation:
         # dH/dt = -sum_i W_i log(a_i c_1 c_i / (b_{i+1} c_{i+1})), checked by
         # centered differences of H along a strictly positive trajectory
         n = 30
-        eq = bd.equilibrium_profile(ones_model, 0.5, n, bd.critical_values(ones_model))
+        eq = bd.equilibrium_profile(ones_model, 0.5, n)
         c0 = eq.profile * (1.0 + 0.3 * np.sin(np.arange(1, n + 1)))
         dt = 1e-3
         t_eval = np.arange(0.0, 0.2 + dt / 2, dt)
@@ -412,7 +412,7 @@ class TestWeakFormResidual:
     def test_equilibrium_quadratic_weight(self, family_a):
         crit = bd.critical_values(family_a, 100_000)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
-        eq = bd.equilibrium_profile(family_a, z, 300, critical=crit)
+        eq = bd.equilibrium_profile(family_a, z, 300)
         traj = bd.integrate(eq.profile.copy(), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
         phi = np.arange(1, 301, dtype=float) ** 2
         assert oracles.weak_form_residual(traj, phi, 1.0) <= 1e-10
@@ -447,7 +447,7 @@ class TestBatchedObservables:
         # geometric data with ratio 0.8 keeps the last size above the dead
         # band (its smallest value is 1.3e-13) up to t = 20
         crit = bd.critical_values(family_a, 100_000)
-        eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 40, critical=crit)
+        eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 40)
         k_moments, stretched = (2.0, 3.5), ((1.0, 0.5), (0.5, 0.25))
         opts = bd.IntegrateOptions(n_snapshots=21, track=k_moments + stretched, equilibrium=eq)
         c0 = 0.8 ** np.arange(1, 41)
@@ -456,7 +456,7 @@ class TestBatchedObservables:
         _assert_matches_scalar_references(traj, eq, k_moments, stretched)
 
     def test_tail_warning_run_matches_scalar_references(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.5, 8, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.5, 8)
         opts = bd.IntegrateOptions(n_snapshots=11, track=(2.0, (1.0, 0.5)), equilibrium=eq)
         traj = bd.integrate(monodisperse(8, 3.0), family_a, 5.0, opts)
         assert traj.warnings and "truncation" in traj.warnings[0]
@@ -478,7 +478,7 @@ class TestBatchedObservables:
         assert batched.value.index == scalar.value.index == 4
 
     def test_free_energy_matrix_rows_match_one_state_calls(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.5, 40, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.5, 40)
         rng = np.random.default_rng(3)
         states = rng.random((5, 40)) * eq.profile
         states[1, 10:] = 0.0  # rows of different support

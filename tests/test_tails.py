@@ -147,7 +147,7 @@ class TestStretchedSandwich:
 
 class TestTailRhs:
     def test_equilibrium_vanishes(self, family_a):
-        eq = bd.equilibrium_profile(family_a, 0.4, 200, bd.critical_values(family_a))
+        eq = bd.equilibrium_profile(family_a, 0.4, 200)
         g = tail_density(eq.profile.copy())
         out = tail_rhs(g, 0.4, family_a)
         assert np.max(np.abs(out)) <= 1e-13

@@ -14,7 +14,8 @@ no verdict or passed, or the stage has no flag), ``summary_body``, the sha1
 of ``summary.json`` with its ``config`` key dropped, dumped with sorted keys
 (null when no summary was written; a change to the config's echo moves
 ``files.summary.json`` but not this), and the exit code of ``verify``
-(``verify_exit``); a last line gives the totals, with the process's peak
+(``verify_exit``); a last line gives the totals, with the number of
+configs per cause (``causes``, as ``cause`` names them), the process's peak
 resident memory (``ru_maxrss``) as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
 median, over 5 fresh interpreters, of ``import beckerdoring`` plus one
 ``load_config`` of the template, timed after an untimed ``import numpy``
@@ -75,6 +76,7 @@ import io
 import itertools
 import json
 import os
+import re
 import resource
 import statistics
 import subprocess
@@ -181,6 +183,7 @@ def census(configs):
     experiments.integrate = counted
     try:
         codes: Counter = Counter()
+        causes: Counter = Counter()
         verify_codes: Counter = Counter()
         total_fev, total_wall = 0, 0.0
         for params, text in configs:
@@ -202,9 +205,12 @@ def census(configs):
             total_fev += n_fev
             total_wall += wall
             stderr = err.getvalue().splitlines()
-            yield {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
-                   "files": files, "wall_s": round(wall, 4), **fields, "verify_exit": verify_code}
+            record = {**params, "exit": code, "stderr": stderr[0] if stderr else "", "n_fev": n_fev,
+                      "files": files, "wall_s": round(wall, 4), **fields, "verify_exit": verify_code}
+            causes[cause(record)] += 1
+            yield record
         yield {"configs": sum(codes.values()), "exit_codes": {str(c): codes[c] for c in sorted(codes)},
+               "causes": dict(sorted(causes.items())),
                "verify_exit_codes": {str(c): verify_codes[c] for c in sorted(verify_codes)},
                "n_fev": total_fev, "wall_s": round(total_wall, 2),
                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
@@ -213,10 +219,15 @@ def census(configs):
         experiments.integrate = real_integrate
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def cause(record: dict) -> str:
     """A config's outcome: its exit code with the first 40 characters of its
-    stderr or, for a verdict, its failed stage and flag."""
+    stderr or, for a verdict, its failed stage and flag, each number in them
+    replaced by ``#``, so that one refusal at two densities is one cause."""
     why = record.get("stderr") or " ".join(str(record.get(k)) for k in ("failed_stage", "flag") if record.get(k))
+    why = NUMBER.sub("#", why)
     return f"exit {record['exit']}" + (f": {why[:40]}" if why else "")
 
 
