@@ -25,8 +25,10 @@ preallocated output.  Each step is elementwise, so every entry has the bits
 of the one-shot expression, and what is held at once is the output plus a
 few block-length temporaries, not one temporary per step at full length.
 
-z_s and rho_s are not derived here: ``equilibrium.critical_values`` does
-that from log Q, once per preamble.
+z_s is a model's stated ``z_s_param``; ``equilibrium.critical_values``
+reads rho_s's partial sum L at it (and a formula family's root-test z_s,
+which the activity bracket, omega and lambda still read) from log Q, once
+per preamble.
 
 All evaluations are pure functions of (model, i) and safe to share across
 workers.

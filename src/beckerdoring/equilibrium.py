@@ -2,10 +2,12 @@
 
 The central object is the power series F(z) = sum_i i Q_i z^i.  Its radius
 of convergence is the critical monomer density z_s; F(z_s) is the critical
-density rho_s; and for a subcritical target density rho the monomer
-activity z_bar solves F(z_bar) = rho.  Everything is evaluated through the
-detailed-balance prefix log Q, the one sequence kept in log space: Q_i and
-z^i overflow or underflow where their product does not.
+density rho_s, bounded below by the partial sum that ``critical_values``
+reports and the activity solve refuses at; and for a subcritical target
+density rho the monomer activity z_bar solves F(z_bar) = rho.  Everything
+is evaluated through the detailed-balance prefix log Q, the one sequence
+kept in log space: Q_i and z^i overflow or underflow where their product
+does not.
 """
 from __future__ import annotations
 
@@ -17,72 +19,42 @@ import numpy as np
 from .coefficients import CoefficientModel, detailed_balance, index_blocks
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
-N_SERIES = 100_000  # the prefix length a formula family's critical values are estimated from
+N_SERIES = 100_000  # the prefix length a formula family's critical values are read from
 ACTIVITY_TOL = 1e-12  # the activity solve's relative tolerance on F(z_bar) = rho
 _N_CAP = 1 << 21
 
 
 class CriticalValues(NamedTuple):
-    """z_s and rho_s: a rate table's stated z_s and its partial sum there,
-    or for a formula family the root-test estimate of z_s and the partial-sum
-    estimate of rho_s, which is +inf when the partial sums keep growing at
-    the scan end.  No refusal reads rho_s."""
+    """z_s and rho_s.  z_s is a rate table's stated z_s, or for a formula
+    family the root-test estimate that omega's default, ``make_params`` and
+    the activity bracket read.  rho_s is L = sum_{i<=n} i Q_i z_s^i at the
+    model's own z_s, over a table's n rows or n = ``N_SERIES`` terms: a
+    lower bound on the exact rho_s, which the activity solve refuses a
+    density at."""
 
     z_s: float
     rho_s: float
 
 
-def critical_values(
-    model: CoefficientModel,
-    n: int = N_SERIES,
-    log_q_prefix: _LogQPrefix | None = None,
-) -> CriticalValues:
-    """(z_s, rho_s) of a model, from its detailed-balance prefix.
+def critical_values(model: CoefficientModel, log_q_prefix: _LogQPrefix | None = None) -> CriticalValues:
+    """(z_s, rho_s) of a model, from its detailed-balance prefix of a rate
+    table's L rows or ``N_SERIES`` terms, computed once.
 
-    A rate table of L rows states its z_s, and its rho_s is the table's
-    partial sum sum_{i<=L} i Q_i z_s^i, whatever n: every term is positive,
-    so that sum is a lower bound on rho_s for every continuation of the
-    table.  ``check_subcritical`` computes the same sum, with the same
-    expression, and refuses a density at or above it.
-
-    A formula family's are estimated from the prefix of length n.  z_s is
-    the reciprocal of the geometric mean of the last n//10 ratios
-    Q_{i+1}/Q_i.  The partial sums of i Q_i z_s^i are declared divergent
-    when the second half of the range still grows them by more than a
-    factor 1 + 1e-6.  A given ``log_q_prefix`` keeps the length-n (or L)
-    log Q for the preamble's later consumers.  Besides log Q, the scan holds
-    one length-n array, the terms; both sums read all of it, since a
-    pairwise sum's bits depend on the whole array.
+    rho_s is the partial sum L of F(z_s) = sum_i i Q_i z_s^i at the model's
+    own z_s.  Every term is positive, so L is a lower bound on the exact
+    rho_s, for a table for every continuation of its rows, and a density
+    below L is subcritical.  A rate table states its z_s; a formula
+    family's z_s is the reciprocal of the geometric mean of the last
+    ``N_SERIES``//10 ratios Q_{i+1}/Q_i.  A given ``log_q_prefix`` keeps
+    the log Q for the preamble's later consumers.  Besides log Q, the sum
+    holds one array, its terms.
     """
-    log_q_prefix = log_q_prefix or _LogQPrefix(model)
+    log_q = (log_q_prefix or _LogQPrefix(model))(model.table_length or N_SERIES)
+    rho_s = float(np.sum(_series_terms(log_q, math.log(model.z_s_param))))
     if model.table_length is not None:
-        terms = _series_terms(log_q_prefix(model.table_length), math.log(model.z_s_param))
-        return CriticalValues(z_s=model.z_s_param, rho_s=float(np.sum(terms)))
-    log_q = log_q_prefix(n)
-    m = max(1, n // 10)
-    z_s = 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m)
-    terms = _series_terms(log_q, math.log(z_s))
-    s_half = float(np.sum(terms[: n // 2]))
-    s_full = float(np.sum(terms))
-    diverges = s_half > 0 and s_full > s_half * (1.0 + 1e-6)
-    return CriticalValues(z_s=z_s, rho_s=math.inf if diverges else s_full)
-
-
-def check_subcritical(model: CoefficientModel, rho: float, log_q_prefix: _LogQPrefix) -> None:
-    """Refuse (SupercriticalError, naming the full sum and z_s) a density
-    that no partial sum of F(z_s) = sum_i i Q_i z_s^i exceeds, at the
-    model's own z_s, over a rate table's L rows or N_SERIES terms of
-    ``log_q_prefix``.  Each is a lower bound on the exact rho_s.  The first
-    32 terms are summed first (the templates need 2): an accepted density
-    fills an empty prefix no further."""
-    n = model.table_length or N_SERIES
-    log_z = math.log(model.z_s_param)
-    for m in (min(32, n), n):
-        total = float(np.sum(_series_terms(log_q_prefix(m), log_z)))
-        if total > rho:
-            return
-    raise SupercriticalError(f"density {rho:.6g} is not below the critical density: "
-                             f"sum_(i<={n}) i Q_i z_s^i = {total:.6g} at z_s = {model.z_s_param:.6g}")
+        return CriticalValues(z_s=model.z_s_param, rho_s=rho_s)
+    m = N_SERIES // 10
+    return CriticalValues(z_s=1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m), rho_s=rho_s)
 
 
 class _LogQPrefix:
@@ -183,38 +155,41 @@ def solve_monomer_activity(
     terms t_i that F(z) summed, at its truncation.  An iterate where F is
     below rho, its series did not converge or a rate table's last terms
     still grow, or a step that leaves the bracket, bisects the bracket
-    instead.  Stops at
+    instead.  Stops at an iterate below the model's own z_s where
     |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
-    ``check_subcritical`` first refuses a supercritical rho; ``critical``
-    gives only z_s, the bracket's start.  Raises NumericalError when no
-    bracket is found or the iteration stalls short of the tolerance,
-    naming the last iterate's |F(z) - rho|.
+    A density at or above ``critical.rho_s``, the partial sum L of F at the
+    model's own z_s, is refused first (SupercriticalError, naming L and
+    z_s): the one supercritical refusal.  The bracket creeps toward
+    ``critical.z_s``.  Raises NumericalError when the creep reaches it (no
+    float below it brackets rho) or the iteration stalls short of the
+    tolerance, naming the last iterate's |F(z) - rho|.
     The truncations of F slice ``log_q_prefix`` (a new one when None).
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
+    if not rho < critical.rho_s:
+        raise SupercriticalError(
+            f"density {rho:.6g} is not below the critical density: sum_(i<={model.table_length or N_SERIES}) "
+            f"i Q_i z_s^i = {critical.rho_s:.6g} at z_s = {model.z_s_param:.6g}"
+        )
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
-    check_subcritical(model, rho, log_q_prefix)
     tol = ACTIVITY_TOL * rho
 
     def f(z: float) -> tuple[float, np.ndarray | None]:
         value, converged, terms = _series_at_activity(log_q_prefix, z, tol / 10.0)
         return (float(value), terms) if converged else (math.inf, None)
 
-    lo, hi = 0.0, 0.999 * critical.z_s
+    z_s = critical.z_s
+    lo, hi = 0.0, 0.999 * z_s
     value, terms = f(hi)
-    expansions = 0
     while value < rho:
-        lo, hi = hi, critical.z_s - 0.5 * (critical.z_s - hi)
-        expansions += 1
-        if expansions > 64:
-            raise NumericalError(
-                "could not bracket the monomer activity below the critical density"
-            )
+        lo, hi = hi, z_s - 0.5 * (z_s - hi)
+        if hi == z_s:
+            raise NumericalError(f"no activity below z_s = {z_s:.6g} solves F(z) = rho = {rho:.6g}")
         value, terms = f(hi)
     z = hi
     for _ in range(200):
-        if abs(value - rho) <= tol:
+        if abs(value - rho) <= tol and z < model.z_s_param:
             return z
         if value < rho:
             lo = z
@@ -258,7 +233,7 @@ def equilibrium_profile(
     """Build the length-n equilibrium profile for a given monomer activity
     in (0, z_s), z_s being the model's own, from the first n entries of
     ``log_q_prefix`` (a new one when None)."""
-    if not 0 < z_bar < model.z_s_param * (1 + 1e-9):
+    if not 0 < z_bar < model.z_s_param:
         raise ParameterError(f"activity {z_bar} outside (0, z_s = {model.z_s_param:.6g})")
     i = np.arange(1, n + 1, dtype=float)
     log_profile = (log_q_prefix or _LogQPrefix(model))(n) + i * math.log(z_bar)

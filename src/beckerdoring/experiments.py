@@ -161,9 +161,10 @@ def prepare(config: ExperimentConfig) -> Preamble:
 
     The critical values (z_s, rho_s) are computed here and nowhere else in
     the pipeline: every later consumer reads ``Preamble.critical``.  The
-    activity solve refuses a supercritical density (``check_subcritical``).
-    The steps share one log-Q prefix: the critical values compute it at
-    ``equilibrium.N_SERIES`` = 10^5, the others slice it.  The activity
+    activity solve refuses a density at or above rho_s, the partial sum L
+    of F at the model's own z_s.  The steps share one log-Q prefix: the
+    critical values compute it at ``equilibrium.N_SERIES`` = 10^5 (a rate
+    table's rows), the others slice it.  The activity
     solves the density of the initial state: ``config.rho``, or for
     ``init = "file"`` the file's, which is read first.
     """
@@ -411,7 +412,7 @@ class UniformBoundReport:
         return {
             "config": self.config.to_dict(),
             "z_s": self.z_s,
-            "rho_s": self.rho_s if math.isfinite(self.rho_s) else "inf",
+            "rho_s": self.rho_s,
             "z_bar": self.z_bar,
             "omega": self.omega,
             "t0": self.t0,

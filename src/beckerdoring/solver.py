@@ -292,7 +292,6 @@ class Trajectory:
     n_rejected_filter: int = 0
     n_fev: int = 0
     t_stiff: float | None = None
-    clamped_mass: float = 0.0
     abs_tol: float = 0.0
     supports: np.ndarray | None = None
     n: int | None = None
@@ -364,8 +363,6 @@ def integrate(
     a, b_next = model.rate_pairs(n)
     i_grid = np.arange(1, n + 1, dtype=float)
 
-    clamped = 0.0  # mass the clamp moved, summed in magnitude
-
     # the hooks get the occupied prefix of the state, so rates and sizes
     # are cut to its length
     f = _windowed_rhs(a, b_next, n)
@@ -375,13 +372,12 @@ def integrate(
         return _shifted_solver(y, a[:m], b_next[:m], sigma)
 
     def accept_filter(t: float, y: np.ndarray) -> np.ndarray | None:
-        nonlocal clamped
         if float(y.min()) < -abs_tol:
             return None
         if y[0] >= 0 and float(y[1:].min()) >= abs_tol:
             return y  # nothing to clamp: the integrator may reuse its last stage
         out = y.copy()
-        clamped += abs(float(_clamp(out, i_grid[: len(y)], abs_tol)))
+        _clamp(out, i_grid[: len(y)], abs_tol)
         return out
 
     if opts.t_eval is not None:
@@ -405,7 +401,7 @@ def integrate(
 
     # y_eval holds the columns up to the widest window, the rest being zero
     states = sol.y_eval
-    clamped += float(np.abs(_clamp(states, i_grid[: states.shape[1]], abs_tol)).sum())
+    _clamp(states, i_grid[: states.shape[1]], abs_tol)
     # columns past the support are zero in every snapshot: they add nothing
     # to a c-weighted sum, so every temporary below is (snapshots, m)
     supports = row_supports(states)
@@ -438,7 +434,6 @@ def integrate(
         n_rejected_filter=sol.stats.n_rejected_filter,
         n_fev=sol.stats.n_fev,
         t_stiff=sol.stats.t_stiff,
-        clamped_mass=clamped,
         supports=supports,
         n=n,
         abs_tol=abs_tol,

@@ -19,9 +19,9 @@ import numpy as np
 from beckerdoring._rk import solve_rk54
 from beckerdoring.coefficients import CoefficientModel
 from beckerdoring.equilibrium import (
-    _N_CAP, CriticalValues, _LogQPrefix, _series_at_activity, check_subcritical, fsum_array,
+    _N_CAP, N_SERIES, CriticalValues, _LogQPrefix, _series_at_activity, _series_terms, critical_values, fsum_array,
 )
-from beckerdoring.errors import NumericalError, ParameterError
+from beckerdoring.errors import NumericalError, ParameterError, SupercriticalError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
 from beckerdoring.supersolution import SupersolutionCheck
 from beckerdoring.tails import StretchedWeights, tail_density
@@ -128,8 +128,9 @@ def bisect_monomer_activity(
     """
     if rho <= 0:
         raise ParameterError("density must be positive")
+    if not rho < critical.rho_s:
+        raise SupercriticalError(f"density {rho:.6g} is not below the critical density {critical.rho_s:.6g}")
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
-    check_subcritical(model, rho, log_q_prefix)
     tol_series = tol * rho / 10.0
 
     def f(z: float) -> float:
@@ -164,6 +165,19 @@ def bisect_monomer_activity(
             f"activity solve stalled: |F(z) - rho| = {residual:.3g} > {tol * rho:.3g}"
         )
     return z_bar
+
+
+def root_test_rho_s(model: CoefficientModel) -> float:
+    """The partial-sum estimate of rho_s that ``critical_values`` once
+    returned for a formula family: the sum of i Q_i z_s^i over ``N_SERIES``
+    terms at the root-test z_s, or +inf when its second half still grew the
+    sum by more than a factor 1 + 1e-6.  The robustness grid and the activity
+    solve's census draw their densities as shares of it, so their configs
+    keep their bits."""
+    prefix = _LogQPrefix(model)
+    terms = _series_terms(prefix(N_SERIES), math.log(critical_values(model, log_q_prefix=prefix).z_s))
+    s_half, s_full = float(np.sum(terms[: N_SERIES // 2])), float(np.sum(terms))
+    return math.inf if s_half > 0 and s_full > s_half * (1.0 + 1e-6) else s_full
 
 
 # -- supersolution: the balance check on every row ----------------------------

@@ -46,7 +46,7 @@ def flagship_model():
 
 @pytest.fixture(scope="module")
 def flagship_equilibrium(flagship_model):
-    crit = bd.critical_values(flagship_model, 100_000)
+    crit = bd.critical_values(flagship_model)
     z_bar = bd.solve_monomer_activity(flagship_model, 1.0, critical=crit)
     return bd.equilibrium_profile(flagship_model, z_bar, 2000)
 

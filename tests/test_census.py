@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -65,3 +66,32 @@ def test_a_cause_reads_no_numbers():
     assert census.cause(record) == census.cause(other) == "exit 11: config error: density # is not below the"
     verdict = {"exit": 2, "stderr": "", "failed_stage": "short_time_bound[k=2.5]", "flag": None}
     assert census.cause(verdict) == "exit 2: short_time_bound[k=#]"
+
+
+def test_a_record_carries_the_summary_scalars(tmp_path):
+    # the top-level scalars of summary.json, nulls where no summary was written
+    summary = tmp_path / "summary.json"
+    values = {"z_s": 1.003, "rho_s": 4.87, "z_bar": 0.6, "omega": 0.8, "t0": None, "verdict": True}
+    summary.write_text(json.dumps({**values, "config": {}, "stages": []}))
+    fields = census.summary_fields(summary)
+    assert {key: fields[key] for key in census.SUMMARY_KEYS} == values
+    missing = census.summary_fields(tmp_path / "none.json")
+    assert all(missing[key] is None for key in census.SUMMARY_KEYS)
+
+
+def test_compare_names_the_summary_keys_that_moved(tmp_path, capsys):
+    # rho_s moves in both configs, once from "inf": both are counted, the
+    # relative change read from the numeric move; z_s moves in none
+    def record(rho_s, body):
+        return {"family": "power_law", "exit": 0, "z_s": 1.003, "rho_s": rho_s, "summary_body": body,
+                "files": {"summary.json": body}, "wall_s": 1.0}
+
+    before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+    before.write_text(json.dumps(record(4.96, "a")) + "\n" + json.dumps(record("inf", "b")) + "\n")
+    after.write_text(json.dumps(record(4.88, "c")) + "\n" + json.dumps(record(2.67e6, "d")) + "\n")
+    assert census.compare(before, after) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"rho_s: moved in 2 configs, largest relative change {0.08 / 4.96:.3g}" in out
+    assert "summary_body: moved in 2 configs" in out
+    assert not any(line.startswith("z_s:") for line in out)
+    assert "files.summary.json: 2" in out

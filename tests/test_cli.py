@@ -25,6 +25,7 @@ from beckerdoring.errors import ConfigError
 from beckerdoring.experiments import (
     ExperimentConfig, dominating_sequence, preflight, prepare, run_uniform_moment_experiment,
 )
+import oracles
 
 
 @pytest.fixture()
@@ -152,6 +153,35 @@ def test_equilibrium_block(small_config, capsys):
     out = capsys.readouterr().out
     for key in ("z_s=", "rho_s=", "z_bar=", "n_cut=", "h_initial="):
         assert key in out
+
+
+@pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
+def test_summary_writes_the_partial_sum(small_config, tmp_path, family):
+    # summary.json's rho_s is L = sum_(i<=10^5) i Q_i z_s^i at the model's
+    # own z_s = 1, the sum the activity solve refuses at; its z_s is the
+    # root test's estimate, which omega and lambda were built from
+    path = tmp_path / "family.toml"
+    path.write_text(small_config.read_text().replace('family = "power_law"', f'family = "{family}"'))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    model = ExperimentConfig(family=family).build_model()
+    i = np.arange(1, N_SERIES + 1, dtype=float)
+    full = math.fsum((i * np.exp(bd.detailed_balance(model, N_SERIES))).tolist())
+    crit = bd.critical_values(model)
+    assert summary["rho_s"] == crit.rho_s == pytest.approx(full, rel=1e-12)
+    assert summary["z_s"] == crit.z_s > 1.0
+
+
+def test_summary_rho_s_is_finite_where_the_root_test_diverged(tmp_path):
+    # an exponential tail at mu_c = 0.2: the root test's partial sums still
+    # grew at 10^5 terms, and summary.json wrote rho_s = "inf"; L is finite
+    path, out = tmp_path / "exp.toml", tmp_path / "o"
+    path.write_text(_robustness_config("exponential_tail", 0.5, 0.2, 0.3, "monodisperse"))
+    model = ExperimentConfig(family="exponential_tail", gamma=0.5, mu_c=0.2).build_model()
+    assert math.isinf(oracles.root_test_rho_s(model))
+    main(["experiment", "--config", str(path), "--out", str(out)])
+    rho_s = json.loads((out / "summary.json").read_text())["rho_s"]
+    assert rho_s == bd.critical_values(model).rho_s == pytest.approx(2673524.1, rel=1e-8)
 
 
 def test_simulate_writes_csv_and_states(small_config, tmp_path):
@@ -1032,13 +1062,14 @@ def test_sweep_workers_match_serial_bytes(small_config, tmp_path):
 
 
 def _robustness_config(family: str, gamma: float, mu_c: float, share: float, init: str) -> str:
-    """The template at N = 300, t_end = 20 with rho = share * rho_s (share * 10
-    where rho_s is infinite, or 1 where the model itself is refused) and one
+    """The template at N = 300, t_end = 20 with rho = share * rho_s, rho_s
+    the root test's old estimate (``oracles.root_test_rho_s``; share * 10
+    where it is infinite, or 1 where the model itself is refused) and one
     stretched weight of admissible order mu = (1 - gamma) / 2, none at
     gamma = 1, where the linear branch refuses them."""
     config = ExperimentConfig(family=family, gamma=gamma, mu_c=mu_c)
     try:
-        rho_s = bd.critical_values(config.build_model(), N_SERIES).rho_s
+        rho_s = oracles.root_test_rho_s(config.build_model())
         rho = share * (rho_s if math.isfinite(rho_s) else 10.0)
     except bd.ParameterError:
         rho = 1.0

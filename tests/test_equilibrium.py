@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
-from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, check_subcritical, fsum_array
+from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 from conftest import bare_equilibrium
 import oracles
@@ -24,32 +24,31 @@ class TestCriticalValues:
 
     def test_constant_rates_diverge(self, ones_model):
         # Q_i = 1, z_s = 1, i Q_i z_s^i = i
-        crit = bd.critical_values(ones_model, 4000)
+        crit = bd.critical_values(ones_model)
         assert crit.z_s == 1.0 and crit.rho_s == pytest.approx(4000 * 4001 / 2, rel=1e-12)
 
     def test_geometric_rates_diverge(self, half_model):
         # Q_i = 2^(1-i), z_s = 2, i Q_i z_s^i = 2i, each term the exponential
         # of a running sum of 4000 logarithms: 5e-11 off
-        crit = bd.critical_values(half_model, 4000)
+        crit = bd.critical_values(half_model)
         assert crit.z_s == 2.0 and crit.rho_s == pytest.approx(4000 * 4001.0, rel=1e-10)
 
     def test_family_b_finite(self, family_b):
-        crit = bd.critical_values(family_b, 100_000)
+        # rho_s is L, the sum of the first 10^5 terms of F at the model's
+        # own z_s = 1, a lower bound on the 10^6-term sum; z_s is the root
+        # test's estimate
+        crit = bd.critical_values(family_b)
         assert crit.z_s == pytest.approx(1.0, rel=5e-3)
-        assert not math.isinf(crit.rho_s)
-        # partial-sum oracle at N = 10^6, at the root-test z_s of that N
         log_q = bd.detailed_balance(family_b, 1_000_000)
-        z_s = bd.critical_values(family_b, 1_000_000).z_s
         i = np.arange(1, 1_000_001, dtype=float)
         with np.errstate(under="ignore"):
-            oracle = float(np.sum(np.exp(np.log(i) + log_q + i * math.log(z_s))))
-        # the root-test z_s estimate shifts with N and rho_s is steep in z
-        # near the radius, so the two truncations agree only to a few percent
-        assert crit.rho_s == pytest.approx(oracle, rel=5e-2)
+            terms = np.exp(np.log(i) + log_q)
+        assert crit.rho_s == pytest.approx(math.fsum(terms[:N_SERIES].tolist()), rel=1e-12)
+        assert crit.rho_s <= math.fsum(terms.tolist()) * (1 + 1e-12)
 
     def test_family_a_subcritical_window(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
-        assert not math.isinf(crit.rho_s)
+        crit = bd.critical_values(family_a)
+        assert math.isfinite(crit.rho_s)
         assert 2.0 < crit.rho_s < 10.0
 
 
@@ -77,16 +76,15 @@ def _one_shot_terms(log_q, log_z):
         return log_t, np.exp(log_t)
 
 
-def _one_shot_critical_values(model, n):
-    if model.table_length is not None:  # the stated z_s, and the sum over every row
-        _, terms = _one_shot_terms(_one_shot_log_q(model, model.table_length), math.log(model.z_s_param))
-        return model.z_s_param, float(np.sum(terms))
-    log_q = _one_shot_log_q(model, n)
-    m = max(1, n // 10)
-    z_s = 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m)
-    _, terms = _one_shot_terms(log_q, math.log(z_s))
-    s_half, s_full = float(np.sum(terms[: n // 2])), float(np.sum(terms))
-    return z_s, math.inf if s_half > 0 and s_full > s_half * (1.0 + 1e-6) else s_full
+def _one_shot_critical_values(model):
+    # the sum at the model's own z_s over a table's rows or N_SERIES terms;
+    # a formula family's z_s is the root test's, over the last tenth
+    log_q = _one_shot_log_q(model, model.table_length or N_SERIES)
+    rho_s = float(np.sum(_one_shot_terms(log_q, math.log(model.z_s_param))[1]))
+    if model.table_length is not None:
+        return model.z_s_param, rho_s
+    m = N_SERIES // 10
+    return 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m), rho_s
 
 
 def _one_shot_density(model, z, tol_abs, n):
@@ -115,8 +113,13 @@ class TestBlockedSeries:
     @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
     @pytest.mark.parametrize("kind", BLOCKED_MODELS)
     def test_critical_values(self, kind, n):
-        crit = bd.critical_values(BLOCKED_MODELS[kind](), n)
-        assert (crit.z_s, crit.rho_s) == _one_shot_critical_values(BLOCKED_MODELS[kind](), n)
+        # from a prefix already filled to n rows, grown from there to
+        # N_SERIES (a table's 10^5 rows): the one-shot bits
+        model = BLOCKED_MODELS[kind]()
+        prefix = _LogQPrefix(model)
+        prefix(n)
+        crit = bd.critical_values(model, prefix)
+        assert (crit.z_s, crit.rho_s) == _one_shot_critical_values(model)
 
     @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
     @pytest.mark.parametrize("kind", BLOCKED_MODELS)
@@ -171,41 +174,45 @@ class TestBlockedSeries:
         assert value > (1 + 1e-3) * partial
 
 
-class TestCheckSubcritical:
-    # a density is accepted only below a partial sum of F at the model's own
-    # z_s = 1: L, the sum of all 10^5 terms, decides, wherever the root-test
-    # estimate of rho_s lies (the CLI tests read the refusal's message)
+class TestSubcriticalRefusal:
+    # the activity solve accepts a density only below rho_s = L, the partial
+    # sum of F at the model's own z_s = 1 that critical_values reports (the
+    # sum of all 10^5 terms, or of a table's rows), wherever the root-test
+    # estimate of z_s lies; a refused density evaluates no F
 
     @pytest.mark.parametrize("fixture", ["family_a", "family_b"])
-    def test_refuses_at_the_full_partial_sum(self, fixture, request):
+    def test_refuses_at_the_full_partial_sum(self, fixture, request, monkeypatch):
+        from beckerdoring import equilibrium
+
         model = request.getfixturevalue(fixture)
+        crit = bd.critical_values(model)
         log_q = bd.detailed_balance(model, N_SERIES)
         full = math.fsum((np.arange(1, N_SERIES + 1) * np.exp(log_q)).tolist())
-        check_subcritical(model, 0.999 * full, _LogQPrefix(model))
-        with pytest.raises(SupercriticalError, match=f"= {full:.6g} at z_s = 1$"):
-            check_subcritical(model, 1.001 * full, _LogQPrefix(model))
+        assert crit.rho_s == pytest.approx(full, rel=1e-12)
+        rho = math.nextafter(crit.rho_s, 0.0)
+        z = bd.solve_monomer_activity(model, rho, critical=crit)
+        value, converged, _ = _series_at_activity(_LogQPrefix(model), z, 1e-12 * rho / 10)
+        assert z < 1.0 and converged and abs(value - rho) <= 1e-12 * rho
 
-    def test_a_small_density_reads_a_short_prefix(self, family_a):
-        # the first 32 terms sum to 4.86 of L = 4.88: rho = 1 stops the scan
-        # before the entries past them, here poisoned in the prefix's own
-        # array, which rho = 4.87 reads; an empty prefix is filled to row 32
-        # only
-        prefix = _LogQPrefix(family_a)
-        check_subcritical(family_a, 1.0, prefix)
-        assert len(prefix(1)) == 1 and len(prefix._log_q) == 32
-        prefix(N_SERIES)[32:] = np.nan
-        check_subcritical(family_a, 1.0, prefix)
-        with pytest.raises(SupercriticalError):
-            check_subcritical(family_a, 4.87, prefix)
+        def series_at_activity(*args):
+            raise AssertionError("evaluated F for a density at the partial sum")
+
+        monkeypatch.setattr(equilibrium, "_series_at_activity", series_at_activity)
+        with pytest.raises(SupercriticalError, match=f"= {full:.6g} at z_s = 1$"):
+            bd.solve_monomer_activity(model, crit.rho_s, critical=crit)
 
     def test_a_rate_table_is_refused_at_its_full_sum(self, ones_model):
         # i Q_i z_s^i = i over the 4000 rows: the sum is 4000 * 4001 / 2,
-        # the rho_s critical_values states, with the rows and z_s named
-        rho_s = bd.critical_values(ones_model).rho_s
+        # the rho_s critical_values states, with the rows and z_s named.
+        # One ulp below it passes the refusal, and no float below z_s = 1
+        # meets it
+        crit = bd.critical_values(ones_model)
+        rho_s = crit.rho_s
         assert rho_s == 4000 * 4001 / 2
-        check_subcritical(ones_model, math.nextafter(rho_s, 0.0), _LogQPrefix(ones_model))
+        with pytest.raises(NumericalError, match=r"^no activity below z_s = 1 solves F\(z\) = rho = 8\.002e\+06$"):
+            bd.solve_monomer_activity(ones_model, math.nextafter(rho_s, 0.0), critical=crit)
         with pytest.raises(SupercriticalError, match=r"sum_\(i<=4000\) i Q_i z_s\^i = 8\.002e\+06 at z_s = 1$"):
-            check_subcritical(ones_model, rho_s, _LogQPrefix(ones_model))
+            bd.solve_monomer_activity(ones_model, rho_s, critical=crit)
 
 
 class TestSolveActivity:
@@ -233,37 +240,54 @@ class TestSolveActivity:
         assert 0 < z < 2e-8
 
     def test_supercritical_rejected(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         with pytest.raises(SupercriticalError):
             bd.solve_monomer_activity(family_a, crit.rho_s * 1.01, critical=crit)
 
     @pytest.mark.parametrize("fixture, full", [("family_a", "4.87787"), ("family_b", "32.4591")])
     def test_templates_refused_below_the_estimate(self, fixture, full, request):
-        # 0.995 of the root test's rho_s lies above L, the 10^5-term sum at
-        # the model's own z_s = 1: the library solve refuses it, naming L,
-        # where it once returned z_bar = 1.00228 and 1.00138 > z_s
+        # 0.995 of the root test's old estimate of rho_s lies above L, the
+        # 10^5-term sum at the model's own z_s = 1: the library solve
+        # refuses it, naming L, where it once returned z_bar = 1.00228 and
+        # 1.00138 > z_s
         model = request.getfixturevalue(fixture)
         crit = bd.critical_values(model)
         with pytest.raises(SupercriticalError, match=rf"= {full} at z_s = 1$"):
-            bd.solve_monomer_activity(model, 0.995 * crit.rho_s, critical=crit)
+            bd.solve_monomer_activity(model, 0.995 * oracles.root_test_rho_s(model), critical=crit)
 
     def test_below_the_partial_sum_the_bits_hold(self, family_a):
-        # 0.97 of the estimate is 4.811, below L = 4.87787: z_bar keeps the
-        # bits it had when the solve refused against the estimate
+        # 0.97 of the old estimate is 4.811, below L = 4.87787: z_bar keeps
+        # the bits it had when the solve refused against the estimate
         crit = bd.critical_values(family_a)
-        z = bd.solve_monomer_activity(family_a, 0.97 * crit.rho_s, critical=crit)
+        z = bd.solve_monomer_activity(family_a, 0.97 * oracles.root_test_rho_s(family_a), critical=crit)
         assert z == 0.9972865790949719
 
-    def test_a_near_critical_table_stalls(self):
-        # 10^5 rows of a_i = b_i = 1 at 1 - 1e-11 of their sum 5e9: F' near
-        # z_s = 1 is about 3e14, so one ulp of z moves F by 0.013, past the
-        # tolerance 5e-3: no float z meets this subcritical density, and the
-        # solve says so
+    @pytest.fixture(scope="class")
+    def long_ones_model(self):
+        # 10^5 rows of a_i = b_i = 1, z_s = 1: rho_s is their sum 5.00005e9
         n = 100_000
-        model = bd.make_custom_model(np.ones(n), np.ones(n), gamma=1.0, z_s=1.0)
-        crit = bd.critical_values(model)
+        return bd.make_custom_model(np.ones(n), np.ones(n), gamma=1.0, z_s=1.0)
+
+    def test_a_near_critical_table_stalls(self, long_ones_model):
+        # at 1 - 1e-11 of the sum: F' near z_s = 1 is about 3e14, so one ulp
+        # of z moves F by 0.013, past the tolerance 5e-3: no float z meets
+        # this subcritical density, and the solve says so
+        crit = bd.critical_values(long_ones_model)
         with pytest.raises(NumericalError, match=r"^activity solve stalled: \|F\(z\) - rho\| = 0\.013 > 0\.005$"):
-            bd.solve_monomer_activity(model, (1 - 1e-11) * crit.rho_s, critical=crit)
+            bd.solve_monomer_activity(long_ones_model, (1 - 1e-11) * crit.rho_s, critical=crit)
+
+    def test_a_nearer_critical_table_has_no_bracket_below_z_s(self, long_ones_model):
+        # at 1 - 1e-13 of the sum F stays below rho at every float below
+        # z_s = 1: the bracket's creep stops at z_s, and z_s itself, where F
+        # is the sum, within the tolerance of rho, is not returned
+        crit = bd.critical_values(long_ones_model)
+        with pytest.raises(NumericalError, match=r"^no activity below z_s = 1 solves F\(z\) = rho = 5\.00005e\+09$"):
+            bd.solve_monomer_activity(long_ones_model, (1 - 1e-13) * crit.rho_s, critical=crit)
+
+    def test_a_less_near_critical_table_solves(self, long_ones_model):
+        # at 1 - 1e-9 of the sum a float below z_s = 1 meets the tolerance
+        crit = bd.critical_values(long_ones_model)
+        assert bd.solve_monomer_activity(long_ones_model, (1 - 1e-9) * crit.rho_s, critical=crit) == 0.999999999999985
 
     def test_rate_table_refused_by_the_solve(self, ones_model):
         crit = bd.critical_values(ones_model)
@@ -272,7 +296,7 @@ class TestSolveActivity:
             bd.solve_monomer_activity(ones_model, 1.001 * crit.rho_s, critical=crit)
 
     def test_round_trip(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         rng = np.random.default_rng(42)
         for _ in range(5):
             z = rng.uniform(0.05, 0.9) * crit.z_s
@@ -282,7 +306,7 @@ class TestSolveActivity:
             assert z_back == pytest.approx(z, abs=1e-9)
 
     def test_bisection_newton_agreement(self, family_b):
-        crit = bd.critical_values(family_b, 100_000)
+        crit = bd.critical_values(family_b)
         rho = 0.5 * crit.rho_s
         z_bis = bd.solve_monomer_activity(family_b, rho, critical=crit)
         # independent safeguarded Newton iteration with the analytic derivative
@@ -314,7 +338,7 @@ class TestSolveActivity:
 
     def test_monotone_series(self, family_a):
         rng = np.random.default_rng(3)
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         for _ in range(10):
             z1, z2 = sorted(rng.uniform(0.0, 0.95 * crit.z_s, size=2))
             if z1 == z2:
@@ -333,7 +357,7 @@ class TestSolveActivity:
         config = ExperimentConfig(family=family)
         model = config.build_model()
         prefix = _LogQPrefix(model)
-        crit = bd.critical_values(model, N_SERIES, log_q_prefix=prefix)
+        crit = bd.critical_values(model, log_q_prefix=prefix)
         calls = []
         series = equilibrium._series_at_activity
 
@@ -367,8 +391,9 @@ class TestSolveActivity:
             except ParameterError:
                 continue
             prefix = _LogQPrefix(model)
-            crit = bd.critical_values(model, N_SERIES, log_q_prefix=prefix)
-            rho = share * (crit.rho_s if math.isfinite(crit.rho_s) else 10.0)
+            crit = bd.critical_values(model, log_q_prefix=prefix)
+            rho_s = oracles.root_test_rho_s(model)
+            rho = share * (rho_s if math.isfinite(rho_s) else 10.0)
             try:
                 z = bd.solve_monomer_activity(model, rho, critical=crit, log_q_prefix=prefix)
             except SupercriticalError:
@@ -391,11 +416,11 @@ class TestSolveActivity:
 
 
 class TestEquilibriumProfile:
-    @pytest.mark.parametrize("z_bar", [0.0, 1.001], ids=["zero", "at-z_s"])
+    @pytest.mark.parametrize("z_bar", [0.0, 1.001, 1.0], ids=["zero", "at-z_s", "z_s-itself"])
     def test_activity_outside_the_open_range_refused(self, family_a, z_bar):
         # the library solves only z_bar in (0, z_s), z_s the model's own 1:
-        # no profile is built at either end, nor below the root test's
-        # estimate 1.00325
+        # no profile is built at either end, z_s itself included, nor below
+        # the root test's estimate 1.00325
         assert bd.critical_values(family_a).z_s > 1.003
         with pytest.raises(ParameterError, match=r"outside \(0, z_s = 1\)$"):
             bd.equilibrium_profile(family_a, z_bar, 50)
@@ -412,7 +437,7 @@ class TestEquilibriumProfile:
         assert eq.profile[1] == pytest.approx((math.sqrt(2) - 1.0) * 0.09, rel=1e-13)
 
     def test_underflow_cut_reported(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 2000)
         assert eq.cut_index is not None
@@ -422,7 +447,7 @@ class TestEquilibriumProfile:
 
     def test_fixed_point_net_rates(self, family_a):
         # max_i |a_i z 𝒬_i - b_{i+1} 𝒬_{i+1}| <= 1e-12 max_i(a_i z 𝒬_i)
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 2000)
         w = oracles.net_rates(eq.profile.copy(), family_a)
@@ -468,7 +493,7 @@ class TestRelativeFreeEnergy:
         assert err.value.index == 3
 
     def test_finite_past_cut_with_log_profile(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 2000)
         c = eq.profile.copy()
@@ -479,7 +504,7 @@ class TestRelativeFreeEnergy:
     def test_refuses_non_finite_entries(self, family_a, bad):
         # a NaN once counted as zero: (1, nan, 0, ...) got a finite H, one
         # ulp from that of (1, 0, ...)
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 300)
         c = np.zeros(300)

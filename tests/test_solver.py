@@ -89,7 +89,7 @@ class TestMomentAccessors:
 
 class TestIntegrate:
     def test_equilibrium_stays_fixed(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 0.5, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 500)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=21)
@@ -104,7 +104,7 @@ class TestIntegrate:
         assert np.all(traj.states >= 0.0)
 
     def test_monomer_decreases_to_activity(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         traj = bd.integrate(monodisperse(300, 1.0), family_a, 30.0, bd.IntegrateOptions(n_snapshots=61))
         c1 = traj.states[:, 0].tolist()
@@ -121,7 +121,7 @@ class TestIntegrate:
         assert err <= 100 * 1e-6 * scale
 
     def test_free_energy_monotone(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 300)
         opts = bd.IntegrateOptions(rel_tol=1e-8, n_snapshots=101, equilibrium=eq)
@@ -410,7 +410,7 @@ class TestWeakFormResidual:
         assert residuals[1] <= residuals[0] / 2.5
 
     def test_equilibrium_quadratic_weight(self, family_a):
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 1.0, critical=crit)
         eq = bd.equilibrium_profile(family_a, z, 300)
         traj = bd.integrate(eq.profile.copy(), family_a, 2.0, bd.IntegrateOptions(n_snapshots=101))
@@ -446,7 +446,7 @@ class TestBatchedObservables:
     def test_full_support_run_matches_scalar_references(self, family_a):
         # geometric data with ratio 0.8 keeps the last size above the dead
         # band (its smallest value is 1.3e-13) up to t = 20
-        crit = bd.critical_values(family_a, 100_000)
+        crit = bd.critical_values(family_a)
         eq = bd.equilibrium_profile(family_a, bd.solve_monomer_activity(family_a, 1.0, critical=crit), 40)
         k_moments, stretched = (2.0, 3.5), ((1.0, 0.5), (0.5, 0.25))
         opts = bd.IntegrateOptions(n_snapshots=21, track=k_moments + stretched, equilibrium=eq)

@@ -13,7 +13,11 @@ gating stage (``failed_stage``) and its ``flag`` (null when the run wrote
 no verdict or passed, or the stage has no flag), ``summary_body``, the sha1
 of ``summary.json`` with its ``config`` key dropped, dumped with sorted keys
 (null when no summary was written; a change to the config's echo moves
-``files.summary.json`` but not this), and the exit code of ``verify``
+``files.summary.json`` but not this), the top-level scalars of
+``summary.json`` (``SUMMARY_KEYS``: ``z_s``, ``rho_s``, ``z_bar``,
+``omega``, ``t0`` and ``verdict``, each null when no summary was written),
+so that a move of ``summary_body`` names the keys that moved, and the exit
+code of ``verify``
 (``verify_exit``); a last line gives the totals, with the number of
 configs per cause (``causes``, as ``cause`` names them), the process's peak
 resident memory (``ru_maxrss``) as ``peak_rss_mb`` and the package's import cost as ``import_ms``: the
@@ -57,9 +61,12 @@ shared 2-core x86-64 box tier-1 took 36.7 s under the tracer, against
 
 ``--compare`` prints every config whose line differs in anything but the
 wall time, the peak memory and the import cost (so in ``verify_exit`` too),
-with the keys that moved and their two values; then, for each numeric key
-that moved, the number of configs it moved in and its largest relative
-change, so a round-off change reads as one line per key; then the number
+with the keys that moved and their two values; then, for each key of the
+records that moved (a top-level one, not ``files``), the number of configs
+it moved in and, where both values of some move are numbers, its largest
+relative change, so a round-off change reads as one line per key (for
+example ``rho_s: moved in 168 configs, largest relative change 0.37``);
+then the number
 of configs that moved from each cause (exit code with stderr, or failed
 stage and flag) to each other, then the number of such configs, and last,
 one line per output file, the number of configs whose file moved (for
@@ -147,11 +154,15 @@ def import_ms(runs: int = 5) -> float:
     return round(statistics.median(times), 2)
 
 
+SUMMARY_KEYS = ("z_s", "rho_s", "z_bar", "omega", "t0", "verdict")
+
+
 def summary_fields(summary: Path) -> dict:
     """From a ``summary.json``: the ``supersolution`` stage's worst margin and
-    its row, the first failing gating stage with its flag, and the sha1 of
-    the summary without its ``config`` key (``summary_body``); nulls where
-    the run wrote none, built no sequence or failed no stage."""
+    its row, the first failing gating stage with its flag, the sha1 of the
+    summary without its ``config`` key (``summary_body``) and the values of
+    ``SUMMARY_KEYS``; nulls where the run wrote none, built no sequence or
+    failed no stage."""
     data = json.loads(summary.read_text()) if summary.exists() else {}
     stages = data.get("stages", [])
     info = next((s["info"] for s in stages if s["name"] == "supersolution"), {})
@@ -160,7 +171,7 @@ def summary_fields(summary: Path) -> dict:
     body = hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest() if data else None
     return {"worst_margin": info.get("worst_margin"), "worst_index": info.get("worst_index"),
             "failed_stage": failed and failed["name"], "flag": failed and failed["info"].get("flag"),
-            "summary_body": body}
+            "summary_body": body, **{key: data.get(key) for key in SUMMARY_KEYS}}
 
 
 def census(configs):
@@ -231,20 +242,23 @@ def cause(record: dict) -> str:
     return f"exit {record['exit']}" + (f": {why[:40]}" if why else "")
 
 
-def numeric_moves(pairs) -> dict:
-    """For each numeric key of the config records that moved between the
-    two records of a pair: (the number of configs it moved in, its largest
-    relative change |after - before| / max(|before|, |after|))."""
+def key_moves(pairs) -> dict:
+    """For each top-level key of the config records, ``files`` aside, that
+    moved between the two records of a pair: (the number of configs it
+    moved in, its largest relative change |after - before| / max(|before|,
+    |after|) over the moves between two numbers, None if it had none)."""
     moves: dict = {}
     for a, b in pairs:
         if "exit" not in a:
             continue  # the totals line
-        for key in a.keys() & b.keys():
+        for key in sorted(a.keys() & b.keys() - {"files"}):
             x, y = a[key], b[key]
-            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
-            if numeric and x != y:
-                count, largest = moves.get(key, (0, 0.0))
-                moves[key] = (count + 1, max(largest, abs(y - x) / max(abs(x), abs(y))))
+            if x == y:
+                continue
+            count, largest = moves.get(key, (0, None))
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+                largest = max(largest or 0.0, abs(y - x) / max(abs(x), abs(y)))
+            moves[key] = (count + 1, largest)
     return moves
 
 
@@ -273,8 +287,9 @@ def compare(before: Path, after: Path) -> int:
         files.update(k for k in keys if k.startswith("files."))
         moved = [f"{k}: {fa.get(k)!r} -> {fb.get(k)!r}" for k in keys]
         print(f"{json.dumps(label) if label else 'totals'}: {'; '.join(moved)}")
-    for key, (count, largest) in sorted(numeric_moves(changed).items()):
-        print(f"{key}: moved in {count} configs, largest relative change {largest:.3g}")
+    for key, (count, largest) in sorted(key_moves(changed).items()):
+        change = "" if largest is None else f", largest relative change {largest:.3g}"
+        print(f"{key}: moved in {count} configs{change}")
     shifts = Counter((cause(a), cause(b)) for a, b in changed if "exit" in a and "exit" in b)
     for (was, now), count in sorted(shifts.items()):
         print(f"{count:5d}  {was} -> {now}")
