@@ -71,7 +71,6 @@ from .tails import (
     StretchedWeights,
     stretched_weights,
     tail_density,
-    tail_moment,
 )
 
 __version__ = "0.1.0"

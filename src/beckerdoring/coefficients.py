@@ -17,7 +17,8 @@ for bit.  Each sequence is evaluated once and sliced by its consumers:
   supersolution and the short-time bound slice;
 - the detailed-balance prefix log Q_i is the array ``detailed_balance``
   returns, kept for the length of one preamble only by
-  ``equilibrium._LogQPrefix``: its 10^5 entries are not kept on the model.
+  ``equilibrium._LogQPrefix``, at the longest truncation a preamble step
+  asked for: its entries are not kept on the model.
 
 The long sequences of a preamble (log Q, and the terms of F(z) in
 ``equilibrium``) are evaluated ``_BLOCK`` indices at a time into one
@@ -26,9 +27,11 @@ of the one-shot expression, and what is held at once is the output plus a
 few block-length temporaries, not one temporary per step at full length.
 
 z_s is a model's stated ``z_s_param``; ``equilibrium.critical_values``
-reads rho_s's partial sum L at it (and a formula family's root-test z_s,
-which the activity bracket, omega and lambda still read) from log Q, once
-per preamble.
+reads rho_s's partial sum L at it from log Q, once per preamble, over a
+formula family's first terms until the rest no longer move it.  A formula
+family's root-test z_s, which the activity bracket, omega and lambda still
+read, is the mean of the increments ``log_q_increments`` over the 10^4
+indices below 10^5, evaluated there alone.
 
 All evaluations are pure functions of (model, i) and safe to share across
 workers.
@@ -287,9 +290,7 @@ def detailed_balance(model: CoefficientModel, n: int, prefix: np.ndarray | None 
     m = 1 if prefix is None else len(prefix)
     log_q[:m] = 0.0 if prefix is None else prefix
     for lo, hi in index_blocks(m, n):
-        i = np.arange(lo, hi, dtype=float)
-        with np.errstate(divide="ignore"):  # a ratio that underflows to 0 is refused below
-            np.log(model.a(i) / model.b(i + 1), out=log_q[lo:hi])
+        log_q_increments(model, np.arange(lo, hi, dtype=float), out=log_q[lo:hi])
     if m > 1:
         log_q[m] += log_q[m - 1]
     np.cumsum(log_q[m:], out=log_q[m:])
@@ -297,6 +298,15 @@ def detailed_balance(model: CoefficientModel, n: int, prefix: np.ndarray | None 
     if not math.isfinite(log_q[-1]):
         raise NumericalError("log Q_i left the representable range")
     return log_q
+
+
+def log_q_increments(model: CoefficientModel, i: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(a_i / b_{i+1}) = log(Q_{i+1} / Q_i) at the float indices i: the
+    increments of log Q, which ``detailed_balance`` sums and the root test
+    of ``equilibrium.critical_values`` averages.  A ratio that underflows
+    to 0 gives -inf, with no warning; ``detailed_balance`` refuses it."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.a(i) / model.b(i + 1), out=out)
 
 
 # -- assumption checks -------------------------------------------------------

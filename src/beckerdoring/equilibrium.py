@@ -16,45 +16,68 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientModel, detailed_balance, index_blocks
+from .coefficients import CoefficientModel, detailed_balance, index_blocks, log_q_increments
 from .errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
 
-N_SERIES = 100_000  # the prefix length a formula family's critical values are read from
+N_SERIES = 100_000  # the longest truncation of a formula family's critical values
 ACTIVITY_TOL = 1e-12  # the activity solve's relative tolerance on F(z_bar) = rho
 _N_CAP = 1 << 21
 
 
 class CriticalValues(NamedTuple):
-    """z_s and rho_s.  z_s is a rate table's stated z_s, or for a formula
-    family the root-test estimate that omega's default, ``make_params`` and
-    the activity bracket read.  rho_s is L = sum_{i<=n} i Q_i z_s^i at the
-    model's own z_s, over a table's n rows or n = ``N_SERIES`` terms: a
-    lower bound on the exact rho_s, which the activity solve refuses a
-    density at."""
+    """z_s, rho_s and the number of terms rho_s sums.  z_s is a rate
+    table's stated z_s, or for a formula family the root-test estimate that
+    omega's default, ``make_params`` and the activity bracket read.  rho_s
+    is L = sum_{i<=n} i Q_i z_s^i at the model's own z_s, n = ``n_terms``
+    being a table's rows or a formula family's truncation: a lower bound on
+    the exact rho_s, which the activity solve refuses a density at."""
 
     z_s: float
     rho_s: float
+    n_terms: int
 
 
 def critical_values(model: CoefficientModel, log_q_prefix: _LogQPrefix | None = None) -> CriticalValues:
-    """(z_s, rho_s) of a model, from its detailed-balance prefix of a rate
-    table's L rows or ``N_SERIES`` terms, computed once.
+    """(z_s, rho_s, n_terms) of a model, computed once per preamble.
 
     rho_s is the partial sum L of F(z_s) = sum_i i Q_i z_s^i at the model's
-    own z_s.  Every term is positive, so L is a lower bound on the exact
-    rho_s, for a table for every continuation of its rows, and a density
-    below L is subcritical.  A rate table states its z_s; a formula
-    family's z_s is the reciprocal of the geometric mean of the last
-    ``N_SERIES``//10 ratios Q_{i+1}/Q_i.  A given ``log_q_prefix`` keeps
-    the log Q for the preamble's later consumers.  Besides log Q, the sum
-    holds one array, its terms.
+    own z_s, over a rate table's rows, or for a formula family over
+    truncations n that double from 256: it stops at the first n where the
+    terms past n/2 add at most 2^-53 of the sum, or at ``N_SERIES``.  Every
+    term is positive, so wherever the sum stops L is a lower bound on the
+    exact rho_s (for a table, for every continuation of its rows), and a
+    density below L is subcritical.  The stop rule only sets how tight
+    that bound is.  A sum that leaves the float range is refused
+    (ParameterError, naming the row where it does).
+
+    A rate table states its z_s.  A formula family's z_s is the reciprocal
+    of the geometric mean of Q_{i+1}/Q_i over the m = ``N_SERIES``//10
+    indices i below ``N_SERIES``: exp of the mean of their increments
+    log(a_i / b_{i+1}), evaluated over that window only.  log Q fills
+    ``log_q_prefix`` (a new one when None) up to L's truncation, for the
+    preamble's later consumers.
     """
-    log_q = (log_q_prefix or _LogQPrefix(model))(model.table_length or N_SERIES)
-    rho_s = float(np.sum(_series_terms(log_q, math.log(model.z_s_param))))
-    if model.table_length is not None:
-        return CriticalValues(z_s=model.z_s_param, rho_s=rho_s)
+    log_q_prefix = log_q_prefix or _LogQPrefix(model)
+    log_z = math.log(model.z_s_param)
+    table = model.table_length is not None
+    n = model.table_length or 256
+    terms = _series_terms(log_q_prefix(n), log_z)
+    while not table and n < N_SERIES and np.sum(terms[n // 2 :]) > 2.0**-53 * np.sum(terms):
+        n = min(2 * n, N_SERIES)
+        terms = _series_terms(log_q_prefix(n), log_z)
+    with np.errstate(over="ignore"):
+        rho_s = float(np.sum(terms))
+        if not math.isfinite(rho_s):
+            row = int(np.argmax(np.isinf(np.cumsum(terms)))) + 1
+            raise ParameterError(
+                f"the critical density is not finite: sum_(i<={n}) i Q_i z_s^i at z_s = {model.z_s_param:.6g} "
+                f"leaves the float range at row {row}"
+            )
+    if table:
+        return CriticalValues(z_s=model.z_s_param, rho_s=rho_s, n_terms=n)
     m = N_SERIES // 10
-    return CriticalValues(z_s=1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m), rho_s=rho_s)
+    s = float(np.sum(log_q_increments(model, np.arange(N_SERIES - m, N_SERIES, dtype=float))))
+    return CriticalValues(z_s=1.0 / math.exp(s / m), rho_s=rho_s, n_terms=n)
 
 
 class _LogQPrefix:
@@ -63,9 +86,10 @@ class _LogQPrefix:
     longer prefix starts with the bits of every shorter one.
 
     ``experiments.prepare`` makes one per preamble: ``critical_values``
-    fills it at ``N_SERIES``, and the activity solve and
-    ``equilibrium_profile`` slice it.  It is dropped with the preamble's
-    locals, so its 10^5 entries do not outlive ``prepare``.  It holds one
+    fills it to its rho_s truncation (a rate table's rows), and the
+    activity solve and ``equilibrium_profile`` grow it to their own
+    truncations and to N.  It is dropped with the preamble's locals, so
+    its entries do not outlive ``prepare``.  It holds one
     array; a longer prefix replaces it, grown from the last entry of the
     old one (``detailed_balance`` evaluates only the new increments), and
     while it is built both are held.
@@ -123,7 +147,8 @@ def _series_at_activity(
 def _series_terms(log_q: np.ndarray, log_z: float) -> np.ndarray:
     """The terms i Q_i z^i = exp(log i + log Q_i + i log z) of F(z) for
     i = 1..len(log_q), evaluated a block at a time into one array: the bits
-    of the one-shot expression, holding one block of temporaries."""
+    of the one-shot expression, holding one block of temporaries.  A term
+    past the float range is inf, with no warning."""
     terms = np.empty(len(log_q))
     for lo, hi in index_blocks(0, len(log_q)):
         i = np.arange(lo + 1, hi + 1, dtype=float)
@@ -132,7 +157,7 @@ def _series_terms(log_q: np.ndarray, log_z: float) -> np.ndarray:
         t += log_q[lo:hi]
         i *= log_z
         t += i
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             np.exp(t, out=t)
     return terms
 
@@ -146,16 +171,17 @@ def solve_monomer_activity(
 ) -> float:
     """Solve F(z_bar) = rho for the monomer activity of a subcritical density.
 
-    Safeguarded Newton on [0, z_s), from above.  The upper end of the
-    bracket starts at 0.999 z_s and creeps toward z_s while F there is
-    still below rho, each point it leaves becoming the lower end; the
-    iteration starts at the upper end.  F is increasing and convex, so from
-    above a Newton step z - (F(z) - rho) / F'(z) does not pass z_bar, and
-    the iterates descend onto it.  F'(z) = sum_i i t_i / z is read from the
-    terms t_i that F(z) summed, at its truncation.  An iterate where F is
-    below rho, its series did not converge or a rate table's last terms
-    still grow, or a step that leaves the bracket, bisects the bracket
-    instead.  Stops at an iterate below the model's own z_s where
+    Safeguarded Newton on log F in log z, on [0, z_s), from above.  The
+    upper end of the bracket starts at 0.999 z_s and creeps toward z_s
+    while F there is still below rho, each point it leaves becoming the
+    lower end; the iteration starts at the upper end.  s -> log F(e^s) is a
+    log-sum-exp of affine functions of s, so it is increasing and convex,
+    and from above a Newton step z exp(-(log F(z) - log rho) F(z) / (z F'(z)))
+    does not pass z_bar: the iterates descend onto it.  z F'(z) = sum_i i t_i
+    is read from the terms t_i that F(z) summed, at its truncation.  An
+    iterate where F is below rho, its series did not converge or a rate
+    table's last terms still grow, or a step that leaves the bracket,
+    bisects the bracket instead.  Stops at an iterate below the model's own z_s where
     |F(z) - rho| <= ``ACTIVITY_TOL`` rho, a fixed 1e-12 relative.
     A density at or above ``critical.rho_s``, the partial sum L of F at the
     model's own z_s, is refused first (SupercriticalError, naming L and
@@ -169,7 +195,7 @@ def solve_monomer_activity(
         raise ParameterError("density must be positive")
     if not rho < critical.rho_s:
         raise SupercriticalError(
-            f"density {rho:.6g} is not below the critical density: sum_(i<={model.table_length or N_SERIES}) "
+            f"density {rho:.6g} is not below the critical density: sum_(i<={critical.n_terms}) "
             f"i Q_i z_s^i = {critical.rho_s:.6g} at z_s = {model.z_s_param:.6g}"
         )
     log_q_prefix = log_q_prefix or _LogQPrefix(model)
@@ -197,8 +223,8 @@ def solve_monomer_activity(
             hi = z
         step = 0.5 * (lo + hi)
         if terms is not None and value > rho:
-            slope = float((np.arange(1, len(terms) + 1, dtype=float) * terms).sum()) / z
-            newton = z - (value - rho) / slope
+            z_slope = float((np.arange(1, len(terms) + 1, dtype=float) * terms).sum())
+            newton = z * math.exp(-math.log(value / rho) * value / z_slope)
             if lo < newton < hi:
                 step = newton
         if step == lo or step == hi:

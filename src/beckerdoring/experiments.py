@@ -163,10 +163,14 @@ def prepare(config: ExperimentConfig) -> Preamble:
     the pipeline: every later consumer reads ``Preamble.critical``.  The
     activity solve refuses a density at or above rho_s, the partial sum L
     of F at the model's own z_s.  The steps share one log-Q prefix: the
-    critical values compute it at ``equilibrium.N_SERIES`` = 10^5 (a rate
-    table's rows), the others slice it.  The activity
-    solves the density of the initial state: ``config.rho``, or for
-    ``init = "file"`` the file's, which is read first.
+    critical values fill it to the truncation of that sum (a rate table's
+    rows; for a formula family, where its later terms stop moving it, at
+    most ``equilibrium.N_SERIES`` = 10^5), and the activity solve and the
+    equilibrium profile grow it to their own truncations and to N.  A
+    formula family's root-test z_s reads the rates over the 10^4 indices
+    below 10^5 only.  The activity solves the density of the initial
+    state: ``config.rho``, or for ``init = "file"`` the file's, which is
+    read first.
     """
     model = config.build_model()
     log_q_prefix = _LogQPrefix(model)

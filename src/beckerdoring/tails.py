@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equilibrium import fsum_array
 from .errors import ParameterError
 
 
@@ -29,14 +28,6 @@ def tail_density(c: np.ndarray) -> np.ndarray:
     if np.any(c < 0):
         raise ParameterError("concentrations must be non-negative")
     return np.cumsum(c[..., ::-1], axis=-1)[..., ::-1].copy()
-
-
-def tail_moment(g: np.ndarray, k: float) -> float:
-    """Weighted tail sum sum_j j^k G_j."""
-    if k < 0:
-        raise ParameterError("moment order must be >= 0")
-    j = np.arange(1, len(g) + 1, dtype=float)
-    return fsum_array(j**k * g)
 
 
 class StretchedWeights(NamedTuple):

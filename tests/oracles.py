@@ -2,11 +2,11 @@
 
 No command or stage of ``beckerdoring`` runs these: they recompute the
 pipeline's arithmetic from a second direction (scalar moments and fluxes of
-one state, the tail evolution, the weak form of the system, the stretched
-sandwich bounds, the monomer-activity series at one z and the activity's
-bisection solve, the balance check of a dominating sequence read from every
-row of r, and a Metzler-matrix sign-preservation checker for the comparison
-principle).
+one state, the tail evolution and tail moments, the weak form of the
+system, the stretched sandwich bounds, the monomer-activity series at one z
+and the activity's bisection solve, the root test's old critical values,
+the balance check of a dominating sequence read from every row of r, and a
+Metzler-matrix sign-preservation checker for the comparison principle).
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from beckerdoring._rk import solve_rk54
-from beckerdoring.coefficients import CoefficientModel
+from beckerdoring.coefficients import CoefficientModel, detailed_balance
 from beckerdoring.equilibrium import (
-    _N_CAP, N_SERIES, CriticalValues, _LogQPrefix, _series_at_activity, _series_terms, critical_values, fsum_array,
+    _N_CAP, N_SERIES, CriticalValues, _LogQPrefix, _series_at_activity, _series_terms, fsum_array,
 )
 from beckerdoring.errors import NumericalError, ParameterError, SupercriticalError
 from beckerdoring.solver import Trajectory, _flux, _rhs_core
@@ -167,15 +167,24 @@ def bisect_monomer_activity(
     return z_bar
 
 
+def root_test_z_s(log_q: np.ndarray) -> float:
+    """The root-test z_s that ``critical_values`` once read off a formula
+    family's full log Q_1..log Q_(N_SERIES): the reciprocal of the geometric
+    mean of the last ``N_SERIES``//10 ratios Q_(i+1)/Q_i, as a difference of
+    two entries of the running sum."""
+    m = N_SERIES // 10
+    return 1.0 / math.exp((log_q[N_SERIES - 1] - log_q[N_SERIES - 1 - m]) / m)
+
+
 def root_test_rho_s(model: CoefficientModel) -> float:
     """The partial-sum estimate of rho_s that ``critical_values`` once
     returned for a formula family: the sum of i Q_i z_s^i over ``N_SERIES``
-    terms at the root-test z_s, or +inf when its second half still grew the
-    sum by more than a factor 1 + 1e-6.  The robustness grid and the activity
-    solve's census draw their densities as shares of it, so their configs
-    keep their bits."""
-    prefix = _LogQPrefix(model)
-    terms = _series_terms(prefix(N_SERIES), math.log(critical_values(model, log_q_prefix=prefix).z_s))
+    terms at the old root-test z_s (``root_test_z_s``), or +inf when its
+    second half still grew the sum by more than a factor 1 + 1e-6.  The
+    robustness grid and the activity solve's census draw their densities
+    as shares of it, so their configs keep their bits."""
+    log_q = detailed_balance(model, N_SERIES)
+    terms = _series_terms(log_q, math.log(root_test_z_s(log_q)))
     s_half, s_full = float(np.sum(terms[: N_SERIES // 2])), float(np.sum(terms))
     return math.inf if s_half > 0 and s_full > s_half * (1.0 + 1e-6) else s_full
 
@@ -218,7 +227,16 @@ def verify_supersolution(
     )
 
 
-# -- tails: the tail evolution and the stretched sandwich ---------------------
+# -- tails: the tail evolution, tail moments and the stretched sandwich -------
+
+
+def tail_moment(g: np.ndarray, k: float) -> float:
+    """Weighted tail sum sum_j j^k G_j."""
+    if k < 0:
+        raise ParameterError("moment order must be >= 0")
+    j = np.arange(1, len(g) + 1, dtype=float)
+    return fsum_array(j**k * g)
+
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from beckerdoring.experiments import ExperimentConfig, run_uniform_moment_experi
 from beckerdoring.supersolution import (
     anchor_index, build_supersolution, make_params, verify_supersolution, weighted_sum_bound,
 )
-from beckerdoring.tails import stretched_weights, tail_density, tail_moment
+from beckerdoring.tails import stretched_weights, tail_density
 from conftest import full_states, monodisperse
 import oracles
-from oracles import stretched_sandwich_check, tail_rhs
+from oracles import stretched_sandwich_check, tail_moment, tail_rhs
 
 
 def _criterion(number, name, ok, detail=""):

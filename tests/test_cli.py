@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +158,10 @@ def test_equilibrium_block(small_config, capsys):
 
 @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
 def test_summary_writes_the_partial_sum(small_config, tmp_path, family):
-    # summary.json's rho_s is L = sum_(i<=10^5) i Q_i z_s^i at the model's
-    # own z_s = 1, the sum the activity solve refuses at; its z_s is the
-    # root test's estimate, which omega and lambda were built from
+    # summary.json's rho_s is L = sum_(i<=n) i Q_i z_s^i at the model's own
+    # z_s = 1, within round-off of the 10^5-term sum, the sum the activity
+    # solve refuses at; its z_s is the root test's estimate, which omega
+    # and lambda were built from
     path = tmp_path / "family.toml"
     path.write_text(small_config.read_text().replace('family = "power_law"', f'family = "{family}"'))
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -311,8 +313,8 @@ def test_supersolution_margin_at_n_32000_reads_the_rates(tmp_path, capsys, monke
     path = tmp_path / "large.toml"
     path.write_text(re.sub(r"^n = 2000", "n = 32000", template_text(), flags=re.M))
     assert main(["supersolution", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert "verified=True worst_margin=-0.029397009137836494\n" in capsys.readouterr().out
-    assert json.loads((tmp_path / "out" / "witness.json").read_text())["worst_margin"] == -0.029397009137836494
+    assert "verified=True worst_margin=-0.0293970091378801\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "out" / "witness.json").read_text())["worst_margin"] == -0.0293970091378801
 
 
 def test_experiment_verdict_failure_exit_2(small_config, tmp_path):
@@ -413,6 +415,33 @@ def test_rate_table_states_its_critical_values(small_config, tmp_path, capsys, m
     assert main(["experiment", "--config", str(table), "--out", str(tmp_path / "out")]) == 11
     assert capsys.readouterr().err == ("config error: density 5 is not below the critical density: "
                                        "sum_(i<=3000) i Q_i z_s^i = 4.87787 at z_s = 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "experiment"])
+def test_a_rate_table_whose_partial_sum_overflows_is_refused(small_config, tmp_path, capsys, monkeypatch, command):
+    # 10^5 rows of a_i = 1.009, b_i = 1 at z_s = 1: i Q_i z_s^i = i 1.009^(i-1),
+    # whose running sum passes DBL_MAX at row 77 438 (the terms themselves
+    # from row 77 963 on), so no critical density can be stated.
+    # Both commands refuse the table there, before the assumption scan and
+    # before anything is integrated, with no floating-point warning (the
+    # sum read inf, and equilibrium printed it and exited 0)
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a rate table whose partial sum overflows")
+
+    monkeypatch.setattr("beckerdoring.experiments.integrate", integrate)
+    rates = tmp_path / "rates.txt"
+    rates.write_text("".join(f"{i} 1.009 1.0\n" for i in range(1, 100_001)))
+    table = tmp_path / "table.toml"
+    table.write_text(small_config.read_text().replace('family = "power_law"', 'family = "custom"')
+                     .replace('rates_file = ""', f'rates_file = "{rates}"'))
+    out = ["--out", str(tmp_path / "out")] if command == "experiment" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(table), *out]) == 11
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("config error: the critical density is not finite: sum_(i<=100000) "
+                                       "i Q_i z_s^i at z_s = 1 leaves the float range at row 77438\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -610,10 +639,11 @@ def test_help_exit_0(capsys):
 
 @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
 def test_formula_families_refuse_a_density_at_their_partial_sum(small_config, tmp_path, capsys, monkeypatch, family):
-    # L = sum_(i<=10^5) i Q_i z_s^i at the model's own z_s = 1 bounds rho_s
-    # from below: 1.001 L is refused as the activity solve's first step,
-    # before F is evaluated at any iterate and before anything is
-    # integrated, by every command that certifies
+    # L = sum_(i<=n) i Q_i z_s^i at the model's own z_s = 1 bounds rho_s
+    # from below, n being where its later terms stop moving it (the sum of
+    # all 10^5 terms rounds to the same 6 digits): 1.001 L is refused as
+    # the activity solve's first step, before F is evaluated at any iterate
+    # and before anything is integrated, by every command that certifies
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a density at or above the partial sum")
 
@@ -625,6 +655,7 @@ def test_formula_families_refuse_a_density_at_their_partial_sum(small_config, tm
     model = ExperimentConfig(family=family).build_model()
     i = np.arange(1, N_SERIES + 1, dtype=float)
     full = math.fsum((i * np.exp(bd.detailed_balance(model, N_SERIES))).tolist())
+    n_terms = {"power_law": 2048, "exponential_tail": 8192}[family]
     rho = 1.001 * full
     path = tmp_path / "above.toml"
     path.write_text(small_config.read_text().replace('family = "power_law"', f'family = "{family}"')
@@ -634,7 +665,7 @@ def test_formula_families_refuse_a_density_at_their_partial_sum(small_config, tm
         assert main([command, "--config", str(path), *out]) == 11, command
         err = capsys.readouterr().err
         assert err == (f"config error: density {rho:.6g} is not below the critical density: "
-                       f"sum_(i<=100000) i Q_i z_s^i = {full:.6g} at z_s = 1\n"), (command, err)
+                       f"sum_(i<={n_terms}) i Q_i z_s^i = {full:.6g} at z_s = 1\n"), (command, err)
         assert not (tmp_path / command).exists()
 
 

@@ -12,6 +12,7 @@ import beckerdoring as bd
 from beckerdoring.coefficients import _BLOCK
 from beckerdoring.equilibrium import N_SERIES, _LogQPrefix, _series_at_activity, fsum_array
 from beckerdoring.errors import FreeEnergyDomainError, NumericalError, ParameterError, SupercriticalError
+from beckerdoring.experiments import ExperimentConfig
 from conftest import bare_equilibrium
 import oracles
 from oracles import density_at_activity
@@ -34,9 +35,9 @@ class TestCriticalValues:
         assert crit.z_s == 2.0 and crit.rho_s == pytest.approx(4000 * 4001.0, rel=1e-10)
 
     def test_family_b_finite(self, family_b):
-        # rho_s is L, the sum of the first 10^5 terms of F at the model's
-        # own z_s = 1, a lower bound on the 10^6-term sum; z_s is the root
-        # test's estimate
+        # rho_s is L, a partial sum of F at the model's own z_s = 1, within
+        # round-off of its first 10^5 terms and a lower bound on the
+        # 10^6-term sum; z_s is the root test's estimate
         crit = bd.critical_values(family_b)
         assert crit.z_s == pytest.approx(1.0, rel=5e-3)
         log_q = bd.detailed_balance(family_b, 1_000_000)
@@ -45,6 +46,27 @@ class TestCriticalValues:
             terms = np.exp(np.log(i) + log_q)
         assert crit.rho_s == pytest.approx(math.fsum(terms[:N_SERIES].tolist()), rel=1e-12)
         assert crit.rho_s <= math.fsum(terms.tolist()) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("family, built", [("power_law", 20), ("exponential_tail", 15)])
+    def test_the_robustness_grid_keeps_its_critical_values(self, family, built):
+        # on every (gamma, mu_c) of the robustness grid whose model builds,
+        # z_s from the window alone is within 1e-13 of the old root test's,
+        # read off the full 10^5-entry log Q, and the partial sum within
+        # 2^-50 of the sum of all 10^5 terms: where it stops short, the
+        # terms it drops do not move it
+        models = 0
+        for gamma, mu_c in itertools.product([0.2, 0.5, 0.8, 1.0], [0.2, 0.35, 0.5, 0.65, 0.8]):
+            try:
+                model = ExperimentConfig(family=family, gamma=gamma, mu_c=mu_c).build_model()
+            except ParameterError:
+                continue
+            models += 1
+            crit = bd.critical_values(model)
+            log_q = bd.detailed_balance(model, N_SERIES)
+            full = float(np.sum(_one_shot_terms(log_q, math.log(model.z_s_param))[1]))
+            assert abs(crit.z_s - oracles.root_test_z_s(log_q)) <= 1e-13 * crit.z_s
+            assert abs(crit.rho_s - full) <= 2.0**-50 * full
+        assert models == built
 
     def test_family_a_subcritical_window(self, family_a):
         crit = bd.critical_values(family_a)
@@ -77,14 +99,23 @@ def _one_shot_terms(log_q, log_z):
 
 
 def _one_shot_critical_values(model):
-    # the sum at the model's own z_s over a table's rows or N_SERIES terms;
-    # a formula family's z_s is the root test's, over the last tenth
-    log_q = _one_shot_log_q(model, model.table_length or N_SERIES)
-    rho_s = float(np.sum(_one_shot_terms(log_q, math.log(model.z_s_param))[1]))
+    # the sum at the model's own z_s over a table's rows, or over the first
+    # n = 256 * 2^k terms (at most N_SERIES) whose terms past n/2 add at most
+    # 2^-53 of the sum; a formula family's z_s is the root test's, from the
+    # sum of the increments log(a_i / b_(i+1)) over the last tenth of
+    # 1..N_SERIES, evaluated there alone
+    log_z = math.log(model.z_s_param)
+    n = model.table_length or 256
+    terms = _one_shot_terms(_one_shot_log_q(model, n), log_z)[1]
+    while model.table_length is None and n < N_SERIES and np.sum(terms[n // 2 :]) > 2.0**-53 * np.sum(terms):
+        n = min(2 * n, N_SERIES)
+        terms = _one_shot_terms(_one_shot_log_q(model, n), log_z)[1]
+    rho_s = float(np.sum(terms))
     if model.table_length is not None:
-        return model.z_s_param, rho_s
+        return model.z_s_param, rho_s, n
     m = N_SERIES // 10
-    return 1.0 / math.exp((log_q[-1] - log_q[-1 - m]) / m), rho_s
+    i = np.arange(N_SERIES - m, N_SERIES, dtype=float)
+    return 1.0 / math.exp(float(np.sum(np.log(model.a(i) / model.b(i + 1)))) / m), rho_s, n
 
 
 def _one_shot_density(model, z, tol_abs, n):
@@ -113,13 +144,13 @@ class TestBlockedSeries:
     @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
     @pytest.mark.parametrize("kind", BLOCKED_MODELS)
     def test_critical_values(self, kind, n):
-        # from a prefix already filled to n rows, grown from there to
-        # N_SERIES (a table's 10^5 rows): the one-shot bits
+        # from a prefix already filled to n rows, sliced there or grown from
+        # there to the sum's truncation (a table's 10^5 rows): the one-shot
+        # bits
         model = BLOCKED_MODELS[kind]()
         prefix = _LogQPrefix(model)
         prefix(n)
-        crit = bd.critical_values(model, prefix)
-        assert (crit.z_s, crit.rho_s) == _one_shot_critical_values(model)
+        assert tuple(bd.critical_values(model, prefix)) == _one_shot_critical_values(model)
 
     @pytest.mark.parametrize("n", BLOCKED_LENGTHS)
     @pytest.mark.parametrize("kind", BLOCKED_MODELS)
@@ -177,7 +208,8 @@ class TestBlockedSeries:
 class TestSubcriticalRefusal:
     # the activity solve accepts a density only below rho_s = L, the partial
     # sum of F at the model's own z_s = 1 that critical_values reports (the
-    # sum of all 10^5 terms, or of a table's rows), wherever the root-test
+    # sum of its terms until the later ones stop moving it, or of a table's
+    # rows), wherever the root-test
     # estimate of z_s lies; a refused density evaluates no F
 
     @pytest.mark.parametrize("fixture", ["family_a", "family_b"])
@@ -247,7 +279,7 @@ class TestSolveActivity:
     @pytest.mark.parametrize("fixture, full", [("family_a", "4.87787"), ("family_b", "32.4591")])
     def test_templates_refused_below_the_estimate(self, fixture, full, request):
         # 0.995 of the root test's old estimate of rho_s lies above L, the
-        # 10^5-term sum at the model's own z_s = 1: the library solve
+        # partial sum at the model's own z_s = 1: the library solve
         # refuses it, naming L, where it once returned z_bar = 1.00228 and
         # 1.00138 > z_s
         model = request.getfixturevalue(fixture)
@@ -256,11 +288,11 @@ class TestSolveActivity:
             bd.solve_monomer_activity(model, 0.995 * oracles.root_test_rho_s(model), critical=crit)
 
     def test_below_the_partial_sum_the_bits_hold(self, family_a):
-        # 0.97 of the old estimate is 4.811, below L = 4.87787: z_bar keeps
-        # the bits it had when the solve refused against the estimate
+        # 0.97 of the old estimate is 4.811, below L = 4.87787: the solve
+        # meets it, by Newton on log F from the root test's bracket
         crit = bd.critical_values(family_a)
         z = bd.solve_monomer_activity(family_a, 0.97 * oracles.root_test_rho_s(family_a), critical=crit)
-        assert z == 0.9972865790949719
+        assert z == 0.9972865790949564
 
     @pytest.fixture(scope="class")
     def long_ones_model(self):

@@ -12,7 +12,7 @@ import pytest
 
 import beckerdoring as bd
 from beckerdoring.cli import main
-from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE, index_blocks
+from beckerdoring.coefficients import _BLOCK, _EVAL_RANGE
 from beckerdoring.config import config_from_dict, load_config, parse_config_text, template_text
 from beckerdoring.errors import ConfigError, ParameterError, UnboundedGrowthConstantError
 from beckerdoring.equilibrium import N_SERIES, support_length
@@ -233,28 +233,39 @@ def _arrays(obj, seen=None):
 class TestModelSequencesOnce:
     """An experiment evaluates each model sequence once and slices it."""
 
+    # the final length K of the log-Q prefix on the templates: the partial
+    # sum's truncation, past which neither the activity solve nor N = 2000
+    # grows it
+    PREFIX_LENGTH = {"power_law": 2048, "exponential_tail": 8192}
+
     @staticmethod
     def _record(monkeypatch) -> dict:
         """The index array of every call of ``CoefficientModel.a`` and ``b``,
-        by rate and by the name of the calling function."""
+        by rate and by the name of the calling function (for the increments
+        of log Q, of the function that asked for them)."""
         seen = {"a": {}, "b": {}}
         for name in seen:
             original = getattr(bd.CoefficientModel, name)
 
             def recorded(self, i, _calls=seen[name], _original=original):
-                _calls.setdefault(sys._getframe(1).f_code.co_name, []).append(np.array(i, dtype=float).ravel())
+                caller = sys._getframe(1).f_code.co_name
+                if caller == "log_q_increments":
+                    caller = sys._getframe(2).f_code.co_name
+                _calls.setdefault(caller, []).append(np.array(i, dtype=float).ravel())
                 return _original(self, i)
 
             monkeypatch.setattr(bd.CoefficientModel, name, recorded)
         return seen
 
     # the rates are evaluated by ``scans`` consumers in the preamble, each
-    # index once per consumer: the log-Q prefix's a_1..a_{n-1} and
-    # b_2..b_n at n = N_SERIES, a block at a time, and for the exponential
-    # tail the model build's 1..10^4 b_bar scan.  An experiment and the
-    # supersolution command add ``rate_pairs``' one evaluation, and extend
-    # no scan of the preamble: z_s has one producer (the prepare cases keep
-    # the ids [power_law-1] and [exponential_tail-2])
+    # index once per consumer: the log-Q prefix's a_1..a_{K-1} and
+    # b_2..b_K, a block at a time as it grows, and for the exponential tail
+    # the model build's 1..10^4 b_bar scan.  The root test's window adds
+    # a_i and b_{i+1} for the 10^4 indices i below N_SERIES, once, and no
+    # rate in between is evaluated.  An experiment and the supersolution
+    # command add ``rate_pairs``' one evaluation, and extend no scan of the
+    # preamble: z_s has one producer (the prepare cases keep the ids
+    # [power_law-1] and [exponential_tail-2])
     @pytest.mark.parametrize("family,scans,run", [
         pytest.param(family, scans, run, id="-".join([family, str(scans)] + [run] * (run != "prepare")))
         for family, scans in [("power_law", 1), ("exponential_tail", 2)]
@@ -274,25 +285,30 @@ class TestModelSequencesOnce:
         b_bar_scan = {} if family == "power_law" else {"_sup_ratio_b_over_a": 1}
         pairs = {} if run == "prepare" else {"rate_pairs": 1}
         assert len(b_bar_scan) == scans - 1
+        k, m = self.PREFIX_LENGTH[family], N_SERIES // 10
         for name, first in (("a", 1), ("b", 2)):
             calls = seen[name]
             blocked = calls.pop("detailed_balance")
+            (window,) = calls.pop("critical_values")
             assert {caller: len(c) for caller, c in calls.items()} == {**b_bar_scan, **pairs}
             for i in calls.get("_sup_ratio_b_over_a", []):
                 assert np.array_equal(i, np.arange(1, _EVAL_RANGE + 1))
             assert all(len(i) <= _BLOCK for i in blocked)
-            assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(first, N_SERIES + first - 1))
+            assert np.array_equal(np.sort(np.concatenate(blocked)), np.arange(first, k + first - 1))
+            assert np.array_equal(window, np.arange(N_SERIES - m, N_SERIES) + first - 1)
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_an_experiment_evaluates_the_rates_once(self, monkeypatch, family):
         # each consumer evaluates the rates once: rate_pairs in one call, the
-        # log-Q prefix once per block, the exponential tail's b_bar scan once
+        # log-Q prefix once per growth as its length doubles from 256 to K
+        # (no growth spans more than a block), the root test's window in one
+        # call, the exponential tail's b_bar scan once
         seen = self._record(monkeypatch)
         config = ExperimentConfig(family=family)
         report = run_uniform_moment_experiment(config)
         assert report.supersolution is not None  # every consumer of the rates ran
-        blocks = len(list(index_blocks(1, N_SERIES)))
-        expected = {"rate_pairs": 1, "detailed_balance": blocks}
+        growths = int(math.log2(self.PREFIX_LENGTH[family] // 256)) + 1
+        expected = {"rate_pairs": 1, "detailed_balance": growths, "critical_values": 1}
         if family == "exponential_tail":
             expected["_sup_ratio_b_over_a"] = 1
         for calls in seen.values():
@@ -300,8 +316,10 @@ class TestModelSequencesOnce:
 
     @pytest.mark.parametrize("family", ["power_law", "exponential_tail"])
     def test_the_preamble_holds_log_q_and_one_term_array(self, family):
-        # log Q and the terms of F: 1.6 MB at N_SERIES = 10^5; evaluated
-        # whole, the scan's temporaries took the traced peak to 4.6-5.7 MB
+        # log Q and the terms of F up to the partial sum's truncation, and the
+        # root test's 10^4-index window: 0.5-0.8 MB.  Filled to
+        # N_SERIES = 10^5 they took 1.6 MB; evaluated whole, the scan's
+        # temporaries took the traced peak to 4.6-5.7 MB
         config = ExperimentConfig(family=family)
         prepare(config)  # lazy imports and first-call set-up are not traced
         tracemalloc.start()
@@ -310,7 +328,7 @@ class TestModelSequencesOnce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5e6
+        assert peak <= 1.0e6
 
     def test_the_preamble_keeps_no_log_q_prefix(self):
         config = ExperimentConfig()

@@ -9,7 +9,7 @@ RECORDS = {
         "frag_ok", "frag_first_violation", "b_bar_observed", "ratio_ok", "ratio_estimate",
         "ratio_target", "profile_monotone_ok", "profile_start_index",
     ),
-    equilibrium.CriticalValues: ("z_s", "rho_s"),
+    equilibrium.CriticalValues: ("z_s", "rho_s", "n_terms"),
     equilibrium.EquilibriumData: ("z_bar", "profile", "log_profile", "rho", "cut_index", "tail_bound"),
     experiments.Preamble: ("model", "critical", "z_bar", "equilibrium", "c0", "rho", "omega", "opts"),
     experiments.ShortTimeBound: ("c_phi", "eps", "a_phi"),

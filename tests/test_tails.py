@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import beckerdoring as bd
 from beckerdoring.errors import ParameterError
-from beckerdoring.tails import tail_density, tail_moment
+from beckerdoring.tails import tail_density
 from conftest import monodisperse
 import oracles
-from oracles import tail_rhs
+from oracles import tail_moment, tail_rhs
 
 EPS = np.finfo(float).eps
 
